@@ -18,8 +18,8 @@ from .braids import SeifertData
 from .errors import InconsistentBounds, InvalidSeifertData
 from .factor import FoxMilnorResult, fox_milnor_test
 from .laurent import LaurentPoly
-from .signature import (CirclePoint, alexander_from_seifert, link_nullity,
-                        signature_function)
+from .signature import (CirclePoint, SignatureFunction, alexander_from_seifert,
+                        link_nullity, signature_function)
 
 OBSTRUCTED = "obstructed"
 CONSISTENT = "consistent-with-slice"
@@ -166,11 +166,13 @@ def lt_lower_bound(data: SeifertData) -> tuple[int, CirclePoint]:
     and intervals already attain the maximum.  The witness is the sample
     point of an attaining interval.
     """
-    f = signature_function(data)
+    return _signature_bound(signature_function(data), link_nullity(data),
+                            data.components)
+
+
+def _signature_bound(f: SignatureFunction, beta: int, m: int) -> tuple[int, CirclePoint]:
     s = f.max_abs_sigma()
     witness = CirclePoint(f.samples[f.argmax_interval()])
-    beta = link_nullity(data)
-    m = data.components
     bound = -((-(s + m - 1 - beta)) // 2)  # ceil of a nonnegative quantity
     return bound, witness
 
@@ -221,13 +223,15 @@ def slice_obstruction(data: SeifertData, degree_cap: int = 12) -> SliceObstructi
         raise InvalidSeifertData("slice obstruction implemented for knots only")
     fm = fox_milnor_test(alexander_from_seifert(data), degree_cap)
     bound, _ = lt_lower_bound(data)
-    if fm.verdict == "fails" or bound > 0:
-        verdict = OBSTRUCTED
-    elif fm.verdict == "passes":
-        verdict = CONSISTENT
-    else:
-        verdict = INCONCLUSIVE
-    return SliceObstruction(verdict, fm, bound)
+    return SliceObstruction(_slice_verdict(fm, bound), fm, bound)
+
+
+def _slice_verdict(fm: FoxMilnorResult, signature_bound: int) -> str:
+    if fm.verdict == "fails" or signature_bound > 0:
+        return OBSTRUCTED
+    if fm.verdict == "passes":
+        return CONSISTENT
+    return INCONCLUSIVE
 
 
 def infection_transfer(base: BoundReport, v_base: SeifertData | None,
@@ -292,11 +296,13 @@ def assemble_report(data: SeifertData, certs=(), degree_cap: int = 12) -> BoundR
     Seifert surface, and any band certificates.  For links (m > 1) no
     upper bound is produced here (band certificates assume one boundary
     circle) and the slice verdict is only the signature obstruction.
+    The signature function, beta, Delta and the Fox-Milnor test are each
+    computed once.
     """
     m = data.components
-    lower, witness = lt_lower_bound(data)
     f = signature_function(data)
     beta = link_nullity(data)
+    lower, witness = _signature_bound(f, beta, m)
     wx = witness.x
     provenance = [Provenance(
         "lower", lower,
@@ -318,7 +324,7 @@ def assemble_report(data: SeifertData, certs=(), degree_cap: int = 12) -> BoundR
                 f"{cert.bands} band moves to a "
                 f"{cert.resulting_unlink_components}-component unlink "
                 f"(user-supplied, not verified)")
-        verdict = slice_obstruction(data, degree_cap).verdict
+        verdict = _slice_verdict(fox_milnor_test(delta, degree_cap), lower)
     else:
         if certs:
             raise InvalidSeifertData(

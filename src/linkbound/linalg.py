@@ -3,8 +3,11 @@ Q and Q(t).
 
 Polynomial entries use the dense list convention of :mod:`linkbound.polys`.
 Bareiss (fraction-free) elimination keeps every intermediate value in the
-base ring, so determinants of integer and integer-polynomial matrices come
-out exactly.
+base ring.  Over Z[t] the entries must be integer polynomials: each
+elimination step divides exactly in Z[t], by integer ``divmod`` on the
+coefficients, and raises ``ValueError`` if a division leaves a remainder.
+Without row swaps the Bareiss pivots are the leading principal minors, so
+one elimination yields all of them.
 """
 
 from __future__ import annotations
@@ -63,32 +66,74 @@ def rational_rank(matrix) -> int:
     return rank
 
 
-def poly_det(matrix) -> list:
-    """Determinant of a square matrix of integer polynomials (dense lists),
-    via fraction-free Bareiss elimination with row pivoting."""
+def _exact_quotient(num: list, den: list) -> list:
+    """num / den for integer polynomials whose quotient lies in Z[t].
+
+    Long division with integer ``divmod`` on the coefficients; raises
+    ValueError on a nonzero remainder rather than truncating."""
+    dd = len(den) - 1
+    rem = list(num)
+    quo = [0] * max(len(rem) - dd, 0)
+    for shift in reversed(range(len(quo))):
+        q, r = divmod(rem[shift + dd], den[-1])
+        if r:
+            raise ValueError("inexact division in Z[t]")
+        quo[shift] = q
+        for i in range(dd):
+            rem[shift + i] -= q * den[i]
+    if any(rem[:dd]):
+        raise ValueError("inexact division in Z[t]")
+    return quo
+
+
+def _bareiss_pivots(matrix, swap_rows: bool = True) -> tuple[int, list]:
+    """(sign, pivots) of fraction-free Bareiss elimination of a square
+    matrix of integer polynomials (dense lists).
+
+    The pivots are produced in order and the elimination stops after the
+    first zero pivot, so the last pivot times `sign` is the determinant
+    (zero when the elimination stopped early).  With `swap_rows` a zero
+    pivot is first replaced by swapping in a lower row, and `sign` tracks
+    the swaps.  Without row swaps, pivot k is exactly the leading
+    principal minor of size k + 1.
+    """
     n = len(matrix)
-    if n == 0:
-        return [1]
     m = [[polys.trim(e) for e in row] for row in matrix]
     sign = 1
     prev = [1]
-    for k in range(n - 1):
-        if not m[k][k]:
+    pivots = []
+    for k in range(n):
+        if not m[k][k] and swap_rows:
             for i in range(k + 1, n):
                 if m[i][k]:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
-            else:
-                return []
+        pivot = m[k][k]
+        pivots.append(pivot)
+        if not pivot:
+            break
         for i in range(k + 1, n):
+            row, head = m[i], m[i][k]
             for j in range(k + 1, n):
-                num = polys.sub(polys.mul(m[i][j], m[k][k]),
-                                polys.mul(m[i][k], m[k][j]))
-                m[i][j] = polys.intify(polys.div_exact(num, prev)) if num else []
-            m[i][k] = []
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
+                num = polys.sub(polys.mul(row[j], pivot), polys.mul(head, m[k][j]))
+                row[j] = _exact_quotient(num, prev)
+        prev = pivot
+    return sign, pivots
+
+
+def poly_det(matrix) -> list:
+    """Determinant of a square matrix of integer polynomials (dense lists),
+    via fraction-free Bareiss elimination with row pivoting.
+
+    For integer entries every division is exact in Z[t] (the quotients
+    are minors).  It is done by integer divmod on the coefficients, and a
+    division that leaves a remainder, which non-integer entries can
+    cause, raises ValueError rather than truncating."""
+    if not matrix:
+        return [1]
+    sign, pivots = _bareiss_pivots(matrix)
+    det = pivots[-1]
     return polys.neg(det) if sign < 0 else det
 
 

@@ -28,7 +28,7 @@ from .braids import SeifertData
 from .errors import InvalidSeifertData, SingularFamilyError
 from .factor import _rational_root_split
 from .laurent import LaurentPoly, involution, normalize
-from .linalg import poly_det, poly_rank
+from .linalg import _bareiss_pivots, poly_det, poly_rank
 from .realroots import RealAlgebraic, isolate_real_roots
 
 
@@ -280,18 +280,35 @@ def _principal_minor_laurent(A: HermitianFamily, subset: tuple) -> LaurentPoly:
     return LaurentPoly.from_dense(det, -shift * len(subset))
 
 
-@lru_cache(maxsize=65536)
-def _principal_minor_x(A: HermitianFamily, subset: tuple) -> tuple:
-    """The same minor as a dense integer polynomial in x = z + 1/z."""
-    minor = _principal_minor_laurent(A, subset)
+def _minor_x(minor: LaurentPoly) -> tuple:
+    """A principal minor as a dense integer polynomial in x = z + 1/z."""
     if minor.is_zero:
         return ()
     return tuple(polys.clear_denominators(symmetric_laurent_to_xpoly(minor)))
 
 
+@lru_cache(maxsize=65536)
+def _principal_minor_x(A: HermitianFamily, subset: tuple) -> tuple:
+    """A principal minor in x; leading ones are read off the one-pass
+    leading minors."""
+    if subset and subset == tuple(range(len(subset))):
+        return _leading_minors_x(A)[len(subset) - 1]
+    return _minor_x(_principal_minor_laurent(A, subset))
+
+
 @lru_cache(maxsize=2048)
 def _leading_minors_x(A: HermitianFamily) -> tuple:
-    return tuple(_principal_minor_x(A, tuple(range(k))) for k in range(1, A.size + 1))
+    """All leading principal minors in x, from one Bareiss elimination
+    without row swaps (its pivots are these minors).  The elimination
+    stops at the first identically zero minor; the larger ones are then
+    computed one by one."""
+    _, shift, dense = _scaled_matrix(A)
+    _, pivots = _bareiss_pivots(dense, swap_rows=False)
+    minors = [_minor_x(LaurentPoly.from_dense(p, -shift * k))
+              for k, p in enumerate(pivots, 1)]
+    minors += [_minor_x(_principal_minor_laurent(A, tuple(range(k))))
+               for k in range(len(pivots) + 1, A.size + 1)]
+    return tuple(minors)
 
 
 def family_determinant(A: HermitianFamily) -> LaurentPoly:
@@ -471,7 +488,7 @@ def _jump_structure(A: HermitianFamily):
     n = A.size
     if n == 0:
         return (1,), 0, ()
-    det_x = _principal_minor_x(A, tuple(range(n)))
+    det_x = _leading_minors_x(A)[-1]
     if _xpoly_nonzero(det_x):
         jump = list(det_x)
         rank = n
@@ -770,13 +787,20 @@ def _presentation_dense(data: SeifertData) -> list[list[list]]:
     return [[polys.trim([-vt[i][j], v[i][j]]) for j in range(n)] for i in range(n)]
 
 
+@lru_cache(maxsize=1024)
+def _presentation_det(data: SeifertData) -> tuple:
+    """det(tV - V^T) as dense coefficients, shared by the Alexander
+    polynomial and the nullity."""
+    return tuple(poly_det(_presentation_dense(data)))
+
+
 def alexander_from_seifert(data: SeifertData) -> LaurentPoly:
     """normalize(det(tV - V^T)).  The empty matrix gives 1; a vanishing
     determinant (links with positive nullity) returns the zero polynomial
     unnormalized, since normalization is undefined there."""
     if data.size == 0:
         return LaurentPoly.one()
-    det = poly_det(_presentation_dense(data))
+    det = _presentation_det(data)
     if not det:
         return LaurentPoly.zero()
     return normalize(LaurentPoly.from_dense(det, 0))
@@ -784,9 +808,12 @@ def alexander_from_seifert(data: SeifertData) -> LaurentPoly:
 
 def link_nullity(data: SeifertData) -> int:
     """Corank over Q(t) of the presentation matrix tV - V^T; always within
-    [0, components - 1] for valid Seifert data."""
+    [0, components - 1] for valid Seifert data.
+
+    beta = 0 exactly when the Alexander polynomial det(tV - V^T) is not
+    identically zero; no rank is computed then."""
     n = data.size
-    if n == 0:
+    if n == 0 or _presentation_det(data):
         return 0
     beta = n - poly_rank(_presentation_dense(data))
     if not 0 <= beta <= data.components - 1:

@@ -1,16 +1,21 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import linkbound.linalg
+import linkbound.signature
 from linkbound import (BandCertificate, BoundReport, BraidWord,
                        InconsistentBounds, InfectionDecl, InvalidSeifertData,
                        LaurentPoly, SeifertData, ZeroPolynomialError,
-                       assemble_report, band_certificate_genus, connected_sum,
-                       infection_transfer, lt_lower_bound, mirror,
-                       seifert_matrix_from_braid, seifert_genus_upper_bound,
-                       signature_function, slice_obstruction, torus_braid,
-                       width_upper_bound)
+                       alexander_from_seifert, assemble_report,
+                       band_certificate_genus, connected_sum, float_oracle,
+                       infection_transfer, link_nullity, lt_lower_bound, mirror,
+                       normalize, seifert_matrix_from_braid,
+                       seifert_genus_upper_bound, signature_function,
+                       slice_obstruction, torus_braid, width_upper_bound)
+from linkbound import polys
 
 from helpers import random_knot_data
 
@@ -126,6 +131,71 @@ def test_assemble_link_no_upper():
     assert report.slice_verdict == "obstructed"
     with pytest.raises(InvalidSeifertData):
         assemble_report(hopf, certs=[BandCertificate(1, 2)])
+
+
+def _patch_poly_rank(monkeypatch, fn):
+    monkeypatch.setattr(linkbound.linalg, "poly_rank", fn)
+    monkeypatch.setattr(linkbound.signature, "poly_rank", fn)
+
+
+def test_report_ranks_nothing_when_delta_nonzero(monkeypatch):
+    """beta = 0 whenever det(tV - V^T) is not identically zero, so a
+    report on such an input never computes a rank."""
+    def no_rank(matrix):
+        raise AssertionError("poly_rank called although Delta != 0")
+
+    _patch_poly_rank(monkeypatch, no_rank)
+    inputs = [seifert_matrix_from_braid(torus_braid(3, 7)),
+              seifert_matrix_from_braid(torus_braid(2, 8)),
+              random_knot_data(random.Random(93), max_strands=4, max_len=12)]
+    for data in inputs:
+        assert not alexander_from_seifert(data).is_zero
+        report = assemble_report(data)
+        assert report.lower >= 0
+    assert assemble_report(inputs[1]).components == 2
+
+
+def test_link_nullity_ranks_when_delta_vanishes(monkeypatch):
+    """T(3,5) with two zero rows and columns (a 3-component boundary
+    link) has det(tV - V^T) = 0, so beta comes from one rank."""
+    calls = []
+    rank = linkbound.linalg.poly_rank
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return rank(matrix)
+
+    _patch_poly_rank(monkeypatch, counted)
+    n = T35.size
+    padded = [list(row) + [0, 0] for row in T35.matrix] + [[0] * (n + 2)] * 2
+    data = SeifertData.from_matrix(padded, 3)
+    assert alexander_from_seifert(data).is_zero
+    assert link_nullity(data) == 2
+    assert calls == [n + 2]
+
+
+def _torus_knot_alexander(p: int, q: int) -> LaurentPoly:
+    """(t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)), normalized."""
+    def power_minus_one(k):
+        return [-1] + [0] * (k - 1) + [1]
+
+    num = polys.mul(power_minus_one(p * q), power_minus_one(1))
+    den = polys.mul(power_minus_one(p), power_minus_one(q))
+    return normalize(LaurentPoly.from_dense(polys.div_exact(num, den)))
+
+
+def test_report_t3_10():
+    """T(3,10), n = 18: the knot at which the report used to stall in the
+    exponential rank and the Fraction-based Bareiss division."""
+    data = seifert_matrix_from_braid(torus_braid(3, 10))
+    assert data.size == 18
+    assert alexander_from_seifert(data) == _torus_knot_alexander(3, 10)
+    assert link_nullity(data) == 0
+    report = assemble_report(data)
+    assert report.upper == 9
+    f = signature_function(data)
+    sigmas = [float_oracle(data, math.acos(float(x) / 2))[0] for x in f.samples]
+    assert report.lower == -((-max(abs(s) for s in sigmas)) // 2)
 
 
 def test_report_consistency_guard():

@@ -1,0 +1,152 @@
+"""The exact Z[t] kernel against sympy: Bareiss determinants, the one-pass
+leading minors, and exact division."""
+
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
+
+from linkbound import HermitianFamily, LaurentPoly, involution
+from linkbound.linalg import _bareiss_pivots, _exact_quotient, poly_det
+from linkbound.signature import _leading_minors_x
+
+T = sympy.Symbol("t")
+ZZ_T = sympy.ZZ[T]
+
+small_polys = st.lists(st.integers(-3, 3), max_size=3)  # degree <= 2
+
+
+@st.composite
+def degenerate_matrices(draw):
+    """Square integer-polynomial matrices, n <= 6, that hit the degenerate
+    paths: a zero (1,1) entry (row swap), a zero leading minor (row k-1
+    copies row 0 on the first k columns), a singular matrix (last row a
+    polynomial multiple of row 0)."""
+    n = draw(st.integers(1, 6))
+    m = [[draw(small_polys) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        m[0][0] = []
+    if n >= 2 and draw(st.booleans()):
+        k = draw(st.integers(2, n))
+        m[k - 1][:k] = [list(e) for e in m[0][:k]]
+    if n >= 2 and draw(st.booleans()):
+        factor = draw(small_polys)
+        m[-1] = [_mul(factor, e) for e in m[0]]
+    return m
+
+
+def _mul(p, q):
+    out = [0] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def sympy_det(m) -> list:
+    """det over ZZ[t] by sympy, as dense coefficients from the constant up."""
+    if not m:
+        return [1]
+    rows = [[ZZ_T.from_sympy(sum(c * T ** i for i, c in enumerate(e))) for e in row]
+            for row in m]
+    det = ZZ_T.to_sympy(DomainMatrix(rows, (len(m), len(m)), ZZ_T).det())
+    return _trim(reversed(sympy.Poly(det, T).all_coeffs())) if det != 0 else []
+
+
+@settings(max_examples=80, deadline=None)
+@given(degenerate_matrices())
+def test_poly_det_matches_sympy(m):
+    assert _trim(poly_det(m)) == sympy_det(m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(degenerate_matrices())
+def test_pivots_are_leading_minors(m):
+    _, pivots = _bareiss_pivots(m, swap_rows=False)
+    n = len(m)
+    assert 1 <= len(pivots) <= n
+    assert all(pivots[:-1])
+    assert len(pivots) == n or not pivots[-1]
+    for k, pivot in enumerate(pivots, 1):
+        assert _trim(pivot) == sympy_det([row[:k] for row in m[:k]])
+
+
+def _random_laurent(draw, symmetric: bool) -> LaurentPoly:
+    c0, c1, cm1 = (draw(st.integers(-3, 3)) for _ in range(3))
+    return LaurentPoly({0: c0, 1: c1, -1: c1 if symmetric else cm1})
+
+
+@st.composite
+def degenerate_families(draw):
+    """Hermitian families with entries in t^-1..t, n <= 5; optionally a
+    zero (1,1) entry and/or index k-1 a copy of index 0, which makes the
+    leading minors from size k on, and the determinant, vanish."""
+    n = draw(st.integers(1, 5))
+    e = [[None] * n for _ in range(n)]
+    for i in range(n):
+        e[i][i] = _random_laurent(draw, symmetric=True)
+        for j in range(i + 1, n):
+            e[i][j] = _random_laurent(draw, symmetric=False)
+            e[j][i] = involution(e[i][j])
+    if draw(st.booleans()):
+        e[0][0] = LaurentPoly.zero()
+    if n >= 2 and draw(st.booleans()):
+        k = draw(st.integers(2, n))
+        for j in range(n):
+            e[k - 1][j] = e[0][j]
+            e[j][k - 1] = e[j][0]
+        e[k - 1][k - 1] = e[0][0]
+    return HermitianFamily(tuple(tuple(row) for row in e))
+
+
+@settings(max_examples=40, deadline=None)
+@given(degenerate_families())
+def test_leading_minors_x_match_sympy(A):
+    """Each leading minor q in x satisfies det A_k(t) = c q(t + 1/t) with a
+    rational c > 0, checked as t^k det A_k(t) = c t^k q(t + 1/t) in Z[t]
+    against sympy's determinant of t A_k(t)."""
+    minors = _leading_minors_x(A)
+    assert len(minors) == A.size
+    for k, q in enumerate(minors, 1):
+        shifted = [[[A.entries[i][j].coefficient(e) for e in (-1, 0, 1)]
+                    for j in range(k)] for i in range(k)]
+        det = sympy_det(shifted)
+        if not q:
+            assert det == []
+            continue
+        sub = sum(c * (T ** 2 + 1) ** i * T ** (k - i) for i, c in enumerate(q))
+        sub = _trim(reversed(sympy.Poly(sub, T).all_coeffs()))
+        assert det and det[-1] * sub[-1] > 0
+        assert [det[-1] * c for c in sub] == [sub[-1] * c for c in det]
+
+
+def test_exact_quotient_in_z_t():
+    assert _exact_quotient([-1, 0, 1], [-1, 1]) == [1, 1]  # (t^2 - 1) / (t - 1)
+    assert _exact_quotient([6, 4], [2]) == [3, 2]
+    assert _exact_quotient([], [5, 1]) == []
+    with pytest.raises(ValueError):
+        _exact_quotient([1, 0, 1], [1, 1])  # remainder 2
+    with pytest.raises(ValueError):
+        _exact_quotient([0, 0, 2], [0, 3])  # 2t^2 / 3t is not in Z[t]
+    with pytest.raises(ValueError):
+        _exact_quotient([3], [2])
+
+
+def test_inexact_bareiss_step_raises():
+    """With a non-integer entry the second step divides 1 by the pivot 2;
+    a floor division would return det 0 instead of raising."""
+    m = [[[2], [1], []],
+         [[1], [1], []],
+         [[], [], [Fraction(1, 2)]]]
+    with pytest.raises(ValueError):
+        poly_det(m)
