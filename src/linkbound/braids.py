@@ -18,6 +18,7 @@ units) should be compared across tools.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, replace
 
@@ -173,10 +174,12 @@ def seifert_matrix_from_braid(b: BraidWord) -> SeifertData:
     disconnected; such input is rejected.
     """
     used = {abs(x) for x in b.letters}
-    missing = set(range(1, b.strands)) - used
-    if missing:
+    if len(used) < b.strands - 1:
+        missing = (k for k in range(1, b.strands) if k not in used)
+        first = ", ".join(map(str, itertools.islice(missing, 5)))
         raise InvalidSeifertData(
-            f"disconnected surface: generator(s) {sorted(missing)} unused")
+            f"disconnected surface: {b.strands - 1 - len(used)} generator(s) unused, "
+            f"first {first}")
 
     occurrences: dict[int, list[tuple[int, int]]] = {k: [] for k in range(1, b.strands)}
     for pos, x in enumerate(b.letters):

@@ -1,69 +1,26 @@
-"""Exact matrix kernels: Bareiss determinants over Z and Z[t], ranks over
-Q and Q(t).
+"""The exact matrix kernel: one fraction-free Bareiss elimination over Z[t]
+for determinants, ranks, leading principal minors and ranks at a point.
 
-Polynomial entries use the dense list convention of :mod:`linkbound.polys`.
-Bareiss (fraction-free) elimination keeps every intermediate value in the
-base ring.  Over Z[t] the entries must be integer polynomials: each
-elimination step divides exactly in Z[t], by integer ``divmod`` on the
-coefficients, and raises ``ValueError`` if a division leaves a remainder.
-Without row swaps the Bareiss pivots are the leading principal minors, so
-one elimination yields all of them.
+Entries are integer polynomials in the dense list convention of
+:mod:`linkbound.polys`; an integer matrix is a matrix of constants.
+Bareiss elimination (Bareiss 1968) keeps every intermediate value in
+Z[t]: each step divides exactly by the previous pivot, by integer
+``divmod`` on the coefficients, and raises ``ValueError`` if a division
+leaves a remainder.  Every entry after step k is the minor bordering the
+pivot block, and pivoting is complete over a caller-supplied "entry is
+nonzero" test:
+
+* with the test q != 0 the pivots give the determinant, and their number
+  is the rank over Q(t);
+* with the test q(z0) != 0 every pivot is nonzero at z0, so their number
+  is the rank of the matrix at t = z0;
+* the pivot search tries the diagonal entry first, so the pivots up to
+  the first off-diagonal one are the leading principal minors.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
-
 from . import polys
-
-
-def int_det(matrix) -> int:
-    """Determinant of a square integer matrix (Bareiss)."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [list(map(int, row)) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def rational_rank(matrix) -> int:
-    """Rank over Q of a matrix with int/Fraction entries."""
-    m = [[Fraction(v) for v in row] for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    rank = 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, rows) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        for i in range(rank + 1, rows):
-            if m[i][col] != 0:
-                f = m[i][col] / pv
-                for j in range(col, cols):
-                    m[i][j] -= f * m[rank][j]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
 
 
 def _exact_quotient(num: list, den: list) -> list:
@@ -86,99 +43,96 @@ def _exact_quotient(num: list, den: list) -> list:
     return quo
 
 
-def _bareiss_pivots(matrix, swap_rows: bool = True) -> tuple[int, list]:
-    """(sign, pivots) of fraction-free Bareiss elimination of a square
-    matrix of integer polynomials (dense lists).
+def _cross(a: list, p: list, h: list, b: list) -> list:
+    """a p - h b for dense integer polynomials, trimmed."""
+    out = [0] * max(len(a) + len(p), len(h) + len(b), 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(p):
+            out[i + j] += c * d
+    for i, c in enumerate(h):
+        for j, d in enumerate(b):
+            out[i + j] -= c * d
+    while out and not out[-1]:
+        out.pop()
+    return out
 
-    The pivots are produced in order and the elimination stops after the
-    first zero pivot, so the last pivot times `sign` is the determinant
-    (zero when the elimination stopped early).  With `swap_rows` a zero
-    pivot is first replaced by swapping in a lower row, and `sign` tracks
-    the swaps.  Without row swaps, pivot k is exactly the leading
-    principal minor of size k + 1.
+
+def _bareiss(matrix, nonzero=bool) -> tuple[int, list, list, list]:
+    """Fraction-free Bareiss elimination with complete pivoting of a matrix
+    of integer polynomials (dense lists).
+
+    At step k the pivot is the first entry of the remaining block, in
+    row-major order from (k, k), that passes `nonzero`; the elimination
+    stops when no entry passes.  Returns (sign, pivots, rows, cols):
+    pivot k is the minor on the original rows rows[:k + 1] and columns
+    cols[:k + 1], and sign is the sign of the row and column swaps, so for
+    a square matrix of full rank sign times the last pivot is the
+    determinant.
     """
-    n = len(matrix)
     m = [[polys.trim(e) for e in row] for row in matrix]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    rows, cols = list(range(nrows)), list(range(ncols))
     sign = 1
     prev = [1]
     pivots = []
-    for k in range(n):
-        if not m[k][k] and swap_rows:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
+    for k in range(min(nrows, ncols)):
+        at = next(((i, j) for i in range(k, nrows) for j in range(k, ncols)
+                   if nonzero(m[i][j])), None)
+        if at is None:
+            break
+        i, j = at
+        if i != k:
+            m[k], m[i] = m[i], m[k]
+            rows[k], rows[i] = rows[i], rows[k]
+            sign = -sign
+        if j != k:
+            for row in m:
+                row[k], row[j] = row[j], row[k]
+            cols[k], cols[j] = cols[j], cols[k]
+            sign = -sign
         pivot = m[k][k]
         pivots.append(pivot)
-        if not pivot:
-            break
-        for i in range(k + 1, n):
-            row, head = m[i], m[i][k]
-            for j in range(k + 1, n):
-                num = polys.sub(polys.mul(row[j], pivot), polys.mul(head, m[k][j]))
-                row[j] = _exact_quotient(num, prev)
+        top = m[k]
+        for row in m[k + 1:]:
+            head = row[k]
+            for j in range(k + 1, ncols):
+                if head or row[j]:  # else the new entry is 0 as well
+                    row[j] = _exact_quotient(_cross(row[j], pivot, head, top[j]), prev)
         prev = pivot
-    return sign, pivots
+    return sign, pivots, rows[:len(pivots)], cols[:len(pivots)]
 
 
 def poly_det(matrix) -> list:
-    """Determinant of a square matrix of integer polynomials (dense lists),
-    via fraction-free Bareiss elimination with row pivoting.
+    """Determinant of a square matrix of integer polynomials (dense lists).
 
-    For integer entries every division is exact in Z[t] (the quotients
-    are minors).  It is done by integer divmod on the coefficients, and a
-    division that leaves a remainder, which non-integer entries can
+    Every Bareiss division is exact in Z[t] (the quotients are minors).
+    A division that leaves a remainder, which non-integer entries can
     cause, raises ValueError rather than truncating."""
     if not matrix:
         return [1]
-    sign, pivots = _bareiss_pivots(matrix)
-    det = pivots[-1]
-    return polys.neg(det) if sign < 0 else det
-
-
-def _integer_poly_row(row) -> list[list]:
-    """Scale a row of rational polynomials by a positive integer so every
-    coefficient is an int (rank-preserving)."""
-    mult = 1
-    for p in row:
-        for c in p:
-            if isinstance(c, Fraction):
-                mult = lcm(mult, c.denominator)
-    return [[int(c * mult) for c in p] for p in row]
-
-
-def _strip_row_content(row) -> list[list]:
-    g = 0
-    for p in row:
-        for c in p:
-            g = gcd(g, abs(c))
-    if g > 1:
-        return [[c // g for c in p] for p in row]
-    return row
+    sign, pivots, _, _ = _bareiss(matrix)
+    if len(pivots) < len(matrix):
+        return []
+    return polys.neg(pivots[-1]) if sign < 0 else pivots[-1]
 
 
 def poly_rank(matrix) -> int:
-    """Rank over Q(t) of a matrix of integer/rational polynomials, by
-    fraction-free Gaussian elimination (cross-multiplied row operations,
-    with content stripping to tame coefficient growth)."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    m = [_integer_poly_row([polys.trim(e) for e in row]) for row in matrix]
-    rank = 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, rows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        for i in range(rank + 1, rows):
-            if m[i][col]:
-                f = m[i][col]
-                new_row = [polys.sub(polys.mul(m[i][j], pv), polys.mul(f, m[rank][j]))
-                           for j in range(cols)]
-                m[i] = _strip_row_content(new_row)
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    """Rank over Q(t) of a matrix of integer polynomials (dense lists)."""
+    return len(_bareiss(matrix)[1])
+
+
+def _constants(matrix) -> list:
+    return [[[int(v)] for v in row] for row in matrix]
+
+
+def int_det(matrix) -> int:
+    """Determinant of a square integer matrix."""
+    if not matrix:
+        return 1
+    sign, pivots, _, _ = _bareiss(_constants(matrix))
+    return sign * pivots[-1][0] if len(pivots) == len(matrix) else 0
+
+
+def rational_rank(matrix) -> int:
+    """Rank over Q of an integer matrix."""
+    return len(_bareiss(_constants(matrix))[1])

@@ -255,13 +255,17 @@ class RealAlgebraic:
             self._bisect()
         return self
 
+    def copy(self) -> "RealAlgebraic":
+        """The same root with its own bracket, which later refinement of
+        either leaves alone."""
+        twin = object.__new__(RealAlgebraic)
+        twin.poly, twin._lo, twin._hi, twin._chain = self.poly, self._lo, self._hi, self._chain
+        return twin
+
     def sign_of(self, q) -> int:
         """Exact sign of the integer/rational polynomial q at this root."""
         q = polys.trim(q)
-        if not q:
-            return 0
-        g = polys.gcd_poly(q, list(self.poly))
-        if polys.degree(g) >= 1 and count_roots(sturm_chain(g), self._lo, self._hi) == 1:
+        if self.vanishes(q):
             return 0
         qchain = sturm_chain(polys.squarefree_part(q)) if polys.degree(q) >= 1 else None
         while True:
@@ -271,7 +275,13 @@ class RealAlgebraic:
             self._bisect()
 
     def vanishes(self, q) -> bool:
-        return self.sign_of(q) == 0
+        """Whether q is zero at this root: gcd(q, poly) has a root in the
+        bracket.  Never refines the bracket."""
+        q = polys.trim(q)
+        if not q:
+            return True
+        g = polys.gcd_poly(q, list(self.poly))
+        return polys.degree(g) >= 1 and count_roots(sturm_chain(g), self._lo, self._hi) == 1
 
     def compare_rational(self, c) -> int:
         """Sign of (root - c); never 0 since the root is irrational."""

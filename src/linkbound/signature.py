@@ -6,18 +6,22 @@ and link nullity.
 Points z = e^{i theta} are parametrized by x = z + 1/z = 2cos(theta) in
 [-2, 2]; the upper half-circle suffices by conjugation symmetry.  Every
 principal minor of a hermitian Laurent family is fixed by t -> 1/t and is
-therefore an integer polynomial in x, so signatures at rational x reduce
-to exact sign sequences of leading principal minors (Jacobi's rule).
-When a leading minor degenerates, an exact congruence diagonalization
-over Q[z]/(z^2 - xz + 1) takes over; perturbation is never used.  Jump
-locations are certified by Sturm isolation of the determinant's roots in
-x, and values at jumps follow the averaged-limit convention: the mean of
-the two adjacent interval values.
+therefore an integer polynomial in x.  All linear algebra over Z[t] is the
+Bareiss kernel of :mod:`linkbound.linalg`.  One elimination reduces a
+family A of generic rank r to its nonsingular principal block A_I on the
+pivot rows I; off the roots of det A_I, A(z) has rank r and the signature
+of A_I(z).  Signatures at rational x are then exact sign sequences of the
+leading principal minors of A_I (Jacobi's rule).  When one of them
+vanishes, an exact congruence diagonalization of A over Q[z]/(z^2 - xz +
+1) takes over; perturbation is never used.  Jumps lie among the roots of
+det A_I, certified by Sturm isolation in x; when det A is identically
+zero a root counts only where the kernel finds the rank of A(z) below r.
+Values at jumps follow the averaged-limit convention: the mean of the two
+adjacent interval values.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,7 +32,7 @@ from .braids import SeifertData
 from .errors import InvalidSeifertData, SingularFamilyError
 from .factor import _rational_root_split
 from .laurent import LaurentPoly, involution, normalize
-from .linalg import _bareiss_pivots, poly_det, poly_rank
+from .linalg import _bareiss, poly_det, poly_rank
 from .realroots import RealAlgebraic, isolate_real_roots
 
 
@@ -265,21 +269,6 @@ def _scaled_matrix(A: HermitianFamily):
     return mult, shift, tuple(dense)
 
 
-@lru_cache(maxsize=65536)
-def _principal_minor_laurent(A: HermitianFamily, subset: tuple) -> LaurentPoly:
-    """Determinant of the principal submatrix on `subset` as a Laurent
-    polynomial, up to a positive rational constant (enough for signs,
-    roots and vanishing tests; exact for integer entries)."""
-    if not subset:
-        return LaurentPoly.one()
-    _, shift, dense = _scaled_matrix(A)
-    sub = [[list(dense[i][j]) for j in subset] for i in subset]
-    det = poly_det(sub)
-    if not det:
-        return LaurentPoly.zero()
-    return LaurentPoly.from_dense(det, -shift * len(subset))
-
-
 def _minor_x(minor: LaurentPoly) -> tuple:
     """A principal minor as a dense integer polynomial in x = z + 1/z."""
     if minor.is_zero:
@@ -287,33 +276,69 @@ def _minor_x(minor: LaurentPoly) -> tuple:
     return tuple(polys.clear_denominators(symmetric_laurent_to_xpoly(minor)))
 
 
-@lru_cache(maxsize=65536)
-def _principal_minor_x(A: HermitianFamily, subset: tuple) -> tuple:
-    """A principal minor in x; leading ones are read off the one-pass
-    leading minors."""
-    if subset and subset == tuple(range(len(subset))):
-        return _leading_minors_x(A)[len(subset) - 1]
-    return _minor_x(_principal_minor_laurent(A, subset))
+def _diagonal_prefix(rows, cols) -> int:
+    """Number of leading elimination steps that pivoted on the diagonal."""
+    return next((k for k, (i, j) in enumerate(zip(rows, cols)) if i != k or j != k),
+                len(rows))
 
 
 @lru_cache(maxsize=2048)
-def _leading_minors_x(A: HermitianFamily) -> tuple:
-    """All leading principal minors in x, from one Bareiss elimination
-    without row swaps (its pivots are these minors).  The elimination
-    stops at the first identically zero minor; the larger ones are then
-    computed one by one."""
+def _principal_block(A: HermitianFamily) -> tuple:
+    """(I, leading principal minors in x of A_I = A[I, I]), where I is the
+    set of pivot rows of the generic-rank elimination; len(I) is the
+    generic rank r.
+
+    For a hermitian family, r independent rows make A_I nonsingular.  Off
+    the roots of det A_I the rank of A(z) is therefore r, the Schur
+    complement of A_I vanishes, and A(z) has the signature of A_I(z) and
+    nullity n - r.  When det A is not identically zero, A_I = A.  The
+    pivots up to the first off-diagonal one are leading minors; that
+    minor is 0 and each larger one takes a determinant.
+    """
     _, shift, dense = _scaled_matrix(A)
-    _, pivots = _bareiss_pivots(dense, swap_rows=False)
-    minors = [_minor_x(LaurentPoly.from_dense(p, -shift * k))
-              for k, p in enumerate(pivots, 1)]
-    minors += [_minor_x(_principal_minor_laurent(A, tuple(range(k))))
-               for k in range(len(pivots) + 1, A.size + 1)]
-    return tuple(minors)
+    _, pivots, rows, cols = _bareiss(dense)
+    block = sorted(rows)
+    if _diagonal_prefix(rows, cols) < len(block) < len(dense):
+        dense = [[dense[i][j] for j in block] for i in block]
+        _, pivots, rows, cols = _bareiss(dense)
+    k0 = _diagonal_prefix(rows, cols)
+    minors = pivots[:k0] + [poly_det([row[:k] for row in dense[:k]])
+                            for k in range(k0 + 1, len(block) + 1)]
+    return tuple(block), tuple(_minor_x(LaurentPoly.from_dense(p, -shift * k))
+                               for k, p in enumerate(minors, 1))
 
 
-def family_determinant(A: HermitianFamily) -> LaurentPoly:
-    """det A(t), up to a positive rational constant for rational entries."""
-    return _principal_minor_laurent(A, tuple(range(A.size)))
+def _zero_test(root):
+    """The test "x-polynomial q vanishes at root" for a rational or
+    RealAlgebraic root; it never refines a bracket."""
+    if isinstance(root, RealAlgebraic):
+        return root.vanishes
+    return lambda q: polys.evaluate(list(q), root) == 0
+
+
+def _rank_at(A: HermitianFamily, root) -> int:
+    """Rank of A(z0) at the circle point with z0 + 1/z0 = root in (-2, 2):
+    the Bareiss kernel with the test q(z0) != 0.  Writing q(z) = a(x) +
+    b(x) z, q(z0) = 0 exactly when a and b both vanish at the root, since
+    z0 is not real."""
+    vanishes = _zero_test(root)
+
+    def nonzero(q):
+        return bool(q) and not all(map(vanishes, laurent_xz_parts(LaurentPoly.from_dense(q))))
+
+    _, _, dense = _scaled_matrix(A)
+    return len(_bareiss(dense, nonzero)[1])
+
+
+def _nullity_at_jump(A: HermitianFamily, root) -> int:
+    """Nullity of A(z) at a breakpoint, where the rank is below the generic
+    rank r: n - r + 1 when the (r-1)-th leading minor of A_I does not
+    vanish there, otherwise n minus the rank at the point."""
+    _, minors = _principal_block(A)
+    below = minors[-2] if len(minors) >= 2 else (1,)
+    if below and not _zero_test(root)(below):
+        return A.size - len(minors) + 1
+    return A.size - _rank_at(A, root)
 
 
 # -- exact signatures at a single point ----------------------------------------
@@ -382,7 +407,7 @@ def _quad_signature_nullity(A: HermitianFamily, x: Fraction) -> tuple[int, int]:
         if m[k][k].is_zero:
             piv = next((i for i in range(k + 1, n) if not m[i][i].is_zero), None)
             if piv is not None:
-                _swap_quad(m, k, piv)
+                _swap_sym(m, k, piv)
             else:
                 pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
                              if not m[i][j].is_zero), None)
@@ -398,7 +423,7 @@ def _quad_signature_nullity(A: HermitianFamily, x: Fraction) -> tuple[int, int]:
                 for t in range(n):
                     m[t][i] = m[t][i] + cc * m[t][j]
                 if i != k:
-                    _swap_quad(m, k, i)
+                    _swap_sym(m, k, i)
         pivot = m[k][k]
         inv = pivot.inverse()
         for i in range(k + 1, n):
@@ -417,20 +442,15 @@ def _quad_signature_nullity(A: HermitianFamily, x: Fraction) -> tuple[int, int]:
     return pos - neg, zero
 
 
-def _swap_quad(m, i, j):
-    m[i], m[j] = m[j], m[i]
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
 def pointwise_signature_nullity(data, x) -> tuple[int, int]:
     """Unaveraged (sigma, nullity) of the family at the circle point with
     z + 1/z = x, for rational x in [-2, 2].
 
     At x = -2 (z = -1) this is the unaveraged signature, which for links
     can differ from (and then beats) the averaged invariant.  The fast
-    path is Jacobi's rule on the leading-principal-minor sign sequence;
-    exact congruence diagonalization covers degenerate sequences.
+    path is Jacobi's rule on the sign sequence of the leading principal
+    minors of A_I (see _principal_block), which holds wherever none of
+    them vanishes; exact congruence diagonalization of A covers the rest.
     """
     A = _as_family(data)
     if isinstance(x, CirclePoint):
@@ -447,7 +467,7 @@ def pointwise_signature_nullity(data, x) -> tuple[int, int]:
         z = 1 if x == 2 else -1
         m = [[A.entries[i][j].evaluate(z) for j in range(n)] for i in range(n)]
         return _symmetric_rational_signature(m)
-    minors = _leading_minors_x(A)
+    _, minors = _principal_block(A)
     values = [polys.evaluate(list(mx), x) if mx else 0 for mx in minors]
     if all(v != 0 for v in values):
         changes = 0
@@ -456,7 +476,7 @@ def pointwise_signature_nullity(data, x) -> tuple[int, int]:
             if (v > 0) != (prev > 0):
                 changes += 1
             prev = v
-        return n - 2 * changes, 0
+        return len(minors) - 2 * changes, n - len(minors)
     return _quad_signature_nullity(A, x)
 
 
@@ -477,44 +497,35 @@ def _wall_hi(bp):
 
 @lru_cache(maxsize=2048)
 def _jump_structure(A: HermitianFamily):
-    """(jump polynomial in x, generic rank, breakpoints in open (-2, 2)).
+    """(jump polynomial in x, generic rank r, breakpoints in open (-2, 2)).
 
-    The jump polynomial's roots inside (-2, 2) are exactly the circle
-    points where the rank of A(z) drops below its generic value: the
-    determinant's x-polynomial when det is not identically zero, else the
-    gcd of all generic-rank principal minors (hermitian matrices attain
-    their rank on principal submatrices).
+    The jump polynomial is det A_I in x (see _principal_block); off its
+    roots A(z) has rank r.  Its roots inside (-2, 2) are the candidate
+    jumps.  When det A is not identically zero every candidate is a root
+    of det A, where the rank drops; otherwise a candidate is kept only
+    where the Bareiss kernel finds the rank of A(z) below r.
     """
     n = A.size
-    if n == 0:
+    _, minors = _principal_block(A)
+    rank = len(minors)
+    if rank == 0:
         return (1,), 0, ()
-    det_x = _leading_minors_x(A)[-1]
-    if _xpoly_nonzero(det_x):
-        jump = list(det_x)
-        rank = n
-    else:
-        _, _, dense = _scaled_matrix(A)
-        rank = poly_rank([[list(e) for e in row] for row in dense])
-        if rank == 0:
-            return (1,), 0, ()
-        jump = None
-        for subset in itertools.combinations(range(n), rank):
-            mx = _principal_minor_x(A, subset)
-            if _xpoly_nonzero(mx):
-                jump = list(mx) if jump is None else polys.gcd_poly(jump, list(mx))
-                if polys.degree(jump) == 0:
-                    break
-        assert jump is not None  # some principal minor realizes the generic rank
-    _, prim = polys.primitive_positive(polys.clear_denominators(jump))
+    _, prim = polys.primitive_positive(polys.clear_denominators(list(minors[-1])))
     if polys.degree(prim) == 0:
         return tuple(prim), rank, ()
+
+    def jumps(root) -> bool:
+        return rank == n or _rank_at(A, root) < rank
+
     rest, linear = _rational_root_split(list(prim))
     rational_roots = sorted({Fraction(-f[0], f[1]) for f in linear})
-    bps: list = [r for r in rational_roots if -2 < r < 2]
+    bps: list = [r for r in rational_roots if -2 < r < 2 and jumps(r)]
     if polys.degree(rest) >= 1:
         sqfree = polys.squarefree_part(rest)
         for iv in isolate_real_roots(rest, Fraction(-2), Fraction(2)):
             root = RealAlgebraic(sqfree, iv.lo, iv.hi)
+            if not jumps(root):
+                continue
             while root.lo <= -2 or root.hi >= 2:
                 root._bisect()  # keep the bracket strictly inside (-2, 2)
             for r in bps:
@@ -547,39 +558,6 @@ def _pick_sample(avoid_xpolys, lo: Fraction, hi: Fraction) -> Fraction:
             if all(polys.evaluate(list(p), cand) != 0 for p in avoid_xpolys):
                 return cand
     raise AssertionError("no minor-free sample point found")
-
-
-@lru_cache(maxsize=2048)
-def _function_core(A: HermitianFamily):
-    """(breakpoints, samples, interval (sigma, nullity) values, generic rank)."""
-    n = A.size
-    if n == 0:
-        return (), (Fraction(0),), ((0, 0),), 0
-    _, rank, bps = _jump_structure(A)
-    avoid = [p for p in _leading_minors_x(A) if _xpoly_nonzero(p)]
-    samples = []
-    values = []
-    for i in range(len(bps) + 1):
-        lo = Fraction(-2) if i == 0 else _wall_hi(bps[i - 1])
-        hi = Fraction(2) if i == len(bps) else _wall_lo(bps[i])
-        sample = _pick_sample(avoid, lo, hi)
-        samples.append(sample)
-        sig, nul = pointwise_signature_nullity(A, sample)
-        assert nul == n - rank, "interval nullity must equal the generic corank"
-        values.append((sig, nul))
-    return tuple(bps), tuple(samples), tuple(values), rank
-
-
-def _corank_at_algebraic(A: HermitianFamily, root: RealAlgebraic, generic_rank: int) -> int:
-    """Corank of A(z) at an algebraic circle point, via the largest
-    principal minor not vanishing there."""
-    n = A.size
-    for k in range(generic_rank - 1, 0, -1):
-        for subset in itertools.combinations(range(n), k):
-            mx = _principal_minor_x(A, subset)
-            if _xpoly_nonzero(mx) and not root.vanishes(list(mx)):
-                return n - k
-    return n
 
 
 def _mean(a, b):
@@ -642,22 +620,11 @@ def signature_nullity_at(data, point) -> tuple:
             sig_pt, nul = _symmetric_rational_signature(m)
             if nul == 0:
                 return sig_pt, 0
-            _, _, values, _ = _function_core(A)
-            return (values[-1][0] if x == 2 else values[0][0]), nul
+            return _signature_function_cached(A).value_at(x)[0], nul
         jump, _, _ = _jump_structure(A)
         if polys.evaluate(list(jump), x) != 0:
             return pointwise_signature_nullity(A, x)
-        bps, _, values, _ = _function_core(A)
-        idx, is_bp = _locate(bps, x)
-        assert is_bp, "rational jump root must be a recorded breakpoint"
-        return _mean(values[idx][0], values[idx + 1][0]), _quad_signature_nullity(A, x)[1]
-    # algebraic point
-    bps, _, values, rank = _function_core(A)
-    idx, is_bp = _locate(bps, x)
-    if is_bp:
-        sig = _mean(values[idx][0], values[idx + 1][0])
-        return sig, _corank_at_algebraic(A, bps[idx], rank)
-    return values[idx]
+    return _signature_function_cached(A).value_at(x)
 
 
 # -- the assembled function -----------------------------------------------------
@@ -679,6 +646,12 @@ class SignatureFunction:
     interval_values: tuple
     averaged_values: tuple
     samples: tuple
+
+    def __post_init__(self):
+        # to_json reads copies of the brackets as built, which later
+        # queries cannot refine
+        object.__setattr__(self, "_json_breakpoints", tuple(
+            bp if isinstance(bp, Fraction) else bp.copy() for bp in self.breakpoints))
 
     def max_abs_sigma(self) -> int:
         return max(abs(s) for s, _ in self.interval_values)
@@ -704,7 +677,7 @@ class SignatureFunction:
 
     def to_json(self) -> dict:
         bps = []
-        for bp in self.breakpoints:
+        for bp in self._json_breakpoints:
             if isinstance(bp, Fraction):
                 bps.append(_json_rat(bp))
             else:
@@ -744,16 +717,21 @@ def _json_rat(v):
 @lru_cache(maxsize=1024)
 def _signature_function_cached(A: HermitianFamily) -> SignatureFunction:
     n = A.size
-    bps, samples, values, rank = _function_core(A)
-    averaged = []
-    for i, bp in enumerate(bps):
-        sig = _mean(values[i][0], values[i + 1][0])
-        if isinstance(bp, Fraction):
-            nul = _quad_signature_nullity(A, bp)[1]
-        else:
-            nul = _corank_at_algebraic(A, bp, rank)
-        averaged.append((sig, nul))
-    return SignatureFunction(n, n - rank, bps, values, tuple(averaged), samples)
+    _, rank, bps = _jump_structure(A)
+    avoid = [p for p in _principal_block(A)[1] if _xpoly_nonzero(p)]
+    samples = []
+    values = []
+    for i in range(len(bps) + 1):
+        lo = Fraction(-2) if i == 0 else _wall_hi(bps[i - 1])
+        hi = Fraction(2) if i == len(bps) else _wall_lo(bps[i])
+        sample = _pick_sample(avoid, lo, hi)
+        samples.append(sample)
+        sig, nul = pointwise_signature_nullity(A, sample)
+        assert nul == n - rank, "interval nullity must equal the generic corank"
+        values.append((sig, nul))
+    averaged = tuple((_mean(values[i][0], values[i + 1][0]), _nullity_at_jump(A, bp))
+                     for i, bp in enumerate(bps))
+    return SignatureFunction(n, n - rank, bps, tuple(values), averaged, tuple(samples))
 
 
 def signature_function(data) -> SignatureFunction:
@@ -811,7 +789,9 @@ def link_nullity(data: SeifertData) -> int:
     [0, components - 1] for valid Seifert data.
 
     beta = 0 exactly when the Alexander polynomial det(tV - V^T) is not
-    identically zero; no rank is computed then."""
+    identically zero; no rank is computed then.  Otherwise beta is n
+    minus the rank from one Bareiss elimination over Z[t], which divides
+    exactly by the previous pivot, so its cost is polynomial in n."""
     n = data.size
     if n == 0 or _presentation_det(data):
         return 0
@@ -828,7 +808,7 @@ def witt_evaluate(A: HermitianFamily, point):
     summands).  Rejects families with identically zero determinant."""
     if not isinstance(A, HermitianFamily):
         raise TypeError("witt_evaluate expects a HermitianFamily")
-    if A.size and family_determinant(A).is_zero:
+    if len(_principal_block(A)[0]) < A.size:
         raise SingularFamilyError("family determinant is identically zero")
     return signature_nullity_at(A, point)[0]
 

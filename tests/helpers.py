@@ -60,3 +60,43 @@ def random_knot_data(rng: random.Random, max_strands=3, max_len=9,
         column = [rng.randint(-2, 2) for _ in range(data.size)]
         data = stabilize(data, direction, column)
     return data
+
+
+def zero_padded(data: SeifertData, k: int) -> SeifertData:
+    """The block sum V + 0_k: k more components, nullity up by k."""
+    n = data.size
+    v = [list(row) + [0] * k for row in data.matrix] + [[0] * (n + k) for _ in range(k)]
+    return SeifertData.from_matrix(v, data.components + k)
+
+
+def random_unimodular(rng: random.Random, n: int) -> list[list[int]]:
+    """A random integer matrix of determinant +-1: row operations on the
+    identity, then a row shuffle."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        p[i] = [a + c * b for a, b in zip(p[i], p[j])]
+    rng.shuffle(p)
+    return p
+
+
+def degenerate_family(knot: SeifertData, f: int, k: int,
+                      p: list[list[int]]) -> SeifertData:
+    """P (V_K + V_p + 0_k) P^T with V_p = [[0,0,0],[0,0,1],[1,0,f]].
+
+    det(tV_p - V_p^T) is identically zero but tV_p - V_p^T has no constant
+    kernel vector, so the pivot rows of the generic-rank elimination are
+    not the leading ones.  The result has k + 2 components, nullity k + 1
+    and the signature function of K, with nullities shifted by k + 1."""
+    nk = knot.size
+    n = nk + 3 + k
+    v = [[0] * n for _ in range(n)]
+    for i in range(nk):
+        v[i][:nk] = knot.matrix[i]
+    v[nk + 1][nk + 2] = 1
+    v[nk + 2][nk] = 1
+    v[nk + 2][nk + 2] = f
+    w = [[sum(p[i][a] * v[a][b] * p[j][b] for a in range(n) for b in range(n))
+          for j in range(n)] for i in range(n)]
+    return SeifertData.from_matrix(w, knot.components + k + 1)

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from linkbound import (BandCertificate, BoundReport, BraidWord,
                        slice_obstruction, torus_braid, width_upper_bound)
 from linkbound import polys
 
-from helpers import random_knot_data
+from helpers import random_knot_data, zero_padded
 
 UNKNOT = seifert_matrix_from_braid(BraidWord(1, ()))
 TREFOIL = seifert_matrix_from_braid(BraidWord(2, (1, 1, 1)))
@@ -172,6 +173,20 @@ def test_link_nullity_ranks_when_delta_vanishes(monkeypatch):
     assert alexander_from_seifert(data).is_zero
     assert link_nullity(data) == 2
     assert calls == [n + 2]
+
+
+@pytest.mark.parametrize("k, limit", [(6, 1.0), (10, 5.0)])
+def test_report_zero_padded_t35_is_fast(k, limit):
+    """T(3,5) + 0_k has det B = 0; its report reduces B once to the
+    principal block of T(3,5), with no enumeration of principal minors."""
+    data = zero_padded(T35, k)
+    start = time.perf_counter()
+    report = assemble_report(data)
+    assert time.perf_counter() - start < limit
+    assert link_nullity(data) == k
+    assert report.lower == assemble_report(T35).lower
+    f, g = signature_function(data), signature_function(T35)
+    assert f.interval_values == tuple((s, nu + k) for s, nu in g.interval_values)
 
 
 def _torus_knot_alexander(p: int, q: int) -> LaurentPoly:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -113,6 +114,18 @@ def test_unknot_empty_matrix():
 def test_split_closure_rejected():
     with pytest.raises(InvalidSeifertData):
         seifert_matrix_from_braid(BraidWord(3, (1, 1)))
+
+
+def test_huge_split_braid_fails_fast():
+    """10^9 strands and one letter: rejected before anything of that size
+    is allocated, with a short message that counts the unused generators."""
+    start = time.perf_counter()
+    with pytest.raises(InvalidSeifertData) as err:
+        seifert_matrix_from_braid(BraidWord(10 ** 9, (1,)))
+    assert time.perf_counter() - start < 0.5
+    message = str(err.value)
+    assert len(message) < 300
+    assert str(10 ** 9 - 2) in message and "2, 3, 4" in message
 
 
 def test_construction_invariants_on_random_braids():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -119,6 +120,16 @@ def test_split_braid_exit_code(capsys, tmp_path):
     path.write_text(json.dumps({"braid": {"strands": 3, "word": [1, 1]}}))
     code, _, err = run(capsys, "invariants", str(path))
     assert code == 3
+
+
+def test_huge_split_braid_exit_code(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"braid": {"strands": 10 ** 9, "word": [1]}}))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "bound", str(path))
+    assert time.perf_counter() - start < 0.5
+    assert code == 3
+    assert len(err) < 300
 
 
 def test_infect_flow(capsys, tmp_path, t35_file):

@@ -1,5 +1,6 @@
-"""The exact Z[t] kernel against sympy: Bareiss determinants, the one-pass
-leading minors, and exact division."""
+"""The exact Z[t] kernel against sympy: Bareiss determinants and ranks
+under complete pivoting, the leading minors read off one elimination, the
+principal block of a degenerate hermitian family, and exact division."""
 
 from fractions import Fraction
 
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from linkbound import HermitianFamily, LaurentPoly, involution
-from linkbound.linalg import _bareiss_pivots, _exact_quotient, poly_det
-from linkbound.signature import _leading_minors_x
+from linkbound.linalg import (_bareiss, _exact_quotient, int_det, poly_det, poly_rank,
+                              rational_rank)
+from linkbound.signature import _diagonal_prefix, _principal_block
 
 T = sympy.Symbol("t")
 ZZ_T = sympy.ZZ[T]
@@ -53,14 +55,23 @@ def _trim(p):
     return p
 
 
+def _domain_matrix(m) -> DomainMatrix:
+    rows = [[ZZ_T.from_sympy(sum(c * T ** i for i, c in enumerate(e))) for e in row]
+            for row in m]
+    return DomainMatrix(rows, (len(m), len(m[0]) if m else 0), ZZ_T)
+
+
 def sympy_det(m) -> list:
     """det over ZZ[t] by sympy, as dense coefficients from the constant up."""
     if not m:
         return [1]
-    rows = [[ZZ_T.from_sympy(sum(c * T ** i for i, c in enumerate(e))) for e in row]
-            for row in m]
-    det = ZZ_T.to_sympy(DomainMatrix(rows, (len(m), len(m)), ZZ_T).det())
+    det = ZZ_T.to_sympy(_domain_matrix(m).det())
     return _trim(reversed(sympy.Poly(det, T).all_coeffs())) if det != 0 else []
+
+
+def sympy_rank(m) -> int:
+    """Rank over QQ(t) by sympy."""
+    return _domain_matrix(m).convert_to(ZZ_T.get_field()).rank()
 
 
 @settings(max_examples=80, deadline=None)
@@ -72,13 +83,88 @@ def test_poly_det_matches_sympy(m):
 @settings(max_examples=80, deadline=None)
 @given(degenerate_matrices())
 def test_pivots_are_leading_minors(m):
-    _, pivots = _bareiss_pivots(m, swap_rows=False)
+    """Up to the first off-diagonal pivot the pivots are the leading
+    minors, and the next leading minor is 0; every pivot is the minor on
+    its pivot rows and columns."""
+    _, pivots, rows, cols = _bareiss(m)
     n = len(m)
-    assert 1 <= len(pivots) <= n
-    assert all(pivots[:-1])
-    assert len(pivots) == n or not pivots[-1]
-    for k, pivot in enumerate(pivots, 1):
+    s = _diagonal_prefix(rows, cols)
+    leading = pivots[:s] + ([[]] if s < n else [])
+    assert 1 <= len(leading) <= n
+    assert all(leading[:-1])
+    assert len(leading) == n or not leading[-1]
+    for k, pivot in enumerate(leading, 1):
         assert _trim(pivot) == sympy_det([row[:k] for row in m[:k]])
+    for k, pivot in enumerate(pivots, 1):
+        assert _trim(pivot) == sympy_det([[m[i][j] for j in cols[:k]] for i in rows[:k]])
+
+
+@st.composite
+def pivoting_matrices(draw):
+    """Square matrices, n <= 6, whose elimination must swap both rows and
+    columns: a zero leading block of size b and, optionally, a zero first
+    row."""
+    n = draw(st.integers(2, 6))
+    m = [[draw(small_polys) for _ in range(n)] for _ in range(n)]
+    b = draw(st.integers(1, n - 1))
+    for i in range(b):
+        m[i][:b] = [[] for _ in range(b)]
+    if draw(st.booleans()):
+        m[0] = [[] for _ in range(n)]
+    return m
+
+
+@settings(max_examples=80, deadline=None)
+@given(pivoting_matrices())
+def test_poly_det_complete_pivoting_matches_sympy(m):
+    assert _trim(poly_det(m)) == sympy_det(m)
+
+
+@st.composite
+def rank_deficient_matrices(draw):
+    """r x c integer-polynomial matrices, r, c <= 5, in which some rows are
+    Z[t]-combinations of the rows before them."""
+    r, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    m = [[draw(small_polys) for _ in range(c)] for _ in range(r)]
+    for i in range(1, r):
+        if draw(st.booleans()):
+            row = [[] for _ in range(c)]
+            for src in range(i):
+                factor = draw(st.lists(st.integers(-2, 2), max_size=2))
+                row = [_trim([a + b for a, b in _zip_pad(x, _mul(factor, y))])
+                       for x, y in zip(row, m[src])]
+            m[i] = row
+    return m
+
+
+def _zip_pad(p, q):
+    width = max(len(p), len(q))
+    return zip(list(p) + [0] * (width - len(p)), list(q) + [0] * (width - len(q)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rank_deficient_matrices())
+def test_poly_rank_matches_sympy(m):
+    assert poly_rank(m) == sympy_rank(m)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square integer matrices, n <= 5, optionally with a repeated row."""
+    n = draw(st.integers(0, 5))
+    m = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        m[-1] = list(m[0])
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_matrices())
+def test_integer_det_and_rank_match_sympy(m):
+    """int_det and rational_rank run the same kernel on constants."""
+    matrix = sympy.Matrix(m) if m else sympy.zeros(0, 0)
+    assert int_det(m) == matrix.det()
+    assert rational_rank(m) == matrix.rank()
 
 
 def _random_laurent(draw, symmetric: bool) -> LaurentPoly:
@@ -112,15 +198,17 @@ def degenerate_families(draw):
 @settings(max_examples=40, deadline=None)
 @given(degenerate_families())
 def test_leading_minors_x_match_sympy(A):
-    """Each leading minor q in x satisfies det A_k(t) = c q(t + 1/t) with a
-    rational c > 0, checked as t^k det A_k(t) = c t^k q(t + 1/t) in Z[t]
-    against sympy's determinant of t A_k(t)."""
-    minors = _leading_minors_x(A)
-    assert len(minors) == A.size
+    """The principal block A_I has the generic rank of A, a nonzero
+    determinant, and leading minors q in x with det A_I,k(t) = c q(t + 1/t)
+    for a rational c > 0, checked as t^k det A_I,k(t) = c t^k q(t + 1/t)
+    in Z[t] against sympy's determinant of t A_I,k(t)."""
+    block, minors = _principal_block(A)
+    shifted = [[[A.entries[i][j].coefficient(e) for e in (-1, 0, 1)]
+                for j in range(A.size)] for i in range(A.size)]
+    assert len(minors) == len(block) == sympy_rank(shifted)
+    assert not minors or minors[-1]
     for k, q in enumerate(minors, 1):
-        shifted = [[[A.entries[i][j].coefficient(e) for e in (-1, 0, 1)]
-                    for j in range(k)] for i in range(k)]
-        det = sympy_det(shifted)
+        det = sympy_det([[shifted[i][j] for j in block[:k]] for i in block[:k]])
         if not q:
             assert det == []
             continue

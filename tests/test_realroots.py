@@ -114,6 +114,19 @@ def test_real_algebraic_sqrt2():
     assert abs(sqrt2.to_float() - 2 ** 0.5) < 1e-9
 
 
+def test_vanishes_and_copy_leave_the_bracket_alone():
+    """vanishes decides by a gcd and one Sturm count, without bisecting;
+    a copy refines independently of its original."""
+    root = RealAlgebraic([-2, 0, 1], 1, 2)
+    assert root.vanishes([-2, 0, 1]) and root.vanishes([2, 0, -1, 0, 0])
+    assert not root.vanishes([-3, 0, 1]) and not root.vanishes([0, 1])
+    assert (root.lo, root.hi) == (1, 2)
+    twin = root.copy()
+    twin.refine(Fraction(1, 1000))
+    assert (root.lo, root.hi) == (1, 2)
+    assert twin.hi - twin.lo <= Fraction(1, 1000) and twin.equals(root)
+
+
 def test_real_algebraic_equality():
     a = RealAlgebraic([-2, 0, 1], 1, 2)
     b = RealAlgebraic([-2, 0, 1], Fraction(5, 4), Fraction(3, 2))

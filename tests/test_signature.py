@@ -13,9 +13,11 @@ from linkbound import (BraidWord, CirclePoint, HermitianFamily, LaurentPoly,
                        seifert_matrix_from_braid, signature_function,
                        signature_nullity_at, stabilize, torus_braid,
                        units_equal, witt_evaluate)
-from linkbound.signature import quad_eval, symmetric_laurent_to_xpoly
+from linkbound.signature import (breakpoints_equal, quad_eval,
+                                 symmetric_laurent_to_xpoly)
 
-from helpers import random_seifert_data
+from helpers import (degenerate_family, random_knot_data, random_seifert_data,
+                     random_unimodular, zero_padded)
 
 TREFOIL_V = SeifertData.from_matrix([[-1, 1], [0, -1]], 1, "trefoil")
 UNKNOT = seifert_matrix_from_braid(BraidWord(1, ()))
@@ -357,3 +359,78 @@ def test_signature_function_json_round_trip_shape():
                for bp in obj["breakpoints"])
     rows = f.csv_rows()
     assert rows[0][0] == -2.0 and rows[-1][1] == 2.0
+
+
+def test_to_json_unchanged_by_reads():
+    """Reads refine the shared breakpoint brackets; to_json serialises
+    copies of the brackets as built, so it does not change."""
+    inputs = [seifert_matrix_from_braid(torus_braid(3, 5)),
+              seifert_matrix_from_braid(torus_braid(3, 7)),
+              zero_padded(seifert_matrix_from_braid(torus_braid(2, 5)), 1)]
+    rng = random.Random(31)
+    for data in inputs:
+        f = signature_function(data)
+        before = f.to_json()
+        for i in range(200):
+            x = Fraction(rng.randint(-2000, 2000), 1000)
+            kind = i % 5
+            if kind == 0:
+                f.value_at(x)
+            elif kind == 1:
+                signature_nullity_at(data, x)
+            elif kind == 2:
+                bp = rng.choice(f.breakpoints)
+                f.value_at(bp)
+                signature_nullity_at(data, bp)
+            elif kind == 3:
+                pointwise_signature_nullity(data, x)
+            else:
+                f.csv_rows()
+        assert f.to_json() == before
+
+
+@pytest.mark.parametrize("knot", ["T(2,5)", "T(3,4)", "random"])
+def test_degenerate_family_matches_knot(knot):
+    """P (V_K + V_p + 0_k) P^T has det B = 0 and pivot rows that are not the
+    leading ones; its signature function is K's with nullities up by
+    k + 1, which also the float oracle sees at the samples."""
+    rng = random.Random(sum(map(ord, knot)))
+    if knot == "random":
+        k_data = random_knot_data(rng, max_strands=3, max_len=8)
+    else:
+        p, q = int(knot[2]), int(knot[4])
+        k_data = seifert_matrix_from_braid(torus_braid(p, q))
+    fk = signature_function(k_data)
+    for k in range(3):
+        n = k_data.size + 3 + k
+        data = degenerate_family(k_data, rng.randint(-2, 2), k, random_unimodular(rng, n))
+        assert link_nullity(data) == k + 1
+        f = signature_function(data)
+        assert f.generic_nullity == k + 1
+        assert len(f.breakpoints) == len(fk.breakpoints)
+        assert all(breakpoints_equal(a, b) for a, b in zip(f.breakpoints, fk.breakpoints))
+        assert [s for s, _ in f.interval_values] == [s for s, _ in fk.interval_values]
+        assert [s for s, _ in f.averaged_values] == [s for s, _ in fk.averaged_values]
+        assert [nu for _, nu in f.interval_values] == \
+            [nu + k + 1 for _, nu in fk.interval_values]
+        assert [nu for _, nu in f.averaged_values] == \
+            [nu + k + 1 for _, nu in fk.averaged_values]
+        for x, value in zip(f.samples, f.interval_values):
+            assert float_oracle(data, math.acos(float(x) / 2)) == value
+
+
+def test_jump_candidates_need_a_rank_drop():
+    """A = b (u, 1)^T (u, 1)^* with b = t + 1/t and u = t^2 - t + 1 has
+    generic rank 1 and pivot row 0, so det A_I = b |u|^2.  u vanishes on
+    the circle at x = 1, where A(z) still has rank 1: only the root x = 0
+    of b is a jump."""
+    b = LaurentPoly({-1: 1, 1: 1})
+    u = LaurentPoly({0: 1, 1: -1, 2: 1})
+    ub = involution(u)
+    A = HermitianFamily(((b * u * ub, b * u), (b * ub, b)))
+    f = signature_function(A)
+    assert f.breakpoints == (Fraction(0),)
+    assert f.interval_values == ((-1, 1), (1, 1))
+    assert f.averaged_values == ((0, 2),)
+    assert signature_nullity_at(A, 1) == pointwise_signature_nullity(A, 1) == (1, 1)
+    assert signature_nullity_at(A, 0) == (0, 2)
