@@ -11,8 +11,9 @@ from .bounds import (BandCertificate, BoundReport, InfectionDecl, Provenance,
                      infection_transfer, lt_lower_bound, seifert_genus_upper_bound,
                      slice_obstruction, width_upper_bound)
 from .catalog import CatalogEntry, builtin_catalog, verify_catalog
-from .errors import (InconsistentBounds, InvalidSeifertData, LinkboundError,
-                     ParseError, SingularFamilyError, ZeroPolynomialError)
+from .errors import (DegreeCapError, InconsistentBounds, InvalidSeifertData,
+                     LinkboundError, ParseError, SingularFamilyError,
+                     ZeroPolynomialError)
 from .factor import FoxMilnorResult, factor_integer_polynomial, fox_milnor_test
 from .laurent import (LaurentPoly, format_laurent, involution,
                       laurent_from_json, laurent_to_json, normalize,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .braids import SeifertData
 from .errors import InconsistentBounds, InvalidSeifertData
-from .factor import FoxMilnorResult, fox_milnor_test
+from .factor import FoxMilnorResult, check_degree_cap, fox_milnor_test
 from .laurent import LaurentPoly
 from .signature import (CirclePoint, SignatureFunction, alexander_from_seifert,
                         link_nullity, signature_function)
@@ -297,8 +297,10 @@ def assemble_report(data: SeifertData, certs=(), degree_cap: int = 12) -> BoundR
     upper bound is produced here (band certificates assume one boundary
     circle) and the slice verdict is only the signature obstruction.
     The signature function, beta, Delta and the Fox-Milnor test are each
-    computed once.
+    computed once.  A degree cap above MAX_DEGREE_CAP raises
+    DegreeCapError, for links too.
     """
+    check_degree_cap(degree_cap)
     m = data.components
     f = signature_function(data)
     beta = link_nullity(data)

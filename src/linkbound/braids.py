@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, replace
 
 from .errors import InvalidSeifertData, ParseError
-from .linalg import int_det, rational_rank
+from .linalg import int_rank_det
 
 
 @dataclass(frozen=True)
@@ -142,10 +142,11 @@ class SeifertData:
             raise InvalidSeifertData(
                 f"size {n} != 2g + m - 1 for g={self.genus}, m={self.components}")
         skew = [[v[i][j] - v[j][i] for j in range(n)] for i in range(n)]
-        if rational_rank(skew) != 2 * self.genus:
+        rank, det = int_rank_det(skew)
+        if rank != 2 * self.genus:
             raise InvalidSeifertData(
                 "rank of V - V^T does not equal twice the genus")
-        if self.components == 1 and abs(int_det(skew)) != 1:
+        if self.components == 1 and abs(det) != 1:
             raise InvalidSeifertData("V - V^T must be unimodular for a knot")
 
     @classmethod

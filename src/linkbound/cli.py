@@ -3,8 +3,8 @@
 Subcommands: invariants, bound, infect, signature-csv, verify.  Inputs
 are JSON files holding either {"braid": {"strands": n, "word": [...]}}
 (or a braid-text string) or {"seifert_matrix": [[...]], "components": m}.
-Exit codes: 0 success, 2 parse error, 3 invariant violation, 4
-inconsistent bounds, 5 verification failure.
+Exit codes: 0 success, 2 parse error or invalid option, 3 invariant
+violation, 4 inconsistent bounds, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import sys
 from .bounds import BandCertificate, BoundReport, InfectionDecl, assemble_report, \
     infection_transfer
 from .catalog import builtin_catalog, load_catalog, verify_catalog
-from .errors import InconsistentBounds, InvalidSeifertData, ParseError
+from .errors import DegreeCapError, InconsistentBounds, InvalidSeifertData, ParseError
+from .factor import check_degree_cap
 from .laurent import format_laurent, laurent_to_json
 from .signature import (alexander_from_seifert, float_oracle, link_nullity,
                         signature_function)
@@ -109,6 +110,7 @@ def cmd_signature_csv(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    check_degree_cap(args.degree_cap)
     path = args.catalog or os.environ.get("LINKBOUND_CATALOG")
     if path:
         entries = load_catalog(_load_json(path))
@@ -188,6 +190,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
+        return EXIT_PARSE
+    except DegreeCapError as e:
+        print(f"invalid --degree-cap: {e}", file=sys.stderr)
         return EXIT_PARSE
     except InconsistentBounds as e:
         print(f"inconsistent bounds: {e}", file=sys.stderr)

@@ -24,3 +24,7 @@ class SingularFamilyError(LinkboundError, ValueError):
 
 class InconsistentBounds(LinkboundError, ValueError):
     """A certified lower bound exceeds a certified upper bound."""
+
+
+class DegreeCapError(LinkboundError, ValueError):
+    """A Fox-Milnor degree cap above the largest supported one."""

@@ -18,8 +18,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import polys
-from .errors import ZeroPolynomialError
+from .errors import DegreeCapError, ZeroPolynomialError
 from .laurent import LaurentPoly, involution, normalize
+
+# The largest Fox-Milnor degree cap.  Kronecker's search is exponential in
+# the degree: factoring Phi_19 (degree 18) takes seconds, and with a cap
+# of 100 the report on T(2,25) does not finish in a minute.
+MAX_DEGREE_CAP = 18
 
 
 @lru_cache(maxsize=4096)
@@ -212,6 +217,13 @@ class FoxMilnorResult:
         return self.verdict == "passes"
 
 
+def check_degree_cap(degree_cap: int) -> None:
+    """Raise DegreeCapError for a cap above MAX_DEGREE_CAP."""
+    if degree_cap > MAX_DEGREE_CAP:
+        raise DegreeCapError(
+            f"degree cap {degree_cap} exceeds the maximum {MAX_DEGREE_CAP}")
+
+
 def fox_milnor_test(p: LaurentPoly, degree_cap: int = 12) -> FoxMilnorResult:
     """Decide whether p factors as +-t^k f(t) f(1/t) over Z[t, 1/t].
 
@@ -219,9 +231,11 @@ def fox_milnor_test(p: LaurentPoly, degree_cap: int = 12) -> FoxMilnorResult:
     of a slice knot.  Fast necessary checks (|p(1)| = 1, even width,
     |p(-1)| a perfect square) run first; the complete decision then
     factors normalize(p) via Kronecker.  Degrees above `degree_cap` come
-    back "inconclusive".  A passing verdict carries a witness f with
-    normalize(f(t) f(1/t)) = normalize(p).
+    back "inconclusive"; a cap above MAX_DEGREE_CAP raises DegreeCapError.
+    A passing verdict carries a witness f with normalize(f(t) f(1/t)) =
+    normalize(p).
     """
+    check_degree_cap(degree_cap)
     if p.is_zero:
         raise ZeroPolynomialError("Fox-Milnor test needs a nonzero polynomial")
     if not p.is_integral():

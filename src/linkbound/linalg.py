@@ -125,14 +125,10 @@ def _constants(matrix) -> list:
     return [[[int(v)] for v in row] for row in matrix]
 
 
-def int_det(matrix) -> int:
-    """Determinant of a square integer matrix."""
+def int_rank_det(matrix) -> tuple[int, int]:
+    """(rank over Q, determinant) of a square integer matrix, from one
+    elimination."""
     if not matrix:
-        return 1
+        return 0, 1
     sign, pivots, _, _ = _bareiss(_constants(matrix))
-    return sign * pivots[-1][0] if len(pivots) == len(matrix) else 0
-
-
-def rational_rank(matrix) -> int:
-    """Rank over Q of an integer matrix."""
-    return len(_bareiss(_constants(matrix))[1])
+    return len(pivots), sign * pivots[-1][0] if len(pivots) == len(matrix) else 0

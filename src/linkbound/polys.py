@@ -59,11 +59,34 @@ def scale(p, c) -> list:
 
 
 def evaluate(p, x):
-    """Horner evaluation; exact for int/Fraction arguments."""
+    """Horner evaluation; exact for int/Fraction arguments.
+
+    At a Fraction x = a/b the loop is homogeneous Horner on b^d p(a/b),
+    which stays in integers when p has integer coefficients; one Fraction
+    is built at the end instead of one per step."""
+    if isinstance(x, Fraction) and p:
+        return Fraction(*_homogeneous(p, x))
     acc = 0
     for c in reversed(p):
         acc = acc * x + c
     return acc
+
+
+def _homogeneous(p, x: Fraction) -> tuple:
+    """(b^d p(a/b), b^d) for x = a/b in lowest terms and d = deg p >= 0."""
+    a, b = x.numerator, x.denominator
+    acc, bk = 0, 1
+    for c in reversed(p):
+        acc = acc * a + c * bk
+        bk *= b
+    return acc, bk // b
+
+
+def sign_at(p, x) -> int:
+    """Sign (-1, 0 or 1) of p(x) at a rational x.  At x = a/b it is the
+    sign of b^d p(a/b), so integer p needs no Fraction at all."""
+    v = _homogeneous(p, x)[0] if isinstance(x, Fraction) else evaluate(p, x)
+    return (v > 0) - (v < 0)
 
 
 def derivative(p) -> list:

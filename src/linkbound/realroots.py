@@ -5,12 +5,19 @@ window endpoint is not reported.  Multiplicities come from Yun's
 square-free decomposition.  :class:`RealAlgebraic` wraps one isolated
 irrational root and supports exact sign queries of polynomials at that
 root, which is what certifying signature jumps requires.
+
+Sturm chains hold primitive integer polynomials and are computed once per
+polynomial; every sign is decided in integer arithmetic
+(:func:`linkbound.polys.sign_at`).  An interval that isolates the single
+root of a square-free polynomial is bisected by the sign of that
+polynomial at the midpoint alone, since a simple root is a sign change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import polys
 from .errors import ZeroPolynomialError
@@ -40,18 +47,48 @@ class IsolatingInterval:
         return self.hi - self.lo
 
 
-def sturm_chain(p) -> list[list]:
-    """Sturm chain of p: p, p', then negated Euclidean remainders."""
-    chain = [polys.trim(p)]
-    d = polys.derivative(p)
+def sturm_chain(p) -> tuple:
+    """Sturm chain of p: p, p', then negated Euclidean remainders, each
+    scaled by a positive rational to a primitive integer polynomial.
+    Positive scaling changes no sign, so sign variations and root counts
+    are those of the classical chain.  Computed once per polynomial."""
+    return _sturm_chain(tuple(polys.trim(p)))
+
+
+@lru_cache(maxsize=512)
+def _sturm_chain(p: tuple) -> tuple:
+    chain = [_positive_primitive(p)]
+    d = polys.derivative(chain[0])
     if d:
-        chain.append(d)
+        chain.append(_positive_primitive(d))
         while True:
-            rem = polys.div_rem(chain[-2], chain[-1])[1]
+            rem = _pseudo_remainder(chain[-2], chain[-1])
             if not rem:
                 break
-            chain.append(polys.neg(rem))
-    return chain
+            chain.append(_positive_primitive(polys.neg(rem)))
+    return tuple(chain)
+
+
+def _positive_primitive(p) -> tuple:
+    """The primitive integer polynomial c p with c > 0."""
+    q = polys.clear_denominators(p)
+    g = polys.content(q)
+    return tuple(c // g for c in q) if g else ()
+
+
+def _pseudo_remainder(a, b) -> list:
+    """|lc(b)|^k times the remainder of a by b, for integer polynomials:
+    each step multiplies by the positive |lc(b)|, so no division."""
+    rem = list(a)
+    m, s = abs(b[-1]), 1 if b[-1] > 0 else -1
+    while len(rem) >= len(b):
+        head = rem[-1] * s
+        shift = len(rem) - len(b)
+        rem = [c * m for c in rem]
+        for i, c in enumerate(b):
+            rem[shift + i] -= head * c
+        rem = polys.trim(rem)
+    return rem
 
 
 def sign_variations(values) -> int:
@@ -61,9 +98,10 @@ def sign_variations(values) -> int:
 
 def count_roots(chain, a, b) -> int:
     """Distinct real roots of the chain's polynomial in the half-open
-    interval (a, b].  Valid even when a or b is itself a root."""
-    va = sign_variations([polys.evaluate(c, a) for c in chain])
-    vb = sign_variations([polys.evaluate(c, b) for c in chain])
+    interval (a, b].  Valid even when a or b is a simple root, so for
+    square-free polynomials at any endpoints."""
+    va = sign_variations([polys.sign_at(c, a) for c in chain])
+    vb = sign_variations([polys.sign_at(c, b) for c in chain])
     return va - vb
 
 
@@ -71,10 +109,10 @@ def _nonroot_endpoint(p, chain, anchor, inward, from_high) -> Fraction:
     """A point strictly between `anchor` and `inward` that is not a root of
     p, with no root of p strictly between it and `anchor`."""
     step = abs(anchor - inward) / 2
-    anchor_is_root = polys.evaluate(p, anchor) == 0
+    anchor_is_root = polys.sign_at(p, anchor) == 0
     while True:
         cand = anchor - step if from_high else anchor + step
-        if polys.evaluate(p, cand) != 0:
+        if polys.sign_at(p, cand) != 0:
             if from_high:
                 # roots in (cand, anchor] = anchor itself, at most
                 if count_roots(chain, cand, anchor) == (1 if anchor_is_root else 0):
@@ -91,8 +129,8 @@ def _isolate_squarefree(p, chain, lo, hi) -> list[tuple[Fraction, Fraction]]:
     strictly inside (lo, hi).  Emitted endpoints are never roots of p."""
     if polys.degree(p) <= 0:
         return []
-    a = lo if polys.evaluate(p, lo) != 0 else _nonroot_endpoint(p, chain, lo, hi, from_high=False)
-    b = hi if polys.evaluate(p, hi) != 0 else _nonroot_endpoint(p, chain, hi, lo, from_high=True)
+    a = lo if polys.sign_at(p, lo) != 0 else _nonroot_endpoint(p, chain, lo, hi, from_high=False)
+    b = hi if polys.sign_at(p, hi) != 0 else _nonroot_endpoint(p, chain, hi, lo, from_high=True)
     if not a < b:
         return []
     out = []
@@ -106,11 +144,11 @@ def _isolate_squarefree(p, chain, lo, hi) -> list[tuple[Fraction, Fraction]]:
             out.append((u, v))
             continue
         m = (u + v) / 2
-        if polys.evaluate(p, m) == 0:
+        if polys.sign_at(p, m) == 0:
             # Exact rational root at the bisection point; box it tightly.
             eps = (v - u) / 4
-            while (polys.evaluate(p, m - eps) == 0
-                   or polys.evaluate(p, m + eps) == 0
+            while (polys.sign_at(p, m - eps) == 0
+                   or polys.sign_at(p, m + eps) == 0
                    or count_roots(chain, m - eps, m + eps) != 1):
                 eps /= 2
             out.append((m - eps, m + eps))
@@ -139,17 +177,17 @@ def isolate_real_roots(q, lo, hi) -> list[IsolatingInterval]:
         return []
     sq = polys.squarefree_part(q)
     sq_chain = sturm_chain(sq)
-    found = []  # mutable records [lo, hi, mult, factor, factor_chain]
+    found = []  # mutable records [lo, hi, mult, factor]
     for factor, mult in polys.squarefree_decomposition(q):
         chain = sturm_chain(factor)
         for u, v in _isolate_squarefree(factor, chain, lo, hi):
-            found.append([u, v, mult, factor, chain])
+            found.append([u, v, mult, factor])
     # Refine until each interval isolates its root within the full
     # square-free part (no root of another factor intrudes) and the
     # endpoints avoid all roots of q.
     for item in found:
-        while not (polys.evaluate(sq, item[0]) != 0
-                   and polys.evaluate(sq, item[1]) != 0
+        while not (polys.sign_at(sq, item[0]) != 0
+                   and polys.sign_at(sq, item[1]) != 0
                    and count_roots(sq_chain, item[0], item[1]) == 1):
             _halve(item)
     # Disjointness across factors.
@@ -162,19 +200,21 @@ def isolate_real_roots(q, lo, hi) -> list[IsolatingInterval]:
             _halve(found[i])
             _halve(found[i + 1])
     return [IsolatingInterval(Fraction(u), Fraction(v), mult)
-            for u, v, mult, _, _ in found]
+            for u, v, mult, _ in found]
 
 
 def _halve(item):
     """Shrink an isolation record around its root, keeping the new endpoint
-    off the roots of the record's factor."""
-    u, v, _, factor, chain = item
+    off the roots of the record's factor.  The record isolates one simple
+    root of the square-free factor, so the root lies in (u, m) exactly
+    when the factor changes sign there."""
+    u, v, _, factor = item
     m = (u + v) / 2
     eps = (v - u) / 4
-    while polys.evaluate(factor, m) == 0:
+    while (s := polys.sign_at(factor, m)) == 0:
         m += eps
         eps /= 2
-    if count_roots(chain, u, m) == 1:
+    if s != polys.sign_at(factor, u):
         item[1] = m
     else:
         item[0] = m
@@ -189,10 +229,10 @@ def refine_isolating_interval(q, interval: IsolatingInterval,
     strictly inside the returned interval.
     """
     sq = polys.squarefree_part(polys.trim(q))
-    chain = sturm_chain(sq)
-    if count_roots(chain, interval.lo, interval.hi) != 1:
+    if (polys.sign_at(sq, interval.lo) == 0 or polys.sign_at(sq, interval.hi) == 0
+            or count_roots(sturm_chain(sq), interval.lo, interval.hi) != 1):
         raise ValueError("interval does not isolate a root of q")
-    item = [interval.lo, interval.hi, interval.multiplicity, sq, chain]
+    item = [interval.lo, interval.hi, interval.multiplicity, sq]
     while item[1] - item[0] > max_width:
         _halve(item)
     return IsolatingInterval(item[0], item[1], interval.multiplicity)
@@ -205,24 +245,28 @@ class RealAlgebraic:
     The defining polynomial must have no rational roots (callers split
     those off first), so bisection points are never the root itself.
     Refinement only shrinks the bracket; the represented number never
-    changes, making shared instances safe to reuse.
+    changes, making shared instances safe to reuse.  The bracket's
+    endpoints are never roots, and the polynomial has one sign on the
+    left of the root and the other on its right, so bisection and the
+    comparisons below evaluate the polynomial, not its Sturm chain.
     """
 
-    __slots__ = ("poly", "_lo", "_hi", "_chain")
+    __slots__ = ("poly", "_lo", "_hi", "_sign_lo")
 
     def __init__(self, poly, lo, hi):
         _, prim = polys.primitive_positive(polys.clear_denominators(polys.trim(poly)))
         if polys.degree(prim) < 1:
             raise ValueError("defining polynomial must be nonconstant")
-        if polys.degree(polys.gcd_poly(prim, polys.derivative(prim))) > 0:
-            raise ValueError("defining polynomial must be square-free")
         self.poly = tuple(prim)
+        chain = sturm_chain(self.poly)
+        if polys.degree(chain[-1]) > 0:  # the last element is gcd(poly, poly')
+            raise ValueError("defining polynomial must be square-free")
         self._lo = Fraction(lo)
         self._hi = Fraction(hi)
-        self._chain = sturm_chain(prim)
-        if polys.evaluate(prim, self._lo) == 0 or polys.evaluate(prim, self._hi) == 0:
+        self._sign_lo = polys.sign_at(self.poly, self._lo)
+        if self._sign_lo == 0 or polys.sign_at(self.poly, self._hi) == 0:
             raise ValueError("interval endpoints must not be roots")
-        if count_roots(self._chain, self._lo, self._hi) != 1:
+        if count_roots(chain, self._lo, self._hi) != 1:
             raise ValueError("interval does not isolate a single root")
 
     @property
@@ -236,10 +280,10 @@ class RealAlgebraic:
     def _bisect(self):
         m = (self._lo + self._hi) / 2
         eps = (self._hi - self._lo) / 4
-        while polys.evaluate(self.poly, m) == 0:
+        while (s := polys.sign_at(self.poly, m)) == 0:
             m += eps
             eps /= 2
-        if count_roots(self._chain, self._lo, m) == 1:
+        if s != self._sign_lo:
             self._hi = m
         else:
             self._lo = m
@@ -259,7 +303,8 @@ class RealAlgebraic:
         """The same root with its own bracket, which later refinement of
         either leaves alone."""
         twin = object.__new__(RealAlgebraic)
-        twin.poly, twin._lo, twin._hi, twin._chain = self.poly, self._lo, self._hi, self._chain
+        twin.poly, twin._lo, twin._hi, twin._sign_lo = \
+            self.poly, self._lo, self._hi, self._sign_lo
         return twin
 
     def sign_of(self, q) -> int:
@@ -269,29 +314,46 @@ class RealAlgebraic:
             return 0
         qchain = sturm_chain(polys.squarefree_part(q)) if polys.degree(q) >= 1 else None
         while True:
-            if polys.evaluate(q, self._lo) != 0 and (
-                    qchain is None or count_roots(qchain, self._lo, self._hi) == 0):
-                return 1 if polys.evaluate(q, self._lo) > 0 else -1
+            s = polys.sign_at(q, self._lo)
+            if s != 0 and (qchain is None or count_roots(qchain, self._lo, self._hi) == 0):
+                return s
             self._bisect()
 
     def vanishes(self, q) -> bool:
-        """Whether q is zero at this root: gcd(q, poly) has a root in the
-        bracket.  Never refines the bracket."""
+        """Whether q is zero at this root.  Never refines the bracket.
+
+        g = gcd(q, poly) divides the square-free poly, so its roots are
+        simple roots of poly and the bracket holds at most one of them: g
+        vanishes at this root exactly when it changes sign across the
+        bracket."""
         q = polys.trim(q)
         if not q:
             return True
         g = polys.gcd_poly(q, list(self.poly))
-        return polys.degree(g) >= 1 and count_roots(sturm_chain(g), self._lo, self._hi) == 1
+        return (polys.degree(g) >= 1
+                and polys.sign_at(g, self._lo) != polys.sign_at(g, self._hi))
 
     def compare_rational(self, c) -> int:
-        """Sign of (root - c); never 0 since the root is irrational."""
-        return self.sign_of([-Fraction(c), 1])
+        """Sign of (root - c): 0 only when c is the root itself, which the
+        class contract excludes."""
+        c = Fraction(c)
+        if self._lo < c < self._hi and polys.sign_at(self.poly, c) == 0:
+            return 0
+        self.refine_away_from(c)
+        return 1 if c <= self._lo else -1
 
     def equals(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             return False  # the root is irrational
         if not isinstance(other, RealAlgebraic):
             return NotImplemented
+        lo, hi = max(self._lo, other._lo), min(self._hi, other._hi)
+        if lo >= hi:
+            return False  # each number lies strictly inside its own bracket
+        if self.poly == other.poly:
+            # The intersection lies in one isolating bracket, so it holds
+            # at most one root, and holds one exactly on a sign change.
+            return polys.sign_at(self.poly, lo) != polys.sign_at(self.poly, hi)
         if not self.vanishes(list(other.poly)):
             return False
         return self.compare_rational(other._lo) > 0 and self.compare_rational(other._hi) < 0

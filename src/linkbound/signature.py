@@ -18,6 +18,11 @@ det A_I, certified by Sturm isolation in x; when det A is identically
 zero a root counts only where the kernel finds the rank of A(z) below r.
 Values at jumps follow the averaged-limit convention: the mean of the two
 adjacent interval values.
+
+B(t) is built once per Seifert matrix, and what depends only on a family
+(principal block, jump structure, the values at x = +-2, the function) is
+cached on it, so a read pays only for its point: integer signs of the
+minors there, or the location of the point among the breakpoints.
 """
 
 from __future__ import annotations
@@ -168,7 +173,11 @@ def quad_eval(p: LaurentPoly, x: Fraction) -> QuadFieldElem:
 
 @dataclass(frozen=True)
 class HermitianFamily:
-    """Square matrix of Laurent polynomials with A[j][i] = involution(A[i][j])."""
+    """Square matrix of Laurent polynomials with A[j][i] = involution(A[i][j]).
+
+    The hash is computed once, at construction: families key the caches
+    below, and hashing n^2 Laurent polynomials per lookup would cost more
+    than many reads."""
 
     entries: tuple[tuple[LaurentPoly, ...], ...]
 
@@ -183,14 +192,20 @@ class HermitianFamily:
             for j in range(i, n):
                 if rows[j][i] != involution(rows[i][j]):
                     raise ValueError(f"not hermitian at entry ({i}, {j})")
+        object.__setattr__(self, "_hash", hash(rows))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def size(self) -> int:
         return len(self.entries)
 
 
+@lru_cache(maxsize=1024)
 def b_family(data: SeifertData) -> HermitianFamily:
-    """B(t) = (1-t)V + (1-1/t)V^T as a hermitian Laurent family."""
+    """B(t) = (1-t)V + (1-1/t)V^T as a hermitian Laurent family, built once
+    per Seifert matrix."""
     v = data.matrix
     n = data.size
     rows = tuple(
@@ -313,7 +328,7 @@ def _zero_test(root):
     RealAlgebraic root; it never refines a bracket."""
     if isinstance(root, RealAlgebraic):
         return root.vanishes
-    return lambda q: polys.evaluate(list(q), root) == 0
+    return lambda q: polys.sign_at(q, root) == 0
 
 
 def _rank_at(A: HermitianFamily, root) -> int:
@@ -380,6 +395,15 @@ def _symmetric_rational_signature(m) -> tuple[int, int]:
         else:
             neg += 1
     return pos - neg, zero
+
+
+@lru_cache(maxsize=2048)
+def _endpoint(A: HermitianFamily, z: int) -> tuple[int, int]:
+    """(signature, nullity) of the rational symmetric matrix A(z) at
+    z = +-1 (x = +-2)."""
+    n = A.size
+    return _symmetric_rational_signature(
+        [[A.entries[i][j].evaluate(z) for j in range(n)] for i in range(n)])
 
 
 def _swap_sym(m, i, j):
@@ -464,18 +488,11 @@ def pointwise_signature_nullity(data, x) -> tuple[int, int]:
     if n == 0:
         return 0, 0
     if abs(x) == 2:
-        z = 1 if x == 2 else -1
-        m = [[A.entries[i][j].evaluate(z) for j in range(n)] for i in range(n)]
-        return _symmetric_rational_signature(m)
+        return _endpoint(A, int(x) // 2)
     _, minors = _principal_block(A)
-    values = [polys.evaluate(list(mx), x) if mx else 0 for mx in minors]
-    if all(v != 0 for v in values):
-        changes = 0
-        prev = 1
-        for v in values:
-            if (v > 0) != (prev > 0):
-                changes += 1
-            prev = v
+    signs = [polys.sign_at(mx, x) for mx in minors]
+    if all(signs):
+        changes = sum(1 for a, b in zip([1] + signs, signs) if a != b)
         return len(minors) - 2 * changes, n - len(minors)
     return _quad_signature_nullity(A, x)
 
@@ -555,7 +572,7 @@ def _pick_sample(avoid_xpolys, lo: Fraction, hi: Fraction) -> Fraction:
         denom = 2 ** depth
         for j in range(1, denom, 2):
             cand = lo + span * Fraction(j, denom)
-            if all(polys.evaluate(list(p), cand) != 0 for p in avoid_xpolys):
+            if all(polys.sign_at(p, cand) != 0 for p in avoid_xpolys):
                 return cand
     raise AssertionError("no minor-free sample point found")
 
@@ -615,14 +632,12 @@ def signature_nullity_at(data, point) -> tuple:
     x = _as_x(point)
     if isinstance(x, Fraction):
         if abs(x) == 2:
-            z = 1 if x == 2 else -1
-            m = [[A.entries[i][j].evaluate(z) for j in range(n)] for i in range(n)]
-            sig_pt, nul = _symmetric_rational_signature(m)
+            sig_pt, nul = _endpoint(A, int(x) // 2)
             if nul == 0:
                 return sig_pt, 0
             return _signature_function_cached(A).value_at(x)[0], nul
         jump, _, _ = _jump_structure(A)
-        if polys.evaluate(list(jump), x) != 0:
+        if polys.sign_at(jump, x) != 0:
             return pointwise_signature_nullity(A, x)
     return _signature_function_cached(A).value_at(x)
 

@@ -6,7 +6,7 @@ import random
 
 from linkbound import BraidWord, SeifertData, closure_components, \
     seifert_matrix_from_braid, stabilize
-from linkbound.linalg import int_det, rational_rank
+from linkbound.linalg import int_rank_det
 
 
 def random_laurent_dict(rng: random.Random, max_deg=8, max_coeff=9,
@@ -29,9 +29,9 @@ def random_seifert_data(rng: random.Random, max_size=6, max_entry=3) -> SeifertD
         n = rng.randint(1, max_size)
         v = [[rng.randint(-max_entry, max_entry) for _ in range(n)] for _ in range(n)]
         skew = [[v[i][j] - v[j][i] for j in range(n)] for i in range(n)]
-        rank = rational_rank(skew)
+        rank, det = int_rank_det(skew)
         m = n - rank + 1
-        if m == 1 and abs(int_det(skew)) != 1:
+        if m == 1 and abs(det) != 1:
             continue
         return SeifertData.from_matrix(v, m)
 

@@ -7,7 +7,7 @@ import pytest
 
 import linkbound.linalg
 import linkbound.signature
-from linkbound import (BandCertificate, BoundReport, BraidWord,
+from linkbound import (BandCertificate, BoundReport, BraidWord, DegreeCapError,
                        InconsistentBounds, InfectionDecl, InvalidSeifertData,
                        LaurentPoly, SeifertData, ZeroPolynomialError,
                        alexander_from_seifert, assemble_report,
@@ -15,7 +15,8 @@ from linkbound import (BandCertificate, BoundReport, BraidWord,
                        infection_transfer, link_nullity, lt_lower_bound, mirror,
                        normalize, seifert_matrix_from_braid,
                        seifert_genus_upper_bound, signature_function,
-                       slice_obstruction, torus_braid, width_upper_bound)
+                       fox_milnor_test, slice_obstruction, torus_braid,
+                       width_upper_bound)
 from linkbound import polys
 
 from helpers import random_knot_data, zero_padded
@@ -24,6 +25,19 @@ UNKNOT = seifert_matrix_from_braid(BraidWord(1, ()))
 TREFOIL = seifert_matrix_from_braid(BraidWord(2, (1, 1, 1)))
 T35 = seifert_matrix_from_braid(torus_braid(3, 5))
 COMPANION = SeifertData.from_matrix([[0, 2], [1, 0]], 1, "companion")
+
+
+def test_degree_cap_above_18_rejected():
+    """Kronecker search is exponential in the degree: a cap above 18 is
+    refused up front, for knots and links alike."""
+    link = seifert_matrix_from_braid(torus_braid(2, 6))
+    for call in (lambda: fox_milnor_test(alexander_from_seifert(TREFOIL), degree_cap=19),
+                 lambda: slice_obstruction(TREFOIL, degree_cap=100),
+                 lambda: assemble_report(TREFOIL, degree_cap=19),
+                 lambda: assemble_report(link, degree_cap=19)):
+        with pytest.raises(DegreeCapError, match="exceeds the maximum 18"):
+            call()
+    assert assemble_report(TREFOIL, degree_cap=18).lower == 1
 
 
 def test_lt_lower_bound_examples():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -130,6 +133,27 @@ def test_huge_split_braid_exit_code(capsys, tmp_path):
     assert time.perf_counter() - start < 0.5
     assert code == 3
     assert len(err) < 300
+
+
+@pytest.mark.parametrize("command", ["bound", "verify"])
+def test_degree_cap_above_18_exit_code(capsys, trefoil_file, command):
+    args = [command, trefoil_file] if command == "bound" else [command]
+    code, out, err = run(capsys, *args, "--degree-cap", "19")
+    assert code == 2 and not out
+    assert err.count("\n") == 1 and "exceeds the maximum 18" in err
+
+
+def test_python_m_linkbound(trefoil_file):
+    """python -m linkbound runs the CLI, exit codes included."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-m", "linkbound", "bound", trefoil_file],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["lower"] == 1
+    done = subprocess.run([sys.executable, "-m", "linkbound", "verify", "--degree-cap", "99"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2 and "degree cap" in done.stderr
 
 
 def test_infect_flow(capsys, tmp_path, t35_file):

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from linkbound import HermitianFamily, LaurentPoly, involution
-from linkbound.linalg import (_bareiss, _exact_quotient, int_det, poly_det, poly_rank,
-                              rational_rank)
-from linkbound.signature import _diagonal_prefix, _principal_block
+from linkbound.linalg import _bareiss, _exact_quotient, int_rank_det, poly_det, poly_rank
+from linkbound.signature import (_diagonal_prefix, _principal_block, _quad_signature_nullity,
+                                 pointwise_signature_nullity)
 
 T = sympy.Symbol("t")
 ZZ_T = sympy.ZZ[T]
@@ -161,10 +161,10 @@ def integer_matrices(draw):
 @settings(max_examples=60, deadline=None)
 @given(integer_matrices())
 def test_integer_det_and_rank_match_sympy(m):
-    """int_det and rational_rank run the same kernel on constants."""
+    """int_rank_det runs the same kernel on constants: one elimination
+    gives the rank and the determinant."""
     matrix = sympy.Matrix(m) if m else sympy.zeros(0, 0)
-    assert int_det(m) == matrix.det()
-    assert rational_rank(m) == matrix.rank()
+    assert int_rank_det(m) == (matrix.rank(), matrix.det())
 
 
 def _random_laurent(draw, symmetric: bool) -> LaurentPoly:
@@ -216,6 +216,17 @@ def test_leading_minors_x_match_sympy(A):
         sub = _trim(reversed(sympy.Poly(sub, T).all_coeffs()))
         assert det and det[-1] * sub[-1] > 0
         assert [det[-1] * c for c in sub] == [sub[-1] * c for c in det]
+
+
+@settings(max_examples=60, deadline=None)
+@given(degenerate_families(), st.lists(st.builds(Fraction, st.integers(-39, 39), st.integers(1, 20)),
+                                       min_size=1, max_size=6))
+def test_jacobi_signs_match_congruence(A, xs):
+    """Jacobi's rule on the integer signs of the leading minors of A_I
+    against exact congruence diagonalization of A at the same points."""
+    for x in xs:
+        if abs(x) < 2:
+            assert pointwise_signature_nullity(A, x) == _quad_signature_nullity(A, x)
 
 
 def test_exact_quotient_in_z_t():

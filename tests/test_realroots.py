@@ -3,10 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from linkbound import IsolatingInterval, RealAlgebraic, ZeroPolynomialError, \
     isolate_real_roots, refine_isolating_interval
 from linkbound import polys
+from linkbound.realroots import count_roots, sturm_chain
+
+X = sympy.Symbol("x")
 
 
 def test_single_linear_root():
@@ -172,3 +178,111 @@ def test_refine_isolating_interval():
     assert tight2.multiplicity == 2
     with pytest.raises(ValueError):
         refine_isolating_interval([1, 0, 1], iv2, Fraction(1, 4))  # no real roots
+
+
+# -- integer arithmetic against the Fraction and sympy references ----------
+
+int_polys = st.lists(st.integers(-20, 20), max_size=9).map(polys.trim)
+rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 30))
+
+
+def _fraction_horner(p, x):
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_polys, rationals)
+def test_integer_horner_matches_fraction_horner(p, x):
+    value = _fraction_horner(p, x)
+    assert polys.evaluate(p, x) == value
+    assert polys.sign_at(p, x) == (value > 0) - (value < 0)
+    mixed = [Fraction(c, 3) for c in p]
+    assert polys.evaluate(mixed, x) == _fraction_horner(mixed, x)
+
+
+@st.composite
+def polys_with_rational_roots(draw):
+    """Integer polynomials, some with repeated roots at small rationals."""
+    p = draw(int_polys)
+    for _ in range(draw(st.integers(0, 3))):
+        p = polys.mul(p or [1], [-draw(st.integers(-4, 4)), draw(st.sampled_from([1, 2]))])
+    assume(polys.degree(p) >= 1)
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys_with_rational_roots(), rationals, rationals)
+def test_count_roots_matches_sympy(p, a, b):
+    """The primitive integer Sturm chain counts the distinct roots in
+    (a, b], at endpoints that are simple roots too."""
+    assume(a < b)
+    assume(not any(polys.evaluate(p, e) == polys.evaluate(polys.derivative(p), e) == 0
+                   for e in (a, b)))
+    expected = sympy.Poly(list(reversed(p)), X).count_roots(a, b)
+    if polys.evaluate(p, a) == 0:
+        expected -= 1
+    chain = sturm_chain(p)
+    assert all(all(isinstance(c, int) for c in q) for q in chain)
+    assert count_roots(chain, a, b) == expected
+
+
+def _roots(p):
+    sq = polys.squarefree_part(p)
+    return [RealAlgebraic(sq, iv.lo, iv.hi) for iv in isolate_real_roots(p, -20, 20)
+            if not any(polys.evaluate(sq, r) == 0 for r in (iv.lo, iv.hi))]
+
+
+def _common_factor(a, b):
+    return sympy.gcd(sympy.Poly(list(reversed(a.poly)), X), sympy.Poly(list(reversed(b.poly)), X))
+
+
+def _equal_by_sympy(a, b) -> bool:
+    """The gcd path: gcd(a.poly, b.poly) has a root in both brackets."""
+    g = _common_factor(a, b)
+    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    return g.degree() >= 1 and lo < hi and g.count_roots(lo, hi) == 1
+
+
+irreducible_quadratics = st.sampled_from([(-2, 0, 1), (-3, 0, 1), (-1, -1, 1), (-5, 0, 1),
+                                          (-1, 1, 1), (-7, 2, 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(irreducible_quadratics, min_size=1, max_size=3, unique=True),
+       st.lists(irreducible_quadratics, min_size=1, max_size=3, unique=True),
+       st.lists(st.integers(0, 40), min_size=8, max_size=8))
+def test_equals_and_vanishes_match_gcd_path(fa, fb, widths):
+    """Irrational roots of products of irreducible quadratics, at random
+    bracket widths: equals agrees with the gcd reference, for equal and
+    for different defining polynomials, and never depends on the widths;
+    vanishes sees a common factor only where its root is in the bracket."""
+    pa, pb = [1], [1]
+    for f in fa:
+        pa = polys.mul(pa, f)
+    for f in fb:
+        pb = polys.mul(pb, f)
+    roots = [(r, w) for r, w in zip(_roots(pa) + _roots(pb), widths * 4)]
+    for r, w in roots:
+        r.refine(Fraction(1, 2 ** w))
+    for a, _ in roots:
+        for b, _ in roots:
+            g = _common_factor(a, b)
+            assert a.vanishes(b.poly) == (g.degree() >= 1 and g.count_roots(a.lo, a.hi) == 1)
+            expected = _equal_by_sympy(a, b)
+            assert a.copy().equals(b.copy()) == expected
+            assert a.equals(b) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(irreducible_quadratics, st.integers(0, 1), rationals, st.integers(0, 30))
+def test_compare_rational_matches_sign_of(poly, which, c, width):
+    """compare_rational (refine away from c, read the bracket) against
+    the sign of x - c at the root decided by sign_of."""
+    root = _roots(poly)[which]
+    root.refine(Fraction(1, 2 ** width))
+    expected = root.copy().sign_of([-c, 1])
+    assert root.compare_rational(c) == expected != 0
+    assert (root.to_float() > c) == (expected > 0)

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from linkbound import (BraidWord, CirclePoint, HermitianFamily, LaurentPoly,
-                       QuadFieldElem, SeifertData, SingularFamilyError,
+                       QuadFieldElem, RealAlgebraic, SeifertData, SingularFamilyError,
                        alexander_from_seifert, b_family, connected_sum,
                        float_oracle, functions_equal, involution, link_nullity,
                        mirror, pointwise_signature_nullity,
                        seifert_matrix_from_braid, signature_function,
                        signature_nullity_at, stabilize, torus_braid,
                        units_equal, witt_evaluate)
+from linkbound import realroots, signature
 from linkbound.signature import (breakpoints_equal, quad_eval,
                                  symmetric_laurent_to_xpoly)
 
@@ -387,6 +388,92 @@ def test_to_json_unchanged_by_reads():
             else:
                 f.csv_rows()
         assert f.to_json() == before
+
+
+def _clear_caches():
+    for module in (signature, realroots):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def _read_stream(rng, n_breakpoints, count):
+    """(kind, point) reads: random rationals, x = +-2, and breakpoint j of
+    the function itself ("own") or rebuilt from its to_json ("json")."""
+    reads = []
+    for _ in range(count):
+        kind = rng.choice(["at", "at", "value_at", "pointwise"])
+        roll = rng.random()
+        if kind == "pointwise" or roll < 0.5 or not n_breakpoints:
+            point = rng.choice([Fraction(rng.randint(-1999, 1999), rng.randint(1, 1000)),
+                                Fraction(2), Fraction(-2)])
+            point = max(min(point, Fraction(2)), Fraction(-2))
+        else:
+            point = ("own" if roll < 0.75 else "json", rng.randrange(n_breakpoints))
+        reads.append((kind, point))
+    return reads
+
+
+def _answers(data, reads) -> list:
+    f = signature_function(data)
+    rebuilt = [Fraction(bp) if not isinstance(bp, dict) else
+               RealAlgebraic(bp["polynomial"], *map(Fraction, bp["interval"]))
+               for bp in f.to_json()["breakpoints"]]
+    out = []
+    for kind, point in reads:
+        if isinstance(point, tuple):
+            source, j = point
+            point = f.breakpoints[j] if source == "own" else rebuilt[j]
+        if kind == "at":
+            out.append(signature_nullity_at(data, point))
+        elif kind == "value_at":
+            out.append(f.value_at(point))
+        else:
+            out.append(pointwise_signature_nullity(data, point))
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    lambda: seifert_matrix_from_braid(torus_braid(3, 5)),
+    lambda: seifert_matrix_from_braid(torus_braid(2, 6)),
+    lambda: zero_padded(seifert_matrix_from_braid(torus_braid(2, 5)), 1)])
+def test_reads_do_not_depend_on_order_or_caches(make):
+    """200 reads in two shuffled orders on a warmed SeifertData, and on a
+    fresh equal one after every cache is cleared, give the same answers;
+    to_json is the same before and after them."""
+    data = make()
+    f = signature_function(data)
+    before = f.to_json()
+    reads = _read_stream(random.Random(7), len(f.breakpoints), 200)
+    answers = []
+    for seed, fresh in ((1, False), (2, False), (3, True)):
+        if fresh:
+            _clear_caches()
+            data = make()
+        order = list(range(len(reads)))
+        random.Random(seed).shuffle(order)
+        got = _answers(data, [reads[i] for i in order])
+        answers.append([a for _, a in sorted(zip(order, got))])
+        assert signature_function(data).to_json() == before
+    assert answers[0] == answers[1] == answers[2]
+
+
+def test_b_family_built_once_per_seifert_matrix(monkeypatch):
+    """B(t) is built, and checked hermitian, once for 100 reads of one
+    SeifertData."""
+    built = []
+    post_init = HermitianFamily.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(HermitianFamily, "__post_init__", counting)
+    _clear_caches()
+    data = seifert_matrix_from_braid(torus_braid(3, 7))
+    f = signature_function(data)
+    _answers(data, _read_stream(random.Random(5), len(f.breakpoints), 100))
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("knot", ["T(2,5)", "T(3,4)", "random"])
