@@ -2,13 +2,15 @@
 for determinants, ranks, leading principal minors and ranks at a point.
 
 Entries are integer polynomials in the dense list convention of
-:mod:`linkbound.polys`; an integer matrix is a matrix of constants.
-Bareiss elimination (Bareiss 1968) keeps every intermediate value in
-Z[t]: each step divides exactly by the previous pivot, by integer
-``divmod`` on the coefficients, and raises ``ValueError`` if a division
-leaves a remainder.  Every entry after step k is the minor bordering the
-pivot block, and pivoting is complete over a caller-supplied "entry is
-nonzero" test:
+:mod:`linkbound.polys`; an integer matrix is a matrix of constants.  In
+Bareiss elimination (Bareiss 1968) every entry after step k is a minor,
+whose coefficients are below the product of the rows' coefficient
+1-norms.  With K two bits past that bound a minor is its value at
+t = 2^K read in balanced base-2^K digits, and is nonzero exactly when
+that value is (Kronecker substitution).  So the kernel packs each entry
+as that integer and eliminates with integer products and exact integer
+division.  Non-integer coefficients raise ``ValueError`` before packing.
+Pivoting is complete over a caller-supplied "entry is nonzero" test:
 
 * with the test q != 0 the pivots give the determinant, and their number
   is the rank over Q(t);
@@ -23,61 +25,64 @@ from __future__ import annotations
 from . import polys
 
 
-def _exact_quotient(num: list, den: list) -> list:
-    """num / den for integer polynomials whose quotient lies in Z[t].
-
-    Long division with integer ``divmod`` on the coefficients; raises
-    ValueError on a nonzero remainder rather than truncating."""
-    dd = len(den) - 1
-    rem = list(num)
-    quo = [0] * max(len(rem) - dd, 0)
-    for shift in reversed(range(len(quo))):
-        q, r = divmod(rem[shift + dd], den[-1])
-        if r:
-            raise ValueError("inexact division in Z[t]")
-        quo[shift] = q
-        for i in range(dd):
-            rem[shift + i] -= q * den[i]
-    if any(rem[:dd]):
-        raise ValueError("inexact division in Z[t]")
-    return quo
+def _pack(p, k_bits: int) -> int:
+    """The integer polynomial p at t = 2^k_bits."""
+    v = 0
+    for c in reversed(p):
+        v = (v << k_bits) + int(c)
+    return v
 
 
-def _cross(a: list, p: list, h: list, b: list) -> list:
-    """a p - h b for dense integer polynomials, trimmed."""
-    out = [0] * max(len(a) + len(p), len(h) + len(b), 1)
-    for i, c in enumerate(a):
-        for j, d in enumerate(p):
-            out[i + j] += c * d
-    for i, c in enumerate(h):
-        for j, d in enumerate(b):
-            out[i + j] -= c * d
-    while out and not out[-1]:
-        out.pop()
+def _unpack(v: int, k_bits: int) -> list:
+    """The integer polynomial whose value at t = 2^k_bits is v and whose
+    coefficients lie in [-2^(k_bits-1), 2^(k_bits-1)): the balanced
+    base-2^k_bits digits of v, trimmed."""
+    out, half = [], 1 << (k_bits - 1)
+    while v:
+        v, d = divmod(v + half, 1 << k_bits)
+        out.append(d - half)
     return out
+
+
+def _packing_bits(matrix) -> int:
+    """K such that every minor of the matrix has coefficients of absolute
+    value below 2^(K-2): the bit length of prod_i max(1, sum_j ||a_ij||_1),
+    plus 2.  Raises ValueError on a non-integer coefficient."""
+    bound = 1
+    for row in matrix:
+        coeffs = [c for p in row for c in p]
+        if any(c != int(c) for c in coeffs):
+            raise ValueError("non-integer coefficient: the kernel works in Z[t]")
+        bound *= max(1, int(sum(map(abs, coeffs))))
+    return bound.bit_length() + 2
 
 
 def _bareiss(matrix, nonzero=bool) -> tuple[int, list, list, list]:
     """Fraction-free Bareiss elimination with complete pivoting of a matrix
-    of integer polynomials (dense lists).
+    of integer polynomials (dense lists), on their values at t = 2^K.
 
     At step k the pivot is the first entry of the remaining block, in
     row-major order from (k, k), that passes `nonzero`; the elimination
-    stops when no entry passes.  Returns (sign, pivots, rows, cols):
-    pivot k is the minor on the original rows rows[:k + 1] and columns
-    cols[:k + 1], and sign is the sign of the row and column swaps, so for
-    a square matrix of full rank sign times the last pivot is the
-    determinant.
+    stops when no entry passes.  A custom test gets each nonzero entry
+    unpacked, which is exact because the entry is a minor.  Returns (sign,
+    pivots, rows, cols): pivot k is the minor on the original rows
+    rows[:k + 1] and columns cols[:k + 1], and sign is the sign of the row
+    and column swaps, so for a square matrix of full rank sign times the
+    last pivot is the determinant.
     """
-    m = [[polys.trim(e) for e in row] for row in matrix]
+    k_bits = _packing_bits(matrix)
+    m = [[_pack(p, k_bits) for p in row] for row in matrix]
+
+    def passes(v: int) -> bool:
+        return bool(v) and (nonzero is bool or nonzero(_unpack(v, k_bits)))
+
     nrows, ncols = len(m), len(m[0]) if m else 0
     rows, cols = list(range(nrows)), list(range(ncols))
-    sign = 1
-    prev = [1]
+    sign = prev = 1
     pivots = []
     for k in range(min(nrows, ncols)):
         at = next(((i, j) for i in range(k, nrows) for j in range(k, ncols)
-                   if nonzero(m[i][j])), None)
+                   if passes(m[i][j])), None)
         if at is None:
             break
         i, j = at
@@ -97,17 +102,15 @@ def _bareiss(matrix, nonzero=bool) -> tuple[int, list, list, list]:
             head = row[k]
             for j in range(k + 1, ncols):
                 if head or row[j]:  # else the new entry is 0 as well
-                    row[j] = _exact_quotient(_cross(row[j], pivot, head, top[j]), prev)
+                    row[j] = (row[j] * pivot - head * top[j]) // prev
         prev = pivot
-    return sign, pivots, rows[:len(pivots)], cols[:len(pivots)]
+    return (sign, [_unpack(p, k_bits) for p in pivots],
+            rows[:len(pivots)], cols[:len(pivots)])
 
 
 def poly_det(matrix) -> list:
-    """Determinant of a square matrix of integer polynomials (dense lists).
-
-    Every Bareiss division is exact in Z[t] (the quotients are minors).
-    A division that leaves a remainder, which non-integer entries can
-    cause, raises ValueError rather than truncating."""
+    """Determinant of a square matrix of integer polynomials (dense lists);
+    a non-integer coefficient raises ValueError."""
     if not matrix:
         return [1]
     sign, pivots, _, _ = _bareiss(matrix)
@@ -121,14 +124,10 @@ def poly_rank(matrix) -> int:
     return len(_bareiss(matrix)[1])
 
 
-def _constants(matrix) -> list:
-    return [[[int(v)] for v in row] for row in matrix]
-
-
 def int_rank_det(matrix) -> tuple[int, int]:
     """(rank over Q, determinant) of a square integer matrix, from one
     elimination."""
     if not matrix:
         return 0, 1
-    sign, pivots, _, _ = _bareiss(_constants(matrix))
+    sign, pivots, _, _ = _bareiss([[[int(v)] for v in row] for row in matrix])
     return len(pivots), sign * pivots[-1][0] if len(pivots) == len(matrix) else 0

@@ -7,10 +7,11 @@ Points z = e^{i theta} are parametrized by x = z + 1/z = 2cos(theta) in
 [-2, 2]; the upper half-circle suffices by conjugation symmetry.  Every
 principal minor of a hermitian Laurent family is fixed by t -> 1/t and is
 therefore an integer polynomial in x.  All linear algebra over Z[t] is the
-Bareiss kernel of :mod:`linkbound.linalg`.  One elimination reduces a
-family A of generic rank r to its nonsingular principal block A_I on the
-pivot rows I; off the roots of det A_I, A(z) has rank r and the signature
-of A_I(z).  Signatures at rational x are then exact sign sequences of the
+Bareiss kernel of :mod:`linkbound.linalg`, run once per Seifert matrix:
+t B(t) = (1 - t)(tV - V^T), so the one elimination of tV - V^T gives the
+Alexander polynomial, the nullity and the reduction of a family A of
+generic rank r to its nonsingular principal block A_I on the pivot rows
+I; off the roots of det A_I, A(z) has rank r and the signature of A_I(z).  Signatures at rational x are then exact sign sequences of the
 leading principal minors of A_I (Jacobi's rule).  When one of them
 vanishes, an exact congruence diagonalization of A over Q[z]/(z^2 - xz +
 1) takes over; perturbation is never used.  Jumps lie among the roots of
@@ -30,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import lcm
 
 from . import polys
@@ -37,7 +39,7 @@ from .braids import SeifertData
 from .errors import InvalidSeifertData, SingularFamilyError
 from .factor import _rational_root_split
 from .laurent import LaurentPoly, involution, normalize
-from .linalg import _bareiss, poly_det, poly_rank
+from .linalg import _bareiss, poly_det
 from .realroots import RealAlgebraic, isolate_real_roots
 
 
@@ -226,69 +228,77 @@ def _as_family(data) -> HermitianFamily:
 # -- symmetric Laurent -> polynomial in x -------------------------------------
 
 
-def laurent_xz_parts(p: LaurentPoly) -> tuple[list, list]:
-    """Write p(z) = a(x) + b(x) z using z^2 = xz - 1; returns dense (a, b)."""
-    X = [0, 1]
+def _xz_parts(q) -> tuple[list, list]:
+    """(a, b) with q(z) = a(x) + b(x) z for a dense polynomial q: Horner's
+    rule with z^2 = xz - 1, so (a + bz) z = -b + (a + xb) z."""
     a, b = [], []
-    powers = {0: ([1], []), 1: ([], [1])}
-
-    def power(k):
-        if k not in powers:
-            if k > 0:
-                u, v = power(k - 1)
-                powers[k] = (polys.neg(v), polys.add(u, polys.mul(X, v)))
-            else:
-                u, v = power(-k)
-                powers[k] = (polys.add(u, polys.mul(X, v)), polys.neg(v))
-        return powers[k]
-
-    for e, c in p.items():
-        u, v = power(e)
-        a = polys.add(a, polys.scale(u, c))
-        b = polys.add(b, polys.scale(v, c))
+    for c in reversed(q):
+        a, b = polys.sub([c], b), polys.add(a, [0] + b)
     return a, b
 
 
 def symmetric_laurent_to_xpoly(p: LaurentPoly) -> list:
-    """The polynomial q with p(z) = q(z + 1/z), for symmetric p."""
-    a, b = laurent_xz_parts(p)
-    if b:
+    """The polynomial q with p(z) = q(z + 1/z), for symmetric p: one pass
+    over D_e = z^e + z^-e, with D_0 = 2, D_1 = x and D_{e+1} = x D_e -
+    D_{e-1}."""
+    if not p.is_symmetric():
         raise ValueError("polynomial is not symmetric under t -> 1/t")
-    return a
+    q = [p.coefficient(0)]
+    old, cur = [2], [0, 1]
+    for e in range(1, (p.max_exp if p else 0) + 1):
+        q = polys.add(q, polys.scale(cur, p.coefficient(e)))
+        old, cur = cur, polys.sub([0] + cur, old)
+    return polys.trim(q)
 
 
 # -- principal minors ----------------------------------------------------------
 
 
-@lru_cache(maxsize=2048)
 def _scaled_matrix(A: HermitianFamily):
     """(scale L, shift s, dense integer-polynomial matrix of L * t^s * A)."""
-    mult = 1
-    shift = 0
-    for row in A.entries:
-        for p in row:
-            for e, c in p.items():
-                if isinstance(c, Fraction):
-                    mult = lcm(mult, c.denominator)
-                shift = max(shift, -e)
-    dense = []
-    for row in A.entries:
-        drow = []
-        for p in row:
-            top = shift + (p.max_exp if not p.is_zero else 0)
-            coeffs = [0] * (top + 1)
-            for e, c in p.items():
-                coeffs[e + shift] = int(c * mult)
-            drow.append(tuple(polys.trim(coeffs)))
-        dense.append(tuple(drow))
-    return mult, shift, tuple(dense)
+    terms = [(e, c) for row in A.entries for p in row for e, c in p.items()]
+    mult = lcm(*(c.denominator for _, c in terms))
+    shift = max([0] + [-e for e, _ in terms])
+
+    def dense(p):
+        coeffs = [0] * (shift + (p.max_exp if p else 0) + 1)
+        for e, c in p.items():
+            coeffs[e + shift] = int(c * mult)
+        return tuple(polys.trim(coeffs))
+
+    return mult, shift, tuple(tuple(map(dense, row)) for row in A.entries)
 
 
-def _minor_x(minor: LaurentPoly) -> tuple:
-    """A principal minor as a dense integer polynomial in x = z + 1/z."""
-    if minor.is_zero:
-        return ()
-    return tuple(polys.clear_denominators(symmetric_laurent_to_xpoly(minor)))
+@lru_cache(maxsize=2048)
+def _kernel_matrix(A: HermitianFamily) -> tuple:
+    """(c, s, D) with L t^s A = (1 - t)^c D for the scale L > 0 of
+    _scaled_matrix: c = 1 when every entry vanishes at t = 1, as for B(t),
+    whose D is then tV - V^T.  A k x k minor of A is ((1 - t)^c t^-s / L)^k
+    times that of D, so both pick the same pivots, and off z = 1 A(z) and
+    D(z) have equal rank."""
+    _, shift, dense = _scaled_matrix(A)
+    if any(sum(p) for row in dense for p in row):
+        return 0, shift, dense
+    return 1, shift, tuple(tuple(tuple(accumulate(p))[:-1] for p in row) for row in dense)
+
+
+@lru_cache(maxsize=1024)
+def _elimination(dense: tuple) -> tuple:
+    """The kernel's (sign, pivots, rows, cols) for a dense integer-polynomial
+    matrix, once per matrix: for a Seifert matrix, Delta, beta and the
+    principal block of B(t) all read the elimination of tV - V^T."""
+    sign, pivots, rows, cols = _bareiss(dense)
+    return sign, tuple(map(tuple, pivots)), tuple(rows), tuple(cols)
+
+
+def _minor_x(p, k: int, c: int, shift: int) -> tuple:
+    """L^k times the principal k x k minor (1 - t)^(ck) t^(-sk) p(t) of a
+    family, for the minor p of its kernel matrix, as an integer polynomial
+    in x = z + 1/z."""
+    p = list(p)
+    for _ in range(c * k):
+        p = [a - b for a, b in zip(p + [0], [0] + p)]  # (1 - t) p
+    return tuple(symmetric_laurent_to_xpoly(LaurentPoly.from_dense(p, -shift * k)))
 
 
 def _diagonal_prefix(rows, cols) -> int:
@@ -306,21 +316,22 @@ def _principal_block(A: HermitianFamily) -> tuple:
     For a hermitian family, r independent rows make A_I nonsingular.  Off
     the roots of det A_I the rank of A(z) is therefore r, the Schur
     complement of A_I vanishes, and A(z) has the signature of A_I(z) and
-    nullity n - r.  When det A is not identically zero, A_I = A.  The
-    pivots up to the first off-diagonal one are leading minors; that
-    minor is 0 and each larger one takes a determinant.
+    nullity n - r.  When det A is not identically zero, A_I = A.  I and
+    the minors come from the cached elimination of the kernel matrix D,
+    tV - V^T for B(t) (see _kernel_matrix).  The pivots up to the first
+    off-diagonal one are leading minors; that minor is 0 and each larger
+    one takes a determinant of D_I.
     """
-    _, shift, dense = _scaled_matrix(A)
-    _, pivots, rows, cols = _bareiss(dense)
+    c, shift, dense = _kernel_matrix(A)
+    _, pivots, rows, cols = _elimination(dense)
     block = sorted(rows)
     if _diagonal_prefix(rows, cols) < len(block) < len(dense):
         dense = [[dense[i][j] for j in block] for i in block]
         _, pivots, rows, cols = _bareiss(dense)
     k0 = _diagonal_prefix(rows, cols)
-    minors = pivots[:k0] + [poly_det([row[:k] for row in dense[:k]])
-                            for k in range(k0 + 1, len(block) + 1)]
-    return tuple(block), tuple(_minor_x(LaurentPoly.from_dense(p, -shift * k))
-                               for k, p in enumerate(minors, 1))
+    minors = list(pivots[:k0]) + [poly_det([row[:k] for row in dense[:k]])
+                                  for k in range(k0 + 1, len(block) + 1)]
+    return tuple(block), tuple(_minor_x(p, k, c, shift) for k, p in enumerate(minors, 1))
 
 
 def _zero_test(root):
@@ -333,15 +344,16 @@ def _zero_test(root):
 
 def _rank_at(A: HermitianFamily, root) -> int:
     """Rank of A(z0) at the circle point with z0 + 1/z0 = root in (-2, 2):
-    the Bareiss kernel with the test q(z0) != 0.  Writing q(z) = a(x) +
-    b(x) z, q(z0) = 0 exactly when a and b both vanish at the root, since
-    z0 is not real."""
+    the Bareiss kernel with the test q(z0) != 0 on the kernel matrix,
+    tV - V^T for B(t), which has the rank of A(z0) there since z0 != 1.
+    With q(z) = a(x) + b(x) z, q(z0) = 0 exactly when a and b both vanish
+    at the root, since z0 is not real."""
     vanishes = _zero_test(root)
 
     def nonzero(q):
-        return bool(q) and not all(map(vanishes, laurent_xz_parts(LaurentPoly.from_dense(q))))
+        return not all(map(vanishes, _xz_parts(q)))
 
-    _, _, dense = _scaled_matrix(A)
+    _, _, dense = _kernel_matrix(A)
     return len(_bareiss(dense, nonzero)[1])
 
 
@@ -500,10 +512,6 @@ def pointwise_signature_nullity(data, x) -> tuple[int, int]:
 # -- jump structure -------------------------------------------------------------
 
 
-def _xpoly_nonzero(p) -> bool:
-    return bool(polys.trim(list(p)))
-
-
 def _wall_lo(bp):
     return bp if isinstance(bp, Fraction) else bp.lo
 
@@ -527,7 +535,7 @@ def _jump_structure(A: HermitianFamily):
     rank = len(minors)
     if rank == 0:
         return (1,), 0, ()
-    _, prim = polys.primitive_positive(polys.clear_denominators(list(minors[-1])))
+    _, prim = polys.primitive_positive(list(minors[-1]))
     if polys.degree(prim) == 0:
         return tuple(prim), rank, ()
 
@@ -733,7 +741,7 @@ def _json_rat(v):
 def _signature_function_cached(A: HermitianFamily) -> SignatureFunction:
     n = A.size
     _, rank, bps = _jump_structure(A)
-    avoid = [p for p in _principal_block(A)[1] if _xpoly_nonzero(p)]
+    avoid = [p for p in _principal_block(A)[1] if p]
     samples = []
     values = []
     for i in range(len(bps) + 1):
@@ -774,17 +782,10 @@ def functions_equal(f: SignatureFunction, g: SignatureFunction) -> bool:
 # -- Alexander polynomial, nullity, Witt evaluation ------------------------------
 
 
-def _presentation_dense(data: SeifertData) -> list[list[list]]:
-    v, vt = data.matrix, data.transposed()
-    n = data.size
-    return [[polys.trim([-vt[i][j], v[i][j]]) for j in range(n)] for i in range(n)]
-
-
-@lru_cache(maxsize=1024)
-def _presentation_det(data: SeifertData) -> tuple:
-    """det(tV - V^T) as dense coefficients, shared by the Alexander
-    polynomial and the nullity."""
-    return tuple(poly_det(_presentation_dense(data)))
+def _presentation(data: SeifertData) -> tuple:
+    """The cached elimination of tV - V^T, shared with B(t)'s block."""
+    return _elimination(tuple(tuple(tuple(polys.trim([-b, a])) for a, b in zip(row, col))
+                              for row, col in zip(data.matrix, data.transposed())))
 
 
 def alexander_from_seifert(data: SeifertData) -> LaurentPoly:
@@ -793,24 +794,19 @@ def alexander_from_seifert(data: SeifertData) -> LaurentPoly:
     unnormalized, since normalization is undefined there."""
     if data.size == 0:
         return LaurentPoly.one()
-    det = _presentation_det(data)
-    if not det:
+    _, pivots, _, _ = _presentation(data)
+    if len(pivots) < data.size:
         return LaurentPoly.zero()
-    return normalize(LaurentPoly.from_dense(det, 0))
+    return normalize(LaurentPoly.from_dense(pivots[-1], 0))  # the sign is a unit
 
 
 def link_nullity(data: SeifertData) -> int:
     """Corank over Q(t) of the presentation matrix tV - V^T; always within
     [0, components - 1] for valid Seifert data.
 
-    beta = 0 exactly when the Alexander polynomial det(tV - V^T) is not
-    identically zero; no rank is computed then.  Otherwise beta is n
-    minus the rank from one Bareiss elimination over Z[t], which divides
-    exactly by the previous pivot, so its cost is polynomial in n."""
-    n = data.size
-    if n == 0 or _presentation_det(data):
-        return 0
-    beta = n - poly_rank(_presentation_dense(data))
+    beta is n minus the number of pivots of the cached elimination of
+    tV - V^T, which also gives Delta and the principal block of B(t)."""
+    beta = data.size - len(_presentation(data)[1])
     if not 0 <= beta <= data.components - 1:
         raise InvalidSeifertData(
             f"nullity {beta} outside [0, {data.components - 1}]: invalid Seifert data")

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import linkbound.linalg
+import linkbound.signature
 from linkbound import BraidWord, SeifertData, closure_components, \
     seifert_matrix_from_braid, stabilize
 from linkbound.linalg import int_rank_det
@@ -100,3 +102,23 @@ def degenerate_family(knot: SeifertData, f: int, k: int,
     w = [[sum(p[i][a] * v[a][b] * p[j][b] for a in range(n) for b in range(n))
           for j in range(n)] for i in range(n)]
     return SeifertData.from_matrix(w, knot.components + k + 1)
+
+
+def count_eliminations(monkeypatch) -> list[int]:
+    """Record the size of every matrix the Bareiss kernel eliminates from
+    now on, in the list returned, starting from empty signature caches.
+    Build Seifert data before calling: its validation runs the kernel on
+    integers."""
+    calls = []
+    bareiss = linkbound.linalg._bareiss
+
+    def counted(matrix, *args):
+        calls.append(len(matrix))
+        return bareiss(matrix, *args)
+
+    monkeypatch.setattr(linkbound.linalg, "_bareiss", counted)
+    monkeypatch.setattr(linkbound.signature, "_bareiss", counted)
+    for obj in vars(linkbound.signature).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    return calls

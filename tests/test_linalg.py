@@ -1,7 +1,9 @@
 """The exact Z[t] kernel against sympy: Bareiss determinants and ranks
 under complete pivoting, the leading minors read off one elimination, the
-principal block of a degenerate hermitian family, and exact division."""
+principal block of a degenerate hermitian family, and the packing of
+entries at t = 2^K, including inputs whose minors reach the bound."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from linkbound import HermitianFamily, LaurentPoly, involution
-from linkbound.linalg import _bareiss, _exact_quotient, int_rank_det, poly_det, poly_rank
+from linkbound.linalg import (_bareiss, _pack, _packing_bits, _unpack, int_rank_det, poly_det,
+                              poly_rank)
 from linkbound.signature import (_diagonal_prefix, _principal_block, _quad_signature_nullity,
                                  pointwise_signature_nullity)
 
@@ -229,18 +232,6 @@ def test_jacobi_signs_match_congruence(A, xs):
             assert pointwise_signature_nullity(A, x) == _quad_signature_nullity(A, x)
 
 
-def test_exact_quotient_in_z_t():
-    assert _exact_quotient([-1, 0, 1], [-1, 1]) == [1, 1]  # (t^2 - 1) / (t - 1)
-    assert _exact_quotient([6, 4], [2]) == [3, 2]
-    assert _exact_quotient([], [5, 1]) == []
-    with pytest.raises(ValueError):
-        _exact_quotient([1, 0, 1], [1, 1])  # remainder 2
-    with pytest.raises(ValueError):
-        _exact_quotient([0, 0, 2], [0, 3])  # 2t^2 / 3t is not in Z[t]
-    with pytest.raises(ValueError):
-        _exact_quotient([3], [2])
-
-
 def test_inexact_bareiss_step_raises():
     """With a non-integer entry the second step divides 1 by the pivot 2;
     a floor division would return det 0 instead of raising."""
@@ -249,3 +240,80 @@ def test_inexact_bareiss_step_raises():
          [[], [], [Fraction(1, 2)]]]
     with pytest.raises(ValueError):
         poly_det(m)
+
+
+# -- the packed kernel: entries at t = 2^K --------------------------------------
+
+wide_polys = st.lists(st.integers(-1000, 1000), max_size=5)  # degree <= 4
+
+
+@st.composite
+def wide_matrices(draw):
+    """r x c matrices, r, c <= 5, with coefficients up to 1000 and degree
+    up to 4; optionally the last row a Z[t]-combination of the first two,
+    so that the matrix is rank-deficient."""
+    r, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    m = [[draw(wide_polys) for _ in range(c)] for _ in range(r)]
+    if r >= 3 and draw(st.booleans()):
+        f, g = draw(small_polys), draw(small_polys)
+        m[-1] = [_trim([a + b for a, b in _zip_pad(_mul(f, x), _mul(g, y))])
+                 for x, y in zip(m[0], m[1])]
+    return m
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_matrices())
+def test_packed_kernel_matches_sympy(m):
+    """Rank, pivots and (for square input) the determinant of the packed
+    kernel against sympy over ZZ[t], on wide coefficients and
+    rank-deficient matrices: every pivot is the minor on its pivot rows
+    and columns, and their number is the rank."""
+    sign, pivots, rows, cols = _bareiss(m)
+    assert len(pivots) == sympy_rank(m)
+    for k, pivot in enumerate(pivots, 1):
+        assert pivot == sympy_det([[m[i][j] for j in cols[:k]] for i in rows[:k]])
+    if len(m) == len(m[0]):
+        assert _trim(poly_det(m)) == sympy_det(m)
+
+
+@st.composite
+def monomial_diagonals(draw):
+    """Diagonal matrices, n <= 4, of monomials c t^e: the determinant is a
+    monomial whose coefficient is exactly the packing bound prod |c|."""
+    n = draw(st.integers(1, 4))
+    m = [[[] for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        c = draw(st.integers(1, 2 ** 40)) * draw(st.sampled_from([-1, 1]))
+        m[i][i] = [0] * draw(st.integers(0, 3)) + [c]
+    return m
+
+
+@settings(max_examples=80, deadline=None)
+@given(monomial_diagonals())
+def test_determinant_at_the_bound(m):
+    """1 x 1 and diagonal inputs, whose determinant reaches the bound
+    that sets K: the unpacked pivots are exact."""
+    det = sympy_det(m)
+    assert abs(det[-1]) == math.prod(abs(m[i][i][-1]) for i in range(len(m)))
+    assert _trim(poly_det(m)) == det
+    assert _trim(poly_det([m[0][:1]])) == _trim(m[0][0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 80), st.data())
+def test_pack_unpack_round_trip(k_bits, data):
+    """Coefficients up to 2^(K-1) - 1 in absolute value, the edge of the
+    balanced digits, come back unchanged."""
+    edge = 2 ** (k_bits - 1) - 1
+    p = _trim(data.draw(st.lists(st.one_of(st.sampled_from([edge, -edge]),
+                                           st.integers(-edge, edge)), max_size=6)))
+    assert _unpack(_pack(p, k_bits), k_bits) == p
+
+
+def test_packing_bits_bound_the_minors():
+    """K is the bit length of prod_i max(1, sum_j ||a_ij||_1), plus 2."""
+    assert _packing_bits([[[5]]]) == 5
+    assert _packing_bits([[[1, -2], [3]], [[], []]]) == 3 + 2
+    assert _packing_bits([]) == 3
+    with pytest.raises(ValueError):
+        _packing_bits([[[Fraction(1, 3)]]])

@@ -7,18 +7,19 @@ import pytest
 
 from linkbound import (BraidWord, CirclePoint, HermitianFamily, LaurentPoly,
                        QuadFieldElem, RealAlgebraic, SeifertData, SingularFamilyError,
-                       alexander_from_seifert, b_family, connected_sum,
+                       alexander_from_seifert, assemble_report, b_family, connected_sum,
                        float_oracle, functions_equal, involution, link_nullity,
                        mirror, pointwise_signature_nullity,
                        seifert_matrix_from_braid, signature_function,
                        signature_nullity_at, stabilize, torus_braid,
                        units_equal, witt_evaluate)
 from linkbound import realroots, signature
-from linkbound.signature import (breakpoints_equal, quad_eval,
+from linkbound.linalg import _bareiss, poly_det
+from linkbound.signature import (_diagonal_prefix, breakpoints_equal, quad_eval,
                                  symmetric_laurent_to_xpoly)
 
-from helpers import (degenerate_family, random_knot_data, random_seifert_data,
-                     random_unimodular, zero_padded)
+from helpers import (count_eliminations, degenerate_family, random_knot_data,
+                     random_seifert_data, random_unimodular, zero_padded)
 
 TREFOIL_V = SeifertData.from_matrix([[-1, 1], [0, -1]], 1, "trefoil")
 UNKNOT = seifert_matrix_from_braid(BraidWord(1, ()))
@@ -521,3 +522,66 @@ def test_jump_candidates_need_a_rank_drop():
     assert f.averaged_values == ((0, 2),)
     assert signature_nullity_at(A, 1) == pointwise_signature_nullity(A, 1) == (1, 1)
     assert signature_nullity_at(A, 0) == (0, 2)
+
+
+# -- one elimination per Seifert matrix ------------------------------------------
+
+
+def _scaled_route(A):
+    """(I, Laurent minors) by the general route: eliminate L t^s A from
+    _scaled_matrix itself."""
+    _, shift, dense = signature._scaled_matrix(A)
+    _, pivots, rows, cols = _bareiss(dense)
+    block = sorted(rows)
+    if _diagonal_prefix(rows, cols) < len(block) < len(dense):
+        dense = [[dense[i][j] for j in block] for i in block]
+        _, pivots, rows, cols = _bareiss(dense)
+    k0 = _diagonal_prefix(rows, cols)
+    minors = pivots[:k0] + [poly_det([row[:k] for row in dense[:k]])
+                            for k in range(k0 + 1, len(block) + 1)]
+    return tuple(block), [LaurentPoly.from_dense(p, -shift * k) for k, p in enumerate(minors, 1)]
+
+
+def _route_inputs():
+    rng = random.Random(61)
+    torus = [seifert_matrix_from_braid(torus_braid(p, q))
+             for p, q in ((2, 5), (3, 4), (3, 7), (4, 5), (2, 6), (3, 6), (4, 4))]
+    out = torus + [random_seifert_data(rng) for _ in range(40)]
+    out += [zero_padded(torus[1], k) for k in (1, 3)]
+    for k in range(3):
+        knot = random_knot_data(rng, max_strands=3, max_len=8)
+        n = knot.size + 3 + k
+        out.append(degenerate_family(knot, rng.randint(-2, 2), k, random_unimodular(rng, n)))
+    return out
+
+
+def test_principal_block_from_the_shared_elimination():
+    """(I, minors) read off the one cached elimination of tV - V^T equal
+    the general route through _scaled_matrix, on torus knots and links,
+    random Seifert matrices, zero-padded and degenerate families: each
+    minor q(x) is the Laurent minor m(t) with q(t + 1/t) = m(t).  Delta
+    and beta read the same cache entry."""
+    x = LaurentPoly({1: 1, -1: 1})
+    for data in _route_inputs():
+        _clear_caches()
+        A = b_family(data)
+        block, minors = signature._principal_block(A)
+        ref_block, ref_minors = _scaled_route(A)
+        assert block == ref_block and len(minors) == len(ref_minors)
+        for q, m in zip(minors, ref_minors):
+            assert sum((x ** i * c for i, c in enumerate(q)), LaurentPoly.zero()) == m
+        alexander_from_seifert(data)
+        link_nullity(data)
+        info = signature._elimination.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+
+@pytest.mark.parametrize("p, q", [(2, 5), (3, 7), (4, 5), (3, 10)])
+def test_one_elimination_per_knot_report(monkeypatch, p, q):
+    """A knot report runs the Z[t] kernel once: on tV - V^T, for Delta,
+    beta and the leading minors of B."""
+    data = seifert_matrix_from_braid(torus_braid(p, q))
+    calls = count_eliminations(monkeypatch)
+    report = assemble_report(data)
+    assert report.lower >= 1
+    assert calls == [data.size]
