@@ -296,9 +296,10 @@ def assemble_report(data: SeifertData, certs=(), degree_cap: int = 12) -> BoundR
     Seifert surface, and any band certificates.  For links (m > 1) no
     upper bound is produced here (band certificates assume one boundary
     circle) and the slice verdict is only the signature obstruction.
-    The signature function, beta, Delta and the Fox-Milnor test are each
-    computed once.  A degree cap above MAX_DEGREE_CAP raises
-    DegreeCapError, for links too.
+    The signature function, beta and Delta are each computed once; a
+    knot's Fox-Milnor test runs only when the signature bound is 0, since
+    a positive bound already obstructs sliceness.  A degree cap above
+    MAX_DEGREE_CAP raises DegreeCapError, for links too.
     """
     check_degree_cap(degree_cap)
     m = data.components
@@ -326,7 +327,8 @@ def assemble_report(data: SeifertData, certs=(), degree_cap: int = 12) -> BoundR
                 f"{cert.bands} band moves to a "
                 f"{cert.resulting_unlink_components}-component unlink "
                 f"(user-supplied, not verified)")
-        verdict = _slice_verdict(fox_milnor_test(delta, degree_cap), lower)
+        verdict = OBSTRUCTED if lower > 0 else \
+            _slice_verdict(fox_milnor_test(delta, degree_cap), lower)
     else:
         if certs:
             raise InvalidSeifertData(

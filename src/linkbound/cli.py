@@ -10,6 +10,7 @@ violation, 4 inconsistent bounds, 5 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -132,6 +133,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linkbound",

@@ -238,6 +238,11 @@ def refine_isolating_interval(q, interval: IsolatingInterval,
     return IsolatingInterval(item[0], item[1], interval.multiplicity)
 
 
+@lru_cache(maxsize=1024)
+def _gcd(q: tuple, poly: tuple) -> tuple:
+    return tuple(polys.gcd_poly(q, poly))
+
+
 class RealAlgebraic:
     """One real algebraic number: a primitive square-free integer defining
     polynomial together with an open isolating interval.
@@ -325,11 +330,12 @@ class RealAlgebraic:
         g = gcd(q, poly) divides the square-free poly, so its roots are
         simple roots of poly and the bracket holds at most one of them: g
         vanishes at this root exactly when it changes sign across the
-        bracket."""
+        bracket.  g does not depend on the bracket, so it is cached per
+        (q, poly) pair and the breakpoints of one function share it."""
         q = polys.trim(q)
         if not q:
             return True
-        g = polys.gcd_poly(q, list(self.poly))
+        g = _gcd(tuple(q), self.poly)
         return (polys.degree(g) >= 1
                 and polys.sign_at(g, self._lo) != polys.sign_at(g, self._hi))
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import linkbound.linalg
+import linkbound.realroots
 import linkbound.signature
 from linkbound import BraidWord, SeifertData, closure_components, \
     seifert_matrix_from_braid, stabilize
@@ -104,9 +105,18 @@ def degenerate_family(knot: SeifertData, f: int, k: int,
     return SeifertData.from_matrix(w, knot.components + k + 1)
 
 
+def cold_caches():
+    """Empty every cache of the signature and realroots layers."""
+    for module in (linkbound.signature, linkbound.realroots):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
 def count_eliminations(monkeypatch) -> list[int]:
     """Record the size of every matrix the Bareiss kernel eliminates from
-    now on, in the list returned, starting from empty signature caches.
+    now on, in the list returned, starting from empty signature and
+    realroots caches.
     Build Seifert data before calling: its validation runs the kernel on
     integers."""
     calls = []
@@ -118,7 +128,5 @@ def count_eliminations(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(linkbound.linalg, "_bareiss", counted)
     monkeypatch.setattr(linkbound.signature, "_bareiss", counted)
-    for obj in vars(linkbound.signature).values():
-        if hasattr(obj, "cache_clear"):
-            obj.cache_clear()
+    cold_caches()
     return calls

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import linkbound.bounds
 import linkbound.linalg
 from linkbound import (BandCertificate, BoundReport, BraidWord, DegreeCapError,
                        InconsistentBounds, InfectionDecl, InvalidSeifertData,
@@ -17,6 +18,7 @@ from linkbound import (BandCertificate, BoundReport, BraidWord, DegreeCapError,
                        fox_milnor_test, slice_obstruction, torus_braid,
                        width_upper_bound)
 from linkbound import polys
+from linkbound.bounds import _slice_verdict
 
 from helpers import count_eliminations, random_knot_data, zero_padded
 
@@ -24,6 +26,7 @@ UNKNOT = seifert_matrix_from_braid(BraidWord(1, ()))
 TREFOIL = seifert_matrix_from_braid(BraidWord(2, (1, 1, 1)))
 T35 = seifert_matrix_from_braid(torus_braid(3, 5))
 COMPANION = SeifertData.from_matrix([[0, 2], [1, 0]], 1, "companion")
+FIGURE_EIGHT = seifert_matrix_from_braid(BraidWord(3, (1, -2, 1, -2)))
 
 
 def test_degree_cap_above_18_rejected():
@@ -127,6 +130,66 @@ def test_assemble_t35():
     sources = {p.source for p in report.provenance if p.bound == "upper"}
     assert "pushed-in Seifert surface" in sources
     assert "Alexander-width (topological category)" in sources
+
+
+def _count_fox_milnor(monkeypatch) -> list:
+    """Record every Fox-Milnor test a report runs from now on."""
+    calls = []
+    test = linkbound.bounds.fox_milnor_test
+
+    def counted(*args):
+        calls.append(args)
+        return test(*args)
+
+    monkeypatch.setattr(linkbound.bounds, "fox_milnor_test", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["T(2,9)", "T(3,5)", "T(3,7)", "T(3,5)#companion"])
+def test_positive_bound_skips_fox_milnor(monkeypatch, name):
+    """A positive signature bound obstructs sliceness by itself, so the
+    report never runs Fox-Milnor."""
+    if name == "T(3,5)#companion":
+        data = connected_sum(T35, COMPANION)
+    else:
+        data = seifert_matrix_from_braid(torus_braid(int(name[2]), int(name[4])))
+    calls = _count_fox_milnor(monkeypatch)
+    report = assemble_report(data)
+    assert report.lower > 0 and report.slice_verdict == "obstructed"
+    assert calls == []
+
+
+def test_zero_bound_double_runs_fox_milnor_once(monkeypatch):
+    calls = _count_fox_milnor(monkeypatch)
+    report = assemble_report(connected_sum(TREFOIL, mirror(TREFOIL)))
+    assert (report.lower, report.slice_verdict) == (0, "consistent-with-slice")
+    assert len(calls) == 1
+
+
+def test_zero_bound_fox_milnor_failure_obstructs(monkeypatch):
+    """The figure eight has signature 0 and |Delta(-1)| = 5, not a square:
+    only Fox-Milnor obstructs it."""
+    calls = _count_fox_milnor(monkeypatch)
+    report = assemble_report(FIGURE_EIGHT)
+    assert (report.lower, report.slice_verdict) == (0, "obstructed")
+    assert len(calls) == 1 and calls[0][0] == alexander_from_seifert(FIGURE_EIGHT)
+
+
+def test_verdict_matches_fox_milnor_on_every_knot():
+    """On 120 random knots and doubles the verdict is the rule that ran
+    Fox-Milnor on every knot; the draws reach both verdicts at bound 0."""
+    rng = random.Random(93)
+    seen = set()
+    for i in range(120):
+        data = random_knot_data(rng, max_strands=4, max_len=12)
+        if i % 4 == 0:
+            data = connected_sum(data, mirror(data))
+        report = assemble_report(data)
+        fm = fox_milnor_test(alexander_from_seifert(data))
+        assert report.slice_verdict == _slice_verdict(fm, report.lower)
+        seen.add((report.lower > 0, report.slice_verdict))
+    assert seen == {(False, "consistent-with-slice"), (False, "obstructed"),
+                    (True, "obstructed")}
 
 
 def test_assemble_with_band_cert():

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from linkbound.cli import main
+from linkbound.cli import build_parser, main
 from linkbound.laurent import laurent_from_json
 
 
@@ -95,6 +95,21 @@ def test_bound_with_band_cert(capsys, trefoil_file):
     assert code == 0
     obj = json.loads(out)
     assert obj["upper"] == 1
+
+
+def test_cached_parser_keeps_no_state(capsys, trefoil_file):
+    """The parser is built once; no option of one call reaches the next."""
+    assert build_parser() is build_parser()
+    code, out, _ = run(capsys, "bound", trefoil_file, "--band-cert", "3,2")
+    assert code == 0 and json.loads(out)["assumptions"]
+    code, out, _ = run(capsys, "bound", trefoil_file)
+    obj = json.loads(out)
+    assert code == 0 and obj["assumptions"] == []
+    assert not any("band" in p["source"] for p in obj["provenance"])
+    code, out, _ = run(capsys, "bound", trefoil_file, "--degree-cap", "19")
+    assert code == 2 and not out
+    code, out, _ = run(capsys, "bound", trefoil_file)
+    assert code == 0 and json.loads(out) == obj
 
 
 def test_bound_bad_cert_syntax(capsys, trefoil_file):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from linkbound import IsolatingInterval, RealAlgebraic, ZeroPolynomialError, \
     isolate_real_roots, refine_isolating_interval
-from linkbound import polys
+from linkbound import polys, realroots
 from linkbound.realroots import count_roots, sturm_chain
 
 X = sympy.Symbol("x")
@@ -286,3 +286,28 @@ def test_compare_rational_matches_sign_of(poly, which, c, width):
     expected = root.copy().sign_of([-c, 1])
     assert root.compare_rational(c) == expected != 0
     assert (root.to_float() > c) == (expected > 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(irreducible_quadratics, min_size=1, max_size=3, unique=True),
+       st.lists(irreducible_quadratics, min_size=1, max_size=3, unique=True),
+       st.integers(0, 40))
+def test_vanishes_same_from_warm_and_cold_gcd_cache(fa, fb, width):
+    """The cached gcd does not depend on the bracket: after the bracket is
+    refined, vanishes answers from the warm cache as from a cold one and
+    as before the refinement."""
+    pa, pb = [1], [1]
+    for f in fa:
+        pa = polys.mul(pa, f)
+    for f in fb:
+        pb = polys.mul(pb, f)
+    qs = [pa, pb, polys.mul(pb, [1, 1])] + [list(f) for f in fa + fb]
+    for root in _roots(pa):
+        realroots._gcd.cache_clear()
+        before = [root.vanishes(q) for q in qs]
+        root.refine(Fraction(1, 2 ** width))
+        hits = realroots._gcd.cache_info().hits
+        warm = [root.vanishes(q) for q in qs]
+        assert realroots._gcd.cache_info().hits == hits + len(qs)
+        realroots._gcd.cache_clear()
+        assert warm == before == [root.vanishes(q) for q in qs]

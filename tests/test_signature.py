@@ -13,13 +13,14 @@ from linkbound import (BraidWord, CirclePoint, HermitianFamily, LaurentPoly,
                        seifert_matrix_from_braid, signature_function,
                        signature_nullity_at, stabilize, torus_braid,
                        units_equal, witt_evaluate)
-from linkbound import realroots, signature
+from linkbound import polys, signature
 from linkbound.linalg import _bareiss, poly_det
 from linkbound.signature import (_diagonal_prefix, breakpoints_equal, quad_eval,
                                  symmetric_laurent_to_xpoly)
 
-from helpers import (count_eliminations, degenerate_family, random_knot_data,
-                     random_seifert_data, random_unimodular, zero_padded)
+from helpers import (cold_caches as _clear_caches, count_eliminations,
+                     degenerate_family, random_knot_data, random_seifert_data,
+                     random_unimodular, zero_padded)
 
 TREFOIL_V = SeifertData.from_matrix([[-1, 1], [0, -1]], 1, "trefoil")
 UNKNOT = seifert_matrix_from_braid(BraidWord(1, ()))
@@ -391,13 +392,6 @@ def test_to_json_unchanged_by_reads():
         assert f.to_json() == before
 
 
-def _clear_caches():
-    for module in (signature, realroots):
-        for obj in vars(module).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
-
-
 def _read_stream(rng, n_breakpoints, count):
     """(kind, point) reads: random rationals, x = +-2, and breakpoint j of
     the function itself ("own") or rebuilt from its to_json ("json")."""
@@ -457,6 +451,28 @@ def test_reads_do_not_depend_on_order_or_caches(make):
         answers.append([a for _, a in sorted(zip(order, got))])
         assert signature_function(data).to_json() == before
     assert answers[0] == answers[1] == answers[2]
+
+
+def test_one_gcd_per_jump_polynomial(monkeypatch):
+    """The nine algebraic breakpoints of T(2,19) share one defining
+    polynomial, so a cold report takes the gcd in RealAlgebraic.vanishes
+    once per (q, polynomial) pair, not once per breakpoint."""
+    data = seifert_matrix_from_braid(torus_braid(2, 19))
+    f = signature_function(data)
+    defining = {bp.poly for bp in f.breakpoints if isinstance(bp, RealAlgebraic)}
+    assert len(f.breakpoints) == 9 and len(defining) == 1
+    pairs = []
+    gcd_poly = polys.gcd_poly
+
+    def counted(p, q):
+        if tuple(q) in defining:
+            pairs.append((tuple(p), tuple(q)))
+        return gcd_poly(p, q)
+
+    monkeypatch.setattr(polys, "gcd_poly", counted)
+    _clear_caches()
+    assemble_report(seifert_matrix_from_braid(torus_braid(2, 19)))
+    assert pairs and len(pairs) == len(set(pairs)) < len(f.breakpoints)
 
 
 def test_b_family_built_once_per_seifert_matrix(monkeypatch):
