@@ -20,9 +20,9 @@ from .laurent import (LaurentPoly, format_laurent, involution,
                       units_equal, width)
 from .realroots import (IsolatingInterval, RealAlgebraic, isolate_real_roots,
                         refine_isolating_interval)
-from .signature import (CirclePoint, HermitianFamily, QuadFieldElem,
-                        SignatureFunction, alexander_from_seifert, b_family,
-                        float_oracle, functions_equal, link_nullity,
+from .signature import (CirclePoint, HermitianFamily, SignatureFunction,
+                        alexander_from_seifert, b_family, float_oracle,
+                        functions_equal, link_nullity,
                         pointwise_signature_nullity, signature_function,
                         signature_nullity_at, witt_evaluate)
 

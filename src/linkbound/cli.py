@@ -17,7 +17,7 @@ import os
 import sys
 
 from .bounds import BandCertificate, BoundReport, InfectionDecl, assemble_report, \
-    infection_transfer
+    band_certificate_genus, infection_transfer
 from .catalog import builtin_catalog, load_catalog, verify_catalog
 from .errors import DegreeCapError, InconsistentBounds, InvalidSeifertData, ParseError
 from .factor import check_degree_cap
@@ -73,9 +73,11 @@ def _parse_band_certs(raw) -> list[BandCertificate]:
     for pair in raw or ():
         try:
             b, u = (int(v) for v in pair.split(","))
-        except ValueError:
-            raise ParseError(f"--band-cert wants 'b,u', got {pair!r}") from None
-        certs.append(BandCertificate(b, u))
+            cert = BandCertificate(b, u)
+            band_certificate_genus(cert)
+        except ValueError as e:
+            raise ParseError(f"--band-cert wants a valid 'b,u', got {pair!r}: {e}") from None
+        certs.append(cert)
     return certs
 
 

@@ -52,23 +52,22 @@ def _evaluation_points():
 
 
 def _interpolate_integer(xs, ys):
-    """Lagrange interpolation; None unless all coefficients are integers."""
+    """The interpolant of ys at the distinct integer nodes xs by Newton
+    divided differences; None unless all its coefficients are integers.
+
+    Divided differences of an integer polynomial at integer nodes are
+    integers and the Newton basis is integral, so the first inexact
+    division rules the tuple out."""
+    c = list(ys)
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            c[i], r = divmod(c[i] - c[i - 1], xs[i] - xs[i - j])
+            if r:
+                return None
     poly = []
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        num = [Fraction(yi)]
-        den = 1
-        for j, xj in enumerate(xs):
-            if j != i:
-                num = polys.mul(num, [-xj, 1])
-                den *= xi - xj
-        poly = polys.add(poly, polys.scale(num, Fraction(1, den)))
-    out = []
-    for c in poly:
-        c = Fraction(c)
-        if c.denominator != 1:
-            return None
-        out.append(int(c))
-    return polys.trim(out)
+    for xi, ci in zip(reversed(xs), reversed(c)):
+        poly = polys.add(polys.mul(poly, [-xi, 1]), [ci])
+    return poly
 
 
 def _rational_root_split(p) -> tuple[list, list[list]]:

@@ -11,14 +11,16 @@ Bareiss kernel of :mod:`linkbound.linalg`, run once per Seifert matrix:
 t B(t) = (1 - t)(tV - V^T), so the one elimination of tV - V^T gives the
 Alexander polynomial, the nullity and the reduction of a family A of
 generic rank r to its nonsingular principal block A_I on the pivot rows
-I; off the roots of det A_I, A(z) has rank r and the signature of A_I(z).  Signatures at rational x are then exact sign sequences of the
-leading principal minors of A_I (Jacobi's rule).  When one of them
-vanishes, an exact congruence diagonalization of A over Q[z]/(z^2 - xz +
-1) takes over; perturbation is never used.  Jumps lie among the roots of
-det A_I, certified by Sturm isolation in x; when det A is identically
-zero a root counts only where the kernel finds the rank of A(z) below r.
-Values at jumps follow the averaged-limit convention: the mean of the two
-adjacent interval values.
+I; off the roots of det A_I, A(z) has rank r and the signature of A_I(z).
+Signatures at rational x are then exact sign sequences of the leading
+principal minors of A_I (Jacobi's rule).  When one of them vanishes, and
+at x = +-2, one fraction-free congruence of an integer symmetric matrix
+takes over: A(+-1), or inside (-2, 2) the rational trace form of A(z),
+which has twice its signature and nullity; perturbation is never used.
+Jumps lie among the roots of det A_I, certified by Sturm isolation in x;
+when det A is identically zero a root counts only where the kernel finds
+the rank of A(z) below r.  Values at jumps follow the averaged-limit
+convention: the mean of the two adjacent interval values.
 
 B(t) is built once per Seifert matrix, and what depends only on a family
 (principal block, jump structure, the values at x = +-2, the function) is
@@ -81,93 +83,6 @@ def _as_x(point):
     if isinstance(point, RealAlgebraic):
         return point
     raise TypeError("expected CirclePoint, rational, or RealAlgebraic")
-
-
-# -- exact arithmetic in Q[z]/(z^2 - xz + 1) ---------------------------------
-
-
-@dataclass(frozen=True)
-class QuadFieldElem:
-    """a + b z in Q[z]/(z^2 - x z + 1) for rational x with x^2 < 4.
-
-    This is where Laurent polynomials take values at the circle point with
-    z + 1/z = x.  Conjugation is z -> x - z, and the norm a^2 + abx + b^2
-    equals |a + bz|^2 > 0 for nonzero elements, so this is a field.
-    """
-
-    a: Fraction
-    b: Fraction
-    x: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "x", Fraction(self.x))
-        if self.x * self.x >= 4:
-            raise ValueError("QuadFieldElem needs x^2 < 4")
-
-    def _like(self, a, b) -> "QuadFieldElem":
-        return QuadFieldElem(a, b, self.x)
-
-    def __add__(self, other):
-        return self._like(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other):
-        return self._like(self.a - other.a, self.b - other.b)
-
-    def __neg__(self):
-        return self._like(-self.a, -self.b)
-
-    def __mul__(self, other):
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        return self._like(a1 * a2 - b1 * b2, a1 * b2 + a2 * b1 + b1 * b2 * self.x)
-
-    def conjugate(self) -> "QuadFieldElem":
-        return self._like(self.a + self.b * self.x, -self.b)
-
-    def norm(self) -> Fraction:
-        """|a + bz|^2 = a^2 + a b x + b^2."""
-        return self.a * self.a + self.a * self.b * self.x + self.b * self.b
-
-    def inverse(self) -> "QuadFieldElem":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero QuadFieldElem")
-        c = self.conjugate()
-        return self._like(c.a / n, c.b / n)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def real_value(self) -> Fraction:
-        """The rational value of a self-conjugate (b = 0) element."""
-        if self.b != 0:
-            raise ValueError("element is not self-conjugate")
-        return self.a
-
-
-def quad_eval(p: LaurentPoly, x: Fraction) -> QuadFieldElem:
-    """Evaluate a Laurent polynomial at the circle point with z + 1/z = x."""
-    a = Fraction(0)
-    b = Fraction(0)
-    powers = {0: (Fraction(1), Fraction(0)), 1: (Fraction(0), Fraction(1))}
-
-    def power(k):
-        if k not in powers:
-            if k > 0:
-                u, v = power(k - 1)
-                powers[k] = (-v, u + x * v)  # z^k = z * z^(k-1)
-            else:
-                u, v = power(-k)
-                powers[k] = (u + x * v, -v)  # z^-k = conjugate of z^k
-        return powers[k]
-
-    for e, c in p.items():
-        u, v = power(e)
-        a += c * u
-        b += c * v
-    return QuadFieldElem(a, b, x)
 
 
 # -- hermitian Laurent families -----------------------------------------------
@@ -371,11 +286,21 @@ def _nullity_at_jump(A: HermitianFamily, root) -> int:
 # -- exact signatures at a single point ----------------------------------------
 
 
-def _symmetric_rational_signature(m) -> tuple[int, int]:
-    """(signature, nullity) of a symmetric rational matrix by congruence."""
+def _integer_symmetric_signature(m) -> tuple[int, int]:
+    """(signature, nullity) of an integer symmetric matrix by fraction-free
+    congruence.
+
+    Diagonal swaps and the row/column addition i += j are unimodular
+    congruences of the trailing block, so the entries stay the Bareiss
+    minors of a congruent integer matrix and each update divides exactly
+    by the previous pivot (Sylvester's identity).  The k-th pivot p_k is
+    the k-th leading minor, and the k-th diagonal entry of the diagonal
+    form is p_k / p_(k-1); when the trailing block is zero, its size is
+    the nullity.
+    """
     n = len(m)
-    m = [[Fraction(v) for v in row] for row in m]
-    pos = neg = zero = 0
+    m = [list(row) for row in m]
+    sig, prev = 0, 1
     for k in range(n):
         if m[k][k] == 0:
             piv = next((i for i in range(k + 1, n) if m[i][i] != 0), None)
@@ -385,8 +310,7 @@ def _symmetric_rational_signature(m) -> tuple[int, int]:
                 pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
                              if m[i][j] != 0), None)
                 if pair is None:
-                    zero += n - k
-                    break
+                    return sig, n - k
                 i, j = pair
                 for t in range(n):
                     m[i][t] += m[j][t]
@@ -394,28 +318,24 @@ def _symmetric_rational_signature(m) -> tuple[int, int]:
                     m[t][i] += m[t][j]
                 if i != k:
                     _swap_sym(m, k, i)
-        pivot = m[k][k]
+        pivot, row = m[k][k], m[k]
         for i in range(k + 1, n):
-            if m[i][k] != 0:
-                f = m[i][k] / pivot
-                for t in range(n):
-                    m[i][t] -= f * m[k][t]
-                for t in range(n):
-                    m[t][i] -= f * m[t][k]
-        if pivot > 0:
-            pos += 1
-        else:
-            neg += 1
-    return pos - neg, zero
+            mi, f = m[i], m[i][k]
+            for j in range(k + 1, n):
+                mi[j] = (pivot * mi[j] - f * row[j]) // prev
+        sig += 1 if (pivot > 0) == (prev > 0) else -1
+        prev = pivot
+    return sig, 0
 
 
 @lru_cache(maxsize=2048)
 def _endpoint(A: HermitianFamily, z: int) -> tuple[int, int]:
     """(signature, nullity) of the rational symmetric matrix A(z) at
-    z = +-1 (x = +-2)."""
+    z = +-1 (x = +-2), scaled to integers by the L > 0 of _scaled_matrix."""
     n = A.size
-    return _symmetric_rational_signature(
-        [[A.entries[i][j].evaluate(z) for j in range(n)] for i in range(n)])
+    mult = _scaled_matrix(A)[0]
+    return _integer_symmetric_signature(
+        [[int(mult * A.entries[i][j].evaluate(z)) for j in range(n)] for i in range(n)])
 
 
 def _swap_sym(m, i, j):
@@ -424,58 +344,35 @@ def _swap_sym(m, i, j):
         row[i], row[j] = row[j], row[i]
 
 
-def _quad_signature_nullity(A: HermitianFamily, x: Fraction) -> tuple[int, int]:
-    """(signature, nullity) of A(z) at rational x in (-2, 2), by exact
-    hermitian congruence diagonalization over Q[z]/(z^2 - xz + 1).
+def _trace_signature_nullity(A: HermitianFamily, x: Fraction) -> tuple[int, int]:
+    """(signature, nullity) of A(z) at rational x = a/b in (-2, 2).
 
-    When every remaining diagonal entry vanishes but some off-diagonal
-    w = m[i][j] does not, one of w + conj(w) and zw + conj(zw) is nonzero
-    (both vanish only for w = 0 since x^2 < 4), so a row/column addition
-    always manufactures a usable pivot.  Handles singular matrices: zero
-    diagonal entries at the end count the corank.
+    K = Q(z), z^2 - xz + 1 = 0, is imaginary quadratic, so the trace form
+    Tr_K/Q h of h = A(z) is a rational symmetric 2n x 2n form with twice
+    the signature and nullity of h (Scharlau, Quadratic and Hermitian
+    Forms, ch. 10).  On the Q-basis e_i, z e_i it is [[P_0, P_+], [P_-, P_0]]
+    with P_s[i][j] = sum_e c_ije D_(e+s)(x), D_e = z^e + z^-e.  It is built
+    in integers, times L b^E > 0 for the L and shift of _scaled_matrix and
+    E = shift + 1, the largest |e + s|: d_e = b^e D_e(a/b) follows
+    d_(e+1) = a d_e - b^2 d_(e-1), and the term of D_e is scaled by
+    b^(E-|e|).
     """
-    n = A.size
-    m = [[quad_eval(A.entries[i][j], x) for j in range(n)] for i in range(n)]
-    one = QuadFieldElem(1, 0, x)
-    zelt = QuadFieldElem(0, 1, x)
-    pos = neg = zero = 0
-    for k in range(n):
-        if m[k][k].is_zero:
-            piv = next((i for i in range(k + 1, n) if not m[i][i].is_zero), None)
-            if piv is not None:
-                _swap_sym(m, k, piv)
-            else:
-                pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
-                             if not m[i][j].is_zero), None)
-                if pair is None:
-                    zero += n - k
-                    break
-                i, j = pair
-                w = m[i][j]
-                c = one if not (w + w.conjugate()).is_zero else zelt
-                cc = c.conjugate()
-                for t in range(n):
-                    m[i][t] = m[i][t] + c * m[j][t]
-                for t in range(n):
-                    m[t][i] = m[t][i] + cc * m[t][j]
-                if i != k:
-                    _swap_sym(m, k, i)
-        pivot = m[k][k]
-        inv = pivot.inverse()
-        for i in range(k + 1, n):
-            if not m[i][k].is_zero:
-                f = m[i][k] * inv
-                fc = f.conjugate()
-                for t in range(n):
-                    m[i][t] = m[i][t] - f * m[k][t]
-                for t in range(n):
-                    m[t][i] = m[t][i] - fc * m[t][k]
-        val = pivot.real_value()
-        if val > 0:
-            pos += 1
-        else:
-            neg += 1
-    return pos - neg, zero
+    _, shift, dense = _scaled_matrix(A)
+    a, b = x.numerator, x.denominator
+    top = shift + 1
+    d = [2, a]
+    while len(d) <= top:
+        d.append(a * d[-1] - b * b * d[-2])
+    w = [dk * b ** (top - e) for e, dk in enumerate(d)]
+
+    def block(s):
+        return [[sum(c * w[abs(k - shift + s)] for k, c in enumerate(p)) for p in row]
+                for row in dense]
+
+    p0, plus, minus = block(0), block(1), block(-1)
+    sig, nul = _integer_symmetric_signature(
+        [r + q for r, q in zip(p0, plus)] + [r + q for r, q in zip(minus, p0)])
+    return sig // 2, nul // 2
 
 
 def pointwise_signature_nullity(data, x) -> tuple[int, int]:
@@ -486,7 +383,8 @@ def pointwise_signature_nullity(data, x) -> tuple[int, int]:
     can differ from (and then beats) the averaged invariant.  The fast
     path is Jacobi's rule on the sign sequence of the leading principal
     minors of A_I (see _principal_block), which holds wherever none of
-    them vanishes; exact congruence diagonalization of A covers the rest.
+    them vanishes; the congruence of the integer trace form covers the
+    rest.
     """
     A = _as_family(data)
     if isinstance(x, CirclePoint):
@@ -506,7 +404,7 @@ def pointwise_signature_nullity(data, x) -> tuple[int, int]:
     if all(signs):
         changes = sum(1 for a, b in zip([1] + signs, signs) if a != b)
         return len(minors) - 2 * changes, n - len(minors)
-    return _quad_signature_nullity(A, x)
+    return _trace_signature_nullity(A, x)
 
 
 # -- jump structure -------------------------------------------------------------

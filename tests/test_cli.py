@@ -117,6 +117,16 @@ def test_bound_bad_cert_syntax(capsys, trefoil_file):
     assert code == 2 and "band-cert" in err
 
 
+@pytest.mark.parametrize("option", [["--band-cert", "1,1"], ["--band-cert", "0,3"],
+                                    ["--band-cert=-1,1"]])
+def test_bound_invalid_cert(capsys, option, trefoil_file):
+    """An even euler characteristic, a negative genus or a negative band
+    count is a parse error (exit 2), not a traceback."""
+    code, out, err = run(capsys, "bound", trefoil_file, *option)
+    assert code == 2 and "band-cert" in err and not out
+    assert "Traceback" not in err
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

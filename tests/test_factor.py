@@ -2,10 +2,13 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkbound import LaurentPoly, ZeroPolynomialError, \
     factor_integer_polynomial, fox_milnor_test, involution, normalize
 from linkbound import polys
+from linkbound.factor import _interpolate_integer
 
 PHI15 = LaurentPoly({8: 1, 7: -1, 5: 1, 4: -1, 3: 1, 1: -1, 0: 1})
 COMPANION = LaurentPoly({2: 2, 1: -5, 0: 2})
@@ -67,6 +70,26 @@ def test_factorization_matches_sympy_on_random_inputs():
         sc, want = _sympy_factorization(p)
         assert c == sc
         assert dict(got) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-8, 8), min_size=1, max_size=7, unique=True), st.data())
+def test_newton_interpolation_matches_sympy(xs, data):
+    """Newton divided differences in integers against sympy's rational
+    interpolant: None exactly when some coefficient is not an integer.
+    Half the draws take their values from an integer polynomial."""
+    if data.draw(st.booleans()):
+        g = data.draw(st.lists(st.integers(-5, 5), min_size=1, max_size=len(xs)))
+        ys = [polys.evaluate(g, x) for x in xs]
+    else:
+        ys = data.draw(st.lists(st.integers(-30, 30), min_size=len(xs), max_size=len(xs)))
+    t = sympy.Symbol("t")
+    expected = sympy.Poly(sympy.interpolate(list(zip(xs, ys)), t), t).all_coeffs()[::-1]
+    expected = polys.trim(expected)
+    if all(c.is_integer for c in expected):
+        assert _interpolate_integer(xs, ys) == [int(c) for c in expected]
+    else:
+        assert _interpolate_integer(xs, ys) is None
 
 
 def test_fox_milnor_trivial():

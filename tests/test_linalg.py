@@ -12,11 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from linkbound import HermitianFamily, LaurentPoly, involution
+from linkbound import HermitianFamily, LaurentPoly, involution, signature_function
 from linkbound.linalg import (_bareiss, _pack, _packing_bits, _unpack, int_rank_det, poly_det,
                               poly_rank)
-from linkbound.signature import (_diagonal_prefix, _principal_block, _quad_signature_nullity,
+from linkbound.signature import (_diagonal_prefix, _integer_symmetric_signature,
+                                 _principal_block, _trace_signature_nullity,
                                  pointwise_signature_nullity)
+
+from quadfield_reference import _quad_signature_nullity
 
 T = sympy.Symbol("t")
 ZZ_T = sympy.ZZ[T]
@@ -229,7 +232,71 @@ def test_jacobi_signs_match_congruence(A, xs):
     against exact congruence diagonalization of A at the same points."""
     for x in xs:
         if abs(x) < 2:
-            assert pointwise_signature_nullity(A, x) == _quad_signature_nullity(A, x)
+            assert pointwise_signature_nullity(A, x) == _trace_signature_nullity(A, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(degenerate_families(), st.integers(1, 3), st.integers(1, 4),
+       st.lists(st.builds(Fraction, st.integers(-39, 39), st.integers(1, 20)), max_size=4))
+def test_trace_form_matches_quadratic_field(A, power, denominator, xs):
+    """The rational trace form against the congruence over Q[z]/(z^2 - xz + 1)
+    at random rationals and at every rational breakpoint, where the nullity
+    is positive, on A(t^power) / denominator: exponents up to +-3 and
+    Fraction entries."""
+    A = HermitianFamily(tuple(
+        tuple(LaurentPoly({power * e: Fraction(c, denominator) for e, c in p.items()})
+              for p in row) for row in A.entries))
+    points = [bp for bp in signature_function(A).breakpoints if isinstance(bp, Fraction)]
+    for x in points + [x for x in xs if abs(x) < 2]:
+        assert _trace_signature_nullity(A, x) == _quad_signature_nullity(A, x)
+
+
+@st.composite
+def degenerate_symmetric(draw):
+    """Integer symmetric matrices, n <= 8; optionally sparse, with a zero
+    diagonal and with copies of index 0, which leave no usable diagonal
+    pivot, pair distant indices in the row/column addition and drop the
+    rank."""
+    n = draw(st.integers(0, 8))
+    entries = st.sampled_from((0,) * 8 + (-2, -1, 1, 2)) if draw(st.booleans()) \
+        else st.integers(-3, 3)
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(entries)
+    if draw(st.booleans()):
+        for i in range(n):
+            m[i][i] = 0
+    for k in draw(st.lists(st.integers(1, max(n - 1, 1)), max_size=3)):
+        if k < n:
+            for j in range(n):
+                m[k][j] = m[j][k] = m[0][j]
+            m[k][k] = m[0][k] = m[k][0] = m[0][0]
+    return m
+
+
+def _descartes_inertia(m) -> tuple[int, int]:
+    """(signature, nullity) from sympy's characteristic polynomial: every
+    root is real, so Descartes' rule counts the positive and the negative
+    roots exactly."""
+    if not m:
+        return 0, 0
+    coeffs = sympy.Matrix(m).charpoly().all_coeffs()[::-1]  # constant first
+    zero = next(i for i, c in enumerate(coeffs) if c != 0)
+
+    def changes(cs):
+        signs = [c > 0 for c in cs if c != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    pos = changes(coeffs)
+    neg = changes([c * (-1) ** i for i, c in enumerate(coeffs)])
+    return pos - neg, zero
+
+
+@settings(max_examples=150, deadline=None)
+@given(degenerate_symmetric())
+def test_integer_symmetric_signature_matches_charpoly(m):
+    assert _integer_symmetric_signature(m) == _descartes_inertia(m)
 
 
 def test_inexact_bareiss_step_raises():

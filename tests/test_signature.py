@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from linkbound import (BraidWord, CirclePoint, HermitianFamily, LaurentPoly,
-                       QuadFieldElem, RealAlgebraic, SeifertData, SingularFamilyError,
+                       RealAlgebraic, SeifertData, SingularFamilyError,
                        alexander_from_seifert, assemble_report, b_family, connected_sum,
                        float_oracle, functions_equal, involution, link_nullity,
                        mirror, pointwise_signature_nullity,
@@ -15,12 +15,13 @@ from linkbound import (BraidWord, CirclePoint, HermitianFamily, LaurentPoly,
                        units_equal, witt_evaluate)
 from linkbound import polys, signature
 from linkbound.linalg import _bareiss, poly_det
-from linkbound.signature import (_diagonal_prefix, breakpoints_equal, quad_eval,
+from linkbound.signature import (_diagonal_prefix, breakpoints_equal,
                                  symmetric_laurent_to_xpoly)
 
 from helpers import (cold_caches as _clear_caches, count_eliminations,
                      degenerate_family, random_knot_data, random_seifert_data,
                      random_unimodular, zero_padded)
+from quadfield_reference import QuadFieldElem, quad_eval
 
 TREFOIL_V = SeifertData.from_matrix([[-1, 1], [0, -1]], 1, "trefoil")
 UNKNOT = seifert_matrix_from_braid(BraidWord(1, ()))
@@ -224,6 +225,17 @@ def test_exact_matches_oracle_away_from_breakpoints():
                 continue
             theta = math.acos(float(x) / 2)
             assert pointwise_signature_nullity(data, x) == float_oracle(data, theta)
+
+
+def test_trace_form_matches_oracle_on_t3_20():
+    """At every sample of T(3,20) (n = 38), the 76 x 76 integer trace form
+    and the Jacobi read agree with the float oracle."""
+    data = seifert_matrix_from_braid(torus_braid(3, 20))
+    A = b_family(data)
+    for x in signature_function(data).samples:
+        oracle = float_oracle(data, math.acos(float(x) / 2))
+        assert signature._trace_signature_nullity(A, x) == oracle
+        assert pointwise_signature_nullity(data, x) == oracle
 
 
 def test_conjugation_symmetry_of_family():
