@@ -277,14 +277,23 @@ def stabilize(a: SeifertData, direction: str, new_column) -> SeifertData:
 # -- JSON input ------------------------------------------------------------
 
 
+def _json_int(value, what: str) -> int:
+    """value when it is a JSON integer; a float, bool, string or null
+    raises ParseError instead of being truncated or coerced."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ParseError(f"{what} must be an integer, got {value!r}")
+
+
 def braid_from_json(obj) -> BraidWord:
     if isinstance(obj, str):
         return parse_braid(obj)
     if isinstance(obj, dict):
-        try:
-            return BraidWord(int(obj["strands"]), tuple(obj.get("word", ())))
-        except (KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"bad braid object: {e}") from None
+        word = obj.get("word", [])
+        if "strands" not in obj or not isinstance(word, list):
+            raise ParseError("bad braid object: it needs 'strands' and a 'word' list")
+        return BraidWord(_json_int(obj["strands"], "strands"),
+                         tuple(_json_int(x, "braid letter") for x in word))
     raise ParseError("braid must be a string or {strands, word} object")
 
 
@@ -302,6 +311,8 @@ def seifert_data_from_json(obj) -> SeifertData:
         matrix = obj["seifert_matrix"]
         if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
             raise ParseError("seifert_matrix must be a list of rows")
+        matrix = [[_json_int(x, "seifert_matrix entry") for x in row] for row in matrix]
         return SeifertData.from_matrix(
-            matrix, int(obj.get("components", 1)), str(obj.get("label", "")))
+            matrix, _json_int(obj.get("components", 1), "components"),
+            str(obj.get("label", "")))
     raise ParseError('input needs a "braid" or a "seifert_matrix" field')

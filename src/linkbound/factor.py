@@ -79,21 +79,13 @@ def _rational_root_split(p) -> tuple[list, list[list]]:
             linear.append([0, 1])
             p = p[1:]
             continue
-        found = None
-        for den in _divisors(p[-1]):
-            for num in _divisors(p[0]):
-                for s in (num, -num):
-                    if polys.evaluate(p, Fraction(s, den)) == 0:
-                        found = polys.primitive_positive([-s, den])[1]
-                        break
-                if found:
-                    break
-            if found:
-                break
+        found = next((polys.primitive_positive([-s, den])[1]
+                      for den in _divisors(p[-1]) for num in _divisors(p[0])
+                      for s in (num, -num) if polys.sign_at(p, Fraction(s, den)) == 0), None)
         if not found:
             break
         linear.append(found)
-        p = polys.intify(polys.div_exact(p, found))
+        p = polys.div_exact(p, found)
     return p, linear
 
 
@@ -108,9 +100,11 @@ def _search_divisor_tuples(p, xs, divisor_lists, target_degree):
             if (g is None or polys.degree(g) < target_degree
                     or p[-1] % g[-1] != 0 or polys.content(g) != 1):
                 return None
-            if polys.divides(g, p):
-                return g
-            return None
+            try:
+                polys.div_exact(p, g)
+            except ValueError:
+                return None
+            return g
         for y in divisor_lists[i]:
             if all((y - ys[j]) % (xs[i] - xs[j]) == 0 for j in range(i)):
                 ys[i] = y
@@ -168,7 +162,7 @@ def _factor_squarefree(p) -> list[list]:
             factors.append(q)
         else:
             stack.append(g)
-            stack.append(polys.intify(polys.div_exact(q, g)))
+            stack.append(polys.div_exact(q, g))
     return factors
 
 

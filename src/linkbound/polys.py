@@ -1,9 +1,13 @@
-"""Dense univariate polynomial helpers over exact rational arithmetic.
+"""Dense univariate polynomial helpers in exact integer arithmetic.
 
 A polynomial is a list of coefficients ordered from the constant term
 upwards, with no trailing zeros; ``[]`` is the zero polynomial.
-Coefficients are Python ints or :class:`fractions.Fraction` values, which
-mix freely.  Everything here is exact; no floats.
+Coefficients are Python ints; the ring operations, evaluation and signs
+also take :class:`fractions.Fraction` values.  Division is exact division
+in Z[x], and gcds are primitive pseudo-remainder sequences, so no
+Euclidean step ever builds a Fraction: the gcd, square-free entry points
+take rational polynomials and clear their denominators once, on entry.
+Everything here is exact; no floats.
 """
 
 from __future__ import annotations
@@ -59,13 +63,7 @@ def scale(p, c) -> list:
 
 
 def evaluate(p, x):
-    """Horner evaluation; exact for int/Fraction arguments.
-
-    At a Fraction x = a/b the loop is homogeneous Horner on b^d p(a/b),
-    which stays in integers when p has integer coefficients; one Fraction
-    is built at the end instead of one per step."""
-    if isinstance(x, Fraction) and p:
-        return Fraction(*_homogeneous(p, x))
+    """Horner evaluation; exact for int/Fraction arguments."""
     acc = 0
     for c in reversed(p):
         acc = acc * x + c
@@ -93,55 +91,27 @@ def derivative(p) -> list:
     return trim([i * c for i, c in enumerate(p)][1:])
 
 
-def div_rem(p, q) -> tuple[list, list]:
-    """Quotient and remainder over the rationals; q must be nonzero."""
-    q = trim(q)
+def div_exact(p, q) -> list:
+    """The quotient p / q in Z[x] of integer polynomials; raises ValueError
+    when q does not divide p there.  For a primitive q this is
+    divisibility over Q (Gauss's lemma), which is how every caller uses
+    it."""
+    q, rem = trim(q), trim(p)
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = trim(list(p))
-    dq = degree(q)
-    lead = Fraction(q[-1])
-    quo = [0] * max(0, len(rem) - dq)
-    while rem and degree(rem) >= dq:
-        shift = degree(rem) - dq
-        coef = Fraction(rem[-1]) / lead
-        quo[shift] = coef
-        for i, c in enumerate(q):
-            rem[shift + i] -= coef * c
-        rem = trim(rem)
-    return trim(quo), rem
-
-
-def divides(q, p) -> bool:
-    """True when q divides p exactly over the rationals."""
-    return not div_rem(p, q)[1]
-
-
-def div_exact(p, q) -> list:
-    """Exact quotient; raises when the division leaves a remainder."""
-    quo, rem = div_rem(p, q)
-    if rem:
+    dq, lead = len(q) - 1, q[-1]
+    quo = []
+    for shift in range(len(rem) - 1 - dq, -1, -1):
+        coef, r = divmod(rem[shift + dq], lead)
+        if r:
+            raise ValueError("inexact polynomial division")
+        quo.append(coef)
+        if coef:
+            for i in range(dq):
+                rem[shift + i] -= coef * q[i]
+    if any(rem[:dq]):
         raise ValueError("inexact polynomial division")
-    return [_intify(c) for c in quo]
-
-
-def _intify(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
-def intify(p) -> list:
-    return [_intify(c) for c in p]
-
-
-def clear_denominators(p) -> list:
-    """Scale by the lcm of the denominators, yielding an integer polynomial."""
-    m = 1
-    for c in p:
-        if isinstance(c, Fraction):
-            m = lcm(m, c.denominator)
-    return [int(c * m) for c in p]
+    return trim(reversed(quo))
 
 
 def content(p) -> int:
@@ -165,29 +135,53 @@ def primitive_positive(p) -> tuple[int, list]:
     return c, prim
 
 
+def primitive(p) -> list:
+    """The primitive integer polynomial c p with c > 0, for an int/rational
+    p: denominators are cleared here, once.  [] for p = 0."""
+    m = lcm(*(c.denominator for c in p if isinstance(c, Fraction)))
+    q = trim([int(c * m) for c in p])
+    g = content(q)
+    return [c // g for c in q] if g else []
+
+
+def pseudo_remainder(a, b) -> list:
+    """|lc(b)|^k times the remainder of a by b, for integer polynomials:
+    each step multiplies by the positive |lc(b)|, so no division, and no
+    sign changes."""
+    rem = list(a)
+    m, s = abs(b[-1]), 1 if b[-1] > 0 else -1
+    while len(rem) >= len(b):
+        head = rem[-1] * s
+        shift = len(rem) - len(b)
+        rem = [c * m for c in rem]
+        for i, c in enumerate(b):
+            rem[shift + i] -= head * c
+        rem = trim(rem)
+    return rem
+
+
 def gcd_poly(p, q) -> list:
-    """Primitive positive-leading gcd of two int/rational polynomials."""
-    a, b = trim(p), trim(q)
+    """Primitive positive-leading gcd of two int/rational polynomials: the
+    primitive pseudo-remainder sequence, on integers (Knuth, TAOCP vol. 2,
+    4.6.1)."""
+    a, b = primitive(p), primitive(q)
     while b:
-        a, b = b, div_rem(a, b)[1]
-    if not a:
-        return []
-    _, prim = primitive_positive(clear_denominators(a))
-    return prim
+        a, b = b, primitive(pseudo_remainder(a, b))
+    return primitive_positive(a)[1]
 
 
 def squarefree_part(p) -> list:
     """p divided by gcd(p, p'), made primitive and positive-leading."""
-    g = gcd_poly(p, derivative(p))
-    _, prim = primitive_positive(clear_denominators(div_exact(p, g)))
-    return prim
+    p = primitive(p)
+    return primitive_positive(div_exact(p, gcd_poly(p, derivative(p))))[1]
 
 
 def squarefree_decomposition(p) -> list[tuple[list, int]]:
     """Yun's algorithm: p ~ prod f_i^i with the f_i squarefree, pairwise
     coprime, primitive and positive-leading.  Equality holds up to a
-    rational unit; constant factors are dropped."""
-    p = trim(p)
+    rational unit; constant factors are dropped.  Every gcd is primitive
+    and divides a primitive polynomial, so each quotient is integral."""
+    p = primitive(p)
     if degree(p) <= 0:
         return []
     out = []
@@ -202,7 +196,6 @@ def squarefree_decomposition(p) -> list[tuple[list, int]]:
         c = div_exact(d, a)
         d = sub(c, derivative(b))
         if degree(a) > 0:
-            _, prim = primitive_positive(clear_denominators(a))
-            out.append((prim, i))
+            out.append((a, i))
         i += 1
     return out

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import polys
 from .errors import ZeroPolynomialError
@@ -57,38 +57,16 @@ def sturm_chain(p) -> tuple:
 
 @lru_cache(maxsize=512)
 def _sturm_chain(p: tuple) -> tuple:
-    chain = [_positive_primitive(p)]
+    chain = [tuple(polys.primitive(p))]
     d = polys.derivative(chain[0])
     if d:
-        chain.append(_positive_primitive(d))
+        chain.append(tuple(polys.primitive(d)))
         while True:
-            rem = _pseudo_remainder(chain[-2], chain[-1])
+            rem = polys.pseudo_remainder(chain[-2], chain[-1])
             if not rem:
                 break
-            chain.append(_positive_primitive(polys.neg(rem)))
+            chain.append(tuple(polys.primitive(polys.neg(rem))))
     return tuple(chain)
-
-
-def _positive_primitive(p) -> tuple:
-    """The primitive integer polynomial c p with c > 0."""
-    q = polys.clear_denominators(p)
-    g = polys.content(q)
-    return tuple(c // g for c in q) if g else ()
-
-
-def _pseudo_remainder(a, b) -> list:
-    """|lc(b)|^k times the remainder of a by b, for integer polynomials:
-    each step multiplies by the positive |lc(b)|, so no division."""
-    rem = list(a)
-    m, s = abs(b[-1]), 1 if b[-1] > 0 else -1
-    while len(rem) >= len(b):
-        head = rem[-1] * s
-        shift = len(rem) - len(b)
-        rem = [c * m for c in rem]
-        for i, c in enumerate(b):
-            rem[shift + i] -= head * c
-        rem = polys.trim(rem)
-    return rem
 
 
 def sign_variations(values) -> int:
@@ -175,10 +153,11 @@ def isolate_real_roots(q, lo, hi) -> list[IsolatingInterval]:
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi or polys.degree(q) == 0:
         return []
-    sq = polys.squarefree_part(q)
+    factors = polys.squarefree_decomposition(q)
+    sq = reduce(polys.mul, (f for f, _ in factors))  # the square-free part (Gauss)
     sq_chain = sturm_chain(sq)
     found = []  # mutable records [lo, hi, mult, factor]
-    for factor, mult in polys.squarefree_decomposition(q):
+    for factor, mult in factors:
         chain = sturm_chain(factor)
         for u, v in _isolate_squarefree(factor, chain, lo, hi):
             found.append([u, v, mult, factor])
@@ -228,7 +207,7 @@ def refine_isolating_interval(q, interval: IsolatingInterval,
     before the containing half is selected, so the root always stays
     strictly inside the returned interval.
     """
-    sq = polys.squarefree_part(polys.trim(q))
+    sq = polys.squarefree_part(q)
     if (polys.sign_at(sq, interval.lo) == 0 or polys.sign_at(sq, interval.hi) == 0
             or count_roots(sturm_chain(sq), interval.lo, interval.hi) != 1):
         raise ValueError("interval does not isolate a root of q")
@@ -259,7 +238,7 @@ class RealAlgebraic:
     __slots__ = ("poly", "_lo", "_hi", "_sign_lo")
 
     def __init__(self, poly, lo, hi):
-        _, prim = polys.primitive_positive(polys.clear_denominators(polys.trim(poly)))
+        _, prim = polys.primitive_positive(polys.primitive(poly))
         if polys.degree(prim) < 1:
             raise ValueError("defining polynomial must be nonconstant")
         self.poly = tuple(prim)

@@ -12,11 +12,15 @@ t B(t) = (1 - t)(tV - V^T), so the one elimination of tV - V^T gives the
 Alexander polynomial, the nullity and the reduction of a family A of
 generic rank r to its nonsingular principal block A_I on the pivot rows
 I; off the roots of det A_I, A(z) has rank r and the signature of A_I(z).
-Signatures at rational x are then exact sign sequences of the leading
-principal minors of A_I (Jacobi's rule).  When one of them vanishes, and
-at x = +-2, one fraction-free congruence of an integer symmetric matrix
-takes over: A(+-1), or inside (-2, 2) the rational trace form of A(z),
-which has twice its signature and nullity; perturbation is never used.
+For B(t), which vanishes at t = 1, the k-th leading minor of B_I is
+kept divided by (2 - x)^(k // 2), since (1 - t)^2 = t (x - 2): positive
+on [-2, 2), the factor changes no sign and no root there, and the jump
+polynomial of a knot drops to half the degree, with no root at x = 2.
+Signatures at rational x are then exact sign sequences of these reduced
+minors (Jacobi's rule).  When one of them vanishes, and at x = +-2, one
+fraction-free congruence of an integer symmetric matrix takes over:
+A(+-1), or inside (-2, 2) the rational trace form of A(z), which has
+twice its signature and nullity; perturbation is never used.
 Jumps lie among the roots of det A_I, certified by Sturm isolation in x;
 when det A is identically zero a root counts only where the kernel finds
 the rank of A(z) below r.  Values at jumps follow the averaged-limit
@@ -208,12 +212,19 @@ def _elimination(dense: tuple) -> tuple:
 
 def _minor_x(p, k: int, c: int, shift: int) -> tuple:
     """L^k times the principal k x k minor (1 - t)^(ck) t^(-sk) p(t) of a
-    family, for the minor p of its kernel matrix, as an integer polynomial
-    in x = z + 1/z."""
+    family, for the minor p of its kernel matrix, divided by (2 - x)^j
+    with j = floor(ck / 2), as an integer polynomial in x = z + 1/z.
+
+    (1 - t)^2 = t (x - 2), so (1 - t)^(ck) t^(-sk) is (2 - x)^j times
+    (-1)^j (1 - t)^(ck - 2j) t^(j - sk): one factor 1 - t when ck is odd,
+    a shift, and a sign.  (2 - x)^j > 0 on [-2, 2), so the quotient has the
+    sign and the roots of the minor there, and half its degree."""
+    j = c * k // 2
     p = list(p)
-    for _ in range(c * k):
+    if c * k % 2:
         p = [a - b for a, b in zip(p + [0], [0] + p)]  # (1 - t) p
-    return tuple(symmetric_laurent_to_xpoly(LaurentPoly.from_dense(p, -shift * k)))
+    q = symmetric_laurent_to_xpoly(LaurentPoly.from_dense(p, j - shift * k))
+    return tuple(polys.neg(q) if j % 2 else q)
 
 
 def _diagonal_prefix(rows, cols) -> int:
@@ -235,7 +246,10 @@ def _principal_block(A: HermitianFamily) -> tuple:
     the minors come from the cached elimination of the kernel matrix D,
     tV - V^T for B(t) (see _kernel_matrix).  The pivots up to the first
     off-diagonal one are leading minors; that minor is 0 and each larger
-    one takes a determinant of D_I.
+    one takes a determinant of D_I.  Each minor is stored reduced, divided
+    by (2 - x)^floor(ck/2) (see _minor_x), which keeps its sign and its
+    roots on [-2, 2): every reader (Jacobi's rule, _pick_sample, the jump
+    polynomial, _nullity_at_jump) looks only there.
     """
     c, shift, dense = _kernel_matrix(A)
     _, pivots, rows, cols = _elimination(dense)
@@ -422,11 +436,15 @@ def _wall_hi(bp):
 def _jump_structure(A: HermitianFamily):
     """(jump polynomial in x, generic rank r, breakpoints in open (-2, 2)).
 
-    The jump polynomial is det A_I in x (see _principal_block); off its
-    roots A(z) has rank r.  Its roots inside (-2, 2) are the candidate
-    jumps.  When det A is not identically zero every candidate is a root
-    of det A, where the rank drops; otherwise a candidate is kept only
-    where the Bareiss kernel finds the rank of A(z) below r.
+    The jump polynomial is det A_I in x divided by (2 - x)^floor(cr/2)
+    (see _principal_block), made primitive; off its roots A(z) has rank r.
+    For a Seifert matrix of a knot it is the x-form of t^(-g) Delta(t), of
+    degree g, so the rational-root split and the Sturm isolation below
+    run on integer polynomials of half the degree of det B.  Its roots
+    inside (-2, 2) are the candidate jumps.  When det A is not
+    identically zero every candidate is a root of det A, where the rank
+    drops; otherwise a candidate is kept only where the Bareiss kernel
+    finds the rank of A(z) below r.
     """
     n = A.size
     _, minors = _principal_block(A)

@@ -135,6 +135,29 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert ":1:" in err  # line/column diagnostics
 
 
+@pytest.mark.parametrize("obj", [
+    {"seifert_matrix": [[-1.5, 1], [0, -1]], "components": 1},
+    {"seifert_matrix": [[-1, 1], [0, "a"]], "components": 1},
+    {"seifert_matrix": [[-1, 1], [None, -1]], "components": 1},
+    {"seifert_matrix": [[-1, True], [0, -1]], "components": 1},
+    {"seifert_matrix": [[-1, 1], [0, -1]], "components": "x"},
+    {"seifert_matrix": [[-1, 1], [0, -1]], "components": 1.0},
+    {"braid": {"strands": 2, "word": [1, 1, 1.9]}},
+    {"braid": {"strands": 2.7, "word": [1, 1, 1]}},
+    {"braid": {"strands": 2, "word": [1, None, 1]}},
+    {"braid": {"strands": "2", "word": [1, 1, 1]}},
+    {"braid": {"strands": 2, "word": "111"}},
+])
+def test_non_integer_json_exit_code(capsys, tmp_path, obj):
+    """A number that is not a JSON integer is a parse error: nothing is
+    truncated into a report on another matrix or braid."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "bound", str(path))
+    assert code == 2 and not out
+    assert err.startswith("parse error:") and "Traceback" not in err
+
+
 def test_invalid_matrix_exit_code(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"seifert_matrix": [[0, 2], [0, 0]], "components": 1}))

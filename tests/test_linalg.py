@@ -205,10 +205,13 @@ def degenerate_families(draw):
 @given(degenerate_families())
 def test_leading_minors_x_match_sympy(A):
     """The principal block A_I has the generic rank of A, a nonzero
-    determinant, and leading minors q in x with det A_I,k(t) = c q(t + 1/t)
-    for a rational c > 0, checked as t^k det A_I,k(t) = c t^k q(t + 1/t)
-    in Z[t] against sympy's determinant of t A_I,k(t)."""
+    determinant, and leading minors q in x with det A_I,k(t) =
+    c q(t + 1/t) (2 - t - 1/t)^j for a rational c > 0, where j = k // 2
+    when A(1) = 0 and j = 0 otherwise, checked as t^k det A_I,k(t) =
+    c t^k q(t + 1/t) (2 - t - 1/t)^j in Z[t] against sympy's determinant
+    of t A_I,k(t)."""
     block, minors = _principal_block(A)
+    vanishes_at_one = not any(p.evaluate(1) for row in A.entries for p in row)
     shifted = [[[A.entries[i][j].coefficient(e) for e in (-1, 0, 1)]
                 for j in range(A.size)] for i in range(A.size)]
     assert len(minors) == len(block) == sympy_rank(shifted)
@@ -218,7 +221,9 @@ def test_leading_minors_x_match_sympy(A):
         if not q:
             assert det == []
             continue
-        sub = sum(c * (T ** 2 + 1) ** i * T ** (k - i) for i, c in enumerate(q))
+        j = k // 2 if vanishes_at_one else 0
+        sub = (-(T - 1) ** 2) ** j * sum(c * (T ** 2 + 1) ** i * T ** (k - j - i)
+                                         for i, c in enumerate(q))
         sub = _trim(reversed(sympy.Poly(sub, T).all_coeffs()))
         assert det and det[-1] * sub[-1] > 0
         assert [det[-1] * c for c in sub] == [sub[-1] * c for c in det]

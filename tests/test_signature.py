@@ -587,17 +587,20 @@ def test_principal_block_from_the_shared_elimination():
     """(I, minors) read off the one cached elimination of tV - V^T equal
     the general route through _scaled_matrix, on torus knots and links,
     random Seifert matrices, zero-padded and degenerate families: each
-    minor q(x) is the Laurent minor m(t) with q(t + 1/t) = m(t).  Delta
+    k x k minor is kept as q(x) with q(t + 1/t) (2 - t - 1/t)^(k // 2) =
+    m(t), the Laurent minor, since B(1) = 0 (c = 1 in _minor_x).  Delta
     and beta read the same cache entry."""
     x = LaurentPoly({1: 1, -1: 1})
+    two_minus_x = LaurentPoly({0: 2, 1: -1, -1: -1})
     for data in _route_inputs():
         _clear_caches()
         A = b_family(data)
         block, minors = signature._principal_block(A)
         ref_block, ref_minors = _scaled_route(A)
         assert block == ref_block and len(minors) == len(ref_minors)
-        for q, m in zip(minors, ref_minors):
-            assert sum((x ** i * c for i, c in enumerate(q)), LaurentPoly.zero()) == m
+        for k, (q, m) in enumerate(zip(minors, ref_minors), 1):
+            qx = sum((x ** i * c for i, c in enumerate(q)), LaurentPoly.zero())
+            assert qx * two_minus_x ** (k // 2) == m
         alexander_from_seifert(data)
         link_nullity(data)
         info = signature._elimination.cache_info()
