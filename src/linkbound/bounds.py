@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braids import SeifertData
-from .errors import InconsistentBounds, InvalidSeifertData
+from .errors import InconsistentBounds, InvalidSeifertData, ParseError
 from .factor import FoxMilnorResult, check_degree_cap, fox_milnor_test
 from .laurent import LaurentPoly
 from .signature import (CirclePoint, SignatureFunction, alexander_from_seifert,
@@ -71,16 +71,19 @@ class BoundReport:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BoundReport":
-        upper = obj.get("upper")
-        return cls(
-            lower=int(obj["lower"]),
-            upper=None if upper is None else int(upper),
-            slice_verdict=str(obj.get("slice_verdict", INCONCLUSIVE)),
-            provenance=tuple(Provenance(p["bound"], int(p["value"]), str(p["source"]))
-                             for p in obj.get("provenance", ())),
-            assumptions=tuple(str(a) for a in obj.get("assumptions", ())),
-            components=int(obj.get("components", 1)),
-        )
+        try:
+            upper = obj.get("upper")
+            fields = dict(
+                lower=int(obj["lower"]),
+                upper=None if upper is None else int(upper),
+                slice_verdict=str(obj.get("slice_verdict", INCONCLUSIVE)),
+                provenance=tuple(Provenance(p["bound"], int(p["value"]), str(p["source"]))
+                                 for p in obj.get("provenance", ())),
+                assumptions=tuple(str(a) for a in obj.get("assumptions", ())),
+                components=int(obj.get("components", 1)))
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise ParseError(f"malformed bound report: {e!r}") from None
+        return cls(**fields)
 
 
 @dataclass(frozen=True)
@@ -132,14 +135,17 @@ class InfectionDecl:
 
     @classmethod
     def from_json(cls, obj: dict) -> "InfectionDecl":
-        return cls(
-            axes=int(obj["axes"]),
-            linking_numbers=tuple(tuple(int(v) for v in row)
-                                  for row in obj["linking_numbers"]),
-            double_points=int(obj["double_points"]),
-            milnor_vanishing_length=int(obj["milnor_vanishing_length"]),
-            notes=str(obj.get("notes", "")),
-        )
+        try:
+            fields = dict(
+                axes=int(obj["axes"]),
+                linking_numbers=tuple(tuple(int(v) for v in row)
+                                      for row in obj["linking_numbers"]),
+                double_points=int(obj["double_points"]),
+                milnor_vanishing_length=int(obj["milnor_vanishing_length"]),
+                notes=str(obj.get("notes", "")))
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise ParseError(f"malformed infection declaration: {e!r}") from None
+        return cls(**fields)
 
 
 @dataclass(frozen=True)

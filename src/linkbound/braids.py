@@ -119,8 +119,9 @@ class SeifertData:
 
     Invariants checked at construction: size n = 2g + m - 1, the skew
     part V - V^T has rank 2g over Q, and for knots (m = 1) the skew part
-    is unimodular.
-    """
+    is unimodular.  The hash is computed once, at construction: Seifert
+    data keys the signature caches, which would otherwise hash n^2 entries
+    per lookup."""
 
     matrix: tuple[tuple[int, ...], ...]
     components: int
@@ -148,6 +149,10 @@ class SeifertData:
                 "rank of V - V^T does not equal twice the genus")
         if self.components == 1 and abs(det) != 1:
             raise InvalidSeifertData("V - V^T must be unimodular for a knot")
+        object.__setattr__(self, "_hash", hash((v, self.components)))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def from_matrix(cls, matrix, components: int = 1, label: str = "") -> "SeifertData":

@@ -211,7 +211,9 @@ class FoxMilnorResult:
 
 
 def check_degree_cap(degree_cap: int) -> None:
-    """Raise DegreeCapError for a cap above MAX_DEGREE_CAP."""
+    """Raise DegreeCapError for a cap below 0 or above MAX_DEGREE_CAP."""
+    if degree_cap < 0:
+        raise DegreeCapError(f"degree cap {degree_cap} is negative")
     if degree_cap > MAX_DEGREE_CAP:
         raise DegreeCapError(
             f"degree cap {degree_cap} exceeds the maximum {MAX_DEGREE_CAP}")
@@ -224,7 +226,8 @@ def fox_milnor_test(p: LaurentPoly, degree_cap: int = 12) -> FoxMilnorResult:
     of a slice knot.  Fast necessary checks (|p(1)| = 1, even width,
     |p(-1)| a perfect square) run first; the complete decision then
     factors normalize(p) via Kronecker.  Degrees above `degree_cap` come
-    back "inconclusive"; a cap above MAX_DEGREE_CAP raises DegreeCapError.
+    back "inconclusive"; a cap below 0 or above MAX_DEGREE_CAP raises
+    DegreeCapError.
     A passing verdict carries a witness f with normalize(f(t) f(1/t)) =
     normalize(p).
     """

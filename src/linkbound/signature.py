@@ -26,10 +26,10 @@ when det A is identically zero a root counts only where the kernel finds
 the rank of A(z) below r.  Values at jumps follow the averaged-limit
 convention: the mean of the two adjacent interval values.
 
-B(t) is built once per Seifert matrix, and what depends only on a family
-(principal block, jump structure, the values at x = +-2, the function) is
-cached on it, so a read pays only for its point: integer signs of the
-minors there, or the location of the point among the breakpoints.
+Readers take an input through one integer form (see _form), for Seifert
+data tV - V^T straight from V.  It, and what depends only on the input
+(principal block, jump structure, values at x = +-2, the function), is
+cached on the input, so a read pays only for its point.
 """
 
 from __future__ import annotations
@@ -65,28 +65,23 @@ class CirclePoint:
     upper: bool = True
 
     def __post_init__(self):
-        if isinstance(self.x, (int, Fraction)):
-            object.__setattr__(self, "x", Fraction(self.x))
-            if abs(self.x) > 2:
-                raise ValueError(f"x = {self.x} outside [-2, 2]")
-        elif isinstance(self.x, RealAlgebraic):
-            if self.x.compare_rational(-2) <= 0 or self.x.compare_rational(2) >= 0:
-                raise ValueError("algebraic x outside (-2, 2)")
-        else:
-            raise TypeError("x must be rational or RealAlgebraic")
+        object.__setattr__(self, "x", _as_x(self.x))
 
 
-def _as_x(point):
-    if isinstance(point, CirclePoint):
-        return point.x
-    if isinstance(point, (int, Fraction)):
-        x = Fraction(point)
+def _as_x(x):
+    """The x of a circle point: a Fraction or RealAlgebraic in [-2, 2]."""
+    if isinstance(x, CirclePoint):
+        return x.x
+    if isinstance(x, (int, Fraction)):
+        x = Fraction(x)
         if abs(x) > 2:
             raise ValueError(f"x = {x} outside [-2, 2]")
         return x
-    if isinstance(point, RealAlgebraic):
-        return point
-    raise TypeError("expected CirclePoint, rational, or RealAlgebraic")
+    if isinstance(x, RealAlgebraic):
+        if x.compare_rational(-2) <= 0 or x.compare_rational(2) >= 0:
+            raise ValueError("algebraic x outside (-2, 2)")
+        return x
+    raise TypeError("x must be rational or RealAlgebraic")
 
 
 # -- hermitian Laurent families -----------------------------------------------
@@ -126,7 +121,7 @@ class HermitianFamily:
 @lru_cache(maxsize=1024)
 def b_family(data: SeifertData) -> HermitianFamily:
     """B(t) = (1-t)V + (1-1/t)V^T as a hermitian Laurent family, built once
-    per Seifert matrix."""
+    per Seifert matrix; the signature layer reads _form instead."""
     v = data.matrix
     n = data.size
     rows = tuple(
@@ -134,14 +129,6 @@ def b_family(data: SeifertData) -> HermitianFamily:
               for j in range(n))
         for i in range(n))
     return HermitianFamily(rows)
-
-
-def _as_family(data) -> HermitianFamily:
-    if isinstance(data, HermitianFamily):
-        return data
-    if isinstance(data, SeifertData):
-        return b_family(data)
-    raise TypeError("expected SeifertData or HermitianFamily")
 
 
 # -- symmetric Laurent -> polynomial in x -------------------------------------
@@ -173,9 +160,20 @@ def symmetric_laurent_to_xpoly(p: LaurentPoly) -> list:
 # -- principal minors ----------------------------------------------------------
 
 
-def _scaled_matrix(A: HermitianFamily):
-    """(scale L, shift s, dense integer-polynomial matrix of L * t^s * A)."""
-    terms = [(e, c) for row in A.entries for p in row for e, c in p.items()]
+@lru_cache(maxsize=1024)
+def _form(data) -> tuple:
+    """(L, s, c, D) with L t^s A = (1 - t)^c D for the family A of `data`,
+    L > 0 and D a dense integer-polynomial matrix, c = 1 when A(1) = 0.  A
+    k x k minor of A is ((1 - t)^c t^-s / L)^k times that of D, so both pick
+    the same pivots, and off z = 1 A(z) and D(z) have equal rank.  Seifert
+    data has A = B(t), and t B(t) = (1 - t)(tV - V^T) gives the form
+    (1, 1, 1, tV - V^T) straight from V."""
+    if isinstance(data, SeifertData):
+        return 1, 1, 1, tuple(tuple(tuple(polys.trim([-b, a])) for a, b in zip(row, col))
+                              for row, col in zip(data.matrix, data.transposed()))
+    if not isinstance(data, HermitianFamily):
+        raise TypeError("expected SeifertData or HermitianFamily")
+    terms = [(e, c) for row in data.entries for p in row for e, c in p.items()]
     mult = lcm(*(c.denominator for _, c in terms))
     shift = max([0] + [-e for e, _ in terms])
 
@@ -185,20 +183,10 @@ def _scaled_matrix(A: HermitianFamily):
             coeffs[e + shift] = int(c * mult)
         return tuple(polys.trim(coeffs))
 
-    return mult, shift, tuple(tuple(map(dense, row)) for row in A.entries)
-
-
-@lru_cache(maxsize=2048)
-def _kernel_matrix(A: HermitianFamily) -> tuple:
-    """(c, s, D) with L t^s A = (1 - t)^c D for the scale L > 0 of
-    _scaled_matrix: c = 1 when every entry vanishes at t = 1, as for B(t),
-    whose D is then tV - V^T.  A k x k minor of A is ((1 - t)^c t^-s / L)^k
-    times that of D, so both pick the same pivots, and off z = 1 A(z) and
-    D(z) have equal rank."""
-    _, shift, dense = _scaled_matrix(A)
-    if any(sum(p) for row in dense for p in row):
-        return 0, shift, dense
-    return 1, shift, tuple(tuple(tuple(accumulate(p))[:-1] for p in row) for row in dense)
+    rows = tuple(tuple(map(dense, row)) for row in data.entries)
+    if any(sum(p) for row in rows for p in row):
+        return mult, shift, 0, rows
+    return mult, shift, 1, tuple(tuple(tuple(accumulate(p))[:-1] for p in row) for row in rows)
 
 
 @lru_cache(maxsize=1024)
@@ -234,7 +222,7 @@ def _diagonal_prefix(rows, cols) -> int:
 
 
 @lru_cache(maxsize=2048)
-def _principal_block(A: HermitianFamily) -> tuple:
+def _principal_block(A) -> tuple:
     """(I, leading principal minors in x of A_I = A[I, I]), where I is the
     set of pivot rows of the generic-rank elimination; len(I) is the
     generic rank r.
@@ -243,15 +231,15 @@ def _principal_block(A: HermitianFamily) -> tuple:
     the roots of det A_I the rank of A(z) is therefore r, the Schur
     complement of A_I vanishes, and A(z) has the signature of A_I(z) and
     nullity n - r.  When det A is not identically zero, A_I = A.  I and
-    the minors come from the cached elimination of the kernel matrix D,
-    tV - V^T for B(t) (see _kernel_matrix).  The pivots up to the first
+    the minors come from the cached elimination of the matrix D of the
+    form, tV - V^T for B(t) (see _form).  The pivots up to the first
     off-diagonal one are leading minors; that minor is 0 and each larger
     one takes a determinant of D_I.  Each minor is stored reduced, divided
     by (2 - x)^floor(ck/2) (see _minor_x), which keeps its sign and its
     roots on [-2, 2): every reader (Jacobi's rule, _pick_sample, the jump
     polynomial, _nullity_at_jump) looks only there.
     """
-    c, shift, dense = _kernel_matrix(A)
+    _, shift, c, dense = _form(A)
     _, pivots, rows, cols = _elimination(dense)
     block = sorted(rows)
     if _diagonal_prefix(rows, cols) < len(block) < len(dense):
@@ -271,10 +259,10 @@ def _zero_test(root):
     return lambda q: polys.sign_at(q, root) == 0
 
 
-def _rank_at(A: HermitianFamily, root) -> int:
+def _rank_at(A, root) -> int:
     """Rank of A(z0) at the circle point with z0 + 1/z0 = root in (-2, 2):
-    the Bareiss kernel with the test q(z0) != 0 on the kernel matrix,
-    tV - V^T for B(t), which has the rank of A(z0) there since z0 != 1.
+    the Bareiss kernel with the test q(z0) != 0 on the matrix D of the
+    form, tV - V^T for B(t), which has the rank of A(z0) there since z0 != 1.
     With q(z) = a(x) + b(x) z, q(z0) = 0 exactly when a and b both vanish
     at the root, since z0 is not real."""
     vanishes = _zero_test(root)
@@ -282,11 +270,10 @@ def _rank_at(A: HermitianFamily, root) -> int:
     def nonzero(q):
         return not all(map(vanishes, _xz_parts(q)))
 
-    _, _, dense = _kernel_matrix(A)
-    return len(_bareiss(dense, nonzero)[1])
+    return len(_bareiss(_form(A)[3], nonzero)[1])
 
 
-def _nullity_at_jump(A: HermitianFamily, root) -> int:
+def _nullity_at_jump(A, root) -> int:
     """Nullity of A(z) at a breakpoint, where the rank is below the generic
     rank r: n - r + 1 when the (r-1)-th leading minor of A_I does not
     vanish there, otherwise n minus the rank at the point."""
@@ -343,13 +330,15 @@ def _integer_symmetric_signature(m) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=2048)
-def _endpoint(A: HermitianFamily, z: int) -> tuple[int, int]:
-    """(signature, nullity) of the rational symmetric matrix A(z) at
-    z = +-1 (x = +-2), scaled to integers by the L > 0 of _scaled_matrix."""
-    n = A.size
-    mult = _scaled_matrix(A)[0]
+def _endpoint(A, z: int) -> tuple[int, int]:
+    """(signature, nullity) of A(z) at z = +-1 (x = +-2): L A(z) =
+    z^-s (1 - z)^c D(z) for the form (L, s, c, D), so A(1) = 0 when c = 1,
+    and otherwise A(z) has the inertia of the integer matrix z^s D(z)."""
+    _, shift, c, dense = _form(A)
+    if c and z == 1:
+        return 0, len(dense)
     return _integer_symmetric_signature(
-        [[int(mult * A.entries[i][j].evaluate(z)) for j in range(n)] for i in range(n)])
+        [[z ** shift * polys.evaluate(p, z) for p in row] for row in dense])
 
 
 def _swap_sym(m, i, j):
@@ -358,7 +347,7 @@ def _swap_sym(m, i, j):
         row[i], row[j] = row[j], row[i]
 
 
-def _trace_signature_nullity(A: HermitianFamily, x: Fraction) -> tuple[int, int]:
+def _trace_signature_nullity(A, x: Fraction) -> tuple[int, int]:
     """(signature, nullity) of A(z) at rational x = a/b in (-2, 2).
 
     K = Q(z), z^2 - xz + 1 = 0, is imaginary quadratic, so the trace form
@@ -366,12 +355,14 @@ def _trace_signature_nullity(A: HermitianFamily, x: Fraction) -> tuple[int, int]
     the signature and nullity of h (Scharlau, Quadratic and Hermitian
     Forms, ch. 10).  On the Q-basis e_i, z e_i it is [[P_0, P_+], [P_-, P_0]]
     with P_s[i][j] = sum_e c_ije D_(e+s)(x), D_e = z^e + z^-e.  It is built
-    in integers, times L b^E > 0 for the L and shift of _scaled_matrix and
-    E = shift + 1, the largest |e + s|: d_e = b^e D_e(a/b) follows
-    d_(e+1) = a d_e - b^2 d_(e-1), and the term of D_e is scaled by
-    b^(E-|e|).
+    in integers, times L b^E > 0 for E = shift + 1, the largest |e + s|,
+    from L t^shift A = (1 - t)^c D for the form (L, shift, c, D):
+    d_e = b^e D_e(a/b) follows d_(e+1) = a d_e - b^2 d_(e-1), and the term
+    of D_e is scaled by b^(E-|e|).
     """
-    _, shift, dense = _scaled_matrix(A)
+    _, shift, c, dense = _form(A)
+    if c:
+        dense = [[[a - b for a, b in zip(p + (0,), (0,) + p)] for p in row] for row in dense]
     a, b = x.numerator, x.denominator
     top = shift + 1
     d = [2, a]
@@ -400,25 +391,20 @@ def pointwise_signature_nullity(data, x) -> tuple[int, int]:
     them vanishes; the congruence of the integer trace form covers the
     rest.
     """
-    A = _as_family(data)
-    if isinstance(x, CirclePoint):
-        x = x.x
-    if not isinstance(x, (int, Fraction)):
+    x = _as_x(x)
+    if not isinstance(x, Fraction):
         raise TypeError("pointwise evaluation needs a rational x")
-    x = Fraction(x)
-    if abs(x) > 2:
-        raise ValueError(f"x = {x} outside [-2, 2]")
-    n = A.size
+    n = len(_form(data)[3])
     if n == 0:
         return 0, 0
     if abs(x) == 2:
-        return _endpoint(A, int(x) // 2)
-    _, minors = _principal_block(A)
+        return _endpoint(data, int(x) // 2)
+    _, minors = _principal_block(data)
     signs = [polys.sign_at(mx, x) for mx in minors]
     if all(signs):
         changes = sum(1 for a, b in zip([1] + signs, signs) if a != b)
         return len(minors) - 2 * changes, n - len(minors)
-    return _trace_signature_nullity(A, x)
+    return _trace_signature_nullity(data, x)
 
 
 # -- jump structure -------------------------------------------------------------
@@ -433,7 +419,7 @@ def _wall_hi(bp):
 
 
 @lru_cache(maxsize=2048)
-def _jump_structure(A: HermitianFamily):
+def _jump_structure(A):
     """(jump polynomial in x, generic rank r, breakpoints in open (-2, 2)).
 
     The jump polynomial is det A_I in x divided by (2 - x)^floor(cr/2)
@@ -549,21 +535,19 @@ def signature_nullity_at(data, point) -> tuple:
     nullity is the corank of A(1) -- the full size for Seifert families,
     where B(1) = 0.
     """
-    A = _as_family(data)
-    n = A.size
-    if n == 0:
+    if not _form(data)[3]:
         return 0, 0
     x = _as_x(point)
     if isinstance(x, Fraction):
         if abs(x) == 2:
-            sig_pt, nul = _endpoint(A, int(x) // 2)
+            sig_pt, nul = _endpoint(data, int(x) // 2)
             if nul == 0:
                 return sig_pt, 0
-            return _signature_function_cached(A).value_at(x)[0], nul
-        jump, _, _ = _jump_structure(A)
+            return _signature_function_cached(data).value_at(x)[0], nul
+        jump, _, _ = _jump_structure(data)
         if polys.sign_at(jump, x) != 0:
-            return pointwise_signature_nullity(A, x)
-    return _signature_function_cached(A).value_at(x)
+            return pointwise_signature_nullity(data, x)
+    return _signature_function_cached(data).value_at(x)
 
 
 # -- the assembled function -----------------------------------------------------
@@ -654,7 +638,7 @@ def _json_rat(v):
 
 
 @lru_cache(maxsize=1024)
-def _signature_function_cached(A: HermitianFamily) -> SignatureFunction:
+def _signature_function_cached(A) -> SignatureFunction:
     n = A.size
     _, rank, bps = _jump_structure(A)
     avoid = [p for p in _principal_block(A)[1] if p]
@@ -676,7 +660,7 @@ def _signature_function_cached(A: HermitianFamily) -> SignatureFunction:
 def signature_function(data) -> SignatureFunction:
     """The full signature/nullity function of a Seifert matrix or a
     hermitian family, with certified jump locations."""
-    return _signature_function_cached(_as_family(data))
+    return _signature_function_cached(data)
 
 
 def breakpoints_equal(a, b) -> bool:
@@ -699,9 +683,9 @@ def functions_equal(f: SignatureFunction, g: SignatureFunction) -> bool:
 
 
 def _presentation(data: SeifertData) -> tuple:
-    """The cached elimination of tV - V^T, shared with B(t)'s block."""
-    return _elimination(tuple(tuple(tuple(polys.trim([-b, a])) for a, b in zip(row, col))
-                              for row, col in zip(data.matrix, data.transposed())))
+    """The cached elimination of tV - V^T, the matrix of the form of
+    `data`, shared with B(t)'s block."""
+    return _elimination(_form(data)[3])
 
 
 def alexander_from_seifert(data: SeifertData) -> LaurentPoly:
@@ -748,7 +732,9 @@ def float_oracle(data, theta: float) -> tuple[int, int]:
 
     if not 0 < theta <= 3.14159265358979324:
         raise ValueError("theta must lie in (0, pi]")
-    A = _as_family(data)
+    A = b_family(data) if isinstance(data, SeifertData) else data
+    if not isinstance(A, HermitianFamily):
+        raise TypeError("expected SeifertData or HermitianFamily")
     n = A.size
     if n == 0:
         return 0, 0

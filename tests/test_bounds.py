@@ -19,6 +19,7 @@ from linkbound import (BandCertificate, BoundReport, BraidWord, DegreeCapError,
                        width_upper_bound)
 from linkbound import polys
 from linkbound.bounds import _slice_verdict
+from linkbound.factor import check_degree_cap
 
 from helpers import count_eliminations, random_knot_data, zero_padded
 
@@ -40,6 +41,19 @@ def test_degree_cap_above_18_rejected():
         with pytest.raises(DegreeCapError, match="exceeds the maximum 18"):
             call()
     assert assemble_report(TREFOIL, degree_cap=18).lower == 1
+
+
+def test_negative_degree_cap_rejected():
+    """A negative cap is refused like one above 18; on the square knot it
+    would turn the verdict of the default cap into "inconclusive"."""
+    square = connected_sum(TREFOIL, mirror(TREFOIL))
+    for call in (lambda: check_degree_cap(-1),
+                 lambda: fox_milnor_test(alexander_from_seifert(square), degree_cap=-1),
+                 lambda: slice_obstruction(square, degree_cap=-1),
+                 lambda: assemble_report(square, degree_cap=-1)):
+        with pytest.raises(DegreeCapError, match="negative"):
+            call()
+    assert assemble_report(square).slice_verdict == "consistent-with-slice"
 
 
 def test_lt_lower_bound_examples():

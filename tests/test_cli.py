@@ -191,6 +191,18 @@ def test_degree_cap_above_18_exit_code(capsys, trefoil_file, command):
     assert err.count("\n") == 1 and "exceeds the maximum 18" in err
 
 
+@pytest.mark.parametrize("command", ["bound", "verify"])
+def test_negative_degree_cap_exit_code(capsys, tmp_path, command):
+    """A negative cap is refused like one above 18: on the square knot it
+    used to give "inconclusive" with exit 0."""
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({"braid": {"strands": 3, "word": [1, 1, 1, -2, -2, -2]}}))
+    args = [command, str(path)] if command == "bound" else [command]
+    code, out, err = run(capsys, *args, "--degree-cap=-1")
+    assert code == 2 and not out
+    assert err.count("\n") == 1 and "negative" in err
+
+
 def test_python_m_linkbound(trefoil_file):
     """python -m linkbound runs the CLI, exit codes included."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -230,6 +242,31 @@ def test_infect_missing_milnor(capsys, tmp_path, t35_file):
     code, _, err = run(capsys, "infect", str(report_path), str(decl_path))
     assert code == 3
     assert "not declared" in err
+
+
+REPORT = {"lower": 1, "upper": 1, "slice_verdict": "obstructed"}
+DECLARATION = {"axes": 1, "linking_numbers": [[0]], "double_points": 0,
+               "milnor_vanishing_length": 0}
+
+
+@pytest.mark.parametrize("report, declaration", [
+    ({}, DECLARATION), (REPORT, {}), (REPORT, {"axes": "x"}), ([], DECLARATION),
+    (REPORT, [])])
+def test_infect_malformed_input_exit_code(capsys, tmp_path, report, declaration):
+    """A base report or a declaration with a missing or mistyped field, or
+    that is not a JSON object, is a parse error (exit 2), not a traceback;
+    the well-formed pair transfers."""
+    paths = {}
+    for name, obj in (("report", report), ("declaration", declaration),
+                      ("good_report", REPORT), ("good_declaration", DECLARATION)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "infect", str(paths["good_report"]),
+                       str(paths["good_declaration"]))
+    assert code == 0 and json.loads(out)["lower"] == 1
+    code, out, err = run(capsys, "infect", str(paths["report"]), str(paths["declaration"]))
+    assert code == 2 and not out
+    assert err.startswith("parse error:") and "Traceback" not in err
 
 
 def test_signature_csv(capsys, trefoil_file):

@@ -116,6 +116,17 @@ def test_trefoil_signature_values():
     assert signature_nullity_at(TREFOIL_V, Fraction(2)) == (0, 2)
 
 
+def test_algebraic_point_outside_the_circle_rejected():
+    """An algebraic x outside (-2, 2), sqrt(5) here, is no circle point:
+    signature_nullity_at rejects it as CirclePoint does, instead of
+    answering with an interval value."""
+    root5 = RealAlgebraic([-5, 0, 1], 2, 3)
+    for call in (lambda: CirclePoint(root5), lambda: signature_nullity_at(TREFOIL_V, root5)):
+        with pytest.raises(ValueError, match="outside"):
+            call()
+    assert signature_nullity_at(TREFOIL_V, RealAlgebraic([-2, 0, 1], 1, 2)) == (0, 0)
+
+
 def test_trefoil_signature_function():
     f = signature_function(TREFOIL_V)
     assert f.breakpoints == (Fraction(1),)
@@ -488,8 +499,9 @@ def test_one_gcd_per_jump_polynomial(monkeypatch):
 
 
 def test_b_family_built_once_per_seifert_matrix(monkeypatch):
-    """B(t) is built, and checked hermitian, once for 100 reads of one
-    SeifertData."""
+    """B(t) is never built as a Laurent family for a SeifertData: not for
+    the function, not for 100 reads, not for a cold report.  Every reader
+    takes tV - V^T straight from V."""
     built = []
     post_init = HermitianFamily.__post_init__
 
@@ -502,7 +514,9 @@ def test_b_family_built_once_per_seifert_matrix(monkeypatch):
     data = seifert_matrix_from_braid(torus_braid(3, 7))
     f = signature_function(data)
     _answers(data, _read_stream(random.Random(5), len(f.breakpoints), 100))
-    assert len(built) == 1
+    _clear_caches()
+    assemble_report(data)
+    assert len(built) == 0
 
 
 @pytest.mark.parametrize("knot", ["T(2,5)", "T(3,4)", "random"])
@@ -555,10 +569,13 @@ def test_jump_candidates_need_a_rank_drop():
 # -- one elimination per Seifert matrix ------------------------------------------
 
 
-def _scaled_route(A):
-    """(I, Laurent minors) by the general route: eliminate L t^s A from
-    _scaled_matrix itself."""
-    _, shift, dense = signature._scaled_matrix(A)
+def _family_route(A):
+    """(I, Laurent minors) by the general route: the form of the hermitian
+    family A, multiplied back to L t^s A = (1 - t)^c D and eliminated
+    itself; L = 1 for B(t)."""
+    mult, shift, c, dense = signature._form(A)
+    assert mult == 1
+    dense = [[polys.mul(p, [1, -1] if c else [1]) for p in row] for row in dense]
     _, pivots, rows, cols = _bareiss(dense)
     block = sorted(rows)
     if _diagonal_prefix(rows, cols) < len(block) < len(dense):
@@ -585,7 +602,7 @@ def _route_inputs():
 
 def test_principal_block_from_the_shared_elimination():
     """(I, minors) read off the one cached elimination of tV - V^T equal
-    the general route through _scaled_matrix, on torus knots and links,
+    the general route through _form(b_family(data)), on torus knots and links,
     random Seifert matrices, zero-padded and degenerate families: each
     k x k minor is kept as q(x) with q(t + 1/t) (2 - t - 1/t)^(k // 2) =
     m(t), the Laurent minor, since B(1) = 0 (c = 1 in _minor_x).  Delta
@@ -594,9 +611,8 @@ def test_principal_block_from_the_shared_elimination():
     two_minus_x = LaurentPoly({0: 2, 1: -1, -1: -1})
     for data in _route_inputs():
         _clear_caches()
-        A = b_family(data)
-        block, minors = signature._principal_block(A)
-        ref_block, ref_minors = _scaled_route(A)
+        block, minors = signature._principal_block(data)
+        ref_block, ref_minors = _family_route(b_family(data))
         assert block == ref_block and len(minors) == len(ref_minors)
         for k, (q, m) in enumerate(zip(minors, ref_minors), 1):
             qx = sum((x ** i * c for i, c in enumerate(q)), LaurentPoly.zero())
@@ -605,6 +621,20 @@ def test_principal_block_from_the_shared_elimination():
         link_nullity(data)
         info = signature._elimination.cache_info()
         assert (info.misses, info.hits) == (1, 2)
+
+
+def test_form_of_seifert_data_is_the_form_of_b():
+    """_form builds (1, 1, 1, tV - V^T) straight from V, and the general
+    route through the Laurent entries of B(t) gives the same form, on
+    random Seifert matrices, zero-padded and degenerate families.  For
+    V = 0, B = 0 has no exponent to read a shift from, and every shift
+    fits; only then do the shifts differ."""
+    for data in _route_inputs():
+        form, ref = signature._form(data), signature._form(b_family(data))
+        if not any(map(any, data.matrix)):
+            assert (form[1], ref[1]) == (1, 0)
+            form, ref = form[:1] + form[2:], ref[:1] + ref[2:]
+        assert form == ref
 
 
 @pytest.mark.parametrize("p, q", [(2, 5), (3, 7), (4, 5), (3, 10)])
