@@ -12,18 +12,16 @@ from .bounds import (BandCertificate, BoundReport, InfectionDecl, Provenance,
                      slice_obstruction, width_upper_bound)
 from .catalog import CatalogEntry, builtin_catalog, verify_catalog
 from .errors import (DegreeCapError, InconsistentBounds, InvalidSeifertData,
-                     LinkboundError, ParseError, SingularFamilyError,
-                     ZeroPolynomialError)
+                     LinkboundError, ParseError, ZeroPolynomialError)
 from .factor import FoxMilnorResult, factor_integer_polynomial, fox_milnor_test
 from .laurent import (LaurentPoly, format_laurent, involution,
                       laurent_from_json, laurent_to_json, normalize,
                       units_equal, width)
 from .realroots import (IsolatingInterval, RealAlgebraic, isolate_real_roots,
                         refine_isolating_interval)
-from .signature import (CirclePoint, HermitianFamily, SignatureFunction,
-                        alexander_from_seifert, b_family, float_oracle,
-                        functions_equal, link_nullity,
+from .signature import (CirclePoint, SignatureFunction, alexander_from_seifert,
+                        float_oracle, functions_equal, link_nullity,
                         pointwise_signature_nullity, signature_function,
-                        signature_nullity_at, witt_evaluate)
+                        signature_nullity_at)
 
 __version__ = "0.1.0"

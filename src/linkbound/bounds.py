@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braids import SeifertData
+from .braids import SeifertData, _json_int
 from .errors import InconsistentBounds, InvalidSeifertData, ParseError
 from .factor import FoxMilnorResult, check_degree_cap, fox_milnor_test
 from .laurent import LaurentPoly
@@ -74,13 +74,14 @@ class BoundReport:
         try:
             upper = obj.get("upper")
             fields = dict(
-                lower=int(obj["lower"]),
-                upper=None if upper is None else int(upper),
+                lower=_json_int(obj["lower"], "lower"),
+                upper=None if upper is None else _json_int(upper, "upper"),
                 slice_verdict=str(obj.get("slice_verdict", INCONCLUSIVE)),
-                provenance=tuple(Provenance(p["bound"], int(p["value"]), str(p["source"]))
+                provenance=tuple(Provenance(p["bound"], _json_int(p["value"], "provenance value"),
+                                            str(p["source"]))
                                  for p in obj.get("provenance", ())),
                 assumptions=tuple(str(a) for a in obj.get("assumptions", ())),
-                components=int(obj.get("components", 1)))
+                components=_json_int(obj.get("components", 1), "components"))
         except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise ParseError(f"malformed bound report: {e!r}") from None
         return cls(**fields)
@@ -106,7 +107,8 @@ class InfectionDecl:
     notes: str = ""
 
     def __post_init__(self):
-        lk = tuple(tuple(int(v) for v in row) for row in self.linking_numbers)
+        lk = tuple(tuple(_json_int(v, "linking number") for v in row)
+                   for row in self.linking_numbers)
         object.__setattr__(self, "linking_numbers", lk)
         if self.axes < 1:
             raise InvalidSeifertData("infection needs at least one axis")
@@ -137,11 +139,11 @@ class InfectionDecl:
     def from_json(cls, obj: dict) -> "InfectionDecl":
         try:
             fields = dict(
-                axes=int(obj["axes"]),
-                linking_numbers=tuple(tuple(int(v) for v in row)
-                                      for row in obj["linking_numbers"]),
-                double_points=int(obj["double_points"]),
-                milnor_vanishing_length=int(obj["milnor_vanishing_length"]),
+                axes=_json_int(obj["axes"], "axes"),
+                linking_numbers=tuple(tuple(row) for row in obj["linking_numbers"]),
+                double_points=_json_int(obj["double_points"], "double_points"),
+                milnor_vanishing_length=_json_int(obj["milnor_vanishing_length"],
+                                                  "milnor_vanishing_length"),
                 notes=str(obj.get("notes", "")))
         except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise ParseError(f"malformed infection declaration: {e!r}") from None

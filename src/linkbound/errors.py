@@ -17,11 +17,6 @@ class InvalidSeifertData(LinkboundError, ValueError):
     """Matrix/component data violating the Seifert-surface invariants."""
 
 
-class SingularFamilyError(LinkboundError, ValueError):
-    """Hermitian family with identically zero determinant where a
-    nonsingular one is required."""
-
-
 class InconsistentBounds(LinkboundError, ValueError):
     """A certified lower bound exceeds a certified upper bound."""
 

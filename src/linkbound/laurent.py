@@ -160,9 +160,6 @@ class LaurentPoly:
         """Apply t -> 1/t coefficient-wise."""
         return LaurentPoly({-e: v for e, v in self._c.items()})
 
-    def is_symmetric(self) -> bool:
-        return self == self.involution()
-
     def normalize(self) -> "LaurentPoly":
         """Canonical representative modulo units +-t^k: minimum exponent 0
         and positive leading coefficient.  Undefined for 0."""

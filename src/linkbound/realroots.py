@@ -139,6 +139,16 @@ def _isolate_squarefree(p, chain, lo, hi) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
+@lru_cache(maxsize=512)
+def _yun(q: tuple) -> tuple:
+    """(Yun's square-free decomposition of q, the square-free part), once
+    per polynomial.  The part is the product of the factors (Gauss's
+    lemma).  A caller that needs the part and the roots of the same
+    polynomial thus takes one gcd(q, q'), not two."""
+    factors = tuple((tuple(f), m) for f, m in polys.squarefree_decomposition(q))
+    return factors, tuple(reduce(polys.mul, (f for f, _ in factors), [1]))
+
+
 def isolate_real_roots(q, lo, hi) -> list[IsolatingInterval]:
     """Isolate all distinct real roots of q strictly inside (lo, hi).
 
@@ -153,8 +163,7 @@ def isolate_real_roots(q, lo, hi) -> list[IsolatingInterval]:
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi or polys.degree(q) == 0:
         return []
-    factors = polys.squarefree_decomposition(q)
-    sq = reduce(polys.mul, (f for f, _ in factors))  # the square-free part (Gauss)
+    factors, sq = _yun(tuple(q))
     sq_chain = sturm_chain(sq)
     found = []  # mutable records [lo, hi, mult, factor]
     for factor, mult in factors:

@@ -1,35 +1,35 @@
-"""Exact evaluation of the hermitian family B(t) = (1-t)V + (1-1/t)V^T on
-the unit circle: signatures, nullities, the full piecewise-constant
-signature function with averaged values at jumps, Alexander polynomials
-and link nullity.
+"""Exact Levine-Tristram signatures of a Seifert matrix V: the hermitian
+form B(t) = (1-t)V + (1-1/t)V^T on the unit circle, its signatures and
+nullities, the full piecewise-constant signature function with averaged
+values at jumps, the Alexander polynomial and the link nullity.
 
 Points z = e^{i theta} are parametrized by x = z + 1/z = 2cos(theta) in
 [-2, 2]; the upper half-circle suffices by conjugation symmetry.  Every
-principal minor of a hermitian Laurent family is fixed by t -> 1/t and is
-therefore an integer polynomial in x.  All linear algebra over Z[t] is the
-Bareiss kernel of :mod:`linkbound.linalg`, run once per Seifert matrix:
-t B(t) = (1 - t)(tV - V^T), so the one elimination of tV - V^T gives the
-Alexander polynomial, the nullity and the reduction of a family A of
-generic rank r to its nonsingular principal block A_I on the pivot rows
-I; off the roots of det A_I, A(z) has rank r and the signature of A_I(z).
-For B(t), which vanishes at t = 1, the k-th leading minor of B_I is
-kept divided by (2 - x)^(k // 2), since (1 - t)^2 = t (x - 2): positive
-on [-2, 2), the factor changes no sign and no root there, and the jump
-polynomial of a knot drops to half the degree, with no root at x = 2.
-Signatures at rational x are then exact sign sequences of these reduced
-minors (Jacobi's rule).  When one of them vanishes, and at x = +-2, one
-fraction-free congruence of an integer symmetric matrix takes over:
-A(+-1), or inside (-2, 2) the rational trace form of A(z), which has
-twice its signature and nullity; perturbation is never used.
-Jumps lie among the roots of det A_I, certified by Sturm isolation in x;
-when det A is identically zero a root counts only where the kernel finds
-the rank of A(z) below r.  Values at jumps follow the averaged-limit
+principal minor of B is fixed by t -> 1/t and is therefore an integer
+polynomial in x.  All linear algebra over Z[t] is the Bareiss kernel of
+:mod:`linkbound.linalg`, run once per Seifert matrix on tV - V^T (see
+_form): t B(t) = (1 - t)(tV - V^T), so the one elimination gives the
+Alexander polynomial, the nullity and the reduction of B, of generic
+rank r, to its nonsingular principal block B_I on the pivot rows I; off
+the roots of det B_I, B(z) has rank r and the signature of B_I(z).
+The k-th leading minor of B_I is kept divided by (2 - x)^(k // 2), since
+(1 - t)^2 = t (x - 2): positive on [-2, 2), the factor changes no sign
+and no root there, and the jump polynomial of a knot drops to half the
+degree, with no root at x = 2.  Signatures at rational x are then exact
+sign sequences of these reduced minors (Jacobi's rule).  When one of
+them vanishes, and at x = -2, one fraction-free congruence of an integer
+symmetric matrix read off V takes over: B(-1) = 2(V + V^T), or inside
+(-2, 2) the rational trace form of B(z), which has twice its signature
+and nullity; perturbation is never used.  B(1) = 0.
+Jumps lie among the roots of det B_I, certified by Sturm isolation in x;
+when det B is identically zero a root counts only where the kernel finds
+the rank of B(z) below r.  Values at jumps follow the averaged-limit
 convention: the mean of the two adjacent interval values.
 
-Readers take an input through one integer form (see _form), for Seifert
-data tV - V^T straight from V.  It, and what depends only on the input
-(principal block, jump structure, values at x = +-2, the function), is
-cached on the input, so a read pays only for its point.
+The form tV - V^T, and what depends only on V (principal block, jump
+structure, values at x = +-2, the function), is cached on the Seifert
+data, so a read pays only for its point.  Laurent polynomials appear only
+in the answer: the Alexander polynomial.
 """
 
 from __future__ import annotations
@@ -37,16 +37,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from math import lcm
 
 from . import polys
 from .braids import SeifertData
-from .errors import InvalidSeifertData, SingularFamilyError
+from .errors import InvalidSeifertData
 from .factor import _rational_root_split
-from .laurent import LaurentPoly, involution, normalize
+from .laurent import LaurentPoly, normalize
 from .linalg import _bareiss, poly_det
-from .realroots import RealAlgebraic, isolate_real_roots
+from .realroots import RealAlgebraic, _yun, isolate_real_roots
 
 
 # -- circle points ----------------------------------------------------------
@@ -84,54 +82,7 @@ def _as_x(x):
     raise TypeError("x must be rational or RealAlgebraic")
 
 
-# -- hermitian Laurent families -----------------------------------------------
-
-
-@dataclass(frozen=True)
-class HermitianFamily:
-    """Square matrix of Laurent polynomials with A[j][i] = involution(A[i][j]).
-
-    The hash is computed once, at construction: families key the caches
-    below, and hashing n^2 Laurent polynomials per lookup would cost more
-    than many reads."""
-
-    entries: tuple[tuple[LaurentPoly, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
-        n = len(rows)
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("hermitian family must be square")
-        for i in range(n):
-            for j in range(i, n):
-                if rows[j][i] != involution(rows[i][j]):
-                    raise ValueError(f"not hermitian at entry ({i}, {j})")
-        object.__setattr__(self, "_hash", hash(rows))
-
-    def __hash__(self):
-        return self._hash
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-
-@lru_cache(maxsize=1024)
-def b_family(data: SeifertData) -> HermitianFamily:
-    """B(t) = (1-t)V + (1-1/t)V^T as a hermitian Laurent family, built once
-    per Seifert matrix; the signature layer reads _form instead."""
-    v = data.matrix
-    n = data.size
-    rows = tuple(
-        tuple(LaurentPoly({0: v[i][j] + v[j][i], 1: -v[i][j], -1: -v[j][i]})
-              for j in range(n))
-        for i in range(n))
-    return HermitianFamily(rows)
-
-
-# -- symmetric Laurent -> polynomial in x -------------------------------------
+# -- principal minors ----------------------------------------------------------
 
 
 def _xz_parts(q) -> tuple[list, list]:
@@ -143,50 +94,14 @@ def _xz_parts(q) -> tuple[list, list]:
     return a, b
 
 
-def symmetric_laurent_to_xpoly(p: LaurentPoly) -> list:
-    """The polynomial q with p(z) = q(z + 1/z), for symmetric p: one pass
-    over D_e = z^e + z^-e, with D_0 = 2, D_1 = x and D_{e+1} = x D_e -
-    D_{e-1}."""
-    if not p.is_symmetric():
-        raise ValueError("polynomial is not symmetric under t -> 1/t")
-    q = [p.coefficient(0)]
-    old, cur = [2], [0, 1]
-    for e in range(1, (p.max_exp if p else 0) + 1):
-        q = polys.add(q, polys.scale(cur, p.coefficient(e)))
-        old, cur = cur, polys.sub([0] + cur, old)
-    return polys.trim(q)
-
-
-# -- principal minors ----------------------------------------------------------
-
-
 @lru_cache(maxsize=1024)
-def _form(data) -> tuple:
-    """(L, s, c, D) with L t^s A = (1 - t)^c D for the family A of `data`,
-    L > 0 and D a dense integer-polynomial matrix, c = 1 when A(1) = 0.  A
-    k x k minor of A is ((1 - t)^c t^-s / L)^k times that of D, so both pick
-    the same pivots, and off z = 1 A(z) and D(z) have equal rank.  Seifert
-    data has A = B(t), and t B(t) = (1 - t)(tV - V^T) gives the form
-    (1, 1, 1, tV - V^T) straight from V."""
-    if isinstance(data, SeifertData):
-        return 1, 1, 1, tuple(tuple(tuple(polys.trim([-b, a])) for a, b in zip(row, col))
-                              for row, col in zip(data.matrix, data.transposed()))
-    if not isinstance(data, HermitianFamily):
-        raise TypeError("expected SeifertData or HermitianFamily")
-    terms = [(e, c) for row in data.entries for p in row for e, c in p.items()]
-    mult = lcm(*(c.denominator for _, c in terms))
-    shift = max([0] + [-e for e, _ in terms])
-
-    def dense(p):
-        coeffs = [0] * (shift + (p.max_exp if p else 0) + 1)
-        for e, c in p.items():
-            coeffs[e + shift] = int(c * mult)
-        return tuple(polys.trim(coeffs))
-
-    rows = tuple(tuple(map(dense, row)) for row in data.entries)
-    if any(sum(p) for row in rows for p in row):
-        return mult, shift, 0, rows
-    return mult, shift, 1, tuple(tuple(tuple(accumulate(p))[:-1] for p in row) for row in rows)
+def _form(data: SeifertData) -> tuple:
+    """tV - V^T as a dense integer-polynomial matrix, straight from V.
+    t B(t) = (1 - t)(tV - V^T), so a k x k minor of B is ((1 - t)/t)^k
+    times that of tV - V^T: both pick the same pivots, and off z = 1 B(z)
+    and zV - V^T have equal rank."""
+    return tuple(tuple(tuple(polys.trim([-b, a])) for a, b in zip(row, col))
+                 for row, col in zip(data.matrix, data.transposed()))
 
 
 @lru_cache(maxsize=1024)
@@ -198,20 +113,30 @@ def _elimination(dense: tuple) -> tuple:
     return sign, tuple(map(tuple, pivots)), tuple(rows), tuple(cols)
 
 
-def _minor_x(p, k: int, c: int, shift: int) -> tuple:
-    """L^k times the principal k x k minor (1 - t)^(ck) t^(-sk) p(t) of a
-    family, for the minor p of its kernel matrix, divided by (2 - x)^j
-    with j = floor(ck / 2), as an integer polynomial in x = z + 1/z.
+def _minor_x(p, k: int) -> tuple:
+    """The principal k x k minor ((1 - t)/t)^k p(t) of B, for the minor p
+    of tV - V^T, divided by (2 - x)^j with j = k // 2, as an integer
+    polynomial in x = z + 1/z.
 
-    (1 - t)^2 = t (x - 2), so (1 - t)^(ck) t^(-sk) is (2 - x)^j times
-    (-1)^j (1 - t)^(ck - 2j) t^(j - sk): one factor 1 - t when ck is odd,
-    a shift, and a sign.  (2 - x)^j > 0 on [-2, 2), so the quotient has the
-    sign and the roots of the minor there, and half its degree."""
-    j = c * k // 2
+    (1 - t)^2 = t (x - 2), so ((1 - t)/t)^k is (2 - x)^j times
+    (-1)^j (1 - t)^(k - 2j) t^(j - k): one factor 1 - t when k is odd, a
+    shift, and a sign.  (2 - x)^j > 0 on [-2, 2), so the quotient has the
+    sign and the roots of the minor there, and half its degree.  The
+    shifted minor is symmetric, sum_e c_e t^e with c_-e = c_e, and its
+    x-form is c_0 + sum_(e > 0) c_e D_e(x) with D_e = z^e + z^-e, D_0 = 2,
+    D_1 = x and D_(e+1) = x D_e - D_(e-1)."""
+    j, m = k // 2, k - k // 2
     p = list(p)
-    if c * k % 2:
+    if k % 2:
         p = [a - b for a, b in zip(p + [0], [0] + p)]  # (1 - t) p
-    q = symmetric_laurent_to_xpoly(LaurentPoly.from_dense(p, j - shift * k))
+    p += [0] * (2 * m + 1 - len(p))
+    if p != p[::-1]:
+        raise ValueError("minor is not symmetric under t -> 1/t")
+    q, old, cur = [p[m]], [2], [0, 1]
+    for c in p[m + 1:]:
+        q = polys.add(q, polys.scale(cur, c))
+        old, cur = cur, polys.sub([0] + cur, old)
+    q = polys.trim(q)
     return tuple(polys.neg(q) if j % 2 else q)
 
 
@@ -222,24 +147,23 @@ def _diagonal_prefix(rows, cols) -> int:
 
 
 @lru_cache(maxsize=2048)
-def _principal_block(A) -> tuple:
-    """(I, leading principal minors in x of A_I = A[I, I]), where I is the
+def _principal_block(data) -> tuple:
+    """(I, leading principal minors in x of B_I = B[I, I]), where I is the
     set of pivot rows of the generic-rank elimination; len(I) is the
     generic rank r.
 
-    For a hermitian family, r independent rows make A_I nonsingular.  Off
-    the roots of det A_I the rank of A(z) is therefore r, the Schur
-    complement of A_I vanishes, and A(z) has the signature of A_I(z) and
-    nullity n - r.  When det A is not identically zero, A_I = A.  I and
-    the minors come from the cached elimination of the matrix D of the
-    form, tV - V^T for B(t) (see _form).  The pivots up to the first
-    off-diagonal one are leading minors; that minor is 0 and each larger
-    one takes a determinant of D_I.  Each minor is stored reduced, divided
-    by (2 - x)^floor(ck/2) (see _minor_x), which keeps its sign and its
-    roots on [-2, 2): every reader (Jacobi's rule, _pick_sample, the jump
-    polynomial, _nullity_at_jump) looks only there.
+    B is hermitian, so r independent rows make B_I nonsingular.  Off the
+    roots of det B_I the rank of B(z) is therefore r, the Schur complement
+    of B_I vanishes, and B(z) has the signature of B_I(z) and nullity
+    n - r.  When det B is not identically zero, B_I = B.  I and the minors
+    come from the cached elimination of tV - V^T (see _form).  The pivots
+    up to the first off-diagonal one are leading minors; that minor is 0
+    and each larger one takes a determinant of (tV - V^T)_I.  Each minor
+    is stored reduced, divided by (2 - x)^(k // 2) (see _minor_x), which
+    keeps its sign and its roots on [-2, 2): every reader (Jacobi's rule,
+    _pick_sample, the jump polynomial, _nullity_at_jump) looks only there.
     """
-    _, shift, c, dense = _form(A)
+    dense = _form(data)
     _, pivots, rows, cols = _elimination(dense)
     block = sorted(rows)
     if _diagonal_prefix(rows, cols) < len(block) < len(dense):
@@ -248,7 +172,7 @@ def _principal_block(A) -> tuple:
     k0 = _diagonal_prefix(rows, cols)
     minors = list(pivots[:k0]) + [poly_det([row[:k] for row in dense[:k]])
                                   for k in range(k0 + 1, len(block) + 1)]
-    return tuple(block), tuple(_minor_x(p, k, c, shift) for k, p in enumerate(minors, 1))
+    return tuple(block), tuple(_minor_x(p, k) for k, p in enumerate(minors, 1))
 
 
 def _zero_test(root):
@@ -259,29 +183,29 @@ def _zero_test(root):
     return lambda q: polys.sign_at(q, root) == 0
 
 
-def _rank_at(A, root) -> int:
-    """Rank of A(z0) at the circle point with z0 + 1/z0 = root in (-2, 2):
-    the Bareiss kernel with the test q(z0) != 0 on the matrix D of the
-    form, tV - V^T for B(t), which has the rank of A(z0) there since z0 != 1.
-    With q(z) = a(x) + b(x) z, q(z0) = 0 exactly when a and b both vanish
-    at the root, since z0 is not real."""
+def _rank_at(data, root) -> int:
+    """Rank of B(z0) at the circle point with z0 + 1/z0 = root in (-2, 2):
+    the Bareiss kernel with the test q(z0) != 0 on tV - V^T, which has the
+    rank of B(z0) there since z0 != 1.  With q(z) = a(x) + b(x) z,
+    q(z0) = 0 exactly when a and b both vanish at the root, since z0 is
+    not real."""
     vanishes = _zero_test(root)
 
     def nonzero(q):
         return not all(map(vanishes, _xz_parts(q)))
 
-    return len(_bareiss(_form(A)[3], nonzero)[1])
+    return len(_bareiss(_form(data), nonzero)[1])
 
 
-def _nullity_at_jump(A, root) -> int:
-    """Nullity of A(z) at a breakpoint, where the rank is below the generic
-    rank r: n - r + 1 when the (r-1)-th leading minor of A_I does not
+def _nullity_at_jump(data, root) -> int:
+    """Nullity of B(z) at a breakpoint, where the rank is below the generic
+    rank r: n - r + 1 when the (r-1)-th leading minor of B_I does not
     vanish there, otherwise n minus the rank at the point."""
-    _, minors = _principal_block(A)
+    _, minors = _principal_block(data)
     below = minors[-2] if len(minors) >= 2 else (1,)
     if below and not _zero_test(root)(below):
-        return A.size - len(minors) + 1
-    return A.size - _rank_at(A, root)
+        return data.size - len(minors) + 1
+    return data.size - _rank_at(data, root)
 
 
 # -- exact signatures at a single point ----------------------------------------
@@ -330,15 +254,13 @@ def _integer_symmetric_signature(m) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=2048)
-def _endpoint(A, z: int) -> tuple[int, int]:
-    """(signature, nullity) of A(z) at z = +-1 (x = +-2): L A(z) =
-    z^-s (1 - z)^c D(z) for the form (L, s, c, D), so A(1) = 0 when c = 1,
-    and otherwise A(z) has the inertia of the integer matrix z^s D(z)."""
-    _, shift, c, dense = _form(A)
-    if c and z == 1:
-        return 0, len(dense)
+def _endpoint(data, z: int) -> tuple[int, int]:
+    """(signature, nullity) of B(z) at z = +-1 (x = +-2): B(1) = 0, and
+    B(-1) = 2(V + V^T) has the inertia of the integer matrix V + V^T."""
+    if z == 1:
+        return 0, data.size
     return _integer_symmetric_signature(
-        [[z ** shift * polys.evaluate(p, z) for p in row] for row in dense])
+        [[p + q for p, q in zip(row, col)] for row, col in zip(data.matrix, data.transposed())])
 
 
 def _swap_sym(m, i, j):
@@ -347,54 +269,44 @@ def _swap_sym(m, i, j):
         row[i], row[j] = row[j], row[i]
 
 
-def _trace_signature_nullity(A, x: Fraction) -> tuple[int, int]:
-    """(signature, nullity) of A(z) at rational x = a/b in (-2, 2).
+def _trace_signature_nullity(data, x: Fraction) -> tuple[int, int]:
+    """(signature, nullity) of B(z) at rational x = a/b in (-2, 2).
 
     K = Q(z), z^2 - xz + 1 = 0, is imaginary quadratic, so the trace form
-    Tr_K/Q h of h = A(z) is a rational symmetric 2n x 2n form with twice
+    Tr_K/Q h of h = B(z) is a rational symmetric 2n x 2n form with twice
     the signature and nullity of h (Scharlau, Quadratic and Hermitian
     Forms, ch. 10).  On the Q-basis e_i, z e_i it is [[P_0, P_+], [P_-, P_0]]
-    with P_s[i][j] = sum_e c_ije D_(e+s)(x), D_e = z^e + z^-e.  It is built
-    in integers, times L b^E > 0 for E = shift + 1, the largest |e + s|,
-    from L t^shift A = (1 - t)^c D for the form (L, shift, c, D):
-    d_e = b^e D_e(a/b) follows d_(e+1) = a d_e - b^2 d_(e-1), and the term
-    of D_e is scaled by b^(E-|e|).
+    with P_s = sum_e c_e D_(e+s)(x), D_e = z^e + z^-e, for the
+    coefficients c_-1 = -V^T, c_0 = V + V^T and c_1 = -V of B(t), so
+    P_- = P_+^T.  It is built in integers, times b^2: d_e = b^2 D_e(a/b)
+    is 2b^2, ab and a^2 - 2b^2 for e = 0, 1, 2.
     """
-    _, shift, c, dense = _form(A)
-    if c:
-        dense = [[[a - b for a, b in zip(p + (0,), (0,) + p)] for p in row] for row in dense]
     a, b = x.numerator, x.denominator
-    top = shift + 1
-    d = [2, a]
-    while len(d) <= top:
-        d.append(a * d[-1] - b * b * d[-2])
-    w = [dk * b ** (top - e) for e, dk in enumerate(d)]
-
-    def block(s):
-        return [[sum(c * w[abs(k - shift + s)] for k, c in enumerate(p)) for p in row]
-                for row in dense]
-
-    p0, plus, minus = block(0), block(1), block(-1)
+    d0, d1, d2 = 2 * b * b, a * b, a * a - 2 * b * b
+    pairs = [list(zip(row, col)) for row, col in zip(data.matrix, data.transposed())]
+    p0 = [[(d0 - d1) * (p + q) for p, q in row] for row in pairs]
+    plus = [[d1 * (p + q) - d0 * q - d2 * p for p, q in row] for row in pairs]
+    minus = [list(col) for col in zip(*plus)]
     sig, nul = _integer_symmetric_signature(
         [r + q for r, q in zip(p0, plus)] + [r + q for r, q in zip(minus, p0)])
     return sig // 2, nul // 2
 
 
 def pointwise_signature_nullity(data, x) -> tuple[int, int]:
-    """Unaveraged (sigma, nullity) of the family at the circle point with
+    """Unaveraged (sigma, nullity) of B(z) at the circle point with
     z + 1/z = x, for rational x in [-2, 2].
 
     At x = -2 (z = -1) this is the unaveraged signature, which for links
     can differ from (and then beats) the averaged invariant.  The fast
     path is Jacobi's rule on the sign sequence of the leading principal
-    minors of A_I (see _principal_block), which holds wherever none of
+    minors of B_I (see _principal_block), which holds wherever none of
     them vanishes; the congruence of the integer trace form covers the
     rest.
     """
     x = _as_x(x)
     if not isinstance(x, Fraction):
         raise TypeError("pointwise evaluation needs a rational x")
-    n = len(_form(data)[3])
+    n = data.size
     if n == 0:
         return 0, 0
     if abs(x) == 2:
@@ -419,21 +331,22 @@ def _wall_hi(bp):
 
 
 @lru_cache(maxsize=2048)
-def _jump_structure(A):
+def _jump_structure(data):
     """(jump polynomial in x, generic rank r, breakpoints in open (-2, 2)).
 
-    The jump polynomial is det A_I in x divided by (2 - x)^floor(cr/2)
-    (see _principal_block), made primitive; off its roots A(z) has rank r.
-    For a Seifert matrix of a knot it is the x-form of t^(-g) Delta(t), of
-    degree g, so the rational-root split and the Sturm isolation below
-    run on integer polynomials of half the degree of det B.  Its roots
-    inside (-2, 2) are the candidate jumps.  When det A is not
-    identically zero every candidate is a root of det A, where the rank
-    drops; otherwise a candidate is kept only where the Bareiss kernel
-    finds the rank of A(z) below r.
+    The jump polynomial is det B_I in x divided by (2 - x)^(r // 2)
+    (see _principal_block), made primitive; off its roots B(z) has rank r.
+    For a knot it is the x-form of t^(-g) Delta(t), of degree g, so the
+    rational-root split and the Sturm isolation below run on integer
+    polynomials of half the degree of det B.  Its roots inside (-2, 2) are
+    the candidate jumps.  When det B is not identically zero every
+    candidate is a root of det B, where the rank drops; otherwise a
+    candidate is kept only where the Bareiss kernel finds the rank of
+    B(z) below r.  The square-free part that defines the algebraic
+    breakpoints comes from the one decomposition that the isolation reads.
     """
-    n = A.size
-    _, minors = _principal_block(A)
+    n = data.size
+    _, minors = _principal_block(data)
     rank = len(minors)
     if rank == 0:
         return (1,), 0, ()
@@ -442,13 +355,13 @@ def _jump_structure(A):
         return tuple(prim), rank, ()
 
     def jumps(root) -> bool:
-        return rank == n or _rank_at(A, root) < rank
+        return rank == n or _rank_at(data, root) < rank
 
     rest, linear = _rational_root_split(list(prim))
     rational_roots = sorted({Fraction(-f[0], f[1]) for f in linear})
     bps: list = [r for r in rational_roots if -2 < r < 2 and jumps(r)]
     if polys.degree(rest) >= 1:
-        sqfree = polys.squarefree_part(rest)
+        sqfree = _yun(tuple(rest))[1]
         for iv in isolate_real_roots(rest, Fraction(-2), Fraction(2)):
             root = RealAlgebraic(sqfree, iv.lo, iv.hi)
             if not jumps(root):
@@ -527,15 +440,14 @@ def _locate(bps, x) -> tuple[int, bool]:
 def signature_nullity_at(data, point) -> tuple:
     """Averaged signature and exact nullity at a circle point.
 
-    Away from the jump locus this is the plain (sigma, nullity) of A(z).
+    Away from the jump locus this is the plain (sigma, nullity) of B(z).
     At a jump the signature is the mean of the two one-sided limits (a
     half-integer when the jump is odd) and the nullity is the exact
     corank there.  At x = 2 (z = 1) the signature is the limit from
     x < 2 (both one-sided limits agree by conjugation symmetry) and the
-    nullity is the corank of A(1) -- the full size for Seifert families,
-    where B(1) = 0.
+    nullity is the corank of B(1) = 0, the full size.
     """
-    if not _form(data)[3]:
+    if data.size == 0:
         return 0, 0
     x = _as_x(point)
     if isinstance(x, Fraction):
@@ -638,10 +550,10 @@ def _json_rat(v):
 
 
 @lru_cache(maxsize=1024)
-def _signature_function_cached(A) -> SignatureFunction:
-    n = A.size
-    _, rank, bps = _jump_structure(A)
-    avoid = [p for p in _principal_block(A)[1] if p]
+def _signature_function_cached(data) -> SignatureFunction:
+    n = data.size
+    _, rank, bps = _jump_structure(data)
+    avoid = [p for p in _principal_block(data)[1] if p]
     samples = []
     values = []
     for i in range(len(bps) + 1):
@@ -649,17 +561,17 @@ def _signature_function_cached(A) -> SignatureFunction:
         hi = Fraction(2) if i == len(bps) else _wall_lo(bps[i])
         sample = _pick_sample(avoid, lo, hi)
         samples.append(sample)
-        sig, nul = pointwise_signature_nullity(A, sample)
+        sig, nul = pointwise_signature_nullity(data, sample)
         assert nul == n - rank, "interval nullity must equal the generic corank"
         values.append((sig, nul))
-    averaged = tuple((_mean(values[i][0], values[i + 1][0]), _nullity_at_jump(A, bp))
+    averaged = tuple((_mean(values[i][0], values[i + 1][0]), _nullity_at_jump(data, bp))
                      for i, bp in enumerate(bps))
     return SignatureFunction(n, n - rank, bps, tuple(values), averaged, tuple(samples))
 
 
-def signature_function(data) -> SignatureFunction:
-    """The full signature/nullity function of a Seifert matrix or a
-    hermitian family, with certified jump locations."""
+def signature_function(data: SeifertData) -> SignatureFunction:
+    """The full signature/nullity function of a Seifert matrix, with
+    certified jump locations."""
     return _signature_function_cached(data)
 
 
@@ -679,13 +591,12 @@ def functions_equal(f: SignatureFunction, g: SignatureFunction) -> bool:
             and f.averaged_values == g.averaged_values)
 
 
-# -- Alexander polynomial, nullity, Witt evaluation ------------------------------
+# -- Alexander polynomial, nullity, float oracle ---------------------------------
 
 
 def _presentation(data: SeifertData) -> tuple:
-    """The cached elimination of tV - V^T, the matrix of the form of
-    `data`, shared with B(t)'s block."""
-    return _elimination(_form(data)[3])
+    """The cached elimination of tV - V^T, shared with B(t)'s block."""
+    return _elimination(_form(data))
 
 
 def alexander_from_seifert(data: SeifertData) -> LaurentPoly:
@@ -713,34 +624,21 @@ def link_nullity(data: SeifertData) -> int:
     return beta
 
 
-def witt_evaluate(A: HermitianFamily, point):
-    """Averaged-limit signature of a nonsingular hermitian family at a
-    circle point: the Witt-class evaluation (additive, kills hyperbolic
-    summands).  Rejects families with identically zero determinant."""
-    if not isinstance(A, HermitianFamily):
-        raise TypeError("witt_evaluate expects a HermitianFamily")
-    if len(_principal_block(A)[0]) < A.size:
-        raise SingularFamilyError("family determinant is identically zero")
-    return signature_nullity_at(A, point)[0]
-
-
-def float_oracle(data, theta: float) -> tuple[int, int]:
-    """Floating-point (sigma, nullity) of the family at e^{i theta}, via
-    numpy eigenvalues.  Verification oracle only: eigenvalues within 1e-9
-    of zero count as null, so values near jumps are not certified."""
+def float_oracle(data: SeifertData, theta: float) -> tuple[int, int]:
+    """Floating-point (sigma, nullity) of B(z) = (1 - z)V + (1 - 1/z)V^T at
+    z = e^{i theta}, built from V in numpy and read by its eigenvalues.
+    Verification oracle only: eigenvalues within 1e-9 of zero count as
+    null, so values near jumps are not certified."""
     import numpy as np
 
     if not 0 < theta <= 3.14159265358979324:
         raise ValueError("theta must lie in (0, pi]")
-    A = b_family(data) if isinstance(data, SeifertData) else data
-    if not isinstance(A, HermitianFamily):
-        raise TypeError("expected SeifertData or HermitianFamily")
-    n = A.size
+    n = data.size
     if n == 0:
         return 0, 0
+    v = np.array(data.matrix, dtype=float)
     z = complex(np.cos(theta), np.sin(theta))
-    m = np.array([[complex(A.entries[i][j].evaluate_complex(z)) for j in range(n)]
-                  for i in range(n)])
+    m = (1 - z) * v + (1 - z.conjugate()) * v.T
     eig = np.linalg.eigvalsh(m)
     pos = int((eig > 1e-9).sum())
     neg = int((eig < -1e-9).sum())

@@ -7,7 +7,7 @@ import random
 import linkbound.linalg
 import linkbound.realroots
 import linkbound.signature
-from linkbound import BraidWord, SeifertData, closure_components, \
+from linkbound import BraidWord, LaurentPoly, SeifertData, closure_components, \
     seifert_matrix_from_braid, stabilize
 from linkbound.linalg import int_rank_det
 
@@ -37,6 +37,14 @@ def random_seifert_data(rng: random.Random, max_size=6, max_entry=3) -> SeifertD
         if m == 1 and abs(det) != 1:
             continue
         return SeifertData.from_matrix(v, m)
+
+
+def b_laurent(data: SeifertData) -> list[list[LaurentPoly]]:
+    """B(t) = (1 - t)V + (1 - 1/t)V^T as a matrix of Laurent polynomials,
+    built from V for the reference computations."""
+    v = data.matrix
+    return [[LaurentPoly({0: v[i][j] + v[j][i], 1: -v[i][j], -1: -v[j][i]})
+             for j in range(data.size)] for i in range(data.size)]
 
 
 def random_braid(rng: random.Random, max_strands=4, max_len=10) -> BraidWord:

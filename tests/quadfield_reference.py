@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from linkbound.laurent import LaurentPoly
-from linkbound.signature import HermitianFamily, _swap_sym
+from linkbound.signature import _swap_sym
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,10 @@ def quad_eval(p: LaurentPoly, x: Fraction) -> QuadFieldElem:
     return QuadFieldElem(a, b, x)
 
 
-def _quad_signature_nullity(A: HermitianFamily, x: Fraction) -> tuple[int, int]:
-    """(signature, nullity) of A(z) at rational x in (-2, 2), by exact
-    hermitian congruence diagonalization over Q[z]/(z^2 - xz + 1).
+def _quad_signature_nullity(A: list[list[LaurentPoly]], x: Fraction) -> tuple[int, int]:
+    """(signature, nullity) of A(z) at rational x in (-2, 2), for a
+    hermitian matrix A of Laurent polynomials, by exact hermitian
+    congruence diagonalization over Q[z]/(z^2 - xz + 1).
 
     When every remaining diagonal entry vanishes but some off-diagonal
     w = m[i][j] does not, one of w + conj(w) and zw + conj(zw) is nonzero
@@ -105,8 +106,8 @@ def _quad_signature_nullity(A: HermitianFamily, x: Fraction) -> tuple[int, int]:
     always manufactures a usable pivot.  Handles singular matrices: zero
     diagonal entries at the end count the corank.
     """
-    n = A.size
-    m = [[quad_eval(A.entries[i][j], x) for j in range(n)] for i in range(n)]
+    n = len(A)
+    m = [[quad_eval(A[i][j], x) for j in range(n)] for i in range(n)]
     one = QuadFieldElem(1, 0, x)
     zelt = QuadFieldElem(0, 1, x)
     pos = neg = zero = 0

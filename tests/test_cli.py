@@ -269,6 +269,25 @@ def test_infect_malformed_input_exit_code(capsys, tmp_path, report, declaration)
     assert err.startswith("parse error:") and "Traceback" not in err
 
 
+NON_INTEGER_REPORT = {"lower": 1.9, "upper": 1.2, "slice_verdict": "obstructed"}
+NON_INTEGER_DECLARATION = dict(DECLARATION, linking_numbers=[[0.7]])
+
+
+@pytest.mark.parametrize("report, declaration", [
+    (NON_INTEGER_REPORT, NON_INTEGER_DECLARATION), (NON_INTEGER_REPORT, DECLARATION),
+    (REPORT, NON_INTEGER_DECLARATION)])
+def test_infect_non_integer_exit_code(capsys, tmp_path, report, declaration):
+    """A bound or a linking number that is not a JSON integer is a parse
+    error (exit 2), not truncated: int() would read lower 1.9 and upper
+    1.2 as an exact bound 1, and the linking number 0.7 as 0."""
+    report_path, decl_path = tmp_path / "report.json", tmp_path / "decl.json"
+    report_path.write_text(json.dumps(report))
+    decl_path.write_text(json.dumps(declaration))
+    code, out, err = run(capsys, "infect", str(report_path), str(decl_path))
+    assert code == 2 and not out
+    assert err.startswith("parse error:") and "Traceback" not in err
+
+
 def test_signature_csv(capsys, trefoil_file):
     code, out, _ = run(capsys, "signature-csv", trefoil_file, "--samples", "100")
     assert code == 0

@@ -1,24 +1,25 @@
 """The exact Z[t] kernel against sympy: Bareiss determinants and ranks
 under complete pivoting, the leading minors read off one elimination, the
-principal block of a degenerate hermitian family, and the packing of
-entries at t = 2^K, including inputs whose minors reach the bound."""
+principal block of B(t) for degenerate Seifert matrices, and the packing
+of entries at t = 2^K, including inputs whose minors reach the bound."""
 
 import math
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from linkbound import HermitianFamily, LaurentPoly, involution, signature_function
+from linkbound import SeifertData, signature_function
 from linkbound.linalg import (_bareiss, _pack, _packing_bits, _unpack, int_rank_det, poly_det,
                               poly_rank)
 from linkbound.signature import (_diagonal_prefix, _integer_symmetric_signature,
                                  _principal_block, _trace_signature_nullity,
                                  pointwise_signature_nullity)
 
+from helpers import b_laurent
 from quadfield_reference import _quad_signature_nullity
 
 T = sympy.Symbol("t")
@@ -173,47 +174,38 @@ def test_integer_det_and_rank_match_sympy(m):
     assert int_rank_det(m) == (matrix.rank(), matrix.det())
 
 
-def _random_laurent(draw, symmetric: bool) -> LaurentPoly:
-    c0, c1, cm1 = (draw(st.integers(-3, 3)) for _ in range(3))
-    return LaurentPoly({0: c0, 1: c1, -1: c1 if symmetric else cm1})
-
-
 @st.composite
-def degenerate_families(draw):
-    """Hermitian families with entries in t^-1..t, n <= 5; optionally a
-    zero (1,1) entry and/or index k-1 a copy of index 0, which makes the
-    leading minors from size k on, and the determinant, vanish."""
+def degenerate_seifert(draw):
+    """Seifert matrices V, n <= 5, with entries in -2..2; optionally a zero
+    (1,1) entry, which makes the first leading minor of B(t) vanish, and/or
+    the congruence P V P^T whose P copies index 0 to index k-1, which makes
+    the leading minors of B from size k on, and det B, vanish.  Knots whose
+    V - V^T is not unimodular are rejected."""
     n = draw(st.integers(1, 5))
-    e = [[None] * n for _ in range(n)]
-    for i in range(n):
-        e[i][i] = _random_laurent(draw, symmetric=True)
-        for j in range(i + 1, n):
-            e[i][j] = _random_laurent(draw, symmetric=False)
-            e[j][i] = involution(e[i][j])
+    v = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
     if draw(st.booleans()):
-        e[0][0] = LaurentPoly.zero()
+        v[0][0] = 0
     if n >= 2 and draw(st.booleans()):
         k = draw(st.integers(2, n))
-        for j in range(n):
-            e[k - 1][j] = e[0][j]
-            e[j][k - 1] = e[j][0]
-        e[k - 1][k - 1] = e[0][0]
-    return HermitianFamily(tuple(tuple(row) for row in e))
+        p = [[int(j == (0 if i == k - 1 else i)) for j in range(n)] for i in range(n)]
+        v = [[sum(p[i][a] * v[a][b] * p[j][b] for a in range(n) for b in range(n))
+              for j in range(n)] for i in range(n)]
+    rank, det = int_rank_det([[v[i][j] - v[j][i] for j in range(n)] for i in range(n)])
+    assume(rank < n or abs(det) == 1)
+    return SeifertData.from_matrix(v, n - rank + 1)
 
 
 @settings(max_examples=40, deadline=None)
-@given(degenerate_families())
-def test_leading_minors_x_match_sympy(A):
-    """The principal block A_I has the generic rank of A, a nonzero
-    determinant, and leading minors q in x with det A_I,k(t) =
-    c q(t + 1/t) (2 - t - 1/t)^j for a rational c > 0, where j = k // 2
-    when A(1) = 0 and j = 0 otherwise, checked as t^k det A_I,k(t) =
-    c t^k q(t + 1/t) (2 - t - 1/t)^j in Z[t] against sympy's determinant
-    of t A_I,k(t)."""
-    block, minors = _principal_block(A)
-    vanishes_at_one = not any(p.evaluate(1) for row in A.entries for p in row)
-    shifted = [[[A.entries[i][j].coefficient(e) for e in (-1, 0, 1)]
-                for j in range(A.size)] for i in range(A.size)]
+@given(degenerate_seifert())
+def test_leading_minors_x_match_sympy(data):
+    """The principal block B_I has the generic rank of B, a nonzero
+    determinant, and leading minors q in x with det B_I,k(t) =
+    c q(t + 1/t) (2 - t - 1/t)^(k // 2) for a rational c > 0, checked as
+    t^k det B_I,k(t) = c t^k q(t + 1/t) (2 - t - 1/t)^(k // 2) in Z[t]
+    against sympy's determinant of t B_I,k(t), built from V."""
+    block, minors = _principal_block(data)
+    v, n = data.matrix, data.size
+    shifted = [[[-v[j][i], v[i][j] + v[j][i], -v[i][j]] for j in range(n)] for i in range(n)]
     assert len(minors) == len(block) == sympy_rank(shifted)
     assert not minors or minors[-1]
     for k, q in enumerate(minors, 1):
@@ -221,7 +213,7 @@ def test_leading_minors_x_match_sympy(A):
         if not q:
             assert det == []
             continue
-        j = k // 2 if vanishes_at_one else 0
+        j = k // 2
         sub = (-(T - 1) ** 2) ** j * sum(c * (T ** 2 + 1) ** i * T ** (k - j - i)
                                          for i, c in enumerate(q))
         sub = _trim(reversed(sympy.Poly(sub, T).all_coeffs()))
@@ -230,30 +222,26 @@ def test_leading_minors_x_match_sympy(A):
 
 
 @settings(max_examples=60, deadline=None)
-@given(degenerate_families(), st.lists(st.builds(Fraction, st.integers(-39, 39), st.integers(1, 20)),
-                                       min_size=1, max_size=6))
-def test_jacobi_signs_match_congruence(A, xs):
-    """Jacobi's rule on the integer signs of the leading minors of A_I
-    against exact congruence diagonalization of A at the same points."""
+@given(degenerate_seifert(), st.lists(st.builds(Fraction, st.integers(-39, 39),
+                                                st.integers(1, 20)), min_size=1, max_size=6))
+def test_jacobi_signs_match_congruence(data, xs):
+    """Jacobi's rule on the integer signs of the leading minors of B_I
+    against exact congruence diagonalization of B at the same points."""
     for x in xs:
         if abs(x) < 2:
-            assert pointwise_signature_nullity(A, x) == _trace_signature_nullity(A, x)
+            assert pointwise_signature_nullity(data, x) == _trace_signature_nullity(data, x)
 
 
 @settings(max_examples=60, deadline=None)
-@given(degenerate_families(), st.integers(1, 3), st.integers(1, 4),
-       st.lists(st.builds(Fraction, st.integers(-39, 39), st.integers(1, 20)), max_size=4))
-def test_trace_form_matches_quadratic_field(A, power, denominator, xs):
-    """The rational trace form against the congruence over Q[z]/(z^2 - xz + 1)
-    at random rationals and at every rational breakpoint, where the nullity
-    is positive, on A(t^power) / denominator: exponents up to +-3 and
-    Fraction entries."""
-    A = HermitianFamily(tuple(
-        tuple(LaurentPoly({power * e: Fraction(c, denominator) for e, c in p.items()})
-              for p in row) for row in A.entries))
-    points = [bp for bp in signature_function(A).breakpoints if isinstance(bp, Fraction)]
+@given(degenerate_seifert(), st.lists(st.builds(Fraction, st.integers(-39, 39),
+                                                st.integers(1, 20)), max_size=4))
+def test_trace_form_matches_quadratic_field(data, xs):
+    """The integer trace form read off V against the congruence of the
+    Laurent matrix B(t) over Q[z]/(z^2 - xz + 1), at random rationals and
+    at every rational breakpoint, where the nullity is positive."""
+    points = [bp for bp in signature_function(data).breakpoints if isinstance(bp, Fraction)]
     for x in points + [x for x in xs if abs(x) < 2]:
-        assert _trace_signature_nullity(A, x) == _quad_signature_nullity(A, x)
+        assert _trace_signature_nullity(data, x) == _quad_signature_nullity(b_laurent(data), x)
 
 
 @st.composite

@@ -12,10 +12,10 @@ from sympy import QQ, ZZ
 from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import ring
 
-from linkbound import LaurentPoly, alexander_from_seifert, b_family, \
-    seifert_matrix_from_braid, torus_braid
+from linkbound import LaurentPoly, alexander_from_seifert, seifert_matrix_from_braid, \
+    torus_braid
 from linkbound import polys
-from linkbound.signature import _jump_structure, symmetric_laurent_to_xpoly
+from linkbound.signature import _jump_structure
 
 ZX, _ = ring("x", ZZ)
 QX, _ = ring("x", QQ)
@@ -99,9 +99,10 @@ def test_torus_knot_jump_polynomial_has_half_degree(q):
     """The jump polynomial of T(2,q) is the x-form of t^-(q-1)/2 Delta(t):
     degree (q - 1)/2, and no factor 2 - x left from (1 - t)^(q-1)."""
     data = seifert_matrix_from_braid(torus_braid(2, q))
-    jump, rank, _ = _jump_structure(b_family(data))
+    jump, rank, _ = _jump_structure(data)
     half = (q - 1) // 2
     assert rank == q - 1 and polys.degree(jump) == half
     assert polys.sign_at(list(jump), 2) != 0
-    delta = alexander_from_seifert(data) * LaurentPoly.t(-half)
-    assert list(jump) == polys.primitive_positive(symmetric_laurent_to_xpoly(delta))[1]
+    x = LaurentPoly({1: 1, -1: 1})
+    jump_t = sum((x ** i * c for i, c in enumerate(jump)), LaurentPoly.zero())
+    assert jump_t == alexander_from_seifert(data) * LaurentPoly.t(-half)

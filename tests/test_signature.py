@@ -1,24 +1,23 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from linkbound import (BraidWord, CirclePoint, HermitianFamily, LaurentPoly,
-                       RealAlgebraic, SeifertData, SingularFamilyError,
-                       alexander_from_seifert, assemble_report, b_family, connected_sum,
+from linkbound import (BraidWord, CirclePoint, LaurentPoly, RealAlgebraic, SeifertData,
+                       alexander_from_seifert, assemble_report, connected_sum,
                        float_oracle, functions_equal, involution, link_nullity,
                        mirror, pointwise_signature_nullity,
                        seifert_matrix_from_braid, signature_function,
                        signature_nullity_at, stabilize, torus_braid,
-                       units_equal, witt_evaluate)
+                       units_equal)
 from linkbound import polys, signature
 from linkbound.linalg import _bareiss, poly_det
-from linkbound.signature import (_diagonal_prefix, breakpoints_equal,
-                                 symmetric_laurent_to_xpoly)
+from linkbound.signature import _diagonal_prefix, _minor_x, breakpoints_equal
 
-from helpers import (cold_caches as _clear_caches, count_eliminations,
+from helpers import (b_laurent, cold_caches as _clear_caches, count_eliminations,
                      degenerate_family, random_knot_data, random_seifert_data,
                      random_unimodular, zero_padded)
 from quadfield_reference import QuadFieldElem, quad_eval
@@ -58,45 +57,56 @@ def test_quadfield_rejects_boundary():
         QuadFieldElem(1, 1, 2)
 
 
-# -- b_family --------------------------------------------------------------------
+# -- B(t) and its integer form ---------------------------------------------------
+
+T_LAURENT = LaurentPoly.t()
+
 
 def test_b_family_trefoil_entries():
-    fam = b_family(TREFOIL_V)
-    assert fam.entries[0][0] == LaurentPoly({1: 1, -1: 1, 0: -2})
-    assert fam.entries[0][1] == LaurentPoly({0: 1, 1: -1})
-    assert fam.entries[1][0] == LaurentPoly({0: 1, -1: -1})
-    assert fam.entries[1][1] == fam.entries[0][0]
+    """The form of the trefoil is tV - V^T, and (1 - t)/t times it is B(t)."""
+    form = signature._form(TREFOIL_V)
+    assert form == (((1, -1), (0, 1)), ((-1,), (1, -1)))
+    b = [[LaurentPoly.from_dense(p, -1) * (1 - T_LAURENT) for p in row] for row in form]
+    assert b[0][0] == LaurentPoly({1: 1, -1: 1, 0: -2})
+    assert b[0][1] == LaurentPoly({0: 1, 1: -1})
+    assert b[1][0] == LaurentPoly({0: 1, -1: -1})
+    assert b[1][1] == b[0][0]
 
 
 def test_b_family_empty():
-    assert b_family(UNKNOT).size == 0
+    assert signature._form(UNKNOT) == ()
+    assert signature._principal_block(UNKNOT) == ((), ())
 
 
 def test_b_family_vanishes_at_one():
+    """B(1) = 0: at x = 2 the nullity is the full size."""
     rng = random.Random(6)
     for _ in range(10):
-        fam = b_family(random_seifert_data(rng, max_size=4))
-        for row in fam.entries:
-            for p in row:
-                assert p.evaluate(1) == 0
+        data = random_seifert_data(rng, max_size=4)
+        assert pointwise_signature_nullity(data, 2) == (0, data.size)
+        assert signature_nullity_at(data, 2)[1] == data.size
 
 
 def test_b_family_hermitian_validation():
+    """Every leading minor of B is fixed by t -> 1/t, so _minor_x accepts
+    each one; a minor that is not symmetric is refused."""
     rng = random.Random(61)
     for _ in range(20):
-        fam = b_family(random_seifert_data(rng, max_size=5))
-        for i in range(fam.size):
-            for j in range(fam.size):
-                assert fam.entries[j][i] == involution(fam.entries[i][j])
+        form = signature._form(random_seifert_data(rng, max_size=5))
+        for k in range(1, len(form) + 1):
+            _minor_x(poly_det([row[:k] for row in form[:k]]), k)
     with pytest.raises(ValueError):
-        HermitianFamily(((LaurentPoly.t(),),))
+        _minor_x((0, 1), 1)  # (1 - t) t / t = 1 - t
 
 
 def test_symmetric_to_xpoly():
-    assert symmetric_laurent_to_xpoly(LaurentPoly({1: 1, -1: 1})) == [0, 1]
-    assert symmetric_laurent_to_xpoly(LaurentPoly({2: 1, -2: 1})) == [-2, 0, 1]
-    with pytest.raises(ValueError):
-        symmetric_laurent_to_xpoly(LaurentPoly.t())
+    """((1 - t)/t)^k p(t) / (2 - x)^(k // 2) in x: -x for p = 1 + t^2,
+    k = 2, and x^2 - 2 for p = 1 + t^4, k = 4; the trefoil's
+    determinant t^2 - t + 1 becomes 1 - x."""
+    assert _minor_x((1, 0, 1), 2) == (0, -1)
+    assert _minor_x((1, 0, 0, 0, 1), 4) == (-2, 0, 1)
+    assert _minor_x((1, -1, 1), 2) == (1, -1)
+    assert _minor_x((), 3) == ()
 
 
 # -- signatures at points -----------------------------------------------------------
@@ -183,29 +193,32 @@ def test_zero_matrix_link():
     assert alexander_from_seifert(data).is_zero
 
 
-# -- Witt evaluation ---------------------------------------------------------------
+# -- Witt classes --------------------------------------------------------------------
 
 def test_witt_positive_entry():
-    fam = HermitianFamily(((LaurentPoly({1: 1, -1: 1}),),))
-    assert witt_evaluate(fam, Fraction(1)) == 1
+    """V = (1), a two-component link: B(z) = 2 - x > 0 off z = 1."""
+    data = SeifertData.from_matrix([[1]], 2)
+    for x in (Fraction(-2), Fraction(1), Fraction(3, 2)):
+        assert signature_nullity_at(data, x) == (1, 0)
+    assert signature_nullity_at(data, 2) == (1, 1)
 
 
 def test_witt_hyperbolic_is_zero():
-    hyp = HermitianFamily(((LaurentPoly.zero(), LaurentPoly.one()),
-                           (LaurentPoly.one(), LaurentPoly.zero())))
+    """V = [[0, 1], [0, 0]] gives the hyperbolic form B(z) =
+    [[0, 1 - z], [1 - 1/z, 0]]: signature 0 everywhere, and added to the
+    trefoil's V it leaves the trefoil's function."""
+    hyp = SeifertData.from_matrix([[0, 1], [0, 0]])
     for x in (Fraction(-2), Fraction(-1), Fraction(0), Fraction(3, 2), Fraction(2)):
-        assert witt_evaluate(hyp, x) == 0
+        assert signature_nullity_at(hyp, x)[0] == 0
+    assert functions_equal(signature_function(connected_sum(TREFOIL_V, hyp)),
+                           signature_function(TREFOIL_V))
 
 
 def test_witt_matches_signature_engine():
-    fam = b_family(TREFOIL_V)
-    assert witt_evaluate(fam, Fraction(-2)) == -2
-
-
-def test_witt_rejects_singular():
-    fam = b_family(SeifertData.from_matrix([[0]], 2))
-    with pytest.raises(SingularFamilyError):
-        witt_evaluate(fam, Fraction(0))
+    """At x = -2 the averaged value, the congruence of V + V^T and the
+    float oracle agree for the trefoil."""
+    assert signature_nullity_at(TREFOIL_V, Fraction(-2)) == (-2, 0)
+    assert pointwise_signature_nullity(TREFOIL_V, -2) == float_oracle(TREFOIL_V, math.pi)
 
 
 # -- float oracle ---------------------------------------------------------------------
@@ -242,10 +255,9 @@ def test_trace_form_matches_oracle_on_t3_20():
     """At every sample of T(3,20) (n = 38), the 76 x 76 integer trace form
     and the Jacobi read agree with the float oracle."""
     data = seifert_matrix_from_braid(torus_braid(3, 20))
-    A = b_family(data)
     for x in signature_function(data).samples:
         oracle = float_oracle(data, math.acos(float(x) / 2))
-        assert signature._trace_signature_nullity(A, x) == oracle
+        assert signature._trace_signature_nullity(data, x) == oracle
         assert pointwise_signature_nullity(data, x) == oracle
 
 
@@ -253,14 +265,11 @@ def test_conjugation_symmetry_of_family():
     # B(conj z) and B(z) have the same eigenvalues, so sigma(theta) = sigma(-theta)
     rng = random.Random(77)
     for _ in range(10):
-        data = random_seifert_data(rng, max_size=4)
-        fam = b_family(data)
-        n = fam.size
+        fam = b_laurent(random_seifert_data(rng, max_size=4))
         theta = rng.uniform(0.1, 3.0)
         for sign in (1, -1):
             z = complex(math.cos(sign * theta), math.sin(sign * theta))
-            m = np.array([[complex(fam.entries[i][j].evaluate_complex(z))
-                           for j in range(n)] for i in range(n)])
+            m = np.array([[complex(p.evaluate_complex(z)) for p in row] for row in fam])
             eig = np.linalg.eigvalsh(m)
             if sign == 1:
                 ref = (int((eig > 1e-9).sum()), int((eig < -1e-9).sum()))
@@ -498,25 +507,51 @@ def test_one_gcd_per_jump_polynomial(monkeypatch):
     assert pairs and len(pairs) == len(set(pairs)) < len(f.breakpoints)
 
 
-def test_b_family_built_once_per_seifert_matrix(monkeypatch):
-    """B(t) is never built as a Laurent family for a SeifertData: not for
-    the function, not for 100 reads, not for a cold report.  Every reader
-    takes tV - V^T straight from V."""
-    built = []
-    post_init = HermitianFamily.__post_init__
+def test_one_squarefree_pass_per_jump_polynomial(monkeypatch):
+    """A cold T(2,19) report takes gcd(p, p') of its jump polynomial once:
+    the square-free part of the breakpoints and the root isolation read
+    one decomposition."""
+    jump = signature._jump_structure(seifert_matrix_from_braid(torus_braid(2, 19)))[0]
+    passes = []
+    gcd_poly = polys.gcd_poly
 
-    def counting(self):
-        built.append(self)
-        post_init(self)
+    def counted(p, q):
+        if polys.trim(q) == polys.derivative(p):
+            passes.append(tuple(polys.primitive(p)))
+        return gcd_poly(p, q)
 
-    monkeypatch.setattr(HermitianFamily, "__post_init__", counting)
+    monkeypatch.setattr(polys, "gcd_poly", counted)
+    _clear_caches()
+    assemble_report(seifert_matrix_from_braid(torus_braid(2, 19)))
+    assert passes.count(jump) == 1
+
+
+def test_signature_path_builds_no_laurent_poly(monkeypatch):
+    """The signature layer builds a LaurentPoly only for Delta: the
+    function and 100 reads build none, and in a cold report each one
+    built under a signature.py frame is built by alexander_from_seifert."""
+    callers = []
+    init = LaurentPoly.__init__
+
+    def counting(self, *args):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            if frame.f_code.co_filename == signature.__file__:
+                names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        callers.append(names)
+        init(self, *args)
+
+    monkeypatch.setattr(LaurentPoly, "__init__", counting)
     _clear_caches()
     data = seifert_matrix_from_braid(torus_braid(3, 7))
     f = signature_function(data)
     _answers(data, _read_stream(random.Random(5), len(f.breakpoints), 100))
+    assert callers == []
     _clear_caches()
     assemble_report(data)
-    assert len(built) == 0
+    inside = [names for names in callers if names]
+    assert inside and all(names == {"alexander_from_seifert"} for names in inside)
 
 
 @pytest.mark.parametrize("knot", ["T(2,5)", "T(3,4)", "random"])
@@ -550,32 +585,35 @@ def test_degenerate_family_matches_knot(knot):
 
 
 def test_jump_candidates_need_a_rank_drop():
-    """A = b (u, 1)^T (u, 1)^* with b = t + 1/t and u = t^2 - t + 1 has
-    generic rank 1 and pivot row 0, so det A_I = b |u|^2.  u vanishes on
-    the circle at x = 1, where A(z) still has rank 1: only the root x = 0
-    of b is a jump."""
-    b = LaurentPoly({-1: 1, 1: 1})
-    u = LaurentPoly({0: 1, 1: -1, 2: 1})
-    ub = involution(u)
-    A = HermitianFamily(((b * u * ub, b * u), (b * ub, b)))
-    f = signature_function(A)
-    assert f.breakpoints == (Fraction(0),)
-    assert f.interval_values == ((-1, 1), (1, 1))
-    assert f.averaged_values == ((0, 2),)
-    assert signature_nullity_at(A, 1) == pointwise_signature_nullity(A, 1) == (1, 1)
-    assert signature_nullity_at(A, 0) == (0, 2)
+    """For this V (two components, beta = 1), tV - V^T has the kernel
+    vector (t, t^2, 1 - t + t^2, 0, 0), the pivot rows are I = {0, 1, 3, 4}
+    and det B_I is a multiple of |1 - z + z^2|^2, so the jump polynomial
+    has the root x = 1.  B(z) keeps rank 4 there: no jump.  Added to the
+    trefoil's V, whose Delta vanishes at x = 1 too, the same candidate is
+    a jump."""
+    v = [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [0, 0, 0, 0, 0], [1, -1, 1, 0, 0], [1, 0, 0, 0, 0]]
+    data = SeifertData.from_matrix(v, 2)
+    assert signature._principal_block(data)[0] == (0, 1, 3, 4)
+    jump, rank, bps = signature._jump_structure(data)
+    assert polys.sign_at(list(jump), 1) == 0 and rank == 4 and bps == ()
+    assert signature_function(data).interval_values == ((0, 1),)
+    assert signature_nullity_at(data, 1) == pointwise_signature_nullity(data, 1) == (0, 1)
+    assert float_oracle(data, math.pi / 3) == (0, 1)
+    trefoil = [[-1, 1] + [0] * 5, [0, -1] + [0] * 5] + [[0, 0] + row for row in v]
+    f = signature_function(SeifertData.from_matrix(trefoil, 2))
+    assert f.breakpoints == (Fraction(1),)
+    assert f.interval_values == ((-2, 1), (0, 1)) and f.averaged_values == ((-1, 2),)
 
 
 # -- one elimination per Seifert matrix ------------------------------------------
 
 
-def _family_route(A):
-    """(I, Laurent minors) by the general route: the form of the hermitian
-    family A, multiplied back to L t^s A = (1 - t)^c D and eliminated
-    itself; L = 1 for B(t)."""
-    mult, shift, c, dense = signature._form(A)
-    assert mult == 1
-    dense = [[polys.mul(p, [1, -1] if c else [1]) for p in row] for row in dense]
+def _family_route(data):
+    """(I, Laurent minors of B) by a second route: t B(t) = -V^T +
+    (V + V^T) t - V t^2, built from V and eliminated itself."""
+    v, n = data.matrix, data.size
+    dense = [[polys.trim([-v[j][i], v[i][j] + v[j][i], -v[i][j]]) for j in range(n)]
+             for i in range(n)]
     _, pivots, rows, cols = _bareiss(dense)
     block = sorted(rows)
     if _diagonal_prefix(rows, cols) < len(block) < len(dense):
@@ -584,7 +622,7 @@ def _family_route(A):
     k0 = _diagonal_prefix(rows, cols)
     minors = pivots[:k0] + [poly_det([row[:k] for row in dense[:k]])
                             for k in range(k0 + 1, len(block) + 1)]
-    return tuple(block), [LaurentPoly.from_dense(p, -shift * k) for k, p in enumerate(minors, 1)]
+    return tuple(block), [LaurentPoly.from_dense(p, -k) for k, p in enumerate(minors, 1)]
 
 
 def _route_inputs():
@@ -602,17 +640,16 @@ def _route_inputs():
 
 def test_principal_block_from_the_shared_elimination():
     """(I, minors) read off the one cached elimination of tV - V^T equal
-    the general route through _form(b_family(data)), on torus knots and links,
-    random Seifert matrices, zero-padded and degenerate families: each
-    k x k minor is kept as q(x) with q(t + 1/t) (2 - t - 1/t)^(k // 2) =
-    m(t), the Laurent minor, since B(1) = 0 (c = 1 in _minor_x).  Delta
-    and beta read the same cache entry."""
+    those of the elimination of t B(t), on torus knots and links, random
+    Seifert matrices, zero-padded and degenerate families: each k x k
+    minor is kept as q(x) with q(t + 1/t) (2 - t - 1/t)^(k // 2) = m(t),
+    the Laurent minor of B.  Delta and beta read the same cache entry."""
     x = LaurentPoly({1: 1, -1: 1})
     two_minus_x = LaurentPoly({0: 2, 1: -1, -1: -1})
     for data in _route_inputs():
         _clear_caches()
         block, minors = signature._principal_block(data)
-        ref_block, ref_minors = _family_route(b_family(data))
+        ref_block, ref_minors = _family_route(data)
         assert block == ref_block and len(minors) == len(ref_minors)
         for k, (q, m) in enumerate(zip(minors, ref_minors), 1):
             qx = sum((x ** i * c for i, c in enumerate(q)), LaurentPoly.zero())
@@ -624,17 +661,13 @@ def test_principal_block_from_the_shared_elimination():
 
 
 def test_form_of_seifert_data_is_the_form_of_b():
-    """_form builds (1, 1, 1, tV - V^T) straight from V, and the general
-    route through the Laurent entries of B(t) gives the same form, on
-    random Seifert matrices, zero-padded and degenerate families.  For
-    V = 0, B = 0 has no exponent to read a shift from, and every shift
-    fits; only then do the shifts differ."""
+    """_form builds tV - V^T straight from V, and (1 - t)/t times it is
+    B(t), whose Laurent entries are built from V apart, on random Seifert
+    matrices, zero-padded and degenerate families."""
     for data in _route_inputs():
-        form, ref = signature._form(data), signature._form(b_family(data))
-        if not any(map(any, data.matrix)):
-            assert (form[1], ref[1]) == (1, 0)
-            form, ref = form[:1] + form[2:], ref[:1] + ref[2:]
-        assert form == ref
+        b = b_laurent(data)
+        for form_row, b_row in zip(signature._form(data), b):
+            assert [LaurentPoly.from_dense(p, -1) * (1 - T_LAURENT) for p in form_row] == b_row
 
 
 @pytest.mark.parametrize("p, q", [(2, 5), (3, 7), (4, 5), (3, 10)])
