@@ -82,6 +82,8 @@ class BoundReport:
                                  for p in obj.get("provenance", ())),
                 assumptions=tuple(str(a) for a in obj.get("assumptions", ())),
                 components=_json_int(obj.get("components", 1), "components"))
+        except ParseError:
+            raise  # already says which field is wrong
         except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise ParseError(f"malformed bound report: {e!r}") from None
         return cls(**fields)
@@ -145,6 +147,8 @@ class InfectionDecl:
                 milnor_vanishing_length=_json_int(obj["milnor_vanishing_length"],
                                                   "milnor_vanishing_length"),
                 notes=str(obj.get("notes", "")))
+        except ParseError:
+            raise  # already says which field is wrong
         except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise ParseError(f"malformed infection declaration: {e!r}") from None
         return cls(**fields)

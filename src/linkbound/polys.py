@@ -176,16 +176,18 @@ def squarefree_part(p) -> list:
     return primitive_positive(div_exact(p, gcd_poly(p, derivative(p))))[1]
 
 
-def squarefree_decomposition(p) -> list[tuple[list, int]]:
+def squarefree_decomposition(p, g=None) -> list[tuple[list, int]]:
     """Yun's algorithm: p ~ prod f_i^i with the f_i squarefree, pairwise
     coprime, primitive and positive-leading.  Equality holds up to a
     rational unit; constant factors are dropped.  Every gcd is primitive
-    and divides a primitive polynomial, so each quotient is integral."""
+    and divides a primitive polynomial, so each quotient is integral.
+    A caller that has gcd(p, p') already, primitive, passes it as g."""
     p = primitive(p)
     if degree(p) <= 0:
         return []
     out = []
-    g = gcd_poly(p, derivative(p))
+    if g is None:
+        g = gcd_poly(p, derivative(p))
     b = div_exact(p, g)
     c = div_exact(derivative(p), g)
     d = sub(c, derivative(b))

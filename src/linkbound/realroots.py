@@ -8,9 +8,15 @@ root, which is what certifying signature jumps requires.
 
 Sturm chains hold primitive integer polynomials and are computed once per
 polynomial; every sign is decided in integer arithmetic
-(:func:`linkbound.polys.sign_at`).  An interval that isolates the single
-root of a square-free polynomial is bisected by the sign of that
-polynomial at the midpoint alone, since a simple root is a sign change.
+(:func:`linkbound.polys.sign_at`).  Within one isolation each point's
+Sturm count is taken once.  The chain is the one remainder sequence of
+(p, p'), and its last element is gcd(p, p'): a constant one means p is
+square-free, and otherwise Yun's decomposition starts from it.  An
+interval that isolates the single root of a square-free polynomial is
+bisected by the sign of that polynomial at the midpoint alone, since a
+simple root is a sign change.  A breakpoint built from a certified
+interval of :func:`isolate_real_roots` is not counted again; the public
+:class:`RealAlgebraic` constructor checks everything.
 """
 
 from __future__ import annotations
@@ -74,60 +80,90 @@ def sign_variations(values) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _chain_signs(chain, x) -> list:
+    """Signs of every element of a Sturm chain at a rational x: the one
+    place a chain is evaluated."""
+    return [polys.sign_at(c, x) for c in chain]
+
+
 def count_roots(chain, a, b) -> int:
     """Distinct real roots of the chain's polynomial in the half-open
     interval (a, b].  Valid even when a or b is a simple root, so for
     square-free polynomials at any endpoints."""
-    va = sign_variations([polys.sign_at(c, a) for c in chain])
-    vb = sign_variations([polys.sign_at(c, b) for c in chain])
-    return va - vb
+    return sign_variations(_chain_signs(chain, a)) - sign_variations(_chain_signs(chain, b))
 
 
-def _nonroot_endpoint(p, chain, anchor, inward, from_high) -> Fraction:
+class _SturmCounts:
+    """A Sturm chain read at points, each point evaluated once: at(x) is
+    (sign of the chain's polynomial at x, sign variations of the chain at
+    x), kept for the lifetime of the object, which is one isolation."""
+
+    def __init__(self, chain):
+        self.chain, self._memo = chain, {}
+
+    def at(self, x) -> tuple[int, int]:
+        hit = self._memo.get(x)
+        if hit is None:
+            signs = _chain_signs(self.chain, x)
+            hit = self._memo[x] = (signs[0], sign_variations(signs))
+        return hit
+
+    def sign(self, x) -> int:
+        return self.at(x)[0]
+
+    def roots(self, a, b) -> int:
+        """count_roots over (a, b] from the kept counts."""
+        return self.at(a)[1] - self.at(b)[1]
+
+
+def _nonroot_endpoint(counts, anchor, inward, from_high) -> Fraction:
     """A point strictly between `anchor` and `inward` that is not a root of
-    p, with no root of p strictly between it and `anchor`."""
+    the counted polynomial, with no root of it strictly between the point
+    and `anchor`."""
     step = abs(anchor - inward) / 2
-    anchor_is_root = polys.sign_at(p, anchor) == 0
+    anchor_is_root = counts.sign(anchor) == 0
     while True:
         cand = anchor - step if from_high else anchor + step
-        if polys.sign_at(p, cand) != 0:
+        if counts.sign(cand) != 0:
             if from_high:
                 # roots in (cand, anchor] = anchor itself, at most
-                if count_roots(chain, cand, anchor) == (1 if anchor_is_root else 0):
+                if counts.roots(cand, anchor) == (1 if anchor_is_root else 0):
                     return cand
             else:
                 # roots in (anchor, cand] = none (cand is not a root)
-                if count_roots(chain, anchor, cand) == 0:
+                if counts.roots(anchor, cand) == 0:
                     return cand
         step /= 2
 
 
-def _isolate_squarefree(p, chain, lo, hi) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint open isolating intervals for all roots of squarefree p
-    strictly inside (lo, hi).  Emitted endpoints are never roots of p."""
-    if polys.degree(p) <= 0:
-        return []
-    a = lo if polys.sign_at(p, lo) != 0 else _nonroot_endpoint(p, chain, lo, hi, from_high=False)
-    b = hi if polys.sign_at(p, hi) != 0 else _nonroot_endpoint(p, chain, hi, lo, from_high=True)
+def _isolate_squarefree(counts, lo, hi) -> list[tuple[Fraction, Fraction]]:
+    """Disjoint open isolating intervals for all roots of the square-free
+    polynomial of `counts` (a _SturmCounts) strictly inside (lo, hi).
+    Emitted endpoints are never roots of it.  Each point's chain is
+    evaluated once: the two halves of a bisection share the midpoint's
+    count."""
+    if len(counts.chain) == 1:
+        return []  # a constant polynomial
+    a = lo if counts.sign(lo) != 0 else _nonroot_endpoint(counts, lo, hi, from_high=False)
+    b = hi if counts.sign(hi) != 0 else _nonroot_endpoint(counts, hi, lo, from_high=True)
     if not a < b:
         return []
     out = []
     stack = [(a, b)]
     while stack:
         u, v = stack.pop()
-        n = count_roots(chain, u, v)  # u, v are non-roots: counts open (u, v)
+        n = counts.roots(u, v)  # u, v are non-roots: counts open (u, v)
         if n == 0:
             continue
         if n == 1:
             out.append((u, v))
             continue
         m = (u + v) / 2
-        if polys.sign_at(p, m) == 0:
+        if counts.sign(m) == 0:
             # Exact rational root at the bisection point; box it tightly.
             eps = (v - u) / 4
-            while (polys.sign_at(p, m - eps) == 0
-                   or polys.sign_at(p, m + eps) == 0
-                   or count_roots(chain, m - eps, m + eps) != 1):
+            while (counts.sign(m - eps) == 0 or counts.sign(m + eps) == 0
+                   or counts.roots(m - eps, m + eps) != 1):
                 eps /= 2
             out.append((m - eps, m + eps))
             stack.append((u, m - eps))
@@ -143,9 +179,20 @@ def _isolate_squarefree(p, chain, lo, hi) -> list[tuple[Fraction, Fraction]]:
 def _yun(q: tuple) -> tuple:
     """(Yun's square-free decomposition of q, the square-free part), once
     per polynomial.  The part is the product of the factors (Gauss's
-    lemma).  A caller that needs the part and the roots of the same
-    polynomial thus takes one gcd(q, q'), not two."""
-    factors = tuple((tuple(f), m) for f, m in polys.squarefree_decomposition(q))
+    lemma).  The one remainder sequence of (q, q') is the Sturm chain of
+    q's primitive positive form p, whose last element is gcd(q, q'): when
+    it is constant, p is square-free and its own decomposition, and
+    otherwise Yun starts from it.  A caller that needs the part, the
+    roots and the chain of the same polynomial thus runs that sequence
+    once."""
+    p = tuple(polys.primitive_positive(polys.primitive(q))[1])
+    if polys.degree(p) <= 0:
+        return (), (1,)
+    last = sturm_chain(p)[-1]
+    if polys.degree(last) == 0:
+        return ((p, 1),), p
+    g = polys.primitive_positive(last)[1]
+    factors = tuple((tuple(f), m) for f, m in polys.squarefree_decomposition(p, g))
     return factors, tuple(reduce(polys.mul, (f for f, _ in factors), [1]))
 
 
@@ -155,7 +202,9 @@ def isolate_real_roots(q, lo, hi) -> list[IsolatingInterval]:
     Returns pairwise-disjoint intervals, each containing exactly one
     distinct root of q, tagged with that root's multiplicity from the
     square-free decomposition.  Roots at lo or hi are excluded (open
-    window).  Raises ZeroPolynomialError for q = 0.
+    window).  Every interval isolates its root within the square-free
+    part of q, and its endpoints are not roots of q.  Raises
+    ZeroPolynomialError for q = 0.
     """
     q = polys.trim(q)
     if not q:
@@ -164,20 +213,19 @@ def isolate_real_roots(q, lo, hi) -> list[IsolatingInterval]:
     if not lo < hi or polys.degree(q) == 0:
         return []
     factors, sq = _yun(tuple(q))
-    sq_chain = sturm_chain(sq)
     found = []  # mutable records [lo, hi, mult, factor]
     for factor, mult in factors:
-        chain = sturm_chain(factor)
-        for u, v in _isolate_squarefree(factor, chain, lo, hi):
+        for u, v in _isolate_squarefree(_SturmCounts(sturm_chain(factor)), lo, hi):
             found.append([u, v, mult, factor])
-    # Refine until each interval isolates its root within the full
-    # square-free part (no root of another factor intrudes) and the
-    # endpoints avoid all roots of q.
-    for item in found:
-        while not (polys.sign_at(sq, item[0]) != 0
-                   and polys.sign_at(sq, item[1]) != 0
-                   and count_roots(sq_chain, item[0], item[1]) == 1):
-            _halve(item)
+    if len(factors) > 1:
+        # Refine until each interval isolates its root within the full
+        # square-free part (no root of another factor intrudes) and the
+        # endpoints avoid all roots of q.  One factor is the part itself.
+        counts = _SturmCounts(sturm_chain(sq))
+        for item in found:
+            while not (counts.sign(item[0]) != 0 and counts.sign(item[1]) != 0
+                       and counts.roots(item[0], item[1]) == 1):
+                _halve(item)
     # Disjointness across factors.
     while True:
         found.sort(key=lambda it: (it[0], it[1]))
@@ -261,6 +309,18 @@ class RealAlgebraic:
             raise ValueError("interval endpoints must not be roots")
         if count_roots(chain, self._lo, self._hi) != 1:
             raise ValueError("interval does not isolate a single root")
+
+    @classmethod
+    def _certified(cls, poly, interval: IsolatingInterval) -> "RealAlgebraic":
+        """The root in an interval that isolate_real_roots(q, ...) returned,
+        with poly the square-free part of q from _yun.  That isolation
+        certified what the public constructor checks (poly primitive,
+        positive-leading and square-free, the endpoints not roots, one
+        root inside), so nothing is counted again."""
+        root = object.__new__(cls)
+        root.poly, root._lo, root._hi = tuple(poly), interval.lo, interval.hi
+        root._sign_lo = polys.sign_at(root.poly, root._lo)
+        return root
 
     @property
     def lo(self) -> Fraction:

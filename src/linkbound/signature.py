@@ -22,9 +22,13 @@ symmetric matrix read off V takes over: B(-1) = 2(V + V^T), or inside
 (-2, 2) the rational trace form of B(z), which has twice its signature
 and nullity; perturbation is never used.  B(1) = 0.
 Jumps lie among the roots of det B_I, certified by Sturm isolation in x;
-when det B is identically zero a root counts only where the kernel finds
-the rank of B(z) below r.  Values at jumps follow the averaged-limit
-convention: the mean of the two adjacent interval values.
+the breakpoints are built from the certified intervals without a second
+count.  When det B is identically zero a root counts only where the
+kernel finds the rank of B(z) below r.  Each interval is read at a dyadic
+sample where no leading minor vanishes: the sample search takes their
+signs, which are Jacobi's, so the interval value needs no second
+evaluation.  Values at jumps follow the averaged-limit convention: the
+mean of the two adjacent interval values.
 
 The form tV - V^T, and what depends only on V (principal block, jump
 structure, values at x = +-2, the function), is cached on the Seifert
@@ -314,9 +318,15 @@ def pointwise_signature_nullity(data, x) -> tuple[int, int]:
     _, minors = _principal_block(data)
     signs = [polys.sign_at(mx, x) for mx in minors]
     if all(signs):
-        changes = sum(1 for a, b in zip([1] + signs, signs) if a != b)
-        return len(minors) - 2 * changes, n - len(minors)
+        return _jacobi(signs), n - len(minors)
     return _trace_signature_nullity(data, x)
+
+
+def _jacobi(signs) -> int:
+    """Signature of a form from the nonzero signs of its leading principal
+    minors (Jacobi's rule): the size minus twice the sign changes of
+    1, D_1, ..., D_r."""
+    return len(signs) - 2 * sum(1 for a, b in zip([1] + signs, signs) if a != b)
 
 
 # -- jump structure -------------------------------------------------------------
@@ -363,7 +373,7 @@ def _jump_structure(data):
     if polys.degree(rest) >= 1:
         sqfree = _yun(tuple(rest))[1]
         for iv in isolate_real_roots(rest, Fraction(-2), Fraction(2)):
-            root = RealAlgebraic(sqfree, iv.lo, iv.hi)
+            root = RealAlgebraic._certified(sqfree, iv)
             if not jumps(root):
                 continue
             while root.lo <= -2 or root.hi >= 2:
@@ -385,18 +395,20 @@ def _jump_structure(data):
     return tuple(prim), rank, tuple(bps)
 
 
-def _pick_sample(avoid_xpolys, lo: Fraction, hi: Fraction) -> Fraction:
-    """A dyadic point of (lo, hi) avoiding the roots of every polynomial
-    in `avoid_xpolys`: the midpoint, then finer dyadic subdivisions.
-    Terminates because the polynomials have finitely many roots."""
+def _pick_sample(avoid_xpolys, lo: Fraction, hi: Fraction) -> tuple[Fraction, list]:
+    """(x, the signs of the polynomials of `avoid_xpolys` at x) for a
+    dyadic point x of (lo, hi) where none of them vanishes: the midpoint,
+    then finer dyadic subdivisions.  Terminates because the polynomials
+    have finitely many roots."""
     assert lo < hi, "sample gap must be nonempty"
     span = hi - lo
     for depth in range(1, 80):
         denom = 2 ** depth
         for j in range(1, denom, 2):
             cand = lo + span * Fraction(j, denom)
-            if all(polys.sign_at(p, cand) != 0 for p in avoid_xpolys):
-                return cand
+            signs = [polys.sign_at(p, cand) for p in avoid_xpolys]
+            if all(signs):
+                return cand, signs
     raise AssertionError("no minor-free sample point found")
 
 
@@ -553,16 +565,20 @@ def _json_rat(v):
 def _signature_function_cached(data) -> SignatureFunction:
     n = data.size
     _, rank, bps = _jump_structure(data)
-    avoid = [p for p in _principal_block(data)[1] if p]
+    minors = _principal_block(data)[1]
+    avoid = [p for p in minors if p]
     samples = []
     values = []
     for i in range(len(bps) + 1):
         lo = Fraction(-2) if i == 0 else _wall_hi(bps[i - 1])
         hi = Fraction(2) if i == len(bps) else _wall_lo(bps[i])
-        sample = _pick_sample(avoid, lo, hi)
+        sample, signs = _pick_sample(avoid, lo, hi)
         samples.append(sample)
-        sig, nul = pointwise_signature_nullity(data, sample)
-        assert nul == n - rank, "interval nullity must equal the generic corank"
+        if len(avoid) == len(minors):  # the sample's signs are Jacobi's
+            sig, nul = _jacobi(signs), n - rank
+        else:
+            sig, nul = _trace_signature_nullity(data, sample)
+            assert nul == n - rank, "interval nullity must equal the generic corank"
         values.append((sig, nul))
     averaged = tuple((_mean(values[i][0], values[i + 1][0]), _nullity_at_jump(data, bp))
                      for i, bp in enumerate(bps))

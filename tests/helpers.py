@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import assume
+from hypothesis import strategies as st
+
 import linkbound.linalg
 import linkbound.realroots
 import linkbound.signature
@@ -138,3 +141,24 @@ def count_eliminations(monkeypatch) -> list[int]:
     monkeypatch.setattr(linkbound.signature, "_bareiss", counted)
     cold_caches()
     return calls
+
+
+@st.composite
+def degenerate_seifert(draw):
+    """Seifert matrices V, n <= 5, with entries in -2..2; optionally a zero
+    (1,1) entry, which makes the first leading minor of B(t) vanish, and/or
+    the congruence P V P^T whose P copies index 0 to index k-1, which makes
+    the leading minors of B from size k on, and det B, vanish.  Knots whose
+    V - V^T is not unimodular are rejected."""
+    n = draw(st.integers(1, 5))
+    v = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        v[0][0] = 0
+    if n >= 2 and draw(st.booleans()):
+        k = draw(st.integers(2, n))
+        p = [[int(j == (0 if i == k - 1 else i)) for j in range(n)] for i in range(n)]
+        v = [[sum(p[i][a] * v[a][b] * p[j][b] for a in range(n) for b in range(n))
+              for j in range(n)] for i in range(n)]
+    rank, det = int_rank_det([[v[i][j] - v[j][i] for j in range(n)] for i in range(n)])
+    assume(rank < n or abs(det) == 1)
+    return SeifertData.from_matrix(v, n - rank + 1)

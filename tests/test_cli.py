@@ -288,6 +288,21 @@ def test_infect_non_integer_exit_code(capsys, tmp_path, report, declaration):
     assert err.startswith("parse error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("report, declaration, message", [
+    (NON_INTEGER_REPORT, DECLARATION, "lower must be an integer, got 1.9"),
+    (REPORT, dict(DECLARATION, axes=1.5), "axes must be an integer, got 1.5")],
+    ids=["report", "declaration"])
+def test_infect_parse_error_keeps_its_message(capsys, tmp_path, report, declaration, message):
+    """The parse error of a non-integer field reaches stderr with its own
+    message, not wrapped in its repr."""
+    report_path, decl_path = tmp_path / "report.json", tmp_path / "decl.json"
+    report_path.write_text(json.dumps(report))
+    decl_path.write_text(json.dumps(declaration))
+    code, _, err = run(capsys, "infect", str(report_path), str(decl_path))
+    assert code == 2 and "ParseError(" not in err
+    assert err == f"parse error: {message}\n"
+
+
 def test_signature_csv(capsys, trefoil_file):
     code, out, _ = run(capsys, "signature-csv", trefoil_file, "--samples", "100")
     assert code == 0

@@ -8,18 +8,18 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from linkbound import SeifertData, signature_function
+from linkbound import signature_function
 from linkbound.linalg import (_bareiss, _pack, _packing_bits, _unpack, int_rank_det, poly_det,
                               poly_rank)
 from linkbound.signature import (_diagonal_prefix, _integer_symmetric_signature,
                                  _principal_block, _trace_signature_nullity,
                                  pointwise_signature_nullity)
 
-from helpers import b_laurent
+from helpers import b_laurent, degenerate_seifert
 from quadfield_reference import _quad_signature_nullity
 
 T = sympy.Symbol("t")
@@ -172,27 +172,6 @@ def test_integer_det_and_rank_match_sympy(m):
     gives the rank and the determinant."""
     matrix = sympy.Matrix(m) if m else sympy.zeros(0, 0)
     assert int_rank_det(m) == (matrix.rank(), matrix.det())
-
-
-@st.composite
-def degenerate_seifert(draw):
-    """Seifert matrices V, n <= 5, with entries in -2..2; optionally a zero
-    (1,1) entry, which makes the first leading minor of B(t) vanish, and/or
-    the congruence P V P^T whose P copies index 0 to index k-1, which makes
-    the leading minors of B from size k on, and det B, vanish.  Knots whose
-    V - V^T is not unimodular are rejected."""
-    n = draw(st.integers(1, 5))
-    v = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
-    if draw(st.booleans()):
-        v[0][0] = 0
-    if n >= 2 and draw(st.booleans()):
-        k = draw(st.integers(2, n))
-        p = [[int(j == (0 if i == k - 1 else i)) for j in range(n)] for i in range(n)]
-        v = [[sum(p[i][a] * v[a][b] * p[j][b] for a in range(n) for b in range(n))
-              for j in range(n)] for i in range(n)]
-    rank, det = int_rank_det([[v[i][j] - v[j][i] for j in range(n)] for i in range(n)])
-    assume(rank < n or abs(det) == 1)
-    return SeifertData.from_matrix(v, n - rank + 1)
 
 
 @settings(max_examples=40, deadline=None)

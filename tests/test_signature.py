@@ -1,10 +1,14 @@
+import collections
 import math
 import random
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkbound import (BraidWord, CirclePoint, LaurentPoly, RealAlgebraic, SeifertData,
                        alexander_from_seifert, assemble_report, connected_sum,
@@ -13,12 +17,12 @@ from linkbound import (BraidWord, CirclePoint, LaurentPoly, RealAlgebraic, Seife
                        seifert_matrix_from_braid, signature_function,
                        signature_nullity_at, stabilize, torus_braid,
                        units_equal)
-from linkbound import polys, signature
+from linkbound import polys, realroots, signature
 from linkbound.linalg import _bareiss, poly_det
 from linkbound.signature import _diagonal_prefix, _minor_x, breakpoints_equal
 
 from helpers import (b_laurent, cold_caches as _clear_caches, count_eliminations,
-                     degenerate_family, random_knot_data, random_seifert_data,
+                     degenerate_family, degenerate_seifert, random_knot_data, random_seifert_data,
                      random_unimodular, zero_padded)
 from quadfield_reference import QuadFieldElem, quad_eval
 
@@ -508,22 +512,101 @@ def test_one_gcd_per_jump_polynomial(monkeypatch):
 
 
 def test_one_squarefree_pass_per_jump_polynomial(monkeypatch):
-    """A cold T(2,19) report takes gcd(p, p') of its jump polynomial once:
-    the square-free part of the breakpoints and the root isolation read
-    one decomposition."""
+    """A cold T(2,19) report runs the remainder sequence of (p, p') for its
+    jump polynomial p once: the Sturm chain of the isolation, the
+    square-free decomposition and the square-free part of the breakpoints
+    all read it.  A sequence of (p, p') starts with the pseudo-remainder
+    of p by p', up to signs, whether a gcd or a Sturm chain runs it."""
     jump = signature._jump_structure(seifert_matrix_from_braid(torus_braid(2, 19)))[0]
-    passes = []
-    gcd_poly = polys.gcd_poly
+    derivative = polys.primitive_positive(polys.derivative(jump))[1]
+    starts = []
+    pseudo_remainder = polys.pseudo_remainder
 
-    def counted(p, q):
-        if polys.trim(q) == polys.derivative(p):
-            passes.append(tuple(polys.primitive(p)))
-        return gcd_poly(p, q)
+    def counted(a, b):
+        if (tuple(polys.primitive_positive(a)[1]) == jump
+                and polys.primitive_positive(b)[1] == derivative):
+            starts.append(a)
+        return pseudo_remainder(a, b)
 
-    monkeypatch.setattr(polys, "gcd_poly", counted)
+    monkeypatch.setattr(polys, "pseudo_remainder", counted)
     _clear_caches()
     assemble_report(seifert_matrix_from_braid(torus_braid(2, 19)))
-    assert passes.count(jump) == 1
+    assert len(starts) == 1
+
+
+def test_each_certificate_once_per_report(monkeypatch):
+    """A cold T(2,19) report evaluates no Sturm chain twice at one point
+    within one isolation and no leading minor twice at one interval
+    sample, and takes at most 400 signs in all (1162 when every
+    certificate was checked again by its reader)."""
+    data = seifert_matrix_from_braid(torus_braid(2, 19))
+    minors = set(signature._principal_block(data)[1])
+    samples = set(signature_function(data).samples)
+    isolation = [None]
+    chain_points, signs = collections.Counter(), collections.Counter()
+    isolate, chain_signs, sign_at = signature.isolate_real_roots, realroots._chain_signs, \
+        polys.sign_at
+
+    def isolating(*args):
+        isolation[0] = object()
+        try:
+            return isolate(*args)
+        finally:
+            isolation[0] = None
+
+    def counted_chain(chain, x):
+        if isolation[0] is not None:
+            chain_points[isolation[0], chain, x] += 1
+        return chain_signs(chain, x)
+
+    def counted_sign(p, x):
+        signs[tuple(p), x] += 1
+        return sign_at(p, x)
+
+    monkeypatch.setattr(signature, "isolate_real_roots", isolating)
+    monkeypatch.setattr(realroots, "_chain_signs", counted_chain)
+    monkeypatch.setattr(polys, "sign_at", counted_sign)
+    _clear_caches()
+    assemble_report(data)
+    assert chain_points and max(chain_points.values()) == 1
+    at_samples = [c for (p, x), c in signs.items() if p in minors and x in samples]
+    assert len(at_samples) == len(minors) * len(samples) and max(at_samples) == 1
+    assert sum(signs.values()) <= 400
+
+
+seeds = st.integers(0, 2**32 - 1).map(random.Random)
+torus_knots = st.sampled_from([(2, 3), (2, 5), (2, 7), (2, 9), (3, 4), (3, 5)]).map(
+    lambda pq: seifert_matrix_from_braid(torus_braid(*pq)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(degenerate_seifert(), seeds.map(random_seifert_data),
+                 st.tuples(torus_knots, torus_knots | seeds.map(random_knot_data)).map(
+                     lambda kj: connected_sum(connected_sum(kj[0], kj[0]), kj[1]))))
+def test_trusted_breakpoints_and_samples(data):
+    """Every breakpoint that _jump_structure builds from a certified
+    interval passes the public RealAlgebraic check, as built and as
+    returned, and every interval value read from its sample's signs is
+    the pointwise value and the float oracle's there.  K # K # J has a
+    jump polynomial with a square factor, so Yun's decomposition starts
+    from a nonconstant gcd(p, p') and isolates more than one factor."""
+    built = []
+    certified = RealAlgebraic._certified
+
+    def recording(poly, interval):
+        built.append((poly, interval.lo, interval.hi))
+        return certified(poly, interval)
+
+    with mock.patch.object(RealAlgebraic, "_certified", recording):
+        _clear_caches()
+        f = signature_function(data)
+    algebraic = [bp for bp in f.breakpoints if isinstance(bp, RealAlgebraic)]
+    assert len(built) >= len(algebraic)
+    for poly, lo, hi in built + [(bp.poly, bp.lo, bp.hi) for bp in algebraic]:
+        RealAlgebraic(poly, lo, hi)
+    for x, value in zip(f.samples, f.interval_values):
+        assert pointwise_signature_nullity(data, x) == value
+        assert float_oracle(data, math.acos(float(x) / 2)) == value
 
 
 def test_signature_path_builds_no_laurent_poly(monkeypatch):
