@@ -217,10 +217,12 @@ def isolate_real_roots(q, lo, hi) -> list[IsolatingInterval]:
     for factor, mult in factors:
         for u, v in _isolate_squarefree(_SturmCounts(sturm_chain(factor)), lo, hi):
             found.append([u, v, mult, factor])
-    if len(factors) > 1:
-        # Refine until each interval isolates its root within the full
-        # square-free part (no root of another factor intrudes) and the
-        # endpoints avoid all roots of q.  One factor is the part itself.
+    if len(factors) > 1 and (polys.sign_at(q, lo) == 0 or polys.sign_at(q, hi) == 0):
+        # A root of one factor inside another's interval, or on its end,
+        # lies inside its own interval, so the disjointness loop below
+        # separates them.  A root at a window end has no interval: refine
+        # until each interval isolates its root within the full
+        # square-free part and the endpoints avoid all roots of q.
         counts = _SturmCounts(sturm_chain(sq))
         for item in found:
             while not (counts.sign(item[0]) != 0 and counts.sign(item[1]) != 0

@@ -23,12 +23,15 @@ symmetric matrix read off V takes over: B(-1) = 2(V + V^T), or inside
 and nullity; perturbation is never used.  B(1) = 0.
 Jumps lie among the roots of det B_I, certified by Sturm isolation in x;
 the breakpoints are built from the certified intervals without a second
-count.  When det B is identically zero a root counts only where the
-kernel finds the rank of B(z) below r.  Each interval is read at a dyadic
+count.  When det B is identically zero the multiplicity e of a root of
+det B_I decides it (see _jump_structure): odd e is a jump, and at e = 1
+the rank of B(z) is r - 1; a root of even e counts only where the kernel
+finds the rank of B(z) below r.  Each interval is read at a dyadic
 sample where no leading minor vanishes: the sample search takes their
 signs, which are Jacobi's, so the interval value needs no second
 evaluation.  Values at jumps follow the averaged-limit convention: the
-mean of the two adjacent interval values.
+mean of the two adjacent interval values; the nullity at a simple root
+is n - r + 1.
 
 The form tV - V^T, and what depends only on V (principal block, jump
 structure, values at x = +-2, the function), is cached on the Seifert
@@ -38,6 +41,7 @@ in the answer: the Alexander polynomial.
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -201,11 +205,14 @@ def _rank_at(data, root) -> int:
     return len(_bareiss(_form(data), nonzero)[1])
 
 
-def _nullity_at_jump(data, root) -> int:
-    """Nullity of B(z) at a breakpoint, where the rank is below the generic
-    rank r: n - r + 1 when the (r-1)-th leading minor of B_I does not
-    vanish there, otherwise n minus the rank at the point."""
+def _nullity_at_jump(data, root, e: int) -> int:
+    """Nullity of B(z) at a breakpoint, a root of det B_I of multiplicity
+    e where the rank is below the generic rank r: n - r + 1 when e = 1
+    (see _jump_structure) or when the (r-1)-th leading minor of B_I does
+    not vanish there, otherwise n minus the rank at the point."""
     _, minors = _principal_block(data)
+    if e == 1:
+        return data.size - len(minors) + 1
     below = minors[-2] if len(minors) >= 2 else (1,)
     if below and not _zero_test(root)(below):
         return data.size - len(minors) + 1
@@ -342,18 +349,38 @@ def _wall_hi(bp):
 
 @lru_cache(maxsize=2048)
 def _jump_structure(data):
-    """(jump polynomial in x, generic rank r, breakpoints in open (-2, 2)).
+    """(jump polynomial in x, generic rank r, the breakpoints in open
+    (-2, 2), each paired with its multiplicity as a root of the jump
+    polynomial).
 
     The jump polynomial is det B_I in x divided by (2 - x)^(r // 2)
     (see _principal_block), made primitive; off its roots B(z) has rank r.
     For a knot it is the x-form of t^(-g) Delta(t), of degree g, so the
     rational-root split and the Sturm isolation below run on integer
     polynomials of half the degree of det B.  Its roots inside (-2, 2) are
-    the candidate jumps.  When det B is not identically zero every
-    candidate is a root of det B, where the rank drops; otherwise a
-    candidate is kept only where the Bareiss kernel finds the rank of
-    B(z) below r.  The square-free part that defines the algebraic
-    breakpoints comes from the one decomposition that the isolation reads.
+    the candidate jumps, each with the multiplicity e that the split or
+    the isolation certifies; x - x0 = (t - z0)(t - 1/z0)/t, so e is also
+    the order of det B_I at z0 != +-1.  When det B is not identically zero
+    every candidate is a root of det B, where the rank drops.  Otherwise:
+
+    - a candidate of odd e is a jump;
+    - at a candidate of e = 1, B(z0) has rank r - 1;
+    - a candidate of even e is kept only where the Bareiss kernel finds
+      the rank of B(z0) below r.
+
+    Proof.  B has rank r over Q(t) and B_I is nonsingular, so
+    B = B[:, I] B_I^-1 B[I, :], and det B[S, T] det B_I =
+    det B[S, I] det B[I, T] for all r-subsets S, T.  B(t)^T = B(1/t) and
+    the minors have integer coefficients, so det B[I, S] and det B[S, I]
+    vanish at z0 to one order a_S: on the circle, one is the conjugate
+    of the other.  T = S gives 0 <= ord det B[S, S] = 2 a_S - e; for odd
+    e, 2 a_S >= e + 1, and ord det B[S, T] = a_S + a_T - e >= 1, so every
+    r x r minor of B vanishes at z0.  The corank of B_I(z0) is at most
+    the order e of det B_I there, so rank B(z0) >= r - e: for e = 1 the
+    rank is r - 1.
+
+    The square-free part that defines the algebraic breakpoints comes
+    from the one decomposition that the isolation reads.
     """
     n = data.size
     _, minors = _principal_block(data)
@@ -364,25 +391,27 @@ def _jump_structure(data):
     if polys.degree(prim) == 0:
         return tuple(prim), rank, ()
 
-    def jumps(root) -> bool:
-        return rank == n or _rank_at(data, root) < rank
+    def jumps(root, e) -> bool:
+        return rank == n or e % 2 == 1 or _rank_at(data, root) < rank
 
     rest, linear = _rational_root_split(list(prim))
-    rational_roots = sorted({Fraction(-f[0], f[1]) for f in linear})
-    bps: list = [r for r in rational_roots if -2 < r < 2 and jumps(r)]
+    rational_roots = collections.Counter(Fraction(-f[0], f[1]) for f in linear)
+    found: list = [(r, e) for r, e in sorted(rational_roots.items())
+                   if -2 < r < 2 and jumps(r, e)]
     if polys.degree(rest) >= 1:
         sqfree = _yun(tuple(rest))[1]
         for iv in isolate_real_roots(rest, Fraction(-2), Fraction(2)):
             root = RealAlgebraic._certified(sqfree, iv)
-            if not jumps(root):
+            if not jumps(root, iv.multiplicity):
                 continue
             while root.lo <= -2 or root.hi >= 2:
                 root._bisect()  # keep the bracket strictly inside (-2, 2)
-            for r in bps:
+            for r, _ in found:
                 if isinstance(r, Fraction):
                     root.refine_away_from(r)
-            bps.append(root)
-    bps.sort(key=lambda b: (b, 0) if isinstance(b, Fraction) else (b.lo, 1))
+            found.append((root, iv.multiplicity))
+    found.sort(key=lambda be: (be[0], 0) if isinstance(be[0], Fraction) else (be[0].lo, 1))
+    bps = [b for b, _ in found]
     # enforce strictly separated walls between consecutive breakpoints
     for left, right in zip(bps, bps[1:]):
         if isinstance(left, Fraction) and isinstance(right, Fraction):
@@ -392,7 +421,7 @@ def _jump_structure(data):
                 left._bisect()
             if isinstance(right, RealAlgebraic):
                 right._bisect()
-    return tuple(prim), rank, tuple(bps)
+    return tuple(prim), rank, tuple(found)
 
 
 def _pick_sample(avoid_xpolys, lo: Fraction, hi: Fraction) -> tuple[Fraction, list]:
@@ -564,7 +593,8 @@ def _json_rat(v):
 @lru_cache(maxsize=1024)
 def _signature_function_cached(data) -> SignatureFunction:
     n = data.size
-    _, rank, bps = _jump_structure(data)
+    _, rank, jumps = _jump_structure(data)
+    bps = tuple(bp for bp, _ in jumps)
     minors = _principal_block(data)[1]
     avoid = [p for p in minors if p]
     samples = []
@@ -580,8 +610,8 @@ def _signature_function_cached(data) -> SignatureFunction:
             sig, nul = _trace_signature_nullity(data, sample)
             assert nul == n - rank, "interval nullity must equal the generic corank"
         values.append((sig, nul))
-    averaged = tuple((_mean(values[i][0], values[i + 1][0]), _nullity_at_jump(data, bp))
-                     for i, bp in enumerate(bps))
+    averaged = tuple((_mean(values[i][0], values[i + 1][0]), _nullity_at_jump(data, bp, e))
+                     for i, (bp, e) in enumerate(jumps))
     return SignatureFunction(n, n - rank, bps, tuple(values), averaged, tuple(samples))
 
 

@@ -229,6 +229,44 @@ def test_count_roots_matches_sympy(p, a, b):
     assert count_roots(chain, a, b) == expected
 
 
+square_free_factors = st.sampled_from([(-1, 1), (1, 1), (0, 1), (-1, 2), (1, 2), (-3, 2),
+                                        (-2, 0, 1), (-3, 0, 1), (-1, -1, 1), (-1, 1, 1),
+                                        (1, 0, 1), (-2, 0, 0, 1), (1, -3, 0, 1)])
+window_ends = st.sampled_from([Fraction(k, 2) for k in range(-5, 6)]) | rationals
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(square_free_factors, st.integers(1, 3)), min_size=1, max_size=4,
+                unique_by=lambda fm: fm[0]),
+       window_ends, window_ends)
+def test_isolation_contract_on_products(factors, lo, hi):
+    """On a product q of powers of distinct square-free factors, in
+    windows whose ends may be roots of a factor: the intervals are
+    disjoint, each holds exactly one distinct root of q, no endpoint is
+    a root of q, there is one interval per root of q strictly inside the
+    window, and each carries the power of the factor that vanishes at
+    its root."""
+    assume(lo < hi)
+    q = [1]
+    for f, m in factors:
+        for _ in range(m):
+            q = polys.mul(q, f)
+    sq = polys.squarefree_part(q)
+    chain = sturm_chain(sq)
+    out = isolate_real_roots(q, lo, hi)
+    for a, b in zip(out, out[1:]):
+        assert a.hi <= b.lo
+    inside = sympy.Poly(list(reversed(sq)), X).count_roots(lo, hi)  # closed [lo, hi]
+    inside -= (polys.sign_at(sq, lo) == 0) + (polys.sign_at(sq, hi) == 0)
+    assert len(out) == inside
+    for iv in out:
+        assert lo <= iv.lo and iv.hi <= hi
+        assert polys.sign_at(q, iv.lo) != 0 and polys.sign_at(q, iv.hi) != 0
+        assert count_roots(chain, iv.lo, iv.hi) == 1
+        (power,) = [m for f, m in factors if count_roots(sturm_chain(f), iv.lo, iv.hi) == 1]
+        assert iv.multiplicity == power
+
+
 def _roots(p):
     sq = polys.squarefree_part(p)
     return [RealAlgebraic(sq, iv.lo, iv.hi) for iv in isolate_real_roots(p, -20, 20)

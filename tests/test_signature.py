@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linkbound import (BraidWord, CirclePoint, LaurentPoly, RealAlgebraic, SeifertData,
@@ -18,6 +18,7 @@ from linkbound import (BraidWord, CirclePoint, LaurentPoly, RealAlgebraic, Seife
                        signature_nullity_at, stabilize, torus_braid,
                        units_equal)
 from linkbound import polys, realroots, signature
+from linkbound.factor import _rational_root_split
 from linkbound.linalg import _bareiss, poly_det
 from linkbound.signature import _diagonal_prefix, _minor_x, breakpoints_equal
 
@@ -489,14 +490,12 @@ def test_reads_do_not_depend_on_order_or_caches(make):
     assert answers[0] == answers[1] == answers[2]
 
 
-def test_one_gcd_per_jump_polynomial(monkeypatch):
-    """The nine algebraic breakpoints of T(2,19) share one defining
-    polynomial, so a cold report takes the gcd in RealAlgebraic.vanishes
-    once per (q, polynomial) pair, not once per breakpoint."""
-    data = seifert_matrix_from_braid(torus_braid(2, 19))
+def _gcds_with_defining_polynomials(monkeypatch, data) -> tuple[list, int]:
+    """(the (q, polynomial) pairs of every gcd that a cold report of data
+    takes with a defining polynomial of its breakpoints, the number of
+    breakpoints)."""
     f = signature_function(data)
     defining = {bp.poly for bp in f.breakpoints if isinstance(bp, RealAlgebraic)}
-    assert len(f.breakpoints) == 9 and len(defining) == 1
     pairs = []
     gcd_poly = polys.gcd_poly
 
@@ -507,8 +506,29 @@ def test_one_gcd_per_jump_polynomial(monkeypatch):
 
     monkeypatch.setattr(polys, "gcd_poly", counted)
     _clear_caches()
-    assemble_report(seifert_matrix_from_braid(torus_braid(2, 19)))
-    assert pairs and len(pairs) == len(set(pairs)) < len(f.breakpoints)
+    assemble_report(data)
+    monkeypatch.undo()
+    return pairs, len(f.breakpoints)
+
+
+def test_one_gcd_per_jump_polynomial(monkeypatch):
+    """The nine algebraic breakpoints of T(2,19) are simple roots of its
+    jump polynomial, where the nullity is n - r + 1 without a test, so a
+    cold report takes no gcd with their defining polynomial.  The two
+    breakpoints of T(2,5) # T(2,5) are double roots with one defining
+    polynomial, where B(z) has nullity 2 and the nullity is the kernel's:
+    RealAlgebraic.vanishes takes each (q, polynomial) gcd once, not once
+    per breakpoint."""
+    data = seifert_matrix_from_braid(torus_braid(2, 19))
+    assert [e for _, e in signature._jump_structure(data)[2]] == [1] * 9
+    pairs, count = _gcds_with_defining_polynomials(monkeypatch, data)
+    assert count == 9 and pairs == []
+    t25 = seifert_matrix_from_braid(torus_braid(2, 5))
+    data = connected_sum(t25, t25)
+    assert [e for _, e in signature._jump_structure(data)[2]] == [2, 2]
+    pairs, count = _gcds_with_defining_polynomials(monkeypatch, data)
+    assert count == 2 and pairs and len(pairs) == len(set(pairs))
+    assert [nu for _, nu in signature_function(data).averaged_values] == [2, 2]
 
 
 def test_one_squarefree_pass_per_jump_polynomial(monkeypatch):
@@ -688,6 +708,75 @@ def test_jump_candidates_need_a_rank_drop():
     assert f.interval_values == ((-2, 1), (0, 1)) and f.averaged_values == ((-1, 2),)
 
 
+def _candidates(jump) -> list:
+    """(root, multiplicity) for every root of the jump polynomial in
+    (-2, 2): rational roots counted among the split's linear factors,
+    the others from the isolation."""
+    rest, linear = _rational_root_split(list(jump))
+    found = [(r, e) for r, e in collections.Counter(
+        Fraction(-f[0], f[1]) for f in linear).items() if -2 < r < 2]
+    if polys.degree(rest) >= 1:
+        sqfree = realroots._yun(tuple(rest))[1]
+        found += [(RealAlgebraic(sqfree, iv.lo, iv.hi), iv.multiplicity)
+                  for iv in realroots.isolate_real_roots(rest, -2, 2)]
+    return found
+
+
+def _padded_or_degenerate(rng) -> SeifertData:
+    """A link with det B = 0: K # ... # K (one to three summands, so its
+    jump polynomial may have a square or a cube factor) plus 0_k, or the
+    degenerate family of a knot K under a random unimodular congruence.
+    K is T(2,3), T(2,5) or a random braid knot."""
+    knot = rng.choice([seifert_matrix_from_braid(torus_braid(2, 3)),
+                       seifert_matrix_from_braid(torus_braid(2, 5)),
+                       random_knot_data(rng, max_strands=3, max_len=8)])
+    if rng.random() < 0.5:
+        summed = knot
+        for _ in range(rng.randint(0, 2)):
+            summed = connected_sum(summed, knot)
+        return zero_padded(summed, rng.randint(1, 3))
+    k = rng.randint(0, 2)
+    n = knot.size + 3 + k
+    return degenerate_family(knot, rng.randint(-2, 2), k, random_unimodular(rng, n))
+
+
+# beta = 1, and det B_I has the double root x = 1 where B(z) keeps rank r
+NO_JUMP_AT_A_DOUBLE_ROOT = SeifertData.from_matrix(
+    [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [0, 0, 0, 0, 0], [1, -1, 1, 0, 0], [1, 0, 0, 0, 0]], 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(degenerate_seifert(), seeds.map(_padded_or_degenerate)))
+@example(NO_JUMP_AT_A_DOUBLE_ROOT)
+def test_root_multiplicity_decides_rank_drops(data):
+    """At every root z0 of det B_I of odd multiplicity e, the kernel finds
+    the rank of B(z0) below the generic rank r, and at e = 1 the nullity
+    n - r + 1.  The signature function equals the one built by deciding
+    every candidate with the kernel: the same breakpoints, the pointwise
+    value at every sample, and at each breakpoint the mean of its
+    neighbours with n minus the kernel's rank."""
+    _clear_caches()
+    n = data.size
+    jump, rank, _ = signature._jump_structure(data)
+    candidates = _candidates(jump)
+    ranks = [signature._rank_at(data, root) for root, _ in candidates]
+    for (root, e), r_at in zip(candidates, ranks):
+        if e % 2:
+            assert r_at < rank
+        if e == 1:
+            assert r_at == rank - 1
+    kept = [(root, r_at) for (root, _), r_at in zip(candidates, ranks) if r_at < rank]
+    kept.sort(key=lambda bp: bp[0] if isinstance(bp[0], Fraction) else bp[0].to_float())
+    f = signature_function(data)
+    assert len(f.breakpoints) == len(kept)
+    assert all(breakpoints_equal(a, b) for a, (b, _) in zip(f.breakpoints, kept))
+    values = [pointwise_signature_nullity(data, x) for x in f.samples]
+    assert list(f.interval_values) == values
+    assert list(f.averaged_values) == [
+        (signature._mean(left[0], right[0]), n - r_at)
+        for left, right, (_, r_at) in zip(values, values[1:], kept)]
+
+
 # -- one elimination per Seifert matrix ------------------------------------------
 
 
@@ -758,6 +847,18 @@ def test_one_elimination_per_knot_report(monkeypatch, p, q):
     """A knot report runs the Z[t] kernel once: on tV - V^T, for Delta,
     beta and the leading minors of B."""
     data = seifert_matrix_from_braid(torus_braid(p, q))
+    calls = count_eliminations(monkeypatch)
+    report = assemble_report(data)
+    assert report.lower >= 1
+    assert calls == [data.size]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_one_elimination_per_padded_link_report(monkeypatch, k):
+    """T(3,5) + 0_k has det B = 0 and simple roots of det B_I: the root
+    multiplicity decides every jump and its nullity, so the report runs
+    the Z[t] kernel once, on tV - V^T, and never at a root."""
+    data = zero_padded(seifert_matrix_from_braid(torus_braid(3, 5)), k)
     calls = count_eliminations(monkeypatch)
     report = assemble_report(data)
     assert report.lower >= 1
