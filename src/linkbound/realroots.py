@@ -402,7 +402,7 @@ class RealAlgebraic:
         if isinstance(other, (int, Fraction)):
             return False  # the root is irrational
         if not isinstance(other, RealAlgebraic):
-            return NotImplemented
+            raise TypeError(f"cannot compare a real algebraic number with {type(other).__name__}")
         lo, hi = max(self._lo, other._lo), min(self._hi, other._hi)
         if lo >= hi:
             return False  # each number lies strictly inside its own bracket

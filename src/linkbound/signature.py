@@ -35,12 +35,15 @@ is n - r + 1.
 
 The form tV - V^T, and what depends only on V (principal block, jump
 structure, values at x = +-2, the function), is cached on the Seifert
-data, so a read pays only for its point.  Laurent polynomials appear only
-in the answer: the Alexander polynomial.
+data.  A read is located among the breakpoints of the certified
+function, which the first read of a Seifert matrix builds;
+pointwise_signature_nullity, unaveraged, is the independent route.
+Laurent polynomials appear only in the answer: the Alexander polynomial.
 """
 
 from __future__ import annotations
 
+import bisect
 import collections
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,16 +81,17 @@ def _as_x(x):
     """The x of a circle point: a Fraction or RealAlgebraic in [-2, 2]."""
     if isinstance(x, CirclePoint):
         return x.x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         x = Fraction(x)
-        if abs(x) > 2:
+    if isinstance(x, Fraction):
+        if abs(x.numerator) > 2 * x.denominator:  # |x| > 2, in integers
             raise ValueError(f"x = {x} outside [-2, 2]")
         return x
     if isinstance(x, RealAlgebraic):
         if x.compare_rational(-2) <= 0 or x.compare_rational(2) >= 0:
             raise ValueError("algebraic x outside (-2, 2)")
         return x
-    raise TypeError("x must be rational or RealAlgebraic")
+    raise TypeError("x must be rational, RealAlgebraic or a CirclePoint")
 
 
 # -- principal minors ----------------------------------------------------------
@@ -308,11 +312,11 @@ def pointwise_signature_nullity(data, x) -> tuple[int, int]:
     z + 1/z = x, for rational x in [-2, 2].
 
     At x = -2 (z = -1) this is the unaveraged signature, which for links
-    can differ from (and then beats) the averaged invariant.  The fast
-    path is Jacobi's rule on the sign sequence of the leading principal
-    minors of B_I (see _principal_block), which holds wherever none of
-    them vanishes; the congruence of the integer trace form covers the
-    rest.
+    can differ from (and then beats) the averaged invariant.  It never
+    reads the signature function: the independent route.  The fast path
+    is Jacobi's rule on the sign sequence of the leading principal minors
+    of B_I (see _principal_block), which holds wherever none of them
+    vanishes; the congruence of the integer trace form covers the rest.
     """
     x = _as_x(x)
     if not isinstance(x, Fraction):
@@ -446,22 +450,10 @@ def _mean(a, b):
     return int(m) if m.denominator == 1 else m
 
 
-def _locate(bps, x) -> tuple[int, bool]:
-    """(index, is_breakpoint): the matching breakpoint's index, or the
-    index of the open interval containing x (0 = leftmost interval)."""
-    if isinstance(x, Fraction):
-        count = 0
-        for i, bp in enumerate(bps):
-            if isinstance(bp, Fraction):
-                if bp == x:
-                    return i, True
-                if bp < x:
-                    count += 1
-            else:
-                bp.refine_away_from(x)
-                if bp.hi <= x:
-                    count += 1
-        return count, False
+def _locate(bps, x: RealAlgebraic) -> tuple[int, bool]:
+    """(index, is_breakpoint) for an algebraic x: the matching breakpoint's
+    index, or the index of the open interval containing x (0 = leftmost
+    interval)."""
     count = 0
     for i, bp in enumerate(bps):
         if isinstance(bp, Fraction):
@@ -487,20 +479,18 @@ def signature_nullity_at(data, point) -> tuple:
     corank there.  At x = 2 (z = 1) the signature is the limit from
     x < 2 (both one-sided limits agree by conjugation symmetry) and the
     nullity is the corank of B(1) = 0, the full size.
+
+    The point is located in the certified function (see value_at), which
+    the first read of a Seifert matrix builds: a cold read of T(3,7)
+    takes about 3 ms, of T(3,20) 0.1 s (CPython 3.11, 2-CPU Xeon).
     """
     if data.size == 0:
         return 0, 0
     x = _as_x(point)
-    if isinstance(x, Fraction):
-        if abs(x) == 2:
-            sig_pt, nul = _endpoint(data, int(x) // 2)
-            if nul == 0:
-                return sig_pt, 0
-            return _signature_function_cached(data).value_at(x)[0], nul
-        jump, _, _ = _jump_structure(data)
-        if polys.sign_at(jump, x) != 0:
-            return pointwise_signature_nullity(data, x)
-    return _signature_function_cached(data).value_at(x)
+    sig, nul = _signature_function_cached(data).value_at(x)
+    if isinstance(x, Fraction) and x in (-2, 2):
+        nul = _endpoint(data, int(x) // 2)[1]
+    return sig, nul
 
 
 # -- the assembled function -----------------------------------------------------
@@ -528,6 +518,10 @@ class SignatureFunction:
         # queries cannot refine
         object.__setattr__(self, "_json_breakpoints", tuple(
             bp if isinstance(bp, Fraction) else bp.copy() for bp in self.breakpoints))
+        # Brackets only shrink, so the walls as built stay enclosures of
+        # their breakpoints, increasing and separated: value_at bisects them.
+        object.__setattr__(self, "_wall_lo", tuple(map(_wall_lo, self.breakpoints)))
+        object.__setattr__(self, "_wall_hi", tuple(map(_wall_hi, self.breakpoints)))
 
     def max_abs_sigma(self) -> int:
         return max(abs(s) for s, _ in self.interval_values)
@@ -540,16 +534,23 @@ class SignatureFunction:
         raise AssertionError
 
     def value_at(self, x) -> tuple:
-        """(sigma, nullity) at x; averaged at breakpoints, clamped to the
-        adjacent interval value at x = +-2."""
-        if isinstance(x, (int, Fraction)):
-            x = Fraction(x)
-            if x == 2:
-                return self.interval_values[-1]
-            if x == -2:
-                return self.interval_values[0]
-        idx, is_bp = _locate(self.breakpoints, x)
-        return self.averaged_values[idx] if is_bp else self.interval_values[idx]
+        """(sigma, nullity) at x, a rational, RealAlgebraic or CirclePoint
+        in [-2, 2]; averaged at breakpoints, clamped to the adjacent
+        interval value at x = +-2.  A rational x takes one bisection of
+        the bracket walls, and refines a breakpoint only inside its
+        bracket."""
+        x = _as_x(x)
+        if not isinstance(x, Fraction):
+            idx, is_bp = _locate(self.breakpoints, x)
+            return self.averaged_values[idx] if is_bp else self.interval_values[idx]
+        i = bisect.bisect_left(self._wall_hi, x)
+        if i == len(self._wall_hi) or x < self._wall_lo[i]:
+            return self.interval_values[i]
+        bp = self.breakpoints[i]
+        if isinstance(bp, Fraction):
+            return self.averaged_values[i]
+        bp.refine_away_from(x)
+        return self.interval_values[i + 1 if bp.hi <= x else i]
 
     def to_json(self) -> dict:
         bps = []
@@ -622,11 +623,9 @@ def signature_function(data: SeifertData) -> SignatureFunction:
 
 
 def breakpoints_equal(a, b) -> bool:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a == b
-    if isinstance(a, RealAlgebraic) and isinstance(b, RealAlgebraic):
-        return a.equals(b)
-    return False
+    if isinstance(a, RealAlgebraic):
+        return a.equals(b)  # False for a rational b
+    return isinstance(b, Fraction) and a == b
 
 
 def functions_equal(f: SignatureFunction, g: SignatureFunction) -> bool:

@@ -142,6 +142,9 @@ def test_real_algebraic_equality():
     assert not a.equals(c)
     assert not a.equals(d)
     assert not a.equals(Fraction(7, 5))
+    for other in (1.4, "7/5", None):  # neither rational nor algebraic
+        with pytest.raises(TypeError):
+            a.equals(other)
 
 
 def test_real_algebraic_rejects_bad_data():

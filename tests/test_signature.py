@@ -142,6 +142,58 @@ def test_algebraic_point_outside_the_circle_rejected():
     assert signature_nullity_at(TREFOIL_V, RealAlgebraic([-2, 0, 1], 1, 2)) == (0, 0)
 
 
+def test_value_at_takes_only_circle_points():
+    """value_at rejects what signature_nullity_at rejects: x outside
+    [-2, 2] raises ValueError, and a float, a string or None raises
+    TypeError instead of matching the first breakpoint.  A CirclePoint
+    reads like its x, and x = +-2 clamps to the end intervals."""
+    data = seifert_matrix_from_braid(torus_braid(3, 5))
+    f = signature_function(data)
+    for read in (f.value_at, lambda x: signature_nullity_at(data, x)):
+        for x in (3, -7, Fraction(-201, 100)):
+            with pytest.raises(ValueError, match="outside"):
+                read(x)
+        for x in (0.5, "1/2", None):
+            with pytest.raises(TypeError):
+                read(x)
+    half = Fraction(1, 2)
+    assert f.value_at(CirclePoint(half)) == f.value_at(half) == (-4, 0)
+    assert pointwise_signature_nullity(data, half) == (-4, 0)
+    assert (f.value_at(-2), f.value_at(2)) == (f.interval_values[0], f.interval_values[-1])
+
+
+def test_warm_reads_locate_the_point_in_the_function(monkeypatch):
+    """A warm read at a rational outside every breakpoint bracket makes no
+    polys.sign_at call, and one inside an algebraic bracket bisects that
+    breakpoint alone; both answer as pointwise_signature_nullity does."""
+    data = seifert_matrix_from_braid(torus_braid(3, 7))
+    f = signature_function(data)
+    signature_nullity_at(data, Fraction(0))
+    inside = [(bp, (bp.lo + bp.hi) / 2) for bp in f.breakpoints if isinstance(bp, RealAlgebraic)]
+    assert len(inside) >= 4
+    expected = [pointwise_signature_nullity(data, x) for _, x in inside]
+    signs, bisected = [], []
+    sign_at, bisect = polys.sign_at, RealAlgebraic._bisect
+
+    def counted_sign_at(p, x):
+        signs.append(x)
+        return sign_at(p, x)
+
+    def recorded_bisect(root):
+        bisected.append(root)
+        bisect(root)
+
+    monkeypatch.setattr(polys, "sign_at", counted_sign_at)
+    monkeypatch.setattr(RealAlgebraic, "_bisect", recorded_bisect)
+    for x, value in zip(f.samples, f.interval_values):
+        assert signature_nullity_at(data, x) == f.value_at(x) == value
+    assert signs == [] and bisected == []
+    for (bp, x), value in zip(inside, expected):
+        assert signature_nullity_at(data, x) == value
+        assert bisected and all(root is bp for root in bisected)
+        bisected.clear()
+
+
 def test_trefoil_signature_function():
     f = signature_function(TREFOIL_V)
     assert f.breakpoints == (Fraction(1),)
@@ -627,6 +679,52 @@ def test_trusted_breakpoints_and_samples(data):
     for x, value in zip(f.samples, f.interval_values):
         assert pointwise_signature_nullity(data, x) == value
         assert float_oracle(data, math.acos(float(x) / 2)) == value
+
+
+torus_inputs = st.sampled_from([(2, 3), (2, 4), (2, 6), (3, 3), (3, 4), (3, 5), (3, 6), (4, 4)]).map(
+    lambda pq: seifert_matrix_from_braid(torus_braid(*pq)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(degenerate_seifert(), seeds.map(random_seifert_data), torus_inputs,
+                 torus_inputs.map(lambda data: zero_padded(data, 1))), seeds)
+def test_reads_match_the_independent_route(data, rng):
+    """At rationals off the roots of the jump polynomial (random ones, and
+    the walls and midpoints of the algebraic brackets as built),
+    signature_nullity_at and value_at equal pointwise_signature_nullity,
+    and, away from the breakpoints, float_oracle: cold, warm, and after
+    to_json and csv_rows have refined the brackets inside the walls that
+    the function cached.  One stream read forward and in reverse on fresh
+    caches gives the same answers."""
+    _clear_caches()
+    f = signature_function(data)
+    jump = signature._jump_structure(data)[0]
+    points = []
+    for _ in range(20):
+        den = rng.randint(1, 300)
+        points.append(Fraction(rng.randint(-2 * den + 1, 2 * den - 1), den))
+    for bp in f.breakpoints:
+        if isinstance(bp, RealAlgebraic):
+            points += [bp.lo, bp.hi, (bp.lo + bp.hi) / 2]
+    points = [x for x in points if polys.sign_at(jump, x)]
+    expected = [pointwise_signature_nullity(data, x) for x in points]
+
+    def cold_reads(stream):
+        _clear_caches()
+        return [signature_nullity_at(data, x) for x in stream]
+
+    assert cold_reads(points) == expected
+    assert cold_reads(points[::-1]) == expected[::-1]
+    f = signature_function(data)
+    assert [signature_nullity_at(data, x) for x in points] == expected
+    f.to_json()
+    f.csv_rows()
+    assert [signature_nullity_at(data, x) for x in points] == expected
+    assert [f.value_at(x) for x in points] == expected
+    near = [float(bp) if isinstance(bp, Fraction) else bp.to_float() for bp in f.breakpoints]
+    for x, value in zip(points, expected):
+        if all(abs(float(x) - b) > 1e-3 for b in near):
+            assert float_oracle(data, math.acos(float(x) / 2)) == value
 
 
 def test_signature_path_builds_no_laurent_poly(monkeypatch):
