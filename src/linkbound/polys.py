@@ -70,21 +70,18 @@ def evaluate(p, x):
     return acc
 
 
-def _homogeneous(p, x: Fraction) -> tuple:
-    """(b^d p(a/b), b^d) for x = a/b in lowest terms and d = deg p >= 0."""
-    a, b = x.numerator, x.denominator
-    acc, bk = 0, 1
+def sign_at_ratio(p, a: int, d: int) -> int:
+    """Sign (-1, 0 or 1) of p(a/d) for integers a and d > 0: the sign of
+    d^k p(a/d), k = deg p, by one integer Horner pass."""
+    acc, dk = 0, 1
     for c in reversed(p):
-        acc = acc * a + c * bk
-        bk *= b
-    return acc, bk // b
+        acc, dk = acc * a + c * dk, dk * d
+    return (acc > 0) - (acc < 0)
 
 
 def sign_at(p, x) -> int:
-    """Sign (-1, 0 or 1) of p(x) at a rational x.  At x = a/b it is the
-    sign of b^d p(a/b), so integer p needs no Fraction at all."""
-    v = _homogeneous(p, x)[0] if isinstance(x, Fraction) else evaluate(p, x)
-    return (v > 0) - (v < 0)
+    """Sign (-1, 0 or 1) of p(x) at a rational x, an int or a Fraction."""
+    return sign_at_ratio(p, x.numerator, x.denominator)
 
 
 def derivative(p) -> list:

@@ -4,11 +4,12 @@ Windows are treated as *open* intervals: a root sitting exactly on a
 window endpoint is not reported.  Multiplicities come from Yun's
 square-free decomposition.  :class:`RealAlgebraic` wraps one isolated
 irrational root and supports exact sign queries of polynomials at that
-root, which is what certifying signature jumps requires.
+root, which is what certifying signature jumps requires; its bracket is
+integers over one denominator, so it builds and compares no Fraction.
 
 Sturm chains hold primitive integer polynomials and are computed once per
-polynomial; every sign is decided in integer arithmetic
-(:func:`linkbound.polys.sign_at`).  Within one isolation each point's
+polynomial; every sign is the sign of d^k p(a/d) in integers
+(:func:`linkbound.polys.sign_at_ratio`).  Within one isolation each point's
 Sturm count is taken once.  The chain is the one remainder sequence of
 (p, p'), and its last element is gcd(p, p'): a constant one means p is
 square-free, and otherwise Yun's decomposition starts from it.  An
@@ -24,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import lcm
 
 from . import polys
 from .errors import ZeroPolynomialError
@@ -84,6 +86,11 @@ def _chain_signs(chain, x) -> list:
     """Signs of every element of a Sturm chain at a rational x: the one
     place a chain is evaluated."""
     return [polys.sign_at(c, x) for c in chain]
+
+
+def _variations(chain, a: int, d: int) -> int:
+    """Sign variations of a Sturm chain at a/d, d > 0."""
+    return sign_variations([polys.sign_at_ratio(c, a, d) for c in chain])
 
 
 def count_roots(chain, a, b) -> int:
@@ -258,22 +265,23 @@ def _halve(item):
         item[0] = m
 
 
+def _ratio(c) -> tuple[int, int]:
+    """(numerator, denominator > 0) of a rational c."""
+    c = c if isinstance(c, (int, Fraction)) else Fraction(c)
+    return c.numerator, c.denominator
+
+
 def refine_isolating_interval(q, interval: IsolatingInterval,
                               max_width) -> IsolatingInterval:
-    """Shrink an isolating interval of q below `max_width` by bisection.
+    """Shrink an isolating interval of q below `max_width` > 0 by bisection.
 
     The root may be rational: a bisection point landing on it is nudged
     before the containing half is selected, so the root always stays
-    strictly inside the returned interval.
+    strictly inside the returned interval.  Bisection and checks are
+    RealAlgebraic's, on the square-free part of q.
     """
-    sq = polys.squarefree_part(q)
-    if (polys.sign_at(sq, interval.lo) == 0 or polys.sign_at(sq, interval.hi) == 0
-            or count_roots(sturm_chain(sq), interval.lo, interval.hi) != 1):
-        raise ValueError("interval does not isolate a root of q")
-    item = [interval.lo, interval.hi, interval.multiplicity, sq]
-    while item[1] - item[0] > max_width:
-        _halve(item)
-    return IsolatingInterval(item[0], item[1], interval.multiplicity)
+    root = RealAlgebraic(polys.squarefree_part(q), interval.lo, interval.hi).refine(max_width)
+    return IsolatingInterval(root.lo, root.hi, interval.multiplicity)
 
 
 @lru_cache(maxsize=1024)
@@ -283,7 +291,8 @@ def _gcd(q: tuple, poly: tuple) -> tuple:
 
 class RealAlgebraic:
     """One real algebraic number: a primitive square-free integer defining
-    polynomial together with an open isolating interval.
+    polynomial and an open isolating interval (a/d, b/d), integers over one
+    denominator d > 0 (.lo and .hi build Fractions).
 
     The defining polynomial must have no rational roots (callers split
     those off first), so bisection points are never the root itself.
@@ -291,25 +300,23 @@ class RealAlgebraic:
     changes, making shared instances safe to reuse.  The bracket's
     endpoints are never roots, and the polynomial has one sign on the
     left of the root and the other on its right, so bisection and the
-    comparisons below evaluate the polynomial, not its Sturm chain.
+    comparisons below evaluate the polynomial, not its Sturm chain: each
+    sign is one integer Horner pass, and comparisons cross-multiply.
     """
 
-    __slots__ = ("poly", "_lo", "_hi", "_sign_lo")
+    __slots__ = ("poly", "_a", "_b", "_d", "_sign_lo")
 
     def __init__(self, poly, lo, hi):
         _, prim = polys.primitive_positive(polys.primitive(poly))
         if polys.degree(prim) < 1:
             raise ValueError("defining polynomial must be nonconstant")
-        self.poly = tuple(prim)
-        chain = sturm_chain(self.poly)
+        chain = sturm_chain(tuple(prim))
         if polys.degree(chain[-1]) > 0:  # the last element is gcd(poly, poly')
             raise ValueError("defining polynomial must be square-free")
-        self._lo = Fraction(lo)
-        self._hi = Fraction(hi)
-        self._sign_lo = polys.sign_at(self.poly, self._lo)
-        if self._sign_lo == 0 or polys.sign_at(self.poly, self._hi) == 0:
+        self._set_bracket(prim, Fraction(lo), Fraction(hi))
+        if self._sign_lo == 0 or polys.sign_at_ratio(self.poly, self._b, self._d) == 0:
             raise ValueError("interval endpoints must not be roots")
-        if count_roots(chain, self._lo, self._hi) != 1:
+        if _variations(chain, self._a, self._d) - _variations(chain, self._b, self._d) != 1:
             raise ValueError("interval does not isolate a single root")
 
     @classmethod
@@ -320,46 +327,48 @@ class RealAlgebraic:
         positive-leading and square-free, the endpoints not roots, one
         root inside), so nothing is counted again."""
         root = object.__new__(cls)
-        root.poly, root._lo, root._hi = tuple(poly), interval.lo, interval.hi
-        root._sign_lo = polys.sign_at(root.poly, root._lo)
+        root._set_bracket(poly, interval.lo, interval.hi)
         return root
+
+    def _set_bracket(self, poly, lo: Fraction, hi: Fraction):  # over the lcm of denominators
+        self.poly, self._d = tuple(poly), (d := lcm(lo.denominator, hi.denominator))
+        self._a, self._b = lo.numerator * d // lo.denominator, hi.numerator * d // hi.denominator
+        self._sign_lo = polys.sign_at_ratio(self.poly, self._a, d)
 
     @property
     def lo(self) -> Fraction:
-        return self._lo
+        return Fraction(self._a, self._d)
 
     @property
     def hi(self) -> Fraction:
-        return self._hi
+        return Fraction(self._b, self._d)
 
     def _bisect(self):
-        m = (self._lo + self._hi) / 2
-        eps = (self._hi - self._lo) / 4
-        while (s := polys.sign_at(self.poly, m)) == 0:
-            m += eps
-            eps /= 2
-        if s != self._sign_lo:
-            self._hi = m
-        else:
-            self._lo = m
+        m, w, a, b, d = self._a + self._b, self._b - self._a, 2 * self._a, 2 * self._b, 2 * self._d
+        while (s := polys.sign_at_ratio(self.poly, m, d)) == 0:  # nudge the midpoint by w/2d
+            m, a, b, d = 2 * m + w, 2 * a, 2 * b, 2 * d
+        self._a, self._b, self._d = (a, m, d) if s != self._sign_lo else (m, b, d)
 
     def refine(self, max_width) -> "RealAlgebraic":
-        while self._hi - self._lo > max_width:
+        p, q = _ratio(max_width)
+        if p <= 0:
+            raise ValueError(f"refinement width must be positive, got {max_width}")
+        while (self._b - self._a) * q > p * self._d:
             self._bisect()
         return self
 
-    def refine_away_from(self, value: Fraction) -> "RealAlgebraic":
-        """Shrink the bracket until `value` lies strictly outside it."""
-        while self._lo < value < self._hi:
-            self._bisect()
+    def refine_away_from(self, value) -> "RealAlgebraic":
+        """Shrink the bracket until `value` lies strictly outside it (or is
+        found to be the root)."""
+        self._compare(*_ratio(value))
         return self
 
     def copy(self) -> "RealAlgebraic":
         """The same root with its own bracket, which later refinement of
         either leaves alone."""
         twin = object.__new__(RealAlgebraic)
-        twin.poly, twin._lo, twin._hi, twin._sign_lo = \
-            self.poly, self._lo, self._hi, self._sign_lo
+        twin.poly, twin._a, twin._b, twin._d, twin._sign_lo = \
+            self.poly, self._a, self._b, self._d, self._sign_lo
         return twin
 
     def sign_of(self, q) -> int:
@@ -367,12 +376,11 @@ class RealAlgebraic:
         q = polys.trim(q)
         if self.vanishes(q):
             return 0
-        qchain = sturm_chain(polys.squarefree_part(q)) if polys.degree(q) >= 1 else None
-        while True:
-            s = polys.sign_at(q, self._lo)
-            if s != 0 and (qchain is None or count_roots(qchain, self._lo, self._hi) == 0):
-                return s
+        chain = sturm_chain(polys.squarefree_part(q))  # ((1,),) for a constant q
+        while ((s := polys.sign_at_ratio(q, self._a, self._d)) == 0
+               or _variations(chain, self._a, self._d) != _variations(chain, self._b, self._d)):
             self._bisect()
+        return s
 
     def vanishes(self, q) -> bool:
         """Whether q is zero at this root.  Never refines the bracket.
@@ -386,37 +394,43 @@ class RealAlgebraic:
         if not q:
             return True
         g = _gcd(tuple(q), self.poly)
-        return (polys.degree(g) >= 1
-                and polys.sign_at(g, self._lo) != polys.sign_at(g, self._hi))
+        return (polys.degree(g) >= 1 and polys.sign_at_ratio(g, self._a, self._d)
+                != polys.sign_at_ratio(g, self._b, self._d))
 
     def compare_rational(self, c) -> int:
         """Sign of (root - c): 0 only when c is the root itself, which the
         class contract excludes."""
-        c = Fraction(c)
-        if self._lo < c < self._hi and polys.sign_at(self.poly, c) == 0:
+        return self._compare(*_ratio(c))
+
+    def _compare(self, p: int, q: int) -> int:
+        """compare_rational at c = p/q, q > 0, refining away from c."""
+        if self._a * q < p * self._d < self._b * q and polys.sign_at_ratio(self.poly, p, q) == 0:
             return 0
-        self.refine_away_from(c)
-        return 1 if c <= self._lo else -1
+        while self._a * q < p * self._d < self._b * q:
+            self._bisect()
+        return 1 if p * self._d <= self._a * q else -1
 
     def equals(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             return False  # the root is irrational
         if not isinstance(other, RealAlgebraic):
             raise TypeError(f"cannot compare a real algebraic number with {type(other).__name__}")
-        lo, hi = max(self._lo, other._lo), min(self._hi, other._hi)
+        d, e = self._d, other._d
+        lo, hi = max(self._a * e, other._a * d), min(self._b * e, other._b * d)  # over d e
         if lo >= hi:
             return False  # each number lies strictly inside its own bracket
         if self.poly == other.poly:
             # The intersection lies in one isolating bracket, so it holds
             # at most one root, and holds one exactly on a sign change.
-            return polys.sign_at(self.poly, lo) != polys.sign_at(self.poly, hi)
+            return (polys.sign_at_ratio(self.poly, lo, d * e)
+                    != polys.sign_at_ratio(self.poly, hi, d * e))
         if not self.vanishes(list(other.poly)):
             return False
-        return self.compare_rational(other._lo) > 0 and self.compare_rational(other._hi) < 0
+        return self._compare(other._a, e) > 0 and self._compare(other._b, e) < 0
 
     def to_float(self, width=Fraction(1, 10**12)) -> float:
         self.refine(width)
-        return float((self._lo + self._hi) / 2)
+        return (self._a + self._b) / (2 * self._d)  # int / int rounds correctly
 
     def __repr__(self):
-        return f"RealAlgebraic({list(self.poly)}, ({self._lo}, {self._hi}))"
+        return f"RealAlgebraic({list(self.poly)}, ({self.lo}, {self.hi}))"

@@ -36,7 +36,8 @@ is n - r + 1.
 The form tV - V^T, and what depends only on V (principal block, jump
 structure, values at x = +-2, the function), is cached on the Seifert
 data.  A read is located among the breakpoints of the certified
-function, which the first read of a Seifert matrix builds;
+function, which the first read of a Seifert matrix builds, by
+cross-multiplication: its walls are integers over one denominator;
 pointwise_signature_nullity, unaveraged, is the independent route.
 Laurent polynomials appear only in the answer: the Alexander polynomial.
 """
@@ -48,6 +49,7 @@ import collections
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import polys
 from .braids import SeifertData
@@ -79,19 +81,19 @@ class CirclePoint:
 
 def _as_x(x):
     """The x of a circle point: a Fraction or RealAlgebraic in [-2, 2]."""
-    if isinstance(x, CirclePoint):
-        return x.x
-    if isinstance(x, int):
+    if type(x) is not Fraction:
+        if isinstance(x, CirclePoint):
+            return x.x
+        if isinstance(x, RealAlgebraic):
+            if x.compare_rational(-2) <= 0 or x.compare_rational(2) >= 0:
+                raise ValueError("algebraic x outside (-2, 2)")
+            return x
+        if type(x) is not int:  # nor a bool, an int subclass
+            raise TypeError("x must be rational, RealAlgebraic or a CirclePoint")
         x = Fraction(x)
-    if isinstance(x, Fraction):
-        if abs(x.numerator) > 2 * x.denominator:  # |x| > 2, in integers
-            raise ValueError(f"x = {x} outside [-2, 2]")
-        return x
-    if isinstance(x, RealAlgebraic):
-        if x.compare_rational(-2) <= 0 or x.compare_rational(2) >= 0:
-            raise ValueError("algebraic x outside (-2, 2)")
-        return x
-    raise TypeError("x must be rational, RealAlgebraic or a CirclePoint")
+    if abs(x.numerator) > 2 * x.denominator:  # |x| > 2, in integers
+        raise ValueError(f"x = {x} outside [-2, 2]")
+    return x
 
 
 # -- principal minors ----------------------------------------------------------
@@ -322,8 +324,6 @@ def pointwise_signature_nullity(data, x) -> tuple[int, int]:
     if not isinstance(x, Fraction):
         raise TypeError("pointwise evaluation needs a rational x")
     n = data.size
-    if n == 0:
-        return 0, 0
     if abs(x) == 2:
         return _endpoint(data, int(x) // 2)
     _, minors = _principal_block(data)
@@ -343,12 +343,18 @@ def _jacobi(signs) -> int:
 # -- jump structure -------------------------------------------------------------
 
 
-def _wall_lo(bp):
-    return bp if isinstance(bp, Fraction) else bp.lo
+def _wall(bp) -> tuple[int, int, int]:
+    """(a, b, d), d > 0, with the breakpoint in [a/d, b/d]: a = b if rational."""
+    if isinstance(bp, RealAlgebraic):
+        return bp._a, bp._b, bp._d
+    return bp.numerator, bp.numerator, bp.denominator
 
 
-def _wall_hi(bp):
-    return bp if isinstance(bp, Fraction) else bp.hi
+def _separated(left, right) -> bool:
+    """Whether the wall of `left` ends strictly before that of `right`."""
+    _, b, d = _wall(left)
+    a, _, e = _wall(right)
+    return b * e < a * d
 
 
 @lru_cache(maxsize=2048)
@@ -400,27 +406,25 @@ def _jump_structure(data):
 
     rest, linear = _rational_root_split(list(prim))
     rational_roots = collections.Counter(Fraction(-f[0], f[1]) for f in linear)
-    found: list = [(r, e) for r, e in sorted(rational_roots.items())
-                   if -2 < r < 2 and jumps(r, e)]
+    rationals = [(r, e) for r, e in sorted(rational_roots.items()) if -2 < r < 2 and jumps(r, e)]
+    found: list = []
     if polys.degree(rest) >= 1:
         sqfree = _yun(tuple(rest))[1]
-        for iv in isolate_real_roots(rest, Fraction(-2), Fraction(2)):
+        for iv in isolate_real_roots(rest, Fraction(-2), Fraction(2)):  # in increasing order
             root = RealAlgebraic._certified(sqfree, iv)
             if not jumps(root, iv.multiplicity):
                 continue
-            while root.lo <= -2 or root.hi >= 2:
+            while not (_separated(-2, root) and _separated(root, 2)):
                 root._bisect()  # keep the bracket strictly inside (-2, 2)
-            for r, _ in found:
-                if isinstance(r, Fraction):
-                    root.refine_away_from(r)
+            # the rational jumps below it go first; comparing refines it away
+            while rationals and root.compare_rational(rationals[0][0]) > 0:
+                found.append(rationals.pop(0))
             found.append((root, iv.multiplicity))
-    found.sort(key=lambda be: (be[0], 0) if isinstance(be[0], Fraction) else (be[0].lo, 1))
+    found += rationals
     bps = [b for b, _ in found]
     # enforce strictly separated walls between consecutive breakpoints
     for left, right in zip(bps, bps[1:]):
-        if isinstance(left, Fraction) and isinstance(right, Fraction):
-            continue
-        while _wall_hi(left) >= _wall_lo(right):
+        while not _separated(left, right):
             if isinstance(left, RealAlgebraic):
                 left._bisect()
             if isinstance(right, RealAlgebraic):
@@ -450,26 +454,6 @@ def _mean(a, b):
     return int(m) if m.denominator == 1 else m
 
 
-def _locate(bps, x: RealAlgebraic) -> tuple[int, bool]:
-    """(index, is_breakpoint) for an algebraic x: the matching breakpoint's
-    index, or the index of the open interval containing x (0 = leftmost
-    interval)."""
-    count = 0
-    for i, bp in enumerate(bps):
-        if isinstance(bp, Fraction):
-            if x.compare_rational(bp) > 0:
-                count += 1
-        else:
-            if bp is x or bp.equals(x):
-                return i, True
-            while bp.lo < x.hi and x.lo < bp.hi:
-                bp._bisect()
-                x._bisect()
-            if bp.hi <= x.lo:
-                count += 1
-    return count, False
-
-
 def signature_nullity_at(data, point) -> tuple:
     """Averaged signature and exact nullity at a circle point.
 
@@ -484,8 +468,6 @@ def signature_nullity_at(data, point) -> tuple:
     the first read of a Seifert matrix builds: a cold read of T(3,7)
     takes about 3 ms, of T(3,20) 0.1 s (CPython 3.11, 2-CPU Xeon).
     """
-    if data.size == 0:
-        return 0, 0
     x = _as_x(point)
     sig, nul = _signature_function_cached(data).value_at(x)
     if isinstance(x, Fraction) and x in (-2, 2):
@@ -518,10 +500,12 @@ class SignatureFunction:
         # queries cannot refine
         object.__setattr__(self, "_json_breakpoints", tuple(
             bp if isinstance(bp, Fraction) else bp.copy() for bp in self.breakpoints))
-        # Brackets only shrink, so the walls as built stay enclosures of
-        # their breakpoints, increasing and separated: value_at bisects them.
-        object.__setattr__(self, "_wall_lo", tuple(map(_wall_lo, self.breakpoints)))
-        object.__setattr__(self, "_wall_hi", tuple(map(_wall_hi, self.breakpoints)))
+        # Brackets only shrink, so the walls as built, over one denominator,
+        # stay increasing, separated enclosures of the breakpoints.
+        walls = [_wall(bp) for bp in self.breakpoints]
+        den = lcm(*(d for _, _, d in walls))
+        object.__setattr__(self, "_walls", (tuple(a * (den // d) for a, _, d in walls),
+                                            tuple(b * (den // d) for _, b, d in walls), den))
 
     def max_abs_sigma(self) -> int:
         return max(abs(s) for s, _ in self.interval_values)
@@ -536,21 +520,44 @@ class SignatureFunction:
     def value_at(self, x) -> tuple:
         """(sigma, nullity) at x, a rational, RealAlgebraic or CirclePoint
         in [-2, 2]; averaged at breakpoints, clamped to the adjacent
-        interval value at x = +-2.  A rational x takes one bisection of
-        the bracket walls, and refines a breakpoint only inside its
-        bracket."""
+        interval value at x = +-2.  The walls are integers over one
+        denominator D: a rational x = p/q takes one bisection of them at
+        pD/q and refines a breakpoint only inside its bracket."""
         x = _as_x(x)
         if not isinstance(x, Fraction):
-            idx, is_bp = _locate(self.breakpoints, x)
-            return self.averaged_values[idx] if is_bp else self.interval_values[idx]
-        i = bisect.bisect_left(self._wall_hi, x)
-        if i == len(self._wall_hi) or x < self._wall_lo[i]:
+            return self._locate(x)
+        los, his, den = self._walls
+        k, r = divmod(x.numerator * den, x.denominator)  # x D lies in [k, k + 1)
+        i = bisect.bisect_left(his, k + (r > 0))  # the first wall that ends at or after x
+        if i == len(his) or k < los[i]:
             return self.interval_values[i]
         bp = self.breakpoints[i]
         if isinstance(bp, Fraction):
             return self.averaged_values[i]
-        bp.refine_away_from(x)
-        return self.interval_values[i + 1 if bp.hi <= x else i]
+        _, b, d = _wall(bp.refine_away_from(x))  # x now lies outside the bracket
+        return self.interval_values[i + (b * x.denominator <= x.numerator * d)]
+
+    def _locate(self, x: RealAlgebraic) -> tuple:
+        """value_at an algebraic x, compared only with the breakpoints whose
+        walls meet its bracket."""
+        los, his, den = self._walls
+        a, b, d = _wall(x)
+        count = bisect.bisect_right(his, a * den // d)
+        for i in range(count, bisect.bisect_left(los, -(-b * den // d))):
+            bp = self.breakpoints[i]
+            if isinstance(bp, Fraction):
+                if x.compare_rational(bp) <= 0:
+                    break
+            elif bp is x or bp.equals(x):
+                return self.averaged_values[i]
+            else:
+                while not (_separated(bp, x) or _separated(x, bp)):
+                    bp._bisect()
+                    x._bisect()
+                if _separated(x, bp):
+                    break
+            count += 1
+        return self.interval_values[count]
 
     def to_json(self) -> dict:
         bps = []
@@ -558,9 +565,9 @@ class SignatureFunction:
             if isinstance(bp, Fraction):
                 bps.append(_json_rat(bp))
             else:
-                bp.refine(Fraction(1, 2 ** 20))
+                a, b, d = _wall(bp.refine(Fraction(1, 2 ** 20)))
                 bps.append({"polynomial": list(bp.poly),
-                            "interval": [_json_rat(bp.lo), _json_rat(bp.hi)]})
+                            "interval": [_json_rat(a, d), _json_rat(b, d)]})
         return {
             "size": self.size,
             "generic_nullity": self.generic_nullity,
@@ -586,8 +593,8 @@ class SignatureFunction:
         return rows
 
 
-def _json_rat(v):
-    v = Fraction(v)
+def _json_rat(v, d=1):
+    v = Fraction(v, d)
     return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
@@ -600,9 +607,9 @@ def _signature_function_cached(data) -> SignatureFunction:
     avoid = [p for p in minors if p]
     samples = []
     values = []
-    for i in range(len(bps) + 1):
-        lo = Fraction(-2) if i == 0 else _wall_hi(bps[i - 1])
-        hi = Fraction(2) if i == len(bps) else _wall_lo(bps[i])
+    walls = [(-2, -2, 1)] + [_wall(bp) for bp in bps] + [(2, 2, 1)]
+    for (_, a, d), (b, _, e) in zip(walls, walls[1:]):
+        lo, hi = Fraction(a, d), Fraction(b, e)
         sample, signs = _pick_sample(avoid, lo, hi)
         samples.append(sample)
         if len(avoid) == len(minors):  # the sample's signs are Jacobi's

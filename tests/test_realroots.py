@@ -4,13 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from linkbound import IsolatingInterval, RealAlgebraic, ZeroPolynomialError, \
     isolate_real_roots, refine_isolating_interval
 from linkbound import polys, realroots
 from linkbound.realroots import count_roots, sturm_chain
+
+from realalgebraic_reference import RealAlgebraic as ReferenceAlgebraic
 
 X = sympy.Symbol("x")
 
@@ -352,3 +354,87 @@ def test_vanishes_same_from_warm_and_cold_gcd_cache(fa, fb, width):
         assert realroots._gcd.cache_info().hits == hits + len(qs)
         realroots._gcd.cache_clear()
         assert warm == before == [root.vanishes(q) for q in qs]
+
+
+def test_refining_to_a_width_at_most_zero_raises():
+    """No bracket is ever that narrow, so a width <= 0 is refused at once
+    instead of bisecting for ever."""
+    for refine in (lambda r: r.refine(0), lambda r: r.refine(-1),
+                   lambda r: r.refine(Fraction(-1, 3)), lambda r: r.to_float(0)):
+        root = RealAlgebraic([-2, 0, 1], 1, 2)
+        with pytest.raises(ValueError, match="positive"):
+            refine(root)
+        assert (root.lo, root.hi) == (1, 2)
+    for width in (0, -1):
+        with pytest.raises(ValueError, match="positive"):
+            refine_isolating_interval([-2, 0, 1], IsolatingInterval(Fraction(1), Fraction(2)), width)
+
+
+# -- the integer bracket against the Fraction bracket it replaced ----------
+
+
+@st.composite
+def brackets(draw):
+    """(square-free integer polynomial, lo, hi) with (lo, hi) isolating one
+    of its real roots.  Some roots are rational, so bisection points land on
+    them, and the ends are often not dyadic: a sub-interval (i/k, j/k) of
+    an isolating interval, when it still isolates the root."""
+    factors = draw(st.lists(square_free_factors, min_size=1, max_size=3, unique=True))
+    p = [1]
+    for f in factors:
+        p = polys.mul(p, f)
+    intervals = isolate_real_roots(p, Fraction(-3), Fraction(3))
+    assume(intervals)
+    iv = draw(st.sampled_from(intervals))
+    k = draw(st.integers(1, 7))
+    i = draw(st.integers(0, k - 1))
+    j = draw(st.integers(i + 1, k))
+    lo, hi = iv.lo + iv.width * Fraction(i, k), iv.lo + iv.width * Fraction(j, k)
+    try:
+        ReferenceAlgebraic(p, lo, hi)
+    except ValueError:
+        lo, hi = iv.lo, iv.hi
+    return p, lo, hi
+
+
+operations = st.lists(st.tuples(
+    st.sampled_from(["bisect", "refine", "refine_away_from", "compare_rational", "equals",
+                     "vanishes", "sign_of", "copy", "to_float"]),
+    rationals, st.integers(1, 10 ** 6), int_polys), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(brackets(), brackets(), operations)
+@example(([-2, 0, 1], Fraction(4, 3), Fraction(3, 2)), ([-2, 0, 1], Fraction(1), Fraction(2)),
+         [("equals", Fraction(0), 1, []), ("compare_rational", Fraction(7, 5), 1, []),
+          ("refine", Fraction(0), 3 ** 9, []), ("to_float", Fraction(0), 10 ** 6, [])])
+def test_integer_bracket_matches_the_fraction_bracket(spec, other_spec, ops):
+    """One random sequence of operations on the integer bracket and on the
+    Fraction bracket it replaced (tests/realalgebraic_reference.py) gives
+    equal answers and equal brackets after every step."""
+    new, ref = RealAlgebraic(*spec), ReferenceAlgebraic(*spec)
+    other_new, other_ref = RealAlgebraic(*other_spec), ReferenceAlgebraic(*other_spec)
+    for name, c, n, q in ops:
+        width = Fraction(1, n)
+        if name == "bisect":
+            new._bisect(), ref._bisect()
+        elif name == "refine":
+            new.refine(width), ref.refine(width)
+        elif name == "refine_away_from":
+            if polys.sign_at(list(ref.poly), c) != 0:  # the reference never ends at its root
+                new.refine_away_from(c), ref.refine_away_from(c)
+        elif name == "compare_rational":
+            assert new.compare_rational(c) == ref.compare_rational(c)
+        elif name == "equals":
+            assert new.equals(other_new) == ref.equals(other_ref)
+            assert (other_new.lo, other_new.hi) == (other_ref.lo, other_ref.hi)
+        elif name == "vanishes":
+            assert new.vanishes(q) == ref.vanishes(q)
+        elif name == "sign_of":
+            assert new.sign_of(q or [1]) == ref.sign_of(q or [1])
+        elif name == "copy":
+            new, ref = new.copy(), ref.copy()
+        else:
+            assert new.to_float(width) == ref.to_float(width)
+        assert (new.lo, new.hi) == (ref.lo, ref.hi)
+    assert repr(new) == repr(ref)

@@ -194,6 +194,74 @@ def test_warm_reads_locate_the_point_in_the_function(monkeypatch):
         bisected.clear()
 
 
+def test_unknot_reads_validate_the_point():
+    """On n = 0 every read route checks the point before answering (0, 0):
+    signature_nullity_at once skipped the check there."""
+    f = signature_function(UNKNOT)
+    reads = (lambda x: signature_nullity_at(UNKNOT, x), f.value_at,
+             lambda x: pointwise_signature_nullity(UNKNOT, x))
+    for read in reads:
+        with pytest.raises(ValueError, match="outside"):
+            read(7)
+        for x in ("foo", None, 0.5, True):
+            with pytest.raises(TypeError):
+                read(x)
+        assert read(Fraction(1, 2)) == read(-2) == (0, 0)
+
+
+def test_a_bool_is_not_a_circle_point():
+    """True is an int to Python but no x: every read route and CirclePoint
+    raise TypeError instead of reading it as 1, where T(3,5) has (-4, 0)."""
+    data = seifert_matrix_from_braid(torus_braid(3, 5))
+    f = signature_function(data)
+    assert f.value_at(1) == (-4, 0)
+    for read in (f.value_at, CirclePoint, lambda x: signature_nullity_at(data, x),
+                 lambda x: pointwise_signature_nullity(data, x)):
+        for x in (True, False):
+            with pytest.raises(TypeError):
+                read(x)
+
+
+def test_warm_reads_compare_no_fraction(monkeypatch):
+    """Warm reads compare integers only: at rationals outside every
+    bracket and at the breakpoints rebuilt from to_json, as a client does,
+    no Fraction comparison runs.  An algebraic read off the breakpoints,
+    sqrt(3) in (17/10, 9/5), bisects only itself and the breakpoint whose
+    bracket meets its own, (3/2, 7/4), until the two are apart."""
+    data = seifert_matrix_from_braid(torus_braid(3, 7))
+    f = signature_function(data)
+    signature_nullity_at(data, Fraction(0))
+    rebuilt = [RealAlgebraic(bp["polynomial"], *map(Fraction, bp["interval"]))
+               if isinstance(bp, dict) else Fraction(bp) for bp in f.to_json()["breakpoints"]]
+    assert sum(isinstance(bp, RealAlgebraic) for bp in rebuilt) >= 4
+    sqrt3 = RealAlgebraic([-3, 0, 1], Fraction(17, 10), Fraction(9, 5))
+    expected = pointwise_signature_nullity(data, sqrt3.copy().refine(Fraction(1, 10 ** 6)).lo)
+    meets = [bp for bp in f.breakpoints
+             if isinstance(bp, RealAlgebraic) and bp.lo < sqrt3.hi and sqrt3.lo < bp.hi]
+    assert len(meets) == 1
+    compared, bisected = collections.Counter(), []
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        def counted(a, b, name=name, compare=getattr(Fraction, name)):
+            compared[name] += 1
+            return compare(a, b)
+        monkeypatch.setattr(Fraction, name, counted)
+    bisect = RealAlgebraic._bisect
+
+    def recorded_bisect(root):
+        bisected.append(root)
+        bisect(root)
+
+    monkeypatch.setattr(RealAlgebraic, "_bisect", recorded_bisect)
+    for x, value in zip(f.samples, f.interval_values):
+        assert signature_nullity_at(data, x) == f.value_at(x) == value
+    for x, value in zip(rebuilt, f.averaged_values):
+        assert signature_nullity_at(data, x) == f.value_at(x) == value
+    assert not compared and not bisected
+    assert signature_nullity_at(data, sqrt3) == expected
+    assert not compared
+    assert {id(root) for root in bisected} == {id(sqrt3), id(meets[0])}
+
+
 def test_trefoil_signature_function():
     f = signature_function(TREFOIL_V)
     assert f.breakpoints == (Fraction(1),)
