@@ -129,7 +129,7 @@ class SeifertData:
     label: str = ""
 
     def __post_init__(self):
-        v = tuple(tuple(int(x) for x in row) for row in self.matrix)
+        v = tuple(tuple(map(int, row)) for row in self.matrix)
         object.__setattr__(self, "matrix", v)
         n = len(v)
         for row in v:
@@ -142,7 +142,7 @@ class SeifertData:
         if n != 2 * self.genus + self.components - 1:
             raise InvalidSeifertData(
                 f"size {n} != 2g + m - 1 for g={self.genus}, m={self.components}")
-        skew = [[v[i][j] - v[j][i] for j in range(n)] for i in range(n)]
+        skew = [[a - b for a, b in zip(row, col)] for row, col in zip(v, zip(*v))]
         rank, det = int_rank_det(skew)
         if rank != 2 * self.genus:
             raise InvalidSeifertData(
@@ -168,8 +168,7 @@ class SeifertData:
         return len(self.matrix)
 
     def transposed(self) -> tuple[tuple[int, ...], ...]:
-        n = self.size
-        return tuple(tuple(self.matrix[j][i] for j in range(n)) for i in range(n))
+        return tuple(zip(*self.matrix))
 
 
 def seifert_matrix_from_braid(b: BraidWord) -> SeifertData:
@@ -191,13 +190,17 @@ def seifert_matrix_from_braid(b: BraidWord) -> SeifertData:
     for pos, x in enumerate(b.letters):
         occurrences[abs(x)].append((pos, 1 if x > 0 else -1))
 
-    # One basis loop per consecutive pair of bands on the same generator,
-    # ordered by (generator, occurrence).
+    # One basis loop per consecutive pair of bands on the same generator.
     loops = []  # (generator, pos1, sign1, pos2, sign2)
     for k in range(1, b.strands):
         occ = occurrences[k]
         for (p1, e1), (p2, e2) in zip(occ, occ[1:]):
             loops.append((k, p1, e1, p2, e2))
+    # Then in braid order, by the position of the first band: a congruence
+    # by a permutation, which changes no invariant, and it puts each loop
+    # next to the loops it links, so tV - V^T of a torus braid has a band
+    # of width 2-3 instead of about n/2.
+    loops.sort(key=lambda l: l[1])
     n = len(loops)
     assert n == len(b.letters) - b.strands + 1
 

@@ -2,14 +2,21 @@
 for determinants, ranks, leading principal minors and ranks at a point.
 
 Entries are integer polynomials in the dense list convention of
-:mod:`linkbound.polys`; an integer matrix is a matrix of constants.  In
-Bareiss elimination (Bareiss 1968) every entry after step k is a minor,
-whose coefficients are below the product of the rows' coefficient
-1-norms.  With K two bits past that bound a minor is its value at
-t = 2^K read in balanced base-2^K digits, and is nonzero exactly when
-that value is (Kronecker substitution).  So the kernel packs each entry
-as that integer and eliminates with integer products and exact integer
-division.  Non-integer coefficients raise ``ValueError`` before packing.
+:mod:`linkbound.polys`.  In Bareiss elimination (Bareiss 1968) every
+entry after step k is a minor.  On |t| = 1 a minor is at most the
+product of its rows' 2-norms (Hadamard's inequality), each coefficient
+is at most the minor's largest modulus there, and each row factor below
+is at least 1, so every minor of every submatrix has coefficients below
+2^(K-2) for K = ceil(bitlen(prod_i max(1, sum_j ||a_ij||_1^2)) / 2) + 2,
+computed in integers.  A minor is then its value at t = 2^K read in
+balanced base-2^K digits, and is nonzero exactly when that value is
+(Kronecker substitution).  So the kernel packs each entry as that
+integer and eliminates with integer products and exact integer division
+(_eliminate).  Non-integer coefficients raise ``ValueError`` before
+packing.  A caller that keeps a matrix packed, as the signature layer
+keeps tV - V^T (packed straight from V), eliminates copies of its rows;
+an integer matrix is eliminated as it stands, with no packing.
+
 Pivoting is complete over a caller-supplied "entry is nonzero" test:
 
 * with the test q != 0 the pivots give the determinant, and their number
@@ -18,9 +25,21 @@ Pivoting is complete over a caller-supplied "entry is nonzero" test:
   is the rank of the matrix at t = z0;
 * the pivot search tries the diagonal entry first, so the pivots up to
   the first off-diagonal one are the leading principal minors.
+
+Rows are scaled lazily: a row whose entry in the pivot column is 0 would
+only be multiplied by p_k / p_(k-1), so it is left as it is and
+remembers the step s after which it was last written.  When it is next
+touched, at step k, it becomes (row p_k - head top) / p_s, the minor that
+the eager update gives, and a pivot row is first brought up to date by
+p_(k-1) / p_s.  A stale entry is the current one times a ratio of earlier
+pivots, each nonzero and passing the test, so the pivot search may read
+stale entries and still picks the eager search's pivots.  On a banded
+matrix each step rewrites only the rows that meet the band.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from . import polys
 
@@ -44,79 +63,114 @@ def _unpack(v: int, k_bits: int) -> list:
     return out
 
 
-def _packing_bits(matrix) -> int:
-    """K such that every minor of the matrix has coefficients of absolute
-    value below 2^(K-2): the bit length of prod_i max(1, sum_j ||a_ij||_1),
-    plus 2.  Raises ValueError on a non-integer coefficient."""
+def _hadamard_bits(norms) -> int:
+    """K = ceil(bitlen(prod_i max(1, sum_j n_ij^2)) / 2) + 2 for the
+    coefficient 1-norms n_ij of a matrix's entries, row by row: every
+    minor of every submatrix has coefficients below 2^(K-2)."""
     bound = 1
+    for row in norms:
+        bound *= max(1, sum([v * v for v in row]))
+    return (bound.bit_length() + 1) // 2 + 2
+
+
+def _packing_bits(matrix) -> int:
+    """The Hadamard K of a matrix of integer polynomials (see
+    _hadamard_bits).  Raises ValueError on a non-integer coefficient."""
+    norms = []
     for row in matrix:
-        coeffs = [c for p in row for c in p]
-        if any(c != int(c) for c in coeffs):
+        if any(c != int(c) for p in row for c in p):
             raise ValueError("non-integer coefficient: the kernel works in Z[t]")
-        bound *= max(1, int(sum(map(abs, coeffs))))
-    return bound.bit_length() + 2
+        norms.append([int(sum(map(abs, p))) for p in row])
+    return _hadamard_bits(norms)
 
 
-def _bareiss(matrix, nonzero=bool) -> tuple[int, list, list, list]:
-    """Fraction-free Bareiss elimination with complete pivoting of a matrix
-    of integer polynomials (dense lists), on their values at t = 2^K.
+def _eliminate(m, k_bits: int = 0, nonzero=bool) -> tuple[int, list, list, list]:
+    """Fraction-free Bareiss elimination with complete pivoting, in place,
+    of a matrix of integers: the entries themselves, or with k_bits > 0
+    integer polynomials packed at t = 2^k_bits.
 
     At step k the pivot is the first entry of the remaining block, in
     row-major order from (k, k), that passes `nonzero`; the elimination
-    stops when no entry passes.  A custom test gets each nonzero entry
-    unpacked, which is exact because the entry is a minor.  Returns (sign,
-    pivots, rows, cols): pivot k is the minor on the original rows
-    rows[:k + 1] and columns cols[:k + 1], and sign is the sign of the row
-    and column swaps, so for a square matrix of full rank sign times the
-    last pivot is the determinant.
+    stops when no entry passes.  A custom test, which needs packed
+    entries, gets each nonzero entry unpacked, which is exact because the
+    entry is a minor.  Rows are scaled lazily (see the module docstring).
+    Returns (sign, pivots, rows, cols), the pivots unpacked when
+    k_bits > 0: pivot k is the minor on the original rows rows[:k + 1] and
+    columns cols[:k + 1], and sign is the sign of the row and column
+    swaps, so for a square matrix of full rank sign times the last pivot
+    is the determinant.
     """
-    k_bits = _packing_bits(matrix)
-    m = [[_pack(p, k_bits) for p in row] for row in matrix]
-
-    def passes(v: int) -> bool:
-        return bool(v) and (nonzero is bool or nonzero(_unpack(v, k_bits)))
+    if nonzero is bool:
+        passes = bool
+    else:
+        def passes(v: int) -> bool:
+            return v != 0 and nonzero(_unpack(v, k_bits))
 
     nrows, ncols = len(m), len(m[0]) if m else 0
     rows, cols = list(range(nrows)), list(range(ncols))
-    sign = prev = 1
-    pivots = []
+    written = [-1] * nrows  # the step after which each row was last written
+    done = [1]  # done[s + 1] is the pivot of step s; done[0] = 1
+    sign = 1
     for k in range(min(nrows, ncols)):
-        at = next(((i, j) for i in range(k, nrows) for j in range(k, ncols)
-                   if passes(m[i][j])), None)
-        if at is None:
-            break
-        i, j = at
+        if passes(m[k][k]):
+            i = j = k
+        else:
+            at = next(((i, j) for i in range(k, nrows) for j in range(k, ncols)
+                       if passes(m[i][j])), None)
+            if at is None:
+                break
+            i, j = at
         if i != k:
             m[k], m[i] = m[i], m[k]
             rows[k], rows[i] = rows[i], rows[k]
+            written[k], written[i] = written[i], written[k]
             sign = -sign
         if j != k:
-            for row in m:
+            for row in islice(m, k, None):
                 row[k], row[j] = row[j], row[k]
             cols[k], cols[j] = cols[j], cols[k]
             sign = -sign
-        pivot = m[k][k]
-        pivots.append(pivot)
-        top = m[k]
-        for row in m[k + 1:]:
+        top, s = m[k][k:], written[k]
+        if s < k - 1:
+            up, down = done[k], done[s + 1]
+            top = [v * up // down for v in top]
+        pivot = top[0]
+        done.append(pivot)
+        tail = top[1:]
+        for i in range(k + 1, nrows):
+            row = m[i]
             head = row[k]
-            for j in range(k + 1, ncols):
-                if head or row[j]:  # else the new entry is 0 as well
-                    row[j] = (row[j] * pivot - head * top[j]) // prev
-        prev = pivot
-    return (sign, [_unpack(p, k_bits) for p in pivots],
-            rows[:len(pivots)], cols[:len(pivots)])
+            if head:
+                down = done[written[i] + 1]
+                row[k + 1:] = [(v * pivot - head * w) // down
+                               for v, w in zip(islice(row, k + 1, None), tail)]
+                written[i] = k
+    pivots = done[1:]
+    if k_bits:
+        pivots = [_unpack(p, k_bits) for p in pivots]
+    return sign, pivots, rows[:len(pivots)], cols[:len(pivots)]
+
+
+def _bareiss(matrix, nonzero=bool) -> tuple[int, list, list, list]:
+    """_eliminate on a matrix of integer polynomials (dense lists), packed
+    at t = 2^K with the Hadamard K of _packing_bits."""
+    k_bits = _packing_bits(matrix)
+    return _eliminate([[_pack(p, k_bits) for p in row] for row in matrix], k_bits, nonzero)
+
+
+def _determinant(elimination, n: int) -> list:
+    """The determinant of an n x n polynomial matrix, n >= 1, from its
+    elimination."""
+    sign, pivots, _, _ = elimination
+    if len(pivots) < n:
+        return []
+    return polys.neg(pivots[-1]) if sign < 0 else pivots[-1]
 
 
 def poly_det(matrix) -> list:
     """Determinant of a square matrix of integer polynomials (dense lists);
     a non-integer coefficient raises ValueError."""
-    if not matrix:
-        return [1]
-    sign, pivots, _, _ = _bareiss(matrix)
-    if len(pivots) < len(matrix):
-        return []
-    return polys.neg(pivots[-1]) if sign < 0 else pivots[-1]
+    return _determinant(_bareiss(matrix), len(matrix)) if matrix else [1]
 
 
 def poly_rank(matrix) -> int:
@@ -126,8 +180,8 @@ def poly_rank(matrix) -> int:
 
 def int_rank_det(matrix) -> tuple[int, int]:
     """(rank over Q, determinant) of a square integer matrix, from one
-    elimination."""
+    elimination of the integers themselves."""
     if not matrix:
         return 0, 1
-    sign, pivots, _, _ = _bareiss([[[int(v)] for v in row] for row in matrix])
-    return len(pivots), sign * pivots[-1][0] if len(pivots) == len(matrix) else 0
+    sign, pivots, _, _ = _eliminate([list(map(int, row)) for row in matrix])
+    return len(pivots), sign * pivots[-1] if len(pivots) == len(matrix) else 0

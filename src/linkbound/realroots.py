@@ -17,7 +17,8 @@ interval that isolates the single root of a square-free polynomial is
 bisected by the sign of that polynomial at the midpoint alone, since a
 simple root is a sign change.  A breakpoint built from a certified
 interval of :func:`isolate_real_roots` is not counted again; the public
-:class:`RealAlgebraic` constructor checks everything.
+:class:`RealAlgebraic` constructor checks everything, and refuses a
+defining polynomial with a rational root.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from math import lcm
 
 from . import polys
 from .errors import ZeroPolynomialError
+from .factor import _rational_root_split
 
 
 @dataclass(frozen=True)
@@ -278,9 +280,12 @@ def refine_isolating_interval(q, interval: IsolatingInterval,
     The root may be rational: a bisection point landing on it is nudged
     before the containing half is selected, so the root always stays
     strictly inside the returned interval.  Bisection and checks are
-    RealAlgebraic's, on the square-free part of q.
+    RealAlgebraic's, on the square-free part of q, bar the refusal of a
+    rational root.
     """
-    root = RealAlgebraic(polys.squarefree_part(q), interval.lo, interval.hi).refine(max_width)
+    root = object.__new__(RealAlgebraic)
+    root._isolate(polys.squarefree_part(q), interval.lo, interval.hi)
+    root.refine(max_width)
     return IsolatingInterval(root.lo, root.hi, interval.multiplicity)
 
 
@@ -307,6 +312,14 @@ class RealAlgebraic:
     __slots__ = ("poly", "_a", "_b", "_d", "_sign_lo")
 
     def __init__(self, poly, lo, hi):
+        self._isolate(poly, lo, hi)
+        if _rational_root_split(list(self.poly))[1]:
+            raise ValueError("defining polynomial must have no rational root")
+
+    def _isolate(self, poly, lo, hi):
+        """The checks of the public constructor but the rational-root one:
+        poly square-free and nonconstant, (lo, hi) isolating one of its
+        roots, the ends not roots."""
         _, prim = polys.primitive_positive(polys.primitive(poly))
         if polys.degree(prim) < 1:
             raise ValueError("defining polynomial must be nonconstant")

@@ -7,11 +7,12 @@ Points z = e^{i theta} are parametrized by x = z + 1/z = 2cos(theta) in
 [-2, 2]; the upper half-circle suffices by conjugation symmetry.  Every
 principal minor of B is fixed by t -> 1/t and is therefore an integer
 polynomial in x.  All linear algebra over Z[t] is the Bareiss kernel of
-:mod:`linkbound.linalg`, run once per Seifert matrix on tV - V^T (see
-_form): t B(t) = (1 - t)(tV - V^T), so the one elimination gives the
-Alexander polynomial, the nullity and the reduction of B, of generic
-rank r, to its nonsingular principal block B_I on the pivot rows I; off
-the roots of det B_I, B(z) has rank r and the signature of B_I(z).
+:mod:`linkbound.linalg`, run once per Seifert matrix on tV - V^T,
+packed straight from V (see _packed): t B(t) = (1 - t)(tV - V^T), so
+the one elimination gives the Alexander polynomial, the nullity and the
+reduction of B, of generic rank r, to its nonsingular principal block
+B_I on the pivot rows I; off the roots of det B_I, B(z) has rank r and
+the signature of B_I(z).
 The k-th leading minor of B_I is kept divided by (2 - x)^(k // 2), since
 (1 - t)^2 = t (x - 2): positive on [-2, 2), the factor changes no sign
 and no root there, and the jump polynomial of a knot drops to half the
@@ -33,9 +34,9 @@ evaluation.  Values at jumps follow the averaged-limit convention: the
 mean of the two adjacent interval values; the nullity at a simple root
 is n - r + 1.
 
-The form tV - V^T, and what depends only on V (principal block, jump
-structure, values at x = +-2, the function), is cached on the Seifert
-data.  A read is located among the breakpoints of the certified
+The packed form tV - V^T, and what depends only on V (principal block,
+jump structure, values at x = +-2, the function), is cached on the
+Seifert data.  A read is located among the breakpoints of the certified
 function, which the first read of a Seifert matrix builds, by
 cross-multiplication: its walls are integers over one denominator;
 pointwise_signature_nullity, unaveraged, is the independent route.
@@ -56,7 +57,7 @@ from .braids import SeifertData
 from .errors import InvalidSeifertData
 from .factor import _rational_root_split
 from .laurent import LaurentPoly, normalize
-from .linalg import _bareiss, poly_det
+from .linalg import _determinant, _eliminate, _hadamard_bits
 from .realroots import RealAlgebraic, _yun, isolate_real_roots
 
 
@@ -109,21 +110,33 @@ def _xz_parts(q) -> tuple[list, list]:
 
 
 @lru_cache(maxsize=1024)
-def _form(data: SeifertData) -> tuple:
-    """tV - V^T as a dense integer-polynomial matrix, straight from V.
-    t B(t) = (1 - t)(tV - V^T), so a k x k minor of B is ((1 - t)/t)^k
-    times that of tV - V^T: both pick the same pivots, and off z = 1 B(z)
-    and zV - V^T have equal rank."""
-    return tuple(tuple(tuple(polys.trim([-b, a])) for a, b in zip(row, col))
-                 for row, col in zip(data.matrix, data.transposed()))
+def _packed(data: SeifertData) -> tuple:
+    """(K, rows): tV - V^T packed at t = 2^K straight from V, entry (i, j)
+    being (V_ij << K) - V_ji.  K is the Hadamard bound of the entry
+    1-norms |V_ij| + |V_ji| (see linalg._hadamard_bits), which covers every
+    minor of every submatrix: the elimination, the principal block and its
+    leading minors, and the ranks at a point all eliminate copies of these
+    rows.  t B(t) = (1 - t)(tV - V^T), so a k x k minor of B is
+    ((1 - t)/t)^k times that of tV - V^T: both pick the same pivots, and
+    off z = 1 B(z) and zV - V^T have equal rank."""
+    pairs = list(zip(data.matrix, data.transposed()))
+    k_bits = _hadamard_bits([[abs(a) + abs(b) for a, b in zip(row, col)] for row, col in pairs])
+    return k_bits, tuple([tuple([(a << k_bits) - b for a, b in zip(row, col)])
+                          for row, col in pairs])
+
+
+def _eliminate_packed(rows, k_bits: int, nonzero=bool) -> tuple:
+    """The kernel on a copy of packed rows."""
+    return _eliminate([list(row) for row in rows], k_bits, nonzero)
 
 
 @lru_cache(maxsize=1024)
-def _elimination(dense: tuple) -> tuple:
-    """The kernel's (sign, pivots, rows, cols) for a dense integer-polynomial
-    matrix, once per matrix: for a Seifert matrix, Delta, beta and the
-    principal block of B(t) all read the elimination of tV - V^T."""
-    sign, pivots, rows, cols = _bareiss(dense)
+def _elimination(data: SeifertData) -> tuple:
+    """The kernel's (sign, pivots, rows, cols) for tV - V^T, once per
+    Seifert matrix: Delta, beta and the principal block of B(t) all read
+    it."""
+    k_bits, packed = _packed(data)
+    sign, pivots, rows, cols = _eliminate_packed(packed, k_bits)
     return sign, tuple(map(tuple, pivots)), tuple(rows), tuple(cols)
 
 
@@ -170,22 +183,23 @@ def _principal_block(data) -> tuple:
     roots of det B_I the rank of B(z) is therefore r, the Schur complement
     of B_I vanishes, and B(z) has the signature of B_I(z) and nullity
     n - r.  When det B is not identically zero, B_I = B.  I and the minors
-    come from the cached elimination of tV - V^T (see _form).  The pivots
+    come from the cached elimination of tV - V^T (see _packed).  The pivots
     up to the first off-diagonal one are leading minors; that minor is 0
     and each larger one takes a determinant of (tV - V^T)_I.  Each minor
     is stored reduced, divided by (2 - x)^(k // 2) (see _minor_x), which
     keeps its sign and its roots on [-2, 2): every reader (Jacobi's rule,
     _pick_sample, the jump polynomial, _nullity_at_jump) looks only there.
     """
-    dense = _form(data)
-    _, pivots, rows, cols = _elimination(dense)
+    k_bits, packed = _packed(data)
+    _, pivots, rows, cols = _elimination(data)
     block = sorted(rows)
-    if _diagonal_prefix(rows, cols) < len(block) < len(dense):
-        dense = [[dense[i][j] for j in block] for i in block]
-        _, pivots, rows, cols = _bareiss(dense)
+    if _diagonal_prefix(rows, cols) < len(block) < len(packed):
+        packed = [[packed[i][j] for j in block] for i in block]
+        _, pivots, rows, cols = _eliminate_packed(packed, k_bits)
     k0 = _diagonal_prefix(rows, cols)
-    minors = list(pivots[:k0]) + [poly_det([row[:k] for row in dense[:k]])
-                                  for k in range(k0 + 1, len(block) + 1)]
+    minors = list(pivots[:k0]) + [
+        _determinant(_eliminate_packed([row[:k] for row in packed[:k]], k_bits), k)
+        for k in range(k0 + 1, len(block) + 1)]
     return tuple(block), tuple(_minor_x(p, k) for k, p in enumerate(minors, 1))
 
 
@@ -199,16 +213,17 @@ def _zero_test(root):
 
 def _rank_at(data, root) -> int:
     """Rank of B(z0) at the circle point with z0 + 1/z0 = root in (-2, 2):
-    the Bareiss kernel with the test q(z0) != 0 on tV - V^T, which has the
-    rank of B(z0) there since z0 != 1.  With q(z) = a(x) + b(x) z,
-    q(z0) = 0 exactly when a and b both vanish at the root, since z0 is
-    not real."""
+    the Bareiss kernel with the test q(z0) != 0 on tV - V^T (see _packed),
+    which has the rank of B(z0) there since z0 != 1.  With
+    q(z) = a(x) + b(x) z, q(z0) = 0 exactly when a and b both vanish at
+    the root, since z0 is not real."""
     vanishes = _zero_test(root)
 
     def nonzero(q):
         return not all(map(vanishes, _xz_parts(q)))
 
-    return len(_bareiss(_form(data), nonzero)[1])
+    k_bits, packed = _packed(data)
+    return len(_eliminate_packed(packed, k_bits, nonzero)[1])
 
 
 def _nullity_at_jump(data, root, e: int) -> int:
@@ -466,7 +481,7 @@ def signature_nullity_at(data, point) -> tuple:
 
     The point is located in the certified function (see value_at), which
     the first read of a Seifert matrix builds: a cold read of T(3,7)
-    takes about 3 ms, of T(3,20) 0.1 s (CPython 3.11, 2-CPU Xeon).
+    takes about 0.8 ms, of T(3,20) 6 ms (CPython 3.11, 2-CPU Xeon).
     """
     x = _as_x(point)
     sig, nul = _signature_function_cached(data).value_at(x)
@@ -646,18 +661,13 @@ def functions_equal(f: SignatureFunction, g: SignatureFunction) -> bool:
 # -- Alexander polynomial, nullity, float oracle ---------------------------------
 
 
-def _presentation(data: SeifertData) -> tuple:
-    """The cached elimination of tV - V^T, shared with B(t)'s block."""
-    return _elimination(_form(data))
-
-
 def alexander_from_seifert(data: SeifertData) -> LaurentPoly:
     """normalize(det(tV - V^T)).  The empty matrix gives 1; a vanishing
     determinant (links with positive nullity) returns the zero polynomial
     unnormalized, since normalization is undefined there."""
     if data.size == 0:
         return LaurentPoly.one()
-    _, pivots, _, _ = _presentation(data)
+    _, pivots, _, _ = _elimination(data)
     if len(pivots) < data.size:
         return LaurentPoly.zero()
     return normalize(LaurentPoly.from_dense(pivots[-1], 0))  # the sign is a unit
@@ -669,7 +679,7 @@ def link_nullity(data: SeifertData) -> int:
 
     beta is n minus the number of pivots of the cached elimination of
     tV - V^T, which also gives Delta and the principal block of B(t)."""
-    beta = data.size - len(_presentation(data)[1])
+    beta = data.size - len(_elimination(data)[1])
     if not 0 <= beta <= data.components - 1:
         raise InvalidSeifertData(
             f"nullity {beta} outside [0, {data.components - 1}]: invalid Seifert data")

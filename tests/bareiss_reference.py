@@ -1,0 +1,91 @@
+"""The eager Bareiss kernel that the lazy one replaced, kept verbatim as
+a reference for tests: every row below the pivot is rewritten at every
+step, and entries are packed at t = 2^K with K from the product of the
+rows' coefficient 1-norms.  The lazy kernel of linkbound.linalg must
+give the same (sign, pivots, rows, cols) under any "entry is nonzero"
+test."""
+
+from __future__ import annotations
+
+
+def _pack(p, k_bits: int) -> int:
+    """The integer polynomial p at t = 2^k_bits."""
+    v = 0
+    for c in reversed(p):
+        v = (v << k_bits) + int(c)
+    return v
+
+
+def _unpack(v: int, k_bits: int) -> list:
+    """The integer polynomial whose value at t = 2^k_bits is v and whose
+    coefficients lie in [-2^(k_bits-1), 2^(k_bits-1)): the balanced
+    base-2^k_bits digits of v, trimmed."""
+    out, half = [], 1 << (k_bits - 1)
+    while v:
+        v, d = divmod(v + half, 1 << k_bits)
+        out.append(d - half)
+    return out
+
+
+def _packing_bits(matrix) -> int:
+    """K such that every minor of the matrix has coefficients of absolute
+    value below 2^(K-2): the bit length of prod_i max(1, sum_j ||a_ij||_1),
+    plus 2.  Raises ValueError on a non-integer coefficient."""
+    bound = 1
+    for row in matrix:
+        coeffs = [c for p in row for c in p]
+        if any(c != int(c) for c in coeffs):
+            raise ValueError("non-integer coefficient: the kernel works in Z[t]")
+        bound *= max(1, int(sum(map(abs, coeffs))))
+    return bound.bit_length() + 2
+
+
+def _bareiss(matrix, nonzero=bool) -> tuple[int, list, list, list]:
+    """Fraction-free Bareiss elimination with complete pivoting of a matrix
+    of integer polynomials (dense lists), on their values at t = 2^K.
+
+    At step k the pivot is the first entry of the remaining block, in
+    row-major order from (k, k), that passes `nonzero`; the elimination
+    stops when no entry passes.  A custom test gets each nonzero entry
+    unpacked, which is exact because the entry is a minor.  Returns (sign,
+    pivots, rows, cols): pivot k is the minor on the original rows
+    rows[:k + 1] and columns cols[:k + 1], and sign is the sign of the row
+    and column swaps, so for a square matrix of full rank sign times the
+    last pivot is the determinant.
+    """
+    k_bits = _packing_bits(matrix)
+    m = [[_pack(p, k_bits) for p in row] for row in matrix]
+
+    def passes(v: int) -> bool:
+        return bool(v) and (nonzero is bool or nonzero(_unpack(v, k_bits)))
+
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    rows, cols = list(range(nrows)), list(range(ncols))
+    sign = prev = 1
+    pivots = []
+    for k in range(min(nrows, ncols)):
+        at = next(((i, j) for i in range(k, nrows) for j in range(k, ncols)
+                   if passes(m[i][j])), None)
+        if at is None:
+            break
+        i, j = at
+        if i != k:
+            m[k], m[i] = m[i], m[k]
+            rows[k], rows[i] = rows[i], rows[k]
+            sign = -sign
+        if j != k:
+            for row in m:
+                row[k], row[j] = row[j], row[k]
+            cols[k], cols[j] = cols[j], cols[k]
+            sign = -sign
+        pivot = m[k][k]
+        pivots.append(pivot)
+        top = m[k]
+        for row in m[k + 1:]:
+            head = row[k]
+            for j in range(k + 1, ncols):
+                if head or row[j]:  # else the new entry is 0 as well
+                    row[j] = (row[j] * pivot - head * top[j]) // prev
+        prev = pivot
+    return (sign, [_unpack(p, k_bits) for p in pivots],
+            rows[:len(pivots)], cols[:len(pivots)])

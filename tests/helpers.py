@@ -127,18 +127,19 @@ def cold_caches():
 def count_eliminations(monkeypatch) -> list[int]:
     """Record the size of every matrix the Bareiss kernel eliminates from
     now on, in the list returned, starting from empty signature and
-    realroots caches.
+    realroots caches: every elimination, packed or integer, runs the one
+    loop `linalg._eliminate`.
     Build Seifert data before calling: its validation runs the kernel on
     integers."""
     calls = []
-    bareiss = linkbound.linalg._bareiss
+    eliminate = linkbound.linalg._eliminate
 
     def counted(matrix, *args):
         calls.append(len(matrix))
-        return bareiss(matrix, *args)
+        return eliminate(matrix, *args)
 
-    monkeypatch.setattr(linkbound.linalg, "_bareiss", counted)
-    monkeypatch.setattr(linkbound.signature, "_bareiss", counted)
+    monkeypatch.setattr(linkbound.linalg, "_eliminate", counted)
+    monkeypatch.setattr(linkbound.signature, "_eliminate", counted)
     cold_caches()
     return calls
 

@@ -1,8 +1,11 @@
 """The exact Z[t] kernel against sympy: Bareiss determinants and ranks
 under complete pivoting, the leading minors read off one elimination, the
 principal block of B(t) for degenerate Seifert matrices, and the packing
-of entries at t = 2^K, including inputs whose minors reach the bound."""
+of entries at t = 2^K, including inputs whose minors reach the bound.
+The lazy kernel against the eager one it replaced
+(tests/bareiss_reference.py), and the rows it rewrites on a band."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,13 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from linkbound import signature_function
-from linkbound.linalg import (_bareiss, _pack, _packing_bits, _unpack, int_rank_det, poly_det,
-                              poly_rank)
-from linkbound.signature import (_diagonal_prefix, _integer_symmetric_signature,
-                                 _principal_block, _trace_signature_nullity,
-                                 pointwise_signature_nullity)
+from linkbound import RealAlgebraic, seifert_matrix_from_braid, signature_function, torus_braid
+from linkbound.linalg import (_bareiss, _eliminate, _pack, _packing_bits, _unpack, int_rank_det,
+                              poly_det, poly_rank)
+from linkbound.signature import (_diagonal_prefix, _elimination, _integer_symmetric_signature,
+                                 _packed, _principal_block, _trace_signature_nullity, _xz_parts,
+                                 _zero_test, pointwise_signature_nullity)
 
+import bareiss_reference
 from helpers import b_laurent, degenerate_seifert
 from quadfield_reference import _quad_signature_nullity
 
@@ -350,9 +354,123 @@ def test_pack_unpack_round_trip(k_bits, data):
 
 
 def test_packing_bits_bound_the_minors():
-    """K is the bit length of prod_i max(1, sum_j ||a_ij||_1), plus 2."""
-    assert _packing_bits([[[5]]]) == 5
-    assert _packing_bits([[[1, -2], [3]], [[], []]]) == 3 + 2
-    assert _packing_bits([]) == 3
+    """K is ceil(bitlen(prod_i max(1, sum_j ||a_ij||_1^2)) / 2) + 2: the
+    all-ones 4 x 4 matrix, whose determinant is 0 and whose Hadamard bound
+    is 4^2, gets 7 where the product of the 1-norms, 4^4, gave 11."""
+    assert _packing_bits([[[5]]]) == 3 + 2
+    assert _packing_bits([[[1, -2], [3]], [[], []]]) == 3 + 2  # bitlen(18) = 5
+    assert _packing_bits([[[1]] * 4] * 4) == 5 + 2  # bitlen(256) = 9
+    assert _packing_bits([]) == 1 + 2
     with pytest.raises(ValueError):
         _packing_bits([[[Fraction(1, 3)]]])
+
+
+@st.composite
+def small_wide_matrices(draw):
+    """r x c matrices, r, c <= 4, with coefficients up to 1000, degree up
+    to 3, and optionally a row of large monomials, which brings some minors
+    close to the bound."""
+    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    m = [[draw(st.lists(st.integers(-1000, 1000), max_size=4)) for _ in range(c)]
+         for _ in range(r)]
+    if draw(st.booleans()):
+        m[0] = [[0] * draw(st.integers(0, 2)) + [draw(st.integers(-1000, 1000))]
+                for _ in range(c)]
+    return m
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_wide_matrices())
+def test_hadamard_bits_bound_every_minor(m):
+    """Every minor of every square submatrix, by sympy, has coefficients
+    of absolute value below 2^(K - 2)."""
+    limit = 2 ** (_packing_bits(m) - 2)
+    for k in range(1, min(len(m), len(m[0])) + 1):
+        for rows in itertools.combinations(range(len(m)), k):
+            for cols in itertools.combinations(range(len(m[0])), k):
+                det = sympy_det([[m[i][j] for j in cols] for i in rows])
+                assert all(abs(c) < limit for c in det)
+
+
+# -- the lazy kernel against the eager one ---------------------------------------
+
+# (x, t^2 - x t + 1 or a multiple of it in Z[t]): the polynomial vanishes
+# at the circle point z0 with z0 + 1/z0 = x.
+CIRCLE_FACTORS = [(Fraction(-1), [1, 1, 1]), (Fraction(0), [1, 0, 1]),
+                  (Fraction(1), [1, -1, 1]),
+                  (RealAlgebraic([-2, 0, 1], 1, 2), [1, 0, 0, 0, 1])]
+
+
+def _nonzero_at(x):
+    """The test of _rank_at: q(z0) != 0, read through q = a(x) + b(x) z."""
+    vanishes = _zero_test(x)
+    return lambda q: not all(map(vanishes, _xz_parts(q)))
+
+
+@st.composite
+def matrices_at_a_point(draw):
+    """(matrix, x): a rank-deficient matrix, one that needs off-diagonal
+    pivots or a degenerate one, with some entries multiplied by a
+    polynomial that vanishes at the circle point of x, so that the test at
+    the point refuses entries that are not 0."""
+    m = draw(st.one_of(rank_deficient_matrices(), pivoting_matrices(), degenerate_matrices()))
+    x, factor = draw(st.sampled_from(CIRCLE_FACTORS))
+    m = [[_trim(_mul(factor, e)) if draw(st.booleans()) else e for e in row] for row in m]
+    return m, x
+
+
+@settings(max_examples=120, deadline=None)
+@given(matrices_at_a_point())
+def test_lazy_kernel_matches_the_eager_one(case):
+    """(sign, pivots, rows, cols) of the lazy kernel equal those of the
+    eager one it replaced, under the test q != 0 and under _rank_at's test
+    q(z0) != 0; an integer matrix, eliminated unpacked, gives the pivots
+    of its constant polynomials."""
+    m, x = case
+    assert _bareiss(m) == bareiss_reference._bareiss(m)
+    at = _nonzero_at(x)
+    assert _bareiss(m, at) == bareiss_reference._bareiss(m, at)
+    ints = [[e[0] if e else 0 for e in row] for row in m]
+    sign, pivots, rows, cols = bareiss_reference._bareiss([[[v] for v in row] for row in ints])
+    assert _eliminate([list(row) for row in ints]) == (sign, [p[0] for p in pivots], rows, cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(degenerate_seifert())
+def test_packing_from_v_matches_the_eager_kernel(data):
+    """The rows packed straight from V carry the Hadamard K of tV - V^T,
+    and their cached elimination equals the eager kernel's on the dense
+    form."""
+    v, n = data.matrix, data.size
+    form = [[_trim([-v[j][i], v[i][j]]) for j in range(n)] for i in range(n)]
+    k_bits, rows = _packed(data)
+    assert k_bits == _packing_bits(form)
+    assert [[_unpack(e, k_bits) for e in row] for row in rows] == form
+    sign, pivots, rows, cols = bareiss_reference._bareiss(form)
+    assert _elimination(data) == (sign, tuple(map(tuple, pivots)), tuple(rows), tuple(cols))
+
+
+def test_banded_elimination_rewrites_only_the_band():
+    """tV - V^T of T(2,19) is tridiagonal, so at each step only the row
+    below the pivot has a nonzero entry in the pivot column: the kernel
+    rewrites at most 2 rows per step, where the eager kernel rewrote every
+    row below the pivot.  The test at a point marks each step, since every
+    diagonal entry passes it."""
+    data = seifert_matrix_from_braid(torus_braid(2, 19))
+    k_bits, packed = _packed(data)
+    n = len(packed)
+    assert all(not packed[i][j] for i in range(n) for j in range(n) if abs(i - j) > 1)
+    steps = []
+
+    class Row(list):
+        def __setitem__(self, key, value):
+            steps[-1].add(id(self))
+            super().__setitem__(key, value)
+
+    def nonzero(q):
+        steps.append(set())
+        return True
+
+    _, pivots, _, _ = _eliminate([Row(row) for row in packed], k_bits, nonzero)
+    assert len(pivots) == len(steps) == n == 18
+    assert max(map(len, steps)) <= 2

@@ -152,6 +152,10 @@ def test_real_algebraic_equality():
 def test_real_algebraic_rejects_bad_data():
     with pytest.raises(ValueError):
         RealAlgebraic([1], 0, 1)              # constant
+    with pytest.raises(ValueError, match="rational root"):
+        RealAlgebraic([-1, 1], 0, 2)          # x - 1
+    with pytest.raises(ValueError, match="rational root"):
+        RealAlgebraic(polys.mul([-2, 0, 1], [1, 2]), 1, 2)  # sqrt(2), but -1/2 is a root
     with pytest.raises(ValueError):
         RealAlgebraic([-2, 0, 1], -2, 2)      # two roots inside
     with pytest.raises(ValueError):
@@ -397,6 +401,15 @@ def brackets(draw):
     return p, lo, hi
 
 
+def _bracket(poly, lo, hi) -> RealAlgebraic:
+    """RealAlgebraic(poly, lo, hi) with every check of the constructor but
+    the refusal of a rational root, as refine_isolating_interval builds
+    one: bisection still lands on the rational roots of `brackets`."""
+    root = object.__new__(RealAlgebraic)
+    root._isolate(poly, lo, hi)
+    return root
+
+
 operations = st.lists(st.tuples(
     st.sampled_from(["bisect", "refine", "refine_away_from", "compare_rational", "equals",
                      "vanishes", "sign_of", "copy", "to_float"]),
@@ -412,8 +425,8 @@ def test_integer_bracket_matches_the_fraction_bracket(spec, other_spec, ops):
     """One random sequence of operations on the integer bracket and on the
     Fraction bracket it replaced (tests/realalgebraic_reference.py) gives
     equal answers and equal brackets after every step."""
-    new, ref = RealAlgebraic(*spec), ReferenceAlgebraic(*spec)
-    other_new, other_ref = RealAlgebraic(*other_spec), ReferenceAlgebraic(*other_spec)
+    new, ref = _bracket(*spec), ReferenceAlgebraic(*spec)
+    other_new, other_ref = _bracket(*other_spec), ReferenceAlgebraic(*other_spec)
     for name, c, n, q in ops:
         width = Fraction(1, n)
         if name == "bisect":

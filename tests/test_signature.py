@@ -19,7 +19,7 @@ from linkbound import (BraidWord, CirclePoint, LaurentPoly, RealAlgebraic, Seife
                        units_equal)
 from linkbound import polys, realroots, signature
 from linkbound.factor import _rational_root_split
-from linkbound.linalg import _bareiss, poly_det
+from linkbound.linalg import _bareiss, _unpack, poly_det
 from linkbound.signature import _diagonal_prefix, _minor_x, breakpoints_equal
 
 from helpers import (b_laurent, cold_caches as _clear_caches, count_eliminations,
@@ -67,9 +67,16 @@ def test_quadfield_rejects_boundary():
 T_LAURENT = LaurentPoly.t()
 
 
+def _form(data):
+    """tV - V^T as dense integer polynomials, unpacked from the packed rows
+    that the kernel eliminates (see signature._packed)."""
+    k_bits, rows = signature._packed(data)
+    return tuple(tuple(tuple(_unpack(v, k_bits)) for v in row) for row in rows)
+
+
 def test_b_family_trefoil_entries():
     """The form of the trefoil is tV - V^T, and (1 - t)/t times it is B(t)."""
-    form = signature._form(TREFOIL_V)
+    form = _form(TREFOIL_V)
     assert form == (((1, -1), (0, 1)), ((-1,), (1, -1)))
     b = [[LaurentPoly.from_dense(p, -1) * (1 - T_LAURENT) for p in row] for row in form]
     assert b[0][0] == LaurentPoly({1: 1, -1: 1, 0: -2})
@@ -79,7 +86,7 @@ def test_b_family_trefoil_entries():
 
 
 def test_b_family_empty():
-    assert signature._form(UNKNOT) == ()
+    assert _form(UNKNOT) == ()
     assert signature._principal_block(UNKNOT) == ((), ())
 
 
@@ -97,7 +104,7 @@ def test_b_family_hermitian_validation():
     each one; a minor that is not symmetric is refused."""
     rng = random.Random(61)
     for _ in range(20):
-        form = signature._form(random_seifert_data(rng, max_size=5))
+        form = _form(random_seifert_data(rng, max_size=5))
         for k in range(1, len(form) + 1):
             _minor_x(poly_det([row[:k] for row in form[:k]]), k)
     with pytest.raises(ValueError):
@@ -129,6 +136,16 @@ def test_trefoil_signature_values():
     # at z = 1 the family vanishes: nullity is the full size,
     # the averaged signature the limit from inside
     assert signature_nullity_at(TREFOIL_V, Fraction(2)) == (0, 2)
+
+
+def test_rational_root_is_no_algebraic_point():
+    """x - 1 has the rational root 1, a breakpoint of the trefoil: the
+    public constructor refuses it, where it used to build a number whose
+    read gave the interval value (-2, 0) instead of the averaged value at
+    x = 1."""
+    with pytest.raises(ValueError, match="rational root"):
+        signature_nullity_at(TREFOIL_V, RealAlgebraic([-1, 1], 0, 2))
+    assert signature_nullity_at(TREFOIL_V, Fraction(1)) == (-1, 1)
 
 
 def test_algebraic_point_outside_the_circle_rejected():
@@ -999,12 +1016,12 @@ def test_principal_block_from_the_shared_elimination():
 
 
 def test_form_of_seifert_data_is_the_form_of_b():
-    """_form builds tV - V^T straight from V, and (1 - t)/t times it is
+    """_packed packs tV - V^T straight from V, and (1 - t)/t times it is
     B(t), whose Laurent entries are built from V apart, on random Seifert
     matrices, zero-padded and degenerate families."""
     for data in _route_inputs():
         b = b_laurent(data)
-        for form_row, b_row in zip(signature._form(data), b):
+        for form_row, b_row in zip(_form(data), b):
             assert [LaurentPoly.from_dense(p, -1) * (1 - T_LAURENT) for p in form_row] == b_row
 
 
