@@ -17,8 +17,7 @@ from .factor import FoxMilnorResult, factor_integer_polynomial, fox_milnor_test
 from .laurent import (LaurentPoly, format_laurent, involution,
                       laurent_from_json, laurent_to_json, normalize,
                       units_equal, width)
-from .realroots import (IsolatingInterval, RealAlgebraic, isolate_real_roots,
-                        refine_isolating_interval)
+from .realroots import RealAlgebraic, isolate_real_roots
 from .signature import (CirclePoint, SignatureFunction, alexander_from_seifert,
                         float_oracle, functions_equal, link_nullity,
                         pointwise_signature_nullity, signature_function,

@@ -35,12 +35,14 @@ EXIT_VERIFY = 5
 
 def _load_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as e:
         raise ParseError(f"{path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+    except (ValueError, RecursionError) as e:  # not UTF-8, an integer too long, deep nesting
+        raise ParseError(f"{path}: {e}") from None
 
 
 def _load_seifert(path: str):

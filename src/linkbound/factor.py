@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import polys
@@ -81,7 +80,7 @@ def _rational_root_split(p) -> tuple[list, list[list]]:
             continue
         found = next((polys.primitive_positive([-s, den])[1]
                       for den in _divisors(p[-1]) for num in _divisors(p[0])
-                      for s in (num, -num) if polys.sign_at(p, Fraction(s, den)) == 0), None)
+                      for s in (num, -num) if polys.sign_at_ratio(p, s, den) == 0), None)
         if not found:
             break
         linear.append(found)

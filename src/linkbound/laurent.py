@@ -151,9 +151,6 @@ class LaurentPoly:
             acc += v * Fraction(x) ** e
         return _clean(acc)
 
-    def evaluate_complex(self, z: complex) -> complex:
-        return sum(v * z ** e for e, v in self._c.items())
-
     # -- the involution and unit normalization -----------------------------
 
     def involution(self) -> "LaurentPoly":

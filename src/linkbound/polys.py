@@ -56,12 +56,6 @@ def mul(p, q) -> list:
     return trim(out)
 
 
-def scale(p, c) -> list:
-    if c == 0:
-        return []
-    return [a * c for a in p]
-
-
 def evaluate(p, x):
     """Horner evaluation; exact for int/Fraction arguments."""
     acc = 0

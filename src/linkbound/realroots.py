@@ -1,60 +1,39 @@
-"""Exact real-root isolation by Sturm sequences over the rationals.
+"""Exact real-root isolation by Sturm sequences, in integers.
 
 Windows are treated as *open* intervals: a root sitting exactly on a
 window endpoint is not reported.  Multiplicities come from Yun's
 square-free decomposition.  :class:`RealAlgebraic` wraps one isolated
 irrational root and supports exact sign queries of polynomials at that
-root, which is what certifying signature jumps requires; its bracket is
-integers over one denominator, so it builds and compares no Fraction.
+root, which is what certifying signature jumps requires.
 
-Sturm chains hold primitive integer polynomials and are computed once per
-polynomial; every sign is the sign of d^k p(a/d) in integers
-(:func:`linkbound.polys.sign_at_ratio`).  Within one isolation each point's
-Sturm count is taken once.  The chain is the one remainder sequence of
-(p, p'), and its last element is gcd(p, p'): a constant one means p is
-square-free, and otherwise Yun's decomposition starts from it.  An
-interval that isolates the single root of a square-free polynomial is
-bisected by the sign of that polynomial at the midpoint alone, since a
-simple root is a sign change.  A breakpoint built from a certified
-interval of :func:`isolate_real_roots` is not counted again; the public
-:class:`RealAlgebraic` constructor checks everything, and refuses a
-defining polynomial with a rational root.
+Every point is a pair of integers (a, d), d > 0, standing for a/d, and
+every bracket is integers (a, b, d) over one denominator; every sign is
+the sign of d^k p(a/d) by one integer Horner pass
+(:func:`linkbound.polys.sign_at_ratio`).  Bisection of (a/d, b/d) gives
+(2a, a + b)/2d or (a + b, 2b)/2d, the rationals that Fraction bisection
+gives, so isolation, refinement and comparison build no Fraction.  Sturm
+chains hold primitive integer polynomials and are computed once per
+polynomial.  Within one isolation each point's Sturm count is taken
+once, kept under the point in lowest terms.  The chain is the one
+remainder sequence of (p, p'), and its last element is gcd(p, p'): a
+constant one means p is square-free, and otherwise Yun's decomposition
+starts from it.  An interval that isolates the single root of a
+square-free polynomial is bisected by the sign of that polynomial at the
+midpoint alone, since a simple root is a sign change.  A breakpoint built
+from a bracket of :func:`isolate_real_roots` is not counted again; the
+public :class:`RealAlgebraic` constructor checks everything, and refuses
+a defining polynomial with a rational root.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import lcm
+from math import gcd, lcm
 
 from . import polys
 from .errors import ZeroPolynomialError
 from .factor import _rational_root_split
-
-
-@dataclass(frozen=True)
-class IsolatingInterval:
-    """Open interval (lo, hi) containing exactly one distinct real root of
-    the target polynomial, tagged with that root's multiplicity."""
-
-    lo: Fraction
-    hi: Fraction
-    multiplicity: int = 1
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("isolating interval requires lo < hi")
-        if self.multiplicity < 1:
-            raise ValueError("multiplicity must be positive")
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
 
 def sturm_chain(p) -> tuple:
@@ -84,104 +63,111 @@ def sign_variations(values) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _chain_signs(chain, x) -> list:
-    """Signs of every element of a Sturm chain at a rational x: the one
+def _chain_signs(chain, a: int, d: int) -> list:
+    """Signs of every element of a Sturm chain at a/d, d > 0: the one
     place a chain is evaluated."""
-    return [polys.sign_at(c, x) for c in chain]
+    return [polys.sign_at_ratio(c, a, d) for c in chain]
 
 
 def _variations(chain, a: int, d: int) -> int:
     """Sign variations of a Sturm chain at a/d, d > 0."""
-    return sign_variations([polys.sign_at_ratio(c, a, d) for c in chain])
+    return sign_variations(_chain_signs(chain, a, d))
 
 
 def count_roots(chain, a, b) -> int:
     """Distinct real roots of the chain's polynomial in the half-open
-    interval (a, b].  Valid even when a or b is a simple root, so for
-    square-free polynomials at any endpoints."""
-    return sign_variations(_chain_signs(chain, a)) - sign_variations(_chain_signs(chain, b))
+    interval (a, b], for rationals a and b.  Valid even when a or b is a
+    simple root, so for square-free polynomials at any endpoints."""
+    return _variations(chain, *_ratio(a)) - _variations(chain, *_ratio(b))
 
 
 class _SturmCounts:
-    """A Sturm chain read at points, each point evaluated once: at(x) is
-    (sign of the chain's polynomial at x, sign variations of the chain at
-    x), kept for the lifetime of the object, which is one isolation."""
+    """A Sturm chain read at points a/d, each point evaluated once: at(a, d)
+    is (sign of the chain's polynomial at a/d, sign variations of the
+    chain there), kept under the point in lowest terms for the lifetime
+    of the object, which is one isolation."""
 
     def __init__(self, chain):
         self.chain, self._memo = chain, {}
 
-    def at(self, x) -> tuple[int, int]:
-        hit = self._memo.get(x)
+    def at(self, a: int, d: int) -> tuple[int, int]:
+        g = gcd(a, d)
+        key = (a // g, d // g)
+        hit = self._memo.get(key)
         if hit is None:
-            signs = _chain_signs(self.chain, x)
-            hit = self._memo[x] = (signs[0], sign_variations(signs))
+            signs = _chain_signs(self.chain, *key)
+            hit = self._memo[key] = (signs[0], sign_variations(signs))
         return hit
 
-    def sign(self, x) -> int:
-        return self.at(x)[0]
+    def sign(self, a: int, d: int) -> int:
+        return self.at(a, d)[0]
 
-    def roots(self, a, b) -> int:
-        """count_roots over (a, b] from the kept counts."""
-        return self.at(a)[1] - self.at(b)[1]
+    def roots(self, a: int, b: int, d: int) -> int:
+        """count_roots over (a/d, b/d] from the kept counts."""
+        return self.at(a, d)[1] - self.at(b, d)[1]
 
 
-def _nonroot_endpoint(counts, anchor, inward, from_high) -> Fraction:
-    """A point strictly between `anchor` and `inward` that is not a root of
-    the counted polynomial, with no root of it strictly between the point
-    and `anchor`."""
-    step = abs(anchor - inward) / 2
-    anchor_is_root = counts.sign(anchor) == 0
+def _nonroot_endpoint(counts, anchor: int, inward: int, d: int) -> tuple[int, int]:
+    """(c, e): a point c/e strictly between the root anchor/d of the counted
+    polynomial and inward/d, not a root of it, with no root of it strictly
+    between c/e and anchor/d.  The candidates are anchor/d moved towards
+    inward/d by |anchor - inward|/2^k d, k = 1, 2, ..."""
+    step = inward - anchor
     while True:
-        cand = anchor - step if from_high else anchor + step
-        if counts.sign(cand) != 0:
-            if from_high:
-                # roots in (cand, anchor] = anchor itself, at most
-                if counts.roots(cand, anchor) == (1 if anchor_is_root else 0):
-                    return cand
-            else:
-                # roots in (anchor, cand] = none (cand is not a root)
-                if counts.roots(anchor, cand) == 0:
-                    return cand
-        step /= 2
+        anchor, d = 2 * anchor, 2 * d
+        c = anchor + step
+        if counts.sign(c, d) != 0:
+            # roots in (c, anchor] = anchor itself; in (anchor, c] = none
+            if (counts.roots(c, anchor, d) == 1 if step < 0
+                    else counts.roots(anchor, c, d) == 0):
+                return c, d
 
 
-def _isolate_squarefree(counts, lo, hi) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint open isolating intervals for all roots of the square-free
-    polynomial of `counts` (a _SturmCounts) strictly inside (lo, hi).
-    Emitted endpoints are never roots of it.  Each point's chain is
-    evaluated once: the two halves of a bisection share the midpoint's
-    count."""
+def _isolate_squarefree(counts, lo: int, hi: int, d: int) -> list[tuple[int, int, int]]:
+    """Disjoint open isolating brackets (u, v, e), in increasing order, for
+    all roots of the square-free polynomial of `counts` (a _SturmCounts)
+    strictly inside (lo/d, hi/d).  Emitted endpoints are never roots of
+    it.  Each point's chain is evaluated once: the two halves of a
+    bisection share the midpoint's count."""
     if len(counts.chain) == 1:
         return []  # a constant polynomial
-    a = lo if counts.sign(lo) != 0 else _nonroot_endpoint(counts, lo, hi, from_high=False)
-    b = hi if counts.sign(hi) != 0 else _nonroot_endpoint(counts, hi, lo, from_high=True)
+    a, e = (lo, d) if counts.sign(lo, d) != 0 else _nonroot_endpoint(counts, lo, hi, d)
+    b, f = (hi, d) if counts.sign(hi, d) != 0 else _nonroot_endpoint(counts, hi, lo, d)
+    d = lcm(e, f)
+    a, b = a * (d // e), b * (d // f)
     if not a < b:
         return []
     out = []
-    stack = [(a, b)]
+    stack = [(a, b, d, False)]  # (u, v, d, boxed); the left half is popped first
     while stack:
-        u, v = stack.pop()
-        n = counts.roots(u, v)  # u, v are non-roots: counts open (u, v)
-        if n == 0:
-            continue
+        u, v, d, boxed = stack.pop()
+        n = 1 if boxed else counts.roots(u, v, d)  # u, v are non-roots: counts open (u, v)
         if n == 1:
-            out.append((u, v))
-            continue
-        m = (u + v) / 2
-        if counts.sign(m) == 0:
-            # Exact rational root at the bisection point; box it tightly.
-            eps = (v - u) / 4
-            while (counts.sign(m - eps) == 0 or counts.sign(m + eps) == 0
-                   or counts.roots(m - eps, m + eps) != 1):
-                eps /= 2
-            out.append((m - eps, m + eps))
-            stack.append((u, m - eps))
-            stack.append((m + eps, v))
-        else:
-            stack.append((u, m))
-            stack.append((m, v))
-    out.sort()
+            out.append((u, v, d))
+        elif n > 1:
+            m = u + v  # the midpoint, over 2d
+            if counts.sign(m, 2 * d) == 0:
+                # Exact rational root at the bisection point; box it tightly,
+                # in (m -+ w)/d with w/d = (v - u)/4d, (v - u)/8d, ...
+                m, w, u, v, d = 2 * m, v - u, 4 * u, 4 * v, 4 * d
+                while (counts.sign(m - w, d) == 0 or counts.sign(m + w, d) == 0
+                       or counts.roots(m - w, m + w, d) != 1):
+                    m, u, v, d = 2 * m, 2 * u, 2 * v, 2 * d
+                stack += [(m + w, v, d, False), (m - w, m + w, d, True), (u, m - w, d, False)]
+            else:
+                stack += [(m, 2 * v, 2 * d, False), (2 * u, m, 2 * d, False)]
     return out
+
+
+def _bisected(poly, a: int, b: int, d: int, sign_lo: int) -> tuple[int, int, int]:
+    """The half of (a/d, b/d) that holds the one root of `poly` in it, as
+    (a', b', d'), where poly has the sign sign_lo != 0 at a/d and no
+    multiple root in the bracket.  A midpoint that is a root of poly is
+    nudged right by (b - a)/4d, then (b - a)/8d, ... first."""
+    m, w, a, b, d = a + b, b - a, 2 * a, 2 * b, 2 * d
+    while (s := polys.sign_at_ratio(poly, m, d)) == 0:
+        m, a, b, d = 2 * m + w, 2 * a, 2 * b, 2 * d
+    return (a, m, d) if s != sign_lo else (m, b, d)
 
 
 @lru_cache(maxsize=512)
@@ -205,28 +191,34 @@ def _yun(q: tuple) -> tuple:
     return factors, tuple(reduce(polys.mul, (f for f, _ in factors), [1]))
 
 
-def isolate_real_roots(q, lo, hi) -> list[IsolatingInterval]:
-    """Isolate all distinct real roots of q strictly inside (lo, hi).
+def isolate_real_roots(q, lo, hi) -> list[tuple[int, int, int, int]]:
+    """Isolate all distinct real roots of q strictly inside (lo, hi), for
+    rationals lo and hi.
 
-    Returns pairwise-disjoint intervals, each containing exactly one
-    distinct root of q, tagged with that root's multiplicity from the
-    square-free decomposition.  Roots at lo or hi are excluded (open
-    window).  Every interval isolates its root within the square-free
-    part of q, and its endpoints are not roots of q.  Raises
-    ZeroPolynomialError for q = 0.
+    Returns pairwise-disjoint brackets (a, b, d, multiplicity), in
+    increasing order: the open interval (a/d, b/d), with d > 0 and
+    gcd(a, b, d) = 1, contains exactly one distinct root of q, and the
+    multiplicity is that root's, from the square-free decomposition.
+    Roots at lo or hi are excluded (open window).  Every bracket isolates
+    its root within the square-free part of q, and its endpoints are not
+    roots of q.  Raises ZeroPolynomialError for q = 0.
     """
     q = polys.trim(q)
     if not q:
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
-    lo, hi = Fraction(lo), Fraction(hi)
-    if not lo < hi or polys.degree(q) == 0:
+    (a, e), (b, f) = _ratio(lo), _ratio(hi)
+    d = lcm(e, f)
+    a, b = a * (d // e), b * (d // f)
+    if not a < b or polys.degree(q) == 0:
         return []
     factors, sq = _yun(tuple(q))
-    found = []  # mutable records [lo, hi, mult, factor]
+    found = []  # mutable records [u, v, e, sign of the factor at u/e, mult, factor]
     for factor, mult in factors:
-        for u, v in _isolate_squarefree(_SturmCounts(sturm_chain(factor)), lo, hi):
-            found.append([u, v, mult, factor])
-    if len(factors) > 1 and (polys.sign_at(q, lo) == 0 or polys.sign_at(q, hi) == 0):
+        counts = _SturmCounts(sturm_chain(factor))
+        for u, v, e in _isolate_squarefree(counts, a, b, d):
+            found.append([u, v, e, counts.sign(u, e), mult, factor])
+    if len(factors) > 1 and (polys.sign_at_ratio(q, a, d) == 0
+                             or polys.sign_at_ratio(q, b, d) == 0):
         # A root of one factor inside another's interval, or on its end,
         # lies inside its own interval, so the disjointness loop below
         # separates them.  A root at a window end has no interval: refine
@@ -234,59 +226,39 @@ def isolate_real_roots(q, lo, hi) -> list[IsolatingInterval]:
         # square-free part and the endpoints avoid all roots of q.
         counts = _SturmCounts(sturm_chain(sq))
         for item in found:
-            while not (counts.sign(item[0]) != 0 and counts.sign(item[1]) != 0
-                       and counts.roots(item[0], item[1]) == 1):
+            while not (counts.sign(item[0], item[2]) != 0 and counts.sign(item[1], item[2]) != 0
+                       and counts.roots(*item[:3]) == 1):
                 _halve(item)
-    # Disjointness across factors.
+    # Disjointness across factors, compared over the lcm of the denominators.
     while True:
-        found.sort(key=lambda it: (it[0], it[1]))
-        overlap = [i for i in range(len(found) - 1) if found[i][1] > found[i + 1][0]]
+        den = lcm(*(item[2] for item in found))
+        found.sort(key=lambda it: (it[0] * (den // it[2]), it[1] * (den // it[2])))
+        overlap = [i for i, (x, y) in enumerate(zip(found, found[1:]))
+                   if x[1] * y[2] > y[0] * x[2]]
         if not overlap:
             break
         for i in overlap:
             _halve(found[i])
             _halve(found[i + 1])
-    return [IsolatingInterval(Fraction(u), Fraction(v), mult)
-            for u, v, mult, _ in found]
+    out = []
+    for u, v, e, _, mult, _ in found:
+        g = gcd(u, v, e)
+        out.append((u // g, v // g, e // g, mult))
+    return out
 
 
 def _halve(item):
     """Shrink an isolation record around its root, keeping the new endpoint
     off the roots of the record's factor.  The record isolates one simple
-    root of the square-free factor, so the root lies in (u, m) exactly
-    when the factor changes sign there."""
-    u, v, _, factor = item
-    m = (u + v) / 2
-    eps = (v - u) / 4
-    while (s := polys.sign_at(factor, m)) == 0:
-        m += eps
-        eps /= 2
-    if s != polys.sign_at(factor, u):
-        item[1] = m
-    else:
-        item[0] = m
+    root of the square-free factor, whose sign at the left end never
+    changes."""
+    item[:3] = _bisected(item[5], *item[:4])
 
 
 def _ratio(c) -> tuple[int, int]:
     """(numerator, denominator > 0) of a rational c."""
     c = c if isinstance(c, (int, Fraction)) else Fraction(c)
     return c.numerator, c.denominator
-
-
-def refine_isolating_interval(q, interval: IsolatingInterval,
-                              max_width) -> IsolatingInterval:
-    """Shrink an isolating interval of q below `max_width` > 0 by bisection.
-
-    The root may be rational: a bisection point landing on it is nudged
-    before the containing half is selected, so the root always stays
-    strictly inside the returned interval.  Bisection and checks are
-    RealAlgebraic's, on the square-free part of q, bar the refusal of a
-    rational root.
-    """
-    root = object.__new__(RealAlgebraic)
-    root._isolate(polys.squarefree_part(q), interval.lo, interval.hi)
-    root.refine(max_width)
-    return IsolatingInterval(root.lo, root.hi, interval.multiplicity)
 
 
 @lru_cache(maxsize=1024)
@@ -319,34 +291,36 @@ class RealAlgebraic:
     def _isolate(self, poly, lo, hi):
         """The checks of the public constructor but the rational-root one:
         poly square-free and nonconstant, (lo, hi) isolating one of its
-        roots, the ends not roots."""
+        roots, the ends not roots.  The bracket is kept over the lcm of
+        the ends' denominators."""
         _, prim = polys.primitive_positive(polys.primitive(poly))
         if polys.degree(prim) < 1:
             raise ValueError("defining polynomial must be nonconstant")
         chain = sturm_chain(tuple(prim))
         if polys.degree(chain[-1]) > 0:  # the last element is gcd(poly, poly')
             raise ValueError("defining polynomial must be square-free")
-        self._set_bracket(prim, Fraction(lo), Fraction(hi))
+        (a, e), (b, f) = _ratio(lo), _ratio(hi)
+        d = lcm(e, f)
+        self._set_bracket(prim, a * (d // e), b * (d // f), d)
         if self._sign_lo == 0 or polys.sign_at_ratio(self.poly, self._b, self._d) == 0:
             raise ValueError("interval endpoints must not be roots")
         if _variations(chain, self._a, self._d) - _variations(chain, self._b, self._d) != 1:
             raise ValueError("interval does not isolate a single root")
 
     @classmethod
-    def _certified(cls, poly, interval: IsolatingInterval) -> "RealAlgebraic":
-        """The root in an interval that isolate_real_roots(q, ...) returned,
-        with poly the square-free part of q from _yun.  That isolation
-        certified what the public constructor checks (poly primitive,
-        positive-leading and square-free, the endpoints not roots, one
-        root inside), so nothing is counted again."""
+    def _certified(cls, poly, a: int, b: int, d: int) -> "RealAlgebraic":
+        """The root in a bracket (a, b, d, _) that isolate_real_roots(q, ...)
+        returned, with poly the square-free part of q from _yun.  That
+        isolation certified what the public constructor checks (poly
+        primitive, positive-leading and square-free, the endpoints not
+        roots, one root inside), so nothing is counted again."""
         root = object.__new__(cls)
-        root._set_bracket(poly, interval.lo, interval.hi)
+        root._set_bracket(poly, a, b, d)
         return root
 
-    def _set_bracket(self, poly, lo: Fraction, hi: Fraction):  # over the lcm of denominators
-        self.poly, self._d = tuple(poly), (d := lcm(lo.denominator, hi.denominator))
-        self._a, self._b = lo.numerator * d // lo.denominator, hi.numerator * d // hi.denominator
-        self._sign_lo = polys.sign_at_ratio(self.poly, self._a, d)
+    def _set_bracket(self, poly, a: int, b: int, d: int):
+        self.poly, self._a, self._b, self._d = tuple(poly), a, b, d
+        self._sign_lo = polys.sign_at_ratio(self.poly, a, d)
 
     @property
     def lo(self) -> Fraction:
@@ -357,10 +331,8 @@ class RealAlgebraic:
         return Fraction(self._b, self._d)
 
     def _bisect(self):
-        m, w, a, b, d = self._a + self._b, self._b - self._a, 2 * self._a, 2 * self._b, 2 * self._d
-        while (s := polys.sign_at_ratio(self.poly, m, d)) == 0:  # nudge the midpoint by w/2d
-            m, a, b, d = 2 * m + w, 2 * a, 2 * b, 2 * d
-        self._a, self._b, self._d = (a, m, d) if s != self._sign_lo else (m, b, d)
+        self._a, self._b, self._d = _bisected(self.poly, self._a, self._b, self._d,
+                                              self._sign_lo)
 
     def refine(self, max_width) -> "RealAlgebraic":
         p, q = _ratio(max_width)

@@ -6,8 +6,9 @@ values at jumps, the Alexander polynomial and the link nullity.
 Points z = e^{i theta} are parametrized by x = z + 1/z = 2cos(theta) in
 [-2, 2]; the upper half-circle suffices by conjugation symmetry.  Every
 principal minor of B is fixed by t -> 1/t and is therefore an integer
-polynomial in x.  All linear algebra over Z[t] is the Bareiss kernel of
-:mod:`linkbound.linalg`, run once per Seifert matrix on tV - V^T,
+polynomial in x, read off its coefficients with a cached table of the
+x-forms of z^e + z^-e.  All linear algebra over Z[t] is the Bareiss
+kernel of :mod:`linkbound.linalg`, run once per Seifert matrix on tV - V^T,
 packed straight from V (see _packed): t B(t) = (1 - t)(tV - V^T), so
 the one elimination gives the Alexander polynomial, the nullity and the
 reduction of B, of generic rank r, to its nonsingular principal block
@@ -22,17 +23,20 @@ them vanishes, and at x = -2, one fraction-free congruence of an integer
 symmetric matrix read off V takes over: B(-1) = 2(V + V^T), or inside
 (-2, 2) the rational trace form of B(z), which has twice its signature
 and nullity; perturbation is never used.  B(1) = 0.
-Jumps lie among the roots of det B_I, certified by Sturm isolation in x;
-the breakpoints are built from the certified intervals without a second
-count.  When det B is identically zero the multiplicity e of a root of
-det B_I decides it (see _jump_structure): odd e is a jump, and at e = 1
-the rank of B(z) is r - 1; a root of even e counts only where the kernel
-finds the rank of B(z) below r.  Each interval is read at a dyadic
-sample where no leading minor vanishes: the sample search takes their
-signs, which are Jacobi's, so the interval value needs no second
-evaluation.  Values at jumps follow the averaged-limit convention: the
-mean of the two adjacent interval values; the nullity at a simple root
-is n - r + 1.
+Jumps lie among the roots of det B_I, certified by Sturm isolation in x
+on integer brackets (a, b, d) for (a/d, b/d); the breakpoints are built
+from the certified brackets without a second count.  When det B is
+identically zero the multiplicity e of a root of det B_I decides it (see
+_jump_structure): odd e is a jump, and at e = 1 the rank of B(z) is
+r - 1; a root of even e counts only where the kernel finds the rank of
+B(z) below r.  Each interval is read at a dyadic
+sample where no leading minor vanishes: the sample search walks integer
+numerators over one denominator and takes the minors' signs there,
+which are Jacobi's, so the interval value needs no second evaluation.
+The jump locus thus builds a Fraction only for each sample and each
+rational breakpoint.  Values at jumps follow the averaged-limit
+convention: the mean of the two adjacent interval values; the nullity
+at a simple root is n - r + 1.
 
 The packed form tV - V^T, and what depends only on V (principal block,
 jump structure, values at x = +-2, the function), is cached on the
@@ -50,7 +54,7 @@ import collections
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from . import polys
 from .braids import SeifertData
@@ -150,8 +154,8 @@ def _minor_x(p, k: int) -> tuple:
     shift, and a sign.  (2 - x)^j > 0 on [-2, 2), so the quotient has the
     sign and the roots of the minor there, and half its degree.  The
     shifted minor is symmetric, sum_e c_e t^e with c_-e = c_e, and its
-    x-form is c_0 + sum_(e > 0) c_e D_e(x) with D_e = z^e + z^-e, D_0 = 2,
-    D_1 = x and D_(e+1) = x D_e - D_(e-1)."""
+    x-form is c_0 + sum_(e > 0) c_e D_e(x), read off the table of the
+    D_e (see _chebyshev) in integers."""
     j, m = k // 2, k - k // 2
     p = list(p)
     if k % 2:
@@ -159,12 +163,26 @@ def _minor_x(p, k: int) -> tuple:
     p += [0] * (2 * m + 1 - len(p))
     if p != p[::-1]:
         raise ValueError("minor is not symmetric under t -> 1/t")
-    q, old, cur = [p[m]], [2], [0, 1]
-    for c in p[m + 1:]:
-        q = polys.add(q, polys.scale(cur, c))
+    sign = -1 if j % 2 else 1
+    q = [sign * p[m]] + [0] * m
+    for c, terms in zip(p[m + 1:], _chebyshev(m)):
+        if c:
+            c *= sign
+            for i, a in terms:
+                q[i] += c * a
+    return tuple(polys.trim(q))
+
+
+@lru_cache(maxsize=256)
+def _chebyshev(m: int) -> tuple:
+    """The x-forms of D_e = z^e + z^-e for e = 1..m, each as its nonzero
+    (power of x, coefficient) pairs: D_0 = 2, D_1 = x and
+    D_(e+1) = x D_e - D_(e-1)."""
+    table, old, cur = [], [2], [0, 1]
+    for _ in range(m):
+        table.append(tuple((i, a) for i, a in enumerate(cur) if a))
         old, cur = cur, polys.sub([0] + cur, old)
-    q = polys.trim(q)
-    return tuple(polys.neg(q) if j % 2 else q)
+    return tuple(table)
 
 
 def _diagonal_prefix(rows, cols) -> int:
@@ -420,21 +438,23 @@ def _jump_structure(data):
         return rank == n or e % 2 == 1 or _rank_at(data, root) < rank
 
     rest, linear = _rational_root_split(list(prim))
-    rational_roots = collections.Counter(Fraction(-f[0], f[1]) for f in linear)
-    rationals = [(r, e) for r, e in sorted(rational_roots.items()) if -2 < r < 2 and jumps(r, e)]
+    # each linear factor is (-s, den), den > 0, with root s/den
+    inside = sorted((Fraction(-c, den), e) for (c, den), e in
+                    collections.Counter(map(tuple, linear)).items() if abs(c) < 2 * den)
+    rationals = [(r, e) for r, e in inside if jumps(r, e)]
     found: list = []
     if polys.degree(rest) >= 1:
         sqfree = _yun(tuple(rest))[1]
-        for iv in isolate_real_roots(rest, Fraction(-2), Fraction(2)):  # in increasing order
-            root = RealAlgebraic._certified(sqfree, iv)
-            if not jumps(root, iv.multiplicity):
+        for a, b, d, e in isolate_real_roots(rest, -2, 2):  # in increasing order
+            root = RealAlgebraic._certified(sqfree, a, b, d)
+            if not jumps(root, e):
                 continue
             while not (_separated(-2, root) and _separated(root, 2)):
                 root._bisect()  # keep the bracket strictly inside (-2, 2)
             # the rational jumps below it go first; comparing refines it away
             while rationals and root.compare_rational(rationals[0][0]) > 0:
                 found.append(rationals.pop(0))
-            found.append((root, iv.multiplicity))
+            found.append((root, e))
     found += rationals
     bps = [b for b, _ in found]
     # enforce strictly separated walls between consecutive breakpoints
@@ -447,26 +467,33 @@ def _jump_structure(data):
     return tuple(prim), rank, tuple(found)
 
 
-def _pick_sample(avoid_xpolys, lo: Fraction, hi: Fraction) -> tuple[Fraction, list]:
+def _pick_sample(avoid_xpolys, a: int, d: int, b: int, e: int) -> tuple[Fraction, list]:
     """(x, the signs of the polynomials of `avoid_xpolys` at x) for a
-    dyadic point x of (lo, hi) where none of them vanishes: the midpoint,
-    then finer dyadic subdivisions.  Terminates because the polynomials
-    have finitely many roots."""
-    assert lo < hi, "sample gap must be nonempty"
-    span = hi - lo
+    dyadic point x of (a/d, b/e) where none of them vanishes: the
+    midpoint, then finer dyadic subdivisions, walked as integer
+    numerators over one denominator; only the chosen x is built as a
+    Fraction.  Terminates because the polynomials have finitely many
+    roots."""
+    den = lcm(d, e)
+    lo = a * (den // d)
+    span = b * (den // e) - lo
+    assert span > 0, "sample gap must be nonempty"
     for depth in range(1, 80):
-        denom = 2 ** depth
-        for j in range(1, denom, 2):
-            cand = lo + span * Fraction(j, denom)
-            signs = [polys.sign_at(p, cand) for p in avoid_xpolys]
+        lo, den = 2 * lo, 2 * den  # x = (lo + j span) / den, j odd below 2^depth
+        for j in range(1, 1 << depth, 2):
+            num = lo + j * span
+            g = gcd(num, den)
+            num, dg = num // g, den // g
+            signs = [polys.sign_at_ratio(p, num, dg) for p in avoid_xpolys]
             if all(signs):
-                return cand, signs
+                return Fraction(num, dg), signs
     raise AssertionError("no minor-free sample point found")
 
 
-def _mean(a, b):
-    m = Fraction(a + b, 2)
-    return int(m) if m.denominator == 1 else m
+def _mean(a: int, b: int):
+    """(a + b)/2: an int, or a Fraction for a half-integer."""
+    s = a + b
+    return Fraction(s, 2) if s % 2 else s // 2
 
 
 def signature_nullity_at(data, point) -> tuple:
@@ -624,8 +651,7 @@ def _signature_function_cached(data) -> SignatureFunction:
     values = []
     walls = [(-2, -2, 1)] + [_wall(bp) for bp in bps] + [(2, 2, 1)]
     for (_, a, d), (b, _, e) in zip(walls, walls[1:]):
-        lo, hi = Fraction(a, d), Fraction(b, e)
-        sample, signs = _pick_sample(avoid, lo, hi)
+        sample, signs = _pick_sample(avoid, a, d, b, e)
         samples.append(sample)
         if len(avoid) == len(minors):  # the sample's signs are Jacobi's
             sig, nul = _jacobi(signs), n - rank

@@ -64,7 +64,7 @@ def psi(m: int) -> tuple:
     h = (len(phi) - 1) // 2
     out, old, cur = [phi[h]], [2], [0, 1]  # D_0 = 2, D_1 = x, D_(e+1) = x D_e - D_(e-1)
     for c in phi[h + 1:]:
-        out = polys.add(out, polys.scale(cur, c))
+        out = polys.add(out, [c * a for a in cur])
         old, cur = cur, polys.sub([0] + cur, old)
     return tuple(polys.trim(out))
 

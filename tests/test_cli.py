@@ -135,6 +135,21 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert ":1:" in err  # line/column diagnostics
 
 
+@pytest.mark.parametrize("content", [
+    b'{"seifert_matrix": [[' + b"9" * 5000 + b']], "components": 1}',
+    b'{"braid": "strands=2; 1 1 1", "name": "caf\xe9"}',
+    b"[" * 100000,
+], ids=["5000-digit integer", "not UTF-8", "100000 nested ["])
+def test_hostile_json_exit_code(capsys, tmp_path, content):
+    """An integer too long for int(), a file that is not UTF-8 and nesting
+    too deep for the decoder are parse errors, not tracebacks."""
+    path = tmp_path / "hostile.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "bound", str(path))
+    assert code == 2 and not out
+    assert err.startswith("parse error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("obj", [
     {"seifert_matrix": [[-1.5, 1], [0, -1]], "components": 1},
     {"seifert_matrix": [[-1, 1], [0, "a"]], "components": 1},

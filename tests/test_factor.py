@@ -22,7 +22,7 @@ def test_factor_simple():
 
 def test_factor_content_and_multiplicity():
     # 6 (x - 1)^2 (x + 2)
-    p = polys.scale(polys.mul(polys.mul([-1, 1], [-1, 1]), [2, 1]), 6)
+    p = [6 * c for c in polys.mul(polys.mul([-1, 1], [-1, 1]), [2, 1])]
     c, factors = factor_integer_polynomial(p)
     assert c == 6
     assert dict(factors) == {(-1, 1): 2, (2, 1): 1}

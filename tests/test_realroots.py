@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,22 +8,30 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from linkbound import IsolatingInterval, RealAlgebraic, ZeroPolynomialError, \
-    isolate_real_roots, refine_isolating_interval
+from linkbound import RealAlgebraic, ZeroPolynomialError, isolate_real_roots
 from linkbound import polys, realroots
 from linkbound.realroots import count_roots, sturm_chain
 
+from isolation_reference import IsolatingInterval, refine_isolating_interval
+from isolation_reference import isolate_real_roots as reference_isolation
 from realalgebraic_reference import RealAlgebraic as ReferenceAlgebraic
 
 X = sympy.Symbol("x")
 
 
+def intervals(q, lo, hi) -> list[IsolatingInterval]:
+    """The brackets (a, b, d, multiplicity) of isolate_real_roots as the
+    intervals (a/d, b/d) of the reference."""
+    return [IsolatingInterval(Fraction(a, d), Fraction(b, d), m)
+            for a, b, d, m in isolate_real_roots(q, lo, hi)]
+
+
 def test_single_linear_root():
     out = isolate_real_roots([-1, 1], Fraction(-2), Fraction(2))
     assert len(out) == 1
-    iv = out[0]
-    assert iv.lo < 1 < iv.hi
-    assert iv.multiplicity == 1
+    a, b, d, multiplicity = out[0]
+    assert a < d < b  # a/d < 1 < b/d
+    assert multiplicity == 1
 
 
 def test_boundary_roots_excluded():
@@ -33,14 +42,14 @@ def test_boundary_roots_excluded():
 def test_trefoil_derived_polynomial():
     # det(tV - V^T) for V = [[-1, 1], [0, -1]] is t^2 - t + 1, which is
     # x - 1 after the x = t + 1/t substitution: a single root at x = 1.
-    out = isolate_real_roots([-1, 1], Fraction(-2), Fraction(2))
+    out = intervals([-1, 1], Fraction(-2), Fraction(2))
     assert len(out) == 1 and out[0].lo < 1 < out[0].hi
 
 
 def test_two_quadratic_factors():
     # (x^2 - 2)(x^2 - 3): four roots inside (-2, 2)
     p = polys.mul([-2, 0, 1], [-3, 0, 1])
-    out = isolate_real_roots(p, Fraction(-2), Fraction(2))
+    out = intervals(p, Fraction(-2), Fraction(2))
     assert len(out) == 4
     floats = sorted((iv.lo + iv.hi) / 2 for iv in out)
     expect = sorted([-(3 ** 0.5), -(2 ** 0.5), 2 ** 0.5, 3 ** 0.5])
@@ -51,7 +60,7 @@ def test_two_quadratic_factors():
 def test_multiplicities_from_squarefree_decomposition():
     # (x - 1)^2 (x + 1)
     p = polys.mul(polys.mul([-1, 1], [-1, 1]), [1, 1])
-    out = isolate_real_roots(p, Fraction(-2), Fraction(2))
+    out = intervals(p, Fraction(-2), Fraction(2))
     mults = sorted((float(iv.midpoint), iv.multiplicity) for iv in out)
     assert len(out) == 2
     assert mults[0][1] == 1 and abs(mults[0][0] + 1) < 1
@@ -71,13 +80,12 @@ def test_disjointness_and_containment():
         p = polys.trim(p)
         if polys.degree(p) < 1:
             continue
-        out = isolate_real_roots(p, Fraction(-5), Fraction(5))
+        out = intervals(p, Fraction(-5), Fraction(5))
         for a, b in zip(out, out[1:]):
             assert a.hi <= b.lo
         for iv in out:
             # exactly one distinct root inside, via the square-free part
             sq = polys.squarefree_part(p)
-            from linkbound.realroots import count_roots, sturm_chain
             assert count_roots(sturm_chain(sq), iv.lo, iv.hi) == 1
 
 
@@ -102,7 +110,7 @@ def test_random_polynomials_match_float_count():
         p = polys.trim([rng.randint(-9, 9) for _ in range(deg + 1)])
         if polys.degree(p) < 1:
             continue
-        out = isolate_real_roots(p, *window)
+        out = intervals(p, *window)
         assert len(out) == _float_root_count(p, float(window[0]), float(window[1]))
         for iv in out:
             if iv.multiplicity % 2 == 1:
@@ -163,6 +171,8 @@ def test_real_algebraic_rejects_bad_data():
 
 
 def test_isolating_interval_validation():
+    """The reference's interval record refuses an empty interval and a
+    multiplicity below 1."""
     with pytest.raises(ValueError):
         IsolatingInterval(Fraction(1), Fraction(1))
     with pytest.raises(ValueError):
@@ -170,9 +180,11 @@ def test_isolating_interval_validation():
 
 
 def test_refine_isolating_interval():
+    """The reference's refinement, which bisects with RealAlgebraic, on
+    the reference's intervals."""
     # irrational root
     p = [-2, 0, 1]
-    (iv,) = isolate_real_roots(p, Fraction(0), Fraction(2))
+    (iv,) = reference_isolation(p, Fraction(0), Fraction(2))
     tight = refine_isolating_interval(p, iv, Fraction(1, 10 ** 9))
     assert tight.width <= Fraction(1, 10 ** 9)
     assert tight.lo < Fraction(1414213563, 10 ** 9)
@@ -180,7 +192,7 @@ def test_refine_isolating_interval():
     assert tight.multiplicity == iv.multiplicity
     # rational root sitting exactly on bisection points
     q = polys.mul([-1, 1], [-1, 1])  # (x - 1)^2
-    (iv2,) = isolate_real_roots(q, Fraction(-2), Fraction(2))
+    (iv2,) = reference_isolation(q, Fraction(-2), Fraction(2))
     tight2 = refine_isolating_interval(q, iv2, Fraction(1, 1000))
     assert tight2.lo < 1 < tight2.hi
     assert tight2.width <= Fraction(1, 1000)
@@ -262,7 +274,7 @@ def test_isolation_contract_on_products(factors, lo, hi):
             q = polys.mul(q, f)
     sq = polys.squarefree_part(q)
     chain = sturm_chain(sq)
-    out = isolate_real_roots(q, lo, hi)
+    out = intervals(q, lo, hi)
     for a, b in zip(out, out[1:]):
         assert a.hi <= b.lo
     inside = sympy.Poly(list(reversed(sq)), X).count_roots(lo, hi)  # closed [lo, hi]
@@ -276,9 +288,39 @@ def test_isolation_contract_on_products(factors, lo, hi):
         assert iv.multiplicity == power
 
 
+polynomial_windows = st.tuples(
+    st.lists(st.tuples(square_free_factors, st.integers(1, 3)), min_size=1, max_size=4,
+             unique_by=lambda fm: fm[0]),
+    window_ends, window_ends, st.lists(st.integers(-9, 9), max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomial_windows)
+@example(([((-1, 1), 2), ((-1, 2), 1), ((-2, 0, 1), 1)], Fraction(-1), Fraction(1), []))
+@example(([((0, 1), 1), ((-2, 0, 1), 1)], Fraction(-2), Fraction(2), []))  # a root at a midpoint
+@example(([((-1, 1), 1), ((-3, 0, 1), 1)], Fraction(1), Fraction(2), []))  # a root at an end
+@example(([((0, 1), 1), ((1, 0, 1), 3), ((-1, -1, 1), 2)], Fraction(-5, 2), Fraction(0), []))
+def test_brackets_match_the_fraction_isolation(spec):
+    """The integer brackets (a, b, d, multiplicity) are the intervals of
+    the Fraction isolation they replaced (tests/isolation_reference.py)
+    as rationals, multiplicities included, in the same order, and in
+    lowest terms: on products of powers of several square-free factors
+    with rational roots, in windows with rational ends that may be
+    roots, and on random integer polynomials."""
+    factors, lo, hi, extra = spec
+    q = polys.trim(extra) if polys.degree(polys.trim(extra)) >= 1 else [1]
+    for f, m in factors:
+        for _ in range(m):
+            q = polys.mul(q, f)
+    new = isolate_real_roots(q, lo, hi)
+    assert all(d > 0 and math.gcd(a, b, d) == 1 for a, b, d, _ in new)
+    assert ([(Fraction(a, d), Fraction(b, d), m) for a, b, d, m in new]
+            == [(iv.lo, iv.hi, iv.multiplicity) for iv in reference_isolation(q, lo, hi)])
+
+
 def _roots(p):
     sq = polys.squarefree_part(p)
-    return [RealAlgebraic(sq, iv.lo, iv.hi) for iv in isolate_real_roots(p, -20, 20)
+    return [RealAlgebraic(sq, iv.lo, iv.hi) for iv in intervals(p, -20, 20)
             if not any(polys.evaluate(sq, r) == 0 for r in (iv.lo, iv.hi))]
 
 
@@ -387,9 +429,9 @@ def brackets(draw):
     p = [1]
     for f in factors:
         p = polys.mul(p, f)
-    intervals = isolate_real_roots(p, Fraction(-3), Fraction(3))
-    assume(intervals)
-    iv = draw(st.sampled_from(intervals))
+    found = intervals(p, Fraction(-3), Fraction(3))
+    assume(found)
+    iv = draw(st.sampled_from(found))
     k = draw(st.integers(1, 7))
     i = draw(st.integers(0, k - 1))
     j = draw(st.integers(i + 1, k))
@@ -403,8 +445,8 @@ def brackets(draw):
 
 def _bracket(poly, lo, hi) -> RealAlgebraic:
     """RealAlgebraic(poly, lo, hi) with every check of the constructor but
-    the refusal of a rational root, as refine_isolating_interval builds
-    one: bisection still lands on the rational roots of `brackets`."""
+    the refusal of a rational root, as the reference's
+    refine_isolating_interval builds one: bisection still lands on the rational roots of `brackets`."""
     root = object.__new__(RealAlgebraic)
     root._isolate(poly, lo, hi)
     return root

@@ -31,6 +31,11 @@ TREFOIL_V = SeifertData.from_matrix([[-1, 1], [0, -1]], 1, "trefoil")
 UNKNOT = seifert_matrix_from_braid(BraidWord(1, ()))
 
 
+def evaluate_complex(p: LaurentPoly, z: complex) -> complex:
+    """p(z) in floats, for the float comparisons below."""
+    return sum(v * z ** e for e, v in p.items())
+
+
 # -- QuadFieldElem -------------------------------------------------------------
 
 def test_quadfield_arithmetic():
@@ -54,7 +59,7 @@ def test_quadfield_matches_complex():
         p = LaurentPoly({rng.randint(-4, 4): rng.randint(-5, 5) for _ in range(4)})
         val = quad_eval(p, x)
         approx = complex(val.a + val.b * zc.real, val.b * zc.imag)
-        assert abs(approx - p.evaluate_complex(zc)) < 1e-9
+        assert abs(approx - evaluate_complex(p, zc)) < 1e-9
 
 
 def test_quadfield_rejects_boundary():
@@ -279,6 +284,40 @@ def test_warm_reads_compare_no_fraction(monkeypatch):
     assert {id(root) for root in bisected} == {id(sqrt3), id(meets[0])}
 
 
+@pytest.mark.parametrize("p, q", [(2, 19), (2, 8), (3, 6)])
+def test_cold_report_builds_a_fraction_per_sample_and_rational_breakpoint(monkeypatch, p, q):
+    """A cold report isolates, bisects and searches for samples in
+    integers: of the Fractions it builds, _pick_sample builds one per
+    interval sample and _jump_structure one per rational breakpoint, and
+    nothing else builds one.  T(2,19) has nine algebraic breakpoints and
+    ten samples (the parent built 111 Fractions there); T(2,8) and the
+    link T(3,6) have rational breakpoints.  No averaged value is a
+    half-integer: every interval value has the parity of the generic
+    rank."""
+    data = seifert_matrix_from_braid(torus_braid(p, q))
+    f = signature_function(data)
+    expected = collections.Counter(
+        _pick_sample=len(f.samples),
+        _jump_structure=sum(isinstance(bp, Fraction) for bp in f.breakpoints))
+    assert expected["_pick_sample"] >= 3
+    built = collections.Counter()
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        frame = sys._getframe(1)  # the named function that asked for it
+        while (frame.f_code.co_filename.endswith("fractions.py")
+               or frame.f_code.co_name.startswith("<")):
+            frame = frame.f_back
+        built[frame.f_code.co_name] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    _clear_caches()
+    assemble_report(data)
+    monkeypatch.undo()
+    assert +built == +expected
+
+
 def test_trefoil_signature_function():
     f = signature_function(TREFOIL_V)
     assert f.breakpoints == (Fraction(1),)
@@ -411,7 +450,7 @@ def test_conjugation_symmetry_of_family():
         theta = rng.uniform(0.1, 3.0)
         for sign in (1, -1):
             z = complex(math.cos(sign * theta), math.sin(sign * theta))
-            m = np.array([[complex(p.evaluate_complex(z)) for p in row] for row in fam])
+            m = np.array([[complex(evaluate_complex(p, z)) for p in row] for row in fam])
             eig = np.linalg.eigvalsh(m)
             if sign == 1:
                 ref = (int((eig > 1e-9).sum()), int((eig < -1e-9).sum()))
@@ -691,18 +730,26 @@ def test_one_squarefree_pass_per_jump_polynomial(monkeypatch):
     assert len(starts) == 1
 
 
+def _lowest_terms(a: int, d: int) -> tuple[int, int]:
+    g = math.gcd(a, d)
+    return a // g, d // g
+
+
 def test_each_certificate_once_per_report(monkeypatch):
     """A cold T(2,19) report evaluates no Sturm chain twice at one point
     within one isolation and no leading minor twice at one interval
     sample, and takes at most 400 signs in all (1162 when every
-    certificate was checked again by its reader)."""
+    certificate was checked again by its reader).  Every sign at a point
+    a/d, whoever takes it, is one polys.sign_at_ratio; the points are
+    compared in lowest terms, since a bisection may carry them over a
+    larger denominator."""
     data = seifert_matrix_from_braid(torus_braid(2, 19))
     minors = set(signature._principal_block(data)[1])
-    samples = set(signature_function(data).samples)
+    samples = {(x.numerator, x.denominator) for x in signature_function(data).samples}
     isolation = [None]
     chain_points, signs = collections.Counter(), collections.Counter()
-    isolate, chain_signs, sign_at = signature.isolate_real_roots, realroots._chain_signs, \
-        polys.sign_at
+    isolate, chain_signs, sign_at_ratio = signature.isolate_real_roots, \
+        realroots._chain_signs, polys.sign_at_ratio
 
     def isolating(*args):
         isolation[0] = object()
@@ -711,18 +758,18 @@ def test_each_certificate_once_per_report(monkeypatch):
         finally:
             isolation[0] = None
 
-    def counted_chain(chain, x):
+    def counted_chain(chain, a, d):
         if isolation[0] is not None:
-            chain_points[isolation[0], chain, x] += 1
-        return chain_signs(chain, x)
+            chain_points[isolation[0], chain, _lowest_terms(a, d)] += 1
+        return chain_signs(chain, a, d)
 
-    def counted_sign(p, x):
-        signs[tuple(p), x] += 1
-        return sign_at(p, x)
+    def counted_sign(p, a, d):
+        signs[tuple(p), _lowest_terms(a, d)] += 1
+        return sign_at_ratio(p, a, d)
 
     monkeypatch.setattr(signature, "isolate_real_roots", isolating)
     monkeypatch.setattr(realroots, "_chain_signs", counted_chain)
-    monkeypatch.setattr(polys, "sign_at", counted_sign)
+    monkeypatch.setattr(polys, "sign_at_ratio", counted_sign)
     _clear_caches()
     assemble_report(data)
     assert chain_points and max(chain_points.values()) == 1
@@ -750,9 +797,9 @@ def test_trusted_breakpoints_and_samples(data):
     built = []
     certified = RealAlgebraic._certified
 
-    def recording(poly, interval):
-        built.append((poly, interval.lo, interval.hi))
-        return certified(poly, interval)
+    def recording(poly, a, b, d):
+        built.append((poly, Fraction(a, d), Fraction(b, d)))
+        return certified(poly, a, b, d)
 
     with mock.patch.object(RealAlgebraic, "_certified", recording):
         _clear_caches()
@@ -900,8 +947,8 @@ def _candidates(jump) -> list:
         Fraction(-f[0], f[1]) for f in linear).items() if -2 < r < 2]
     if polys.degree(rest) >= 1:
         sqfree = realroots._yun(tuple(rest))[1]
-        found += [(RealAlgebraic(sqfree, iv.lo, iv.hi), iv.multiplicity)
-                  for iv in realroots.isolate_real_roots(rest, -2, 2)]
+        found += [(RealAlgebraic(sqfree, Fraction(a, d), Fraction(b, d)), e)
+                  for a, b, d, e in realroots.isolate_real_roots(rest, -2, 2)]
     return found
 
 
