@@ -1,5 +1,6 @@
 """The exact matrix kernel: one fraction-free Bareiss elimination over Z[t]
-for determinants, ranks, leading principal minors and ranks at a point.
+for determinants, ranks, leading principal minors and ranks at a point,
+and the signature of an integer symmetric matrix by congruence.
 
 Entries are integer polynomials in the dense list convention of
 :mod:`linkbound.polys`.  In Bareiss elimination (Bareiss 1968) every
@@ -24,7 +25,9 @@ Pivoting is complete over a caller-supplied "entry is nonzero" test:
 * with the test q(z0) != 0 every pivot is nonzero at z0, so their number
   is the rank of the matrix at t = z0;
 * the pivot search tries the diagonal entry first, so the pivots up to
-  the first off-diagonal one are the leading principal minors.
+  the first off-diagonal one are the leading principal minors;
+* a run stopped after k steps under one test resumes under another, so
+  a rank at a point can start from k generic steps.
 
 Rows are scaled lazily: a row whose entry in the pivot column is 0 would
 only be multiplied by p_k / p_(k-1), so it is left as it is and
@@ -84,7 +87,7 @@ def _packing_bits(matrix) -> int:
     return _hadamard_bits(norms)
 
 
-def _eliminate(m, k_bits: int = 0, nonzero=bool) -> tuple[int, list, list, list]:
+def _eliminate(m, k_bits: int = 0, nonzero=bool, stop=None, start=None) -> tuple:
     """Fraction-free Bareiss elimination with complete pivoting, in place,
     of a matrix of integers: the entries themselves, or with k_bits > 0
     integer polynomials packed at t = 2^k_bits.
@@ -94,11 +97,17 @@ def _eliminate(m, k_bits: int = 0, nonzero=bool) -> tuple[int, list, list, list]
     stops when no entry passes.  A custom test, which needs packed
     entries, gets each nonzero entry unpacked, which is exact because the
     entry is a minor.  Rows are scaled lazily (see the module docstring).
-    Returns (sign, pivots, rows, cols), the pivots unpacked when
-    k_bits > 0: pivot k is the minor on the original rows rows[:k + 1] and
-    columns cols[:k + 1], and sign is the sign of the row and column
-    swaps, so for a square matrix of full rank sign times the last pivot
-    is the determinant.
+    Returns (sign, pivots, rows, cols), the pivots as integers (packed
+    when k_bits > 0): pivot k is the minor on the original rows
+    rows[:k + 1] and columns cols[:k + 1], and sign is the sign of the row
+    and column swaps, so for a square matrix of full rank sign times the
+    last pivot is the determinant.
+
+    A run splits at a step.  With `stop` it ends after at most `stop`
+    steps, brings the rows below them up to date and returns rows and
+    cols in full; given back as `start`, on the same m, that state
+    resumes the run under any test that its last pivot passes, since
+    every remaining entry is then a current minor.
     """
     if nonzero is bool:
         passes = bool
@@ -107,15 +116,18 @@ def _eliminate(m, k_bits: int = 0, nonzero=bool) -> tuple[int, list, list, list]
             return v != 0 and nonzero(_unpack(v, k_bits))
 
     nrows, ncols = len(m), len(m[0]) if m else 0
-    rows, cols = list(range(nrows)), list(range(ncols))
-    written = [-1] * nrows  # the step after which each row was last written
-    done = [1]  # done[s + 1] is the pivot of step s; done[0] = 1
-    sign = 1
-    for k in range(min(nrows, ncols)):
+    if start is None:
+        start = 1, [], range(nrows), range(ncols)
+    sign, done, rows, cols = start[0], [1, *start[1]], list(start[2]), list(start[3])
+    # done[s + 1] is the pivot of step s; done[0] = 1
+    first = len(done) - 1
+    written = [first - 1] * nrows  # the step after which each row was last written
+    last = min(nrows, ncols) if stop is None else min(nrows, ncols, stop)
+    for k in range(first, last):
         if passes(m[k][k]):
             i = j = k
         else:
-            at = next(((i, j) for i in range(k, nrows) for j in range(k, ncols)
+            at = next(((i, j) for i in range(k, nrows) for j in range(k + (i == k), ncols)
                        if passes(m[i][j])), None)
             if at is None:
                 break
@@ -146,16 +158,24 @@ def _eliminate(m, k_bits: int = 0, nonzero=bool) -> tuple[int, list, list, list]
                                for v, w in zip(islice(row, k + 1, None), tail)]
                 written[i] = k
     pivots = done[1:]
-    if k_bits:
-        pivots = [_unpack(p, k_bits) for p in pivots]
-    return sign, pivots, rows[:len(pivots)], cols[:len(pivots)]
+    k = len(pivots)
+    if stop is None:
+        return sign, pivots, rows[:k], cols[:k]
+    for i in range(k, nrows):
+        s = written[i]
+        if s < k - 1:
+            up, down = done[k], done[s + 1]
+            m[i][k:] = [v * up // down for v in islice(m[i], k, None)]
+    return sign, pivots, rows, cols
 
 
 def _bareiss(matrix, nonzero=bool) -> tuple[int, list, list, list]:
     """_eliminate on a matrix of integer polynomials (dense lists), packed
-    at t = 2^K with the Hadamard K of _packing_bits."""
+    at t = 2^K with the Hadamard K of _packing_bits, its pivots unpacked."""
     k_bits = _packing_bits(matrix)
-    return _eliminate([[_pack(p, k_bits) for p in row] for row in matrix], k_bits, nonzero)
+    sign, pivots, rows, cols = _eliminate(
+        [[_pack(p, k_bits) for p in row] for row in matrix], k_bits, nonzero)
+    return sign, [_unpack(p, k_bits) for p in pivots], rows, cols
 
 
 def _determinant(elimination, n: int) -> list:
@@ -185,3 +205,51 @@ def int_rank_det(matrix) -> tuple[int, int]:
         return 0, 1
     sign, pivots, _, _ = _eliminate([list(map(int, row)) for row in matrix])
     return len(pivots), sign * pivots[-1] if len(pivots) == len(matrix) else 0
+
+
+def _integer_symmetric_signature(m) -> tuple[int, int]:
+    """(signature, nullity) of an integer symmetric matrix by fraction-free
+    congruence.
+
+    Diagonal swaps and the row/column addition i += j are unimodular
+    congruences of the trailing block, so the entries stay the Bareiss
+    minors of a congruent integer matrix and each update divides exactly
+    by the previous pivot (Sylvester's identity).  The k-th pivot p_k is
+    the k-th leading minor, and the k-th diagonal entry of the diagonal
+    form is p_k / p_(k-1); when the trailing block is zero, its size is
+    the nullity.
+    """
+    n = len(m)
+    m = [list(row) for row in m]
+    sig, prev = 0, 1
+    for k in range(n):
+        if m[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if m[i][i] != 0), None)
+            if piv is not None:
+                _swap_sym(m, k, piv)
+            else:
+                pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                             if m[i][j] != 0), None)
+                if pair is None:
+                    return sig, n - k
+                i, j = pair
+                for t in range(n):
+                    m[i][t] += m[j][t]
+                for t in range(n):
+                    m[t][i] += m[t][j]
+                if i != k:
+                    _swap_sym(m, k, i)
+        pivot, row = m[k][k], m[k]
+        for i in range(k + 1, n):
+            mi, f = m[i], m[i][k]
+            for j in range(k + 1, n):
+                mi[j] = (pivot * mi[j] - f * row[j]) // prev
+        sig += 1 if (pivot > 0) == (prev > 0) else -1
+        prev = pivot
+    return sig, 0
+
+
+def _swap_sym(m, i, j):
+    m[i], m[j] = m[j], m[i]
+    for row in m:
+        row[i], row[j] = row[j], row[i]

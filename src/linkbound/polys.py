@@ -135,19 +135,42 @@ def primitive(p) -> list:
     return [c // g for c in q] if g else []
 
 
+def circle_form(p) -> list:
+    """t^m p(t + 1/t) for p of degree m, zero at z wherever p is zero at
+    x = z + 1/z: Horner's rule w <- w (t^2 + 1) + p_i t^(m - i)."""
+    m = len(p) - 1
+    w = [p[m]]
+    for i in range(m - 1, -1, -1):
+        w = [a + b for a, b in zip(w + [0, 0], [0, 0] + w)]
+        w[m - i] += p[i]
+    return w
+
+
+def xz_parts(q) -> tuple[list, list]:
+    """(a, b) with q(z) = a(x) + b(x) z wherever x = z + 1/z: Horner's rule
+    with z^2 = xz - 1, (a + bz) z + c = (c - b) + (a + xb) z, on two
+    coefficient lists of len(q)."""
+    a, b = [0] * len(q), [0] * len(q)
+    for c in reversed(q):
+        a, b = [-v for v in b], [u + v for u, v in zip(a, [0] + b)]
+        a[0] += c
+    return trim(a), trim(b)
+
+
 def pseudo_remainder(a, b) -> list:
     """|lc(b)|^k times the remainder of a by b, for integer polynomials:
     each step multiplies by the positive |lc(b)|, so no division, and no
     sign changes."""
-    rem = list(a)
+    rem = trim(a)
     m, s = abs(b[-1]), 1 if b[-1] > 0 else -1
     while len(rem) >= len(b):
-        head = rem[-1] * s
-        shift = len(rem) - len(b)
-        rem = [c * m for c in rem]
-        for i, c in enumerate(b):
-            rem[shift + i] -= head * c
-        rem = trim(rem)
+        head = rem.pop() * s  # the top term cancels
+        shift = len(rem) + 1 - len(b)
+        if m != 1:
+            rem = [c * m for c in rem]
+        rem[shift:] = [c - head * u for c, u in zip(rem[shift:], b)]
+        while rem and not rem[-1]:
+            rem.pop()
     return rem
 
 

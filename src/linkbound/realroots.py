@@ -22,7 +22,9 @@ square-free polynomial is bisected by the sign of that polynomial at the
 midpoint alone, since a simple root is a sign change.  A breakpoint built
 from a bracket of :func:`isolate_real_roots` is not counted again; the
 public :class:`RealAlgebraic` constructor checks everything, and refuses
-a defining polynomial with a rational root.
+a defining polynomial with a rational root.  A root x0 also stands for
+the circle point z0 with z0 + 1/z0 = x0: _nonzero_at tests q(z0) != 0
+for integer polynomials q in t.
 """
 
 from __future__ import annotations
@@ -419,3 +421,27 @@ class RealAlgebraic:
 
     def __repr__(self):
         return f"RealAlgebraic({list(self.poly)}, ({self.lo}, {self.hi}))"
+
+
+def _nonzero_at(root):
+    """The test q(z0) != 0 for an integer polynomial q in t at the circle
+    point z0, z0 + 1/z0 = root in (-2, 2), linear in the degree of q; it
+    never refines a bracket.  At a rational root p/d Horner's rule with
+    z0^2 = x z0 - 1 runs on integers, (a, b) <- (c d^(i+1) - d b, d a + p b)
+    for d^i (a + b z0).  At an algebraic root it first reduces q modulo
+    W = t^m P(t + 1/t), P the root's polynomial, times a nonzero constant;
+    then q(z0) = a(x) + b(x) z0 is 0 exactly when a and b vanish at the
+    root, since z0 is not real."""
+    if isinstance(root, RealAlgebraic):
+        w = polys.circle_form(root.poly)
+        return lambda q: not all(map(root.vanishes, polys.xz_parts(polys.pseudo_remainder(q, w))))
+    p, d = root.numerator, root.denominator
+
+    def nonzero(q) -> bool:
+        a = b = 0
+        power = d
+        for c in reversed(q):
+            a, b = c * power - d * b, d * a + p * b
+            power *= d
+        return bool(a or b)
+    return nonzero

@@ -28,8 +28,13 @@ on integer brackets (a, b, d) for (a/d, b/d); the breakpoints are built
 from the certified brackets without a second count.  When det B is
 identically zero the multiplicity e of a root of det B_I decides it (see
 _jump_structure): odd e is a jump, and at e = 1 the rank of B(z) is
-r - 1; a root of even e counts only where the kernel finds the rank of
-B(z) below r.  Each interval is read at a dyadic
+r - 1; a root of even e counts only where the rank of B(z) is below r.
+That rank, and the nullity at a multiple root, resume the elimination
+(see _rank_at): if p_k is the last generic pivot not zero at z0, the
+trailing block after k steps is p_k times the Schur complement of the
+k x k block (Sylvester's identity), so the rank is k plus that block's
+rank at z0, the only entries the point test reads; the k steps run once
+per Seifert matrix and k.  Each interval is read at a dyadic
 sample where no leading minor vanishes: the sample search walks integer
 numerators over one denominator and takes the minors' signs there,
 which are Jacobi's, so the interval value needs no second evaluation.
@@ -61,8 +66,9 @@ from .braids import SeifertData
 from .errors import InvalidSeifertData
 from .factor import _rational_root_split
 from .laurent import LaurentPoly, normalize
-from .linalg import _determinant, _eliminate, _hadamard_bits
-from .realroots import RealAlgebraic, _yun, isolate_real_roots
+from .linalg import (_determinant, _eliminate, _hadamard_bits, _integer_symmetric_signature,
+                     _unpack)
+from .realroots import RealAlgebraic, _nonzero_at, _yun, isolate_real_roots
 
 
 # -- circle points ----------------------------------------------------------
@@ -104,15 +110,6 @@ def _as_x(x):
 # -- principal minors ----------------------------------------------------------
 
 
-def _xz_parts(q) -> tuple[list, list]:
-    """(a, b) with q(z) = a(x) + b(x) z for a dense polynomial q: Horner's
-    rule with z^2 = xz - 1, so (a + bz) z = -b + (a + xb) z."""
-    a, b = [], []
-    for c in reversed(q):
-        a, b = polys.sub([c], b), polys.add(a, [0] + b)
-    return a, b
-
-
 @lru_cache(maxsize=1024)
 def _packed(data: SeifertData) -> tuple:
     """(K, rows): tV - V^T packed at t = 2^K straight from V, entry (i, j)
@@ -129,9 +126,10 @@ def _packed(data: SeifertData) -> tuple:
                           for row, col in pairs])
 
 
-def _eliminate_packed(rows, k_bits: int, nonzero=bool) -> tuple:
-    """The kernel on a copy of packed rows."""
-    return _eliminate([list(row) for row in rows], k_bits, nonzero)
+def _eliminate_packed(rows, k_bits: int) -> tuple:
+    """The kernel on a copy of packed rows, its pivots unpacked."""
+    sign, pivots, rows, cols = _eliminate([list(row) for row in rows], k_bits)
+    return sign, [_unpack(p, k_bits) for p in pivots], rows, cols
 
 
 @lru_cache(maxsize=1024)
@@ -206,7 +204,7 @@ def _principal_block(data) -> tuple:
     and each larger one takes a determinant of (tV - V^T)_I.  Each minor
     is stored reduced, divided by (2 - x)^(k // 2) (see _minor_x), which
     keeps its sign and its roots on [-2, 2): every reader (Jacobi's rule,
-    _pick_sample, the jump polynomial, _nullity_at_jump) looks only there.
+    _pick_sample, the jump polynomial) looks only there.
     """
     k_bits, packed = _packed(data)
     _, pivots, rows, cols = _elimination(data)
@@ -221,86 +219,59 @@ def _principal_block(data) -> tuple:
     return tuple(block), tuple(_minor_x(p, k) for k, p in enumerate(minors, 1))
 
 
-def _zero_test(root):
-    """The test "x-polynomial q vanishes at root" for a rational or
-    RealAlgebraic root; it never refines a bracket."""
-    if isinstance(root, RealAlgebraic):
-        return root.vanishes
-    return lambda q: polys.sign_at(q, root) == 0
+@lru_cache(maxsize=256)
+def _prefix(data, k: int) -> tuple:
+    """(K, state, tail) after the first k steps of the generic elimination
+    of tV - V^T (see _packed): the state that _rank_at resumes at every
+    root with that k, and the rows from k on, up to date, from column k."""
+    k_bits, packed = _packed(data)
+    m = [list(row) for row in packed]
+    state = _eliminate(m, k_bits, stop=k)
+    return k_bits, state, tuple(tuple(row[k:]) for row in m[k:])
 
 
+@lru_cache(maxsize=1024)  # the jump test and the nullity of one root share it
 def _rank_at(data, root) -> int:
     """Rank of B(z0) at the circle point with z0 + 1/z0 = root in (-2, 2):
-    the Bareiss kernel with the test q(z0) != 0 on tV - V^T (see _packed),
-    which has the rank of B(z0) there since z0 != 1.  With
-    q(z) = a(x) + b(x) z, q(z0) = 0 exactly when a and b both vanish at
-    the root, since z0 is not real."""
-    vanishes = _zero_test(root)
+    that of tV - V^T at z0 (see _packed), since z0 != 1.
 
-    def nonzero(q):
-        return not all(map(vanishes, _xz_parts(q)))
-
-    k_bits, packed = _packed(data)
-    return len(_eliminate_packed(packed, k_bits, nonzero)[1])
+    Resume rule.  Take the pivots p_1..p_r of the cached generic
+    elimination and the largest k <= r with p_k(z0) != 0 (p_0 = 1), tested
+    from the top.  After k generic steps the trailing block holds the
+    (k+1)-minors that border the k x k minor p_k, that is p_k times its
+    Schur complement (Sylvester's identity).  The k x k block is
+    invertible at z0, so rank B(z0) = k + the rank of the trailing block
+    at z0, whether or not earlier pivots vanish there.  The block is 0 for
+    k = r, and for k = n - 1 < r it is +-p_n, 0 at z0.  Otherwise the
+    kernel resumes from the state after k steps (_prefix, shared by every
+    root with that k) under the test q(z0) != 0, which it thus applies to
+    the trailing block alone, and its pivots are counted, not unpacked."""
+    _, pivots, _, _ = _elimination(data)
+    nonzero = _nonzero_at(root)
+    r, n = len(pivots), data.size
+    k = next((k for k in range(r, 0, -1) if nonzero(pivots[k - 1])), 0)
+    if k in (r, n - 1):
+        return k
+    k_bits, state, tail = _prefix(data, k)
+    # the kernel reads only the rows and columns from k on
+    m = [[0] * n] * k + [[0] * k + list(row) for row in tail]
+    return len(_eliminate(m, k_bits, nonzero, start=state)[1])
 
 
 def _nullity_at_jump(data, root, e: int) -> int:
     """Nullity of B(z) at a breakpoint, a root of det B_I of multiplicity
     e where the rank is below the generic rank r: n - r + 1 when e = 1
-    (see _jump_structure) or when the (r-1)-th leading minor of B_I does
-    not vanish there, otherwise n minus the rank at the point."""
-    _, minors = _principal_block(data)
+    (see _jump_structure), otherwise n minus the rank at the point.  That
+    rank is k plus the rank at the point of the trailing block after k
+    generic steps, p_k the last pivot not zero there: the block is p_k
+    times the Schur complement of the k x k block, invertible at the point
+    (Sylvester's identity; see _rank_at)."""
     if e == 1:
-        return data.size - len(minors) + 1
-    below = minors[-2] if len(minors) >= 2 else (1,)
-    if below and not _zero_test(root)(below):
-        return data.size - len(minors) + 1
+        return data.size - len(_elimination(data)[1]) + 1
     return data.size - _rank_at(data, root)
 
 
 # -- exact signatures at a single point ----------------------------------------
-
-
-def _integer_symmetric_signature(m) -> tuple[int, int]:
-    """(signature, nullity) of an integer symmetric matrix by fraction-free
-    congruence.
-
-    Diagonal swaps and the row/column addition i += j are unimodular
-    congruences of the trailing block, so the entries stay the Bareiss
-    minors of a congruent integer matrix and each update divides exactly
-    by the previous pivot (Sylvester's identity).  The k-th pivot p_k is
-    the k-th leading minor, and the k-th diagonal entry of the diagonal
-    form is p_k / p_(k-1); when the trailing block is zero, its size is
-    the nullity.
-    """
-    n = len(m)
-    m = [list(row) for row in m]
-    sig, prev = 0, 1
-    for k in range(n):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][i] != 0), None)
-            if piv is not None:
-                _swap_sym(m, k, piv)
-            else:
-                pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
-                             if m[i][j] != 0), None)
-                if pair is None:
-                    return sig, n - k
-                i, j = pair
-                for t in range(n):
-                    m[i][t] += m[j][t]
-                for t in range(n):
-                    m[t][i] += m[t][j]
-                if i != k:
-                    _swap_sym(m, k, i)
-        pivot, row = m[k][k], m[k]
-        for i in range(k + 1, n):
-            mi, f = m[i], m[i][k]
-            for j in range(k + 1, n):
-                mi[j] = (pivot * mi[j] - f * row[j]) // prev
-        sig += 1 if (pivot > 0) == (prev > 0) else -1
-        prev = pivot
-    return sig, 0
 
 
 @lru_cache(maxsize=2048)
@@ -311,12 +282,6 @@ def _endpoint(data, z: int) -> tuple[int, int]:
         return 0, data.size
     return _integer_symmetric_signature(
         [[p + q for p, q in zip(row, col)] for row, col in zip(data.matrix, data.transposed())])
-
-
-def _swap_sym(m, i, j):
-    m[i], m[j] = m[j], m[i]
-    for row in m:
-        row[i], row[j] = row[j], row[i]
 
 
 def _trace_signature_nullity(data, x: Fraction) -> tuple[int, int]:

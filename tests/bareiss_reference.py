@@ -3,9 +3,15 @@ a reference for tests: every row below the pivot is rewritten at every
 step, and entries are packed at t = 2^K with K from the product of the
 rows' coefficient 1-norms.  The lazy kernel of linkbound.linalg must
 give the same (sign, pivots, rows, cols) under any "entry is nonzero"
-test."""
+test.  The rank at a circle point that the signature layer computed
+before it resumed the generic elimination is kept too: this kernel on
+the whole of tV - V^T, with the point test on every entry.
+"""
 
 from __future__ import annotations
+
+from linkbound import polys
+from linkbound.realroots import RealAlgebraic
 
 
 def _pack(p, k_bits: int) -> int:
@@ -89,3 +95,40 @@ def _bareiss(matrix, nonzero=bool) -> tuple[int, list, list, list]:
         prev = pivot
     return (sign, [_unpack(p, k_bits) for p in pivots],
             rows[:len(pivots)], cols[:len(pivots)])
+
+
+# -- the rank at a circle point, by the full kernel ----------------------------
+
+
+def _xz_parts(q) -> tuple[list, list]:
+    """(a, b) with q(z) = a(x) + b(x) z for a dense polynomial q: Horner's
+    rule with z^2 = xz - 1, so (a + bz) z = -b + (a + xb) z."""
+    a, b = [], []
+    for c in reversed(q):
+        a, b = polys.sub([c], b), polys.add(a, [0] + b)
+    return a, b
+
+
+def _zero_test(root):
+    """The test "x-polynomial q vanishes at root" for a rational or
+    RealAlgebraic root; it never refines a bracket."""
+    if isinstance(root, RealAlgebraic):
+        return root.vanishes
+    return lambda q: polys.sign_at(q, root) == 0
+
+
+def _rank_at(data, root) -> int:
+    """Rank of B(z0) at the circle point with z0 + 1/z0 = root in (-2, 2):
+    the Bareiss kernel with the test q(z0) != 0 on tV - V^T, which has the
+    rank of B(z0) there since z0 != 1.  With q(z) = a(x) + b(x) z,
+    q(z0) = 0 exactly when a and b both vanish at the root, since z0 is
+    not real.  The whole matrix is eliminated under the test, with every
+    entry tested, by the eager kernel above on tV - V^T built from V."""
+    vanishes = _zero_test(root)
+
+    def nonzero(q):
+        return not all(map(vanishes, _xz_parts(q)))
+
+    v, n = data.matrix, data.size
+    form = [[polys.trim([-v[j][i], v[i][j]]) for j in range(n)] for i in range(n)]
+    return len(_bareiss(form, nonzero)[1])

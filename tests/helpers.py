@@ -134,9 +134,9 @@ def count_eliminations(monkeypatch) -> list[int]:
     calls = []
     eliminate = linkbound.linalg._eliminate
 
-    def counted(matrix, *args):
+    def counted(matrix, *args, **kwargs):
         calls.append(len(matrix))
-        return eliminate(matrix, *args)
+        return eliminate(matrix, *args, **kwargs)
 
     monkeypatch.setattr(linkbound.linalg, "_eliminate", counted)
     monkeypatch.setattr(linkbound.signature, "_eliminate", counted)

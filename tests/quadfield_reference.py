@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from linkbound.laurent import LaurentPoly
-from linkbound.signature import _swap_sym
+from linkbound.linalg import _swap_sym
 
 
 @dataclass(frozen=True)

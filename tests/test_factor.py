@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -115,6 +116,27 @@ def test_fox_milnor_fails_on_satellite_product():
 def test_fox_milnor_value_at_one_guard():
     res = fox_milnor_test(LaurentPoly({1: 1, 0: 1}))  # p(1) = 2
     assert res.verdict == "fails"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), min_size=1))
+def test_fox_milnor_reads_p_at_one_and_minus_one_in_integers(coeffs):
+    """The guards read p(1) and p(-1) as integer sums of the coefficients,
+    without LaurentPoly.evaluate, and give its verdicts and reasons."""
+    p = LaurentPoly(coeffs)
+    if p.is_zero:
+        return
+    at_one, at_minus_one = abs(p.evaluate(1)), abs(normalize(p).evaluate(-1))
+    evaluate = LaurentPoly.evaluate
+    LaurentPoly.evaluate = None
+    try:
+        res = fox_milnor_test(p)
+    finally:
+        LaurentPoly.evaluate = evaluate
+    if at_one != 1:
+        assert res.verdict == "fails" and res.reason == f"|p(1)| = {at_one} != 1"
+    elif normalize(p).width() % 2 == 0 and math.isqrt(at_minus_one) ** 2 != at_minus_one:
+        assert res.reason == f"|p(-1)| = {at_minus_one} is not a perfect square"
 
 
 def test_fox_milnor_odd_width_fails_fast():

@@ -3,7 +3,9 @@ under complete pivoting, the leading minors read off one elimination, the
 principal block of B(t) for degenerate Seifert matrices, and the packing
 of entries at t = 2^K, including inputs whose minors reach the bound.
 The lazy kernel against the eager one it replaced
-(tests/bareiss_reference.py), and the rows it rewrites on a band."""
+(tests/bareiss_reference.py), a run resumed from a saved step against one
+uninterrupted run, the point test against the x-z split of every entry,
+and the rows the kernel rewrites on a band."""
 
 import itertools
 import math
@@ -16,11 +18,11 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from linkbound import RealAlgebraic, seifert_matrix_from_braid, signature_function, torus_braid
-from linkbound.linalg import (_bareiss, _eliminate, _pack, _packing_bits, _unpack, int_rank_det,
-                              poly_det, poly_rank)
-from linkbound.signature import (_diagonal_prefix, _elimination, _integer_symmetric_signature,
-                                 _packed, _principal_block, _trace_signature_nullity, _xz_parts,
-                                 _zero_test, pointwise_signature_nullity)
+from linkbound.linalg import (_bareiss, _eliminate, _integer_symmetric_signature, _pack,
+                              _packing_bits, _unpack, int_rank_det, poly_det, poly_rank)
+from linkbound.realroots import _nonzero_at
+from linkbound.signature import (_diagonal_prefix, _elimination, _packed, _principal_block,
+                                 _trace_signature_nullity, pointwise_signature_nullity)
 
 import bareiss_reference
 from helpers import b_laurent, degenerate_seifert
@@ -401,12 +403,6 @@ CIRCLE_FACTORS = [(Fraction(-1), [1, 1, 1]), (Fraction(0), [1, 0, 1]),
                   (RealAlgebraic([-2, 0, 1], 1, 2), [1, 0, 0, 0, 1])]
 
 
-def _nonzero_at(x):
-    """The test of _rank_at: q(z0) != 0, read through q = a(x) + b(x) z."""
-    vanishes = _zero_test(x)
-    return lambda q: not all(map(vanishes, _xz_parts(q)))
-
-
 @st.composite
 def matrices_at_a_point(draw):
     """(matrix, x): a rank-deficient matrix, one that needs off-diagonal
@@ -430,9 +426,30 @@ def test_lazy_kernel_matches_the_eager_one(case):
     assert _bareiss(m) == bareiss_reference._bareiss(m)
     at = _nonzero_at(x)
     assert _bareiss(m, at) == bareiss_reference._bareiss(m, at)
+    for q in (e for row in m for e in row):
+        vanishes = bareiss_reference._zero_test(x)
+        assert at(q) == (not all(map(vanishes, bareiss_reference._xz_parts(q))))
     ints = [[e[0] if e else 0 for e in row] for row in m]
     sign, pivots, rows, cols = bareiss_reference._bareiss([[[v] for v in row] for row in ints])
     assert _eliminate([list(row) for row in ints]) == (sign, [p[0] for p in pivots], rows, cols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices_at_a_point(), st.integers(0, 6))
+def test_resumed_elimination_matches_one_run(case, step):
+    """A run stopped after `step` steps and resumed from the state it
+    returns gives the (sign, pivots, rows, cols) of one uninterrupted run,
+    under the test q != 0 and under the test q(z0) != 0, on packed
+    entries."""
+    m, x = case
+    k_bits = _packing_bits(m)
+    for test in (bool, _nonzero_at(x)):
+        whole = [[_pack(p, k_bits) for p in row] for row in m]
+        split = [list(row) for row in whole]
+        expected = _eliminate(whole, k_bits, test)
+        state = _eliminate(split, k_bits, test, stop=step)
+        assert len(state[1]) <= step and len(state[2]) == len(m)
+        assert _eliminate(split, k_bits, test, start=state) == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -22,6 +22,7 @@ from linkbound.factor import _rational_root_split
 from linkbound.linalg import _bareiss, _unpack, poly_det
 from linkbound.signature import _diagonal_prefix, _minor_x, breakpoints_equal
 
+import bareiss_reference
 from helpers import (b_laurent, cold_caches as _clear_caches, count_eliminations,
                      degenerate_family, degenerate_seifert, random_knot_data, random_seifert_data,
                      random_unimodular, zero_padded)
@@ -979,17 +980,18 @@ NO_JUMP_AT_A_DOUBLE_ROOT = SeifertData.from_matrix(
 @given(st.one_of(degenerate_seifert(), seeds.map(_padded_or_degenerate)))
 @example(NO_JUMP_AT_A_DOUBLE_ROOT)
 def test_root_multiplicity_decides_rank_drops(data):
-    """At every root z0 of det B_I of odd multiplicity e, the kernel finds
-    the rank of B(z0) below the generic rank r, and at e = 1 the nullity
-    n - r + 1.  The signature function equals the one built by deciding
-    every candidate with the kernel: the same breakpoints, the pointwise
-    value at every sample, and at each breakpoint the mean of its
-    neighbours with n minus the kernel's rank."""
+    """At every root z0 of det B_I of odd multiplicity e, the full kernel
+    of tests/bareiss_reference.py finds the rank of B(z0) below the
+    generic rank r, and at e = 1 the nullity n - r + 1.  The signature
+    function equals the one built by deciding every candidate with that
+    kernel: the same breakpoints, the pointwise value at every sample, and
+    at each breakpoint the mean of its neighbours with n minus the
+    kernel's rank."""
     _clear_caches()
     n = data.size
     jump, rank, _ = signature._jump_structure(data)
     candidates = _candidates(jump)
-    ranks = [signature._rank_at(data, root) for root, _ in candidates]
+    ranks = [bareiss_reference._rank_at(data, root) for root, _ in candidates]
     for (root, e), r_at in zip(candidates, ranks):
         if e % 2:
             assert r_at < rank
@@ -1005,6 +1007,58 @@ def test_root_multiplicity_decides_rank_drops(data):
     assert list(f.averaged_values) == [
         (signature._mean(left[0], right[0]), n - r_at)
         for left, right, (_, r_at) in zip(values, values[1:], kept)]
+
+
+def _padded_torus_link(pq_k) -> SeifertData:
+    (p, q), k = pq_k
+    return zero_padded(seifert_matrix_from_braid(torus_braid(p, q)), k)
+
+
+def _double(rng) -> SeifertData:
+    """K # K for a torus or random braid knot K: every jump a double root."""
+    knot = rng.choice([seifert_matrix_from_braid(torus_braid(2, 5)),
+                       seifert_matrix_from_braid(torus_braid(3, 4)),
+                       random_knot_data(rng, max_strands=3, max_len=8)])
+    return connected_sum(knot, knot)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(degenerate_seifert(), seeds.map(_double),
+                 st.tuples(st.sampled_from([(2, 4), (2, 6), (3, 3), (3, 6), (4, 4)]),
+                           st.integers(0, 2)).map(_padded_torus_link)))
+def test_resumed_rank_matches_the_full_kernel(data):
+    """The rank that _rank_at reads off the trailing block, after the last
+    pivot of the cached elimination that does not vanish at z0, equals the
+    rank of the full kernel with the point test on every entry
+    (tests/bareiss_reference.py), at every root in (-2, 2), rational and
+    algebraic, of the jump polynomial and of each leading minor of B_I, so
+    that earlier pivots vanish at some of the points."""
+    _clear_caches()
+    jump, _, _ = signature._jump_structure(data)
+    polys_x = [list(jump)] + [list(m) for m in signature._principal_block(data)[1]]
+    for q in polys_x:
+        if polys.degree(q) >= 1:
+            for root, _ in _candidates(polys.primitive_positive(q)[1]):
+                assert signature._rank_at(data, root) == bareiss_reference._rank_at(data, root)
+
+
+def test_torus_link_nullity_is_the_root_multiplicity():
+    """A torus link is fibered with monodromy of finite order, so the
+    monodromy is diagonalizable and the nullity at each jump is the
+    multiplicity of the jump as a root of the jump polynomial (det B is not
+    0, so B_I = B): every T(p, q) with gcd(p, q) > 1 and n <= 60."""
+    cases = [(p, q) for p in range(2, 9) for q in range(p, 62)
+             if math.gcd(p, q) > 1 and (p - 1) * (q - 1) <= 60]
+    assert len(cases) == 59 and (3, 30) in cases and (4, 20) in cases
+    multiple = 0
+    for p, q in cases:
+        data = seifert_matrix_from_braid(torus_braid(p, q))
+        _, rank, jumps = signature._jump_structure(data)
+        assert rank == data.size, (p, q)
+        nullities = [nu for _, nu in signature_function(data).averaged_values]
+        assert nullities == [e for _, e in jumps], (p, q)
+        multiple += sum(e > 1 for _, e in jumps)
+    assert multiple >= 50
 
 
 # -- one elimination per Seifert matrix ------------------------------------------
@@ -1081,6 +1135,58 @@ def test_one_elimination_per_knot_report(monkeypatch, p, q):
     report = assemble_report(data)
     assert report.lower >= 1
     assert calls == [data.size]
+
+
+def _count_rank_work(monkeypatch) -> tuple[list, list]:
+    """(point tests, prefix lengths) recorded from now on, with cold caches:
+    each call of a test that _nonzero_at builds, and the number of steps
+    of every generic prefix that the kernel stops after."""
+    tests, prefixes = [], []
+    nonzero_at, eliminate = signature._nonzero_at, signature._eliminate
+
+    def counting(root):
+        test = nonzero_at(root)
+
+        def counted(q):
+            tests.append(q)
+            return test(q)
+        return counted
+
+    def stopped(m, *args, stop=None, **kwargs):
+        if stop is not None:
+            prefixes.append(stop)
+        return eliminate(m, *args, stop=stop, **kwargs)
+
+    monkeypatch.setattr(signature, "_nonzero_at", counting)
+    monkeypatch.setattr(signature, "_eliminate", stopped)
+    _clear_caches()
+    return tests, prefixes
+
+
+@pytest.mark.parametrize("p, q, most", [(3, 30, 100), (3, 6, 10), (4, 4, 10)])
+def test_rank_at_tests_only_the_trailing_block(monkeypatch, p, q, most):
+    """A torus link report reads the nullity at its double roots from the
+    trailing block after the last pivot that does not vanish there: the
+    point test runs a few times per root, where a whole elimination under
+    it at every such root takes 953 tests for T(3,30), and the roots
+    share one generic prefix besides the cached elimination."""
+    data = seifert_matrix_from_braid(torus_braid(p, q))
+    tests, prefixes = _count_rank_work(monkeypatch)
+    assemble_report(data)
+    assert 0 < len(tests) <= most
+    assert len(prefixes) <= 1
+
+
+def test_jump_test_and_nullity_share_the_rank():
+    """T(2,5) # T(2,5) + 0_1 has det B = 0 and two double roots of det
+    B_I: the jump test and the nullity at each root read one rank."""
+    knot = seifert_matrix_from_braid(torus_braid(2, 5))
+    data = zero_padded(connected_sum(knot, knot), 1)
+    _clear_caches()
+    assert [e for _, e in signature._jump_structure(data)[2]] == [2, 2]
+    signature_function(data)
+    info = signature._rank_at.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
