@@ -1,6 +1,6 @@
 """The exact matrix kernel: one fraction-free Bareiss elimination over Z[t]
 for determinants, ranks, leading principal minors and ranks at a point,
-and the signature of an integer symmetric matrix by congruence.
+and the signature of an integer symmetric matrix.
 
 Entries are integer polynomials in the dense list convention of
 :mod:`linkbound.polys`.  In Bareiss elimination (Bareiss 1968) every
@@ -24,10 +24,14 @@ Pivoting is complete over a caller-supplied "entry is nonzero" test:
   is the rank over Q(t);
 * with the test q(z0) != 0 every pivot is nonzero at z0, so their number
   is the rank of the matrix at t = z0;
-* the pivot search tries the diagonal entry first, so the pivots up to
-  the first off-diagonal one are the leading principal minors;
 * a run stopped after k steps under one test resumes under another, so
-  a rank at a point can start from k generic steps.
+  a rank at a point can start from k generic steps;
+* the rule is symmetric (_eliminate): an index moves in rows and columns
+  alike, and where every diagonal entry fails, a pair of steps pivots on
+  an entry and then on its mirror, so the pivots give every leading
+  principal minor of the pivot rows, 0 at the first step of a pair, never
+  two 0 in a row (_principal_signs), and their signs give the inertia of
+  a symmetric or hermitian matrix (Frobenius's rule, _frobenius).
 
 Rows are scaled lazily: a row whose entry in the pivot column is 0 would
 only be multiplied by p_k / p_(k-1), so it is left as it is and
@@ -42,7 +46,7 @@ matrix each step rewrites only the rows that meet the band.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import accumulate, islice
 
 from . import polys
 
@@ -87,21 +91,38 @@ def _packing_bits(matrix) -> int:
     return _hadamard_bits(norms)
 
 
+def _search(k: int, nrows: int, ncols: int):
+    """The entries after (k, k) that the pivot search of step k tests: row
+    by row from k, each row's diagonal before its other entries from k."""
+    for i in range(k, nrows):
+        if k < i < ncols:
+            yield i, i
+        for j in range(k, ncols):
+            if j != i:
+                yield i, j
+
+
 def _eliminate(m, k_bits: int = 0, nonzero=bool, stop=None, start=None) -> tuple:
     """Fraction-free Bareiss elimination with complete pivoting, in place,
     of a matrix of integers: the entries themselves, or with k_bits > 0
     integer polynomials packed at t = 2^k_bits.
 
-    At step k the pivot is the first entry of the remaining block, in
-    row-major order from (k, k), that passes `nonzero`; the elimination
-    stops when no entry passes.  A custom test, which needs packed
-    entries, gets each nonzero entry unpacked, which is exact because the
-    entry is a minor.  Rows are scaled lazily (see the module docstring).
-    Returns (sign, pivots, rows, cols), the pivots as integers (packed
-    when k_bits > 0): pivot k is the minor on the original rows
-    rows[:k + 1] and columns cols[:k + 1], and sign is the sign of the row
-    and column swaps, so for a square matrix of full rank sign times the
-    last pivot is the determinant.
+    At step k (k, k) is the pivot if it passes `nonzero`.  Otherwise the
+    first passing entry (i, j) of _search has index i moved to k, in rows
+    and in columns (rows alone where there is no column i).  If j = i it is
+    the pivot; otherwise j is moved to k + 1 and the pivot is (k, k + 1),
+    which puts the mirror (j, i) at (k + 1, k + 1).  Where (i, j) and
+    (j, i) pass or fail together, as in a symmetric matrix and in tV - V^T,
+    so they do in the trailing block, and the 2 x 2 minor -b b' of
+    [[0, b], [b', c]] passes: the next step takes the mirror.  The
+    elimination stops when no entry passes.  A custom test, which needs
+    packed entries, gets each nonzero entry unpacked, which is exact
+    because the entry is a minor.  Rows are scaled lazily (see the module
+    docstring).  Returns (sign, pivots, rows, cols), the pivots as
+    integers (packed when k_bits > 0): pivot k is the minor on the
+    original rows rows[:k + 1] and columns cols[:k + 1], and sign is the
+    sign of the row and column swaps, so for a square matrix of full rank
+    sign times the last pivot is the determinant.
 
     A run splits at a step.  With `stop` it ends after at most `stop`
     steps, brings the rows below them up to date and returns rows and
@@ -122,26 +143,35 @@ def _eliminate(m, k_bits: int = 0, nonzero=bool, stop=None, start=None) -> tuple
     # done[s + 1] is the pivot of step s; done[0] = 1
     first = len(done) - 1
     written = [first - 1] * nrows  # the step after which each row was last written
+
+    def swap(a: int, b: int, symmetric: bool = True) -> None:
+        """Swap columns a <= b, and rows if symmetric, where they exist."""
+        nonlocal sign
+        if a == b:
+            return
+        if symmetric and b < nrows:
+            m[a], m[b] = m[b], m[a]
+            rows[a], rows[b] = rows[b], rows[a]
+            written[a], written[b] = written[b], written[a]
+            sign = -sign
+        if b < ncols:
+            for row in islice(m, k, None):
+                row[a], row[b] = row[b], row[a]
+            cols[a], cols[b] = cols[b], cols[a]
+            sign = -sign
+
     last = min(nrows, ncols) if stop is None else min(nrows, ncols, stop)
     for k in range(first, last):
-        if passes(m[k][k]):
-            i = j = k
-        else:
-            at = next(((i, j) for i in range(k, nrows) for j in range(k + (i == k), ncols)
-                       if passes(m[i][j])), None)
+        if not passes(m[k][k]):
+            at = next(((i, j) for i, j in _search(k, nrows, ncols) if passes(m[i][j])), None)
             if at is None:
                 break
-            i, j = at
-        if i != k:
-            m[k], m[i] = m[i], m[k]
-            rows[k], rows[i] = rows[i], rows[k]
-            written[k], written[i] = written[i], written[k]
-            sign = -sign
-        if j != k:
-            for row in islice(m, k, None):
-                row[k], row[j] = row[j], row[k]
-            cols[k], cols[j] = cols[j], cols[k]
-            sign = -sign
+            label = cols[at[1]]
+            swap(k, at[0])
+            j = cols.index(label)
+            if j != k:  # a pair: the mirror of the pivot comes to (k + 1, k + 1)
+                swap(k + 1, j)
+                swap(k, k + 1, symmetric=False)
         top, s = m[k][k:], written[k]
         if s < k - 1:
             up, down = done[k], done[s + 1]
@@ -178,19 +208,15 @@ def _bareiss(matrix, nonzero=bool) -> tuple[int, list, list, list]:
     return sign, [_unpack(p, k_bits) for p in pivots], rows, cols
 
 
-def _determinant(elimination, n: int) -> list:
-    """The determinant of an n x n polynomial matrix, n >= 1, from its
-    elimination."""
-    sign, pivots, _, _ = elimination
-    if len(pivots) < n:
-        return []
-    return polys.neg(pivots[-1]) if sign < 0 else pivots[-1]
-
-
 def poly_det(matrix) -> list:
     """Determinant of a square matrix of integer polynomials (dense lists);
     a non-integer coefficient raises ValueError."""
-    return _determinant(_bareiss(matrix), len(matrix)) if matrix else [1]
+    if not matrix:
+        return [1]
+    sign, pivots, _, _ = _bareiss(matrix)
+    if len(pivots) < len(matrix):
+        return []
+    return polys.neg(pivots[-1]) if sign < 0 else pivots[-1]
 
 
 def poly_rank(matrix) -> int:
@@ -207,49 +233,32 @@ def int_rank_det(matrix) -> tuple[int, int]:
     return len(pivots), sign * pivots[-1] if len(pivots) == len(matrix) else 0
 
 
+def _principal_signs(rows, cols) -> list:
+    """s_1, s_2, ... with the k x k leading principal minor on rows[:k] of
+    a symmetric or hermitian matrix equal to s_k times the k-th pivot of
+    its elimination.  A pair takes rows (a, b) and columns (b, a): after
+    c steps off the diagonal, s_k = (-1)^(c/2) for even c, and s_k = 0
+    at a pair's first step, whose diagonal entry failed the test."""
+    return [0 if c % 2 else (-1) ** (c // 2)
+            for c in accumulate(i != j for i, j in zip(rows, cols))]
+
+
+def _frobenius(minors, size: int) -> int:
+    """Signature of a nonsingular symmetric or hermitian form of the given
+    size from its nonzero leading principal minors in order, or their
+    signs: the size minus twice the sign changes of 1, D_1, ..., D_size,
+    zeros left out.  A zero D_k lies between nonzero ones, and then
+    D_(k-1) D_(k+1) = D_k D' - |M|^2 < 0 (Sylvester's identity), so it
+    counts one sign change whatever its sign (Frobenius's rule; Gantmacher,
+    The Theory of Matrices, vol. 1, ch. X)."""
+    signs = [True] + [d > 0 for d in minors]
+    return size - 2 * sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 def _integer_symmetric_signature(m) -> tuple[int, int]:
-    """(signature, nullity) of an integer symmetric matrix by fraction-free
-    congruence.
-
-    Diagonal swaps and the row/column addition i += j are unimodular
-    congruences of the trailing block, so the entries stay the Bareiss
-    minors of a congruent integer matrix and each update divides exactly
-    by the previous pivot (Sylvester's identity).  The k-th pivot p_k is
-    the k-th leading minor, and the k-th diagonal entry of the diagonal
-    form is p_k / p_(k-1); when the trailing block is zero, its size is
-    the nullity.
-    """
-    n = len(m)
-    m = [list(row) for row in m]
-    sig, prev = 0, 1
-    for k in range(n):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][i] != 0), None)
-            if piv is not None:
-                _swap_sym(m, k, piv)
-            else:
-                pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
-                             if m[i][j] != 0), None)
-                if pair is None:
-                    return sig, n - k
-                i, j = pair
-                for t in range(n):
-                    m[i][t] += m[j][t]
-                for t in range(n):
-                    m[t][i] += m[t][j]
-                if i != k:
-                    _swap_sym(m, k, i)
-        pivot, row = m[k][k], m[k]
-        for i in range(k + 1, n):
-            mi, f = m[i], m[i][k]
-            for j in range(k + 1, n):
-                mi[j] = (pivot * mi[j] - f * row[j]) // prev
-        sig += 1 if (pivot > 0) == (prev > 0) else -1
-        prev = pivot
-    return sig, 0
-
-
-def _swap_sym(m, i, j):
-    m[i], m[j] = m[j], m[i]
-    for row in m:
-        row[i], row[j] = row[j], row[i]
+    """(signature, nullity) of an integer symmetric matrix from one
+    elimination: the size minus the rank, and the inertia of the
+    nonsingular block on the pivot rows (_frobenius)."""
+    _, pivots, rows, cols = _eliminate([list(row) for row in m])
+    minors = [s * p for s, p in zip(_principal_signs(rows, cols), pivots) if s]
+    return _frobenius(minors, len(pivots)), len(m) - len(pivots)

@@ -13,16 +13,16 @@ packed straight from V (see _packed): t B(t) = (1 - t)(tV - V^T), so
 the one elimination gives the Alexander polynomial, the nullity and the
 reduction of B, of generic rank r, to its nonsingular principal block
 B_I on the pivot rows I; off the roots of det B_I, B(z) has rank r and
-the signature of B_I(z).
+the signature of B_I(z); its pivots give every leading minor of B_I.
 The k-th leading minor of B_I is kept divided by (2 - x)^(k // 2), since
 (1 - t)^2 = t (x - 2): positive on [-2, 2), the factor changes no sign
 and no root there, and the jump polynomial of a knot drops to half the
 degree, with no root at x = 2.  Signatures at rational x are then exact
-sign sequences of these reduced minors (Jacobi's rule).  When one of
-them vanishes, and at x = -2, one fraction-free congruence of an integer
-symmetric matrix read off V takes over: B(-1) = 2(V + V^T), or inside
-(-2, 2) the rational trace form of B(z), which has twice its signature
-and nullity; perturbation is never used.  B(1) = 0.
+sign sequences of the reduced minors not identically 0 (Frobenius's
+rule).  When one of them vanishes at x, and at x = -2, the inertia of an
+integer symmetric matrix read off V, by the same kernel, takes over:
+B(-1) = 2(V + V^T), or inside (-2, 2) the rational trace form of B(z),
+which has twice its signature and nullity.  B(1) = 0.
 Jumps lie among the roots of det B_I, certified by Sturm isolation in x
 on integer brackets (a, b, d) for (a/d, b/d); the breakpoints are built
 from the certified brackets without a second count.  When det B is
@@ -35,9 +35,9 @@ trailing block after k steps is p_k times the Schur complement of the
 k x k block (Sylvester's identity), so the rank is k plus that block's
 rank at z0, the only entries the point test reads; the k steps run once
 per Seifert matrix and k.  Each interval is read at a dyadic
-sample where no leading minor vanishes: the sample search walks integer
-numerators over one denominator and takes the minors' signs there,
-which are Jacobi's, so the interval value needs no second evaluation.
+sample where no leading minor vanishes but those identically 0: the
+sample search walks integer numerators over one denominator and takes
+the minors' signs there, so the interval value needs no second read.
 The jump locus thus builds a Fraction only for each sample and each
 rational breakpoint.  Values at jumps follow the averaged-limit
 convention: the mean of the two adjacent interval values; the nullity
@@ -66,8 +66,8 @@ from .braids import SeifertData
 from .errors import InvalidSeifertData
 from .factor import _rational_root_split
 from .laurent import LaurentPoly, normalize
-from .linalg import (_determinant, _eliminate, _hadamard_bits, _integer_symmetric_signature,
-                     _unpack)
+from .linalg import (_eliminate, _frobenius, _hadamard_bits, _integer_symmetric_signature,
+                     _principal_signs, _unpack)
 from .realroots import RealAlgebraic, _nonzero_at, _yun, isolate_real_roots
 
 
@@ -115,9 +115,8 @@ def _packed(data: SeifertData) -> tuple:
     """(K, rows): tV - V^T packed at t = 2^K straight from V, entry (i, j)
     being (V_ij << K) - V_ji.  K is the Hadamard bound of the entry
     1-norms |V_ij| + |V_ji| (see linalg._hadamard_bits), which covers every
-    minor of every submatrix: the elimination, the principal block and its
-    leading minors, and the ranks at a point all eliminate copies of these
-    rows.  t B(t) = (1 - t)(tV - V^T), so a k x k minor of B is
+    minor of every submatrix: the elimination and the ranks at a point
+    eliminate copies of these rows.  t B(t) = (1 - t)(tV - V^T), so a k x k minor of B is
     ((1 - t)/t)^k times that of tV - V^T: both pick the same pivots, and
     off z = 1 B(z) and zV - V^T have equal rank."""
     pairs = list(zip(data.matrix, data.transposed()))
@@ -126,20 +125,14 @@ def _packed(data: SeifertData) -> tuple:
                           for row, col in pairs])
 
 
-def _eliminate_packed(rows, k_bits: int) -> tuple:
-    """The kernel on a copy of packed rows, its pivots unpacked."""
-    sign, pivots, rows, cols = _eliminate([list(row) for row in rows], k_bits)
-    return sign, [_unpack(p, k_bits) for p in pivots], rows, cols
-
-
 @lru_cache(maxsize=1024)
 def _elimination(data: SeifertData) -> tuple:
     """The kernel's (sign, pivots, rows, cols) for tV - V^T, once per
     Seifert matrix: Delta, beta and the principal block of B(t) all read
     it."""
     k_bits, packed = _packed(data)
-    sign, pivots, rows, cols = _eliminate_packed(packed, k_bits)
-    return sign, tuple(map(tuple, pivots)), tuple(rows), tuple(cols)
+    sign, pivots, rows, cols = _eliminate([list(row) for row in packed], k_bits)
+    return sign, tuple(tuple(_unpack(p, k_bits)) for p in pivots), tuple(rows), tuple(cols)
 
 
 def _minor_x(p, k: int) -> tuple:
@@ -183,40 +176,27 @@ def _chebyshev(m: int) -> tuple:
     return tuple(table)
 
 
-def _diagonal_prefix(rows, cols) -> int:
-    """Number of leading elimination steps that pivoted on the diagonal."""
-    return next((k for k, (i, j) in enumerate(zip(rows, cols)) if i != k or j != k),
-                len(rows))
-
-
 @lru_cache(maxsize=2048)
 def _principal_block(data) -> tuple:
-    """(I, leading principal minors in x of B_I = B[I, I]), where I is the
-    set of pivot rows of the generic-rank elimination; len(I) is the
-    generic rank r.
+    """(I, leading principal minors in x of B_I = B[I, I]), where I holds
+    the pivot rows of the generic-rank elimination in pivot order; len(I)
+    is the generic rank r.
 
     B is hermitian, so r independent rows make B_I nonsingular.  Off the
     roots of det B_I the rank of B(z) is therefore r, the Schur complement
     of B_I vanishes, and B(z) has the signature of B_I(z) and nullity
-    n - r.  When det B is not identically zero, B_I = B.  I and the minors
-    come from the cached elimination of tV - V^T (see _packed).  The pivots
-    up to the first off-diagonal one are leading minors; that minor is 0
-    and each larger one takes a determinant of (tV - V^T)_I.  Each minor
-    is stored reduced, divided by (2 - x)^(k // 2) (see _minor_x), which
-    keeps its sign and its roots on [-2, 2): every reader (Jacobi's rule,
-    _pick_sample, the jump polynomial) looks only there.
+    n - r.  When det B is not identically zero, I holds every index.  The
+    k-th pivot of the cached elimination of tV - V^T (see _packed) is the
+    k-th leading minor of (tV - V^T)_I times the sign, or the 0, of
+    linalg._principal_signs.  Each minor is stored reduced, divided by
+    (2 - x)^(k // 2) (see _minor_x), which keeps its sign and its roots on
+    [-2, 2): every reader (Frobenius's rule, _pick_sample, the jump
+    polynomial) looks only there.
     """
-    k_bits, packed = _packed(data)
     _, pivots, rows, cols = _elimination(data)
-    block = sorted(rows)
-    if _diagonal_prefix(rows, cols) < len(block) < len(packed):
-        packed = [[packed[i][j] for j in block] for i in block]
-        _, pivots, rows, cols = _eliminate_packed(packed, k_bits)
-    k0 = _diagonal_prefix(rows, cols)
-    minors = list(pivots[:k0]) + [
-        _determinant(_eliminate_packed([row[:k] for row in packed[:k]], k_bits), k)
-        for k in range(k0 + 1, len(block) + 1)]
-    return tuple(block), tuple(_minor_x(p, k) for k, p in enumerate(minors, 1))
+    minors = [polys.neg(p) if s < 0 else p if s else ()
+              for s, p in zip(_principal_signs(rows, cols), pivots)]
+    return rows, tuple(_minor_x(p, k) for k, p in enumerate(minors, 1))
 
 
 @lru_cache(maxsize=256)
@@ -314,9 +294,9 @@ def pointwise_signature_nullity(data, x) -> tuple[int, int]:
     At x = -2 (z = -1) this is the unaveraged signature, which for links
     can differ from (and then beats) the averaged invariant.  It never
     reads the signature function: the independent route.  The fast path
-    is Jacobi's rule on the sign sequence of the leading principal minors
-    of B_I (see _principal_block), which holds wherever none of them
-    vanishes; the congruence of the integer trace form covers the rest.
+    is Frobenius's rule on the signs of the leading principal minors of
+    B_I (see _principal_block), wherever only those identically 0 vanish;
+    the inertia of the integer trace form covers the rest.
     """
     x = _as_x(x)
     if not isinstance(x, Fraction):
@@ -325,17 +305,10 @@ def pointwise_signature_nullity(data, x) -> tuple[int, int]:
     if abs(x) == 2:
         return _endpoint(data, int(x) // 2)
     _, minors = _principal_block(data)
-    signs = [polys.sign_at(mx, x) for mx in minors]
+    signs = [polys.sign_at(mx, x) for mx in minors if mx]
     if all(signs):
-        return _jacobi(signs), n - len(minors)
+        return _frobenius(signs, len(minors)), n - len(minors)
     return _trace_signature_nullity(data, x)
-
-
-def _jacobi(signs) -> int:
-    """Signature of a form from the nonzero signs of its leading principal
-    minors (Jacobi's rule): the size minus twice the sign changes of
-    1, D_1, ..., D_r."""
-    return len(signs) - 2 * sum(1 for a, b in zip([1] + signs, signs) if a != b)
 
 
 # -- jump structure -------------------------------------------------------------
@@ -610,20 +583,14 @@ def _signature_function_cached(data) -> SignatureFunction:
     n = data.size
     _, rank, jumps = _jump_structure(data)
     bps = tuple(bp for bp, _ in jumps)
-    minors = _principal_block(data)[1]
-    avoid = [p for p in minors if p]
+    avoid = [p for p in _principal_block(data)[1] if p]
     samples = []
     values = []
     walls = [(-2, -2, 1)] + [_wall(bp) for bp in bps] + [(2, 2, 1)]
     for (_, a, d), (b, _, e) in zip(walls, walls[1:]):
         sample, signs = _pick_sample(avoid, a, d, b, e)
         samples.append(sample)
-        if len(avoid) == len(minors):  # the sample's signs are Jacobi's
-            sig, nul = _jacobi(signs), n - rank
-        else:
-            sig, nul = _trace_signature_nullity(data, sample)
-            assert nul == n - rank, "interval nullity must equal the generic corank"
-        values.append((sig, nul))
+        values.append((_frobenius(signs, rank), n - rank))
     averaged = tuple((_mean(values[i][0], values[i + 1][0]), _nullity_at_jump(data, bp, e))
                      for i, (bp, e) in enumerate(jumps))
     return SignatureFunction(n, n - rank, bps, tuple(values), averaged, tuple(samples))

@@ -1,9 +1,10 @@
-"""The eager Bareiss kernel that the lazy one replaced, kept verbatim as
-a reference for tests: every row below the pivot is rewritten at every
+"""The eager Bareiss kernel that the lazy one replaced, kept as a
+reference for tests: every row below the pivot is rewritten at every
 step, and entries are packed at t = 2^K with K from the product of the
-rows' coefficient 1-norms.  The lazy kernel of linkbound.linalg must
-give the same (sign, pivots, rows, cols) under any "entry is nonzero"
-test.  The rank at a circle point that the signature layer computed
+rows' coefficient 1-norms.  Its pivot search follows the symmetric rule
+of linkbound.linalg, written out here step by step.  The lazy kernel
+must give the same (sign, pivots, rows, cols) under any "entry is
+nonzero" test.  The rank at a circle point that the signature layer computed
 before it resumed the generic elimination is kept too: this kernel on
 the whole of tV - V^T, with the point test on every entry.
 """
@@ -50,14 +51,19 @@ def _bareiss(matrix, nonzero=bool) -> tuple[int, list, list, list]:
     """Fraction-free Bareiss elimination with complete pivoting of a matrix
     of integer polynomials (dense lists), on their values at t = 2^K.
 
-    At step k the pivot is the first entry of the remaining block, in
-    row-major order from (k, k), that passes `nonzero`; the elimination
-    stops when no entry passes.  A custom test gets each nonzero entry
-    unpacked, which is exact because the entry is a minor.  Returns (sign,
-    pivots, rows, cols): pivot k is the minor on the original rows
-    rows[:k + 1] and columns cols[:k + 1], and sign is the sign of the row
-    and column swaps, so for a square matrix of full rank sign times the
-    last pivot is the determinant.
+    At step k the pivot is (k, k) if it passes `nonzero`.  Otherwise the
+    rows from k are scanned, each row's diagonal entry (if it has one)
+    before its other entries from column k, and the first passing entry
+    (i, j) has index i moved to k, in rows and in columns where the matrix
+    has them.  If that puts it on the diagonal it is the pivot; otherwise
+    its column is moved to k + 1 in the same way, and then columns k and
+    k + 1 are swapped, so the pivot is the entry and its mirror comes to
+    (k + 1, k + 1).  The elimination stops when no entry passes.  A
+    custom test gets each nonzero entry unpacked, which is exact because
+    the entry is a minor.  Returns (sign, pivots, rows, cols): pivot k is
+    the minor on the original rows rows[:k + 1] and columns cols[:k + 1],
+    and sign is the sign of the row and column swaps, so for a square
+    matrix of full rank sign times the last pivot is the determinant.
     """
     k_bits = _packing_bits(matrix)
     m = [[_pack(p, k_bits) for p in row] for row in matrix]
@@ -69,21 +75,39 @@ def _bareiss(matrix, nonzero=bool) -> tuple[int, list, list, list]:
     rows, cols = list(range(nrows)), list(range(ncols))
     sign = prev = 1
     pivots = []
+
+    def swap_rows(a, b):
+        nonlocal sign
+        if a != b and b < nrows:
+            m[a], m[b] = m[b], m[a]
+            rows[a], rows[b] = rows[b], rows[a]
+            sign = -sign
+
+    def swap_cols(a, b):
+        nonlocal sign
+        if a != b and b < ncols:
+            for row in m:
+                row[a], row[b] = row[b], row[a]
+            cols[a], cols[b] = cols[b], cols[a]
+            sign = -sign
+
     for k in range(min(nrows, ncols)):
-        at = next(((i, j) for i in range(k, nrows) for j in range(k, ncols)
-                   if passes(m[i][j])), None)
+        order = [(k, k)]
+        for i in range(k, nrows):
+            order += [(i, i)] if k < i < ncols else []
+            order += [(i, j) for j in range(k, ncols) if j != i]
+        at = next(((i, j) for i, j in order if passes(m[i][j])), None)
         if at is None:
             break
         i, j = at
-        if i != k:
-            m[k], m[i] = m[i], m[k]
-            rows[k], rows[i] = rows[i], rows[k]
-            sign = -sign
-        if j != k:
-            for row in m:
-                row[k], row[j] = row[j], row[k]
-            cols[k], cols[j] = cols[j], cols[k]
-            sign = -sign
+        label = cols[j]
+        swap_rows(k, i)
+        swap_cols(k, i)
+        j = cols.index(label)
+        if j != k:  # off the diagonal
+            swap_rows(k + 1, j)
+            swap_cols(k + 1, j)
+            swap_cols(k, k + 1)
         pivot = m[k][k]
         pivots.append(pivot)
         top = m[k]

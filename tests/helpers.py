@@ -4,15 +4,21 @@ from __future__ import annotations
 
 import random
 
+import sympy
 from hypothesis import assume
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 import linkbound.linalg
 import linkbound.realroots
 import linkbound.signature
 from linkbound import BraidWord, LaurentPoly, SeifertData, closure_components, \
     seifert_matrix_from_braid, stabilize
+from linkbound import polys
 from linkbound.linalg import int_rank_det
+
+T = sympy.Symbol("t")
+ZZ_T = sympy.ZZ[T]
 
 
 def random_laurent_dict(rng: random.Random, max_deg=8, max_coeff=9,
@@ -48,6 +54,21 @@ def b_laurent(data: SeifertData) -> list[list[LaurentPoly]]:
     v = data.matrix
     return [[LaurentPoly({0: v[i][j] + v[j][i], 1: -v[i][j], -1: -v[j][i]})
              for j in range(data.size)] for i in range(data.size)]
+
+
+def domain_matrix(m) -> DomainMatrix:
+    """A matrix of dense integer polynomials as a sympy matrix over ZZ[t]."""
+    rows = [[ZZ_T.from_sympy(sum(c * T ** i for i, c in enumerate(e))) for e in row]
+            for row in m]
+    return DomainMatrix(rows, (len(m), len(m[0]) if m else 0), ZZ_T)
+
+
+def sympy_det(m) -> list:
+    """det over ZZ[t] by sympy, as dense coefficients from the constant up."""
+    if not m:
+        return [1]
+    det = ZZ_T.to_sympy(domain_matrix(m).det())
+    return polys.trim(reversed(sympy.Poly(det, T).all_coeffs())) if det != 0 else []
 
 
 def random_braid(rng: random.Random, max_strands=4, max_len=10) -> BraidWord:

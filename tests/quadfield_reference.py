@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from linkbound.laurent import LaurentPoly
-from linkbound.linalg import _swap_sym
 
 
 @dataclass(frozen=True)
@@ -93,6 +92,13 @@ def quad_eval(p: LaurentPoly, x: Fraction) -> QuadFieldElem:
         a += c * u
         b += c * v
     return QuadFieldElem(a, b, x)
+
+
+def _swap_sym(m, i, j):
+    """Swap index i with j in the rows and the columns of m."""
+    m[i], m[j] = m[j], m[i]
+    for row in m:
+        row[i], row[j] = row[j], row[i]
 
 
 def _quad_signature_nullity(A: list[list[LaurentPoly]], x: Fraction) -> tuple[int, int]:

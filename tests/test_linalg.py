@@ -1,6 +1,7 @@
 """The exact Z[t] kernel against sympy: Bareiss determinants and ranks
 under complete pivoting, the leading minors read off one elimination, the
-principal block of B(t) for degenerate Seifert matrices, and the packing
+principal block of B(t) for degenerate Seifert matrices, the inertia of
+integer symmetric matrices read off the pivots, and the packing
 of entries at t = 2^K, including inputs whose minors reach the bound.
 The lazy kernel against the eager one it replaced
 (tests/bareiss_reference.py), a run resumed from a saved step against one
@@ -15,21 +16,17 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy.polys.matrices import DomainMatrix
 
 from linkbound import RealAlgebraic, seifert_matrix_from_braid, signature_function, torus_braid
 from linkbound.linalg import (_bareiss, _eliminate, _integer_symmetric_signature, _pack,
                               _packing_bits, _unpack, int_rank_det, poly_det, poly_rank)
 from linkbound.realroots import _nonzero_at
-from linkbound.signature import (_diagonal_prefix, _elimination, _packed, _principal_block,
+from linkbound.signature import (_elimination, _packed, _principal_block,
                                  _trace_signature_nullity, pointwise_signature_nullity)
 
 import bareiss_reference
-from helpers import b_laurent, degenerate_seifert
+from helpers import T, ZZ_T, b_laurent, degenerate_seifert, domain_matrix, sympy_det
 from quadfield_reference import _quad_signature_nullity
-
-T = sympy.Symbol("t")
-ZZ_T = sympy.ZZ[T]
 
 small_polys = st.lists(st.integers(-3, 3), max_size=3)  # degree <= 2
 
@@ -68,23 +65,9 @@ def _trim(p):
     return p
 
 
-def _domain_matrix(m) -> DomainMatrix:
-    rows = [[ZZ_T.from_sympy(sum(c * T ** i for i, c in enumerate(e))) for e in row]
-            for row in m]
-    return DomainMatrix(rows, (len(m), len(m[0]) if m else 0), ZZ_T)
-
-
-def sympy_det(m) -> list:
-    """det over ZZ[t] by sympy, as dense coefficients from the constant up."""
-    if not m:
-        return [1]
-    det = ZZ_T.to_sympy(_domain_matrix(m).det())
-    return _trim(reversed(sympy.Poly(det, T).all_coeffs())) if det != 0 else []
-
-
 def sympy_rank(m) -> int:
     """Rank over QQ(t) by sympy."""
-    return _domain_matrix(m).convert_to(ZZ_T.get_field()).rank()
+    return domain_matrix(m).convert_to(ZZ_T.get_field()).rank()
 
 
 @settings(max_examples=80, deadline=None)
@@ -96,12 +79,12 @@ def test_poly_det_matches_sympy(m):
 @settings(max_examples=80, deadline=None)
 @given(degenerate_matrices())
 def test_pivots_are_leading_minors(m):
-    """Up to the first off-diagonal pivot the pivots are the leading
+    """Up to the first step that moves an index the pivots are the leading
     minors, and the next leading minor is 0; every pivot is the minor on
     its pivot rows and columns."""
     _, pivots, rows, cols = _bareiss(m)
     n = len(m)
-    s = _diagonal_prefix(rows, cols)
+    s = next((k for k, (i, j) in enumerate(zip(rows, cols)) if i != k or j != k), len(rows))
     leading = pivots[:s] + ([[]] if s < n else [])
     assert 1 <= len(leading) <= n
     assert all(leading[:-1])
@@ -183,8 +166,9 @@ def test_integer_det_and_rank_match_sympy(m):
 @settings(max_examples=40, deadline=None)
 @given(degenerate_seifert())
 def test_leading_minors_x_match_sympy(data):
-    """The principal block B_I has the generic rank of B, a nonzero
-    determinant, and leading minors q in x with det B_I,k(t) =
+    """The principal block B_I, I in pivot order, has the generic rank of
+    B, a nonzero determinant, no two consecutive leading minors
+    identically 0, and leading minors q in x with det B_I,k(t) =
     c q(t + 1/t) (2 - t - 1/t)^(k // 2) for a rational c > 0, checked as
     t^k det B_I,k(t) = c t^k q(t + 1/t) (2 - t - 1/t)^(k // 2) in Z[t]
     against sympy's determinant of t B_I,k(t), built from V."""
@@ -193,6 +177,7 @@ def test_leading_minors_x_match_sympy(data):
     shifted = [[[-v[j][i], v[i][j] + v[j][i], -v[i][j]] for j in range(n)] for i in range(n)]
     assert len(minors) == len(block) == sympy_rank(shifted)
     assert not minors or minors[-1]
+    assert all(a or b for a, b in zip(minors, minors[1:]))
     for k, q in enumerate(minors, 1):
         det = sympy_det([[shifted[i][j] for j in block[:k]] for i in block[:k]])
         if not q:
@@ -210,8 +195,8 @@ def test_leading_minors_x_match_sympy(data):
 @given(degenerate_seifert(), st.lists(st.builds(Fraction, st.integers(-39, 39),
                                                 st.integers(1, 20)), min_size=1, max_size=6))
 def test_jacobi_signs_match_congruence(data, xs):
-    """Jacobi's rule on the integer signs of the leading minors of B_I
-    against exact congruence diagonalization of B at the same points."""
+    """Frobenius's rule on the integer signs of the leading minors of B_I
+    against the inertia of the trace form of B at the same points."""
     for x in xs:
         if abs(x) < 2:
             assert pointwise_signature_nullity(data, x) == _trace_signature_nullity(data, x)
@@ -233,8 +218,7 @@ def test_trace_form_matches_quadratic_field(data, xs):
 def degenerate_symmetric(draw):
     """Integer symmetric matrices, n <= 8; optionally sparse, with a zero
     diagonal and with copies of index 0, which leave no usable diagonal
-    pivot, pair distant indices in the row/column addition and drop the
-    rank."""
+    pivot, pair distant indices and drop the rank."""
     n = draw(st.integers(0, 8))
     entries = st.sampled_from((0,) * 8 + (-2, -1, 1, 2)) if draw(st.booleans()) \
         else st.integers(-3, 3)

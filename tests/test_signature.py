@@ -20,12 +20,12 @@ from linkbound import (BraidWord, CirclePoint, LaurentPoly, RealAlgebraic, Seife
 from linkbound import polys, realroots, signature
 from linkbound.factor import _rational_root_split
 from linkbound.linalg import _bareiss, _unpack, poly_det
-from linkbound.signature import _diagonal_prefix, _minor_x, breakpoints_equal
+from linkbound.signature import _minor_x, breakpoints_equal
 
 import bareiss_reference
 from helpers import (b_laurent, cold_caches as _clear_caches, count_eliminations,
                      degenerate_family, degenerate_seifert, random_knot_data, random_seifert_data,
-                     random_unimodular, zero_padded)
+                     random_unimodular, sympy_det, zero_padded)
 from quadfield_reference import QuadFieldElem, quad_eval
 
 TREFOIL_V = SeifertData.from_matrix([[-1, 1], [0, -1]], 1, "trefoil")
@@ -397,7 +397,7 @@ def test_witt_hyperbolic_is_zero():
 
 
 def test_witt_matches_signature_engine():
-    """At x = -2 the averaged value, the congruence of V + V^T and the
+    """At x = -2 the averaged value, the inertia of V + V^T and the
     float oracle agree for the trefoil."""
     assert signature_nullity_at(TREFOIL_V, Fraction(-2)) == (-2, 0)
     assert pointwise_signature_nullity(TREFOIL_V, -2) == float_oracle(TREFOIL_V, math.pi)
@@ -435,7 +435,7 @@ def test_exact_matches_oracle_away_from_breakpoints():
 
 def test_trace_form_matches_oracle_on_t3_20():
     """At every sample of T(3,20) (n = 38), the 76 x 76 integer trace form
-    and the Jacobi read agree with the float oracle."""
+    and the Frobenius read agree with the float oracle."""
     data = seifert_matrix_from_braid(torus_braid(3, 20))
     for x in signature_function(data).samples:
         oracle = float_oracle(data, math.acos(float(x) / 2))
@@ -920,14 +920,14 @@ def test_degenerate_family_matches_knot(knot):
 
 def test_jump_candidates_need_a_rank_drop():
     """For this V (two components, beta = 1), tV - V^T has the kernel
-    vector (t, t^2, 1 - t + t^2, 0, 0), the pivot rows are I = {0, 1, 3, 4}
-    and det B_I is a multiple of |1 - z + z^2|^2, so the jump polynomial
-    has the root x = 1.  B(z) keeps rank 4 there: no jump.  Added to the
-    trefoil's V, whose Delta vanishes at x = 1 too, the same candidate is
-    a jump."""
-    v = [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [0, 0, 0, 0, 0], [1, -1, 1, 0, 0], [1, 0, 0, 0, 0]]
+    vector (t, t^2, 0, 1 - t + t^2, 0), the pivot rows are I = (0, 2, 1, 4)
+    in pivot order and det B_I is a multiple of |1 - z + z^2|^2, so the
+    jump polynomial is (x - 1)^2.  B(z) keeps rank 4 at x = 1: no jump.
+    Added to the trefoil's V, whose Delta vanishes at x = 1 too, the same
+    candidate is a jump."""
+    v = [[0, 0, 1, 0, 0], [0, 0, 0, 0, 1], [1, -1, 0, 1, 0], [0, 0, 0, 0, 0], [1, 0, 0, 0, 0]]
     data = SeifertData.from_matrix(v, 2)
-    assert signature._principal_block(data)[0] == (0, 1, 3, 4)
+    assert signature._principal_block(data)[0] == (0, 2, 1, 4)
     jump, rank, bps = signature._jump_structure(data)
     assert polys.sign_at(list(jump), 1) == 0 and rank == 4 and bps == ()
     assert signature_function(data).interval_values == ((0, 1),)
@@ -973,7 +973,7 @@ def _padded_or_degenerate(rng) -> SeifertData:
 
 # beta = 1, and det B_I has the double root x = 1 where B(z) keeps rank r
 NO_JUMP_AT_A_DOUBLE_ROOT = SeifertData.from_matrix(
-    [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [0, 0, 0, 0, 0], [1, -1, 1, 0, 0], [1, 0, 0, 0, 0]], 2)
+    [[0, 0, 1, 0, 0], [0, 0, 0, 0, 1], [1, -1, 0, 1, 0], [0, 0, 0, 0, 0], [1, 0, 0, 0, 0]], 2)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1066,19 +1066,16 @@ def test_torus_link_nullity_is_the_root_multiplicity():
 
 def _family_route(data):
     """(I, Laurent minors of B) by a second route: t B(t) = -V^T +
-    (V + V^T) t - V t^2, built from V and eliminated itself."""
+    (V + V^T) t - V t^2, built from V and eliminated itself for the pivot
+    rows I, and sympy's determinant of each leading block of t B_I(t), I
+    in pivot order."""
     v, n = data.matrix, data.size
     dense = [[polys.trim([-v[j][i], v[i][j] + v[j][i], -v[i][j]]) for j in range(n)]
              for i in range(n)]
-    _, pivots, rows, cols = _bareiss(dense)
-    block = sorted(rows)
-    if _diagonal_prefix(rows, cols) < len(block) < len(dense):
-        dense = [[dense[i][j] for j in block] for i in block]
-        _, pivots, rows, cols = _bareiss(dense)
-    k0 = _diagonal_prefix(rows, cols)
-    minors = pivots[:k0] + [poly_det([row[:k] for row in dense[:k]])
-                            for k in range(k0 + 1, len(block) + 1)]
-    return tuple(block), [LaurentPoly.from_dense(p, -k) for k, p in enumerate(minors, 1)]
+    block = tuple(_bareiss(dense)[2])
+    minors = [sympy_det([[dense[i][j] for j in block[:k]] for i in block[:k]])
+              for k in range(1, len(block) + 1)]
+    return block, [LaurentPoly.from_dense(p, -k) for k, p in enumerate(minors, 1)]
 
 
 def _route_inputs():
@@ -1135,6 +1132,43 @@ def test_one_elimination_per_knot_report(monkeypatch, p, q):
     report = assemble_report(data)
     assert report.lower >= 1
     assert calls == [data.size]
+
+
+def _forty_random_knots() -> list:
+    rng = random.Random(5)
+    return [random_knot_data(rng, max_strands=4, max_len=12) for _ in range(40)]
+
+
+def test_one_elimination_per_report_with_a_zero_leading_minor(monkeypatch):
+    """Random braid knots, most with an identically zero leading minor of
+    B: each report runs the Z[t] kernel once, on tV - V^T, whose pivots
+    give every leading minor of B in pivot order."""
+    knots = _forty_random_knots()
+    calls = count_eliminations(monkeypatch)
+    zero_minor = 0
+    for data in knots:
+        _clear_caches()
+        calls.clear()
+        assemble_report(data)
+        assert calls == [data.size]
+        zero_minor += not all(signature._principal_block(data)[1])
+    assert zero_minor >= 20
+
+
+def test_signature_function_reads_every_sample_from_its_minors(monkeypatch):
+    """Frobenius's rule reads every interval sample, also where a leading
+    minor of B_I is identically 0: building a signature function never
+    takes the trace form."""
+    k0 = SeifertData.from_matrix([[0, 1], [0, 1]], 1)  # Delta = 1 and v_11 = 0
+    inputs = _forty_random_knots() + _route_inputs() + [
+        connected_sum(k0, seifert_matrix_from_braid(torus_braid(3, 7)))]
+    spy = mock.Mock(side_effect=signature._trace_signature_nullity)
+    monkeypatch.setattr(signature, "_trace_signature_nullity", spy)
+    _clear_caches()
+    assert sum(not all(signature._principal_block(data)[1]) for data in inputs) >= 20
+    for data in inputs:
+        signature_function(data)
+    spy.assert_not_called()
 
 
 def _count_rank_work(monkeypatch) -> tuple[list, list]:
