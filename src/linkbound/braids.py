@@ -117,11 +117,11 @@ def closure_components(b: BraidWord) -> int:
 class SeifertData:
     """An integer Seifert matrix with its link bookkeeping.
 
-    Invariants checked at construction: size n = 2g + m - 1, the skew
-    part V - V^T has rank 2g over Q, and for knots (m = 1) the skew part
-    is unimodular.  The hash is computed once, at construction: Seifert
-    data keys the signature caches, which would otherwise hash n^2 entries
-    per lookup."""
+    Invariants checked at construction: int or __index__ entries (no
+    float, Fraction, str or bool), size n = 2g + m - 1, V - V^T of rank
+    2g over Q, and unimodular for knots (m = 1).  The hash is computed
+    once, at construction: Seifert data keys the signature caches, which
+    would otherwise hash n^2 entries per lookup."""
 
     matrix: tuple[tuple[int, ...], ...]
     components: int
@@ -129,6 +129,9 @@ class SeifertData:
     label: str = ""
 
     def __post_init__(self):
+        kinds = set(map(type, itertools.chain.from_iterable(self.matrix)))
+        if bad := [k.__name__ for k in kinds if k is bool or not hasattr(k, "__index__")]:
+            raise InvalidSeifertData(f"Seifert matrix entries must be integers, got {min(bad)}")
         v = tuple(tuple(map(int, row)) for row in self.matrix)
         object.__setattr__(self, "matrix", v)
         n = len(v)
@@ -160,8 +163,7 @@ class SeifertData:
         if (n - components + 1) % 2 != 0 or n - components + 1 < 0:
             raise InvalidSeifertData(
                 f"no genus fits size {n} with {components} components")
-        return cls(tuple(tuple(int(x) for x in row) for row in matrix),
-                   components, (n - components + 1) // 2, label)
+        return cls(matrix, components, (n - components + 1) // 2, label)
 
     @property
     def size(self) -> int:

@@ -1,20 +1,19 @@
-"""Command-line front end.
+"""Command-line front end: the COMMANDS table, which -h/--help lists.
 
-Subcommands: invariants, bound, infect, signature-csv, verify.  Inputs
-are JSON files holding either {"braid": {"strands": n, "word": [...]}}
-(or a braid-text string) or {"seifert_matrix": [[...]], "components": m}.
-Exit codes: 0 success, 2 parse error or invalid option, 3 invariant
-violation, 4 inconsistent bounds, 5 verification failure.
+Inputs are JSON files holding either {"braid": {"strands": n, "word":
+[...]}} (or a braid-text string) or {"seifert_matrix": [[...]],
+"components": m}.  Exit codes: 0 success, 2 parse error ("parse error:
+..." on a wrong command line) or invalid option, 3 invariant violation,
+4 inconsistent bounds, 5 verification failure.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 from .bounds import BandCertificate, BoundReport, InfectionDecl, assemble_report, \
     band_certificate_genus, infection_transfer
@@ -137,63 +136,72 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="linkbound",
-        description="Exact signature functions, Alexander polynomials and "
-                    "certified 4-genus bounds for links.")
-    sub = parser.add_subparsers(dest="command", required=True)
+# One row per command: (handler, positionals, options, help line).  An option's flag names
+# its attribute; a list option is repeatable; --input is the hidden alias of INPUT.
+INDENT = {"--json-indent": (int, 2)}
+INPUT = {"--input": (str, None), **INDENT}
+CAP = {"--degree-cap": (int, 12)}
+COMMANDS = {
+    "invariants": (cmd_invariants, ("input",), INPUT,
+                   "Alexander polynomial, nullity, signature function"),
+    "bound": (cmd_bound, ("input",), {**INPUT, "--band-cert": (list, None), **CAP},
+              "assemble a 4-genus bound report; b,u: b bands to a u-component unlink"),
+    "infect": (cmd_infect, ("base_report", "declaration"), INDENT,
+               "transfer bounds through a string-link infection declaration"),
+    "signature-csv": (cmd_signature_csv, ("input",), {**INPUT, "--samples": (int, 0)},
+                      "emit the signature function as CSV, plus N float-oracle rows"),
+    "verify": (cmd_verify, (), {"--catalog": (str, None), **CAP, **INDENT},
+               "run the catalog regression checks (default: $LINKBOUND_CATALOG or built-in)"),
+}
+METAVARS = {int: "N", str: "PATH", list: "b,u"}
 
-    def add_common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("input", nargs="?", help="input JSON file")
-            p.add_argument("--input", dest="input_flag", help=argparse.SUPPRESS)
-        p.add_argument("--json-indent", type=int, default=2)
 
-    p = sub.add_parser("invariants", help="Alexander polynomial, nullity, "
-                                          "signature function")
-    add_common(p)
-    p.set_defaults(func=cmd_invariants)
+def cmd_help(args) -> int:
+    print("usage: linkbound COMMAND ARGUMENTS [OPTIONS]\n\ncommands:")
+    for name, (_, positionals, options, text) in COMMANDS.items():
+        words = [p.upper() for p in positionals] + [
+            f"[{f} {METAVARS[kind]}]" for f, (kind, _) in options.items() if f != "--input"]
+        print(f"  {name} {' '.join(words)}\n      {text}")
+    return EXIT_OK
 
-    p = sub.add_parser("bound", help="assemble a 4-genus bound report")
-    add_common(p)
-    p.add_argument("--band-cert", action="append", metavar="b,u",
-                   help="band-move certificate: b bands to a u-component unlink")
-    p.add_argument("--degree-cap", type=int, default=12)
-    p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("infect", help="transfer bounds through a string-link "
-                                      "infection declaration")
-    p.add_argument("base_report", help="JSON BoundReport of the base link")
-    p.add_argument("declaration", help="JSON infection declaration")
-    p.add_argument("--json-indent", type=int, default=2)
-    p.set_defaults(func=cmd_infect)
-
-    p = sub.add_parser("signature-csv", help="emit the signature function as CSV")
-    add_common(p)
-    p.add_argument("--samples", type=int, default=0,
-                   help="additional float-oracle sample rows")
-    p.set_defaults(func=cmd_signature_csv)
-
-    p = sub.add_parser("verify", help="run the catalog regression checks")
-    p.add_argument("--catalog", help="catalog JSON path "
-                                     "(default: $LINKBOUND_CATALOG or built-in)")
-    p.add_argument("--degree-cap", type=int, default=12)
-    p.add_argument("--json-indent", type=int, default=2)
-    p.set_defaults(func=cmd_verify)
-    return parser
+def _parse(argv: list[str]):
+    """(handler, arguments) of a command line, read by the COMMANDS table;
+    a wrong command line raises ParseError."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return cmd_help, None
+    if not argv or (command := argv[0]) not in COMMANDS:
+        raise ParseError(f"expected a command, one of {', '.join(COMMANDS)} (see --help)")
+    handler, positionals, options, _ = COMMANDS[command]
+    given, free, tokens = {}, [], iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-") or token == "-":
+            free.append(token)
+            continue
+        if token in ("-h", "--help"):  # only where an option may stand, not as a value
+            return cmd_help, None
+        flag, eq, value = token.partition("=")
+        if flag not in options:
+            raise ParseError(f"{command}: unknown option {flag}")
+        kind, dest = options[flag][0], flag[2:].replace("-", "_")
+        if (value := value if eq else next(tokens, None)) is None:
+            raise ParseError(f"{command}: {flag} needs a value")
+        try:
+            given[dest] = given.get(dest, []) + [value] if kind is list else kind(value)
+        except ValueError:
+            raise ParseError(f"{command}: {flag} wants an integer, got {value!r}") from None
+    values = {flag[2:].replace("-", "_"): default for flag, (_, default) in options.items()}
+    values.update(zip(positionals, free), **given)
+    if len(free) > len(positionals) or not all(values.get(name) for name in positionals):
+        raise ParseError(f"{command} takes {' '.join(map(str.upper, positionals)) or 'no file'}"
+                         f", got {' '.join(free) or 'none'}")
+    return handler, SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if getattr(args, "input_flag", None):
-        args.input = args.input_flag
-    if hasattr(args, "input") and not args.input:
-        print("error: missing input file", file=sys.stderr)
-        return EXIT_PARSE
     try:
-        return args.func(args)
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        return handler(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE

@@ -225,11 +225,11 @@ def poly_rank(matrix) -> int:
 
 
 def int_rank_det(matrix) -> tuple[int, int]:
-    """(rank over Q, determinant) of a square integer matrix, from one
-    elimination of the integers themselves."""
+    """(rank over Q, determinant) of a square matrix of ints, copied (not
+    passed through int()), from one elimination of the integers themselves."""
     if not matrix:
         return 0, 1
-    sign, pivots, _, _ = _eliminate([list(map(int, row)) for row in matrix])
+    sign, pivots, _, _ = _eliminate([list(row) for row in matrix])
     return len(pivots), sign * pivots[-1] if len(pivots) == len(matrix) else 0
 
 

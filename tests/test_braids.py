@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +143,36 @@ def test_invalid_matrix_rejected():
         SeifertData.from_matrix([[1, 2], [3, 4], [5, 6]], 1)  # not square
     with pytest.raises(InvalidSeifertData):
         SeifertData.from_matrix([[1]], 3)  # no genus fits
+
+
+class Index:
+    """An integer-like object that is not an int: it has __index__ only."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("entry", [-1.7, -1.0, Fraction(-1, 2), Fraction(-1), "-1", True, None],
+                         ids=repr)
+def test_non_integer_entry_refused(entry):
+    """A float, a Fraction, a string or a bool entry is refused by both
+    constructors: int() used to read [[-1.7, 1], [0, -1.2]] as the
+    trefoil, Fraction(-1, 2) as 0 and "-1" as -1."""
+    with pytest.raises(InvalidSeifertData, match="must be integers"):
+        SeifertData.from_matrix([[entry, 1], [0, -1]])
+    with pytest.raises(InvalidSeifertData, match="must be integers"):
+        SeifertData(((-1, 1), (0, entry)), 1, 1)
+
+
+def test_index_entries_accepted_as_ints():
+    """An entry with __index__ is accepted and stored as an int."""
+    trefoil = SeifertData.from_matrix([[-1, 1], [0, -1]])
+    data = SeifertData.from_matrix([[Index(-1), 1], [0, Index(-1)]])
+    assert data == trefoil and hash(data) == hash(trefoil)
+    assert {type(x) for row in data.matrix for x in row} == {int}
 
 
 # -- connected sum, mirror, stabilization ---------------------------------------

@@ -1,12 +1,13 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
 
 import pytest
 
-from linkbound.cli import build_parser, main
+from linkbound.cli import main
 from linkbound.laurent import laurent_from_json
 
 
@@ -98,8 +99,7 @@ def test_bound_with_band_cert(capsys, trefoil_file):
 
 
 def test_cached_parser_keeps_no_state(capsys, trefoil_file):
-    """The parser is built once; no option of one call reaches the next."""
-    assert build_parser() is build_parser()
+    """No option of one call reaches the next."""
     code, out, _ = run(capsys, "bound", trefoil_file, "--band-cert", "3,2")
     assert code == 0 and json.loads(out)["assumptions"]
     code, out, _ = run(capsys, "bound", trefoil_file)
@@ -229,6 +229,91 @@ def test_python_m_linkbound(trefoil_file):
     done = subprocess.run([sys.executable, "-m", "linkbound", "verify", "--degree-cap", "99"],
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 2 and "degree cap" in done.stderr
+
+
+def test_report_path_imports_no_argparse(trefoil_file):
+    """A report parses its command line without argparse, so a process
+    never imports argparse, gettext or locale on the way to it."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = ("import sys; from linkbound.cli import main; rc = main(['bound', sys.argv[1]]); "
+            "print([m for m in ('argparse', 'gettext', 'locale') if m in sys.modules], rc)")
+    done = subprocess.run([sys.executable, "-c", code, trefoil_file],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[] 0"
+
+
+COMMANDS = ("invariants", "bound", "infect", "signature-csv", "verify")
+
+
+@pytest.fixture
+def cli_files(tmp_path, trefoil_file, monkeypatch):
+    """Placeholder -> path: K a knot, R a bound report, D an infection
+    declaration, C a one-entry catalog.  The working directory also holds
+    -K.json and -R.json, files whose names start with '-'."""
+    files = {"K": trefoil_file}
+    for name, obj in (("R", REPORT), ("D", DECLARATION), ("C", [{
+            "name": "unknot", "input": {"braid": {"strands": 1, "word": []}},
+            "expected": {"max_abs_sigma": 0}}])):
+        files[name] = str(tmp_path / f"{name}.json")
+        with open(files[name], "w") as fh:
+            json.dump(obj, fh)
+    for name in ("K", "R"):
+        shutil.copy(files[name], tmp_path / f"-{name}.json")
+    monkeypatch.chdir(tmp_path)
+    return files
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ("invariants K", 0), ("invariants --input K", 0), ("invariants --input=K", 0),
+    ("invariants K --json-indent 0", 0),
+    ("bound K", 0), ("bound --input K", 0), ("bound K --json-indent=4", 0),
+    ("bound K --band-cert 3,2", 0), ("bound K --band-cert=3,2 --band-cert 5,2", 0),
+    ("bound --degree-cap 10 K", 0), ("bound K --degree-cap=10 --json-indent -1", 0),
+    ("signature-csv K", 0), ("signature-csv K --samples 3", 0),
+    ("signature-csv --samples=2 --input K --json-indent 0", 0),
+    ("verify --catalog C", 0), ("verify --catalog=C --degree-cap 12 --json-indent 0", 0),
+    ("infect R D", 0), ("infect R D --json-indent 0", 0),
+    ("-h", 0), ("--help", 0), ("bound -h", 0), ("verify --catalog C --help", 0),
+    ("infect ./-R.json D", 0), ("bound ./-K.json", 0), ("bound --input=-K.json", 0),
+    ("invariants --input -K.json", 0),
+    ("", 2), ("nosuch K", 2), ("--json-indent 2 bound K", 2), ("-x", 2),
+    ("bound", 2), ("invariants --json-indent 0", 2), ("infect R", 2), ("infect", 2),
+    ("bound K K", 2), ("infect R D D", 2), ("verify K", 2),
+    ("bound K --no-such-flag", 2), ("bound K -x", 2), ("bound K --degree 5", 2),
+    ("invariants K --band-cert 3,2", 2), ("infect R D --input K", 2),
+    ("bound K --degree-cap", 2), ("verify --catalog", 2), ("bound K --json-indent", 2),
+    ("bound K --degree-cap x", 2), ("bound K --json-indent=1.5", 2),
+    ("signature-csv K --samples many", 2), ("bound K --degree-cap=", 2),
+    ("verify --catalog -h", 2), ("bound K --band-cert --help", 2), ("bound -- K", 2),
+    ("infect -R.json D", 2), ("bound -K.json", 2),
+])
+def test_command_line_forms(capsys, cli_files, argv, expected):
+    """Every documented form of the command line runs, and a wrong one
+    exits 2 with a parse error and no output.  -h/--help where an option
+    may stand prints the command list and exits 0; as an option's value
+    it is that value.  A path that starts with '-' is given as ./PATH or
+    --input=PATH: there is no '--' end-of-options marker."""
+    def fill(token):
+        head, eq, tail = token.rpartition("=")
+        return head + eq + cli_files.get(tail, tail)
+    code, out, err = run(capsys, *map(fill, argv.split()))
+    assert code == expected, err
+    assert "Traceback" not in err
+    if expected == 0 and {"-h", "--help"} & set(argv.split()):
+        assert all(f"  {command} " in out for command in COMMANDS) and not err
+    elif expected == 2:
+        assert err.startswith("parse error:") and err.count("\n") == 1 and not out
+
+
+def test_band_cert_forms_agree(capsys, trefoil_file):
+    """--band-cert b,u and --band-cert=b,u are one option, repeatable."""
+    outs = {run(capsys, "bound", trefoil_file, *option)[1] for option in (
+        ["--band-cert", "3,2", "--band-cert", "5,2"], ["--band-cert=3,2", "--band-cert=5,2"],
+        ["--band-cert=3,2", "--band-cert", "5,2"])}
+    assert len(outs) == 1
+    assert len(json.loads(outs.pop())["assumptions"]) == 2
 
 
 def test_infect_flow(capsys, tmp_path, t35_file):
