@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braids import SeifertData, _json_int
+from .braids import SeifertData, _check_integers, _json_int
 from .errors import InconsistentBounds, InvalidSeifertData, ParseError
 from .factor import FoxMilnorResult, check_degree_cap, fox_milnor_test
 from .laurent import LaurentPoly
@@ -109,6 +109,8 @@ class InfectionDecl:
     notes: str = ""
 
     def __post_init__(self):
+        _check_integers((self.axes, self.double_points, self.milnor_vanishing_length),
+                        "axes, double_points and milnor_vanishing_length")
         lk = tuple(tuple(_json_int(v, "linking number") for v in row)
                    for row in self.linking_numbers)
         object.__setattr__(self, "linking_numbers", lk)
@@ -166,6 +168,7 @@ class BandCertificate:
     resulting_unlink_components: int
 
     def __post_init__(self):
+        _check_integers((self.bands, self.resulting_unlink_components), "band certificate counts")
         if self.bands < 0 or self.resulting_unlink_components < 1:
             raise ValueError("need bands >= 0 and at least one unlink component")
 

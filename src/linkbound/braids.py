@@ -26,6 +26,15 @@ from .errors import InvalidSeifertData, ParseError
 from .linalg import int_rank_det
 
 
+def _check_integers(values, what: str, error=ParseError) -> None:
+    """Raise `error` unless every value is an int or has __index__ (a NumPy
+    integer, say): a float, Fraction, string or bool is refused, where
+    int() would truncate or parse it."""
+    if bad := [k.__name__ for k in set(map(type, values))
+               if k is bool or not hasattr(k, "__index__")]:
+        raise error(f"{what} must be integers, got {min(bad)}")
+
+
 @dataclass(frozen=True)
 class BraidWord:
     """A braid on `strands` strands; letters are nonzero ints with
@@ -35,9 +44,11 @@ class BraidWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
+        _check_integers((self.strands, *self.letters), "strands and braid letters")
+        object.__setattr__(self, "strands", int(self.strands))
         if self.strands < 1:
             raise ParseError(f"strands must be >= 1, got {self.strands}")
-        letters = tuple(int(x) for x in self.letters)
+        letters = tuple(map(int, self.letters))
         object.__setattr__(self, "letters", letters)
         for x in letters:
             if x == 0 or abs(x) > self.strands - 1:
@@ -129,9 +140,8 @@ class SeifertData:
     label: str = ""
 
     def __post_init__(self):
-        kinds = set(map(type, itertools.chain.from_iterable(self.matrix)))
-        if bad := [k.__name__ for k in kinds if k is bool or not hasattr(k, "__index__")]:
-            raise InvalidSeifertData(f"Seifert matrix entries must be integers, got {min(bad)}")
+        _check_integers(itertools.chain.from_iterable(self.matrix), "Seifert matrix entries",
+                        InvalidSeifertData)
         v = tuple(tuple(map(int, row)) for row in self.matrix)
         object.__setattr__(self, "matrix", v)
         n = len(v)
@@ -260,9 +270,10 @@ def stabilize(a: SeifertData, direction: str, new_column) -> SeifertData:
     Appends one row/column pair in the standard pattern: a single
     off-diagonal 1, a zero diagonal corner, and the supplied integer
     vector in the free slots.  Genus grows by one; the Alexander class
-    and the whole signature function are unchanged.
+    and the whole signature function are unchanged.  The entries of
+    new_column are checked as those of a Seifert matrix.
     """
-    xi = [int(c) for c in new_column]
+    xi = list(new_column)
     n = a.size
     if len(xi) != n:
         raise InvalidSeifertData(f"new_column must have length {n}")

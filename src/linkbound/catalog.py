@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bounds import assemble_report
-from .braids import (BraidWord, SeifertData, braid_from_json, braid_to_json,
+from .braids import (BraidWord, SeifertData, _json_int, braid_from_json, braid_to_json,
                      connected_sum, seifert_data_from_json,
                      seifert_matrix_from_braid, torus_braid)
 from .errors import ParseError
@@ -44,9 +44,29 @@ class CatalogEntry:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CatalogEntry":
-        if "name" not in obj or "input" not in obj:
-            raise ParseError("catalog entry needs name and input")
-        inp = obj["input"]
+        """An entry {name, input, expected}; ParseError unless the entry, its
+        input and its expected values are objects, max_abs_sigma is an
+        integer, g4 a pair of integers or nulls and alexander a Laurent
+        polynomial."""
+        if not isinstance(obj, dict) or "name" not in obj or "input" not in obj:
+            raise ParseError("catalog entry must be an object with name and input")
+        inp, expected = obj["input"], obj.get("expected")
+        if not isinstance(inp, dict) or not isinstance(expected, (dict, type(None))):
+            raise ParseError("catalog entry input and expected must be objects")
+        expected = expected or {}
+        if "max_abs_sigma" in expected:
+            _json_int(expected["max_abs_sigma"], "max_abs_sigma")
+        g4 = expected.get("g4", [None, None])
+        if not isinstance(g4, list) or len(g4) != 2:
+            raise ParseError(f"g4 must be a pair of bounds, got {g4!r}")
+        for bound in g4:
+            if bound is not None:
+                _json_int(bound, "g4 bound")
+        if "alexander" in expected:
+            try:
+                laurent_from_json(expected["alexander"])
+            except (AttributeError, TypeError, ValueError, ZeroDivisionError) as e:
+                raise ParseError(f"bad expected alexander: {e}") from None
         if "braid" in inp:
             parsed: object = braid_from_json(inp["braid"])
         else:

@@ -34,7 +34,7 @@ That rank, and the nullity at a multiple root, resume the elimination
 trailing block after k steps is p_k times the Schur complement of the
 k x k block (Sylvester's identity), so the rank is k plus that block's
 rank at z0, the only entries the point test reads; the k steps run once
-per Seifert matrix and k.  Each interval is read at a dyadic
+per build and k.  Each interval is read at a dyadic
 sample where no leading minor vanishes but those identically 0: the
 sample search walks integer numerators over one denominator and takes
 the minors' signs there, so the interval value needs no second read.
@@ -43,12 +43,14 @@ rational breakpoint.  Values at jumps follow the averaged-limit
 convention: the mean of the two adjacent interval values; the nullity
 at a simple root is n - r + 1.
 
-The packed form tV - V^T, and what depends only on V (principal block,
-jump structure, values at x = +-2, the function), is cached on the
-Seifert data.  A read is located among the breakpoints of the certified
-function, which the first read of a Seifert matrix builds, by
-cross-multiplication: its walls are integers over one denominator;
-pointwise_signature_nullity, unaveraged, is the independent route.
+The elimination, principal block, values at x = +-2 and function are
+cached on the Seifert data; the jump structure and the ranks at its
+roots live for one build, so the breakpoints that reads refine belong to
+the cached function alone, and an evicted one is rebuilt from V.  A read
+is located among the breakpoints of the certified function, which the
+first read builds, by cross-multiplication: its walls are integers over
+one denominator; pointwise_signature_nullity, unaveraged, is the
+independent route.
 Laurent polynomials appear only in the answer: the Alexander polynomial.
 """
 
@@ -110,7 +112,6 @@ def _as_x(x):
 # -- principal minors ----------------------------------------------------------
 
 
-@lru_cache(maxsize=1024)
 def _packed(data: SeifertData) -> tuple:
     """(K, rows): tV - V^T packed at t = 2^K straight from V, entry (i, j)
     being (V_ij << K) - V_ji.  K is the Hadamard bound of the entry
@@ -129,10 +130,11 @@ def _packed(data: SeifertData) -> tuple:
 def _elimination(data: SeifertData) -> tuple:
     """The kernel's (sign, pivots, rows, cols) for tV - V^T, once per
     Seifert matrix: Delta, beta and the principal block of B(t) all read
-    it."""
+    it; and the packed (K, rows) whose copy it eliminated, for _prefix."""
     k_bits, packed = _packed(data)
     sign, pivots, rows, cols = _eliminate([list(row) for row in packed], k_bits)
-    return sign, tuple(tuple(_unpack(p, k_bits)) for p in pivots), tuple(rows), tuple(cols)
+    return (sign, tuple(tuple(_unpack(p, k_bits)) for p in pivots), tuple(rows), tuple(cols),
+            (k_bits, packed))
 
 
 def _minor_x(p, k: int) -> tuple:
@@ -193,25 +195,23 @@ def _principal_block(data) -> tuple:
     [-2, 2): every reader (Frobenius's rule, _pick_sample, the jump
     polynomial) looks only there.
     """
-    _, pivots, rows, cols = _elimination(data)
+    _, pivots, rows, cols, _ = _elimination(data)
     minors = [polys.neg(p) if s < 0 else p if s else ()
               for s, p in zip(_principal_signs(rows, cols), pivots)]
     return rows, tuple(_minor_x(p, k) for k, p in enumerate(minors, 1))
 
 
-@lru_cache(maxsize=256)
 def _prefix(data, k: int) -> tuple:
     """(K, state, tail) after the first k steps of the generic elimination
-    of tV - V^T (see _packed): the state that _rank_at resumes at every
-    root with that k, and the rows from k on, up to date, from column k."""
-    k_bits, packed = _packed(data)
+    of tV - V^T (see _packed): the state that _rank_at resumes at a root
+    with that k, and the rows from k on, up to date, from column k."""
+    k_bits, packed = _elimination(data)[4]
     m = [list(row) for row in packed]
     state = _eliminate(m, k_bits, stop=k)
     return k_bits, state, tuple(tuple(row[k:]) for row in m[k:])
 
 
-@lru_cache(maxsize=1024)  # the jump test and the nullity of one root share it
-def _rank_at(data, root) -> int:
+def _rank_at(data, root, prefixes=None) -> int:
     """Rank of B(z0) at the circle point with z0 + 1/z0 = root in (-2, 2):
     that of tV - V^T at z0 (see _packed), since z0 != 1.
 
@@ -223,32 +223,22 @@ def _rank_at(data, root) -> int:
     invertible at z0, so rank B(z0) = k + the rank of the trailing block
     at z0, whether or not earlier pivots vanish there.  The block is 0 for
     k = r, and for k = n - 1 < r it is +-p_n, 0 at z0.  Otherwise the
-    kernel resumes from the state after k steps (_prefix, shared by every
-    root with that k) under the test q(z0) != 0, which it thus applies to
-    the trailing block alone, and its pivots are counted, not unpacked."""
-    _, pivots, _, _ = _elimination(data)
+    kernel resumes from the state after k steps (_prefix, kept by k in
+    `prefixes` for one build) under the test q(z0) != 0, which it thus
+    applies to the trailing block alone; its pivots are counted, not unpacked."""
+    _, pivots, _, _, _ = _elimination(data)
     nonzero = _nonzero_at(root)
     r, n = len(pivots), data.size
     k = next((k for k in range(r, 0, -1) if nonzero(pivots[k - 1])), 0)
     if k in (r, n - 1):
         return k
-    k_bits, state, tail = _prefix(data, k)
+    prefixes = {} if prefixes is None else prefixes
+    if k not in prefixes:
+        prefixes[k] = _prefix(data, k)
+    k_bits, state, tail = prefixes[k]
     # the kernel reads only the rows and columns from k on
     m = [[0] * n] * k + [[0] * k + list(row) for row in tail]
     return len(_eliminate(m, k_bits, nonzero, start=state)[1])
-
-
-def _nullity_at_jump(data, root, e: int) -> int:
-    """Nullity of B(z) at a breakpoint, a root of det B_I of multiplicity
-    e where the rank is below the generic rank r: n - r + 1 when e = 1
-    (see _jump_structure), otherwise n minus the rank at the point.  That
-    rank is k plus the rank at the point of the trailing block after k
-    generic steps, p_k the last pivot not zero there: the block is p_k
-    times the Schur complement of the k x k block, invertible at the point
-    (Sylvester's identity; see _rank_at)."""
-    if e == 1:
-        return data.size - len(_elimination(data)[1]) + 1
-    return data.size - _rank_at(data, root)
 
 
 # -- exact signatures at a single point ----------------------------------------
@@ -328,11 +318,10 @@ def _separated(left, right) -> bool:
     return b * e < a * d
 
 
-@lru_cache(maxsize=2048)
 def _jump_structure(data):
     """(jump polynomial in x, generic rank r, the breakpoints in open
     (-2, 2), each paired with its multiplicity as a root of the jump
-    polynomial).
+    polynomial, the nullity of B(z) at each breakpoint).
 
     The jump polynomial is det B_I in x divided by (2 - x)^(r // 2)
     (see _principal_block), made primitive; off its roots B(z) has rank r.
@@ -345,9 +334,11 @@ def _jump_structure(data):
     every candidate is a root of det B, where the rank drops.  Otherwise:
 
     - a candidate of odd e is a jump;
-    - at a candidate of e = 1, B(z0) has rank r - 1;
+    - at a candidate of e = 1, B(z0) has rank r - 1, nullity n - r + 1;
     - a candidate of even e is kept only where the Bareiss kernel finds
       the rank of B(z0) below r.
+
+    For e > 1 the jump test and the nullity read one rank (see _rank_at).
 
     Proof.  B has rank r over Q(t) and B_I is nonsingular, so
     B = B[:, I] B_I^-1 B[I, :], and det B[S, T] det B_I =
@@ -367,34 +358,39 @@ def _jump_structure(data):
     _, minors = _principal_block(data)
     rank = len(minors)
     if rank == 0:
-        return (1,), 0, ()
+        return (1,), 0, (), ()
     _, prim = polys.primitive_positive(list(minors[-1]))
     if polys.degree(prim) == 0:
-        return tuple(prim), rank, ()
+        return tuple(prim), rank, (), ()
+    prefixes: dict = {}
 
-    def jumps(root, e) -> bool:
-        return rank == n or e % 2 == 1 or _rank_at(data, root) < rank
+    def nullity(root, e):
+        """The nullity of B(z0) at a candidate, or None where it is no jump."""
+        if e == 1:
+            return n - rank + 1
+        nul = n - _rank_at(data, root, prefixes)
+        return nul if rank == n or e % 2 or nul > n - rank else None
 
     rest, linear = _rational_root_split(list(prim))
     # each linear factor is (-s, den), den > 0, with root s/den
     inside = sorted((Fraction(-c, den), e) for (c, den), e in
                     collections.Counter(map(tuple, linear)).items() if abs(c) < 2 * den)
-    rationals = [(r, e) for r, e in inside if jumps(r, e)]
+    rationals = [(r, e, nul) for r, e in inside if (nul := nullity(r, e)) is not None]
     found: list = []
     if polys.degree(rest) >= 1:
         sqfree = _yun(tuple(rest))[1]
         for a, b, d, e in isolate_real_roots(rest, -2, 2):  # in increasing order
             root = RealAlgebraic._certified(sqfree, a, b, d)
-            if not jumps(root, e):
+            if (nul := nullity(root, e)) is None:
                 continue
             while not (_separated(-2, root) and _separated(root, 2)):
                 root._bisect()  # keep the bracket strictly inside (-2, 2)
             # the rational jumps below it go first; comparing refines it away
             while rationals and root.compare_rational(rationals[0][0]) > 0:
                 found.append(rationals.pop(0))
-            found.append((root, e))
+            found.append((root, e, nul))
     found += rationals
-    bps = [b for b, _ in found]
+    bps = [b for b, _, _ in found]
     # enforce strictly separated walls between consecutive breakpoints
     for left, right in zip(bps, bps[1:]):
         while not _separated(left, right):
@@ -402,7 +398,7 @@ def _jump_structure(data):
                 left._bisect()
             if isinstance(right, RealAlgebraic):
                 right._bisect()
-    return tuple(prim), rank, tuple(found)
+    return tuple(prim), rank, tuple((b, e) for b, e, _ in found), tuple(nul for *_, nul in found)
 
 
 def _pick_sample(avoid_xpolys, a: int, d: int, b: int, e: int) -> tuple[Fraction, list]:
@@ -581,7 +577,7 @@ def _json_rat(v, d=1):
 @lru_cache(maxsize=1024)
 def _signature_function_cached(data) -> SignatureFunction:
     n = data.size
-    _, rank, jumps = _jump_structure(data)
+    _, rank, jumps, nullities = _jump_structure(data)
     bps = tuple(bp for bp, _ in jumps)
     avoid = [p for p in _principal_block(data)[1] if p]
     samples = []
@@ -591,8 +587,8 @@ def _signature_function_cached(data) -> SignatureFunction:
         sample, signs = _pick_sample(avoid, a, d, b, e)
         samples.append(sample)
         values.append((_frobenius(signs, rank), n - rank))
-    averaged = tuple((_mean(values[i][0], values[i + 1][0]), _nullity_at_jump(data, bp, e))
-                     for i, (bp, e) in enumerate(jumps))
+    averaged = tuple((_mean(left[0], right[0]), nul)
+                     for left, right, nul in zip(values, values[1:], nullities))
     return SignatureFunction(n, n - rank, bps, tuple(values), averaged, tuple(samples))
 
 
@@ -625,7 +621,7 @@ def alexander_from_seifert(data: SeifertData) -> LaurentPoly:
     unnormalized, since normalization is undefined there."""
     if data.size == 0:
         return LaurentPoly.one()
-    _, pivots, _, _ = _elimination(data)
+    _, pivots, _, _, _ = _elimination(data)
     if len(pivots) < data.size:
         return LaurentPoly.zero()
     return normalize(LaurentPoly.from_dense(pivots[-1], 0))  # the sign is a unit

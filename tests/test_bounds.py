@@ -9,7 +9,7 @@ import linkbound.bounds
 import linkbound.linalg
 from linkbound import (BandCertificate, BoundReport, BraidWord, DegreeCapError,
                        InconsistentBounds, InfectionDecl, InvalidSeifertData,
-                       LaurentPoly, SeifertData, ZeroPolynomialError,
+                       LaurentPoly, ParseError, SeifertData, ZeroPolynomialError,
                        alexander_from_seifert, assemble_report,
                        band_certificate_genus, connected_sum, float_oracle,
                        infection_transfer, link_nullity, lt_lower_bound, mirror,
@@ -92,6 +92,23 @@ def test_band_certificate_parity_guard():
 def test_band_certificate_negative_genus_rejected():
     with pytest.raises(ValueError):
         band_certificate_genus(BandCertificate(0, 3))
+
+
+@pytest.mark.parametrize("bands, components", [
+    (2.0, 1), (11, 4.0), (Fraction(11), 4), ("11", 4), (True, 2), (11, 4.5)], ids=repr)
+def test_band_certificate_refuses_non_integers(bands, components):
+    """BandCertificate(2.0, 1) used to give a float genus 1.0."""
+    with pytest.raises(ParseError, match="must be integers"):
+        BandCertificate(bands, components)
+
+
+@pytest.mark.parametrize("axes, double_points, length", [
+    (1, 0.5, 1), (1.0, 0, 0), (1, 0, 0.0), (1, Fraction(1), 2), (True, 0, 0), (1, "0", 0)],
+    ids=repr)
+def test_infection_declaration_refuses_non_integers(axes, double_points, length):
+    """InfectionDecl(1, ((0,),), 0.5, 1) used to be accepted."""
+    with pytest.raises(ParseError, match="must be integers"):
+        InfectionDecl(axes, ((0,),), double_points, length)
 
 
 def test_seifert_genus_upper():

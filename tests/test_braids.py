@@ -177,6 +177,32 @@ def test_index_entries_accepted_as_ints():
 
 # -- connected sum, mirror, stabilization ---------------------------------------
 
+@pytest.mark.parametrize("strands, letters", [
+    (2.9, (1, 1, 1)), (2, (1, 1.9, 1)), (2, (1, "1")), (2, (Fraction(1), 1)), (True, ()),
+    (2, (1, True)), (Fraction(3), (1, 2)), ("2", (1,))], ids=repr)
+def test_braid_word_refuses_non_integers(strands, letters):
+    """BraidWord used to pass its letters through int() and never check
+    strands: BraidWord(2.9, (1, 1.9, "1")) became strands=2.9 with letters
+    (1, 1, 1), and BraidWord(True, ()) was a braid on one strand."""
+    with pytest.raises(ParseError, match="must be integers"):
+        BraidWord(strands, letters)
+
+
+def test_braid_word_stores_index_values_as_ints():
+    b = BraidWord(Index(3), (Index(1), -2))
+    assert b == BraidWord(3, (1, -2))
+    assert {type(x) for x in (b.strands, *b.letters)} == {int}
+
+
+@pytest.mark.parametrize("entry", [0.5, 1.0, Fraction(1), "1", True], ids=repr)
+def test_stabilize_refuses_non_integer_columns(entry):
+    """stabilize used to pass new_column through int(): 1.9 became 1."""
+    trefoil = SeifertData.from_matrix([[-1, 1], [0, -1]])
+    for direction in ("row-first", "column-first"):
+        with pytest.raises(InvalidSeifertData, match="must be integers"):
+            stabilize(trefoil, direction, [0, entry])
+
+
 def test_connected_sum_unknot_identity():
     tre = seifert_matrix_from_braid(BraidWord(2, (1, 1, 1)))
     unknot = seifert_matrix_from_braid(BraidWord(1, ()))

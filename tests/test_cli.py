@@ -449,6 +449,41 @@ def test_verify_empty_catalog(capsys, tmp_path):
     assert "empty catalog" in err
 
 
+TREFOIL_ENTRY = {"name": "trefoil", "input": {"braid": {"strands": 2, "word": [1, 1, 1]}}}
+
+
+@pytest.mark.parametrize("catalog", [
+    [5], [{"name": "x", "input": 7}], ["trefoil"], [{"input": TREFOIL_ENTRY["input"]}],
+    *([dict(TREFOIL_ENTRY, expected=expected)] for expected in (
+        {"g4": 5}, {"g4": [1]}, {"g4": [1, 1.5]}, {"g4": [True, 1]}, {"alexander": 3},
+        {"alexander": {"0": "1/0"}}, {"alexander": {"x": 1}}, {"max_abs_sigma": 2.0},
+        {"max_abs_sigma": "2"}, [1], 1))], ids=repr)
+def test_verify_malformed_catalog_exit_code(capsys, tmp_path, catalog):
+    """A catalog entry, its input or its expected values that are not
+    objects, a g4 that is not a pair of integers or nulls, a bad
+    Alexander polynomial and a non-integer max_abs_sigma are parse errors:
+    exit 2 with one message, where they used to raise, or, for expected
+    [1], check nothing and pass."""
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(catalog))
+    code, out, err = run(capsys, "verify", "--catalog", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
+def test_verify_catalog_with_null_bounds(capsys, tmp_path):
+    """A g4 bound may be null, and expected may be absent or null."""
+    hopf = {"name": "hopf", "input": {"braid": {"strands": 2, "word": [1, 1]}},
+            "expected": {"g4": [1, None], "max_abs_sigma": 1}}
+    catalog = [hopf, TREFOIL_ENTRY, dict(TREFOIL_ENTRY, name="unchecked", expected=None)]
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(catalog))
+    code, out, _ = run(capsys, "verify", "--catalog", str(path))
+    assert code == 0
+    assert out.split() == ["PASS", "hopf", "PASS", "trefoil", "PASS", "unchecked",
+                           "3/3", "catalog", "entries", "passed"]
+
+
 def test_verify_env_var(capsys, tmp_path, monkeypatch):
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps([{

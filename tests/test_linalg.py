@@ -448,7 +448,8 @@ def test_packing_from_v_matches_the_eager_kernel(data):
     assert k_bits == _packing_bits(form)
     assert [[_unpack(e, k_bits) for e in row] for row in rows] == form
     sign, pivots, rows, cols = bareiss_reference._bareiss(form)
-    assert _elimination(data) == (sign, tuple(map(tuple, pivots)), tuple(rows), tuple(cols))
+    assert _elimination(data) == (sign, tuple(map(tuple, pivots)), tuple(rows), tuple(cols),
+                                  _packed(data))
 
 
 def test_banded_elimination_rewrites_only_the_band():

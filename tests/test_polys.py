@@ -99,7 +99,7 @@ def test_torus_knot_jump_polynomial_has_half_degree(q):
     """The jump polynomial of T(2,q) is the x-form of t^-(q-1)/2 Delta(t):
     degree (q - 1)/2, and no factor 2 - x left from (1 - t)^(q-1)."""
     data = seifert_matrix_from_braid(torus_braid(2, q))
-    jump, rank, _ = _jump_structure(data)
+    jump, rank, _, _ = _jump_structure(data)
     half = (q - 1) // 2
     assert rank == q - 1 and polys.degree(jump) == half
     assert polys.sign_at(list(jump), 2) != 0
