@@ -26,6 +26,13 @@ CONSISTENT = "consistent-with-slice"
 INCONCLUSIVE = "inconclusive"
 
 
+def _store_integers(obj, names: tuple[str, ...], what: str) -> None:
+    """Check the named fields of a frozen dataclass with _check_integers
+    and store the ints it returns in their place."""
+    for name, value in zip(names, _check_integers([getattr(obj, n) for n in names], what)):
+        object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True)
 class Provenance:
     bound: str  # "lower" | "upper"
@@ -38,7 +45,8 @@ class Provenance:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Assembled 4-genus bounds with provenance and declared assumptions."""
+    """Assembled 4-genus bounds with provenance and declared assumptions;
+    the bounds (`upper` may be None) and `components` are stored as ints."""
 
     lower: int
     upper: int | None
@@ -48,6 +56,8 @@ class BoundReport:
     components: int = 1
 
     def __post_init__(self):
+        fields = ("lower", "components") if self.upper is None else ("lower", "upper", "components")
+        _store_integers(self, fields, "bounds and components")
         if self.lower < 0:
             raise InconsistentBounds("lower bound must be >= 0")
         if self.upper is not None and self.lower > self.upper:
@@ -109,10 +119,9 @@ class InfectionDecl:
     notes: str = ""
 
     def __post_init__(self):
-        _check_integers((self.axes, self.double_points, self.milnor_vanishing_length),
+        _store_integers(self, ("axes", "double_points", "milnor_vanishing_length"),
                         "axes, double_points and milnor_vanishing_length")
-        lk = tuple(tuple(_json_int(v, "linking number") for v in row)
-                   for row in self.linking_numbers)
+        lk = tuple(_check_integers(row, "linking numbers") for row in self.linking_numbers)
         object.__setattr__(self, "linking_numbers", lk)
         if self.axes < 1:
             raise InvalidSeifertData("infection needs at least one axis")
@@ -144,7 +153,8 @@ class InfectionDecl:
         try:
             fields = dict(
                 axes=_json_int(obj["axes"], "axes"),
-                linking_numbers=tuple(tuple(row) for row in obj["linking_numbers"]),
+                linking_numbers=tuple(tuple(_json_int(v, "linking number") for v in row)
+                                      for row in obj["linking_numbers"]),
                 double_points=_json_int(obj["double_points"], "double_points"),
                 milnor_vanishing_length=_json_int(obj["milnor_vanishing_length"],
                                                   "milnor_vanishing_length"),
@@ -168,7 +178,7 @@ class BandCertificate:
     resulting_unlink_components: int
 
     def __post_init__(self):
-        _check_integers((self.bands, self.resulting_unlink_components), "band certificate counts")
+        _store_integers(self, ("bands", "resulting_unlink_components"), "band certificate counts")
         if self.bands < 0 or self.resulting_unlink_components < 1:
             raise ValueError("need bands >= 0 and at least one unlink component")
 

@@ -7,7 +7,7 @@ the loops through consecutive bands of the same generator, and the
 linking numbers of these loops with their pushoffs follow purely
 combinatorial rules read off the letter sequence (J. Collins, "An
 algorithm for computing the Seifert matrix of a link from a braid
-representation", 2007).
+representation", 2007), applied here in one walk of the word.
 
 Convention: a positive letter k denotes a positive (right-handed)
 crossing of strands k, k+1.  With this convention the closure of
@@ -19,20 +19,24 @@ units) should be compared across tools.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, replace
 
 from .errors import InvalidSeifertData, ParseError
 from .linalg import int_rank_det
 
 
-def _check_integers(values, what: str, error=ParseError) -> None:
-    """Raise `error` unless every value is an int or has __index__ (a NumPy
-    integer, say): a float, Fraction, string or bool is refused, where
-    int() would truncate or parse it."""
+def _check_integers(values, what: str, error=ParseError) -> tuple[int, ...]:
+    """The values as a tuple of ints, through operator.index.  An int or a
+    value with __index__ (a NumPy integer, say) is accepted; a float,
+    Fraction, string or bool raises `error`, where int() would truncate or
+    parse it."""
+    values = tuple(values)
     if bad := [k.__name__ for k in set(map(type, values))
                if k is bool or not hasattr(k, "__index__")]:
         raise error(f"{what} must be integers, got {min(bad)}")
+    return tuple(map(operator.index, values))
 
 
 @dataclass(frozen=True)
@@ -44,16 +48,15 @@ class BraidWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
-        _check_integers((self.strands, *self.letters), "strands and braid letters")
-        object.__setattr__(self, "strands", int(self.strands))
-        if self.strands < 1:
-            raise ParseError(f"strands must be >= 1, got {self.strands}")
-        letters = tuple(map(int, self.letters))
-        object.__setattr__(self, "letters", letters)
+        strands, *letters = _check_integers((self.strands, *self.letters),
+                                            "strands and braid letters")
+        if strands < 1:
+            raise ParseError(f"strands must be >= 1, got {strands}")
         for x in letters:
-            if x == 0 or abs(x) > self.strands - 1:
-                raise ParseError(
-                    f"letter {x} out of range for {self.strands} strands")
+            if x == 0 or abs(x) > strands - 1:
+                raise ParseError(f"letter {x} out of range for {strands} strands")
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "letters", tuple(letters))
 
 
 _TOKEN = re.compile(r"^s(\d+)(\^-1)?$")
@@ -128,52 +131,51 @@ def closure_components(b: BraidWord) -> int:
 class SeifertData:
     """An integer Seifert matrix with its link bookkeeping.
 
-    Invariants checked at construction: int or __index__ entries (no
-    float, Fraction, str or bool), size n = 2g + m - 1, V - V^T of rank
-    2g over Q, and unimodular for knots (m = 1).  The hash is computed
-    once, at construction: Seifert data keys the signature caches, which
-    would otherwise hash n^2 entries per lookup."""
+    Invariants checked at construction: int or __index__ entries and
+    component count (no float, Fraction, str or bool), stored as ints;
+    size n = 2g + m - 1 for the derived genus g; V - V^T of rank 2g over
+    Q, and unimodular for knots (m = 1).  The hash is computed once, at
+    construction: Seifert data keys the signature caches, which would
+    otherwise hash n^2 entries per lookup."""
 
     matrix: tuple[tuple[int, ...], ...]
-    components: int
-    genus: int
+    components: int = 1
+    _: KW_ONLY
     label: str = ""
 
     def __post_init__(self):
-        _check_integers(itertools.chain.from_iterable(self.matrix), "Seifert matrix entries",
-                        InvalidSeifertData)
-        v = tuple(tuple(map(int, row)) for row in self.matrix)
-        object.__setattr__(self, "matrix", v)
-        n = len(v)
-        for row in v:
-            if len(row) != n:
-                raise InvalidSeifertData("Seifert matrix must be square")
-        if self.components < 1:
+        ints = _check_integers(itertools.chain((self.components,), *self.matrix),
+                               "components and Seifert matrix entries", InvalidSeifertData)
+        m, n = ints[0], len(self.matrix)
+        if any(len(row) != n for row in self.matrix):
+            raise InvalidSeifertData("Seifert matrix must be square")
+        if m < 1:
             raise InvalidSeifertData("components must be >= 1")
-        if self.genus < 0:
-            raise InvalidSeifertData("genus must be >= 0")
-        if n != 2 * self.genus + self.components - 1:
-            raise InvalidSeifertData(
-                f"size {n} != 2g + m - 1 for g={self.genus}, m={self.components}")
+        if (n - m + 1) % 2 != 0 or n - m + 1 < 0:
+            raise InvalidSeifertData(f"no genus fits size {n} with {m} components")
+        v = tuple(ints[1 + i * n:1 + (i + 1) * n] for i in range(n))
+        object.__setattr__(self, "matrix", v)
+        object.__setattr__(self, "components", m)
         skew = [[a - b for a, b in zip(row, col)] for row, col in zip(v, zip(*v))]
         rank, det = int_rank_det(skew)
-        if rank != 2 * self.genus:
+        if rank != n - m + 1:
             raise InvalidSeifertData(
                 "rank of V - V^T does not equal twice the genus")
-        if self.components == 1 and abs(det) != 1:
+        if m == 1 and abs(det) != 1:
             raise InvalidSeifertData("V - V^T must be unimodular for a knot")
-        object.__setattr__(self, "_hash", hash((v, self.components)))
+        object.__setattr__(self, "_hash", hash((v, m)))
 
     def __hash__(self):
         return self._hash
 
     @classmethod
     def from_matrix(cls, matrix, components: int = 1, label: str = "") -> "SeifertData":
-        n = len(matrix)
-        if (n - components + 1) % 2 != 0 or n - components + 1 < 0:
-            raise InvalidSeifertData(
-                f"no genus fits size {n} with {components} components")
-        return cls(matrix, components, (n - components + 1) // 2, label)
+        return cls(matrix, components, label=label)
+
+    @property
+    def genus(self) -> int:
+        """The genus g of the Seifert surface: n = 2g + m - 1."""
+        return (len(self.matrix) - self.components + 1) // 2
 
     @property
     def size(self) -> int:
@@ -184,13 +186,27 @@ class SeifertData:
 
 
 def seifert_matrix_from_braid(b: BraidWord) -> SeifertData:
-    """Seifert matrix of the braid closure via Seifert's algorithm.
+    """Seifert matrix of the braid closure via Seifert's algorithm, in one
+    walk of the word.
 
     Every generator index 1..strands-1 must occur in the word, otherwise
     the closure is a split link and the algorithm's surface would be
-    disconnected; such input is rejected.
+    disconnected; such input is rejected before the matrix is allocated.
+
+    Loop (a, p) runs through consecutive bands a < p of one generator k.
+    Loops are numbered by their first band: a congruence, which changes no
+    invariant, that puts each loop next to the loops it links (tV - V^T of
+    a torus braid is banded, width 2-3).  At band p the walk sets Collins'
+    entries between (a, p) and the loops open at p, the only ones not set
+    when an earlier loop closed: the diagonal, the next loop on k (it
+    starts at p), and the one loop on k +- 1 that can interleave with
+    (a, p), the one starting at the latest band of k +- 1 if that band
+    comes after a.
     """
-    used = {abs(x) for x in b.letters}
+    used, starts = set(), []  # from the end: the band is not its generator's last
+    for k in map(abs, reversed(b.letters)):
+        starts.append(k in used)
+        used.add(k)
     if len(used) < b.strands - 1:
         missing = (k for k in range(1, b.strands) if k not in used)
         first = ", ".join(map(str, itertools.islice(missing, 5)))
@@ -198,63 +214,39 @@ def seifert_matrix_from_braid(b: BraidWord) -> SeifertData:
             f"disconnected surface: {b.strands - 1 - len(used)} generator(s) unused, "
             f"first {first}")
 
-    occurrences: dict[int, list[tuple[int, int]]] = {k: [] for k in range(1, b.strands)}
-    for pos, x in enumerate(b.letters):
-        occurrences[abs(x)].append((pos, 1 if x > 0 else -1))
-
-    # One basis loop per consecutive pair of bands on the same generator.
-    loops = []  # (generator, pos1, sign1, pos2, sign2)
-    for k in range(1, b.strands):
-        occ = occurrences[k]
-        for (p1, e1), (p2, e2) in zip(occ, occ[1:]):
-            loops.append((k, p1, e1, p2, e2))
-    # Then in braid order, by the position of the first band: a congruence
-    # by a permutation, which changes no invariant, and it puts each loop
-    # next to the loops it links, so tV - V^T of a torus braid has a band
-    # of width 2-3 instead of about n/2.
-    loops.sort(key=lambda l: l[1])
-    n = len(loops)
-    assert n == len(b.letters) - b.strands + 1
-
+    n = len(b.letters) - len(used)
     v = [[0] * n for _ in range(n)]
-    for i, (_, _, e1, _, e2) in enumerate(loops):
-        if e1 == e2:
-            v[i][i] = -1 if e1 > 0 else 1
-    for i, (k1, a1, _, a2, e2) in enumerate(loops):
-        for j, (k2, b1, f1, b2, _) in enumerate(loops):
-            if k1 == k2 and a2 == b1:
-                # consecutive loops sharing their middle band
-                if e2 > 0:
-                    v[j][i] = 1
+    # Per generator (0 and strands pad k - 1 and k + 1): the loop starting at
+    # its latest band, or -1 (no band yet, or its last), and that band's sign.
+    opened = [-1] * (b.strands + 1)
+    positive = [False] * (b.strands + 1)
+    count = 0  # loops started so far
+    for x, start in zip(b.letters, reversed(starts)):
+        k, e = abs(x), x > 0
+        i = opened[k]
+        if i >= 0:  # this band closes loop i
+            if positive[k] == e:
+                v[i][i] = -1 if e else 1
+            if start:  # loop `count` starts here: consecutive loops share this band
+                if e:
+                    v[count][i] = 1
                 else:
-                    v[i][j] = -1
-            elif k2 == k1 + 1:
-                # loops on adjacent generators, interleaved
-                if b1 < a1 < b2 < a2:
-                    v[j][i] = 1
-                elif a1 < b1 < a2 < b2:
-                    v[j][i] = -1
-
-    m = closure_components(b)
-    assert (n - m + 1) % 2 == 0
-    return SeifertData(tuple(tuple(row) for row in v), m, (n - m + 1) // 2,
-                       label=braid_text(b))
+                    v[i][count] = -1
+            if opened[k + 1] > i:
+                v[opened[k + 1]][i] = -1
+            if opened[k - 1] > i:
+                v[i][opened[k - 1]] = 1
+        opened[k], positive[k] = (count if start else -1), e
+        count += start
+    return SeifertData(v, closure_components(b), label=braid_text(b))
 
 
 def connected_sum(a: SeifertData, b: SeifertData) -> SeifertData:
     """Block-diagonal Seifert matrix of a connected sum of knots."""
     if a.components != 1 or b.components != 1:
         raise InvalidSeifertData("connected sum defined here for knots only")
-    na, nb = a.size, b.size
-    v = [[0] * (na + nb) for _ in range(na + nb)]
-    for i in range(na):
-        for j in range(na):
-            v[i][j] = a.matrix[i][j]
-    for i in range(nb):
-        for j in range(nb):
-            v[na + i][na + j] = b.matrix[i][j]
-    label = f"{a.label or '?'}#{b.label or '?'}"
-    return SeifertData(tuple(tuple(row) for row in v), 1, a.genus + b.genus, label)
+    v = [row + (0,) * b.size for row in a.matrix] + [(0,) * a.size + row for row in b.matrix]
+    return SeifertData(v, 1, label=f"{a.label or '?'}#{b.label or '?'}")
 
 
 def mirror(a: SeifertData) -> SeifertData:
@@ -279,20 +271,15 @@ def stabilize(a: SeifertData, direction: str, new_column) -> SeifertData:
         raise InvalidSeifertData(f"new_column must have length {n}")
     if direction not in ("row-first", "column-first"):
         raise ValueError("direction must be 'row-first' or 'column-first'")
-    v = [[0] * (n + 2) for _ in range(n + 2)]
-    for i in range(n):
-        for j in range(n):
-            v[i][j] = a.matrix[i][j]
+    v = [list(row) + [0, 0] for row in a.matrix] + [[0] * (n + 2), [0] * (n + 2)]
     if direction == "row-first":
         for i in range(n):
             v[i][n] = xi[i]
         v[n][n + 1] = 1
     else:
-        for j in range(n):
-            v[n][j] = xi[j]
+        v[n][:n] = xi
         v[n + 1][n] = 1
-    return SeifertData(tuple(tuple(row) for row in v), a.components,
-                       a.genus + 1, a.label)
+    return SeifertData(v, a.components, label=a.label)
 
 
 # -- JSON input ------------------------------------------------------------

@@ -1,8 +1,10 @@
+import json
 import math
 import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import linkbound.bounds
@@ -109,6 +111,47 @@ def test_infection_declaration_refuses_non_integers(axes, double_points, length)
     """InfectionDecl(1, ((0,),), 0.5, 1) used to be accepted."""
     with pytest.raises(ParseError, match="must be integers"):
         InfectionDecl(axes, ((0,),), double_points, length)
+
+
+@pytest.mark.parametrize("entry", [0.5, 0.0, True, "0", Fraction(0)], ids=repr)
+def test_infection_declaration_refuses_non_integer_linking_numbers(entry):
+    with pytest.raises(ParseError, match="must be integers"):
+        InfectionDecl(1, ((0, entry),), 0, 0)
+
+
+I64 = np.int64
+
+
+@pytest.mark.parametrize("make, ints, dump", [
+    (lambda: BandCertificate(I64(11), I64(4)),
+     lambda c: (c.bands, c.resulting_unlink_components),
+     lambda c: assemble_report(T35, certs=[c]).to_json()),
+    (lambda: InfectionDecl(I64(1), ((I64(0), I64(2)),), I64(1), I64(2)),
+     lambda d: (d.axes, *d.linking_numbers[0], d.double_points, d.milnor_vanishing_length),
+     lambda d: d.to_json()),
+    (lambda: BoundReport(I64(1), I64(2), "inconclusive", components=I64(3)),
+     lambda r: (r.lower, r.upper, r.components),
+     lambda r: r.to_json()),
+    (lambda: BoundReport(I64(0), None, "inconclusive"),
+     lambda r: (r.lower, r.components),
+     lambda r: infection_transfer(r, None, InfectionDecl(1, ((I64(1),),), 0, 0)).to_json())],
+    ids=["band certificate", "infection declaration", "bound report", "no upper bound"])
+def test_index_counts_stored_as_ints(make, ints, dump):
+    """A NumPy integer used to be kept, and json.dumps of the report or the
+    declaration raised TypeError; an np.int64 linking number was refused."""
+    made = make()
+    assert {type(x) for x in ints(made)} == {int}
+    json.dumps(dump(made))
+
+
+@pytest.mark.parametrize("lower, upper, components", [
+    (1.5, 2, 1), (True, 2, 1), (Fraction(1), None, 1), (1, 2.0, 1), (1, True, 1),
+    (0, "2", 1), (1, 2, 1.0), (1, None, True)], ids=repr)
+def test_bound_report_refuses_non_integers(lower, upper, components):
+    """BoundReport(1.5, 2, "inconclusive") used to be accepted, and
+    infection_transfer carried "lower": 1.5 into its output."""
+    with pytest.raises(ParseError, match="must be integers"):
+        BoundReport(lower, upper, "inconclusive", components=components)
 
 
 def test_seifert_genus_upper():

@@ -1,19 +1,22 @@
+import json
 import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkbound import (BraidWord, InvalidSeifertData, LaurentPoly, ParseError,
-                       SeifertData, alexander_from_seifert, braid_text,
+                       SeifertData, alexander_from_seifert, assemble_report, braid_text,
                        closure_components, connected_sum, mirror, parse_braid,
                        pointwise_signature_nullity, seifert_data_from_json,
                        seifert_matrix_from_braid, stabilize, torus_braid,
                        units_equal)
 from linkbound.linalg import int_rank_det
 
+from braid_reference import reference_seifert_matrix
 from helpers import random_braid, random_knot_data, random_seifert_data
 
 TREFOIL_DELTA = LaurentPoly({2: 1, 1: -1, 0: 1})
@@ -136,6 +139,72 @@ def test_construction_invariants_on_random_braids():
         assert data.size == 2 * data.genus + data.components - 1
 
 
+@st.composite
+def braids_using_every_generator(draw):
+    strands = draw(st.integers(2, 7))
+    generator = st.integers(1, strands - 1).flatmap(lambda k: st.sampled_from([k, -k]))
+    letters = draw(st.lists(generator, min_size=strands - 1, max_size=60))
+    # Put every generator in, at drawn places, so that none is unused.
+    for k in range(1, strands):
+        letters.insert(draw(st.integers(0, len(letters))), draw(st.sampled_from([k, -k])))
+    return BraidWord(strands, tuple(letters))
+
+
+@settings(max_examples=300, deadline=None)
+@given(braids_using_every_generator())
+def test_walk_matches_the_all_pairs_reference(b):
+    """One walk of the word gives the matrix, the component count and the
+    label of the all-pairs construction, entry for entry."""
+    data = seifert_matrix_from_braid(b)
+    assert (data.matrix, data.components, data.label) == reference_seifert_matrix(b)
+
+
+@pytest.mark.parametrize("p, max_q", [(2, 121), (3, 61), (4, 41)])
+def test_walk_matches_the_reference_on_torus_ladders(p, max_q):
+    """T(p, q) for every q up to n = (p - 1)(q - 1) of about 120."""
+    for q in range(2, max_q + 1):
+        b = torus_braid(p, q)
+        data = seifert_matrix_from_braid(b)
+        assert (data.matrix, data.components, data.label) == reference_seifert_matrix(b), q
+        assert data.size == (p - 1) * (q - 1)
+
+
+def test_genus_is_derived_from_size_and_components():
+    """genus == (n - m + 1) // 2 however the data was made."""
+    rng = random.Random(22)
+    trefoil = SeifertData.from_matrix([[-1, 1], [0, -1]])
+    known = [(SeifertData.from_matrix([[1]], 2), 0),
+             (seifert_matrix_from_braid(torus_braid(4, 6)), 7),
+             (connected_sum(trefoil, seifert_matrix_from_braid(torus_braid(3, 5))), 5),
+             (stabilize(seifert_matrix_from_braid(torus_braid(2, 4)), "row-first", [1, 0, -1]), 2)]
+    assert [data.genus for data, _ in known] == [genus for _, genus in known]
+    for data in [d for d, _ in known] + [random_seifert_data(rng) for _ in range(20)] + \
+            [seifert_matrix_from_braid(random_braid(rng, 6, 20)) for _ in range(20)]:
+        assert data.genus == (data.size - data.components + 1) // 2
+
+
+def test_genus_is_not_a_constructor_argument():
+    """A call that still passes a genus fails instead of taking it for a
+    label."""
+    with pytest.raises(TypeError):
+        SeifertData(((-1, 1), (0, -1)), 1, 1)
+    assert SeifertData(((-1, 1), (0, -1)), 1, label="3_1").label == "3_1"
+
+
+@pytest.mark.parametrize("components", [1.0, True, Fraction(1), "1"], ids=repr)
+def test_non_integer_components_refused(components):
+    with pytest.raises(InvalidSeifertData, match="must be integers"):
+        SeifertData.from_matrix([[-1, 1], [0, -1]], components)
+
+
+def test_index_components_stored_as_int():
+    """An np.int64 component count used to be kept, and json.dumps of the
+    report raised TypeError."""
+    data = SeifertData.from_matrix([[-1, 1], [0, -1]], np.int64(1))
+    assert type(data.components) is int and data == SeifertData.from_matrix([[-1, 1], [0, -1]])
+    assert '"components": 1' in json.dumps(assemble_report(data).to_json())
+
+
 def test_invalid_matrix_rejected():
     with pytest.raises(InvalidSeifertData):
         SeifertData.from_matrix([[0, 2], [0, 0]], 1)  # skew part not unimodular
@@ -164,7 +233,7 @@ def test_non_integer_entry_refused(entry):
     with pytest.raises(InvalidSeifertData, match="must be integers"):
         SeifertData.from_matrix([[entry, 1], [0, -1]])
     with pytest.raises(InvalidSeifertData, match="must be integers"):
-        SeifertData(((-1, 1), (0, entry)), 1, 1)
+        SeifertData(((-1, 1), (0, entry)), 1)
 
 
 def test_index_entries_accepted_as_ints():
