@@ -35,9 +35,14 @@ def _store_integers(obj, names: tuple[str, ...], what: str) -> None:
 
 @dataclass(frozen=True)
 class Provenance:
+    """One bound and where it comes from; `value` is stored as an int."""
+
     bound: str  # "lower" | "upper"
     value: int
     source: str
+
+    def __post_init__(self):
+        _store_integers(self, ("value",), "provenance values")
 
     def to_json(self) -> dict:
         return {"bound": self.bound, "value": self.value, "source": self.source}

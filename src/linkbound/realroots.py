@@ -390,17 +390,20 @@ class RealAlgebraic:
         return self._compare(*_ratio(c))
 
     def _compare(self, p: int, q: int) -> int:
-        """compare_rational at c = p/q, q > 0, refining away from c."""
-        if self._a * q < p * self._d < self._b * q and polys.sign_at_ratio(self.poly, p, q) == 0:
-            return 0
-        while self._a * q < p * self._d < self._b * q:
+        """compare_rational at c = p/q, q > 0, refining away from c: the
+        bracket is bisected only while c lies inside it."""
+        if self._a * q < p * self._d < self._b * q:
+            if polys.sign_at_ratio(self.poly, p, q) == 0:
+                return 0
             self._bisect()
+            while self._a * q < p * self._d < self._b * q:
+                self._bisect()
         return 1 if p * self._d <= self._a * q else -1
 
     def equals(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return False  # the root is irrational
         if not isinstance(other, RealAlgebraic):
+            if isinstance(other, (int, Fraction)):
+                return False  # the root is irrational
             raise TypeError(f"cannot compare a real algebraic number with {type(other).__name__}")
         d, e = self._d, other._d
         lo, hi = max(self._a * e, other._a * d), min(self._b * e, other._b * d)  # over d e

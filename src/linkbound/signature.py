@@ -49,7 +49,10 @@ roots live for one build, so the breakpoints that reads refine belong to
 the cached function alone, and an evicted one is rebuilt from V.  A read
 is located among the breakpoints of the certified function, which the
 first read builds, by cross-multiplication: its walls are integers over
-one denominator; pointwise_signature_nullity, unaveraged, is the
+one denominator.  A read checks its point once (_as_x); past that a
+rational x = p/q is the integers p and q, and x = +-2 is q = 1 and
+|p| = 2, so a warm read builds and compares no Fraction, and to_json
+builds none.  pointwise_signature_nullity, unaveraged, is the
 independent route.
 Laurent polynomials appear only in the answer: the Alexander polynomial.
 """
@@ -98,7 +101,9 @@ def _as_x(x):
         if isinstance(x, CirclePoint):
             return x.x
         if isinstance(x, RealAlgebraic):
-            if x.compare_rational(-2) <= 0 or x.compare_rational(2) >= 0:
+            # a bracket strictly inside (-2d, 2d) settles it without a sign
+            if not (-2 * x._d < x._a and x._b < 2 * x._d) and (
+                    x.compare_rational(-2) <= 0 or x.compare_rational(2) >= 0):
                 raise ValueError("algebraic x outside (-2, 2)")
             return x
         if type(x) is not int:  # nor a bool, an int subclass
@@ -289,13 +294,14 @@ def pointwise_signature_nullity(data, x) -> tuple[int, int]:
     the inertia of the integer trace form covers the rest.
     """
     x = _as_x(x)
-    if not isinstance(x, Fraction):
+    if type(x) is not Fraction:
         raise TypeError("pointwise evaluation needs a rational x")
     n = data.size
-    if abs(x) == 2:
-        return _endpoint(data, int(x) // 2)
+    p, q = x.numerator, x.denominator
+    if q == 1 and abs(p) == 2:
+        return _endpoint(data, p // 2)
     _, minors = _principal_block(data)
-    signs = [polys.sign_at(mx, x) for mx in minors if mx]
+    signs = [polys.sign_at_ratio(mx, p, q) for mx in minors if mx]
     if all(signs):
         return _frobenius(signs, len(minors)), n - len(minors)
     return _trace_signature_nullity(data, x)
@@ -440,14 +446,15 @@ def signature_nullity_at(data, point) -> tuple:
     x < 2 (both one-sided limits agree by conjugation symmetry) and the
     nullity is the corank of B(1) = 0, the full size.
 
-    The point is located in the certified function (see value_at), which
-    the first read of a Seifert matrix builds: a cold read of T(3,7)
-    takes about 0.8 ms, of T(3,20) 6 ms (CPython 3.11, 2-CPU Xeon).
+    The point is checked once and located in the certified function (see
+    value_at), which the first read of a Seifert matrix builds: a cold
+    read of T(3,7) takes about 1 ms, of T(3,20) about 8 ms, and a warm
+    read at a rational about 2 us (CPython 3.11, 2-CPU Xeon).
     """
     x = _as_x(point)
-    sig, nul = _signature_function_cached(data).value_at(x)
-    if isinstance(x, Fraction) and x in (-2, 2):
-        nul = _endpoint(data, int(x) // 2)[1]
+    sig, nul = _signature_function_cached(data)._value(x)
+    if type(x) is Fraction and x.denominator == 1 and abs(x.numerator) == 2:
+        nul = _endpoint(data, x.numerator // 2)[1]
     return sig, nul
 
 
@@ -499,19 +506,24 @@ class SignatureFunction:
         interval value at x = +-2.  The walls are integers over one
         denominator D: a rational x = p/q takes one bisection of them at
         pD/q and refines a breakpoint only inside its bracket."""
-        x = _as_x(x)
-        if not isinstance(x, Fraction):
+        return self._value(_as_x(x))
+
+    def _value(self, x) -> tuple:
+        """value_at an x that _as_x returned: past it a read runs on the
+        integers p and q of a rational x and builds or compares no Fraction."""
+        if type(x) is not Fraction:
             return self._locate(x)
+        p, q = x.numerator, x.denominator
         los, his, den = self._walls
-        k, r = divmod(x.numerator * den, x.denominator)  # x D lies in [k, k + 1)
+        k, r = divmod(p * den, q)  # x D lies in [k, k + 1)
         i = bisect.bisect_left(his, k + (r > 0))  # the first wall that ends at or after x
         if i == len(his) or k < los[i]:
             return self.interval_values[i]
         bp = self.breakpoints[i]
-        if isinstance(bp, Fraction):
+        if type(bp) is Fraction:
             return self.averaged_values[i]
-        _, b, d = _wall(bp.refine_away_from(x))  # x now lies outside the bracket
-        return self.interval_values[i + (b * x.denominator <= x.numerator * d)]
+        bp._compare(p, q)  # x now lies outside the bracket
+        return self.interval_values[i + (bp._b * q <= p * bp._d)]
 
     def _locate(self, x: RealAlgebraic) -> tuple:
         """value_at an algebraic x, compared only with the breakpoints whose
@@ -521,8 +533,8 @@ class SignatureFunction:
         count = bisect.bisect_right(his, a * den // d)
         for i in range(count, bisect.bisect_left(los, -(-b * den // d))):
             bp = self.breakpoints[i]
-            if isinstance(bp, Fraction):
-                if x.compare_rational(bp) <= 0:
+            if type(bp) is Fraction:
+                if x._compare(bp.numerator, bp.denominator) <= 0:
                     break
             elif bp is x or bp.equals(x):
                 return self.averaged_values[i]
@@ -538,10 +550,10 @@ class SignatureFunction:
     def to_json(self) -> dict:
         bps = []
         for bp in self._json_breakpoints:
-            if isinstance(bp, Fraction):
+            if type(bp) is Fraction:
                 bps.append(_json_rat(bp))
             else:
-                a, b, d = _wall(bp.refine(Fraction(1, 2 ** 20)))
+                a, b, d = _wall(bp.refine(_JSON_WIDTH))
                 bps.append({"polynomial": list(bp.poly),
                             "interval": [_json_rat(a, d), _json_rat(b, d)]})
         return {
@@ -569,9 +581,16 @@ class SignatureFunction:
         return rows
 
 
-def _json_rat(v, d=1):
-    v = Fraction(v, d)
-    return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+# the width to which to_json refines an algebraic breakpoint's bracket
+_JSON_WIDTH = Fraction(1, 2 ** 20)
+
+
+def _json_rat(v, d: int = 1):
+    """v/d for an int or Fraction v and an int d > 0, reduced by one gcd
+    and built as no Fraction: an int, or the string "p/q"."""
+    p, q = v.numerator, v.denominator * d
+    g = gcd(p, q)
+    return p // g if q == g else f"{p // g}/{q // g}"
 
 
 @lru_cache(maxsize=1024)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import sympy
 from hypothesis import assume
@@ -12,7 +13,7 @@ from sympy.polys.matrices import DomainMatrix
 import linkbound.linalg
 import linkbound.realroots
 import linkbound.signature
-from linkbound import BraidWord, LaurentPoly, SeifertData, closure_components, \
+from linkbound import BraidWord, LaurentPoly, RealAlgebraic, SeifertData, closure_components, \
     seifert_matrix_from_braid, stabilize
 from linkbound import polys
 from linkbound.linalg import int_rank_det
@@ -95,6 +96,13 @@ def random_knot_data(rng: random.Random, max_strands=3, max_len=9,
         column = [rng.randint(-2, 2) for _ in range(data.size)]
         data = stabilize(data, direction, column)
     return data
+
+
+def rebuilt_breakpoints(f) -> list:
+    """The breakpoints of a SignatureFunction as a client rebuilds them
+    from its to_json."""
+    return [RealAlgebraic(bp["polynomial"], *map(Fraction, bp["interval"]))
+            if isinstance(bp, dict) else Fraction(bp) for bp in f.to_json()["breakpoints"]]
 
 
 def zero_padded(data: SeifertData, k: int) -> SeifertData:

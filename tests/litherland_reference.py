@@ -16,6 +16,16 @@ b in (0, m/2) prime to m, decreasing in b, so a Sturm count of Psi_m
 places a rational x exactly among them.
 Signatures and jumps add under connected sum, and a mirror negates the
 signatures.
+
+The same count holds for torus links, gcd(p, q) > 1: T(p, q) is the link
+of x^p + y^q in every case, and its Seifert form splits over the
+eigenvalues e^(2 pi i (i/p + j/q)) of the monodromy as for knots
+(Sebastiani-Thom).  Now several pairs can share a wall, and a pair with
+i/p + j/q = 1 has none in (0, 1/2): det B is not 0 and the nullity at a
+jump is the number of pairs on its wall, the multiplicity of the root.
+A jump's averaged value is the mean of its two neighbours.  The block
+sum with the k x k zero matrix (k more split components) adds k to
+every nullity.
 """
 
 from __future__ import annotations
@@ -43,8 +53,9 @@ def litherland_signature(p: int, q: int, theta: Fraction) -> int:
 
 
 def litherland_jumps(p: int, q: int) -> list:
-    """The jumps theta = frac(i/p + j/q) in (0, 1/2), increasing."""
-    return sorted(w for w in (v % 1 for v in _pairs(p, q)) if w < HALF)
+    """The jumps theta = frac(i/p + j/q) in (0, 1/2), increasing, each as
+    often as pairs lie on its wall."""
+    return sorted(w for w in (v % 1 for v in _pairs(p, q)) if 0 < w < HALF)
 
 
 @lru_cache(maxsize=None)
@@ -91,21 +102,22 @@ def litherland_signature_at_x(p: int, q: int, x: Fraction) -> int:
     n_in = 0
     for v in _pairs(p, q):
         w = v % 1
-        if w > HALF:  # theta(x) < 1/2 < w: in for v < 1, out for v > 1
-            n_in += v < 1
+        if w == 0 or w >= HALF:  # v = 1, in; or theta(x) < 1/2 <= w: in for v < 1
+            n_in += v <= 1
         else:  # v < 1: in iff theta(x) < w; v > 1: in iff theta(x) > w
             n_in += _below(w, x) == (v < 1)
     return -(2 * n_in - (p - 1) * (q - 1))
 
 
-def assert_matches(f, knots) -> None:
+def assert_matches(f, knots, padding: int = 0) -> None:
     """Check a linkbound SignatureFunction f against Litherland's formula
     for the connected sum of T(p, q), mirrored when sign < 0, over the
-    (p, q, sign) in `knots`: the number of breakpoints, each breakpoint a
-    root of Psi_m for its jump a/m, the interval values at midpoints of the
-    jumps and at f's own samples, the nullity 0 off the jumps, and at each
-    jump the averaged value and the nullity, the number of summands that
-    jump there."""
+    (p, q, sign) in `knots`, in block sum with the padding x padding zero
+    matrix: the number of breakpoints, each breakpoint a root of Psi_m for
+    its jump a/m, the interval values at midpoints of the jumps and at f's
+    own samples, the nullity `padding` off the jumps, and at each jump the
+    averaged value and the nullity, `padding` plus the number of pairs on
+    its wall over all summands."""
     counts = collections.Counter(w for p, q, _ in knots for w in litherland_jumps(p, q))
     thetas = sorted(counts, reverse=True)  # increasing x
     walls = [HALF] + thetas + [Fraction(0)]
@@ -119,8 +131,9 @@ def assert_matches(f, knots) -> None:
         else:
             assert polys.sign_at(root, bp) == 0, (bp, theta)
     assert [s for s, _ in f.interval_values] == values
-    assert all(nu == 0 for _, nu in f.interval_values)
+    assert all(nu == padding for _, nu in f.interval_values)
     for x, value in zip(f.samples, values):
         assert sum(s * litherland_signature_at_x(p, q, x) for p, q, s in knots) == value, x
     for (sig, nu), left, right, theta in zip(f.averaged_values, values, values[1:], thetas):
-        assert sig == Fraction(left + right, 2) and nu == counts[theta], (theta, sig, nu)
+        assert sig == Fraction(left + right, 2) and nu == counts[theta] + padding, \
+            (theta, sig, nu)

@@ -11,7 +11,7 @@ import linkbound.bounds
 import linkbound.linalg
 from linkbound import (BandCertificate, BoundReport, BraidWord, DegreeCapError,
                        InconsistentBounds, InfectionDecl, InvalidSeifertData,
-                       LaurentPoly, ParseError, SeifertData, ZeroPolynomialError,
+                       LaurentPoly, ParseError, Provenance, SeifertData, ZeroPolynomialError,
                        alexander_from_seifert, assemble_report,
                        band_certificate_genus, connected_sum, float_oracle,
                        infection_transfer, link_nullity, lt_lower_bound, mirror,
@@ -152,6 +152,24 @@ def test_bound_report_refuses_non_integers(lower, upper, components):
     infection_transfer carried "lower": 1.5 into its output."""
     with pytest.raises(ParseError, match="must be integers"):
         BoundReport(lower, upper, "inconclusive", components=components)
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "3", Fraction(2)], ids=repr)
+def test_provenance_refuses_non_integers(value):
+    """Provenance("lower", 1.5, "y") used to be accepted, and
+    infection_transfer copied the value into its output."""
+    with pytest.raises(ParseError, match="must be integers"):
+        Provenance("lower", value, "y")
+
+
+@pytest.mark.parametrize("bound", ["upper", "lower"])
+def test_provenance_value_stored_as_int(bound):
+    """Provenance("upper", np.int64(2), "x") used to keep the int64, and
+    json.dumps of an infection transfer that copied it raised TypeError."""
+    p = Provenance(bound, I64(2), "x")
+    assert type(p.value) is int
+    base = BoundReport(1, 2, "inconclusive", (p,))
+    json.dumps(infection_transfer(base, None, InfectionDecl(1, ((0,),), 0, 0)).to_json())
 
 
 def test_seifert_genus_upper():
