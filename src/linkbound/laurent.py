@@ -254,10 +254,14 @@ def _coeff_to_json(v):
 
 
 def _coeff_from_json(v):
+    """A coefficient: an int, an integral float or a "p/q" string; a bool
+    is refused, not read as 0 or 1."""
     if isinstance(v, str):
         return Fraction(v)
-    if isinstance(v, (int, float)):
-        if isinstance(v, float) and not v.is_integer():
+    if type(v) is int:
+        return v
+    if type(v) is float:
+        if not v.is_integer():
             raise ValueError(f"non-integer float coefficient {v!r}")
         return int(v)
     raise ValueError(f"bad coefficient {v!r}")
@@ -270,10 +274,13 @@ def laurent_to_json(p: LaurentPoly) -> dict:
 
 def laurent_from_json(obj) -> LaurentPoly:
     """Accepts the {"exponent": coefficient} form or a coefficient array
-    with a "min_exponent" field."""
+    with a "min_exponent" field, a JSON int (default 0)."""
     if isinstance(obj, dict) and "coefficients" in obj:
         coeffs = [_coeff_from_json(v) for v in obj["coefficients"]]
-        return LaurentPoly.from_dense(coeffs, int(obj.get("min_exponent", 0)))
+        low = obj.get("min_exponent", 0)
+        if type(low) is not int:  # nor a bool, a float or a string
+            raise ValueError(f"min_exponent must be an integer, got {low!r}")
+        return LaurentPoly.from_dense(coeffs, low)
     if isinstance(obj, dict):
         return LaurentPoly({int(k): _coeff_from_json(v) for k, v in obj.items()})
     raise ValueError("expected a Laurent polynomial object")

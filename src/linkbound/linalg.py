@@ -14,9 +14,9 @@ balanced base-2^K digits, and is nonzero exactly when that value is
 (Kronecker substitution).  So the kernel packs each entry as that
 integer and eliminates with integer products and exact integer division
 (_eliminate).  Non-integer coefficients raise ``ValueError`` before
-packing.  A caller that keeps a matrix packed, as the signature layer
-keeps tV - V^T (packed straight from V), eliminates copies of its rows;
-an integer matrix is eliminated as it stands, with no packing.
+packing.  A caller may pack a matrix itself, as the signature layer
+packs tV - V^T straight from V, and hand over fresh rows; an integer
+matrix is eliminated as it stands, with no packing.
 
 Pivoting is complete over a caller-supplied "entry is nonzero" test:
 

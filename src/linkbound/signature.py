@@ -30,11 +30,11 @@ identically zero the multiplicity e of a root of det B_I decides it (see
 _jump_structure): odd e is a jump, and at e = 1 the rank of B(z) is
 r - 1; a root of even e counts only where the rank of B(z) is below r.
 That rank, and the nullity at a multiple root, resume the elimination
-(see _rank_at): if p_k is the last generic pivot not zero at z0, the
-trailing block after k steps is p_k times the Schur complement of the
-k x k block (Sylvester's identity), so the rank is k plus that block's
-rank at z0, the only entries the point test reads; the k steps run once
-per build and k.  Each interval is read at a dyadic
+(see _ranks_at): if p_k is the last generic pivot that vanishes at
+none of the roots, the trailing block after k steps is p_k times the Schur
+complement of the k x k block (Sylvester's identity), so the rank is k
+plus that block's rank at z0, the only entries the point test reads;
+the k steps run once per build.  Each interval is read at a dyadic
 sample where no leading minor vanishes but those identically 0: the
 sample search walks integer numerators over one denominator and takes
 the minors' signs there, so the interval value needs no second read.
@@ -119,27 +119,26 @@ def _as_x(x):
 
 def _packed(data: SeifertData) -> tuple:
     """(K, rows): tV - V^T packed at t = 2^K straight from V, entry (i, j)
-    being (V_ij << K) - V_ji.  K is the Hadamard bound of the entry
-    1-norms |V_ij| + |V_ji| (see linalg._hadamard_bits), which covers every
-    minor of every submatrix: the elimination and the ranks at a point
-    eliminate copies of these rows.  t B(t) = (1 - t)(tV - V^T), so a k x k minor of B is
+    being (V_ij << K) - V_ji, in fresh lists that the kernel eliminates in
+    place.  K is the Hadamard bound of the entry 1-norms |V_ij| + |V_ji|
+    (see linalg._hadamard_bits), which covers every minor of every
+    submatrix: the elimination and the ranks at roots each pack their own
+    rows.  t B(t) = (1 - t)(tV - V^T), so a k x k minor of B is
     ((1 - t)/t)^k times that of tV - V^T: both pick the same pivots, and
     off z = 1 B(z) and zV - V^T have equal rank."""
     pairs = list(zip(data.matrix, data.transposed()))
     k_bits = _hadamard_bits([[abs(a) + abs(b) for a, b in zip(row, col)] for row, col in pairs])
-    return k_bits, tuple([tuple([(a << k_bits) - b for a, b in zip(row, col)])
-                          for row, col in pairs])
+    return k_bits, [[(a << k_bits) - b for a, b in zip(row, col)] for row, col in pairs]
 
 
 @lru_cache(maxsize=1024)
 def _elimination(data: SeifertData) -> tuple:
     """The kernel's (sign, pivots, rows, cols) for tV - V^T, once per
     Seifert matrix: Delta, beta and the principal block of B(t) all read
-    it; and the packed (K, rows) whose copy it eliminated, for _prefix."""
-    k_bits, packed = _packed(data)
-    sign, pivots, rows, cols = _eliminate([list(row) for row in packed], k_bits)
-    return (sign, tuple(tuple(_unpack(p, k_bits)) for p in pivots), tuple(rows), tuple(cols),
-            (k_bits, packed))
+    it."""
+    k_bits, m = _packed(data)
+    sign, pivots, rows, cols = _eliminate(m, k_bits)
+    return sign, tuple(tuple(_unpack(p, k_bits)) for p in pivots), tuple(rows), tuple(cols)
 
 
 def _minor_x(p, k: int) -> tuple:
@@ -200,50 +199,40 @@ def _principal_block(data) -> tuple:
     [-2, 2): every reader (Frobenius's rule, _pick_sample, the jump
     polynomial) looks only there.
     """
-    _, pivots, rows, cols, _ = _elimination(data)
+    _, pivots, rows, cols = _elimination(data)
     minors = [polys.neg(p) if s < 0 else p if s else ()
               for s, p in zip(_principal_signs(rows, cols), pivots)]
     return rows, tuple(_minor_x(p, k) for k, p in enumerate(minors, 1))
 
 
-def _prefix(data, k: int) -> tuple:
-    """(K, state, tail) after the first k steps of the generic elimination
-    of tV - V^T (see _packed): the state that _rank_at resumes at a root
-    with that k, and the rows from k on, up to date, from column k."""
-    k_bits, packed = _elimination(data)[4]
-    m = [list(row) for row in packed]
-    state = _eliminate(m, k_bits, stop=k)
-    return k_bits, state, tuple(tuple(row[k:]) for row in m[k:])
-
-
-def _rank_at(data, root, prefixes=None) -> int:
-    """Rank of B(z0) at the circle point with z0 + 1/z0 = root in (-2, 2):
-    that of tV - V^T at z0 (see _packed), since z0 != 1.
+def _ranks_at(data, roots) -> list:
+    """The rank of B(z0) at each circle point with z0 + 1/z0 = root in
+    (-2, 2): that of tV - V^T at z0 (see _packed), since z0 != 1.
 
     Resume rule.  Take the pivots p_1..p_r of the cached generic
-    elimination and the largest k <= r with p_k(z0) != 0 (p_0 = 1), tested
-    from the top.  After k generic steps the trailing block holds the
-    (k+1)-minors that border the k x k minor p_k, that is p_k times its
-    Schur complement (Sylvester's identity).  The k x k block is
-    invertible at z0, so rank B(z0) = k + the rank of the trailing block
-    at z0, whether or not earlier pivots vanish there.  The block is 0 for
-    k = r, and for k = n - 1 < r it is +-p_n, 0 at z0.  Otherwise the
-    kernel resumes from the state after k steps (_prefix, kept by k in
-    `prefixes` for one build) under the test q(z0) != 0, which it thus
-    applies to the trailing block alone; its pivots are counted, not unpacked."""
-    _, pivots, _, _, _ = _elimination(data)
-    nonzero = _nonzero_at(root)
+    elimination and the largest k <= r with p_k(z0) != 0 at every root
+    (p_0 = 1), tested from the top.  After k generic steps the trailing
+    block holds the (k+1)-minors that border the k x k minor p_k, that is
+    p_k times its Schur complement (Sylvester's identity).  The k x k block
+    is invertible at each root, so rank B(z0) = k + the rank of the
+    trailing block at z0, whether or not earlier pivots vanish there.  The
+    block is 0 for k = r, and for k = n - 1 < r it is +-p_n.  Otherwise the
+    k generic steps run once, and the kernel resumes from their state at
+    each root under the test q(z0) != 0, on a copy of the rows from k on
+    (it reads no other), so it tests the trailing block alone; its pivots
+    are counted, not unpacked."""
+    _, pivots, _, _ = _elimination(data)
+    tests = [_nonzero_at(root) for root in roots]
     r, n = len(pivots), data.size
-    k = next((k for k in range(r, 0, -1) if nonzero(pivots[k - 1])), 0)
-    if k in (r, n - 1):
-        return k
-    prefixes = {} if prefixes is None else prefixes
-    if k not in prefixes:
-        prefixes[k] = _prefix(data, k)
-    k_bits, state, tail = prefixes[k]
-    # the kernel reads only the rows and columns from k on
-    m = [[0] * n] * k + [[0] * k + list(row) for row in tail]
-    return len(_eliminate(m, k_bits, nonzero, start=state)[1])
+    k = next((k for k in range(r, 0, -1) if all(test(pivots[k - 1]) for test in tests)), 0)
+    if k == r:
+        return [r] * len(tests)
+    if k == n - 1:
+        return [r if test(pivots[-1]) else k for test in tests]
+    k_bits, m = _packed(data)
+    state = _eliminate(m, k_bits, stop=k)
+    return [len(_eliminate(m[:k] + [list(row) for row in m[k:]], k_bits, test, start=state)[1])
+            for test in tests]
 
 
 # -- exact signatures at a single point ----------------------------------------
@@ -344,7 +333,8 @@ def _jump_structure(data):
     - a candidate of even e is kept only where the Bareiss kernel finds
       the rank of B(z0) below r.
 
-    For e > 1 the jump test and the nullity read one rank (see _rank_at).
+    For e > 1 the jump test and the nullity read one rank, and one call
+    of _ranks_at reads them all.
 
     Proof.  B has rank r over Q(t) and B_I is nonsingular, so
     B = B[:, I] B_I^-1 B[I, :], and det B[S, T] det B_I =
@@ -368,33 +358,28 @@ def _jump_structure(data):
     _, prim = polys.primitive_positive(list(minors[-1]))
     if polys.degree(prim) == 0:
         return tuple(prim), rank, (), ()
-    prefixes: dict = {}
-
-    def nullity(root, e):
-        """The nullity of B(z0) at a candidate, or None where it is no jump."""
-        if e == 1:
-            return n - rank + 1
-        nul = n - _rank_at(data, root, prefixes)
-        return nul if rank == n or e % 2 or nul > n - rank else None
-
     rest, linear = _rational_root_split(list(prim))
     # each linear factor is (-s, den), den > 0, with root s/den
-    inside = sorted((Fraction(-c, den), e) for (c, den), e in
-                    collections.Counter(map(tuple, linear)).items() if abs(c) < 2 * den)
-    rationals = [(r, e, nul) for r, e in inside if (nul := nullity(r, e)) is not None]
-    found: list = []
+    candidates = sorted((Fraction(-c, den), e) for (c, den), e in
+                        collections.Counter(map(tuple, linear)).items() if abs(c) < 2 * den)
     if polys.degree(rest) >= 1:
         sqfree = _yun(tuple(rest))[1]
-        for a, b, d, e in isolate_real_roots(rest, -2, 2):  # in increasing order
-            root = RealAlgebraic._certified(sqfree, a, b, d)
-            if (nul := nullity(root, e)) is None:
-                continue
-            while not (_separated(-2, root) and _separated(root, 2)):
-                root._bisect()  # keep the bracket strictly inside (-2, 2)
-            # the rational jumps below it go first; comparing refines it away
-            while rationals and root.compare_rational(rationals[0][0]) > 0:
-                found.append(rationals.pop(0))
-            found.append((root, e, nul))
+        candidates += [(RealAlgebraic._certified(sqfree, a, b, d), e)  # in increasing order
+                       for a, b, d, e in isolate_real_roots(rest, -2, 2)]
+    ranks = iter(_ranks_at(data, [root for root, e in candidates if e > 1]))
+    rationals, algebraic = [], []
+    for root, e in candidates:
+        nul = n - (rank - 1 if e == 1 else next(ranks))
+        if rank == n or e % 2 or nul > n - rank:
+            (algebraic if isinstance(root, RealAlgebraic) else rationals).append((root, e, nul))
+    found: list = []
+    for root, e, nul in algebraic:
+        while not (_separated(-2, root) and _separated(root, 2)):
+            root._bisect()  # keep the bracket strictly inside (-2, 2)
+        # the rational jumps below it go first; comparing refines it away
+        while rationals and root.compare_rational(rationals[0][0]) > 0:
+            found.append(rationals.pop(0))
+        found.append((root, e, nul))
     found += rationals
     bps = [b for b, _, _ in found]
     # enforce strictly separated walls between consecutive breakpoints
@@ -640,7 +625,7 @@ def alexander_from_seifert(data: SeifertData) -> LaurentPoly:
     unnormalized, since normalization is undefined there."""
     if data.size == 0:
         return LaurentPoly.one()
-    _, pivots, _, _, _ = _elimination(data)
+    _, pivots, _, _ = _elimination(data)
     if len(pivots) < data.size:
         return LaurentPoly.zero()
     return normalize(LaurentPoly.from_dense(pivots[-1], 0))  # the sign is a unit

@@ -105,6 +105,27 @@ def test_json_fraction_coefficients():
     assert laurent_from_json(laurent_to_json(p)) == p
 
 
+@pytest.mark.parametrize("obj", [
+    {"coefficients": [1, -1, 1], "min_exponent": 1.5},
+    {"coefficients": [1, -1, 1], "min_exponent": 1.0},
+    {"coefficients": [1, -1, 1], "min_exponent": True},
+    {"coefficients": [1, -1, 1], "min_exponent": "1"},
+    {"coefficients": [1, -1, 1], "min_exponent": None},
+    {"coefficients": [1, True, 1]},
+    {"1": True}, {"0": False}, {"0": 1.5}], ids=repr)
+def test_json_refuses_what_it_would_coerce(obj):
+    """A min_exponent that is not a JSON int and a bool coefficient are
+    refused, where they used to read as t^3 - t^2 + t or t."""
+    with pytest.raises(ValueError):
+        laurent_from_json(obj)
+
+
+def test_json_keeps_integral_floats_and_fraction_strings():
+    assert laurent_from_json({"coefficients": [1.0, -1, "1/2"], "min_exponent": -2}) == \
+        LaurentPoly({-2: 1, -1: -1, 0: Fraction(1, 2)})
+    assert laurent_from_json({"1": 2.0, "0": "3/4"}) == LaurentPoly({1: 2, 0: Fraction(3, 4)})
+
+
 def test_format():
     assert format_laurent(TREFOIL) == "t^2-t+1"
     assert format_laurent(COMPANION) == "2t^2-5t+2"
