@@ -30,11 +30,11 @@ identically zero the multiplicity e of a root of det B_I decides it (see
 _jump_structure): odd e is a jump, and at e = 1 the rank of B(z) is
 r - 1; a root of even e counts only where the rank of B(z) is below r.
 That rank, and the nullity at a multiple root, resume the elimination
-(see _ranks_at): if p_k is the last generic pivot that vanishes at
-none of the roots, the trailing block after k steps is p_k times the Schur
+(see _ranks_at): if p_k is the last generic pivot that does not vanish
+at z0, the trailing block after k steps is p_k times the Schur
 complement of the k x k block (Sylvester's identity), so the rank is k
 plus that block's rank at z0, the only entries the point test reads;
-the k steps run once per build.  Each interval is read at a dyadic
+one generic run per build, stopped at each such k, serves every root.  Each interval is read at a dyadic
 sample where no leading minor vanishes but those identically 0: the
 sample search walks integer numerators over one denominator and takes
 the minors' signs there, so the interval value needs no second read.
@@ -210,29 +210,35 @@ def _ranks_at(data, roots) -> list:
     (-2, 2): that of tV - V^T at z0 (see _packed), since z0 != 1.
 
     Resume rule.  Take the pivots p_1..p_r of the cached generic
-    elimination and the largest k <= r with p_k(z0) != 0 at every root
+    elimination and, for each root, the largest k <= r with p_k(z0) != 0
     (p_0 = 1), tested from the top.  After k generic steps the trailing
     block holds the (k+1)-minors that border the k x k minor p_k, that is
     p_k times its Schur complement (Sylvester's identity).  The k x k block
-    is invertible at each root, so rank B(z0) = k + the rank of the
-    trailing block at z0, whether or not earlier pivots vanish there.  The
-    block is 0 for k = r, and for k = n - 1 < r it is +-p_n.  Otherwise the
-    k generic steps run once, and the kernel resumes from their state at
-    each root under the test q(z0) != 0, on a copy of the rows from k on
-    (it reads no other), so it tests the trailing block alone; its pivots
-    are counted, not unpacked."""
+    is invertible at z0, so rank B(z0) = k + the rank of the trailing
+    block at z0, whether or not earlier pivots vanish there.  The block is
+    0 for k = r, and for k = n - 1 < r it is +-p_n, which vanishes at z0:
+    the rank is k.  Otherwise one generic run stops at each such k in
+    increasing order, so its steps add up to at most one elimination, and
+    at each stop the kernel resumes its state at the roots of that k under
+    the test q(z0) != 0, on a copy of the rows from k on (it reads no
+    other), so it tests the trailing block alone; its pivots are counted,
+    not unpacked."""
     _, pivots, _, _ = _elimination(data)
     tests = [_nonzero_at(root) for root in roots]
     r, n = len(pivots), data.size
-    k = next((k for k in range(r, 0, -1) if all(test(pivots[k - 1]) for test in tests)), 0)
-    if k == r:
-        return [r] * len(tests)
-    if k == n - 1:
-        return [r if test(pivots[-1]) else k for test in tests]
+    ks = [next((k for k in range(r, 0, -1) if test(pivots[k - 1])), 0) for test in tests]
+    ranks, stops = list(ks), sorted({k for k in ks if k < min(r, n - 1)})
+    if not stops:
+        return ranks
     k_bits, m = _packed(data)
-    state = _eliminate(m, k_bits, stop=k)
-    return [len(_eliminate(m[:k] + [list(row) for row in m[k:]], k_bits, test, start=state)[1])
-            for test in tests]
+    state = None
+    for k in stops:
+        state = _eliminate(m, k_bits, stop=k, start=state)
+        for i, test in enumerate(tests):
+            if ks[i] == k:
+                rows = m[:k] + [list(row) for row in m[k:]]
+                ranks[i] = len(_eliminate(rows, k_bits, test, start=state)[1])
+    return ranks
 
 
 # -- exact signatures at a single point ----------------------------------------

@@ -1044,19 +1044,29 @@ def _double(rng) -> SeifertData:
     return connected_sum(knot, knot)
 
 
+def _mixed_double(q: int) -> SeifertData:
+    """T(2,3) # T(2,3) # T(3,q) # T(3,q): block sums, pivots in block
+    order, so every pivot from the second on vanishes at the roots of
+    Delta_T(2,3) and the two classes of double roots stop far apart."""
+    trefoil = seifert_matrix_from_braid(torus_braid(2, 3))
+    knot = seifert_matrix_from_braid(torus_braid(3, q))
+    return connected_sum(connected_sum(connected_sum(trefoil, trefoil), knot), knot)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(degenerate_seifert(), seeds.map(_double),
                  st.tuples(st.sampled_from([(2, 4), (2, 6), (3, 3), (3, 6), (4, 4)]),
                            st.integers(0, 2)).map(_padded_torus_link)))
+@example(_mixed_double(4))
 def test_resumed_rank_matches_the_full_kernel(data):
-    """The ranks that _ranks_at reads off the trailing block, after the
-    last pivot of the cached elimination that vanishes at none of the
-    roots, equal the rank of the full kernel with the point test on every
+    """The ranks that _ranks_at reads off the trailing block, after each
+    root's last pivot of the cached elimination that does not vanish
+    there, equal the rank of the full kernel with the point test on every
     entry (tests/bareiss_reference.py), at every root in (-2, 2), rational
     and algebraic, of the jump polynomial and of each leading minor of
     B_I, so that earlier pivots vanish at some of the points: asked for
-    all the roots at once, where the shared pivot may come earlier than a
-    root's own, and for each root alone."""
+    all the roots at once, where the generic run stops at each root's own
+    pivot and resumes from the stop before, and for each root alone."""
     _clear_caches()
     jump, _, _, _ = signature._jump_structure(data)
     polys_x = [list(jump)] + [list(m) for m in signature._principal_block(data)[1]]
@@ -1198,10 +1208,11 @@ def test_signature_function_reads_every_sample_from_its_minors(monkeypatch):
 
 
 def _count_rank_work(monkeypatch) -> tuple[list, list]:
-    """(point tests, prefix lengths) recorded from now on, with cold caches:
-    each call of a test that _nonzero_at builds, and the number of steps
-    of every generic prefix that the kernel stops after."""
-    tests, prefixes = [], []
+    """(point tests, generic runs) recorded from now on, with cold caches:
+    each call of a test that _nonzero_at builds, and for every run of the
+    kernel that stops after `stop` steps, (the steps it resumed from,
+    stop)."""
+    tests, runs = [], []
     nonzero_at, eliminate = signature._nonzero_at, signature._eliminate
 
     def counting(root):
@@ -1212,37 +1223,44 @@ def _count_rank_work(monkeypatch) -> tuple[list, list]:
             return test(q)
         return counted
 
-    def stopped(m, *args, stop=None, **kwargs):
+    def stopped(m, *args, stop=None, start=None, **kwargs):
         if stop is not None:
-            prefixes.append(stop)
-        return eliminate(m, *args, stop=stop, **kwargs)
+            runs.append((len(start[1]) if start else 0, stop))
+        return eliminate(m, *args, stop=stop, start=start, **kwargs)
 
     monkeypatch.setattr(signature, "_nonzero_at", counting)
     monkeypatch.setattr(signature, "_eliminate", stopped)
     _clear_caches()
-    return tests, prefixes
+    return tests, runs
 
 
-# the steps of the one generic prefix of a torus link report
-_PREFIX = {(3, 30): 56, (3, 6): 8, (4, 4): 7, (4, 8): 18, (4, 20): 54, (5, 10): 32, (6, 9): 37}
+# the stops of the one generic run of a report, one per class of roots
+_STOPS = {"T(3,30)": [56], "T(3,6)": [8], "T(4,4)": [7], "T(4,8)": [18, 19],
+          "T(4,20)": [54, 55], "T(5,10)": [32, 33], "T(6,9)": [37, 38],
+          "T(2,3)#T(2,3)#T(3,7)#T(3,7)": [1, 15]}
 
 
-@pytest.mark.parametrize("p, q, most", [(3, 30, 100), (3, 6, 10), (4, 4, 10), (4, 8, 40),
-                                        (4, 20, 120), (5, 10, 80), (6, 9, 80)])
-def test_rank_at_tests_only_the_trailing_block(monkeypatch, p, q, most):
-    """A torus link report reads the nullity at its double roots from the
-    trailing block after the last pivot that vanishes at none of them: the
-    point test runs a few times per root, where a whole elimination under
-    it at every such root takes 953 tests for T(3,30), and the roots
-    share one generic prefix besides the cached elimination.  From
-    T(4,8) on the roots fall into two multiplicity classes, whose own
-    last pivots differ by one step (55 and 54 for T(4,20)): the one
-    prefix is the shorter."""
-    data = seifert_matrix_from_braid(torus_braid(p, q))
-    tests, prefixes = _count_rank_work(monkeypatch)
+@pytest.mark.parametrize("name, data, most", [
+    *[(f"T({p},{q})", seifert_matrix_from_braid(torus_braid(p, q)), most)
+      for p, q, most in [(3, 30, 100), (3, 6, 10), (4, 4, 10), (4, 8, 40),
+                         (4, 20, 120), (5, 10, 80), (6, 9, 80)]],
+    ("T(2,3)#T(2,3)#T(3,7)#T(3,7)", _mixed_double(7), 350)])
+def test_rank_at_tests_only_the_trailing_block(monkeypatch, name, data, most):
+    """A report reads the nullity at its double roots from the trailing
+    block after each root's own last pivot that does not vanish there:
+    the point test runs a few times per root, where a whole elimination
+    under it at every such root takes 953 tests for T(3,30).  The roots
+    share one generic run besides the cached elimination, stopped at each
+    class's own k in increasing order and resumed from the last stop, so
+    its steps add up to the largest k.  From T(4,8) on the roots of a
+    torus link fall into two classes, one step apart (54 and 55 for
+    T(4,20)); in the mixed double 14 steps apart."""
+    tests, runs = _count_rank_work(monkeypatch)
     assemble_report(data)
     assert 0 < len(tests) <= most
-    assert prefixes == [_PREFIX[p, q]]
+    stops = [stop for _, stop in runs]
+    assert stops == _STOPS[name]
+    assert [start for start, _ in runs] == [0] + stops[:-1]
 
 
 def test_jump_test_and_nullity_share_the_rank(monkeypatch):
