@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braids import SeifertData, _check_integers, _json_int
+from .braids import SeifertData, _check_integer, _check_integers, _json_int
 from .errors import InconsistentBounds, InvalidSeifertData, ParseError
 from .factor import FoxMilnorResult, check_degree_cap, fox_milnor_test
 from .laurent import LaurentPoly
@@ -27,10 +27,11 @@ INCONCLUSIVE = "inconclusive"
 
 
 def _store_integers(obj, names: tuple[str, ...], what: str) -> None:
-    """Check the named fields of a frozen dataclass with _check_integers
-    and store the ints it returns in their place."""
-    for name, value in zip(names, _check_integers([getattr(obj, n) for n in names], what)):
-        object.__setattr__(obj, name, value)
+    """Check the named fields of a frozen dataclass with _check_integer
+    and store the ints it returns in their place; of several bad fields,
+    the first is named."""
+    for name in names:
+        object.__setattr__(obj, name, _check_integer(getattr(obj, name), what))
 
 
 @dataclass(frozen=True)

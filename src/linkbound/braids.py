@@ -39,6 +39,17 @@ def _check_integers(values, what: str, error=ParseError) -> tuple[int, ...]:
     return tuple(map(operator.index, values))
 
 
+def _check_integer(value, what: str, error=ParseError) -> int:
+    """_check_integers((value,), what, error)[0], with the same refusals
+    and message, building no tuple, set or list."""
+    kind = type(value)
+    if kind is int:
+        return value
+    if kind is bool or not hasattr(kind, "__index__"):
+        raise error(f"{what} must be integers, got {kind.__name__}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class BraidWord:
     """A braid on `strands` strands; letters are nonzero ints with
@@ -134,9 +145,12 @@ class SeifertData:
     Invariants checked at construction: int or __index__ entries and
     component count (no float, Fraction, str or bool), stored as ints;
     size n = 2g + m - 1 for the derived genus g; V - V^T of rank 2g over
-    Q, and unimodular for knots (m = 1).  The hash is computed once, at
-    construction: Seifert data keys the signature caches, which would
-    otherwise hash n^2 entries per lookup."""
+    Q, and unimodular for knots (m = 1).  What the signature layer derives
+    from V (its elimination, principal block, value at z = -1 and
+    signature function) is kept in the private dict `_derived`, which is
+    no field: equality, replace() and mirror() see only V, m and the
+    label, and an equal SeifertData built anew, copied or unpickled starts
+    with none of it."""
 
     matrix: tuple[tuple[int, ...], ...]
     components: int = 1
@@ -163,10 +177,10 @@ class SeifertData:
                 "rank of V - V^T does not equal twice the genus")
         if m == 1 and abs(det) != 1:
             raise InvalidSeifertData("V - V^T must be unimodular for a knot")
-        object.__setattr__(self, "_hash", hash((v, m)))
+        object.__setattr__(self, "_derived", {})
 
-    def __hash__(self):
-        return self._hash
+    def __getstate__(self):
+        return {**self.__dict__, "_derived": {}}
 
     @classmethod
     def from_matrix(cls, matrix, components: int = 1, label: str = "") -> "SeifertData":

@@ -9,6 +9,7 @@ leading coefficient, so Alexander polynomials compare by plain equality.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ZeroPolynomialError
@@ -253,10 +254,18 @@ def _coeff_to_json(v):
     return v if isinstance(v, int) else f"{v.numerator}/{v.denominator}"
 
 
+# a rational coefficient as a JSON string: "p" or "p/q", q nonzero, in
+# ASCII digits
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
 def _coeff_from_json(v):
-    """A coefficient: an int, an integral float or a "p/q" string; a bool
-    is refused, not read as 0 or 1."""
+    """A coefficient: an int, an integral float or a "p" or "p/q" string
+    with q nonzero; a bool is refused, not read as 0 or 1, and so is a
+    string that Fraction() would also read, such as "1e3" or "1_000"."""
     if isinstance(v, str):
+        if not _RATIONAL.fullmatch(v):
+            raise ValueError(f"bad coefficient {v!r}")
         return Fraction(v)
     if type(v) is int:
         return v
@@ -272,6 +281,15 @@ def laurent_to_json(p: LaurentPoly) -> dict:
     return {str(e): _coeff_to_json(v) for e, v in p.items()}
 
 
+def _exponent_from_json(key) -> int:
+    """An exponent key: the decimal form of an int, as str() writes it;
+    int() would also read "1_0" as 10 and " 2 " as 2."""
+    e = int(key)
+    if str(e) != key:
+        raise ValueError(f"bad exponent key {key!r}")
+    return e
+
+
 def laurent_from_json(obj) -> LaurentPoly:
     """Accepts the {"exponent": coefficient} form or a coefficient array
     with a "min_exponent" field, a JSON int (default 0)."""
@@ -282,5 +300,5 @@ def laurent_from_json(obj) -> LaurentPoly:
             raise ValueError(f"min_exponent must be an integer, got {low!r}")
         return LaurentPoly.from_dense(coeffs, low)
     if isinstance(obj, dict):
-        return LaurentPoly({int(k): _coeff_from_json(v) for k, v in obj.items()})
+        return LaurentPoly({_exponent_from_json(k): _coeff_from_json(v) for k, v in obj.items()})
     raise ValueError("expected a Laurent polynomial object")

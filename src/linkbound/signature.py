@@ -43,17 +43,18 @@ rational breakpoint.  Values at jumps follow the averaged-limit
 convention: the mean of the two adjacent interval values; the nullity
 at a simple root is n - r + 1.
 
-The elimination, principal block, values at x = +-2 and function are
-cached on the Seifert data; the jump structure and the ranks at its
-roots live for one build, so the breakpoints that reads refine belong to
-the cached function alone, and an evicted one is rebuilt from V.  A read
-is located among the breakpoints of the certified function, which the
-first read builds, by cross-multiplication: its walls are integers over
-one denominator.  A read checks its point once (_as_x); past that a
-rational x = p/q is the integers p and q, and x = +-2 is q = 1 and
-|p| = 2, so a warm read builds and compares no Fraction, and to_json
-builds none.  pointwise_signature_nullity, unaveraged, is the
-independent route.
+The elimination, principal block, value at x = -2 and function are
+kept on the SeifertData (see _owned); the jump structure and the ranks
+at its roots live for one build, so the breakpoints that reads refine
+belong to that object's function alone, and a fresh equal SeifertData
+builds its own from V.  A read is located among the breakpoints of the
+certified function, which the first read builds, by cross-multiplication:
+its walls are integers over one denominator.  A Fraction x = p/q has its
+numerator and denominator read once: the range check, the bisection of
+the walls (_rational) and the test for x = +-2, q = 1 and |p| = 2, run
+on p and q, so a warm read builds and compares no Fraction, and to_json
+builds none; any other point is checked once (_as_x).
+pointwise_signature_nullity, unaveraged, is the independent route.
 Laurent polynomials appear only in the answer: the Alexander polynomial.
 """
 
@@ -63,7 +64,7 @@ import bisect
 import collections
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 from math import gcd, lcm
 
 from . import polys
@@ -110,8 +111,26 @@ def _as_x(x):
             raise TypeError("x must be rational, RealAlgebraic or a CirclePoint")
         x = Fraction(x)
     if abs(x.numerator) > 2 * x.denominator:  # |x| > 2, in integers
-        raise ValueError(f"x = {x} outside [-2, 2]")
+        raise _outside(x)
     return x
+
+
+def _outside(x: Fraction) -> ValueError:
+    return ValueError(f"x = {x} outside [-2, 2]")
+
+
+def _owned(build):
+    """build(data), run once per SeifertData and kept in the private dict
+    `_derived` that the data owns: a later call is one dict lookup, and the
+    value lives and dies with the data."""
+    @wraps(build)
+    def read(data):
+        try:
+            return data._derived[build]
+        except KeyError:
+            value = data._derived[build] = build(data)
+            return value
+    return read
 
 
 # -- principal minors ----------------------------------------------------------
@@ -131,7 +150,7 @@ def _packed(data: SeifertData) -> tuple:
     return k_bits, [[(a << k_bits) - b for a, b in zip(row, col)] for row, col in pairs]
 
 
-@lru_cache(maxsize=1024)
+@_owned
 def _elimination(data: SeifertData) -> tuple:
     """The kernel's (sign, pivots, rows, cols) for tV - V^T, once per
     Seifert matrix: Delta, beta and the principal block of B(t) all read
@@ -162,7 +181,7 @@ def _minor_x(p, k: int) -> tuple:
         raise ValueError("minor is not symmetric under t -> 1/t")
     sign = -1 if j % 2 else 1
     q = [sign * p[m]] + [0] * m
-    for c, terms in zip(p[m + 1:], _chebyshev(m)):
+    for c, terms in zip(p[m + 1:2 * m + 1], _chebyshev(m)):
         if c:
             c *= sign
             for i, a in terms:
@@ -170,19 +189,29 @@ def _minor_x(p, k: int) -> tuple:
     return tuple(polys.trim(q))
 
 
-@lru_cache(maxsize=256)
-def _chebyshev(m: int) -> tuple:
-    """The x-forms of D_e = z^e + z^-e for e = 1..m, each as its nonzero
-    (power of x, coefficient) pairs: D_0 = 2, D_1 = x and
-    D_(e+1) = x D_e - D_(e-1)."""
-    table, old, cur = [], [2], [0, 1]
-    for _ in range(m):
-        table.append(tuple((i, a) for i, a in enumerate(cur) if a))
-        old, cur = cur, polys.sub([0] + cur, old)
-    return tuple(table)
+def _chebyshev(m: int) -> list:
+    """The x-forms of D_e = z^e + z^-e for e = 1, 2, ..., at least m of
+    them, each as its nonzero (power of x, coefficient) pairs: D_0 = 2,
+    D_1 = x and D_(e+1) = x D_e - D_(e-1).  One table serves every m: it
+    grows to the largest m asked for, and each caller reads its first m.
+    It grows in a copy that then replaces it, so no caller, in any
+    thread, sees an entry appended twice."""
+    table, old, cur = _CHEBYSHEV[0]
+    if len(table) < m:
+        table = list(table)
+        while len(table) < m:
+            table.append(tuple((i, a) for i, a in enumerate(cur) if a))
+            old, cur = cur, polys.sub([0] + cur, old)
+        _CHEBYSHEV[0] = table, old, cur
+    return table
 
 
-@lru_cache(maxsize=2048)
+# the table of _chebyshev, with D_(e-1) and D_e for its next entry e as
+# dense coefficient lists
+_CHEBYSHEV = [([], [2], [0, 1])]
+
+
+@_owned
 def _principal_block(data) -> tuple:
     """(I, leading principal minors in x of B_I = B[I, I]), where I holds
     the pivot rows of the generic-rank elimination in pivot order; len(I)
@@ -244,12 +273,14 @@ def _ranks_at(data, roots) -> list:
 # -- exact signatures at a single point ----------------------------------------
 
 
-@lru_cache(maxsize=2048)
 def _endpoint(data, z: int) -> tuple[int, int]:
     """(signature, nullity) of B(z) at z = +-1 (x = +-2): B(1) = 0, and
     B(-1) = 2(V + V^T) has the inertia of the integer matrix V + V^T."""
-    if z == 1:
-        return 0, data.size
+    return (0, data.size) if z == 1 else _at_minus_one(data)
+
+
+@_owned
+def _at_minus_one(data) -> tuple[int, int]:
     return _integer_symmetric_signature(
         [[p + q for p, q in zip(row, col)] for row, col in zip(data.matrix, data.transposed())])
 
@@ -440,12 +471,19 @@ def signature_nullity_at(data, point) -> tuple:
     The point is checked once and located in the certified function (see
     value_at), which the first read of a Seifert matrix builds: a cold
     read of T(3,7) takes about 1 ms, of T(3,20) about 8 ms, and a warm
-    read at a rational about 2 us (CPython 3.11, 2-CPU Xeon).
+    read at a rational about 1 us (CPython 3.11, 2-CPU Xeon).
     """
-    x = _as_x(point)
-    sig, nul = _signature_function_cached(data)._value(x)
-    if type(x) is Fraction and x.denominator == 1 and abs(x.numerator) == 2:
-        nul = _endpoint(data, x.numerator // 2)[1]
+    if type(point) is not Fraction:
+        x = _as_x(point)
+        if type(x) is not Fraction:
+            return _signature_function_cached(data)._locate(x)
+        point = x
+    p, q = point.numerator, point.denominator
+    if abs(p) > 2 * q:
+        raise _outside(point)
+    sig, nul = _signature_function_cached(data)._rational(p, q)
+    if q == 1 and abs(p) == 2:
+        nul = _endpoint(data, p // 2)[1]
     return sig, nul
 
 
@@ -497,14 +535,18 @@ class SignatureFunction:
         interval value at x = +-2.  The walls are integers over one
         denominator D: a rational x = p/q takes one bisection of them at
         pD/q and refines a breakpoint only inside its bracket."""
-        return self._value(_as_x(x))
-
-    def _value(self, x) -> tuple:
-        """value_at an x that _as_x returned: past it a read runs on the
-        integers p and q of a rational x and builds or compares no Fraction."""
         if type(x) is not Fraction:
-            return self._locate(x)
+            x = _as_x(x)
+            if type(x) is not Fraction:
+                return self._locate(x)
         p, q = x.numerator, x.denominator
+        if abs(p) > 2 * q:
+            raise _outside(x)
+        return self._rational(p, q)
+
+    def _rational(self, p: int, q: int) -> tuple:
+        """value_at x = p/q, q > 0, |p| <= 2q: one bisection of the walls in
+        integers, building and comparing no Fraction."""
         los, his, den = self._walls
         k, r = divmod(p * den, q)  # x D lies in [k, k + 1)
         i = bisect.bisect_left(his, k + (r > 0))  # the first wall that ends at or after x
@@ -584,7 +626,7 @@ def _json_rat(v, d: int = 1):
     return p // g if q == g else f"{p // g}/{q // g}"
 
 
-@lru_cache(maxsize=1024)
+@_owned
 def _signature_function_cached(data) -> SignatureFunction:
     n = data.size
     _, rank, jumps, nullities = _jump_structure(data)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import sympy
@@ -146,20 +147,30 @@ def degenerate_family(knot: SeifertData, f: int, k: int,
 
 
 def cold_caches():
-    """Empty every cache of the signature and realroots layers."""
-    for module in (linkbound.signature, linkbound.realroots):
-        for obj in vars(module).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
+    """Empty every cache of the realroots layer, which is keyed on
+    polynomials.  The signature layer keeps what it derives from V on the
+    SeifertData itself (see cold)."""
+    for obj in vars(linkbound.realroots).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+
+
+def cold(data: SeifertData) -> SeifertData:
+    """A fresh SeifertData equal to `data`, with empty realroots caches:
+    none of what the signature layer derived from `data` carries over, so
+    a read or a report on it builds everything from V.  Its validation
+    runs the Bareiss kernel on integers, so build it before counting."""
+    cold_caches()
+    return replace(data)
 
 
 def count_eliminations(monkeypatch) -> list[int]:
     """Record the size of every matrix the Bareiss kernel eliminates from
-    now on, in the list returned, starting from empty signature and
-    realroots caches: every elimination, packed or integer, runs the one
-    loop `linalg._eliminate`.
-    Build Seifert data before calling: its validation runs the kernel on
-    integers."""
+    now on, in the list returned: every elimination, packed or integer,
+    runs the one loop `linalg._eliminate`.
+    Build fresh Seifert data before calling (see cold): its validation
+    runs the kernel on integers, and a SeifertData keeps the elimination
+    that its first use runs."""
     calls = []
     eliminate = linkbound.linalg._eliminate
 
@@ -169,7 +180,6 @@ def count_eliminations(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(linkbound.linalg, "_eliminate", counted)
     monkeypatch.setattr(linkbound.signature, "_eliminate", counted)
-    cold_caches()
     return calls
 
 

@@ -14,6 +14,7 @@ from linkbound import (BraidWord, InvalidSeifertData, LaurentPoly, ParseError,
                        pointwise_signature_nullity, seifert_data_from_json,
                        seifert_matrix_from_braid, stabilize, torus_braid,
                        units_equal)
+from linkbound.braids import _check_integer, _check_integers
 from linkbound.linalg import int_rank_det
 
 from braid_reference import reference_seifert_matrix
@@ -234,6 +235,28 @@ def test_non_integer_entry_refused(entry):
         SeifertData.from_matrix([[entry, 1], [0, -1]])
     with pytest.raises(InvalidSeifertData, match="must be integers"):
         SeifertData(((-1, 1), (0, entry)), 1)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, 2.0, -1.7, True, False, "3", "-1", Fraction(2), Fraction(-1, 2), None, np.float64(2)],
+    ids=repr)
+def test_one_value_check_refuses_as_the_tuple_check(value):
+    """_check_integer, the one-value path that Provenance and BoundReport
+    take, refuses every value of the refusal tests with the message and
+    the error class of _check_integers."""
+    for error in (ParseError, InvalidSeifertData):
+        with pytest.raises(error) as many:
+            _check_integers([value], "values", error)
+        with pytest.raises(error) as one:
+            _check_integer(value, "values", error)
+        assert str(one.value) == str(many.value) == \
+            f"values must be integers, got {type(value).__name__}"
+
+
+@pytest.mark.parametrize("value", [0, -7, 2 ** 70, np.int64(5), Index(3)], ids=repr)
+def test_one_value_check_accepts_as_the_tuple_check(value):
+    got = _check_integer(value, "values")
+    assert type(got) is int and (got,) == _check_integers([value], "values")
 
 
 def test_index_entries_accepted_as_ints():

@@ -456,7 +456,8 @@ TREFOIL_ENTRY = {"name": "trefoil", "input": {"braid": {"strands": 2, "word": [1
     [5], [{"name": "x", "input": 7}], ["trefoil"], [{"input": TREFOIL_ENTRY["input"]}],
     *([dict(TREFOIL_ENTRY, expected=expected)] for expected in (
         {"g4": 5}, {"g4": [1]}, {"g4": [1, 1.5]}, {"g4": [True, 1]}, {"alexander": 3},
-        {"alexander": {"0": "1/0"}}, {"alexander": {"x": 1}},
+        {"alexander": {"0": "1/0"}}, {"alexander": {"x": 1}}, {"alexander": {"1_0": 1}},
+        {"alexander": {"0": "1e3"}},
         {"alexander": {"coefficients": [1, -1, 1], "min_exponent": 1.5}}, {"max_abs_sigma": 2.0},
         {"max_abs_sigma": "2"}, [1], 1))], ids=repr)
 def test_verify_malformed_catalog_exit_code(capsys, tmp_path, catalog):

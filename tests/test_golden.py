@@ -26,7 +26,9 @@ def test_golden_inputs_are_fixed():
 
 @pytest.mark.parametrize("cold", [True, False])
 def test_answers_are_byte_identical(cold):
-    """Cold caches, then again with every cache warm from the first pass."""
+    """Cold realroots caches, then again with them warm from the first
+    pass; each pass builds its Seifert data, and what the signature layer
+    derives from it, anew."""
     if cold:
         cold_caches()
     got = golden.answers()

@@ -112,10 +112,17 @@ def test_json_fraction_coefficients():
     {"coefficients": [1, -1, 1], "min_exponent": "1"},
     {"coefficients": [1, -1, 1], "min_exponent": None},
     {"coefficients": [1, True, 1]},
-    {"1": True}, {"0": False}, {"0": 1.5}], ids=repr)
+    {"1": True}, {"0": False}, {"0": 1.5},
+    {"1_0": 1}, {" 2 ": 1}, {"+1": 1}, {"-0": 1}, {"\u0663": 1},
+    {"0": "1e3"}, {"0": "1_000"}, {"0": " 1"}, {"0": "1.5"}, {"0": "+1"}, {"0": "1/-2"},
+    {"0": "1/0"}, {"0": "-3/00"}, {"0": "\u0663"}], ids=repr)
 def test_json_refuses_what_it_would_coerce(obj):
     """A min_exponent that is not a JSON int and a bool coefficient are
-    refused, where they used to read as t^3 - t^2 + t or t."""
+    refused, where they used to read as t^3 - t^2 + t or t.  So are an
+    exponent key that is not an int as str() writes it ("1_0" read as
+    t^10, " 2 " as t^2) and a string coefficient not of the form "p" or
+    "p/q" in ASCII digits with q nonzero ("1e3" and "1_000" read as
+    1000)."""
     with pytest.raises(ValueError):
         laurent_from_json(obj)
 
@@ -124,6 +131,8 @@ def test_json_keeps_integral_floats_and_fraction_strings():
     assert laurent_from_json({"coefficients": [1.0, -1, "1/2"], "min_exponent": -2}) == \
         LaurentPoly({-2: 1, -1: -1, 0: Fraction(1, 2)})
     assert laurent_from_json({"1": 2.0, "0": "3/4"}) == LaurentPoly({1: 2, 0: Fraction(3, 4)})
+    assert laurent_from_json({"-2": "-6/04", "0": "7", "10": "-1"}) == \
+        LaurentPoly({-2: Fraction(-3, 2), 0: 7, 10: -1})
 
 
 def test_format():

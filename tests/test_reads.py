@@ -1,7 +1,8 @@
 """Warm reads of the signature function: they answer as the route before
 reads ran on the integers of x (tests/read_reference.py), refine the
-breakpoint brackets exactly as it did, and normalise x once without
-building or comparing a Fraction."""
+breakpoint brackets exactly as it did, and read the numerator and the
+denominator of a Fraction x once each, without building or comparing a
+Fraction or hashing the Seifert data."""
 
 import collections
 from fractions import Fraction
@@ -10,23 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linkbound import (CirclePoint, RealAlgebraic, pointwise_signature_nullity,
+from linkbound import (CirclePoint, RealAlgebraic, SeifertData, pointwise_signature_nullity,
                        seifert_matrix_from_braid, signature_function, signature_nullity_at,
                        torus_braid)
-from linkbound import signature
 
 import read_reference
-from helpers import cold_caches, rebuilt_breakpoints, zero_padded
+from helpers import cold, rebuilt_breakpoints, zero_padded
 
 TORUS = [(p, q) for p in range(2, 6) for q in range(p, 22) if (p - 1) * (q - 1) <= 20]
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _cold_after():
-    """The reads here refine the brackets of cached functions; the tests
-    after this module find the caches empty."""
-    yield
-    cold_caches()
 
 
 def _torus(p: int, q: int, k: int = 0):
@@ -107,13 +99,13 @@ def test_reads_equal_the_parent_route(stream):
     pointwise_signature_nullity answer as the reference route, raise what
     it raises, and leave every breakpoint bracket and every algebraic
     point bracket as it leaves them; to_json is the reference's after the
-    reads.  The new route reads the cached function; the reference reads
-    a second build of it, with its own breakpoints."""
+    reads.  The new route reads the function of the Seifert data; the
+    reference reads the function of a fresh equal one, with its own
+    breakpoints."""
     p, q, k, reads = stream
-    data = _torus(p, q, k)
-    cold_caches()
+    data = cold(_torus(p, q, k))
     f = signature_function(data)
-    g = signature._signature_function_cached.__wrapped__(data)
+    g = signature_function(cold(data))
     rebuilt = rebuilt_breakpoints(f)
     new_reads = {"at": lambda x: signature_nullity_at(data, x), "value_at": f.value_at,
                  "circle": lambda x: f.value_at(CirclePoint(x)),
@@ -131,36 +123,35 @@ def test_reads_equal_the_parent_route(stream):
 
 
 def _counting(monkeypatch) -> collections.Counter:
-    """Count the calls of signature._as_x, Fraction.__new__ and
-    Fraction.__eq__ from now on."""
+    """Count the reads of Fraction.numerator and Fraction.denominator and
+    the calls of Fraction.__new__, Fraction.__eq__ and SeifertData.__hash__
+    from now on."""
     calls = collections.Counter()
-    as_x, new, eq = signature._as_x, Fraction.__new__, Fraction.__eq__
+    new, eq, hash_ = Fraction.__new__, Fraction.__eq__, SeifertData.__hash__
 
-    def counted_as_x(x):
-        calls["_as_x"] += 1
-        return as_x(x)
+    def counted(name, method):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        return call
 
-    def counted_new(cls, *args, **kwargs):
-        calls["__new__"] += 1
-        return new(cls, *args, **kwargs)
-
-    def counted_eq(a, b):
-        calls["__eq__"] += 1
-        return eq(a, b)
-
-    monkeypatch.setattr(signature, "_as_x", counted_as_x)
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
-    monkeypatch.setattr(Fraction, "__eq__", counted_eq)
+    for name in ("numerator", "denominator"):
+        monkeypatch.setattr(Fraction, name, property(counted(name, getattr(Fraction, name).fget)))
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted("__new__", new)))
+    monkeypatch.setattr(Fraction, "__eq__", counted("__eq__", eq))
+    monkeypatch.setattr(SeifertData, "__hash__", counted("__hash__", hash_))
     return calls
 
 
 @pytest.mark.parametrize("p, q", [(3, 7), (2, 6)])
-def test_a_warm_read_normalises_once_and_builds_no_fraction(monkeypatch, p, q):
+def test_a_warm_read_takes_p_and_q_once_and_builds_no_fraction(monkeypatch, p, q):
     """On a warm function a Fraction read by signature_nullity_at or
     value_at (at the samples, +-2, the rational breakpoints, a random
-    rational and a point inside an algebraic bracket, which refines it),
-    or by pointwise_signature_nullity at +-2, calls _as_x once and builds
-    and compares no Fraction; to_json builds none.  T(3,7) has algebraic
+    rational and a point inside an algebraic bracket, which refines it)
+    reads the numerator and the denominator of x once each, builds and
+    compares no Fraction, and hashes no SeifertData; a read by
+    pointwise_signature_nullity at +-2 and to_json build, compare and
+    hash none either.  T(3,7) has algebraic
     breakpoints, the link T(2,6) rational ones with half-integer averaged
     values."""
     data = _torus(p, q)
@@ -173,23 +164,27 @@ def test_a_warm_read_normalises_once_and_builds_no_fraction(monkeypatch, p, q):
     inside = [Fraction(bp._a + bp._b, 2 * bp._d) for bp in f.breakpoints
               if isinstance(bp, RealAlgebraic)]
     ends = [Fraction(2), Fraction(-2)]
+    at_ends = [read_reference.pointwise_signature_nullity(data, x) for x in ends]
     f.to_json()
     calls = _counting(monkeypatch)
     reads = [(lambda x: signature_nullity_at(data, x), points, expected),
-             (f.value_at, points, expected_value),
-             (lambda x: pointwise_signature_nullity(data, x), ends,
-              [read_reference.pointwise_signature_nullity(data, x) for x in ends])]
+             (f.value_at, points, expected_value)]
+    once = {"numerator": 1, "denominator": 1}
     for read, xs, answers in reads:
         for x, answer in zip(xs, answers):
             calls.clear()
             assert read(x) == answer, x
-            assert calls == {"_as_x": 1}, (x, calls)
+            assert calls == once, (x, calls)
+    for x, answer in zip(ends, at_ends):
+        calls.clear()
+        assert pointwise_signature_nullity(data, x) == answer
+        assert calls["__new__"] == calls["__eq__"] == calls["__hash__"] == 0
     # a point inside an algebraic bracket refines it; a later read there still builds nothing
     for x in inside:
         calls.clear()
         signature_nullity_at(data, x)
-        assert calls == {"_as_x": 1}
+        assert calls == once
     calls.clear()
     f.to_json()
-    assert not calls
+    assert calls["__new__"] == calls["__eq__"] == calls["__hash__"] == 0
     assert bool(inside) == (p == 3)

@@ -1,7 +1,10 @@
 import collections
+import copy
 import math
+import pickle
 import random
 import sys
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -23,7 +26,7 @@ from linkbound.linalg import _bareiss, _unpack, poly_det
 from linkbound.signature import _minor_x, breakpoints_equal
 
 import bareiss_reference
-from helpers import (b_laurent, cold_caches as _clear_caches, count_eliminations,
+from helpers import (b_laurent, cold, count_eliminations,
                      degenerate_family, degenerate_seifert, random_knot_data, random_seifert_data,
                      random_unimodular, sympy_det, zero_padded)
 from quadfield_reference import QuadFieldElem, quad_eval
@@ -125,6 +128,21 @@ def test_symmetric_to_xpoly():
     assert _minor_x((1, 0, 0, 0, 1), 4) == (-2, 0, 1)
     assert _minor_x((1, -1, 1), 2) == (1, -1)
     assert _minor_x((), 3) == ()
+
+
+def test_one_chebyshev_table_read_by_prefix(monkeypatch):
+    """_chebyshev keeps one table of the x-forms of D_e = z^e + z^-e,
+    grown to the largest m asked for: after m = 120, a call with m = 60
+    computes no new entry.  Each entry is D_e: at z = 2, x = 5/2, it takes
+    the value 2^e + 2^-e."""
+    table = signature._chebyshev(120)
+    sub = mock.Mock(side_effect=polys.sub)
+    monkeypatch.setattr(polys, "sub", sub)
+    assert signature._chebyshev(60) is table
+    sub.assert_not_called()
+    assert len(table) >= 120
+    for e, terms in enumerate(table[:120], 1):
+        assert sum(a * Fraction(5, 2) ** i for i, a in terms) == 2 ** e + Fraction(1, 2 ** e)
 
 
 # -- signatures at points -----------------------------------------------------------
@@ -251,8 +269,7 @@ def test_warm_reads_compare_no_fraction(monkeypatch):
     no Fraction comparison runs.  An algebraic read off the breakpoints,
     sqrt(3) in (17/10, 9/5), bisects only itself and the breakpoint whose
     bracket meets its own, (3/2, 7/4), until the two are apart."""
-    data = seifert_matrix_from_braid(torus_braid(3, 7))
-    _clear_caches()  # an earlier read inside a bracket would have refined it
+    data = seifert_matrix_from_braid(torus_braid(3, 7))  # brackets as built: no read refined them
     f = signature_function(data)
     signature_nullity_at(data, Fraction(0))
     rebuilt = [RealAlgebraic(bp["polynomial"], *map(Fraction, bp["interval"]))
@@ -302,6 +319,7 @@ def test_cold_report_builds_a_fraction_per_sample_and_rational_breakpoint(monkey
         _pick_sample=len(f.samples),
         _jump_structure=sum(isinstance(bp, Fraction) for bp in f.breakpoints))
     assert expected["_pick_sample"] >= 3
+    data = cold(data)
     built = collections.Counter()
     new = Fraction.__new__
 
@@ -314,7 +332,6 @@ def test_cold_report_builds_a_fraction_per_sample_and_rational_breakpoint(monkey
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counted)
-    _clear_caches()
     assemble_report(data)
     monkeypatch.undo()
     assert +built == +expected
@@ -649,7 +666,7 @@ def _answers(data, reads) -> list:
     lambda: zero_padded(seifert_matrix_from_braid(torus_braid(2, 5)), 1)])
 def test_reads_do_not_depend_on_order_or_caches(make):
     """200 reads in two shuffled orders on a warmed SeifertData, and on a
-    fresh equal one after every cache is cleared, give the same answers;
+    fresh equal one with empty realroots caches, give the same answers;
     to_json is the same before and after them."""
     data = make()
     f = signature_function(data)
@@ -658,8 +675,7 @@ def test_reads_do_not_depend_on_order_or_caches(make):
     answers = []
     for seed, fresh in ((1, False), (2, False), (3, True)):
         if fresh:
-            _clear_caches()
-            data = make()
+            data = cold(make())
         order = list(range(len(reads)))
         random.Random(seed).shuffle(order)
         got = _answers(data, [reads[i] for i in order])
@@ -668,25 +684,58 @@ def test_reads_do_not_depend_on_order_or_caches(make):
     assert answers[0] == answers[1] == answers[2]
 
 
-def test_rebuild_after_an_eviction_starts_from_v():
-    """Reads refine the breakpoint brackets of T(3,20) in place.  After
-    more other functions are built than the function cache holds, the
-    function of T(3,20) is rebuilt from V: its to_json and its report
-    equal the cold ones, witness and samples included."""
+def test_a_fresh_equal_seifert_data_starts_from_v():
+    """A SeifertData owns its signature function: signature_function(d)
+    is signature_function(d), and reads refine the breakpoint brackets of
+    that one function in place.  A fresh equal SeifertData of T(3,20),
+    built after 40 refining reads at every algebraic breakpoint of the
+    first, builds its own function from V: its brackets are those as
+    built, and its to_json, 200 reads and its report equal the first
+    one's, witness and samples included."""
     data = seifert_matrix_from_braid(torus_braid(3, 20))
-    _clear_caches()
-    cold = signature_function(data).to_json(), assemble_report(data).to_json()
-    _clear_caches()
     f = signature_function(data)
+    assert signature_function(data) is f
+    assert signature_function(TREFOIL_V) is signature_function(TREFOIL_V)
+    built = _brackets(f.breakpoints)
+    first = f.to_json(), assemble_report(data).to_json()
+    reads = _read_stream(random.Random(11), len(f.breakpoints), 200)
+    answers = _answers(data, reads)
     for bp in f.breakpoints:
         if isinstance(bp, RealAlgebraic):
             for _ in range(40):
                 f.value_at(Fraction(bp._a + bp._b, 2 * bp._d))
-    others = [(a, b, d) for a in range(-6, 7) for b in range(-6, 7) for d in range(-6, 7)]
-    for a, b, d in others[:signature._signature_function_cached.cache_info().maxsize + 1]:
-        signature_function(SeifertData.from_matrix([[a, b], [b - 1, d]], 1))  # genus 1
-    assert signature_function(data) is not f
-    assert (signature_function(data).to_json(), assemble_report(data).to_json()) == cold
+    assert _brackets(f.breakpoints) != built
+    fresh = SeifertData.from_matrix(data.matrix, data.components, data.label)
+    g = signature_function(fresh)
+    assert fresh == data and g is not f and _brackets(g.breakpoints) == built
+    assert (g.to_json(), assemble_report(fresh).to_json()) == first
+    assert _answers(fresh, reads) == answers
+
+
+def test_the_function_dies_with_its_data():
+    """A SeifertData keeps its signature function alive, and nothing else
+    does: a weak reference to it dies with the data."""
+    data = seifert_matrix_from_braid(torus_braid(3, 7))
+    ref = weakref.ref(signature_function(data))
+    assert ref() is signature_function(data)
+    del data
+    assert ref() is None
+
+
+def test_copies_and_pickles_start_from_v():
+    """copy, deepcopy and pickle give an equal SeifertData with none of
+    the derived state, which its first use builds from V again: the same
+    report, from a function of its own."""
+    data = seifert_matrix_from_braid(torus_braid(3, 7))
+    report = assemble_report(data).to_json()
+    for clone in (copy.copy(data), copy.deepcopy(data), pickle.loads(pickle.dumps(data))):
+        assert clone == data and not clone._derived
+        assert assemble_report(clone).to_json() == report
+        assert signature_function(clone) is not signature_function(data)
+
+
+def _brackets(points) -> list:
+    return [(x._a, x._b, x._d) if isinstance(x, RealAlgebraic) else x for x in points]
 
 
 def _gcds_with_defining_polynomials(monkeypatch, data) -> tuple[list, int]:
@@ -695,6 +744,7 @@ def _gcds_with_defining_polynomials(monkeypatch, data) -> tuple[list, int]:
     breakpoints)."""
     f = signature_function(data)
     defining = {bp.poly for bp in f.breakpoints if isinstance(bp, RealAlgebraic)}
+    data = cold(data)
     pairs = []
     gcd_poly = polys.gcd_poly
 
@@ -704,7 +754,6 @@ def _gcds_with_defining_polynomials(monkeypatch, data) -> tuple[list, int]:
         return gcd_poly(p, q)
 
     monkeypatch.setattr(polys, "gcd_poly", counted)
-    _clear_caches()
     assemble_report(data)
     monkeypatch.undo()
     return pairs, len(f.breakpoints)
@@ -738,6 +787,7 @@ def test_one_squarefree_pass_per_jump_polynomial(monkeypatch):
     of p by p', up to signs, whether a gcd or a Sturm chain runs it."""
     jump = signature._jump_structure(seifert_matrix_from_braid(torus_braid(2, 19)))[0]
     derivative = polys.primitive_positive(polys.derivative(jump))[1]
+    data = cold(seifert_matrix_from_braid(torus_braid(2, 19)))
     starts = []
     pseudo_remainder = polys.pseudo_remainder
 
@@ -748,8 +798,7 @@ def test_one_squarefree_pass_per_jump_polynomial(monkeypatch):
         return pseudo_remainder(a, b)
 
     monkeypatch.setattr(polys, "pseudo_remainder", counted)
-    _clear_caches()
-    assemble_report(seifert_matrix_from_braid(torus_braid(2, 19)))
+    assemble_report(data)
     assert len(starts) == 1
 
 
@@ -769,6 +818,7 @@ def test_each_certificate_once_per_report(monkeypatch):
     data = seifert_matrix_from_braid(torus_braid(2, 19))
     minors = set(signature._principal_block(data)[1])
     samples = {(x.numerator, x.denominator) for x in signature_function(data).samples}
+    data = cold(data)
     isolation = [None]
     chain_points, signs = collections.Counter(), collections.Counter()
     isolate, chain_signs, sign_at_ratio = signature.isolate_real_roots, \
@@ -793,7 +843,6 @@ def test_each_certificate_once_per_report(monkeypatch):
     monkeypatch.setattr(signature, "isolate_real_roots", isolating)
     monkeypatch.setattr(realroots, "_chain_signs", counted_chain)
     monkeypatch.setattr(polys, "sign_at_ratio", counted_sign)
-    _clear_caches()
     assemble_report(data)
     assert chain_points and max(chain_points.values()) == 1
     at_samples = [c for (p, x), c in signs.items() if p in minors and x in samples]
@@ -824,8 +873,8 @@ def test_trusted_breakpoints_and_samples(data):
         built.append((poly, Fraction(a, d), Fraction(b, d)))
         return certified(poly, a, b, d)
 
+    data = cold(data)
     with mock.patch.object(RealAlgebraic, "_certified", recording):
-        _clear_caches()
         f = signature_function(data)
     algebraic = [bp for bp in f.breakpoints if isinstance(bp, RealAlgebraic)]
     assert len(built) >= len(algebraic)
@@ -850,8 +899,8 @@ def test_reads_match_the_independent_route(data, rng):
     and, away from the breakpoints, float_oracle: cold, warm, and after
     to_json and csv_rows have refined the brackets inside the walls that
     the function cached.  One stream read forward and in reverse on fresh
-    caches gives the same answers."""
-    _clear_caches()
+    equal Seifert data gives the same answers."""
+    data = cold(data)
     f = signature_function(data)
     jump = signature._jump_structure(data)[0]
     points = []
@@ -865,8 +914,8 @@ def test_reads_match_the_independent_route(data, rng):
     expected = [pointwise_signature_nullity(data, x) for x in points]
 
     def cold_reads(stream):
-        _clear_caches()
-        return [signature_nullity_at(data, x) for x in stream]
+        fresh = cold(data)
+        return [signature_nullity_at(fresh, x) for x in stream]
 
     assert cold_reads(points) == expected
     assert cold_reads(points[::-1]) == expected[::-1]
@@ -899,13 +948,11 @@ def test_signature_path_builds_no_laurent_poly(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(LaurentPoly, "__init__", counting)
-    _clear_caches()
     data = seifert_matrix_from_braid(torus_braid(3, 7))
     f = signature_function(data)
     _answers(data, _read_stream(random.Random(5), len(f.breakpoints), 100))
     assert callers == []
-    _clear_caches()
-    assemble_report(data)
+    assemble_report(cold(data))
     inside = [names for names in callers if names]
     assert inside and all(names == {"alexander_from_seifert"} for names in inside)
 
@@ -1009,7 +1056,7 @@ def test_root_multiplicity_decides_rank_drops(data):
     kernel: the same breakpoints, the pointwise value at every sample, and
     at each breakpoint the mean of its neighbours with n minus the
     kernel's rank."""
-    _clear_caches()
+    data = cold(data)
     n = data.size
     jump, rank, _, _ = signature._jump_structure(data)
     candidates = _candidates(jump)
@@ -1067,7 +1114,7 @@ def test_resumed_rank_matches_the_full_kernel(data):
     B_I, so that earlier pivots vanish at some of the points: asked for
     all the roots at once, where the generic run stops at each root's own
     pivot and resumes from the stop before, and for each root alone."""
-    _clear_caches()
+    data = cold(data)
     jump, _, _, _ = signature._jump_structure(data)
     polys_x = [list(jump)] + [list(m) for m in signature._principal_block(data)[1]]
     roots = [root for q in polys_x if polys.degree(q) >= 1
@@ -1127,16 +1174,19 @@ def _route_inputs():
     return out
 
 
-def test_principal_block_from_the_shared_elimination():
-    """(I, minors) read off the one cached elimination of tV - V^T equal
-    those of the elimination of t B(t), on torus knots and links, random
-    Seifert matrices, zero-padded and degenerate families: each k x k
-    minor is kept as q(x) with q(t + 1/t) (2 - t - 1/t)^(k // 2) = m(t),
-    the Laurent minor of B.  Delta and beta read the same cache entry."""
+def test_principal_block_from_the_shared_elimination(monkeypatch):
+    """(I, minors) read off the one elimination of tV - V^T that a
+    SeifertData keeps equal those of the elimination of t B(t), on torus
+    knots and links, random Seifert matrices, zero-padded and degenerate
+    families: each k x k minor is kept as q(x) with
+    q(t + 1/t) (2 - t - 1/t)^(k // 2) = m(t), the Laurent minor of B.
+    Delta and beta read the same elimination: tV - V^T is packed once."""
     x = LaurentPoly({1: 1, -1: 1})
     two_minus_x = LaurentPoly({0: 2, 1: -1, -1: -1})
+    packed = mock.Mock(side_effect=signature._packed)
+    monkeypatch.setattr(signature, "_packed", packed)
     for data in _route_inputs():
-        _clear_caches()
+        packed.reset_mock()
         block, minors = signature._principal_block(data)
         ref_block, ref_minors = _family_route(data)
         assert block == ref_block and len(minors) == len(ref_minors)
@@ -1145,8 +1195,7 @@ def test_principal_block_from_the_shared_elimination():
             assert qx * two_minus_x ** (k // 2) == m
         alexander_from_seifert(data)
         link_nullity(data)
-        info = signature._elimination.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+        packed.assert_called_once_with(data)
 
 
 def test_form_of_seifert_data_is_the_form_of_b():
@@ -1183,7 +1232,6 @@ def test_one_elimination_per_report_with_a_zero_leading_minor(monkeypatch):
     calls = count_eliminations(monkeypatch)
     zero_minor = 0
     for data in knots:
-        _clear_caches()
         calls.clear()
         assemble_report(data)
         assert calls == [data.size]
@@ -1196,11 +1244,10 @@ def test_signature_function_reads_every_sample_from_its_minors(monkeypatch):
     minor of B_I is identically 0: building a signature function never
     takes the trace form."""
     k0 = SeifertData.from_matrix([[0, 1], [0, 1]], 1)  # Delta = 1 and v_11 = 0
-    inputs = _forty_random_knots() + _route_inputs() + [
-        connected_sum(k0, seifert_matrix_from_braid(torus_braid(3, 7)))]
+    inputs = [cold(data) for data in _forty_random_knots() + _route_inputs() + [
+        connected_sum(k0, seifert_matrix_from_braid(torus_braid(3, 7)))]]
     spy = mock.Mock(side_effect=signature._trace_signature_nullity)
     monkeypatch.setattr(signature, "_trace_signature_nullity", spy)
-    _clear_caches()
     assert sum(not all(signature._principal_block(data)[1]) for data in inputs) >= 20
     for data in inputs:
         signature_function(data)
@@ -1208,10 +1255,10 @@ def test_signature_function_reads_every_sample_from_its_minors(monkeypatch):
 
 
 def _count_rank_work(monkeypatch) -> tuple[list, list]:
-    """(point tests, generic runs) recorded from now on, with cold caches:
-    each call of a test that _nonzero_at builds, and for every run of the
-    kernel that stops after `stop` steps, (the steps it resumed from,
-    stop)."""
+    """(point tests, generic runs) recorded from now on: each call of a
+    test that _nonzero_at builds, and for every run of the kernel that
+    stops after `stop` steps, (the steps it resumed from, stop).  Read
+    fresh Seifert data (see cold)."""
     tests, runs = [], []
     nonzero_at, eliminate = signature._nonzero_at, signature._eliminate
 
@@ -1230,7 +1277,6 @@ def _count_rank_work(monkeypatch) -> tuple[list, list]:
 
     monkeypatch.setattr(signature, "_nonzero_at", counting)
     monkeypatch.setattr(signature, "_eliminate", stopped)
-    _clear_caches()
     return tests, runs
 
 
@@ -1255,6 +1301,7 @@ def test_rank_at_tests_only_the_trailing_block(monkeypatch, name, data, most):
     its steps add up to the largest k.  From T(4,8) on the roots of a
     torus link fall into two classes, one step apart (54 and 55 for
     T(4,20)); in the mixed double 14 steps apart."""
+    data = cold(data)
     tests, runs = _count_rank_work(monkeypatch)
     assemble_report(data)
     assert 0 < len(tests) <= most
@@ -1269,7 +1316,6 @@ def test_jump_test_and_nullity_share_the_rank(monkeypatch):
     cold build of its function computes two, in one call."""
     knot = seifert_matrix_from_braid(torus_braid(2, 5))
     data = zero_padded(connected_sum(knot, knot), 1)
-    _clear_caches()
     spy = mock.Mock(side_effect=signature._ranks_at)
     monkeypatch.setattr(signature, "_ranks_at", spy)
     assert len(signature_function(data).breakpoints) == 2
