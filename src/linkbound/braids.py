@@ -50,6 +50,15 @@ def _check_integer(value, what: str, error=ParseError) -> int:
     return operator.index(value)
 
 
+def _decimal(text: str) -> int:
+    """int(text) for an optional '-' and ASCII digits only, else ValueError
+    (int() also reads '+1', ' 1', '1_0' and other scripts' digits)."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 @dataclass(frozen=True)
 class BraidWord:
     """A braid on `strands` strands; letters are nonzero ints with
@@ -70,7 +79,7 @@ class BraidWord:
         object.__setattr__(self, "letters", tuple(letters))
 
 
-_TOKEN = re.compile(r"^s(\d+)(\^-1)?$")
+_TOKEN = re.compile(r"s([0-9]+)(\^-1)?")
 
 
 def parse_braid(text: str) -> BraidWord:
@@ -83,17 +92,17 @@ def parse_braid(text: str) -> BraidWord:
             continue
         if token.startswith("strands="):
             try:
-                strands = int(token[len("strands="):])
+                strands = _decimal(token[len("strands="):])
             except ValueError:
                 raise ParseError(f"bad strand count in {token!r}") from None
             continue
-        m = _TOKEN.match(token)
+        m = _TOKEN.fullmatch(token)
         if m:
             idx = int(m.group(1))
             letters.append(-idx if m.group(2) else idx)
             continue
         try:
-            letters.append(int(token))
+            letters.append(_decimal(token))
         except ValueError:
             raise ParseError(f"malformed braid token {token!r}") from None
     if strands is None:

@@ -23,7 +23,7 @@ from .factor import check_degree_cap
 from .laurent import format_laurent, laurent_to_json
 from .signature import (alexander_from_seifert, float_oracle, link_nullity,
                         signature_function)
-from .braids import seifert_data_from_json
+from .braids import _decimal, seifert_data_from_json
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -73,7 +73,7 @@ def _parse_band_certs(raw) -> list[BandCertificate]:
     certs = []
     for pair in raw or ():
         try:
-            b, u = (int(v) for v in pair.split(","))
+            b, u = (_decimal(v) for v in pair.split(","))
             cert = BandCertificate(b, u)
             band_certificate_genus(cert)
         except ValueError as e:
@@ -138,9 +138,9 @@ def cmd_verify(args) -> int:
 
 # One row per command: (handler, positionals, options, help line).  An option's flag names
 # its attribute; a list option is repeatable; --input is the hidden alias of INPUT.
-INDENT = {"--json-indent": (int, 2)}
+INDENT = {"--json-indent": (_decimal, 2)}
 INPUT = {"--input": (str, None), **INDENT}
-CAP = {"--degree-cap": (int, 12)}
+CAP = {"--degree-cap": (_decimal, 12)}
 COMMANDS = {
     "invariants": (cmd_invariants, ("input",), INPUT,
                    "Alexander polynomial, nullity, signature function"),
@@ -148,12 +148,12 @@ COMMANDS = {
               "assemble a 4-genus bound report; b,u: b bands to a u-component unlink"),
     "infect": (cmd_infect, ("base_report", "declaration"), INDENT,
                "transfer bounds through a string-link infection declaration"),
-    "signature-csv": (cmd_signature_csv, ("input",), {**INPUT, "--samples": (int, 0)},
+    "signature-csv": (cmd_signature_csv, ("input",), {**INPUT, "--samples": (_decimal, 0)},
                       "emit the signature function as CSV, plus N float-oracle rows"),
     "verify": (cmd_verify, (), {"--catalog": (str, None), **CAP, **INDENT},
                "run the catalog regression checks (default: $LINKBOUND_CATALOG or built-in)"),
 }
-METAVARS = {int: "N", str: "PATH", list: "b,u"}
+METAVARS = {_decimal: "N", str: "PATH", list: "b,u"}
 
 
 def cmd_help(args) -> int:

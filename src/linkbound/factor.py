@@ -6,7 +6,8 @@ at d+1 integer points: a factor's value at x_i must divide p(x_i), so
 interpolating divisor tuples and trial-dividing is a complete (if
 exponential) search.  Divisor tuples are pruned by the congruence
 g(a) = g(b) mod (a-b), which holds for every integer polynomial and cuts
-the search down to desk scale.
+the search down to desk scale.  A search takes each point's divisors
+and ranks the points by their number once, for all degrees.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import polys
 from .errors import DegreeCapError, ZeroPolynomialError
@@ -26,7 +26,6 @@ from .laurent import LaurentPoly, involution, normalize
 MAX_DEGREE_CAP = 18
 
 
-@lru_cache(maxsize=4096)
 def _divisors(n: int) -> tuple[int, ...]:
     """Positive divisors of |n|, n != 0, by trial division."""
     n = abs(n)
@@ -78,8 +77,9 @@ def _rational_root_split(p) -> tuple[list, list[list]]:
             linear.append([0, 1])
             p = p[1:]
             continue
+        nums = _divisors(p[0])
         found = next((polys.primitive_positive([-s, den])[1]
-                      for den in _divisors(p[-1]) for num in _divisors(p[0])
+                      for den in _divisors(p[-1]) for num in nums
                       for s in (num, -num) if polys.sign_at_ratio(p, s, den) == 0), None)
         if not found:
             break
@@ -127,20 +127,18 @@ def _kronecker_factor(p):
     if n < 2:
         return None
     pool = list(itertools.islice(_evaluation_points(), n // 2 + 4))
-    vals = {x: polys.evaluate(p, x) for x in pool}  # nonzero: no rational roots
-    order = {x: i for i, x in enumerate(pool)}
+    divisors = {x: _divisors(polys.evaluate(p, x)) for x in pool}  # p(x) != 0: no rational roots
+    ranked = sorted(pool, key=lambda x: len(divisors[x]))  # stable: ties keep pool order
     for d in range(1, n // 2 + 1):
-        ranked = sorted(pool, key=lambda x: (len(_divisors(vals[x])), order[x]))
-        xs = sorted(ranked[: d + 1], key=order.get)
+        xs = sorted(ranked[: d + 1], key=pool.index)
         divisor_lists = []
         for i, x in enumerate(xs):
-            ds = _divisors(vals[x])
             if i == 0:
                 # A factor and its negation both divide p; fixing the sign
                 # at the first point halves the search without loss.
-                divisor_lists.append(list(ds))
+                divisor_lists.append(list(divisors[x]))
             else:
-                divisor_lists.append([s * e for e in ds for s in (1, -1)])
+                divisor_lists.append([s * e for e in divisors[x] for s in (1, -1)])
         g = _search_divisor_tuples(p, xs, divisor_lists, d)
         if g is not None:
             if g[-1] < 0:
@@ -176,17 +174,10 @@ def factor_integer_polynomial(p) -> tuple[int, list[tuple[tuple, int]]]:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
     c, prim = polys.primitive_positive(p)
     counts: dict[tuple, int] = {}
-    low = 0
-    while prim[low] == 0:
-        low += 1
-    if low:
-        counts[(0, 1)] = low
-        prim = prim[low:]
-    if polys.degree(prim) >= 1:
-        for sq_factor, mult in polys.squarefree_decomposition(prim):
-            for f in _factor_squarefree(sq_factor):
-                key = tuple(f)
-                counts[key] = counts.get(key, 0) + mult
+    for sq_factor, mult in polys.squarefree_decomposition(prim):
+        for f in _factor_squarefree(sq_factor):
+            key = tuple(f)
+            counts[key] = counts.get(key, 0) + mult
     return c, sorted(counts.items())
 
 

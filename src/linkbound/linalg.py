@@ -18,7 +18,8 @@ packing.  A caller may pack a matrix itself, as the signature layer
 packs tV - V^T straight from V, and hand over fresh rows; an integer
 matrix is eliminated as it stands, with no packing.
 
-Pivoting is complete over a caller-supplied "entry is nonzero" test:
+Pivoting is complete over a caller-supplied "entry is nonzero" test of
+the stored integer; a test on the polynomial unpacks the entry itself:
 
 * with the test q != 0 the pivots give the determinant, and their number
   is the rank over Q(t);
@@ -102,27 +103,26 @@ def _search(k: int, nrows: int, ncols: int):
                 yield i, j
 
 
-def _eliminate(m, k_bits: int = 0, nonzero=bool, stop=None, start=None) -> tuple:
+def _eliminate(m, nonzero=bool, stop=None, start=None) -> tuple:
     """Fraction-free Bareiss elimination with complete pivoting, in place,
-    of a matrix of integers: the entries themselves, or with k_bits > 0
-    integer polynomials packed at t = 2^k_bits.
+    of a matrix of integers: the entries themselves, or integer
+    polynomials packed at t = 2^K.
 
-    At step k (k, k) is the pivot if it passes `nonzero`.  Otherwise the
-    first passing entry (i, j) of _search has index i moved to k, in rows
-    and in columns (rows alone where there is no column i).  If j = i it is
-    the pivot; otherwise j is moved to k + 1 and the pivot is (k, k + 1),
-    which puts the mirror (j, i) at (k + 1, k + 1).  Where (i, j) and
-    (j, i) pass or fail together, as in a symmetric matrix and in tV - V^T,
-    so they do in the trailing block, and the 2 x 2 minor -b b' of
-    [[0, b], [b', c]] passes: the next step takes the mirror.  The
-    elimination stops when no entry passes.  A custom test, which needs
-    packed entries, gets each nonzero entry unpacked, which is exact
-    because the entry is a minor.  Rows are scaled lazily (see the module
-    docstring).  Returns (sign, pivots, rows, cols), the pivots as
-    integers (packed when k_bits > 0): pivot k is the minor on the
-    original rows rows[:k + 1] and columns cols[:k + 1], and sign is the
-    sign of the row and column swaps, so for a square matrix of full rank
-    sign times the last pivot is the determinant.
+    At step k (k, k) is the pivot if it passes `nonzero`, a test of the
+    stored integer that 0 fails.  Otherwise the first passing entry (i, j)
+    of _search has index i moved to k, in rows and in columns (rows alone
+    where there is no column i).  If j = i it is the pivot; otherwise j is
+    moved to k + 1 and the pivot is (k, k + 1), which puts the mirror
+    (j, i) at (k + 1, k + 1).  Where (i, j) and (j, i) pass or fail
+    together, as in a symmetric matrix and in tV - V^T, so they do in the
+    trailing block, and the 2 x 2 minor -b b' of [[0, b], [b', c]]
+    passes: the next step takes the mirror.  The elimination stops when
+    no entry passes.  Rows are scaled lazily (see the module docstring).
+    Returns (sign, pivots, rows, cols), the pivots as stored: pivot k is
+    the minor on the original rows rows[:k + 1] and columns
+    cols[:k + 1], and sign is the sign of the row and column swaps, so
+    for a square matrix of full rank sign times the last pivot is the
+    determinant.
 
     A run splits at a step.  With `stop` it ends after at most `stop`
     steps, brings the rows below them up to date and returns rows and
@@ -130,12 +130,6 @@ def _eliminate(m, k_bits: int = 0, nonzero=bool, stop=None, start=None) -> tuple
     resumes the run under any test that its last pivot passes, since
     every remaining entry is then a current minor.
     """
-    if nonzero is bool:
-        passes = bool
-    else:
-        def passes(v: int) -> bool:
-            return v != 0 and nonzero(_unpack(v, k_bits))
-
     nrows, ncols = len(m), len(m[0]) if m else 0
     if start is None:
         start = 1, [], range(nrows), range(ncols)
@@ -162,8 +156,8 @@ def _eliminate(m, k_bits: int = 0, nonzero=bool, stop=None, start=None) -> tuple
 
     last = min(nrows, ncols) if stop is None else min(nrows, ncols, stop)
     for k in range(first, last):
-        if not passes(m[k][k]):
-            at = next(((i, j) for i, j in _search(k, nrows, ncols) if passes(m[i][j])), None)
+        if not nonzero(m[k][k]):
+            at = next(((i, j) for i, j in _search(k, nrows, ncols) if nonzero(m[i][j])), None)
             if at is None:
                 break
             label = cols[at[1]]
@@ -201,10 +195,12 @@ def _eliminate(m, k_bits: int = 0, nonzero=bool, stop=None, start=None) -> tuple
 
 def _bareiss(matrix, nonzero=bool) -> tuple[int, list, list, list]:
     """_eliminate on a matrix of integer polynomials (dense lists), packed
-    at t = 2^K with the Hadamard K of _packing_bits, its pivots unpacked."""
+    at t = 2^K with the Hadamard K of _packing_bits, its pivots unpacked;
+    a custom test reads each nonzero entry unpacked, exact as it is a minor."""
     k_bits = _packing_bits(matrix)
+    test = nonzero if nonzero is bool else lambda v: v != 0 and nonzero(_unpack(v, k_bits))
     sign, pivots, rows, cols = _eliminate(
-        [[_pack(p, k_bits) for p in row] for row in matrix], k_bits, nonzero)
+        [[_pack(p, k_bits) for p in row] for row in matrix], test)
     return sign, [_unpack(p, k_bits) for p in pivots], rows, cols
 
 

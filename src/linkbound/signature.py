@@ -156,7 +156,7 @@ def _elimination(data: SeifertData) -> tuple:
     Seifert matrix: Delta, beta and the principal block of B(t) all read
     it."""
     k_bits, m = _packed(data)
-    sign, pivots, rows, cols = _eliminate(m, k_bits)
+    sign, pivots, rows, cols = _eliminate(m)
     return sign, tuple(tuple(_unpack(p, k_bits)) for p in pivots), tuple(rows), tuple(cols)
 
 
@@ -250,8 +250,8 @@ def _ranks_at(data, roots) -> list:
     increasing order, so its steps add up to at most one elimination, and
     at each stop the kernel resumes its state at the roots of that k under
     the test q(z0) != 0, on a copy of the rows from k on (it reads no
-    other), so it tests the trailing block alone; its pivots are counted,
-    not unpacked."""
+    other), so it tests the trailing block alone.  The test unpacks each
+    nonzero entry, exact as it is a minor; the pivots are only counted."""
     _, pivots, _, _ = _elimination(data)
     tests = [_nonzero_at(root) for root in roots]
     r, n = len(pivots), data.size
@@ -262,11 +262,12 @@ def _ranks_at(data, roots) -> list:
     k_bits, m = _packed(data)
     state = None
     for k in stops:
-        state = _eliminate(m, k_bits, stop=k, start=state)
+        state = _eliminate(m, stop=k, start=state)
         for i, test in enumerate(tests):
             if ks[i] == k:
                 rows = m[:k] + [list(row) for row in m[k:]]
-                ranks[i] = len(_eliminate(rows, k_bits, test, start=state)[1])
+                ranks[i] = len(_eliminate(rows, lambda v: v != 0 and test(_unpack(v, k_bits)),
+                                          start=state)[1])
     return ranks
 
 

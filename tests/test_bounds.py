@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import linkbound.bounds
-import linkbound.linalg
+import linkbound.signature
 from linkbound import (BandCertificate, BoundReport, BraidWord, DegreeCapError,
                        InconsistentBounds, InfectionDecl, InvalidSeifertData,
                        LaurentPoly, ParseError, Provenance, SeifertData, ZeroPolynomialError,
@@ -302,24 +302,27 @@ def test_assemble_link_no_upper():
         assemble_report(hopf, certs=[BandCertificate(1, 2)])
 
 
-def _patch_poly_rank(monkeypatch, fn):
-    monkeypatch.setattr(linkbound.linalg, "poly_rank", fn)
-
-
 def test_report_ranks_nothing_when_delta_nonzero(monkeypatch):
-    """beta = 0 whenever det(tV - V^T) is not identically zero, so a
-    report on such an input never computes a rank."""
-    def no_rank(matrix):
-        raise AssertionError("poly_rank called although Delta != 0")
+    """beta = 0 whenever det(tV - V^T) is not identically zero, and the
+    jumps of these inputs are simple roots, so a report on one runs the
+    one generic elimination of tV - V^T and none under a point test."""
+    runs = []
+    eliminate = linkbound.signature._eliminate
 
-    _patch_poly_rank(monkeypatch, no_rank)
+    def spy(m, *args, **kwargs):
+        runs.append((len(m), args, kwargs))
+        return eliminate(m, *args, **kwargs)
+
+    monkeypatch.setattr(linkbound.signature, "_eliminate", spy)
     inputs = [seifert_matrix_from_braid(torus_braid(3, 7)),
               seifert_matrix_from_braid(torus_braid(2, 8)),
               random_knot_data(random.Random(93), max_strands=4, max_len=12)]
     for data in inputs:
+        runs.clear()
         assert not alexander_from_seifert(data).is_zero
         report = assemble_report(data)
         assert report.lower >= 0
+        assert runs == [(data.size, (), {})]
     assert assemble_report(inputs[1]).components == 2
 
 

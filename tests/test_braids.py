@@ -48,6 +48,17 @@ def test_parse_malformed_token():
         parse_braid("strands=3; x7")
 
 
+@pytest.mark.parametrize("text", [
+    "strands=1_0; 1 2", "strands=３; 1 2", "strands=+3; 1 2", "strands=3; １ 2",
+    "strands=3; +1 2", "strands=12; 1_1", "strands=3; s１ s2", "strands=3; s1 s٢^-1",
+])
+def test_parse_reads_only_ascii_decimals(text):
+    """Strand counts, letters and sN tokens are an optional '-' and ASCII
+    digits: int() would read each of these as another braid."""
+    with pytest.raises(ParseError):
+        parse_braid(text)
+
+
 def test_parse_bad_strands():
     with pytest.raises(ParseError):
         parse_braid("strands=0; ")

@@ -162,10 +162,14 @@ def test_hostile_json_exit_code(capsys, tmp_path, content):
     {"braid": {"strands": 2, "word": [1, None, 1]}},
     {"braid": {"strands": "2", "word": [1, 1, 1]}},
     {"braid": {"strands": 2, "word": "111"}},
+    {"braid": "strands=２; 1 1 1"}, {"braid": "strands=1_0; 1 1 1"},
+    {"braid": "strands=+2; 1 1 1"}, {"braid": "strands=2; 1 1 １"},
+    {"braid": "strands=2; s1 s1 s١"},
 ])
 def test_non_integer_json_exit_code(capsys, tmp_path, obj):
-    """A number that is not a JSON integer is a parse error: nothing is
-    truncated into a report on another matrix or braid."""
+    """A number that is not a JSON integer, or not an ASCII decimal in a
+    braid text, is a parse error: nothing is truncated or read into a
+    report on another matrix or braid."""
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
     code, out, err = run(capsys, "bound", str(path))
@@ -288,13 +292,20 @@ def cli_files(tmp_path, trefoil_file, monkeypatch):
     ("signature-csv K --samples many", 2), ("bound K --degree-cap=", 2),
     ("verify --catalog -h", 2), ("bound K --band-cert --help", 2), ("bound -- K", 2),
     ("infect -R.json D", 2), ("bound -K.json", 2),
+    ("bound K --degree-cap 1_2", 2), ("bound K --degree-cap=+12", 2),
+    ("bound K --json-indent ２", 2), ("signature-csv K --samples 1_0", 2),
+    ("bound K --band-cert 1_0,1", 2), ("bound K --band-cert 3,+2", 2),
+    ("bound K --band-cert=3,２", 2),
 ])
 def test_command_line_forms(capsys, cli_files, argv, expected):
     """Every documented form of the command line runs, and a wrong one
     exits 2 with a parse error and no output.  -h/--help where an option
     may stand prints the command list and exits 0; as an option's value
     it is that value.  A path that starts with '-' is given as ./PATH or
-    --input=PATH: there is no '--' end-of-options marker."""
+    --input=PATH: there is no '--' end-of-options marker.  An integer
+    option and each number of --band-cert are an optional '-' and ASCII
+    digits, where int() would also read '1_2', '+12' and other scripts'
+    digits."""
     def fill(token):
         head, eq, tail = token.rpartition("=")
         return head + eq + cli_files.get(tail, tail)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from linkbound import LaurentPoly, ZeroPolynomialError, \
     factor_integer_polynomial, fox_milnor_test, involution, normalize
-from linkbound import polys
+from linkbound import factor, polys
 from linkbound.factor import _interpolate_integer
 
 PHI15 = LaurentPoly({8: 1, 7: -1, 5: 1, 4: -1, 3: 1, 1: -1, 0: 1})
@@ -59,18 +59,53 @@ def _sympy_factorization(p):
 
 
 def test_factorization_matches_sympy_on_random_inputs():
+    """Seeded random polynomials of degree <= 8, and seeded products
+    c x^k f g^m with k <= 3 and m <= 3, where Yun's decomposition yields x
+    with its multiplicity, alone or beside the other factors of that
+    multiplicity, and the rational-root split takes it off as the root 0."""
     rng = random.Random(99)
-    done = 0
-    while done < 30:
+    inputs = []
+    while len(inputs) < 30:
         deg = rng.randint(1, 8)
         p = polys.trim([rng.randint(-6, 6) for _ in range(deg + 1)])
-        if polys.degree(p) < 1:
-            continue
-        done += 1
+        if polys.degree(p) >= 1:
+            inputs.append(p)
+    rng = random.Random(28)
+    while len(inputs) < 70:
+        f, g = ([rng.randint(-4, 4) for _ in range(rng.randint(1, 4))] for _ in range(2))
+        p = [0] * rng.randint(0, 3) + [rng.choice([1, -1, 2, -6])]
+        for q in [f] + [g] * rng.randint(1, 3):
+            p = polys.mul(p, q)
+        if polys.degree(p) >= 1:
+            inputs.append(p)
+    for p in inputs:
         c, got = factor_integer_polynomial(p)
         sc, want = _sympy_factorization(p)
         assert c == sc
         assert dict(got) == want
+
+
+def test_kronecker_takes_each_points_divisors_once(monkeypatch):
+    """One Kronecker search takes the divisors of p at each of its n // 2 + 4
+    points once, for all its degrees, and each try of the rational-root
+    split takes those of the leading and the constant term once."""
+    calls = []
+    divisors = factor._divisors
+
+    def counted(n):
+        calls.append(n)
+        return divisors(n)
+
+    monkeypatch.setattr(factor, "_divisors", counted)
+    _, dense = normalize(PHI15).to_dense()  # irreducible: every degree is searched
+    assert factor._kronecker_factor(dense) is None
+    points = [0, 1, -1, 2, -2, 3, -3, 4]
+    assert calls == [polys.evaluate(dense, x) for x in points]
+    calls.clear()
+    # (2x - 1)(3x + 1)(x^2 + 1): each root is found at a denominator > 1
+    rest, linear = factor._rational_root_split(polys.mul(polys.mul([-1, 2], [1, 3]), [1, 0, 1]))
+    assert rest == [1, 0, 1] and len(linear) == 2
+    assert len(calls) == 2 * (len(linear) + 1)  # each try: the two end coefficients
 
 
 @settings(max_examples=200, deadline=None)

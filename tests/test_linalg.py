@@ -6,7 +6,8 @@ of entries at t = 2^K, including inputs whose minors reach the bound.
 The lazy kernel against the eager one it replaced
 (tests/bareiss_reference.py), a run resumed from a saved step against one
 uninterrupted run, the point test against the x-z split of every entry,
-and the rows the kernel rewrites on a band."""
+the rows the kernel rewrites on a band, and its test reading the integers
+it stores."""
 
 import itertools
 import math
@@ -424,16 +425,17 @@ def test_resumed_elimination_matches_one_run(case, step):
     """A run stopped after `step` steps and resumed from the state it
     returns gives the (sign, pivots, rows, cols) of one uninterrupted run,
     under the test q != 0 and under the test q(z0) != 0, on packed
-    entries."""
+    entries, the latter unpacking each nonzero entry."""
     m, x = case
     k_bits = _packing_bits(m)
-    for test in (bool, _nonzero_at(x)):
+    at = _nonzero_at(x)
+    for test in (bool, lambda v: v != 0 and at(_unpack(v, k_bits))):
         whole = [[_pack(p, k_bits) for p in row] for row in m]
         split = [list(row) for row in whole]
-        expected = _eliminate(whole, k_bits, test)
-        state = _eliminate(split, k_bits, test, stop=step)
+        expected = _eliminate(whole, test)
+        state = _eliminate(split, test, stop=step)
         assert len(state[1]) <= step and len(state[2]) == len(m)
-        assert _eliminate(split, k_bits, test, start=state) == expected
+        assert _eliminate(split, test, start=state) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -455,10 +457,10 @@ def test_banded_elimination_rewrites_only_the_band():
     """tV - V^T of T(2,19) is tridiagonal, so at each step only the row
     below the pivot has a nonzero entry in the pivot column: the kernel
     rewrites at most 2 rows per step, where the eager kernel rewrote every
-    row below the pivot.  The test at a point marks each step, since every
-    diagonal entry passes it."""
+    row below the pivot.  A test that passes every nonzero entry marks
+    each step, since every diagonal entry passes it."""
     data = seifert_matrix_from_braid(torus_braid(2, 19))
-    k_bits, packed = _packed(data)
+    _, packed = _packed(data)
     n = len(packed)
     assert all(not packed[i][j] for i in range(n) for j in range(n) if abs(i - j) > 1)
     steps = []
@@ -472,6 +474,26 @@ def test_banded_elimination_rewrites_only_the_band():
         steps.append(set())
         return True
 
-    _, pivots, _, _ = _eliminate([Row(row) for row in packed], k_bits, nonzero)
+    _, pivots, _, _ = _eliminate([Row(row) for row in packed], lambda v: v != 0 and nonzero(v))
     assert len(pivots) == len(steps) == n == 18
     assert max(map(len, steps)) <= 2
+
+
+def test_the_kernel_tests_the_integers_it_stores(monkeypatch):
+    """_eliminate hands its test each entry as the integer it stores and
+    never unpacks one: with _unpack replaced by a trap, packed tV - V^T
+    of T(4,8) under an integer test eliminates as under the default test."""
+    _, packed = _packed(seifert_matrix_from_braid(torus_braid(4, 8)))
+    expected = _eliminate([list(row) for row in packed])
+    seen = []
+
+    def nonzero(v):
+        seen.append(v)
+        return v != 0
+
+    def trap(v, k_bits):
+        raise AssertionError("_eliminate unpacked an entry")
+
+    monkeypatch.setattr("linkbound.linalg._unpack", trap)
+    assert _eliminate([list(row) for row in packed], nonzero) == expected
+    assert seen and all(type(v) is int for v in seen)
