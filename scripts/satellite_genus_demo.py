@@ -50,7 +50,7 @@ def main():
         axes=2, linking_numbers=((0,), (0,)), double_points=7,
         milnor_vanishing_length=14,
         notes="axes an unlink, null-homotopic after the band moves")
-    infected = infection_transfer(report, knot, decl)
+    infected = infection_transfer(report, decl)
     print("after infection transfer:")
     print(json.dumps(infected.to_json(), indent=2, sort_keys=True))
 

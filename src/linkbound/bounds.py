@@ -36,7 +36,8 @@ def _store_integers(obj, names: tuple[str, ...], what: str) -> None:
 
 @dataclass(frozen=True)
 class Provenance:
-    """One bound and where it comes from; `value` is stored as an int."""
+    """One bound, "lower" or "upper", and where it comes from; `value` is
+    stored as an int."""
 
     bound: str  # "lower" | "upper"
     value: int
@@ -44,6 +45,8 @@ class Provenance:
 
     def __post_init__(self):
         _store_integers(self, ("value",), "provenance values")
+        if self.bound not in ("lower", "upper"):
+            raise ParseError(f'provenance bound must be "lower" or "upper", got {self.bound!r}')
 
     def to_json(self) -> dict:
         return {"bound": self.bound, "value": self.value, "source": self.source}
@@ -52,7 +55,8 @@ class Provenance:
 @dataclass(frozen=True)
 class BoundReport:
     """Assembled 4-genus bounds with provenance and declared assumptions;
-    the bounds (`upper` may be None) and `components` are stored as ints."""
+    the bounds (`upper` may be None) and `components` (>= 1) are stored
+    as ints, and the verdict is OBSTRUCTED, CONSISTENT or INCONCLUSIVE."""
 
     lower: int
     upper: int | None
@@ -64,6 +68,10 @@ class BoundReport:
     def __post_init__(self):
         fields = ("lower", "components") if self.upper is None else ("lower", "upper", "components")
         _store_integers(self, fields, "bounds and components")
+        if self.components < 1:
+            raise ParseError(f"components must be >= 1, got {self.components}")
+        if self.slice_verdict not in (OBSTRUCTED, CONSISTENT, INCONCLUSIVE):
+            raise ParseError(f"unknown slice_verdict {self.slice_verdict!r}")
         if self.lower < 0:
             raise InconsistentBounds("lower bound must be >= 0")
         if self.upper is not None and self.lower > self.upper:
@@ -265,8 +273,7 @@ def _slice_verdict(fm: FoxMilnorResult, signature_bound: int) -> str:
     return INCONCLUSIVE
 
 
-def infection_transfer(base: BoundReport, v_base: SeifertData | None,
-                       decl: InfectionDecl) -> BoundReport:
+def infection_transfer(base: BoundReport, decl: InfectionDecl) -> BoundReport:
     """Bounds for the infection S(L, J) of the base link by a string link.
 
     The upper bound always carries over, tagged with the declared
@@ -275,10 +282,10 @@ def infection_transfer(base: BoundReport, v_base: SeifertData | None,
     bound carries only when every axis/component linking number vanishes:
     then the axes are null-homologous, hence lie in the commutator
     subgroup, and a Seifert form -- so the Alexander polynomial and all
-    averaged signatures -- survives the infection unchanged.
+    averaged signatures -- survives the infection unchanged.  A row of
+    linking numbers with other than base.components entries is invalid.
     """
-    if v_base is not None and any(len(row) != v_base.components
-                                  for row in decl.linking_numbers):
+    if any(len(row) != base.components for row in decl.linking_numbers):
         raise InvalidSeifertData(
             "linking_numbers rows must have one entry per link component")
     assumptions = list(base.assumptions)

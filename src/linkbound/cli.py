@@ -93,7 +93,7 @@ def cmd_bound(args) -> int:
 def cmd_infect(args) -> int:
     base = BoundReport.from_json(_load_json(args.base_report))
     decl = InfectionDecl.from_json(_load_json(args.declaration))
-    report = infection_transfer(base, None, decl)
+    report = infection_transfer(base, decl)
     _emit(report.to_json(), args.json_indent)
     return EXIT_OK
 

@@ -37,11 +37,11 @@ the stored integer; a test on the polynomial unpacks the entry itself:
 Rows are scaled lazily: a row whose entry in the pivot column is 0 would
 only be multiplied by p_k / p_(k-1), so it is left as it is and
 remembers the step s after which it was last written.  When it is next
-touched, at step k, it becomes (row p_k - head top) / p_s, the minor that
-the eager update gives, and a pivot row is first brought up to date by
-p_(k-1) / p_s.  A stale entry is the current one times a ratio of earlier
-pivots, each nonzero and passing the test, so the pivot search may read
-stale entries and still picks the eager search's pivots.  On a banded
+updated, at step k, it becomes (row p_k - head top) / p_s, the minor that
+the eager update gives; just before a test reads it, it is brought up to
+date by p_(k-1) / p_s, so every test, after any resume, sees current
+minors.  The update's zero test of a stale head is exact, since a stale
+entry is the current one times a ratio of nonzero pivots.  On a banded
 matrix each step rewrites only the rows that meet the band.
 """
 
@@ -125,18 +125,26 @@ def _eliminate(m, nonzero=bool, stop=None, start=None) -> tuple:
     determinant.
 
     A run splits at a step.  With `stop` it ends after at most `stop`
-    steps, brings the rows below them up to date and returns rows and
-    cols in full; given back as `start`, on the same m, that state
-    resumes the run under any test that its last pivot passes, since
-    every remaining entry is then a current minor.
+    steps and hands back its lazy state as it stands, (sign, pivots,
+    rows, cols, written) with rows and cols in full.  Given back as
+    `start` on the same m, and copied, it resumes the run under any test
+    that its last pivot passes: every entry a test reads is current.
     """
     nrows, ncols = len(m), len(m[0]) if m else 0
     if start is None:
-        start = 1, [], range(nrows), range(ncols)
+        start = 1, [], range(nrows), range(ncols), [-1] * nrows
     sign, done, rows, cols = start[0], [1, *start[1]], list(start[2]), list(start[3])
     # done[s + 1] is the pivot of step s; done[0] = 1
-    first = len(done) - 1
-    written = [first - 1] * nrows  # the step after which each row was last written
+    written = list(start[4])  # the step after which each row was last written
+
+    def current(i: int) -> list:
+        """Row i, brought up to date for step k (times p_(k-1) / p_s)."""
+        row, s = m[i], written[i]
+        if s < k - 1:
+            up, down = done[k], done[s + 1]
+            row[k:] = [v * up // down for v in islice(row, k, None)]
+            written[i] = k - 1
+        return row
 
     def swap(a: int, b: int, symmetric: bool = True) -> None:
         """Swap columns a <= b, and rows if symmetric, where they exist."""
@@ -155,9 +163,10 @@ def _eliminate(m, nonzero=bool, stop=None, start=None) -> tuple:
             sign = -sign
 
     last = min(nrows, ncols) if stop is None else min(nrows, ncols, stop)
-    for k in range(first, last):
-        if not nonzero(m[k][k]):
-            at = next(((i, j) for i, j in _search(k, nrows, ncols) if nonzero(m[i][j])), None)
+    for k in range(len(done) - 1, last):
+        if not nonzero(current(k)[k]):
+            at = next(((i, j) for i, j in _search(k, nrows, ncols) if nonzero(current(i)[j])),
+                      None)
             if at is None:
                 break
             label = cols[at[1]]
@@ -166,13 +175,8 @@ def _eliminate(m, nonzero=bool, stop=None, start=None) -> tuple:
             if j != k:  # a pair: the mirror of the pivot comes to (k + 1, k + 1)
                 swap(k + 1, j)
                 swap(k, k + 1, symmetric=False)
-        top, s = m[k][k:], written[k]
-        if s < k - 1:
-            up, down = done[k], done[s + 1]
-            top = [v * up // down for v in top]
-        pivot = top[0]
+        pivot, tail = m[k][k], m[k][k + 1:]
         done.append(pivot)
-        tail = top[1:]
         for i in range(k + 1, nrows):
             row = m[i]
             head = row[k]
@@ -185,12 +189,7 @@ def _eliminate(m, nonzero=bool, stop=None, start=None) -> tuple:
     k = len(pivots)
     if stop is None:
         return sign, pivots, rows[:k], cols[:k]
-    for i in range(k, nrows):
-        s = written[i]
-        if s < k - 1:
-            up, down = done[k], done[s + 1]
-            m[i][k:] = [v * up // down for v in islice(m[i], k, None)]
-    return sign, pivots, rows, cols
+    return sign, pivots, rows, cols, written
 
 
 def _bareiss(matrix, nonzero=bool) -> tuple[int, list, list, list]:

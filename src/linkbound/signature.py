@@ -248,10 +248,10 @@ def _ranks_at(data, roots) -> list:
     0 for k = r, and for k = n - 1 < r it is +-p_n, which vanishes at z0:
     the rank is k.  Otherwise one generic run stops at each such k in
     increasing order, so its steps add up to at most one elimination, and
-    at each stop the kernel resumes its state at the roots of that k under
-    the test q(z0) != 0, on a copy of the rows from k on (it reads no
-    other), so it tests the trailing block alone.  The test unpacks each
-    nonzero entry, exact as it is a minor; the pivots are only counted."""
+    at each stop the kernel resumes its lazy state at the roots of that k
+    under the test q(z0) != 0, on a copy of the rows from k on (it reads
+    and writes no other), so it tests the trailing block alone, each
+    entry unpacked, exact as it is a current minor; pivots are counted."""
     _, pivots, _, _ = _elimination(data)
     tests = [_nonzero_at(root) for root in roots]
     r, n = len(pivots), data.size

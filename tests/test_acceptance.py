@@ -89,7 +89,7 @@ def test_criterion_7_infection_transfer():
             lower=4, upper=4, slice_verdict="obstructed", components=1)
         decl = InfectionDecl(axes=2, linking_numbers=((0,), (0,)),
                              double_points=7, milnor_vanishing_length=14)
-        out = infection_transfer(base, None, decl)
+        out = infection_transfer(base, decl)
         assert (out.lower, out.upper, out.exact) == (4, 4, True)
         assert out.assumptions
 

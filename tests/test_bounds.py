@@ -134,7 +134,7 @@ I64 = np.int64
      lambda r: r.to_json()),
     (lambda: BoundReport(I64(0), None, "inconclusive"),
      lambda r: (r.lower, r.components),
-     lambda r: infection_transfer(r, None, InfectionDecl(1, ((I64(1),),), 0, 0)).to_json())],
+     lambda r: infection_transfer(r, InfectionDecl(1, ((I64(1),),), 0, 0)).to_json())],
     ids=["band certificate", "infection declaration", "bound report", "no upper bound"])
 def test_index_counts_stored_as_ints(make, ints, dump):
     """A NumPy integer used to be kept, and json.dumps of the report or the
@@ -169,7 +169,7 @@ def test_provenance_value_stored_as_int(bound):
     p = Provenance(bound, I64(2), "x")
     assert type(p.value) is int
     base = BoundReport(1, 2, "inconclusive", (p,))
-    json.dumps(infection_transfer(base, None, InfectionDecl(1, ((0,),), 0, 0)).to_json())
+    json.dumps(infection_transfer(base, InfectionDecl(1, ((0,),), 0, 0)).to_json())
 
 
 def test_seifert_genus_upper():
@@ -442,7 +442,7 @@ def _base_report():
 def test_infection_zero_linking_carries_bounds():
     decl = InfectionDecl(axes=2, linking_numbers=((0,), (0,)),
                          double_points=7, milnor_vanishing_length=14)
-    out = infection_transfer(_base_report(), T35, decl)
+    out = infection_transfer(_base_report(), decl)
     assert (out.lower, out.upper, out.exact) == (4, 4, True)
     assert any("immersed discs" in a for a in out.assumptions)
     assert any("Milnor" in a for a in out.assumptions)
@@ -451,7 +451,7 @@ def test_infection_zero_linking_carries_bounds():
 def test_infection_embedded_discs_need_no_milnor_assumption():
     decl = InfectionDecl(axes=1, linking_numbers=((0,),),
                          double_points=0, milnor_vanishing_length=0)
-    out = infection_transfer(_base_report(), T35, decl)
+    out = infection_transfer(_base_report(), decl)
     assert (out.lower, out.upper) == (4, 4)
     assert not any("Milnor" in a for a in out.assumptions)
 
@@ -459,7 +459,7 @@ def test_infection_embedded_discs_need_no_milnor_assumption():
 def test_infection_nonzero_linking_resets_lower():
     decl = InfectionDecl(axes=1, linking_numbers=((2,),),
                          double_points=0, milnor_vanishing_length=0)
-    out = infection_transfer(_base_report(), T35, decl)
+    out = infection_transfer(_base_report(), decl)
     assert out.lower == 0 and out.upper == 4 and not out.exact
 
 
@@ -473,7 +473,32 @@ def test_infection_shape_validation():
     decl = InfectionDecl(axes=1, linking_numbers=((0, 0),),
                          double_points=0, milnor_vanishing_length=0)
     with pytest.raises(InvalidSeifertData):
-        infection_transfer(_base_report(), T35, decl)
+        infection_transfer(_base_report(), decl)
+
+
+@pytest.mark.parametrize("linking_numbers", [((0,),), ((0, 0), (0,))], ids=repr)
+def test_infection_rows_match_the_report_components(linking_numbers):
+    """A row of linking numbers is checked against the base report's
+    components: a 2-component report used to keep its lower bound under
+    "all linking numbers zero" from one declared number per axis."""
+    base = BoundReport(1, None, "obstructed", components=2)
+    decl = InfectionDecl(len(linking_numbers), linking_numbers, 0, 0)
+    with pytest.raises(InvalidSeifertData, match="one entry per link component"):
+        infection_transfer(base, decl)
+    assert infection_transfer(base, InfectionDecl(1, ((0, 0),), 0, 0)).lower == 1
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"components": 0}, "components"), ({"components": -3}, "components"),
+    ({"slice_verdict": "whatever"}, "slice_verdict"),
+    ({"provenance": [{"bound": "sideways", "value": 1, "source": "x"}]}, "provenance bound")],
+    ids=repr)
+def test_bound_report_refuses_what_no_report_holds(change, message):
+    """BoundReport.from_json used to accept these, and infection_transfer
+    then dropped or copied them."""
+    with pytest.raises(ParseError, match=message):
+        BoundReport.from_json(dict({"lower": 1, "upper": 2, "slice_verdict": "obstructed"},
+                                   **change))
 
 
 def test_report_json_round_trip():

@@ -380,6 +380,25 @@ def test_infect_malformed_input_exit_code(capsys, tmp_path, report, declaration)
     assert err.startswith("parse error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("report, declaration, code", [
+    (dict(REPORT, components=2), DECLARATION, 3),
+    (dict(REPORT, components=2), dict(DECLARATION, axes=2, linking_numbers=[[0, 0], [0]]), 3),
+    (dict(REPORT, components=0), DECLARATION, 2),
+    (dict(REPORT, slice_verdict="whatever"), DECLARATION, 2),
+    (dict(REPORT, provenance=[{"bound": "sideways", "value": 1, "source": "x"}]), DECLARATION, 2)],
+    ids=["short row", "ragged rows", "no component", "verdict", "provenance bound"])
+def test_infect_refuses_what_the_report_cannot_hold(capsys, tmp_path, report, declaration, code):
+    """Linking-number rows that do not match the base report's components
+    are invalid data (exit 3), and a report with no component, an unknown
+    verdict or an unknown provenance bound is a parse error (exit 2);
+    each used to exit 0."""
+    report_path, decl_path = tmp_path / "report.json", tmp_path / "decl.json"
+    report_path.write_text(json.dumps(report))
+    decl_path.write_text(json.dumps(declaration))
+    got, out, err = run(capsys, "infect", str(report_path), str(decl_path))
+    assert got == code and not out and "Traceback" not in err
+
+
 NON_INTEGER_REPORT = {"lower": 1.9, "upper": 1.2, "slice_verdict": "obstructed"}
 NON_INTEGER_DECLARATION = dict(DECLARATION, linking_numbers=[[0.7]])
 

@@ -5,9 +5,10 @@ integer symmetric matrices read off the pivots, and the packing
 of entries at t = 2^K, including inputs whose minors reach the bound.
 The lazy kernel against the eager one it replaced
 (tests/bareiss_reference.py), a run resumed from a saved step against one
-uninterrupted run, the point test against the x-z split of every entry,
-the rows the kernel rewrites on a band, and its test reading the integers
-it stores."""
+uninterrupted run, a stopped run that leaves the rows no step wrote as
+given and a resumed test that reads current minors, the point test
+against the x-z split of every entry, the rows the kernel rewrites on a
+band, and its test reading the integers it stores."""
 
 import itertools
 import math
@@ -434,7 +435,40 @@ def test_resumed_elimination_matches_one_run(case, step):
         split = [list(row) for row in whole]
         expected = _eliminate(whole, test)
         state = _eliminate(split, test, stop=step)
-        assert len(state[1]) <= step and len(state[2]) == len(m)
+        _, pivots, rows, _, written = state
+        assert len(pivots) <= step and len(rows) == len(written) == len(m)
+        assert _eliminate(split, test, start=state) == expected
+
+
+def test_a_resumed_test_reads_current_minors():
+    """After two generic steps on this matrix the last row is lazy: its
+    stored entry (t - 1)(2 - t) is the current t - 2 times p_0 / p_1 =
+    -(t - 1), which vanishes at t = 1.  Resumed under the test q(1) != 0,
+    the run reads the current entry and finds the rank 3 at t = 1; a test
+    of the stale entry would stop at 2."""
+    m = [[[-1, 1], [1], [-1, 1]], [[1], [], [1]], [[-1, 1], [1], [1]]]
+    k_bits = _packing_bits(m)
+    packed = [[_pack(p, k_bits) for p in row] for row in m]
+    state = _eliminate(packed, stop=2)
+    at_one = lambda v: v != 0 and sum(_unpack(v, k_bits)) != 0
+    assert len(state[1]) == 2 and len(_eliminate(packed, at_one, start=state)[1]) == 3
+
+
+def test_a_stopped_run_leaves_untouched_rows_as_given():
+    """A run stopped inside the first block of a block sum hands back its
+    lazy state: no step wrote a row of the later block, so each is exactly
+    as it was given, and the resumed run equals one uninterrupted run."""
+    first = [[[2, 1], [1], [0, 1]], [[1], [3], [1]], [[0, 1], [1], [5, 0, 1]]]
+    later = [[[3, 1], [1, 1]], [[1, 1], [2, 0, 1]]]
+    m = [row + [[]] * 2 for row in first] + [[[]] * 3 + row for row in later]
+    k_bits = _packing_bits(m)
+    given = [[_pack(p, k_bits) for p in row] for row in m]
+    at = _nonzero_at(Fraction(1, 2))
+    for test in (bool, lambda v: v != 0 and at(_unpack(v, k_bits))):
+        expected = _eliminate([list(row) for row in given], test)
+        split = [list(row) for row in given]
+        state = _eliminate(split, test, stop=2)
+        assert len(state[1]) == 2 and split[3:] == given[3:]
         assert _eliminate(split, test, start=state) == expected
 
 
