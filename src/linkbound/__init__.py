@@ -19,7 +19,7 @@ from .laurent import (LaurentPoly, format_laurent, involution,
                       units_equal, width)
 from .realroots import RealAlgebraic, isolate_real_roots
 from .signature import (CirclePoint, SignatureFunction, alexander_from_seifert,
-                        float_oracle, functions_equal, link_nullity,
+                        float_oracle, link_nullity,
                         pointwise_signature_nullity, signature_function,
                         signature_nullity_at)
 

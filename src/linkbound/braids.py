@@ -21,10 +21,11 @@ from __future__ import annotations
 import itertools
 import operator
 import re
+import reprlib
 from dataclasses import KW_ONLY, dataclass, replace
 
 from .errors import InvalidSeifertData, ParseError
-from .linalg import int_rank_det
+from .linalg import _generic_run, _ranks_at_points
 
 
 def _check_integers(values, what: str, error=ParseError) -> tuple[int, ...]:
@@ -97,14 +98,11 @@ def parse_braid(text: str) -> BraidWord:
                 raise ParseError(f"bad strand count in {token!r}") from None
             continue
         m = _TOKEN.fullmatch(token)
-        if m:
-            idx = int(m.group(1))
-            letters.append(-idx if m.group(2) else idx)
-            continue
         try:
-            letters.append(_decimal(token))
-        except ValueError:
-            raise ParseError(f"malformed braid token {token!r}") from None
+            idx = _decimal(m.group(1) if m else token)
+        except ValueError:  # also an index past Python's limit on digits
+            raise ParseError(f"malformed braid token {reprlib.repr(token)}") from None
+        letters.append(-idx if m and m.group(2) else idx)
     if strands is None:
         raise ParseError("missing strands=<n> declaration")
     return BraidWord(strands, tuple(letters))
@@ -154,12 +152,19 @@ class SeifertData:
     Invariants checked at construction: int or __index__ entries and
     component count (no float, Fraction, str or bool), stored as ints;
     size n = 2g + m - 1 for the derived genus g; V - V^T of rank 2g over
-    Q, and unimodular for knots (m = 1).  What the signature layer derives
-    from V (its elimination, principal block, value at z = -1 and
-    signature function) is kept in the private dict `_derived`, which is
-    no field: equality, replace() and mirror() see only V, m and the
-    label, and an equal SeifertData built anew, copied or unpickled starts
-    with none of it."""
+    Q, and unimodular for knots (m = 1).  Both are read at t = 1, where
+    evaluation commutes with every minor, off the elimination of tV - V^T
+    over Q(t) that the construction runs (linalg._generic_run) and keeps
+    for every invariant read later: the rank by the resume rule of
+    linalg._ranks_at_points, and for a knot of rank n det(V - V^T) =
+    +-p_n(1).  So building one costs that elimination, also for the
+    intermediates of mirror() and connected_sum().
+
+    `_run` holds the elimination and `_derived` what the signature layer
+    derives from it (principal block, value at z = -1 and signature
+    function).  Neither is a field: equality, replace() and mirror() see
+    only V, m and the label.  A copy or an unpickled SeifertData keeps
+    `_run` and starts with an empty `_derived`."""
 
     matrix: tuple[tuple[int, ...], ...]
     components: int = 1
@@ -167,25 +172,31 @@ class SeifertData:
     label: str = ""
 
     def __post_init__(self):
-        ints = _check_integers(itertools.chain((self.components,), *self.matrix),
-                               "components and Seifert matrix entries", InvalidSeifertData)
-        m, n = ints[0], len(self.matrix)
-        if any(len(row) != n for row in self.matrix):
+        m, n, rows = self.components, len(self.matrix), self.matrix
+        ints = None
+        if type(m) is not int or not all(type(x) is int for row in rows for x in row):
+            ints = _check_integers(itertools.chain((m,), *rows),
+                                   "components and Seifert matrix entries", InvalidSeifertData)
+            m = ints[0]
+        if any(len(row) != n for row in rows):
             raise InvalidSeifertData("Seifert matrix must be square")
         if m < 1:
             raise InvalidSeifertData("components must be >= 1")
         if (n - m + 1) % 2 != 0 or n - m + 1 < 0:
             raise InvalidSeifertData(f"no genus fits size {n} with {m} components")
-        v = tuple(ints[1 + i * n:1 + (i + 1) * n] for i in range(n))
+        v = (tuple(map(tuple, rows)) if ints is None
+             else tuple(ints[1 + i * n:1 + (i + 1) * n] for i in range(n)))
         object.__setattr__(self, "matrix", v)
         object.__setattr__(self, "components", m)
-        skew = [[a - b for a, b in zip(row, col)] for row, col in zip(v, zip(*v))]
-        rank, det = int_rank_det(skew)
-        if rank != n - m + 1:
+        run = _generic_run(v)
+        pivots = run[1]
+        # p(1) is the sum of the coefficients of p
+        if _ranks_at_points(v, pivots, [sum])[0] != n - m + 1:
             raise InvalidSeifertData(
                 "rank of V - V^T does not equal twice the genus")
-        if m == 1 and abs(det) != 1:
+        if m == 1 and n and abs(sum(pivots[-1])) != 1:
             raise InvalidSeifertData("V - V^T must be unimodular for a knot")
+        object.__setattr__(self, "_run", run)
         object.__setattr__(self, "_derived", {})
 
     def __getstate__(self):
@@ -342,7 +353,8 @@ def seifert_data_from_json(obj) -> SeifertData:
         matrix = obj["seifert_matrix"]
         if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
             raise ParseError("seifert_matrix must be a list of rows")
-        matrix = [[_json_int(x, "seifert_matrix entry") for x in row] for row in matrix]
+        if not all(type(x) is int for row in matrix for x in row):
+            matrix = [[_json_int(x, "seifert_matrix entry") for x in row] for row in matrix]
         return SeifertData.from_matrix(
             matrix, _json_int(obj.get("components", 1), "components"),
             str(obj.get("label", "")))

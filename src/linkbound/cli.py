@@ -136,9 +136,23 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
+# The largest --json-indent: each level of a report adds this many spaces
+# to every line below it, so 10^9 would ask for gigabytes.
+MAX_JSON_INDENT = 64
+
+
+def _json_indent(text: str) -> int:
+    """A --json-indent value, at most MAX_JSON_INDENT; 0 or a negative one
+    puts each value on its own line, unindented."""
+    indent = _decimal(text)
+    if indent > MAX_JSON_INDENT:
+        raise ParseError(f"--json-indent {indent} exceeds the maximum {MAX_JSON_INDENT}")
+    return indent
+
+
 # One row per command: (handler, positionals, options, help line).  An option's flag names
 # its attribute; a list option is repeatable; --input is the hidden alias of INPUT.
-INDENT = {"--json-indent": (_decimal, 2)}
+INDENT = {"--json-indent": (_json_indent, 2)}
 INPUT = {"--input": (str, None), **INDENT}
 CAP = {"--degree-cap": (_decimal, 12)}
 COMMANDS = {
@@ -153,7 +167,7 @@ COMMANDS = {
     "verify": (cmd_verify, (), {"--catalog": (str, None), **CAP, **INDENT},
                "run the catalog regression checks (default: $LINKBOUND_CATALOG or built-in)"),
 }
-METAVARS = {_decimal: "N", str: "PATH", list: "b,u"}
+METAVARS = {_decimal: "N", _json_indent: "N", str: "PATH", list: "b,u"}
 
 
 def cmd_help(args) -> int:
@@ -188,6 +202,8 @@ def _parse(argv: list[str]):
             raise ParseError(f"{command}: {flag} needs a value")
         try:
             given[dest] = given.get(dest, []) + [value] if kind is list else kind(value)
+        except ParseError:
+            raise
         except ValueError:
             raise ParseError(f"{command}: {flag} wants an integer, got {value!r}") from None
     values = {flag[2:].replace("-", "_"): default for flag, (_, default) in options.items()}

@@ -14,8 +14,11 @@ balanced base-2^K digits, and is nonzero exactly when that value is
 (Kronecker substitution).  So the kernel packs each entry as that
 integer and eliminates with integer products and exact integer division
 (_eliminate).  Non-integer coefficients raise ``ValueError`` before
-packing.  A caller may pack a matrix itself, as the signature layer
-packs tV - V^T straight from V, and hand over fresh rows; an integer
+packing.  tV - V^T is packed straight from V (_packed) and eliminated
+once per Seifert matrix, when the SeifertData is built (_generic_run);
+its ranks at points are read off that run by the resume rule below
+(_ranks_at_points): at t = 1, the rank of V - V^T that the construction
+checks, and at the circle points of the signature layer.  An integer
 matrix is eliminated as it stands, with no packing.
 
 Pivoting is complete over a caller-supplied "entry is nonzero" test of
@@ -64,32 +67,34 @@ def _unpack(v: int, k_bits: int) -> list:
     """The integer polynomial whose value at t = 2^k_bits is v and whose
     coefficients lie in [-2^(k_bits-1), 2^(k_bits-1)): the balanced
     base-2^k_bits digits of v, trimmed."""
-    out, half = [], 1 << (k_bits - 1)
-    while v:
-        v, d = divmod(v + half, 1 << k_bits)
-        out.append(d - half)
+    out, half, mask = [], 1 << (k_bits - 1), (1 << k_bits) - 1
+    while v:  # a mask and a shift: one pass over v per digit, where divmod by 2^K takes K/30
+        d = ((v + half) & mask) - half
+        out.append(d)
+        v = (v - d) >> k_bits
     return out
 
 
-def _hadamard_bits(norms) -> int:
+def _hadamard_bits(squares) -> int:
     """K = ceil(bitlen(prod_i max(1, sum_j n_ij^2)) / 2) + 2 for the
-    coefficient 1-norms n_ij of a matrix's entries, row by row: every
-    minor of every submatrix has coefficients below 2^(K-2)."""
+    coefficient 1-norms n_ij of a matrix's entries, given row by row as
+    the sums sum_j n_ij^2: every minor of every submatrix has coefficients
+    below 2^(K-2)."""
     bound = 1
-    for row in norms:
-        bound *= max(1, sum([v * v for v in row]))
+    for s in squares:
+        bound *= max(1, s)
     return (bound.bit_length() + 1) // 2 + 2
 
 
 def _packing_bits(matrix) -> int:
     """The Hadamard K of a matrix of integer polynomials (see
     _hadamard_bits).  Raises ValueError on a non-integer coefficient."""
-    norms = []
+    squares = []
     for row in matrix:
         if any(c != int(c) for p in row for c in p):
             raise ValueError("non-integer coefficient: the kernel works in Z[t]")
-        norms.append([int(sum(map(abs, p))) for p in row])
-    return _hadamard_bits(norms)
+        squares.append(sum([int(sum(map(abs, p))) ** 2 for p in row]))
+    return _hadamard_bits(squares)
 
 
 def _search(k: int, nrows: int, ncols: int):
@@ -219,13 +224,65 @@ def poly_rank(matrix) -> int:
     return len(_bareiss(matrix)[1])
 
 
-def int_rank_det(matrix) -> tuple[int, int]:
-    """(rank over Q, determinant) of a square matrix of ints, copied (not
-    passed through int()), from one elimination of the integers themselves."""
-    if not matrix:
-        return 0, 1
-    sign, pivots, _, _ = _eliminate([list(row) for row in matrix])
-    return len(pivots), sign * pivots[-1] if len(pivots) == len(matrix) else 0
+# -- tV - V^T, packed straight from V -------------------------------------------
+
+
+def _packed(v) -> tuple[int, list]:
+    """(K, rows): tV - V^T packed at t = 2^K straight from a square integer
+    matrix V, entry (i, j) being (V_ij << K) - V_ji, in fresh lists that
+    the kernel eliminates in place.  K is the Hadamard bound of the entry
+    1-norms |V_ij| + |V_ji| (see _hadamard_bits), which covers every minor
+    of every submatrix: a run and the runs resumed from its stops read one K."""
+    pairs = list(zip(v, zip(*v)))
+    k_bits = _hadamard_bits([sum([(s := abs(a) + abs(b)) * s for a, b in zip(row, col)])
+                             for row, col in pairs])
+    return k_bits, [[(a << k_bits) - b for a, b in zip(row, col)] for row, col in pairs]
+
+
+def _generic_run(v) -> tuple:
+    """(sign, pivots, rows, cols) of the elimination of tV - V^T over Q(t),
+    packed from V (see _packed), the pivots unpacked to tuples: there are
+    r of them for the generic rank r, and for r = n sign times the last is
+    det(tV - V^T)."""
+    k_bits, m = _packed(v)
+    sign, pivots, rows, cols = _eliminate(m)
+    return sign, tuple(tuple(_unpack(p, k_bits)) for p in pivots), tuple(rows), tuple(cols)
+
+
+def _ranks_at_points(v, pivots, tests) -> list:
+    """The rank of tV - V^T at each point z0 that a test picks out, test(q)
+    being q(z0) != 0 for an integer polynomial q in t, read off the pivots
+    p_1..p_r of its generic run (_generic_run).
+
+    Resume rule.  For each test take the largest k <= r with p_k(z0) != 0
+    (p_0 = 1), tested from the top.  After k generic steps the trailing
+    block holds the (k+1)-minors that border the k x k minor p_k, that is
+    p_k times its Schur complement (Sylvester's identity), and evaluation
+    at z0 commutes with every minor.  The k x k block is invertible at z0,
+    so the rank at z0 is k + the rank of the trailing block at z0, whether
+    or not earlier pivots vanish there.  The block is 0 for k = r, and for
+    k = n - 1 < r it is +-p_n, which vanishes at z0: the rank is k.
+    Otherwise one generic run stops at each such k in increasing order, so
+    its steps add up to at most one elimination, and at each stop the
+    kernel resumes its lazy state for the tests of that k under the test
+    q(z0) != 0, on a copy of the rows from k on (it reads and writes no
+    other), so it tests the trailing block alone, each entry unpacked,
+    exact as it is a current minor; pivots are counted."""
+    r, n = len(pivots), len(v)
+    ks = [next((k for k in range(r, 0, -1) if test(pivots[k - 1])), 0) for test in tests]
+    ranks, stops = list(ks), sorted({k for k in ks if k < min(r, n - 1)})
+    if not stops:
+        return ranks
+    k_bits, m = _packed(v)
+    state = None
+    for k in stops:
+        state = _eliminate(m, stop=k, start=state)
+        for i, test in enumerate(tests):
+            if ks[i] == k:
+                rows = m[:k] + [list(row) for row in m[k:]]
+                ranks[i] = len(_eliminate(rows, lambda q: q != 0 and test(_unpack(q, k_bits)),
+                                          start=state)[1])
+    return ranks
 
 
 def _principal_signs(rows, cols) -> list:

@@ -73,11 +73,6 @@ def sign_at_ratio(p, a: int, d: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def sign_at(p, x) -> int:
-    """Sign (-1, 0 or 1) of p(x) at a rational x, an int or a Fraction."""
-    return sign_at_ratio(p, x.numerator, x.denominator)
-
-
 def derivative(p) -> list:
     return trim([i * c for i, c in enumerate(p)][1:])
 

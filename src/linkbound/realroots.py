@@ -76,13 +76,6 @@ def _variations(chain, a: int, d: int) -> int:
     return sign_variations(_chain_signs(chain, a, d))
 
 
-def count_roots(chain, a, b) -> int:
-    """Distinct real roots of the chain's polynomial in the half-open
-    interval (a, b], for rationals a and b.  Valid even when a or b is a
-    simple root, so for square-free polynomials at any endpoints."""
-    return _variations(chain, *_ratio(a)) - _variations(chain, *_ratio(b))
-
-
 class _SturmCounts:
     """A Sturm chain read at points a/d, each point evaluated once: at(a, d)
     is (sign of the chain's polynomial at a/d, sign variations of the
@@ -105,7 +98,8 @@ class _SturmCounts:
         return self.at(a, d)[0]
 
     def roots(self, a: int, b: int, d: int) -> int:
-        """count_roots over (a/d, b/d] from the kept counts."""
+        """Distinct real roots of the chain's polynomial in (a/d, b/d], from
+        the kept counts."""
         return self.at(a, d)[1] - self.at(b, d)[1]
 
 

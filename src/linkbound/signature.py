@@ -9,7 +9,8 @@ principal minor of B is fixed by t -> 1/t and is therefore an integer
 polynomial in x, read off its coefficients with a cached table of the
 x-forms of z^e + z^-e.  All linear algebra over Z[t] is the Bareiss
 kernel of :mod:`linkbound.linalg`, run once per Seifert matrix on tV - V^T,
-packed straight from V (see _packed): t B(t) = (1 - t)(tV - V^T), so
+packed straight from V, when the SeifertData is built and checks V - V^T
+at t = 1 with it (see _elimination): t B(t) = (1 - t)(tV - V^T), so
 the one elimination gives the Alexander polynomial, the nullity and the
 reduction of B, of generic rank r, to its nonsingular principal block
 B_I on the pivot rows I; off the roots of det B_I, B(z) has rank r and
@@ -30,11 +31,12 @@ identically zero the multiplicity e of a root of det B_I decides it (see
 _jump_structure): odd e is a jump, and at e = 1 the rank of B(z) is
 r - 1; a root of even e counts only where the rank of B(z) is below r.
 That rank, and the nullity at a multiple root, resume the elimination
-(see _ranks_at): if p_k is the last generic pivot that does not vanish
-at z0, the trailing block after k steps is p_k times the Schur
-complement of the k x k block (Sylvester's identity), so the rank is k
-plus that block's rank at z0, the only entries the point test reads;
-one generic run per build, stopped at each such k, serves every root.  Each interval is read at a dyadic
+(see _ranks_at), by the rule the construction reads at t = 1: if p_k is
+the last generic pivot that does not vanish at z0, the trailing block
+after k steps is p_k times the Schur complement of the k x k block
+(Sylvester's identity), so the rank is k plus that block's rank at z0,
+the only entries the point test reads; one generic run per build,
+stopped at each such k, serves every root.  Each interval is read at a dyadic
 sample where no leading minor vanishes but those identically 0: the
 sample search walks integer numerators over one denominator and takes
 the minors' signs there, so the interval value needs no second read.
@@ -43,8 +45,9 @@ rational breakpoint.  Values at jumps follow the averaged-limit
 convention: the mean of the two adjacent interval values; the nullity
 at a simple root is n - r + 1.
 
-The elimination, principal block, value at x = -2 and function are
-kept on the SeifertData (see _owned); the jump structure and the ranks
+The elimination is kept on the SeifertData from its construction, and
+the principal block, value at x = -2 and function once a read builds
+them (see _owned); the jump structure and the ranks
 at its roots live for one build, so the breakpoints that reads refine
 belong to that object's function alone, and a fresh equal SeifertData
 builds its own from V.  A read is located among the breakpoints of the
@@ -72,8 +75,7 @@ from .braids import SeifertData
 from .errors import InvalidSeifertData
 from .factor import _rational_root_split
 from .laurent import LaurentPoly, normalize
-from .linalg import (_eliminate, _frobenius, _hadamard_bits, _integer_symmetric_signature,
-                     _principal_signs, _unpack)
+from .linalg import _frobenius, _integer_symmetric_signature, _principal_signs, _ranks_at_points
 from .realroots import RealAlgebraic, _nonzero_at, _yun, isolate_real_roots
 
 
@@ -136,28 +138,14 @@ def _owned(build):
 # -- principal minors ----------------------------------------------------------
 
 
-def _packed(data: SeifertData) -> tuple:
-    """(K, rows): tV - V^T packed at t = 2^K straight from V, entry (i, j)
-    being (V_ij << K) - V_ji, in fresh lists that the kernel eliminates in
-    place.  K is the Hadamard bound of the entry 1-norms |V_ij| + |V_ji|
-    (see linalg._hadamard_bits), which covers every minor of every
-    submatrix: the elimination and the ranks at roots each pack their own
-    rows.  t B(t) = (1 - t)(tV - V^T), so a k x k minor of B is
+def _elimination(data: SeifertData) -> tuple:
+    """The kernel's (sign, pivots, rows, cols) for tV - V^T that the
+    SeifertData ran and keeps since its construction checked V - V^T with
+    it (see linalg._generic_run): Delta, beta and the principal block of
+    B(t) all read it.  t B(t) = (1 - t)(tV - V^T), so a k x k minor of B is
     ((1 - t)/t)^k times that of tV - V^T: both pick the same pivots, and
     off z = 1 B(z) and zV - V^T have equal rank."""
-    pairs = list(zip(data.matrix, data.transposed()))
-    k_bits = _hadamard_bits([[abs(a) + abs(b) for a, b in zip(row, col)] for row, col in pairs])
-    return k_bits, [[(a << k_bits) - b for a, b in zip(row, col)] for row, col in pairs]
-
-
-@_owned
-def _elimination(data: SeifertData) -> tuple:
-    """The kernel's (sign, pivots, rows, cols) for tV - V^T, once per
-    Seifert matrix: Delta, beta and the principal block of B(t) all read
-    it."""
-    k_bits, m = _packed(data)
-    sign, pivots, rows, cols = _eliminate(m)
-    return sign, tuple(tuple(_unpack(p, k_bits)) for p in pivots), tuple(rows), tuple(cols)
+    return data._run
 
 
 def _minor_x(p, k: int) -> tuple:
@@ -221,7 +209,7 @@ def _principal_block(data) -> tuple:
     roots of det B_I the rank of B(z) is therefore r, the Schur complement
     of B_I vanishes, and B(z) has the signature of B_I(z) and nullity
     n - r.  When det B is not identically zero, I holds every index.  The
-    k-th pivot of the cached elimination of tV - V^T (see _packed) is the
+    k-th pivot of the stored elimination of tV - V^T (see _elimination) is the
     k-th leading minor of (tV - V^T)_I times the sign, or the 0, of
     linalg._principal_signs.  Each minor is stored reduced, divided by
     (2 - x)^(k // 2) (see _minor_x), which keeps its sign and its roots on
@@ -236,39 +224,11 @@ def _principal_block(data) -> tuple:
 
 def _ranks_at(data, roots) -> list:
     """The rank of B(z0) at each circle point with z0 + 1/z0 = root in
-    (-2, 2): that of tV - V^T at z0 (see _packed), since z0 != 1.
-
-    Resume rule.  Take the pivots p_1..p_r of the cached generic
-    elimination and, for each root, the largest k <= r with p_k(z0) != 0
-    (p_0 = 1), tested from the top.  After k generic steps the trailing
-    block holds the (k+1)-minors that border the k x k minor p_k, that is
-    p_k times its Schur complement (Sylvester's identity).  The k x k block
-    is invertible at z0, so rank B(z0) = k + the rank of the trailing
-    block at z0, whether or not earlier pivots vanish there.  The block is
-    0 for k = r, and for k = n - 1 < r it is +-p_n, which vanishes at z0:
-    the rank is k.  Otherwise one generic run stops at each such k in
-    increasing order, so its steps add up to at most one elimination, and
-    at each stop the kernel resumes its lazy state at the roots of that k
-    under the test q(z0) != 0, on a copy of the rows from k on (it reads
-    and writes no other), so it tests the trailing block alone, each
-    entry unpacked, exact as it is a current minor; pivots are counted."""
-    _, pivots, _, _ = _elimination(data)
-    tests = [_nonzero_at(root) for root in roots]
-    r, n = len(pivots), data.size
-    ks = [next((k for k in range(r, 0, -1) if test(pivots[k - 1])), 0) for test in tests]
-    ranks, stops = list(ks), sorted({k for k in ks if k < min(r, n - 1)})
-    if not stops:
-        return ranks
-    k_bits, m = _packed(data)
-    state = None
-    for k in stops:
-        state = _eliminate(m, stop=k, start=state)
-        for i, test in enumerate(tests):
-            if ks[i] == k:
-                rows = m[:k] + [list(row) for row in m[k:]]
-                ranks[i] = len(_eliminate(rows, lambda v: v != 0 and test(_unpack(v, k_bits)),
-                                          start=state)[1])
-    return ranks
+    (-2, 2): that of tV - V^T at z0 (see _elimination), since z0 != 1, read
+    off the stored run by the resume rule of linalg._ranks_at_points under
+    the test q(z0) != 0, the rule the construction reads at t = 1."""
+    return _ranks_at_points(data.matrix, _elimination(data)[1],
+                            [_nonzero_at(root) for root in roots])
 
 
 # -- exact signatures at a single point ----------------------------------------
@@ -651,20 +611,6 @@ def signature_function(data: SeifertData) -> SignatureFunction:
     return _signature_function_cached(data)
 
 
-def breakpoints_equal(a, b) -> bool:
-    if isinstance(a, RealAlgebraic):
-        return a.equals(b)  # False for a rational b
-    return isinstance(b, Fraction) and a == b
-
-
-def functions_equal(f: SignatureFunction, g: SignatureFunction) -> bool:
-    """Equality as functions on the circle (matrix sizes may differ)."""
-    return (len(f.breakpoints) == len(g.breakpoints)
-            and all(breakpoints_equal(a, b) for a, b in zip(f.breakpoints, g.breakpoints))
-            and f.interval_values == g.interval_values
-            and f.averaged_values == g.averaged_values)
-
-
 # -- Alexander polynomial, nullity, float oracle ---------------------------------
 
 
@@ -684,7 +630,7 @@ def link_nullity(data: SeifertData) -> int:
     """Corank over Q(t) of the presentation matrix tV - V^T; always within
     [0, components - 1] for valid Seifert data.
 
-    beta is n minus the number of pivots of the cached elimination of
+    beta is n minus the number of pivots of the stored elimination of
     tV - V^T, which also gives Delta and the principal block of B(t)."""
     beta = data.size - len(_elimination(data)[1])
     if not 0 <= beta <= data.components - 1:

@@ -6,13 +6,18 @@ of linkbound.linalg, written out here step by step.  The lazy kernel
 must give the same (sign, pivots, rows, cols) under any "entry is
 nonzero" test.  The rank at a circle point that the signature layer computed
 before it resumed the generic elimination is kept too: this kernel on
-the whole of tV - V^T, with the point test on every entry.
+the whole of tV - V^T, with the point test on every entry.  So is the
+rank and determinant of an integer matrix that the construction of a
+SeifertData computed by its own elimination of V - V^T, before it read
+both off the elimination of tV - V^T at t = 1: the oracle for that check.
 """
 
 from __future__ import annotations
 
 from linkbound import polys
 from linkbound.realroots import RealAlgebraic
+
+from isolation_reference import sign_at
 
 
 def _pack(p, k_bits: int) -> int:
@@ -121,6 +126,36 @@ def _bareiss(matrix, nonzero=bool) -> tuple[int, list, list, list]:
             rows[:len(pivots)], cols[:len(pivots)])
 
 
+# -- the rank and determinant of an integer matrix ----------------------------
+
+
+def int_rank_det(matrix) -> tuple[int, int]:
+    """(rank over Q, determinant) of a square matrix of ints, by textbook
+    fraction-free Bareiss elimination with complete pivoting: the first
+    nonzero entry of the trailing block, row by row, is the pivot."""
+    m = [list(row) for row in matrix]
+    n = len(m)
+    sign, prev, rank = 1, 1, 0
+    for k in range(n):
+        at = next(((i, j) for i in range(k, n) for j in range(k, n) if m[i][j]), None)
+        if at is None:
+            break
+        i, j = at
+        if i != k:
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
+        if j != k:
+            for row in m:
+                row[k], row[j] = row[j], row[k]
+            sign = -sign
+        for row in m[k + 1:]:
+            row[k + 1:] = [(a * m[k][k] - row[k] * b) // prev
+                           for a, b in zip(row[k + 1:], m[k][k + 1:])]
+        prev = m[k][k]
+        rank += 1
+    return rank, sign * prev if rank == n else 0
+
+
 # -- the rank at a circle point, by the full kernel ----------------------------
 
 
@@ -138,7 +173,7 @@ def _zero_test(root):
     RealAlgebraic root; it never refines a bracket."""
     if isinstance(root, RealAlgebraic):
         return root.vanishes
-    return lambda q: polys.sign_at(q, root) == 0
+    return lambda q: sign_at(q, root) == 0
 
 
 def _rank_at(data, root) -> int:

@@ -13,11 +13,11 @@ from sympy.polys.matrices import DomainMatrix
 
 import linkbound.linalg
 import linkbound.realroots
-import linkbound.signature
 from linkbound import BraidWord, LaurentPoly, RealAlgebraic, SeifertData, closure_components, \
-    seifert_matrix_from_braid, stabilize
+    connected_sum, seifert_matrix_from_braid, stabilize, torus_braid
 from linkbound import polys
-from linkbound.linalg import int_rank_det
+
+from bareiss_reference import int_rank_det
 
 T = sympy.Symbol("t")
 ZZ_T = sympy.ZZ[T]
@@ -125,6 +125,25 @@ def random_unimodular(rng: random.Random, n: int) -> list[list[int]]:
     return p
 
 
+def mixed_double(q: int, dense: bool = False) -> SeifertData:
+    """T(2,3) # T(2,3) # T(3,q) # T(3,q): block sums, pivots in block
+    order, so every pivot from the second on vanishes at the roots of
+    Delta_T(2,3) and the two classes of double roots stop far apart.
+    dense: the same knot after the change of basis P V P^T with
+    P = random_unimodular(random.Random(q), n), which fills the block sums
+    (README's "dense mixed" rows)."""
+    trefoil = seifert_matrix_from_braid(torus_braid(2, 3))
+    knot = seifert_matrix_from_braid(torus_braid(3, q))
+    data = connected_sum(connected_sum(connected_sum(trefoil, trefoil), knot), knot)
+    if not dense:
+        return data
+    n, v = data.size, data.matrix
+    p = random_unimodular(random.Random(q), n)
+    pv = [[sum(p[i][a] * v[a][b] for a in range(n)) for b in range(n)] for i in range(n)]
+    return SeifertData.from_matrix(
+        [[sum(pv[i][b] * p[j][b] for b in range(n)) for j in range(n)] for i in range(n)], 1)
+
+
 def degenerate_family(knot: SeifertData, f: int, k: int,
                       p: list[list[int]]) -> SeifertData:
     """P (V_K + V_p + 0_k) P^T with V_p = [[0,0,0],[0,0,1],[1,0,f]].
@@ -158,8 +177,8 @@ def cold_caches():
 def cold(data: SeifertData) -> SeifertData:
     """A fresh SeifertData equal to `data`, with empty realroots caches:
     none of what the signature layer derived from `data` carries over, so
-    a read or a report on it builds everything from V.  Its validation
-    runs the Bareiss kernel on integers, so build it before counting."""
+    a read or a report on it builds everything from V.  Its construction
+    runs the elimination of tV - V^T that every later read uses."""
     cold_caches()
     return replace(data)
 
@@ -167,10 +186,10 @@ def cold(data: SeifertData) -> SeifertData:
 def count_eliminations(monkeypatch) -> list[int]:
     """Record the size of every matrix the Bareiss kernel eliminates from
     now on, in the list returned: every elimination, packed or integer,
-    runs the one loop `linalg._eliminate`.
-    Build fresh Seifert data before calling (see cold): its validation
-    runs the kernel on integers, and a SeifertData keeps the elimination
-    that its first use runs."""
+    runs the one loop `linalg._eliminate`, which every other module
+    reaches through `linalg`.  A SeifertData runs its elimination of
+    tV - V^T when it is built and keeps it, so build the data after
+    calling (see cold) to count from its construction."""
     calls = []
     eliminate = linkbound.linalg._eliminate
 
@@ -179,7 +198,6 @@ def count_eliminations(monkeypatch) -> list[int]:
         return eliminate(matrix, *args, **kwargs)
 
     monkeypatch.setattr(linkbound.linalg, "_eliminate", counted)
-    monkeypatch.setattr(linkbound.signature, "_eliminate", counted)
     return calls
 
 

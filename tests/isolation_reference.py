@@ -38,10 +38,22 @@ class IsolatingInterval:
         return self.hi - self.lo
 
 
+def sign_at(p, x) -> int:
+    """Sign (-1, 0 or 1) of p(x) at a rational x, an int or a Fraction."""
+    return polys.sign_at_ratio(p, x.numerator, x.denominator)
+
+
+def count_roots(chain, a, b) -> int:
+    """Distinct real roots of the chain's polynomial in the half-open
+    interval (a, b], for rationals a and b.  Valid even when a or b is a
+    simple root, so for square-free polynomials at any endpoints."""
+    return sign_variations(_chain_signs(chain, a)) - sign_variations(_chain_signs(chain, b))
+
+
 def _chain_signs(chain, x) -> list:
     """Signs of every element of a Sturm chain at a rational x: the one
     place a chain is evaluated."""
-    return [polys.sign_at(c, x) for c in chain]
+    return [sign_at(c, x) for c in chain]
 
 
 class _SturmCounts:
@@ -147,7 +159,7 @@ def isolate_real_roots(q, lo, hi) -> list[IsolatingInterval]:
     for factor, mult in factors:
         for u, v in _isolate_squarefree(_SturmCounts(sturm_chain(factor)), lo, hi):
             found.append([u, v, mult, factor])
-    if len(factors) > 1 and (polys.sign_at(q, lo) == 0 or polys.sign_at(q, hi) == 0):
+    if len(factors) > 1 and (sign_at(q, lo) == 0 or sign_at(q, hi) == 0):
         # A root of one factor inside another's interval, or on its end,
         # lies inside its own interval, so the disjointness loop below
         # separates them.  A root at a window end has no interval: refine
@@ -179,10 +191,10 @@ def _halve(item):
     u, v, _, factor = item
     m = (u + v) / 2
     eps = (v - u) / 4
-    while (s := polys.sign_at(factor, m)) == 0:
+    while (s := sign_at(factor, m)) == 0:
         m += eps
         eps /= 2
-    if s != polys.sign_at(factor, u):
+    if s != sign_at(factor, u):
         item[1] = m
     else:
         item[0] = m

@@ -36,7 +36,9 @@ from functools import lru_cache
 from math import gcd
 
 from linkbound import polys
-from linkbound.realroots import RealAlgebraic, count_roots, sturm_chain
+from linkbound.realroots import RealAlgebraic, sturm_chain
+
+from isolation_reference import count_roots, sign_at
 
 HALF = Fraction(1, 2)
 
@@ -83,7 +85,7 @@ def psi(m: int) -> tuple:
 @lru_cache(maxsize=None)
 def _roots_below(m: int, x: Fraction) -> int:
     """The number of roots of Psi_m in (-2, x), x not one of them."""
-    assert polys.sign_at(list(psi(m)), x) != 0, "x is a jump"
+    assert sign_at(list(psi(m)), x) != 0, "x is a jump"
     return count_roots(sturm_chain(psi(m)), Fraction(-2), x)
 
 
@@ -129,7 +131,7 @@ def assert_matches(f, knots, padding: int = 0) -> None:
         if isinstance(bp, RealAlgebraic):
             assert bp.vanishes(root), (bp, theta)
         else:
-            assert polys.sign_at(root, bp) == 0, (bp, theta)
+            assert sign_at(root, bp) == 0, (bp, theta)
     assert [s for s, _ in f.interval_values] == values
     assert all(nu == padding for _, nu in f.interval_values)
     for x, value in zip(f.samples, values):

@@ -10,6 +10,10 @@ refine them.
 This route normalises x twice per signature_nullity_at, tests x = +-2 by
 Fraction equality, refines a bracket through refine_away_from and
 builds a Fraction per rational in to_json.
+
+functions_equal and breakpoints_equal, the equality of two signature
+functions as functions on the circle, are kept here for the tests that
+compare functions built from different Seifert matrices.
 """
 
 from __future__ import annotations
@@ -17,10 +21,12 @@ from __future__ import annotations
 import bisect
 from fractions import Fraction
 
-from linkbound import CirclePoint, RealAlgebraic, polys
+from linkbound import CirclePoint, RealAlgebraic
 from linkbound.linalg import _frobenius
 from linkbound.signature import (_endpoint, _principal_block, _separated,
                                  _trace_signature_nullity, _wall)
+
+from isolation_reference import sign_at
 
 
 def _as_x(x):
@@ -48,7 +54,7 @@ def pointwise_signature_nullity(data, x) -> tuple[int, int]:
     if abs(x) == 2:
         return _endpoint(data, int(x) // 2)
     _, minors = _principal_block(data)
-    signs = [polys.sign_at(mx, x) for mx in minors if mx]
+    signs = [sign_at(mx, x) for mx in minors if mx]
     if all(signs):
         return _frobenius(signs, len(minors)), n - len(minors)
     return _trace_signature_nullity(data, x)
@@ -121,3 +127,17 @@ def to_json(f) -> dict:
 def _json_rat(v, d=1):
     v = Fraction(v, d)
     return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+
+
+def breakpoints_equal(a, b) -> bool:
+    if isinstance(a, RealAlgebraic):
+        return a.equals(b)  # False for a rational b
+    return isinstance(b, Fraction) and a == b
+
+
+def functions_equal(f, g) -> bool:
+    """Equality as functions on the circle (matrix sizes may differ)."""
+    return (len(f.breakpoints) == len(g.breakpoints)
+            and all(breakpoints_equal(a, b) for a, b in zip(f.breakpoints, g.breakpoints))
+            and f.interval_values == g.interval_values
+            and f.averaged_values == g.averaged_values)

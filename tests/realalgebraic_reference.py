@@ -7,7 +7,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from linkbound import polys
-from linkbound.realroots import _gcd, count_roots, sturm_chain
+from linkbound.realroots import _gcd, sturm_chain
+
+from isolation_reference import count_roots, sign_at
 
 
 class RealAlgebraic:
@@ -35,8 +37,8 @@ class RealAlgebraic:
             raise ValueError("defining polynomial must be square-free")
         self._lo = Fraction(lo)
         self._hi = Fraction(hi)
-        self._sign_lo = polys.sign_at(self.poly, self._lo)
-        if self._sign_lo == 0 or polys.sign_at(self.poly, self._hi) == 0:
+        self._sign_lo = sign_at(self.poly, self._lo)
+        if self._sign_lo == 0 or sign_at(self.poly, self._hi) == 0:
             raise ValueError("interval endpoints must not be roots")
         if count_roots(chain, self._lo, self._hi) != 1:
             raise ValueError("interval does not isolate a single root")
@@ -50,7 +52,7 @@ class RealAlgebraic:
         root inside), so nothing is counted again."""
         root = object.__new__(cls)
         root.poly, root._lo, root._hi = tuple(poly), interval.lo, interval.hi
-        root._sign_lo = polys.sign_at(root.poly, root._lo)
+        root._sign_lo = sign_at(root.poly, root._lo)
         return root
 
     @property
@@ -64,7 +66,7 @@ class RealAlgebraic:
     def _bisect(self):
         m = (self._lo + self._hi) / 2
         eps = (self._hi - self._lo) / 4
-        while (s := polys.sign_at(self.poly, m)) == 0:
+        while (s := sign_at(self.poly, m)) == 0:
             m += eps
             eps /= 2
         if s != self._sign_lo:
@@ -98,7 +100,7 @@ class RealAlgebraic:
             return 0
         qchain = sturm_chain(polys.squarefree_part(q)) if polys.degree(q) >= 1 else None
         while True:
-            s = polys.sign_at(q, self._lo)
+            s = sign_at(q, self._lo)
             if s != 0 and (qchain is None or count_roots(qchain, self._lo, self._hi) == 0):
                 return s
             self._bisect()
@@ -116,13 +118,13 @@ class RealAlgebraic:
             return True
         g = _gcd(tuple(q), self.poly)
         return (polys.degree(g) >= 1
-                and polys.sign_at(g, self._lo) != polys.sign_at(g, self._hi))
+                and sign_at(g, self._lo) != sign_at(g, self._hi))
 
     def compare_rational(self, c) -> int:
         """Sign of (root - c): 0 only when c is the root itself, which the
         class contract excludes."""
         c = Fraction(c)
-        if self._lo < c < self._hi and polys.sign_at(self.poly, c) == 0:
+        if self._lo < c < self._hi and sign_at(self.poly, c) == 0:
             return 0
         self.refine_away_from(c)
         return 1 if c <= self._lo else -1
@@ -138,7 +140,7 @@ class RealAlgebraic:
         if self.poly == other.poly:
             # The intersection lies in one isolating bracket, so it holds
             # at most one root, and holds one exactly on a sign change.
-            return polys.sign_at(self.poly, lo) != polys.sign_at(self.poly, hi)
+            return sign_at(self.poly, lo) != sign_at(self.poly, hi)
         if not self.vanishes(list(other.poly)):
             return False
         return self.compare_rational(other._lo) > 0 and self.compare_rational(other._hi) < 0

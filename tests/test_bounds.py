@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import linkbound.bounds
-import linkbound.signature
+import linkbound.linalg
 from linkbound import (BandCertificate, BoundReport, BraidWord, DegreeCapError,
                        InconsistentBounds, InfectionDecl, InvalidSeifertData,
                        LaurentPoly, ParseError, Provenance, SeifertData, ZeroPolynomialError,
@@ -23,7 +23,7 @@ from linkbound import polys
 from linkbound.bounds import _slice_verdict
 from linkbound.factor import check_degree_cap
 
-from helpers import count_eliminations, random_knot_data, zero_padded
+from helpers import cold, count_eliminations, random_knot_data, zero_padded
 
 UNKNOT = seifert_matrix_from_braid(BraidWord(1, ()))
 TREFOIL = seifert_matrix_from_braid(BraidWord(2, (1, 1, 1)))
@@ -304,21 +304,24 @@ def test_assemble_link_no_upper():
 
 def test_report_ranks_nothing_when_delta_nonzero(monkeypatch):
     """beta = 0 whenever det(tV - V^T) is not identically zero, and the
-    jumps of these inputs are simple roots, so a report on one runs the
-    one generic elimination of tV - V^T and none under a point test."""
+    jumps of these inputs are simple roots, so from its construction to
+    its report a Seifert matrix runs the one generic elimination of
+    tV - V^T and none under a point test: V - V^T is checked at t = 1
+    off the last pivot, or for T(2,8) off the one before it."""
     runs = []
-    eliminate = linkbound.signature._eliminate
+    eliminate = linkbound.linalg._eliminate
 
     def spy(m, *args, **kwargs):
         runs.append((len(m), args, kwargs))
         return eliminate(m, *args, **kwargs)
 
-    monkeypatch.setattr(linkbound.signature, "_eliminate", spy)
+    monkeypatch.setattr(linkbound.linalg, "_eliminate", spy)
     inputs = [seifert_matrix_from_braid(torus_braid(3, 7)),
               seifert_matrix_from_braid(torus_braid(2, 8)),
               random_knot_data(random.Random(93), max_strands=4, max_len=12)]
     for data in inputs:
         runs.clear()
+        data = cold(data)
         assert not alexander_from_seifert(data).is_zero
         report = assemble_report(data)
         assert report.lower >= 0
@@ -329,11 +332,11 @@ def test_report_ranks_nothing_when_delta_nonzero(monkeypatch):
 def test_link_nullity_ranks_when_delta_vanishes(monkeypatch):
     """T(3,5) with two zero rows and columns (a 3-component boundary
     link) has det(tV - V^T) = 0; Delta and beta come from one
-    elimination of tV - V^T."""
+    elimination of tV - V^T, which its construction runs."""
     n = T35.size
     padded = [list(row) + [0, 0] for row in T35.matrix] + [[0] * (n + 2)] * 2
-    data = SeifertData.from_matrix(padded, 3)
     calls = count_eliminations(monkeypatch)
+    data = SeifertData.from_matrix(padded, 3)
     assert alexander_from_seifert(data).is_zero
     assert link_nullity(data) == 2
     assert calls == [n + 2]

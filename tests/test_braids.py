@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linkbound.linalg
 from linkbound import (BraidWord, InvalidSeifertData, LaurentPoly, ParseError,
                        SeifertData, alexander_from_seifert, assemble_report, braid_text,
                        closure_components, connected_sum, mirror, parse_braid,
@@ -15,8 +16,8 @@ from linkbound import (BraidWord, InvalidSeifertData, LaurentPoly, ParseError,
                        seifert_matrix_from_braid, stabilize, torus_braid,
                        units_equal)
 from linkbound.braids import _check_integer, _check_integers
-from linkbound.linalg import int_rank_det
 
+from bareiss_reference import int_rank_det
 from braid_reference import reference_seifert_matrix
 from helpers import random_braid, random_knot_data, random_seifert_data
 
@@ -57,6 +58,13 @@ def test_parse_reads_only_ascii_decimals(text):
     digits: int() would read each of these as another braid."""
     with pytest.raises(ParseError):
         parse_braid(text)
+
+
+def test_parse_refuses_an_index_past_the_digit_limit():
+    """An sN token whose index has more digits than int() reads (4300 by
+    default) is a malformed token, not int()'s ValueError."""
+    with pytest.raises(ParseError, match="malformed braid token"):
+        parse_braid("strands=3; s" + "1" * 5000 + " s2")
 
 
 def test_parse_bad_strands():
@@ -215,6 +223,91 @@ def test_index_components_stored_as_int():
     data = SeifertData.from_matrix([[-1, 1], [0, -1]], np.int64(1))
     assert type(data.components) is int and data == SeifertData.from_matrix([[-1, 1], [0, -1]])
     assert '"components": 1' in json.dumps(assemble_report(data).to_json())
+
+
+def _validation_case(rng: random.Random) -> tuple[list, int]:
+    """(V, m): V an integer matrix, n <= 8, entries in [-3, 3], and m in
+    1..n + 1.  Each of a few indices may become a copy of another in the
+    congruence P V P^T that repeats it (see helpers.degenerate_seifert), or
+    a zero row and column, so V - V^T loses rank: rank-deficient knots,
+    and links whose pivots at t = 1 vanish from the top.  Half the time m
+    is n - rank(V - V^T) + 1, the one count that can pass."""
+    n = rng.randint(0, 8)
+    v = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    for _ in range(rng.randint(0, 3) if n >= 2 else 0):
+        a, b = rng.sample(range(n), 2)
+        if rng.random() < 0.5:
+            v[b] = list(v[a])
+            for row in v:
+                row[b] = row[a]
+        else:
+            v[b] = [0] * n
+            for row in v:
+                row[b] = 0
+    rank, _ = int_rank_det([[v[i][j] - v[j][i] for j in range(n)] for i in range(n)])
+    return v, n - rank + 1 if rng.random() < 0.5 else rng.randint(1, n + 1)
+
+
+def _refusal(v, m) -> str | None:
+    """The message SeifertData(V, m) must refuse with, in the order of its
+    checks, from the reference elimination of V - V^T; None to accept."""
+    n = len(v)
+    rank, det = int_rank_det([[v[i][j] - v[j][i] for j in range(n)] for i in range(n)])
+    if (n - m + 1) % 2 or n - m + 1 < 0:
+        return f"no genus fits size {n} with {m} components"
+    if rank != n - m + 1:
+        return "rank of V - V^T does not equal twice the genus"
+    if m == 1 and abs(det) != 1:
+        return "V - V^T must be unimodular for a knot"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_validation_from_the_run_matches_the_integer_reference(rng):
+    """SeifertData reads rank(V - V^T) and det(V - V^T) at t = 1 off its
+    elimination of tV - V^T: it accepts exactly when the reference rank
+    over Q is n - m + 1, with |det| = 1 for a knot, and otherwise refuses
+    with the message of the first check that fails."""
+    v, m = _validation_case(rng)
+    expected = _refusal(v, m)
+    if expected is None:
+        data = SeifertData.from_matrix(v, m)
+        assert data.size - m + 1 == 2 * data.genus
+    else:
+        with pytest.raises(InvalidSeifertData) as refused:
+            SeifertData.from_matrix(v, m)
+        assert str(refused.value) == expected
+
+
+def test_validation_cases_reach_every_branch(monkeypatch):
+    """The cases of the property above reach the resume: in 300 seeds at
+    least 10 constructions stop a generic run at k and resume it under the
+    test at t = 1; at least 10 are rank-deficient knots, and at least 50
+    are accepted."""
+    runs = []
+    eliminate = linkbound.linalg._eliminate
+
+    def spy(m, *args, stop=None, start=None, **kwargs):
+        runs.append(stop)
+        return eliminate(m, *args, stop=stop, start=start, **kwargs)
+
+    monkeypatch.setattr(linkbound.linalg, "_eliminate", spy)
+    resumed = deficient_knots = accepted = 0
+    for seed in range(300):
+        v, m = _validation_case(random.Random(seed))
+        runs.clear()
+        refusal = _refusal(v, m)
+        try:
+            SeifertData.from_matrix(v, m)
+        except InvalidSeifertData as e:
+            assert str(e) == refusal
+        else:
+            assert refusal is None
+            accepted += 1
+        resumed += any(stop is not None for stop in runs)
+        deficient_knots += m == 1 and refusal is not None and "rank" in refusal
+    assert resumed >= 10 and deficient_knots >= 10 and accepted >= 50
 
 
 def test_invalid_matrix_rejected():

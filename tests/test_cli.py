@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from linkbound.cli import main
+import linkbound.linalg
+from linkbound.cli import MAX_JSON_INDENT, main
 from linkbound.laurent import laurent_from_json
 
 
@@ -183,6 +184,67 @@ def test_invalid_matrix_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "invariants", str(path))
     assert code == 3
     assert "unimodular" in err
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"seifert_matrix": [[0, 2], [0, 0]], "components": 1},
+     "V - V^T must be unimodular for a knot"),
+    ({"seifert_matrix": [[0, 1], [0, 0]], "components": 3},
+     "rank of V - V^T does not equal twice the genus"),
+    ({"seifert_matrix": [[0, 1, 0], [1, 0, 1], [0, 1, 0]], "components": 1},
+     "no genus fits size 3 with 1 components"),
+    ({"seifert_matrix": [[0, 0], [0, 0]], "components": 1},
+     "rank of V - V^T does not equal twice the genus"),
+], ids=["not unimodular", "rank too high", "no genus", "rank-deficient knot"])
+def test_refused_matrix_messages(capsys, tmp_path, obj, message):
+    """A matrix refused by the checks of V - V^T exits 3 with the message
+    of the first check that fails, and no traceback."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "bound", str(path))
+    assert code == 3 and not out
+    assert err == f"invalid input data: {message}\n"
+
+
+def test_knot_report_runs_the_kernel_once(capsys, monkeypatch, t35_file):
+    """From the JSON file to the printed report, a knot runs the Bareiss
+    kernel once: the construction's elimination of tV - V^T, which checks
+    V - V^T and gives Delta, beta and every leading minor of B."""
+    runs = []
+    eliminate = linkbound.linalg._eliminate
+
+    def counted(m, *args, **kwargs):
+        runs.append(len(m))
+        return eliminate(m, *args, **kwargs)
+
+    monkeypatch.setattr(linkbound.linalg, "_eliminate", counted)
+    code, out, _ = run(capsys, "bound", t35_file)
+    assert code == 0 and json.loads(out)["lower"] == 4
+    assert runs == [8]
+
+
+def test_braid_index_past_the_digit_limit_exit_code(capsys, tmp_path):
+    """A braid token s<5000 digits> is a parse error: int() refused it with
+    a ValueError that escaped as a traceback and exit 1."""
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"braid": "strands=3; s" + "1" * 5000 + " s2"}))
+    code, out, err = run(capsys, "bound", str(path))
+    assert code == 2 and not out
+    assert err.startswith("parse error: malformed braid token") and len(err) < 200
+
+
+def test_json_indent_above_the_maximum_exit_code(capsys, trefoil_file):
+    """--json-indent above MAX_JSON_INDENT is refused before any work: 3000000
+    printed 141 MB for the trefoil.  The maximum itself, 0 and -1 run."""
+    for value in (MAX_JSON_INDENT + 1, 3000000, 10 ** 9):
+        code, out, err = run(capsys, "bound", trefoil_file, "--json-indent", str(value))
+        assert code == 2 and not out
+        assert err == (f"parse error: --json-indent {value} exceeds the maximum "
+                       f"{MAX_JSON_INDENT}\n")
+    for value in (MAX_JSON_INDENT, 0, -1):
+        code, out, _ = run(capsys, "bound", trefoil_file, f"--json-indent={value}")
+        assert code == 0 and json.loads(out)["lower"] == 1
+        assert (f'\n{" " * MAX_JSON_INDENT}"' in out) == (value == MAX_JSON_INDENT)
 
 
 def test_split_braid_exit_code(capsys, tmp_path):

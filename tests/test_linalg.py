@@ -21,12 +21,13 @@ from hypothesis import strategies as st
 
 from linkbound import RealAlgebraic, seifert_matrix_from_braid, signature_function, torus_braid
 from linkbound.linalg import (_bareiss, _eliminate, _integer_symmetric_signature, _pack,
-                              _packing_bits, _unpack, int_rank_det, poly_det, poly_rank)
+                              _packed, _packing_bits, _unpack, poly_det, poly_rank)
 from linkbound.realroots import _nonzero_at
-from linkbound.signature import (_elimination, _packed, _principal_block,
+from linkbound.signature import (_elimination, _principal_block,
                                  _trace_signature_nullity, pointwise_signature_nullity)
 
 import bareiss_reference
+from bareiss_reference import int_rank_det
 from helpers import T, ZZ_T, b_laurent, degenerate_seifert, domain_matrix, sympy_det
 from quadfield_reference import _quad_signature_nullity
 
@@ -159,8 +160,8 @@ def integer_matrices(draw):
 @settings(max_examples=60, deadline=None)
 @given(integer_matrices())
 def test_integer_det_and_rank_match_sympy(m):
-    """int_rank_det runs the same kernel on constants: one elimination
-    gives the rank and the determinant."""
+    """The reference int_rank_det, the oracle of the construction's check
+    of V - V^T: one elimination gives the rank and the determinant."""
     matrix = sympy.Matrix(m) if m else sympy.zeros(0, 0)
     assert int_rank_det(m) == (matrix.rank(), matrix.det())
 
@@ -480,7 +481,7 @@ def test_packing_from_v_matches_the_eager_kernel(data):
     form."""
     v, n = data.matrix, data.size
     form = [[_trim([-v[j][i], v[i][j]]) for j in range(n)] for i in range(n)]
-    k_bits, rows = _packed(data)
+    k_bits, rows = _packed(data.matrix)
     assert k_bits == _packing_bits(form)
     assert [[_unpack(e, k_bits) for e in row] for row in rows] == form
     sign, pivots, rows, cols = bareiss_reference._bareiss(form)
@@ -494,7 +495,7 @@ def test_banded_elimination_rewrites_only_the_band():
     row below the pivot.  A test that passes every nonzero entry marks
     each step, since every diagonal entry passes it."""
     data = seifert_matrix_from_braid(torus_braid(2, 19))
-    _, packed = _packed(data)
+    _, packed = _packed(data.matrix)
     n = len(packed)
     assert all(not packed[i][j] for i in range(n) for j in range(n) if abs(i - j) > 1)
     steps = []
@@ -517,7 +518,7 @@ def test_the_kernel_tests_the_integers_it_stores(monkeypatch):
     """_eliminate hands its test each entry as the integer it stores and
     never unpacks one: with _unpack replaced by a trap, packed tV - V^T
     of T(4,8) under an integer test eliminates as under the default test."""
-    _, packed = _packed(seifert_matrix_from_braid(torus_braid(4, 8)))
+    _, packed = _packed(seifert_matrix_from_braid(torus_braid(4, 8)).matrix)
     expected = _eliminate([list(row) for row in packed])
     seen = []
 

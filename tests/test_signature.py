@@ -15,21 +15,23 @@ from hypothesis import strategies as st
 
 from linkbound import (BraidWord, CirclePoint, LaurentPoly, RealAlgebraic, SeifertData,
                        alexander_from_seifert, assemble_report, connected_sum,
-                       float_oracle, functions_equal, involution, link_nullity,
+                       float_oracle, involution, link_nullity,
                        mirror, pointwise_signature_nullity,
                        seifert_matrix_from_braid, signature_function,
                        signature_nullity_at, stabilize, torus_braid,
                        units_equal)
-from linkbound import polys, realroots, signature
+from linkbound import linalg, polys, realroots, signature
 from linkbound.factor import _rational_root_split
 from linkbound.linalg import _bareiss, _unpack, poly_det
-from linkbound.signature import _minor_x, breakpoints_equal
+from linkbound.signature import _minor_x
 
 import bareiss_reference
 from helpers import (b_laurent, cold, count_eliminations,
-                     degenerate_family, degenerate_seifert, random_knot_data, random_seifert_data,
-                     random_unimodular, sympy_det, zero_padded)
+                     degenerate_family, degenerate_seifert, mixed_double, random_knot_data,
+                     random_seifert_data, random_unimodular, sympy_det, zero_padded)
+from isolation_reference import sign_at
 from quadfield_reference import QuadFieldElem, quad_eval
+from read_reference import breakpoints_equal, functions_equal
 
 TREFOIL_V = SeifertData.from_matrix([[-1, 1], [0, -1]], 1, "trefoil")
 UNKNOT = seifert_matrix_from_braid(BraidWord(1, ()))
@@ -78,8 +80,8 @@ T_LAURENT = LaurentPoly.t()
 
 def _form(data):
     """tV - V^T as dense integer polynomials, unpacked from the packed rows
-    that the kernel eliminates (see signature._packed)."""
-    k_bits, rows = signature._packed(data)
+    that the kernel eliminates (see linalg._packed)."""
+    k_bits, rows = linalg._packed(data.matrix)
     return tuple(tuple(tuple(_unpack(v, k_bits)) for v in row) for row in rows)
 
 
@@ -205,7 +207,7 @@ def test_value_at_takes_only_circle_points():
 
 def test_warm_reads_locate_the_point_in_the_function(monkeypatch):
     """A warm read at a rational outside every breakpoint bracket makes no
-    polys.sign_at call, and one inside an algebraic bracket bisects that
+    polys.sign_at_ratio call, and one inside an algebraic bracket bisects that
     breakpoint alone; both answer as pointwise_signature_nullity does."""
     data = seifert_matrix_from_braid(torus_braid(3, 7))
     f = signature_function(data)
@@ -214,17 +216,17 @@ def test_warm_reads_locate_the_point_in_the_function(monkeypatch):
     assert len(inside) >= 4
     expected = [pointwise_signature_nullity(data, x) for _, x in inside]
     signs, bisected = [], []
-    sign_at, bisect = polys.sign_at, RealAlgebraic._bisect
+    sign_at_ratio, bisect = polys.sign_at_ratio, RealAlgebraic._bisect
 
-    def counted_sign_at(p, x):
-        signs.append(x)
-        return sign_at(p, x)
+    def counted_sign_at_ratio(p, a, d):
+        signs.append((a, d))
+        return sign_at_ratio(p, a, d)
 
     def recorded_bisect(root):
         bisected.append(root)
         bisect(root)
 
-    monkeypatch.setattr(polys, "sign_at", counted_sign_at)
+    monkeypatch.setattr(polys, "sign_at_ratio", counted_sign_at_ratio)
     monkeypatch.setattr(RealAlgebraic, "_bisect", recorded_bisect)
     for x, value in zip(f.samples, f.interval_values):
         assert signature_nullity_at(data, x) == f.value_at(x) == value
@@ -723,9 +725,9 @@ def test_the_function_dies_with_its_data():
 
 
 def test_copies_and_pickles_start_from_v():
-    """copy, deepcopy and pickle give an equal SeifertData with none of
-    the derived state, which its first use builds from V again: the same
-    report, from a function of its own."""
+    """copy, deepcopy and pickle give an equal SeifertData with an empty
+    `_derived`, which its first use builds again from the elimination it
+    keeps: the same report, from a function of its own."""
     data = seifert_matrix_from_braid(torus_braid(3, 7))
     report = assemble_report(data).to_json()
     for clone in (copy.copy(data), copy.deepcopy(data), pickle.loads(pickle.dumps(data))):
@@ -910,7 +912,7 @@ def test_reads_match_the_independent_route(data, rng):
     for bp in f.breakpoints:
         if isinstance(bp, RealAlgebraic):
             points += [bp.lo, bp.hi, (bp.lo + bp.hi) / 2]
-    points = [x for x in points if polys.sign_at(jump, x)]
+    points = [x for x in points if sign_at(jump, x)]
     expected = [pointwise_signature_nullity(data, x) for x in points]
 
     def cold_reads(stream):
@@ -998,7 +1000,7 @@ def test_jump_candidates_need_a_rank_drop():
     data = SeifertData.from_matrix(v, 2)
     assert signature._principal_block(data)[0] == (0, 2, 1, 4)
     jump, rank, bps, _ = signature._jump_structure(data)
-    assert polys.sign_at(list(jump), 1) == 0 and rank == 4 and bps == ()
+    assert sign_at(list(jump), 1) == 0 and rank == 4 and bps == ()
     assert signature_function(data).interval_values == ((0, 1),)
     assert signature_nullity_at(data, 1) == pointwise_signature_nullity(data, 1) == (0, 1)
     assert float_oracle(data, math.pi / 3) == (0, 1)
@@ -1091,20 +1093,11 @@ def _double(rng) -> SeifertData:
     return connected_sum(knot, knot)
 
 
-def _mixed_double(q: int) -> SeifertData:
-    """T(2,3) # T(2,3) # T(3,q) # T(3,q): block sums, pivots in block
-    order, so every pivot from the second on vanishes at the roots of
-    Delta_T(2,3) and the two classes of double roots stop far apart."""
-    trefoil = seifert_matrix_from_braid(torus_braid(2, 3))
-    knot = seifert_matrix_from_braid(torus_braid(3, q))
-    return connected_sum(connected_sum(connected_sum(trefoil, trefoil), knot), knot)
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(degenerate_seifert(), seeds.map(_double),
                  st.tuples(st.sampled_from([(2, 4), (2, 6), (3, 3), (3, 6), (4, 4)]),
                            st.integers(0, 2)).map(_padded_torus_link)))
-@example(_mixed_double(4))
+@example(mixed_double(4))
 def test_resumed_rank_matches_the_full_kernel(data):
     """The ranks that _ranks_at reads off the trailing block, after each
     root's last pivot of the cached elimination that does not vanish
@@ -1180,12 +1173,16 @@ def test_principal_block_from_the_shared_elimination(monkeypatch):
     knots and links, random Seifert matrices, zero-padded and degenerate
     families: each k x k minor is kept as q(x) with
     q(t + 1/t) (2 - t - 1/t)^(k // 2) = m(t), the Laurent minor of B.
-    Delta and beta read the same elimination: tV - V^T is packed once."""
+    Delta and beta read the same elimination: tV - V^T is packed from V
+    when the Seifert matrix is built, and never again by these reads."""
     x = LaurentPoly({1: 1, -1: 1})
     two_minus_x = LaurentPoly({0: 2, 1: -1, -1: -1})
-    packed = mock.Mock(side_effect=signature._packed)
-    monkeypatch.setattr(signature, "_packed", packed)
+    packed = mock.Mock(side_effect=linalg._packed)
+    monkeypatch.setattr(linalg, "_packed", packed)
     for data in _route_inputs():
+        packed.reset_mock()
+        data = cold(data)
+        assert packed.call_args_list[0] == mock.call(data.matrix)
         packed.reset_mock()
         block, minors = signature._principal_block(data)
         ref_block, ref_minors = _family_route(data)
@@ -1195,7 +1192,7 @@ def test_principal_block_from_the_shared_elimination(monkeypatch):
             assert qx * two_minus_x ** (k // 2) == m
         alexander_from_seifert(data)
         link_nullity(data)
-        packed.assert_called_once_with(data)
+        packed.assert_not_called()
 
 
 def test_form_of_seifert_data_is_the_form_of_b():
@@ -1210,10 +1207,11 @@ def test_form_of_seifert_data_is_the_form_of_b():
 
 @pytest.mark.parametrize("p, q", [(2, 5), (3, 7), (4, 5), (3, 10)])
 def test_one_elimination_per_knot_report(monkeypatch, p, q):
-    """A knot report runs the Z[t] kernel once: on tV - V^T, for Delta,
-    beta and the leading minors of B."""
-    data = seifert_matrix_from_braid(torus_braid(p, q))
+    """From its construction to its report a knot runs the Z[t] kernel
+    once: on tV - V^T, for the check of V - V^T, Delta, beta and the
+    leading minors of B."""
     calls = count_eliminations(monkeypatch)
+    data = seifert_matrix_from_braid(torus_braid(p, q))
     report = assemble_report(data)
     assert report.lower >= 1
     assert calls == [data.size]
@@ -1226,13 +1224,14 @@ def _forty_random_knots() -> list:
 
 def test_one_elimination_per_report_with_a_zero_leading_minor(monkeypatch):
     """Random braid knots, most with an identically zero leading minor of
-    B: each report runs the Z[t] kernel once, on tV - V^T, whose pivots
-    give every leading minor of B in pivot order."""
+    B: from its construction to its report each runs the Z[t] kernel once,
+    on tV - V^T, whose pivots give every leading minor of B in pivot order."""
     knots = _forty_random_knots()
     calls = count_eliminations(monkeypatch)
     zero_minor = 0
     for data in knots:
         calls.clear()
+        data = cold(data)
         assemble_report(data)
         assert calls == [data.size]
         zero_minor += not all(signature._principal_block(data)[1])
@@ -1258,9 +1257,10 @@ def _count_rank_work(monkeypatch) -> tuple[list, list]:
     """(point tests, generic runs) recorded from now on: each call of a
     test that _nonzero_at builds, and for every run of the kernel that
     stops after `stop` steps, (the steps it resumed from, stop).  Read
-    fresh Seifert data (see cold)."""
+    fresh Seifert data (see cold), built before: its construction may
+    stop and resume a run of its own, at t = 1."""
     tests, runs = [], []
-    nonzero_at, eliminate = signature._nonzero_at, signature._eliminate
+    nonzero_at, eliminate = signature._nonzero_at, linalg._eliminate
 
     def counting(root):
         test = nonzero_at(root)
@@ -1276,7 +1276,7 @@ def _count_rank_work(monkeypatch) -> tuple[list, list]:
         return eliminate(m, *args, stop=stop, start=start, **kwargs)
 
     monkeypatch.setattr(signature, "_nonzero_at", counting)
-    monkeypatch.setattr(signature, "_eliminate", stopped)
+    monkeypatch.setattr(linalg, "_eliminate", stopped)
     return tests, runs
 
 
@@ -1290,7 +1290,7 @@ _STOPS = {"T(3,30)": [56], "T(3,6)": [8], "T(4,4)": [7], "T(4,8)": [18, 19],
     *[(f"T({p},{q})", seifert_matrix_from_braid(torus_braid(p, q)), most)
       for p, q, most in [(3, 30, 100), (3, 6, 10), (4, 4, 10), (4, 8, 40),
                          (4, 20, 120), (5, 10, 80), (6, 9, 80)]],
-    ("T(2,3)#T(2,3)#T(3,7)#T(3,7)", _mixed_double(7), 350)])
+    ("T(2,3)#T(2,3)#T(3,7)#T(3,7)", mixed_double(7), 350)])
 def test_rank_at_tests_only_the_trailing_block(monkeypatch, name, data, most):
     """A report reads the nullity at its double roots from the trailing
     block after each root's own last pivot that does not vanish there:
@@ -1327,10 +1327,53 @@ def test_jump_test_and_nullity_share_the_rank(monkeypatch):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_one_elimination_per_padded_link_report(monkeypatch, k):
     """T(3,5) + 0_k has det B = 0 and simple roots of det B_I: the root
-    multiplicity decides every jump and its nullity, so the report runs
-    the Z[t] kernel once, on tV - V^T, and never at a root."""
-    data = zero_padded(seifert_matrix_from_braid(torus_braid(3, 5)), k)
+    multiplicity decides every jump and its nullity, so from the
+    construction of the padded matrix to its report the Z[t] kernel runs
+    once, on tV - V^T, and never at a root: V - V^T has the rank of its
+    last pivot at t = 1."""
+    knot = seifert_matrix_from_braid(torus_braid(3, 5))
     calls = count_eliminations(monkeypatch)
+    data = zero_padded(knot, k)
     report = assemble_report(data)
     assert report.lower >= 1
     assert calls == [data.size]
+
+
+@pytest.mark.parametrize("p, q, stop", [(3, 6, 8), (4, 4, 6), (3, 3, 2)])
+def test_torus_link_construction_resumes_one_run_at_one(monkeypatch, p, q, stop):
+    """The pivots of a torus link of three or more components vanish at
+    t = 1 from the top: its construction reads the rank of V - V^T by the
+    resume rule, in one generic run and one run stopped at k and resumed
+    under the test at t = 1, besides the generic elimination it keeps."""
+    runs = []
+    eliminate = linalg._eliminate
+
+    def spy(m, *args, stop=None, start=None, **kwargs):
+        runs.append((len(start[1]) if start else 0, stop, bool(args or kwargs)))
+        return eliminate(m, *args, stop=stop, start=start, **kwargs)
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    data = seifert_matrix_from_braid(torus_braid(p, q))
+    assert runs == [(0, None, False), (0, stop, False), (stop, None, True)]
+    assert data.size - data.components + 1 == 2 * data.genus
+
+
+@pytest.mark.parametrize("data", [
+    seifert_matrix_from_braid(torus_braid(3, 7)), seifert_matrix_from_braid(torus_braid(3, 6)),
+    zero_padded(seifert_matrix_from_braid(torus_braid(3, 5)), 2)],
+    ids=["T(3,7)", "T(3,6)", "T(3,5)+0_2"])
+def test_copies_and_pickles_keep_the_run(monkeypatch, data):
+    """copy, deepcopy and pickle keep the elimination that the constructor
+    ran, so a clone runs the kernel only as the report on a fresh equal
+    SeifertData does after its construction, and reports the same."""
+    calls = count_eliminations(monkeypatch)
+    fresh = cold(data)
+    built = len(calls)
+    report = assemble_report(fresh).to_json()
+    after = calls[built:]
+    for clone in (copy.copy(data), copy.deepcopy(data), pickle.loads(pickle.dumps(data))):
+        assert clone == data and clone._run == data._run and not clone._derived
+        calls.clear()
+        assert assemble_report(clone).to_json() == report
+        assert calls == after
+
