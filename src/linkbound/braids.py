@@ -24,8 +24,8 @@ import re
 import reprlib
 from dataclasses import KW_ONLY, dataclass, replace
 
+from . import linalg
 from .errors import InvalidSeifertData, ParseError
-from .linalg import _generic_run, _ranks_at_points
 
 
 def _check_integers(values, what: str, error=ParseError) -> tuple[int, ...]:
@@ -121,18 +121,13 @@ def torus_braid(p: int, q: int) -> BraidWord:
     return BraidWord(p, tuple(list(range(1, p)) * q))
 
 
-def braid_permutation(b: BraidWord) -> tuple[int, ...]:
-    """Permutation induced on strand positions by the braid."""
+def closure_components(b: BraidWord) -> int:
+    """Number of link components of the braid closure: the cycles of the
+    permutation that the braid induces on strand positions."""
     perm = list(range(b.strands))
     for x in b.letters:
         k = abs(x) - 1
         perm[k], perm[k + 1] = perm[k + 1], perm[k]
-    return tuple(perm)
-
-
-def closure_components(b: BraidWord) -> int:
-    """Number of link components of the braid closure (permutation cycles)."""
-    perm = braid_permutation(b)
     seen = [False] * b.strands
     cycles = 0
     for i in range(b.strands):
@@ -188,10 +183,10 @@ class SeifertData:
              else tuple(ints[1 + i * n:1 + (i + 1) * n] for i in range(n)))
         object.__setattr__(self, "matrix", v)
         object.__setattr__(self, "components", m)
-        run = _generic_run(v)
+        run = linalg._generic_run(*linalg._packed(v))
         pivots = run[1]
         # p(1) is the sum of the coefficients of p
-        if _ranks_at_points(v, pivots, [sum])[0] != n - m + 1:
+        if linalg._ranks_at_points(v, pivots, [sum])[0] != n - m + 1:
             raise InvalidSeifertData(
                 "rank of V - V^T does not equal twice the genus")
         if m == 1 and n and abs(sum(pivots[-1])) != 1:

@@ -137,22 +137,28 @@ def cmd_verify(args) -> int:
 
 
 # The largest --json-indent: each level of a report adds this many spaces
-# to every line below it, so 10^9 would ask for gigabytes.
+# to every line below it, so 10^9 would ask for gigabytes.  0 or a
+# negative indent puts each value on its own line, unindented.
 MAX_JSON_INDENT = 64
+# The largest --samples: each oracle row is one numpy eigen-solve, about
+# 17 us on the trefoil, so 10^9 would run for hours.
+MAX_SAMPLES = 10000
 
 
-def _json_indent(text: str) -> int:
-    """A --json-indent value, at most MAX_JSON_INDENT; 0 or a negative one
-    puts each value on its own line, unindented."""
-    indent = _decimal(text)
-    if indent > MAX_JSON_INDENT:
-        raise ParseError(f"--json-indent {indent} exceeds the maximum {MAX_JSON_INDENT}")
-    return indent
+def _at_most(flag: str, maximum: int):
+    """The reader of an integer option that refuses a value above
+    `maximum` with ParseError, before any work."""
+    def read(text: str) -> int:
+        value = _decimal(text)
+        if value > maximum:
+            raise ParseError(f"{flag} {value} exceeds the maximum {maximum}")
+        return value
+    return read
 
 
 # One row per command: (handler, positionals, options, help line).  An option's flag names
 # its attribute; a list option is repeatable; --input is the hidden alias of INPUT.
-INDENT = {"--json-indent": (_json_indent, 2)}
+INDENT = {"--json-indent": (_at_most("--json-indent", MAX_JSON_INDENT), 2)}
 INPUT = {"--input": (str, None), **INDENT}
 CAP = {"--degree-cap": (_decimal, 12)}
 COMMANDS = {
@@ -162,19 +168,21 @@ COMMANDS = {
               "assemble a 4-genus bound report; b,u: b bands to a u-component unlink"),
     "infect": (cmd_infect, ("base_report", "declaration"), INDENT,
                "transfer bounds through a string-link infection declaration"),
-    "signature-csv": (cmd_signature_csv, ("input",), {**INPUT, "--samples": (_decimal, 0)},
+    "signature-csv": (cmd_signature_csv, ("input",),
+                      {**INPUT, "--samples": (_at_most("--samples", MAX_SAMPLES), 0)},
                       "emit the signature function as CSV, plus N float-oracle rows"),
     "verify": (cmd_verify, (), {"--catalog": (str, None), **CAP, **INDENT},
                "run the catalog regression checks (default: $LINKBOUND_CATALOG or built-in)"),
 }
-METAVARS = {_decimal: "N", _json_indent: "N", str: "PATH", list: "b,u"}
+METAVARS = {str: "PATH", list: "b,u"}  # an integer option reads N
 
 
 def cmd_help(args) -> int:
     print("usage: linkbound COMMAND ARGUMENTS [OPTIONS]\n\ncommands:")
     for name, (_, positionals, options, text) in COMMANDS.items():
         words = [p.upper() for p in positionals] + [
-            f"[{f} {METAVARS[kind]}]" for f, (kind, _) in options.items() if f != "--input"]
+            f"[{f} {METAVARS.get(kind, 'N')}]"
+            for f, (kind, _) in options.items() if f != "--input"]
         print(f"  {name} {' '.join(words)}\n      {text}")
     return EXIT_OK
 

@@ -12,7 +12,6 @@ and ranks the points by their number once, for all degrees.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,15 +39,6 @@ def _divisors(n: int) -> tuple[int, ...]:
     return tuple(small + large[::-1])
 
 
-def _evaluation_points():
-    yield 0
-    k = 1
-    while True:
-        yield k
-        yield -k
-        k += 1
-
-
 def _interpolate_integer(xs, ys):
     """The interpolant of ys at the distinct integer nodes xs by Newton
     divided differences; None unless all its coefficients are integers.
@@ -74,15 +64,16 @@ def _rational_root_split(p) -> tuple[list, list[list]]:
     linear = []
     while polys.degree(p) >= 1:
         if p[0] == 0:
-            linear.append([0, 1])
-            p = p[1:]
-            continue
-        nums = _divisors(p[0])
-        found = next((polys.primitive_positive([-s, den])[1]
-                      for den in _divisors(p[-1]) for num in nums
-                      for s in (num, -num) if polys.sign_at_ratio(p, s, den) == 0), None)
-        if not found:
-            break
+            found = [0, 1]
+        elif polys.degree(p) == 1:  # its own root: no divisor search
+            found = polys.primitive_positive(p)[1]
+        else:
+            nums = _divisors(p[0])
+            found = next((polys.primitive_positive([-s, den])[1]
+                          for den in _divisors(p[-1]) for num in nums
+                          for s in (num, -num) if polys.sign_at_ratio(p, s, den) == 0), None)
+            if not found:
+                break
         linear.append(found)
         p = polys.div_exact(p, found)
     return p, linear
@@ -126,7 +117,7 @@ def _kronecker_factor(p):
     n = polys.degree(p)
     if n < 2:
         return None
-    pool = list(itertools.islice(_evaluation_points(), n // 2 + 4))
+    pool = [(-1) ** (i + 1) * ((i + 1) // 2) for i in range(n // 2 + 4)]  # 0, 1, -1, 2, -2, ...
     divisors = {x: _divisors(polys.evaluate(p, x)) for x in pool}  # p(x) != 0: no rational roots
     ranked = sorted(pool, key=lambda x: len(divisors[x]))  # stable: ties keep pool order
     for d in range(1, n // 2 + 1):
@@ -147,38 +138,32 @@ def _kronecker_factor(p):
     return None
 
 
-def _factor_squarefree(p) -> list[list]:
-    """Irreducible factors (primitive, positive-leading, multiplicity one
-    each) of a primitive square-free integer polynomial."""
-    rest, factors = _rational_root_split(p)
-    stack = [rest] if polys.degree(rest) >= 1 else []
-    while stack:
-        q = stack.pop()
-        g = _kronecker_factor(q)
-        if g is None:
-            factors.append(q)
-        else:
-            stack.append(g)
-            stack.append(polys.div_exact(q, g))
-    return factors
-
-
 def factor_integer_polynomial(p) -> tuple[int, list[tuple[tuple, int]]]:
     """Complete factorization of a nonzero integer polynomial.
 
     Returns (c, [(factor, multiplicity), ...]) with p = c * prod f^m and
-    each factor irreducible over Q, primitive, positive-leading.
+    each factor irreducible over Q, primitive, positive-leading, sorted.
+    Each of Yun's square-free factors loses its rational roots, and then
+    Kronecker splits what is left; Yun's factors are pairwise coprime, so
+    no irreducible factor is found twice.
     """
     p = polys.trim(list(p))
     if not p:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
     c, prim = polys.primitive_positive(p)
-    counts: dict[tuple, int] = {}
+    factors = []
     for sq_factor, mult in polys.squarefree_decomposition(prim):
-        for f in _factor_squarefree(sq_factor):
-            key = tuple(f)
-            counts[key] = counts.get(key, 0) + mult
-    return c, sorted(counts.items())
+        rest, found = _rational_root_split(sq_factor)
+        stack = [rest] if polys.degree(rest) >= 1 else []
+        while stack:
+            q = stack.pop()
+            g = _kronecker_factor(q)
+            if g is None:
+                found.append(q)
+            else:
+                stack += [g, polys.div_exact(q, g)]
+        factors += [(tuple(f), mult) for f in found]
+    return c, sorted(factors)
 
 
 # -- Fox-Milnor ------------------------------------------------------------
@@ -242,11 +227,12 @@ def fox_milnor_test(p: LaurentPoly, degree_cap: int = 12) -> FoxMilnorResult:
 
     _, dense = q.to_dense()
     _, factors = factor_integer_polynomial(dense)
-    remaining = dict(factors)
+    mults = dict(factors)
     witness = LaurentPoly.one()
+    # One rule in sorted order: a self-reciprocal factor needs an even
+    # power, and half of it enters the witness; any other factor needs its
+    # reciprocal to the same power, and the smaller of the two enters.
     for f, mult in factors:
-        if remaining.get(f, 0) == 0:
-            continue
         rev = _reversed_factor(f)
         if rev == f:
             if mult % 2 != 0:
@@ -254,15 +240,11 @@ def fox_milnor_test(p: LaurentPoly, degree_cap: int = 12) -> FoxMilnorResult:
                     "fails",
                     reason=f"self-reciprocal factor {list(f)} has odd multiplicity {mult}")
             witness = witness * LaurentPoly.from_dense(f) ** (mult // 2)
-            remaining[f] = 0
-        else:
-            if remaining.get(rev, 0) != mult:
-                return FoxMilnorResult(
-                    "fails",
-                    reason=f"factor {list(f)} does not pair with its reciprocal")
+        elif mults.get(rev) != mult:
+            return FoxMilnorResult(
+                "fails", reason=f"factor {list(f)} does not pair with its reciprocal")
+        elif f < rev:
             witness = witness * LaurentPoly.from_dense(f) ** mult
-            remaining[f] = 0
-            remaining[rev] = 0
     product = witness * involution(witness)
     if normalize(product) != q:
         # The +-t^k unit absorbs signs, so this should never trigger.

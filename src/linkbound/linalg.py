@@ -13,13 +13,16 @@ computed in integers.  A minor is then its value at t = 2^K read in
 balanced base-2^K digits, and is nonzero exactly when that value is
 (Kronecker substitution).  So the kernel packs each entry as that
 integer and eliminates with integer products and exact integer division
-(_eliminate).  Non-integer coefficients raise ``ValueError`` before
-packing.  tV - V^T is packed straight from V (_packed) and eliminated
-once per Seifert matrix, when the SeifertData is built (_generic_run);
-its ranks at points are read off that run by the resume rule below
-(_ranks_at_points): at t = 1, the rank of V - V^T that the construction
-checks, and at the circle points of the signature layer.  An integer
-matrix is eliminated as it stands, with no packing.
+(_eliminate).  Two packers feed one tail: _pack takes any matrix of
+integer polynomials and raises ``ValueError`` on a non-integer
+coefficient, and _packed builds tV - V^T straight from V, the hot path;
+_generic_run eliminates what either returns and unpacks its pivots.
+poly_det and poly_rank read that tail, and a SeifertData runs it on
+tV - V^T once, when it is built; the ranks of tV - V^T at points are
+read off that run by the resume rule below (_ranks_at_points): at t = 1,
+the rank of V - V^T that the construction checks, and at the circle
+points of the signature layer.  An integer matrix is eliminated as it
+stands, with no packing.
 
 Pivoting is complete over a caller-supplied "entry is nonzero" test of
 the stored integer; a test on the polynomial unpacks the entry itself:
@@ -52,16 +55,6 @@ from __future__ import annotations
 
 from itertools import accumulate, islice
 
-from . import polys
-
-
-def _pack(p, k_bits: int) -> int:
-    """The integer polynomial p at t = 2^k_bits."""
-    v = 0
-    for c in reversed(p):
-        v = (v << k_bits) + int(c)
-    return v
-
 
 def _unpack(v: int, k_bits: int) -> list:
     """The integer polynomial whose value at t = 2^k_bits is v and whose
@@ -84,17 +77,6 @@ def _hadamard_bits(squares) -> int:
     for s in squares:
         bound *= max(1, s)
     return (bound.bit_length() + 1) // 2 + 2
-
-
-def _packing_bits(matrix) -> int:
-    """The Hadamard K of a matrix of integer polynomials (see
-    _hadamard_bits).  Raises ValueError on a non-integer coefficient."""
-    squares = []
-    for row in matrix:
-        if any(c != int(c) for p in row for c in p):
-            raise ValueError("non-integer coefficient: the kernel works in Z[t]")
-        squares.append(sum([int(sum(map(abs, p))) ** 2 for p in row]))
-    return _hadamard_bits(squares)
 
 
 def _search(k: int, nrows: int, ncols: int):
@@ -197,15 +179,36 @@ def _eliminate(m, nonzero=bool, stop=None, start=None) -> tuple:
     return sign, pivots, rows, cols, written
 
 
-def _bareiss(matrix, nonzero=bool) -> tuple[int, list, list, list]:
-    """_eliminate on a matrix of integer polynomials (dense lists), packed
-    at t = 2^K with the Hadamard K of _packing_bits, its pivots unpacked;
-    a custom test reads each nonzero entry unpacked, exact as it is a minor."""
-    k_bits = _packing_bits(matrix)
-    test = nonzero if nonzero is bool else lambda v: v != 0 and nonzero(_unpack(v, k_bits))
-    sign, pivots, rows, cols = _eliminate(
-        [[_pack(p, k_bits) for p in row] for row in matrix], test)
-    return sign, [_unpack(p, k_bits) for p in pivots], rows, cols
+def _pack(matrix) -> tuple[int, list]:
+    """(K, rows): a matrix of integer polynomials (dense lists) packed at
+    t = 2^K for the Hadamard K of its entries' coefficient 1-norms (see
+    _hadamard_bits), in fresh lists.  Raises ValueError on a non-integer
+    coefficient."""
+    if any(c != int(c) for row in matrix for p in row for c in p):
+        raise ValueError("non-integer coefficient: the kernel works in Z[t]")
+    k_bits = _hadamard_bits([sum([int(sum(map(abs, p))) ** 2 for p in row]) for row in matrix])
+    return k_bits, [[sum(int(c) << i * k_bits for i, c in enumerate(p)) for p in row]
+                    for row in matrix]
+
+
+def _packed(v) -> tuple[int, list]:
+    """_pack of tV - V^T straight from a square integer matrix V, entry
+    (i, j) being (V_ij << K) - V_ji, for the 1-norms |V_ij| + |V_ji|.  K
+    covers every minor of every submatrix: a run and the runs resumed from
+    its stops read one K."""
+    pairs = list(zip(v, zip(*v)))
+    k_bits = _hadamard_bits([sum([(s := abs(a) + abs(b)) * s for a, b in zip(row, col)])
+                             for row, col in pairs])
+    return k_bits, [[(a << k_bits) - b for a, b in zip(row, col)] for row, col in pairs]
+
+
+def _generic_run(k_bits: int, m) -> tuple:
+    """(sign, pivots, rows, cols) of the elimination over Q(t) of a matrix
+    packed at t = 2^K (by _pack or _packed), the pivots unpacked to
+    tuples: there are r of them for the rank r, and for a square matrix of
+    rank r = n sign times the last is its determinant."""
+    sign, pivots, rows, cols = _eliminate(m)
+    return sign, tuple(tuple(_unpack(p, k_bits)) for p in pivots), tuple(rows), tuple(cols)
 
 
 def poly_det(matrix) -> list:
@@ -213,40 +216,13 @@ def poly_det(matrix) -> list:
     a non-integer coefficient raises ValueError."""
     if not matrix:
         return [1]
-    sign, pivots, _, _ = _bareiss(matrix)
-    if len(pivots) < len(matrix):
-        return []
-    return polys.neg(pivots[-1]) if sign < 0 else pivots[-1]
+    sign, pivots, _, _ = _generic_run(*_pack(matrix))
+    return [sign * c for c in pivots[-1]] if len(pivots) == len(matrix) else []
 
 
 def poly_rank(matrix) -> int:
     """Rank over Q(t) of a matrix of integer polynomials (dense lists)."""
-    return len(_bareiss(matrix)[1])
-
-
-# -- tV - V^T, packed straight from V -------------------------------------------
-
-
-def _packed(v) -> tuple[int, list]:
-    """(K, rows): tV - V^T packed at t = 2^K straight from a square integer
-    matrix V, entry (i, j) being (V_ij << K) - V_ji, in fresh lists that
-    the kernel eliminates in place.  K is the Hadamard bound of the entry
-    1-norms |V_ij| + |V_ji| (see _hadamard_bits), which covers every minor
-    of every submatrix: a run and the runs resumed from its stops read one K."""
-    pairs = list(zip(v, zip(*v)))
-    k_bits = _hadamard_bits([sum([(s := abs(a) + abs(b)) * s for a, b in zip(row, col)])
-                             for row, col in pairs])
-    return k_bits, [[(a << k_bits) - b for a, b in zip(row, col)] for row, col in pairs]
-
-
-def _generic_run(v) -> tuple:
-    """(sign, pivots, rows, cols) of the elimination of tV - V^T over Q(t),
-    packed from V (see _packed), the pivots unpacked to tuples: there are
-    r of them for the generic rank r, and for r = n sign times the last is
-    det(tV - V^T)."""
-    k_bits, m = _packed(v)
-    sign, pivots, rows, cols = _eliminate(m)
-    return sign, tuple(tuple(_unpack(p, k_bits)) for p in pivots), tuple(rows), tuple(cols)
+    return len(_generic_run(*_pack(matrix))[1])
 
 
 def _ranks_at_points(v, pivots, tests) -> list:

@@ -179,12 +179,6 @@ def gcd_poly(p, q) -> list:
     return primitive_positive(a)[1]
 
 
-def squarefree_part(p) -> list:
-    """p divided by gcd(p, p'), made primitive and positive-leading."""
-    p = primitive(p)
-    return primitive_positive(div_exact(p, gcd_poly(p, derivative(p))))[1]
-
-
 def squarefree_decomposition(p, g=None) -> list[tuple[list, int]]:
     """Yun's algorithm: p ~ prod f_i^i with the f_i squarefree, pairwise
     coprime, primitive and positive-leading.  Equality holds up to a

@@ -357,7 +357,7 @@ class RealAlgebraic:
         q = polys.trim(q)
         if self.vanishes(q):
             return 0
-        chain = sturm_chain(polys.squarefree_part(q))  # ((1,),) for a constant q
+        chain = sturm_chain(_yun(tuple(q))[1])  # ((1,),) for a constant q
         while ((s := polys.sign_at_ratio(q, self._a, self._d)) == 0
                or _variations(chain, self._a, self._d) != _variations(chain, self._b, self._d)):
             self._bisect()

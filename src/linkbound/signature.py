@@ -86,13 +86,12 @@ from .realroots import RealAlgebraic, _nonzero_at, _yun, isolate_real_roots
 class CirclePoint:
     """A point z on the unit circle given through x = z + 1/z.
 
-    `x` is a rational or a RealAlgebraic in [-2, 2].  `upper` selects the
-    closed half-circle; conjugation symmetry makes all signature data
-    equal on the two halves, so the flag is bookkeeping only.
+    `x` is a rational or a RealAlgebraic in [-2, 2]; z and its conjugate
+    share it, and conjugation symmetry makes all signature data equal on
+    the two half-circles.
     """
 
     x: object
-    upper: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "x", _as_x(self.x))

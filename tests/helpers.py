@@ -201,6 +201,23 @@ def count_eliminations(monkeypatch) -> list[int]:
     return calls
 
 
+def record_stops(patch=setattr) -> list[tuple[int, int]]:
+    """Record (the steps it resumed from, stop) for every run of the
+    Bareiss kernel that stops after `stop` steps from now on, in the list
+    returned.  A test passes monkeypatch.setattr; a script passes nothing
+    and the spy stays for the rest of the process."""
+    runs = []
+    eliminate = linkbound.linalg._eliminate
+
+    def stopped(m, *args, stop=None, start=None, **kwargs):
+        if stop is not None:
+            runs.append((len(start[1]) if start else 0, stop))
+        return eliminate(m, *args, stop=stop, start=start, **kwargs)
+
+    patch(linkbound.linalg, "_eliminate", stopped)
+    return runs
+
+
 @st.composite
 def degenerate_seifert(draw):
     """Seifert matrices V, n <= 5, with entries in -2..2; optionally a zero

@@ -2,7 +2,9 @@
 reference for :func:`linkbound.realroots.isolate_real_roots`, which
 bisects integer brackets (a, b, d) over one denominator: the
 IsolatingInterval record, the isolation that returns it, and
-refine_isolating_interval."""
+refine_isolating_interval; also the square-free part by its own gcd,
+which the library now reads from Yun's decomposition
+(linkbound.realroots._yun)."""
 
 from __future__ import annotations
 
@@ -36,6 +38,12 @@ class IsolatingInterval:
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
+
+
+def squarefree_part(p) -> list:
+    """p divided by gcd(p, p'), made primitive and positive-leading."""
+    p = polys.primitive(p)
+    return polys.primitive_positive(polys.div_exact(p, polys.gcd_poly(p, polys.derivative(p))))[1]
 
 
 def sign_at(p, x) -> int:
@@ -211,6 +219,6 @@ def refine_isolating_interval(q, interval: IsolatingInterval,
     rational root.
     """
     root = object.__new__(RealAlgebraic)
-    root._isolate(polys.squarefree_part(q), interval.lo, interval.hi)
+    root._isolate(squarefree_part(q), interval.lo, interval.hi)
     root.refine(max_width)
     return IsolatingInterval(root.lo, root.hi, interval.multiplicity)

@@ -9,7 +9,7 @@ from fractions import Fraction
 from linkbound import polys
 from linkbound.realroots import _gcd, sturm_chain
 
-from isolation_reference import count_roots, sign_at
+from isolation_reference import count_roots, sign_at, squarefree_part
 
 
 class RealAlgebraic:
@@ -98,7 +98,7 @@ class RealAlgebraic:
         q = polys.trim(q)
         if self.vanishes(q):
             return 0
-        qchain = sturm_chain(polys.squarefree_part(q)) if polys.degree(q) >= 1 else None
+        qchain = sturm_chain(squarefree_part(q)) if polys.degree(q) >= 1 else None
         while True:
             s = sign_at(q, self._lo)
             if s != 0 and (qchain is None or count_roots(qchain, self._lo, self._hi) == 0):

@@ -1,15 +1,19 @@
 import math
 import random
+import time
+from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from linkbound import LaurentPoly, ZeroPolynomialError, \
-    factor_integer_polynomial, fox_milnor_test, involution, normalize
+from linkbound import LaurentPoly, SeifertData, ZeroPolynomialError, assemble_report, \
+    factor_integer_polynomial, fox_milnor_test, involution, normalize, signature_function
 from linkbound import factor, polys
 from linkbound.factor import _interpolate_integer
+
+import factor_reference
 
 PHI15 = LaurentPoly({8: 1, 7: -1, 5: 1, 4: -1, 3: 1, 1: -1, 0: 1})
 COMPANION = LaurentPoly({2: 2, 1: -5, 0: 2})
@@ -204,3 +208,64 @@ def test_fox_milnor_norms_always_pass():
         assert res.verdict == "passes", res.reason
         w = res.witness
         assert normalize(w * involution(w)) == normalize(p * involution(p))
+
+
+# Irreducible factors for the products below: linear ones with rational
+# roots, quadratics and a cubic without, and the cyclotomic Phi_m for
+# m = 2, 3, 4, 5, 6, 8, 10, 12.  Many have |f(1)| = 1, so their products
+# reach the pairing; f and its reciprocal make a pair.
+IRREDUCIBLE = [(-1, 2), (2, -1), (2, 3), (1, -1, -1), (1, -3, 1), (1, -2, 2), (2, 1, 1),
+               (-1, -1, 0, 1), (1, 1), (1, 1, 1), (1, 0, 1), (1, 1, 1, 1, 1), (1, -1, 1),
+               (1, 0, 0, 0, 1), (1, -1, 1, -1, 1), (1, 0, -1, 0, 1)]
+
+
+@st.composite
+def factored_products(draw):
+    """(c t^k prod f^m, with each f drawn from IRREDUCIBLE, optionally
+    with its reciprocal to the same power, k): degree at most 12, a unit or
+    a small content, and a power of t."""
+    p = [draw(st.sampled_from([1, -1, 1, 2, -3]))]
+    for _ in range(draw(st.integers(0, 4))):
+        f, mult = list(draw(st.sampled_from(IRREDUCIBLE))), draw(st.integers(1, 3))
+        for g in [f, f[::-1]] if draw(st.booleans()) else [f]:
+            for _ in range(mult):
+                p = polys.mul(p, g)
+    assume(polys.degree(p) <= 12)
+    return p, draw(st.integers(0, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(factored_products())
+@example(([1], 0))
+@example((polys.mul([2, -5, 2], [1, -1, 1]), 0))  # (2t - 1)(t - 2) Phi_6: odd power
+@example((polys.mul(polys.mul([2, -5, 2], [1, -1, 1]), [1, -1, 1]), 1))  # passes
+@example((polys.mul(polys.mul([2, -1], [2, -1]), [-1, 2]), 0))  # a pair of powers 2 and 1
+@example((polys.mul(polys.mul([1, -1, -1], [-1, -1, 1]), [1, 0, -1, 0, 1]), 2))
+def test_one_factorization_pass_matches_the_merge(case):
+    """factor_integer_polynomial, which factors each Yun factor in one
+    loop, and fox_milnor_test, which pairs factors by one rule over the
+    sorted list, give the factor list, verdict, reason and witness of
+    the merge and the consumed-factor walk they replaced
+    (tests/factor_reference.py)."""
+    p, shift = case
+    assert factor_integer_polynomial(p) == factor_reference.factor_integer_polynomial(p)
+    delta = LaurentPoly.from_dense(p, shift)
+    got, want = fox_milnor_test(delta), factor_reference.fox_milnor_test(delta)
+    assert (got.verdict, got.reason, got.witness) == (want.verdict, want.reason, want.witness)
+
+
+@pytest.mark.parametrize("a", [10 ** 7, 10 ** 40])
+def test_a_linear_jump_polynomial_takes_no_divisors(monkeypatch, a):
+    """The jump polynomial of V = [[a, 1], [0, a]] is linear in x, with
+    root 2 - 1/a^2: the rational-root split reads it off the polynomial
+    instead of trial-dividing 2a^2 - 1, which took 2.8 s at a = 10^7, so a
+    report takes no divisor and under 0.1 s."""
+    calls = []
+    monkeypatch.setattr(factor, "_divisors", lambda n: calls.append(n))
+    start = time.perf_counter()
+    data = SeifertData.from_matrix([[a, 1], [0, a]])
+    report = assemble_report(data)
+    assert time.perf_counter() - start < 0.1
+    assert not calls
+    assert signature_function(data).breakpoints == (Fraction(2 * a * a - 1, a * a),)
+    assert (report.lower, report.upper, report.slice_verdict) == (1, 1, "obstructed")

@@ -20,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkbound import RealAlgebraic, seifert_matrix_from_braid, signature_function, torus_braid
-from linkbound.linalg import (_bareiss, _eliminate, _integer_symmetric_signature, _pack,
-                              _packed, _packing_bits, _unpack, poly_det, poly_rank)
+from linkbound.linalg import (_eliminate, _generic_run, _integer_symmetric_signature, _pack,
+                              _packed, _unpack, poly_det, poly_rank)
 from linkbound.realroots import _nonzero_at
 from linkbound.signature import (_elimination, _principal_block,
                                  _trace_signature_nullity, pointwise_signature_nullity)
@@ -68,6 +68,19 @@ def _trim(p):
     return p
 
 
+def _run(m, nonzero=bool) -> tuple:
+    """(sign, pivots, rows, cols) of the packed kernel on a matrix of
+    integer polynomials, the pivots unpacked to lists: the shared tail
+    _generic_run under the test q != 0, and otherwise _eliminate with a
+    test that reads each nonzero entry unpacked, exact as it is a minor."""
+    k_bits, packed = _pack(m)
+    if nonzero is bool:
+        sign, pivots, rows, cols = _generic_run(k_bits, packed)
+        return sign, list(map(list, pivots)), list(rows), list(cols)
+    sign, pivots, rows, cols = _eliminate(packed, lambda v: v != 0 and nonzero(_unpack(v, k_bits)))
+    return sign, [_unpack(p, k_bits) for p in pivots], rows, cols
+
+
 def sympy_rank(m) -> int:
     """Rank over QQ(t) by sympy."""
     return domain_matrix(m).convert_to(ZZ_T.get_field()).rank()
@@ -85,7 +98,7 @@ def test_pivots_are_leading_minors(m):
     """Up to the first step that moves an index the pivots are the leading
     minors, and the next leading minor is 0; every pivot is the minor on
     its pivot rows and columns."""
-    _, pivots, rows, cols = _bareiss(m)
+    _, pivots, rows, cols = _run(m)
     n = len(m)
     s = next((k for k, (i, j) in enumerate(zip(rows, cols)) if i != k or j != k), len(rows))
     leading = pivots[:s] + ([[]] if s < n else [])
@@ -300,7 +313,7 @@ def test_packed_kernel_matches_sympy(m):
     kernel against sympy over ZZ[t], on wide coefficients and
     rank-deficient matrices: every pivot is the minor on its pivot rows
     and columns, and their number is the rank."""
-    sign, pivots, rows, cols = _bareiss(m)
+    sign, pivots, rows, cols = _run(m)
     assert len(pivots) == sympy_rank(m)
     for k, pivot in enumerate(pivots, 1):
         assert pivot == sympy_det([[m[i][j] for j in cols[:k]] for i in rows[:k]])
@@ -335,23 +348,27 @@ def test_determinant_at_the_bound(m):
 @given(st.integers(2, 80), st.data())
 def test_pack_unpack_round_trip(k_bits, data):
     """Coefficients up to 2^(K-1) - 1 in absolute value, the edge of the
-    balanced digits, come back unchanged."""
+    balanced digits, come back unchanged, and so does an entry that _pack
+    packs at its own K."""
     edge = 2 ** (k_bits - 1) - 1
     p = _trim(data.draw(st.lists(st.one_of(st.sampled_from([edge, -edge]),
                                            st.integers(-edge, edge)), max_size=6)))
-    assert _unpack(_pack(p, k_bits), k_bits) == p
+    assert _unpack(bareiss_reference._pack(p, k_bits), k_bits) == p
+    k_bits, packed = _pack([[p]])
+    assert _unpack(packed[0][0], k_bits) == p
 
 
 def test_packing_bits_bound_the_minors():
     """K is ceil(bitlen(prod_i max(1, sum_j ||a_ij||_1^2)) / 2) + 2: the
     all-ones 4 x 4 matrix, whose determinant is 0 and whose Hadamard bound
-    is 4^2, gets 7 where the product of the 1-norms, 4^4, gave 11."""
-    assert _packing_bits([[[5]]]) == 3 + 2
-    assert _packing_bits([[[1, -2], [3]], [[], []]]) == 3 + 2  # bitlen(18) = 5
-    assert _packing_bits([[[1]] * 4] * 4) == 5 + 2  # bitlen(256) = 9
-    assert _packing_bits([]) == 1 + 2
+    is 4^2, gets 7 where the product of the 1-norms, 4^4, gave 11.  Each
+    entry is packed as its value at t = 2^K."""
+    assert _pack([[[5]]])[0] == 3 + 2
+    assert _pack([[[1, -2], [3]], [[], []]]) == (5, [[1 - 2 * 32, 3], [0, 0]])  # bitlen(18) = 5
+    assert _pack([[[1]] * 4] * 4)[0] == 5 + 2  # bitlen(256) = 9
+    assert _pack([]) == (1 + 2, [])
     with pytest.raises(ValueError):
-        _packing_bits([[[Fraction(1, 3)]]])
+        _pack([[[Fraction(1, 3)]]])
 
 
 @st.composite
@@ -373,7 +390,7 @@ def small_wide_matrices(draw):
 def test_hadamard_bits_bound_every_minor(m):
     """Every minor of every square submatrix, by sympy, has coefficients
     of absolute value below 2^(K - 2)."""
-    limit = 2 ** (_packing_bits(m) - 2)
+    limit = 2 ** (_pack(m)[0] - 2)
     for k in range(1, min(len(m), len(m[0])) + 1):
         for rows in itertools.combinations(range(len(m)), k):
             for cols in itertools.combinations(range(len(m[0])), k):
@@ -410,9 +427,9 @@ def test_lazy_kernel_matches_the_eager_one(case):
     q(z0) != 0; an integer matrix, eliminated unpacked, gives the pivots
     of its constant polynomials."""
     m, x = case
-    assert _bareiss(m) == bareiss_reference._bareiss(m)
+    assert _run(m) == bareiss_reference._bareiss(m)
     at = _nonzero_at(x)
-    assert _bareiss(m, at) == bareiss_reference._bareiss(m, at)
+    assert _run(m, at) == bareiss_reference._bareiss(m, at)
     for q in (e for row in m for e in row):
         vanishes = bareiss_reference._zero_test(x)
         assert at(q) == (not all(map(vanishes, bareiss_reference._xz_parts(q))))
@@ -429,10 +446,10 @@ def test_resumed_elimination_matches_one_run(case, step):
     under the test q != 0 and under the test q(z0) != 0, on packed
     entries, the latter unpacking each nonzero entry."""
     m, x = case
-    k_bits = _packing_bits(m)
+    k_bits = _pack(m)[0]
     at = _nonzero_at(x)
     for test in (bool, lambda v: v != 0 and at(_unpack(v, k_bits))):
-        whole = [[_pack(p, k_bits) for p in row] for row in m]
+        whole = _pack(m)[1]
         split = [list(row) for row in whole]
         expected = _eliminate(whole, test)
         state = _eliminate(split, test, stop=step)
@@ -448,8 +465,7 @@ def test_a_resumed_test_reads_current_minors():
     the run reads the current entry and finds the rank 3 at t = 1; a test
     of the stale entry would stop at 2."""
     m = [[[-1, 1], [1], [-1, 1]], [[1], [], [1]], [[-1, 1], [1], [1]]]
-    k_bits = _packing_bits(m)
-    packed = [[_pack(p, k_bits) for p in row] for row in m]
+    k_bits, packed = _pack(m)
     state = _eliminate(packed, stop=2)
     at_one = lambda v: v != 0 and sum(_unpack(v, k_bits)) != 0
     assert len(state[1]) == 2 and len(_eliminate(packed, at_one, start=state)[1]) == 3
@@ -462,8 +478,7 @@ def test_a_stopped_run_leaves_untouched_rows_as_given():
     first = [[[2, 1], [1], [0, 1]], [[1], [3], [1]], [[0, 1], [1], [5, 0, 1]]]
     later = [[[3, 1], [1, 1]], [[1, 1], [2, 0, 1]]]
     m = [row + [[]] * 2 for row in first] + [[[]] * 3 + row for row in later]
-    k_bits = _packing_bits(m)
-    given = [[_pack(p, k_bits) for p in row] for row in m]
+    k_bits, given = _pack(m)
     at = _nonzero_at(Fraction(1, 2))
     for test in (bool, lambda v: v != 0 and at(_unpack(v, k_bits))):
         expected = _eliminate([list(row) for row in given], test)
@@ -482,7 +497,7 @@ def test_packing_from_v_matches_the_eager_kernel(data):
     v, n = data.matrix, data.size
     form = [[_trim([-v[j][i], v[i][j]]) for j in range(n)] for i in range(n)]
     k_bits, rows = _packed(data.matrix)
-    assert k_bits == _packing_bits(form)
+    assert (k_bits, rows) == _pack(form)
     assert [[_unpack(e, k_bits) for e in row] for row in rows] == form
     sign, pivots, rows, cols = bareiss_reference._bareiss(form)
     assert _elimination(data) == (sign, tuple(map(tuple, pivots)), tuple(rows), tuple(cols))

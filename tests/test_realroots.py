@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from linkbound import RealAlgebraic, ZeroPolynomialError, isolate_real_roots
 from linkbound import polys, realroots
 from linkbound.realroots import sturm_chain
 
-from isolation_reference import IsolatingInterval, count_roots, refine_isolating_interval, sign_at
+from isolation_reference import (IsolatingInterval, count_roots, refine_isolating_interval, sign_at,
+                                 squarefree_part)
 from isolation_reference import isolate_real_roots as reference_isolation
 from realalgebraic_reference import RealAlgebraic as ReferenceAlgebraic
 
@@ -85,7 +87,7 @@ def test_disjointness_and_containment():
             assert a.hi <= b.lo
         for iv in out:
             # exactly one distinct root inside, via the square-free part
-            sq = polys.squarefree_part(p)
+            sq = squarefree_part(p)
             assert count_roots(sturm_chain(sq), iv.lo, iv.hi) == 1
 
 
@@ -272,7 +274,7 @@ def test_isolation_contract_on_products(factors, lo, hi):
     for f, m in factors:
         for _ in range(m):
             q = polys.mul(q, f)
-    sq = polys.squarefree_part(q)
+    sq = squarefree_part(q)
     chain = sturm_chain(sq)
     out = intervals(q, lo, hi)
     for a, b in zip(out, out[1:]):
@@ -319,7 +321,7 @@ def test_brackets_match_the_fraction_isolation(spec):
 
 
 def _roots(p):
-    sq = polys.squarefree_part(p)
+    sq = squarefree_part(p)
     return [RealAlgebraic(sq, iv.lo, iv.hi) for iv in intervals(p, -20, 20)
             if not any(polys.evaluate(sq, r) == 0 for r in (iv.lo, iv.hi))]
 
@@ -493,3 +495,15 @@ def test_integer_bracket_matches_the_fraction_bracket(spec, other_spec, ops):
             assert new.to_float(width) == ref.to_float(width)
         assert (new.lo, new.hi) == (ref.lo, ref.hi)
     assert repr(new) == repr(ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-5, 5), max_size=4), st.integers(1, 3),
+       st.lists(st.integers(-5, 5), max_size=4), st.integers(1, 4))
+def test_yun_part_is_the_squarefree_part(f, m, g, den):
+    """The square-free part that RealAlgebraic.sign_of reads from the
+    cached Yun decomposition (realroots._yun) is p / gcd(p, p'), primitive
+    and positive-leading (tests/isolation_reference.py), for f^m g / den."""
+    q = [Fraction(c, den) for c in polys.mul(reduce(polys.mul, [f] * m, [1]), g)]
+    assume(polys.trim(q))
+    assert list(realroots._yun(tuple(polys.trim(q)))[1]) == squarefree_part(q)

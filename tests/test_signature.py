@@ -22,13 +22,13 @@ from linkbound import (BraidWord, CirclePoint, LaurentPoly, RealAlgebraic, Seife
                        units_equal)
 from linkbound import linalg, polys, realroots, signature
 from linkbound.factor import _rational_root_split
-from linkbound.linalg import _bareiss, _unpack, poly_det
+from linkbound.linalg import _generic_run, _pack, _unpack, poly_det
 from linkbound.signature import _minor_x
 
 import bareiss_reference
 from helpers import (b_laurent, cold, count_eliminations,
                      degenerate_family, degenerate_seifert, mixed_double, random_knot_data,
-                     random_seifert_data, random_unimodular, sympy_det, zero_padded)
+                     random_seifert_data, random_unimodular, record_stops, sympy_det, zero_padded)
 from isolation_reference import sign_at
 from quadfield_reference import QuadFieldElem, quad_eval
 from read_reference import breakpoints_equal, functions_equal
@@ -1148,7 +1148,7 @@ def _family_route(data):
     v, n = data.matrix, data.size
     dense = [[polys.trim([-v[j][i], v[i][j] + v[j][i], -v[i][j]]) for j in range(n)]
              for i in range(n)]
-    block = tuple(_bareiss(dense)[2])
+    block = _generic_run(*_pack(dense))[2]
     minors = [sympy_det([[dense[i][j] for j in block[:k]] for i in block[:k]])
               for k in range(1, len(block) + 1)]
     return block, [LaurentPoly.from_dense(p, -k) for k, p in enumerate(minors, 1)]
@@ -1259,8 +1259,7 @@ def _count_rank_work(monkeypatch) -> tuple[list, list]:
     stops after `stop` steps, (the steps it resumed from, stop).  Read
     fresh Seifert data (see cold), built before: its construction may
     stop and resume a run of its own, at t = 1."""
-    tests, runs = [], []
-    nonzero_at, eliminate = signature._nonzero_at, linalg._eliminate
+    tests, nonzero_at = [], signature._nonzero_at
 
     def counting(root):
         test = nonzero_at(root)
@@ -1270,14 +1269,8 @@ def _count_rank_work(monkeypatch) -> tuple[list, list]:
             return test(q)
         return counted
 
-    def stopped(m, *args, stop=None, start=None, **kwargs):
-        if stop is not None:
-            runs.append((len(start[1]) if start else 0, stop))
-        return eliminate(m, *args, stop=stop, start=start, **kwargs)
-
     monkeypatch.setattr(signature, "_nonzero_at", counting)
-    monkeypatch.setattr(linalg, "_eliminate", stopped)
-    return tests, runs
+    return tests, record_stops(monkeypatch.setattr)
 
 
 # the stops of the one generic run of a report, one per class of roots
