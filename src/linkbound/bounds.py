@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .braids import SeifertData, _check_integer, _check_integers, _json_int
 from .errors import InconsistentBounds, InvalidSeifertData, ParseError
-from .factor import FoxMilnorResult, check_degree_cap, fox_milnor_test
+from .factor import DEFAULT_DEGREE_CAP, FoxMilnorResult, check_degree_cap, fox_milnor_test
 from .laurent import LaurentPoly
 from .signature import (CirclePoint, SignatureFunction, alexander_from_seifert,
                         link_nullity, signature_function)
@@ -254,7 +254,8 @@ class SliceObstruction:
     signature_bound: int
 
 
-def slice_obstruction(data: SeifertData, degree_cap: int = 12) -> SliceObstruction:
+def slice_obstruction(data: SeifertData,
+                      degree_cap: int = DEFAULT_DEGREE_CAP) -> SliceObstruction:
     """Slice obstruction for a knot: Fox-Milnor on the Alexander
     polynomial, with a positive signature lower bound reported as an
     independent obstruction when it fires."""
@@ -326,7 +327,8 @@ def infection_transfer(base: BoundReport, decl: InfectionDecl) -> BoundReport:
                        tuple(provenance), tuple(assumptions), base.components)
 
 
-def assemble_report(data: SeifertData, certs=(), degree_cap: int = 12) -> BoundReport:
+def assemble_report(data: SeifertData, certs=(),
+                    degree_cap: int = DEFAULT_DEGREE_CAP) -> BoundReport:
     """One certified report: the signature lower bound against the minimum
     of the available upper bounds, plus the slice verdict.
 

@@ -150,9 +150,11 @@ class SeifertData:
     Q, and unimodular for knots (m = 1).  Both are read at t = 1, where
     evaluation commutes with every minor, off the elimination of tV - V^T
     over Q(t) that the construction runs (linalg._generic_run) and keeps
-    for every invariant read later: the rank by the resume rule of
-    linalg._ranks_at_points, and for a knot of rank n det(V - V^T) =
-    +-p_n(1).  So building one costs that elimination, also for the
+    for every invariant read later.  For a knot of rank n det(V - V^T) =
+    +-p_n(1).  The skew V - V^T has even rank, in [k, r] for the last k
+    with p_k(1) != 0, below n if p_n(1) = 0: where one even number fits,
+    it is the rank, else the resume rule of linalg._ranks_at_points reads
+    it.  So building one costs that elimination, also for the
     intermediates of mirror() and connected_sum().
 
     `_run` holds the elimination and `_derived` what the signature layer
@@ -184,11 +186,14 @@ class SeifertData:
         object.__setattr__(self, "matrix", v)
         object.__setattr__(self, "components", m)
         run = linalg._generic_run(*linalg._packed(v))
-        pivots = run[1]
+        pivots, r = run[1], len(run[1])
         # p(1) is the sum of the coefficients of p
-        if linalg._ranks_at_points(v, pivots, [sum])[0] != n - m + 1:
-            raise InvalidSeifertData(
-                "rank of V - V^T does not equal twice the genus")
+        k = next((k for k in range(r, 0, -1) if sum(pivots[k - 1])), 0)
+        top = r if k == r or r < n else n - 1
+        even = k + k % 2
+        rank = even if top < even + 2 else linalg._ranks_at_points(v, pivots, [sum])[0]
+        if rank != n - m + 1:
+            raise InvalidSeifertData("rank of V - V^T does not equal twice the genus")
         if m == 1 and n and abs(sum(pivots[-1])) != 1:
             raise InvalidSeifertData("V - V^T must be unimodular for a knot")
         object.__setattr__(self, "_run", run)
@@ -332,10 +337,6 @@ def braid_from_json(obj) -> BraidWord:
         return BraidWord(_json_int(obj["strands"], "strands"),
                          tuple(_json_int(x, "braid letter") for x in word))
     raise ParseError("braid must be a string or {strands, word} object")
-
-
-def braid_to_json(b: BraidWord) -> dict:
-    return {"strands": b.strands, "word": list(b.letters)}
 
 
 def seifert_data_from_json(obj) -> SeifertData:

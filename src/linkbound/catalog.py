@@ -13,12 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bounds import assemble_report
-from .braids import (BraidWord, SeifertData, _json_int, braid_from_json, braid_to_json,
-                     connected_sum, seifert_data_from_json,
-                     seifert_matrix_from_braid, torus_braid)
+from .braids import (BraidWord, SeifertData, _json_int, braid_from_json, connected_sum,
+                     seifert_data_from_json, seifert_matrix_from_braid, torus_braid)
 from .errors import ParseError
-from .laurent import (LaurentPoly, laurent_from_json, laurent_to_json,
-                      units_equal)
+from .factor import DEFAULT_DEGREE_CAP
+from .laurent import laurent_from_json, units_equal
 from .signature import alexander_from_seifert, signature_function
 
 
@@ -32,15 +31,6 @@ class CatalogEntry:
         if isinstance(self.input, BraidWord):
             return seifert_matrix_from_braid(self.input)
         return self.input
-
-    def to_json(self) -> dict:
-        if isinstance(self.input, BraidWord):
-            inp = {"braid": braid_to_json(self.input)}
-        else:
-            inp = {"seifert_matrix": [list(r) for r in self.input.matrix],
-                   "components": self.input.components,
-                   "label": self.input.label}
-        return {"name": self.name, "input": inp, "expected": self.expected}
 
     @classmethod
     def from_json(cls, obj: dict) -> "CatalogEntry":
@@ -94,7 +84,8 @@ def builtin_catalog() -> list[CatalogEntry]:
             "alexander": {"0": 2, "1": -5, "2": 2},
             "max_abs_sigma": 0, "g4": [0, 1]}),
         CatalogEntry("t35_sum_w2companion", t35_sum, {
-            "alexander": _product_poly(), "max_abs_sigma": 8, "g4": [4, 5]}),
+            "alexander": {"0": 2, "1": -7, "2": 7, "4": -7, "5": 9, "6": -7, "8": 7, "9": -7,
+                          "10": 2}, "max_abs_sigma": 8, "g4": [4, 5]}),
         CatalogEntry("hopf_positive", BraidWord(2, (1, 1)), {
             "alexander": {"0": -1, "1": 1}, "max_abs_sigma": 1, "g4": [1, None]}),
         CatalogEntry("unlink2_annulus",
@@ -103,19 +94,13 @@ def builtin_catalog() -> list[CatalogEntry]:
     ]
 
 
-def _product_poly() -> dict:
-    t35 = LaurentPoly({0: 1, 1: -1, 3: 1, 4: -1, 5: 1, 7: -1, 8: 1})
-    comp = LaurentPoly({0: 2, 1: -5, 2: 2})
-    return laurent_to_json(t35 * comp)
-
-
 def load_catalog(obj) -> list[CatalogEntry]:
     if not isinstance(obj, list):
         raise ParseError("catalog file must hold a JSON array of entries")
     return [CatalogEntry.from_json(e) for e in obj]
 
 
-def verify_entry(entry: CatalogEntry, degree_cap: int = 12) -> tuple[bool, str]:
+def verify_entry(entry: CatalogEntry, degree_cap: int = DEFAULT_DEGREE_CAP) -> tuple[bool, str]:
     """Regression-check one entry's expected values; returns (ok, message)."""
     data = entry.seifert_data()
     expected = entry.expected or {}
@@ -142,5 +127,5 @@ def verify_entry(entry: CatalogEntry, degree_cap: int = 12) -> tuple[bool, str]:
     return True, "ok"
 
 
-def verify_catalog(entries, degree_cap: int = 12) -> list[tuple[str, bool, str]]:
+def verify_catalog(entries, degree_cap: int = DEFAULT_DEGREE_CAP) -> list[tuple[str, bool, str]]:
     return [(e.name, *verify_entry(e, degree_cap)) for e in entries]

@@ -19,7 +19,7 @@ from .bounds import BandCertificate, BoundReport, InfectionDecl, assemble_report
     band_certificate_genus, infection_transfer
 from .catalog import builtin_catalog, load_catalog, verify_catalog
 from .errors import DegreeCapError, InconsistentBounds, InvalidSeifertData, ParseError
-from .factor import check_degree_cap
+from .factor import DEFAULT_DEGREE_CAP, check_degree_cap
 from .laurent import format_laurent, laurent_to_json
 from .signature import (alexander_from_seifert, float_oracle, link_nullity,
                         signature_function)
@@ -145,22 +145,24 @@ MAX_JSON_INDENT = 64
 MAX_SAMPLES = 10000
 
 
-def _at_most(flag: str, maximum: int):
-    """The reader of an integer option that refuses a value above
-    `maximum` with ParseError, before any work."""
+def _within(flag: str, least, most: int):
+    """The reader of an integer option that refuses a value outside
+    [least, most] with ParseError, before any work."""
     def read(text: str) -> int:
         value = _decimal(text)
-        if value > maximum:
-            raise ParseError(f"{flag} {value} exceeds the maximum {maximum}")
+        if value > most:
+            raise ParseError(f"{flag} {value} exceeds the maximum {most}")
+        if value < least:
+            raise ParseError(f"{flag} {value} is below the minimum {least}")
         return value
     return read
 
 
 # One row per command: (handler, positionals, options, help line).  An option's flag names
 # its attribute; a list option is repeatable; --input is the hidden alias of INPUT.
-INDENT = {"--json-indent": (_at_most("--json-indent", MAX_JSON_INDENT), 2)}
+INDENT = {"--json-indent": (_within("--json-indent", -math.inf, MAX_JSON_INDENT), 2)}
 INPUT = {"--input": (str, None), **INDENT}
-CAP = {"--degree-cap": (_decimal, 12)}
+CAP = {"--degree-cap": (_decimal, DEFAULT_DEGREE_CAP)}
 COMMANDS = {
     "invariants": (cmd_invariants, ("input",), INPUT,
                    "Alexander polynomial, nullity, signature function"),
@@ -169,7 +171,7 @@ COMMANDS = {
     "infect": (cmd_infect, ("base_report", "declaration"), INDENT,
                "transfer bounds through a string-link infection declaration"),
     "signature-csv": (cmd_signature_csv, ("input",),
-                      {**INPUT, "--samples": (_at_most("--samples", MAX_SAMPLES), 0)},
+                      {**INPUT, "--samples": (_within("--samples", 0, MAX_SAMPLES), 0)},
                       "emit the signature function as CSV, plus N float-oracle rows"),
     "verify": (cmd_verify, (), {"--catalog": (str, None), **CAP, **INDENT},
                "run the catalog regression checks (default: $LINKBOUND_CATALOG or built-in)"),

@@ -23,6 +23,7 @@ from .laurent import LaurentPoly, involution, normalize
 # the degree: factoring Phi_19 (degree 18) takes seconds, and with a cap
 # of 100 the report on T(2,25) does not finish in a minute.
 MAX_DEGREE_CAP = 18
+DEFAULT_DEGREE_CAP = 12
 
 
 def _divisors(n: int) -> tuple[int, ...]:
@@ -194,7 +195,7 @@ def check_degree_cap(degree_cap: int) -> None:
             f"degree cap {degree_cap} exceeds the maximum {MAX_DEGREE_CAP}")
 
 
-def fox_milnor_test(p: LaurentPoly, degree_cap: int = 12) -> FoxMilnorResult:
+def fox_milnor_test(p: LaurentPoly, degree_cap: int = DEFAULT_DEGREE_CAP) -> FoxMilnorResult:
     """Decide whether p factors as +-t^k f(t) f(1/t) over Z[t, 1/t].
 
     This is the classical necessary condition on the Alexander polynomial

@@ -53,10 +53,6 @@ class LaurentPoly:
         return cls({k: 1})
 
     @classmethod
-    def constant(cls, c) -> "LaurentPoly":
-        return cls({0: c})
-
-    @classmethod
     def from_dense(cls, coeffs, min_exp: int = 0) -> "LaurentPoly":
         return cls({min_exp + i: c for i, c in enumerate(coeffs)})
 
@@ -65,9 +61,6 @@ class LaurentPoly:
     @property
     def is_zero(self) -> bool:
         return not self._c
-
-    def coefficient(self, e: int):
-        return self._c.get(e, 0)
 
     def items(self):
         return sorted(self._c.items())
@@ -250,10 +243,6 @@ def format_laurent(p: LaurentPoly) -> str:
     return out
 
 
-def _coeff_to_json(v):
-    return v if isinstance(v, int) else f"{v.numerator}/{v.denominator}"
-
-
 # a rational coefficient as a JSON string: "p" or "p/q", q nonzero, in
 # ASCII digits
 _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
@@ -277,8 +266,10 @@ def _coeff_from_json(v):
 
 
 def laurent_to_json(p: LaurentPoly) -> dict:
-    """{"exponent": coefficient} with string exponent keys."""
-    return {str(e): _coeff_to_json(v) for e, v in p.items()}
+    """{"exponent": coefficient} with string exponent keys, each coefficient
+    an int or a string "p/q"."""
+    return {str(e): v if isinstance(v, int) else f"{v.numerator}/{v.denominator}"
+            for e, v in p.items()}
 
 
 def _exponent_from_json(key) -> int:

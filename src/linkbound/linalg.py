@@ -20,8 +20,8 @@ _generic_run eliminates what either returns and unpacks its pivots.
 poly_det and poly_rank read that tail, and a SeifertData runs it on
 tV - V^T once, when it is built; the ranks of tV - V^T at points are
 read off that run by the resume rule below (_ranks_at_points): at t = 1,
-the rank of V - V^T that the construction checks, and at the circle
-points of the signature layer.  An integer matrix is eliminated as it
+the rank of V - V^T where parity leaves it open to the construction, and
+at the circle points of the signature layer.  An integer matrix is eliminated as it
 stands, with no packing.
 
 Pivoting is complete over a caller-supplied "entry is nonzero" test of

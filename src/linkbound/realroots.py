@@ -71,11 +71,6 @@ def _chain_signs(chain, a: int, d: int) -> list:
     return [polys.sign_at_ratio(c, a, d) for c in chain]
 
 
-def _variations(chain, a: int, d: int) -> int:
-    """Sign variations of a Sturm chain at a/d, d > 0."""
-    return sign_variations(_chain_signs(chain, a, d))
-
-
 class _SturmCounts:
     """A Sturm chain read at points a/d, each point evaluated once: at(a, d)
     is (sign of the chain's polynomial at a/d, sign variations of the
@@ -300,7 +295,7 @@ class RealAlgebraic:
         self._set_bracket(prim, a * (d // e), b * (d // f), d)
         if self._sign_lo == 0 or polys.sign_at_ratio(self.poly, self._b, self._d) == 0:
             raise ValueError("interval endpoints must not be roots")
-        if _variations(chain, self._a, self._d) - _variations(chain, self._b, self._d) != 1:
+        if _SturmCounts(chain).roots(self._a, self._b, self._d) != 1:
             raise ValueError("interval does not isolate a single root")
 
     @classmethod
@@ -357,9 +352,9 @@ class RealAlgebraic:
         q = polys.trim(q)
         if self.vanishes(q):
             return 0
-        chain = sturm_chain(_yun(tuple(q))[1])  # ((1,),) for a constant q
+        counts = _SturmCounts(sturm_chain(_yun(tuple(q))[1]))  # ((1,),) for a constant q
         while ((s := polys.sign_at_ratio(q, self._a, self._d)) == 0
-               or _variations(chain, self._a, self._d) != _variations(chain, self._b, self._d)):
+               or counts.roots(self._a, self._b, self._d)):
             self._bisect()
         return s
 

@@ -10,7 +10,7 @@ polynomial in x, read off its coefficients with a cached table of the
 x-forms of z^e + z^-e.  All linear algebra over Z[t] is the Bareiss
 kernel of :mod:`linkbound.linalg`, run once per Seifert matrix on tV - V^T,
 packed straight from V, when the SeifertData is built and checks V - V^T
-at t = 1 with it (see _elimination): t B(t) = (1 - t)(tV - V^T), so
+at t = 1 with it (see braids.SeifertData): t B(t) = (1 - t)(tV - V^T), so
 the one elimination gives the Alexander polynomial, the nullity and the
 reduction of B, of generic rank r, to its nonsingular principal block
 B_I on the pivot rows I; off the roots of det B_I, B(z) has rank r and
@@ -31,7 +31,7 @@ identically zero the multiplicity e of a root of det B_I decides it (see
 _jump_structure): odd e is a jump, and at e = 1 the rank of B(z) is
 r - 1; a root of even e counts only where the rank of B(z) is below r.
 That rank, and the nullity at a multiple root, resume the elimination
-(see _ranks_at), by the rule the construction reads at t = 1: if p_k is
+(see _ranks_at), by the resume rule of the construction at t = 1: if p_k is
 the last generic pivot that does not vanish at z0, the trailing block
 after k steps is p_k times the Schur complement of the k x k block
 (Sylvester's identity), so the rank is k plus that block's rank at z0,
@@ -137,16 +137,6 @@ def _owned(build):
 # -- principal minors ----------------------------------------------------------
 
 
-def _elimination(data: SeifertData) -> tuple:
-    """The kernel's (sign, pivots, rows, cols) for tV - V^T that the
-    SeifertData ran and keeps since its construction checked V - V^T with
-    it (see linalg._generic_run): Delta, beta and the principal block of
-    B(t) all read it.  t B(t) = (1 - t)(tV - V^T), so a k x k minor of B is
-    ((1 - t)/t)^k times that of tV - V^T: both pick the same pivots, and
-    off z = 1 B(z) and zV - V^T have equal rank."""
-    return data._run
-
-
 def _minor_x(p, k: int) -> tuple:
     """The principal k x k minor ((1 - t)/t)^k p(t) of B, for the minor p
     of tV - V^T, divided by (2 - x)^j with j = k // 2, as an integer
@@ -208,14 +198,16 @@ def _principal_block(data) -> tuple:
     roots of det B_I the rank of B(z) is therefore r, the Schur complement
     of B_I vanishes, and B(z) has the signature of B_I(z) and nullity
     n - r.  When det B is not identically zero, I holds every index.  The
-    k-th pivot of the stored elimination of tV - V^T (see _elimination) is the
-    k-th leading minor of (tV - V^T)_I times the sign, or the 0, of
-    linalg._principal_signs.  Each minor is stored reduced, divided by
+    k-th pivot of the elimination of tV - V^T kept on the data (_run) is
+    the k-th leading minor of (tV - V^T)_I times the sign, or the 0, of
+    linalg._principal_signs: a k x k minor of B is ((1 - t)/t)^k times
+    that of tV - V^T, so both pick the same pivots, and off z = 1 B(z) and
+    zV - V^T have equal rank.  Each minor is stored reduced, divided by
     (2 - x)^(k // 2) (see _minor_x), which keeps its sign and its roots on
     [-2, 2): every reader (Frobenius's rule, _pick_sample, the jump
     polynomial) looks only there.
     """
-    _, pivots, rows, cols = _elimination(data)
+    _, pivots, rows, cols = data._run
     minors = [polys.neg(p) if s < 0 else p if s else ()
               for s, p in zip(_principal_signs(rows, cols), pivots)]
     return rows, tuple(_minor_x(p, k) for k, p in enumerate(minors, 1))
@@ -223,10 +215,9 @@ def _principal_block(data) -> tuple:
 
 def _ranks_at(data, roots) -> list:
     """The rank of B(z0) at each circle point with z0 + 1/z0 = root in
-    (-2, 2): that of tV - V^T at z0 (see _elimination), since z0 != 1, read
-    off the stored run by the resume rule of linalg._ranks_at_points under
-    the test q(z0) != 0, the rule the construction reads at t = 1."""
-    return _ranks_at_points(data.matrix, _elimination(data)[1],
+    (-2, 2): that of tV - V^T at z0 (see _principal_block), since z0 != 1,
+    read off the stored run by linalg._ranks_at_points under q(z0) != 0."""
+    return _ranks_at_points(data.matrix, data._run[1],
                             [_nonzero_at(root) for root in roots])
 
 
@@ -436,12 +427,12 @@ def signature_nullity_at(data, point) -> tuple:
     if type(point) is not Fraction:
         x = _as_x(point)
         if type(x) is not Fraction:
-            return _signature_function_cached(data)._locate(x)
+            return signature_function(data)._locate(x)
         point = x
     p, q = point.numerator, point.denominator
     if abs(p) > 2 * q:
         raise _outside(point)
-    sig, nul = _signature_function_cached(data)._rational(p, q)
+    sig, nul = signature_function(data)._rational(p, q)
     if q == 1 and abs(p) == 2:
         nul = _endpoint(data, p // 2)[1]
     return sig, nul
@@ -587,7 +578,9 @@ def _json_rat(v, d: int = 1):
 
 
 @_owned
-def _signature_function_cached(data) -> SignatureFunction:
+def signature_function(data: SeifertData) -> SignatureFunction:
+    """The full signature/nullity function of a Seifert matrix, with
+    certified jump locations."""
     n = data.size
     _, rank, jumps, nullities = _jump_structure(data)
     bps = tuple(bp for bp, _ in jumps)
@@ -604,12 +597,6 @@ def _signature_function_cached(data) -> SignatureFunction:
     return SignatureFunction(n, n - rank, bps, tuple(values), averaged, tuple(samples))
 
 
-def signature_function(data: SeifertData) -> SignatureFunction:
-    """The full signature/nullity function of a Seifert matrix, with
-    certified jump locations."""
-    return _signature_function_cached(data)
-
-
 # -- Alexander polynomial, nullity, float oracle ---------------------------------
 
 
@@ -619,7 +606,7 @@ def alexander_from_seifert(data: SeifertData) -> LaurentPoly:
     unnormalized, since normalization is undefined there."""
     if data.size == 0:
         return LaurentPoly.one()
-    _, pivots, _, _ = _elimination(data)
+    _, pivots, _, _ = data._run
     if len(pivots) < data.size:
         return LaurentPoly.zero()
     return normalize(LaurentPoly.from_dense(pivots[-1], 0))  # the sign is a unit
@@ -631,7 +618,7 @@ def link_nullity(data: SeifertData) -> int:
 
     beta is n minus the number of pivots of the stored elimination of
     tV - V^T, which also gives Delta and the principal block of B(t)."""
-    beta = data.size - len(_elimination(data)[1])
+    beta = data.size - len(data._run[1])
     if not 0 <= beta <= data.components - 1:
         raise InvalidSeifertData(
             f"nullity {beta} outside [0, {data.components - 1}]: invalid Seifert data")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import linkbound.linalg
@@ -262,14 +262,22 @@ def _refusal(v, m) -> str | None:
     return None
 
 
+# V of T(3,6): n = 10, V - V^T of rank 8, which parity settles with no resume
+T36 = [list(row) for row in seifert_matrix_from_braid(torus_braid(3, 6)).matrix]
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_validation_from_the_run_matches_the_integer_reference(rng):
+@given(st.randoms(use_true_random=False).map(_validation_case))
+@example((T36, 1))
+@example((T36, 5))
+def test_validation_from_the_run_matches_the_integer_reference(case):
     """SeifertData reads rank(V - V^T) and det(V - V^T) at t = 1 off its
     elimination of tV - V^T: it accepts exactly when the reference rank
     over Q is n - m + 1, with |det| = 1 for a knot, and otherwise refuses
-    with the message of the first check that fails."""
-    v, m = _validation_case(rng)
+    with the message of the first check that fails.  T(3,6)'s V declared
+    a knot or a link of 5 components asks for rank 10 or 6 where parity
+    pins it at 8."""
+    v, m = case
     expected = _refusal(v, m)
     if expected is None:
         data = SeifertData.from_matrix(v, m)

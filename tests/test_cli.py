@@ -338,7 +338,8 @@ def cli_files(tmp_path, trefoil_file, monkeypatch):
     ("bound K --band-cert 3,2", 0), ("bound K --band-cert=3,2 --band-cert 5,2", 0),
     ("bound --degree-cap 10 K", 0), ("bound K --degree-cap=10 --json-indent -1", 0),
     ("signature-csv K", 0), ("signature-csv K --samples 3", 0),
-    ("signature-csv K --samples 10000", 0),
+    ("signature-csv K --samples 10000", 0), ("signature-csv K --samples 0", 0),
+    ("invariants K --json-indent -1", 0),
     ("signature-csv --samples=2 --input K --json-indent 0", 0),
     ("verify --catalog C", 0), ("verify --catalog=C --degree-cap 12 --json-indent 0", 0),
     ("infect R D", 0), ("infect R D --json-indent 0", 0),
@@ -354,6 +355,7 @@ def cli_files(tmp_path, trefoil_file, monkeypatch):
     ("bound K --degree-cap x", 2), ("bound K --json-indent=1.5", 2),
     ("signature-csv K --samples many", 2), ("bound K --degree-cap=", 2),
     ("signature-csv K --samples 10001", 2), ("signature-csv K --samples=1000000000", 2),
+    ("signature-csv K --samples -5", 2), ("signature-csv K --samples=-1", 2),
     ("verify --catalog -h", 2), ("bound K --band-cert --help", 2), ("bound -- K", 2),
     ("infect -R.json D", 2), ("bound -K.json", 2),
     ("bound K --degree-cap 1_2", 2), ("bound K --degree-cap=+12", 2),

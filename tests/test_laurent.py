@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkbound import (LaurentPoly, ZeroPolynomialError, format_laurent,
+from linkbound import (LaurentPoly, ZeroPolynomialError, builtin_catalog, format_laurent,
                        involution, laurent_from_json, laurent_to_json,
                        normalize, units_equal, width)
 
@@ -89,6 +89,13 @@ def test_arithmetic_basics():
     assert TREFOIL.evaluate(1) == 1
     assert TREFOIL.evaluate(-1) == 3
     assert COMPANION.evaluate(Fraction(1, 2)) == 0
+
+
+def test_catalog_sum_alexander_is_the_product():
+    """The catalog writes Delta of T(3,5) # companion out as a literal: it
+    is Delta(T(3,5)) Delta(companion), multiplied here."""
+    entry = {e.name: e for e in builtin_catalog()}["t35_sum_w2companion"]
+    assert laurent_to_json(T35 * COMPANION) == entry.expected["alexander"]
 
 
 def test_json_round_trip():

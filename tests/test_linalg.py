@@ -23,8 +23,8 @@ from linkbound import RealAlgebraic, seifert_matrix_from_braid, signature_functi
 from linkbound.linalg import (_eliminate, _generic_run, _integer_symmetric_signature, _pack,
                               _packed, _unpack, poly_det, poly_rank)
 from linkbound.realroots import _nonzero_at
-from linkbound.signature import (_elimination, _principal_block,
-                                 _trace_signature_nullity, pointwise_signature_nullity)
+from linkbound.signature import (_principal_block, _trace_signature_nullity,
+                                 pointwise_signature_nullity)
 
 import bareiss_reference
 from bareiss_reference import int_rank_det
@@ -500,7 +500,7 @@ def test_packing_from_v_matches_the_eager_kernel(data):
     assert (k_bits, rows) == _pack(form)
     assert [[_unpack(e, k_bits) for e in row] for row in rows] == form
     sign, pivots, rows, cols = bareiss_reference._bareiss(form)
-    assert _elimination(data) == (sign, tuple(map(tuple, pivots)), tuple(rows), tuple(cols))
+    assert data._run == (sign, tuple(map(tuple, pivots)), tuple(rows), tuple(cols))
 
 
 def test_banded_elimination_rewrites_only_the_band():

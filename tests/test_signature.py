@@ -1332,12 +1332,16 @@ def test_one_elimination_per_padded_link_report(monkeypatch, k):
     assert calls == [data.size]
 
 
-@pytest.mark.parametrize("p, q, stop", [(3, 6, 8), (4, 4, 6), (3, 3, 2)])
+@pytest.mark.parametrize("p, q, stop", [(3, 6, None), (4, 4, 6), (3, 3, None), (6, 9, None)])
 def test_torus_link_construction_resumes_one_run_at_one(monkeypatch, p, q, stop):
     """The pivots of a torus link of three or more components vanish at
-    t = 1 from the top: its construction reads the rank of V - V^T by the
-    resume rule, in one generic run and one run stopped at k and resumed
-    under the test at t = 1, besides the generic elimination it keeps."""
+    t = 1 from the top.  The rank of the skew V - V^T is even and lies in
+    [k, n - 1] for the last pivot p_k with p_k(1) != 0: for a link of three
+    components (T(3,6), T(3,3), T(6,9)) k = n - 2, one even number fits,
+    and the construction makes its one generic run.  For T(4,4) two fit,
+    and the construction reads the rank by the resume rule, in one run
+    stopped at k and resumed under the test at t = 1, besides the generic
+    elimination it keeps."""
     runs = []
     eliminate = linalg._eliminate
 
@@ -1347,7 +1351,8 @@ def test_torus_link_construction_resumes_one_run_at_one(monkeypatch, p, q, stop)
 
     monkeypatch.setattr(linalg, "_eliminate", spy)
     data = seifert_matrix_from_braid(torus_braid(p, q))
-    assert runs == [(0, None, False), (0, stop, False), (stop, None, True)]
+    resumed = [(0, stop, False), (stop, None, True)] if stop else []
+    assert runs == [(0, None, False)] + resumed
     assert data.size - data.components + 1 == 2 * data.genus
 
 
