@@ -59,6 +59,21 @@ def _interpolate_integer(xs, ys):
     return poly
 
 
+def _quadratic_root(p) -> list | None:
+    """The primitive linear factor [-s, den] of the integer quadratic p
+    whose root s/den comes first in the divisor search of
+    _rational_root_split (least den, then least |s|, then s > 0), read
+    off the discriminant; None when the roots are irrational or not real."""
+    c, b, a = p
+    disc = b * b - 4 * a * c
+    r = math.isqrt(disc) if disc >= 0 else -1
+    if r * r != disc:
+        return None
+    roots = [polys.primitive_positive([b + e, 2 * a])[1] for e in (r, -r)]
+    # the factor [-s, den] has root s/den
+    return min(roots, key=lambda f: (f[1], abs(f[0]), f[0] > 0))
+
+
 def _rational_root_split(p) -> tuple[list, list[list]]:
     """Split all rational-root linear factors off a primitive integer
     polynomial.  Returns (rest, [primitive linear factors with repeats])."""
@@ -68,6 +83,10 @@ def _rational_root_split(p) -> tuple[list, list[list]]:
             found = [0, 1]
         elif polys.degree(p) == 1:  # its own root: no divisor search
             found = polys.primitive_positive(p)[1]
+        elif polys.degree(p) == 2:  # its roots off the discriminant
+            found = _quadratic_root(p)
+            if not found:
+                break
         else:
             nums = _divisors(p[0])
             found = next((polys.primitive_positive([-s, den])[1]

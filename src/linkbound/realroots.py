@@ -19,7 +19,11 @@ remainder sequence of (p, p'), and its last element is gcd(p, p'): a
 constant one means p is square-free, and otherwise Yun's decomposition
 starts from it.  An interval that isolates the single root of a
 square-free polynomial is bisected by the sign of that polynomial at the
-midpoint alone, since a simple root is a sign change.  A breakpoint built
+midpoint alone, since a simple root is a sign change.  Refinement to a
+width reaches the node of the bisection tree that bisection reaches, by
+certified secant steps on 2^k grids with k doubling (_descend), so
+brackets and the floats and JSON read from them do not depend on the
+route.  A breakpoint built
 from a bracket of :func:`isolate_real_roots` is not counted again; the
 public :class:`RealAlgebraic` constructor checks everything, and refuses
 a defining polynomial with a rational root.  A root x0 also stands for
@@ -161,6 +165,65 @@ def _bisected(poly, a: int, b: int, d: int, sign_lo: int) -> tuple[int, int, int
     return (a, m, d) if s != sign_lo else (m, b, d)
 
 
+def _scaled_value(p, a: int, d: int) -> int:
+    """d^k p(a/d), k = deg p, for integers a and d > 0: one integer Horner
+    pass, the value whose sign polys.sign_at_ratio reads."""
+    acc, dk = 0, 1
+    for c in reversed(p):
+        acc, dk = acc * a + c * dk, dk * d
+    return acc
+
+
+# A refinement of at least this many halvings descends (_descend); near
+# it the two take about the same time (7-10 us on a breakpoint of T(3,5)).
+_DESCENT_DEPTH = 8
+
+
+def _descend(poly, a: int, w: int, d: int, sign_lo: int, depth: int) -> tuple[int, int]:
+    """(a', d') for the node (a', a' + w)/d' that `depth` bisections of the
+    bracket (a, a + w)/d reach, or for a node higher on the same path:
+    poly is square-free with one root in the bracket, sign_lo its sign at
+    a/d.  Bisection keeps w and doubles d, so the node k levels down is
+    cell i of the grid (a 2^k + i w)/(d 2^k), 0 <= i < 2^k.
+
+    Each step guesses the cell by the secant through the node's ends,
+    rounded to the nearest inner grid point j, and certifies the cell on
+    the root's side of j by the signs of poly at its two ends (quadratic
+    interval refinement: J. Abbott, ACM CCA 2014).  The node isolates one
+    simple root, so a sign change across the cell puts it strictly
+    inside; then no grid point of this or any coarser level is the root,
+    and bisection takes the same halves.  A certified step doubles k, a
+    missed one halves it, and at k = 1 the step is a bisection.  A grid
+    point where poly vanishes (a rational root) ends the descent, and
+    bisection, which steps past such a point, takes over."""
+    n = len(poly) - 1
+    fa, fb = _scaled_value(poly, a, d), _scaled_value(poly, a + w, d)
+    k = 2
+    while depth:
+        k = min(k, depth)
+        grid = 1 << k
+        # the secant meets 0 at the fraction |fa| / (|fa| + |fb|) of the node
+        num, den = abs(fa), abs(fa) + abs(fb)
+        j = min(max((2 * num * grid + den) // (2 * den), 1), grid - 1)
+        a2, d2 = a << k, d << k
+        fm = _scaled_value(poly, a2 + j * w, d2)  # fm = 0 ends the descent below
+        if (fm > 0) == (sign_lo > 0):  # the root is right of j
+            i, fl = j, fm
+            fr = fb << k * n if j + 1 == grid else _scaled_value(poly, a2 + (j + 1) * w, d2)
+        else:
+            i, fr = j - 1, fm
+            fl = fa << k * n if j == 1 else _scaled_value(poly, a2 + i * w, d2)
+        if fl == 0 or fr == 0:
+            break
+        if (fl > 0) == (sign_lo > 0) and (fr > 0) != (sign_lo > 0):
+            a, d, fa, fb = a2 + i * w, d2, fl, fr
+            depth -= k
+            k *= 2
+        else:
+            k //= 2
+    return a, d
+
+
 @lru_cache(maxsize=512)
 def _yun(q: tuple) -> tuple:
     """(Yun's square-free decomposition of q, the square-free part), once
@@ -270,6 +333,9 @@ class RealAlgebraic:
     left of the root and the other on its right, so bisection and the
     comparisons below evaluate the polynomial, not its Sturm chain: each
     sign is one integer Horner pass, and comparisons cross-multiply.
+    refine, which to_float and SignatureFunction.to_json call, reaches
+    bisection's bracket in a few evaluations by a certified descent
+    (_descend); the other operations bisect.
     """
 
     __slots__ = ("poly", "_a", "_b", "_d", "_sign_lo")
@@ -326,9 +392,20 @@ class RealAlgebraic:
                                               self._sign_lo)
 
     def refine(self, max_width) -> "RealAlgebraic":
+        """Shrink the bracket to width at most max_width > 0, to the node
+        of the bisection tree that bisection reaches.  A descent of at
+        least _DESCENT_DEPTH halvings jumps down the tree by certified
+        grid steps (_descend); bisection does the rest."""
         p, q = _ratio(max_width)
         if p <= 0:
             raise ValueError(f"refinement width must be positive, got {max_width}")
+        w = self._b - self._a
+        if w * q > p * self._d:
+            # the halvings that bisection makes: the least s with w/(2^s d) <= p/q
+            s = ((w * q - 1) // (p * self._d)).bit_length()
+            if s >= _DESCENT_DEPTH:
+                self._a, self._d = _descend(self.poly, self._a, w, self._d, self._sign_lo, s)
+                self._b = self._a + w
         while (self._b - self._a) * q > p * self._d:
             self._bisect()
         return self

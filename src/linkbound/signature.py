@@ -18,12 +18,13 @@ the signature of B_I(z); its pivots give every leading minor of B_I.
 The k-th leading minor of B_I is kept divided by (2 - x)^(k // 2), since
 (1 - t)^2 = t (x - 2): positive on [-2, 2), the factor changes no sign
 and no root there, and the jump polynomial of a knot drops to half the
-degree, with no root at x = 2.  Signatures at rational x are then exact
-sign sequences of the reduced minors not identically 0 (Frobenius's
-rule).  When one of them vanishes at x, and at x = -2, the inertia of an
-integer symmetric matrix read off V, by the same kernel, takes over:
-B(-1) = 2(V + V^T), or inside (-2, 2) the rational trace form of B(z),
-which has twice its signature and nullity.  B(1) = 0.
+degree, with no root at x = 2.  Signatures at rational x in [-2, 2) are
+then exact sign sequences of the reduced minors not identically 0
+(Frobenius's rule); at x = -2 the reduction divides by 4^(k // 2) > 0.
+When one of them vanishes at x, the inertia of an integer symmetric
+matrix read off V, by the same kernel, takes over: B(-1) = 2(V + V^T)
+at x = -2, or inside (-2, 2) the rational trace form of B(z), which has
+twice its signature and nullity.  B(1) = 0.
 Jumps lie among the roots of det B_I, certified by Sturm isolation in x
 on integer brackets (a, b, d) for (a/d, b/d); the breakpoints are built
 from the certified brackets without a second count.  When det B is
@@ -226,14 +227,32 @@ def _ranks_at(data, roots) -> list:
 
 def _endpoint(data, z: int) -> tuple[int, int]:
     """(signature, nullity) of B(z) at z = +-1 (x = +-2): B(1) = 0, and
-    B(-1) = 2(V + V^T) has the inertia of the integer matrix V + V^T."""
+    B(-1) = 2(V + V^T) has the inertia of the integer matrix V + V^T
+    (see _at_minus_one)."""
     return (0, data.size) if z == 1 else _at_minus_one(data)
 
 
 @_owned
 def _at_minus_one(data) -> tuple[int, int]:
-    return _integer_symmetric_signature(
+    """(signature, nullity) of B(-1) = 2(V + V^T), read as at any rational
+    x: off the principal block (_block_signature), where its reduced
+    minors are the minors divided by 4^(k // 2) > 0, and otherwise by one
+    elimination of the integer matrix V + V^T.  No leading minor of
+    T(2,q) vanishes at -2; one of T(3,6), T(3,7) or T(4,4) does."""
+    return _block_signature(data, -2, 1) or _integer_symmetric_signature(
         [[p + q for p, q in zip(row, col)] for row, col in zip(data.matrix, data.transposed())])
+
+
+def _block_signature(data, p: int, q: int) -> tuple[int, int] | None:
+    """(signature, nullity) of B(z) at x = p/q in [-2, 2), q > 0, by
+    Frobenius's rule on the signs of the leading principal minors of B_I
+    (see _principal_block) there, or None where one of them that is not
+    identically 0 vanishes at x."""
+    _, minors = _principal_block(data)
+    signs = [polys.sign_at_ratio(mx, p, q) for mx in minors if mx]
+    if all(signs):
+        return _frobenius(signs, len(minors)), data.size - len(minors)
+    return None
 
 
 def _trace_signature_nullity(data, x: Fraction) -> tuple[int, int]:
@@ -267,21 +286,16 @@ def pointwise_signature_nullity(data, x) -> tuple[int, int]:
     can differ from (and then beats) the averaged invariant.  It never
     reads the signature function: the independent route.  The fast path
     is Frobenius's rule on the signs of the leading principal minors of
-    B_I (see _principal_block), wherever only those identically 0 vanish;
+    B_I (_block_signature), wherever only those identically 0 vanish;
     the inertia of the integer trace form covers the rest.
     """
     x = _as_x(x)
     if type(x) is not Fraction:
         raise TypeError("pointwise evaluation needs a rational x")
-    n = data.size
     p, q = x.numerator, x.denominator
     if q == 1 and abs(p) == 2:
         return _endpoint(data, p // 2)
-    _, minors = _principal_block(data)
-    signs = [polys.sign_at_ratio(mx, p, q) for mx in minors if mx]
-    if all(signs):
-        return _frobenius(signs, len(minors)), n - len(minors)
-    return _trace_signature_nullity(data, x)
+    return _block_signature(data, p, q) or _trace_signature_nullity(data, x)
 
 
 # -- jump structure -------------------------------------------------------------
@@ -421,8 +435,11 @@ def signature_nullity_at(data, point) -> tuple:
 
     The point is checked once and located in the certified function (see
     value_at), which the first read of a Seifert matrix builds: a cold
-    read of T(3,7) takes about 1 ms, of T(3,20) about 8 ms, and a warm
-    read at a rational about 1 us (CPython 3.11, 2-CPU Xeon).
+    read of T(3,7) takes about 0.4 ms, of T(3,20) about 3 ms, and a warm
+    read at a rational about 1.4 us (CPython 3.11, 2-CPU Xeon, least of
+    30 cold reads at x = 1/3).  The first read at x = -2 adds the signs
+    of the minors there, about 0.01 ms for T(3,5), or, where one of them
+    vanishes, an elimination of V + V^T, about 0.1 ms for T(3,7).
     """
     if type(point) is not Fraction:
         x = _as_x(point)

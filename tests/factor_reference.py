@@ -5,7 +5,9 @@ factor in a dict of counts (Yun's factors are pairwise coprime, so
 nothing ever merged), and fox_milnor_test walked the sorted factors with
 a dict of the multiplicities not yet consumed by a pair.  The code is
 unchanged but for its docstrings; the Kronecker search and the
-rational-root split are the library's.
+rational-root split are the library's.  rational_root_split is the
+split as it stood before a quadratic was read off its discriminant: a
+divisor search at every degree above 1.
 """
 
 from __future__ import annotations
@@ -14,9 +16,28 @@ import math
 
 from linkbound import polys
 from linkbound.errors import ZeroPolynomialError
-from linkbound.factor import (FoxMilnorResult, _kronecker_factor, _rational_root_split,
-                              _reversed_factor, check_degree_cap)
+from linkbound.factor import (FoxMilnorResult, _divisors, _kronecker_factor,
+                              _rational_root_split, _reversed_factor, check_degree_cap)
 from linkbound.laurent import LaurentPoly, involution, normalize
+
+
+def rational_root_split(p) -> tuple[list, list[list]]:
+    linear = []
+    while polys.degree(p) >= 1:
+        if p[0] == 0:
+            found = [0, 1]
+        elif polys.degree(p) == 1:
+            found = polys.primitive_positive(p)[1]
+        else:
+            nums = _divisors(p[0])
+            found = next((polys.primitive_positive([-s, den])[1]
+                          for den in _divisors(p[-1]) for num in nums
+                          for s in (num, -num) if polys.sign_at_ratio(p, s, den) == 0), None)
+            if not found:
+                break
+        linear.append(found)
+        p = polys.div_exact(p, found)
+    return p, linear
 
 
 def _factor_squarefree(p) -> list[list]:

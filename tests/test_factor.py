@@ -2,6 +2,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 import sympy
@@ -9,7 +10,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from linkbound import LaurentPoly, SeifertData, ZeroPolynomialError, assemble_report, \
-    factor_integer_polynomial, fox_milnor_test, involution, normalize, signature_function
+    connected_sum, factor_integer_polynomial, fox_milnor_test, involution, normalize, \
+    signature_function
 from linkbound import factor, polys
 from linkbound.factor import _interpolate_integer
 
@@ -109,7 +111,14 @@ def test_kronecker_takes_each_points_divisors_once(monkeypatch):
     # (2x - 1)(3x + 1)(x^2 + 1): each root is found at a denominator > 1
     rest, linear = factor._rational_root_split(polys.mul(polys.mul([-1, 2], [1, 3]), [1, 0, 1]))
     assert rest == [1, 0, 1] and len(linear) == 2
-    assert len(calls) == 2 * (len(linear) + 1)  # each try: the two end coefficients
+    # each try: the two end coefficients; the quadratic rest x^2 + 1 is
+    # read off its discriminant, with no try
+    assert len(calls) == 2 * len(linear)
+    calls.clear()
+    # (2x - 1)(3x + 1)(x^3 - 2): a cubic rest takes its try
+    rest, linear = factor._rational_root_split(polys.mul(polys.mul([-1, 2], [1, 3]), [-2, 0, 0, 1]))
+    assert rest == [-2, 0, 0, 1] and len(linear) == 2
+    assert len(calls) == 2 * (len(linear) + 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -252,6 +261,42 @@ def test_one_factorization_pass_matches_the_merge(case):
     delta = LaurentPoly.from_dense(p, shift)
     got, want = fox_milnor_test(delta), factor_reference.fox_milnor_test(delta)
     assert (got.verdict, got.reason, got.witness) == (want.verdict, want.reason, want.witness)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 6)), max_size=3),
+       st.lists(st.integers(-9, 9), min_size=1, max_size=4))
+@example([(1, 2), (1, 2)], [1])  # (2x - 1)^2: a double root
+@example([(4, 6), (-3, 2)], [3])  # roots 2/3 and -3/2, content 3
+@example([], [2, 0, 1])  # x^2 + 2: no real root
+@example([], [-2, 0, 1])  # x^2 - 2: irrational roots
+def test_the_quadratic_rule_splits_as_the_divisor_search(roots, cofactor):
+    """Reading the rational roots of a quadratic off its discriminant
+    finds the factors of the divisor search it replaced
+    (tests/factor_reference.py), in the same order, on products of
+    linear factors den x - s and an integer cofactor."""
+    p = polys.primitive(reduce(polys.mul, [[-s, den] for s, den in roots] + [cofactor], [1]))
+    assume(polys.degree(p) >= 1)
+    assert factor._rational_root_split(p) == factor_reference.rational_root_split(p)
+
+
+@pytest.mark.parametrize("a", [10 ** 4, 10 ** 9, 10 ** 40])
+def test_a_quadratic_jump_polynomial_takes_no_divisors(monkeypatch, a):
+    """The jump polynomial of the block sum of [[a, 1], [0, a]] with itself
+    is the square of the linear one below, with constant term about 4a^4:
+    the rational-root split reads its root 2 - 1/a^2 off the
+    discriminant instead of trial-dividing, which took over 30 s at
+    a = 10^4, so a report takes no divisor."""
+    calls = []
+    monkeypatch.setattr(factor, "_divisors", lambda n: calls.append(n))
+    knot = SeifertData.from_matrix([[a, 1], [0, a]])
+    start = time.perf_counter()
+    data = connected_sum(knot, knot)
+    report = assemble_report(data)
+    assert time.perf_counter() - start < 0.1
+    assert not calls
+    assert signature_function(data).breakpoints == (Fraction(2 * a * a - 1, a * a),)
+    assert report.lower == 2
 
 
 @pytest.mark.parametrize("a", [10 ** 7, 10 ** 40])

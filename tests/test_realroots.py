@@ -9,7 +9,8 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from linkbound import RealAlgebraic, ZeroPolynomialError, isolate_real_roots
+from linkbound import RealAlgebraic, ZeroPolynomialError, isolate_real_roots, \
+    seifert_matrix_from_braid, signature_function, torus_braid
 from linkbound import polys, realroots
 from linkbound.realroots import sturm_chain
 
@@ -421,16 +422,24 @@ def test_refining_to_a_width_at_most_zero_raises():
 # -- the integer bracket against the Fraction bracket it replaced ----------
 
 
+# irreducible factors of degree 4 to 6, with real roots
+high_degree_factors = st.sampled_from([(-2, 0, 0, 0, 1), (1, 0, -10, 0, 1), (-1, -1, 0, 0, 0, 1),
+                                       (1, -6, 0, 0, 0, 0, 1)])
+
+
 @st.composite
 def brackets(draw):
-    """(square-free integer polynomial, lo, hi) with (lo, hi) isolating one
-    of its real roots.  Some roots are rational, so bisection points land on
-    them, and the ends are often not dyadic: a sub-interval (i/k, j/k) of
-    an isolating interval, when it still isolates the root."""
-    factors = draw(st.lists(square_free_factors, min_size=1, max_size=3, unique=True))
+    """(square-free integer polynomial of degree at most 8, lo, hi) with
+    (lo, hi) isolating one of its real roots.  Some roots are rational, so
+    bisection points land on them, and the ends are often not dyadic: a
+    sub-interval (i/k, j/k) of an isolating interval, when it still
+    isolates the root."""
+    factors = draw(st.lists(square_free_factors | high_degree_factors, min_size=1, max_size=3,
+                            unique=True))
     p = [1]
     for f in factors:
         p = polys.mul(p, f)
+    assume(polys.degree(p) <= 8)
     found = intervals(p, Fraction(-3), Fraction(3))
     assume(found)
     iv = draw(st.sampled_from(found))
@@ -454,10 +463,15 @@ def _bracket(poly, lo, hi) -> RealAlgebraic:
     return root
 
 
+# 1/n for the widths of refine and to_float: shallow ones, which bisect,
+# and deep ones, which descend (RealAlgebraic.refine)
+width_inverses = st.integers(1, 10 ** 6) | st.sampled_from(
+    [2 ** 20, 10 ** 12, 3 ** 40, 2 ** 100, 10 ** 60, 2 ** 200])
+
 operations = st.lists(st.tuples(
     st.sampled_from(["bisect", "refine", "refine_away_from", "compare_rational", "equals",
                      "vanishes", "sign_of", "copy", "to_float"]),
-    rationals, st.integers(1, 10 ** 6), int_polys), max_size=12)
+    rationals, width_inverses, int_polys), max_size=12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -465,10 +479,21 @@ operations = st.lists(st.tuples(
 @example(([-2, 0, 1], Fraction(4, 3), Fraction(3, 2)), ([-2, 0, 1], Fraction(1), Fraction(2)),
          [("equals", Fraction(0), 1, []), ("compare_rational", Fraction(7, 5), 1, []),
           ("refine", Fraction(0), 3 ** 9, []), ("to_float", Fraction(0), 10 ** 6, [])])
+@example(([-3, 0, 1], Fraction(5, 3), Fraction(9, 5)), ([-2, 0, 1], Fraction(1), Fraction(2)),
+         [("compare_rational", Fraction(26, 15), 1, []), ("refine", Fraction(0), 2 ** 200, []),
+          ("to_float", Fraction(0), 10 ** 60, [])])  # d = 15 2^k: not a power of two
+@example(([-2, 0, 0, 0, 0, 0, 0, 0, 1], Fraction(0), Fraction(2)),
+         ([1, -6, 0, 0, 0, 0, 1], Fraction(0), Fraction(1)),
+         [("refine", Fraction(0), 10 ** 60, []), ("to_float", Fraction(0), 2 ** 200, [])])
+@example(([-1, 1], Fraction(1, 3), Fraction(5, 3)), ([-2, 0, 1], Fraction(1), Fraction(2)),
+         [("refine", Fraction(0), 2 ** 100, [])])  # the root 1 is the bracket's midpoint
 def test_integer_bracket_matches_the_fraction_bracket(spec, other_spec, ops):
     """One random sequence of operations on the integer bracket and on the
     Fraction bracket it replaced (tests/realalgebraic_reference.py) gives
-    equal answers and equal brackets after every step."""
+    equal answers and equal brackets after every step.  The reference
+    refines by bisection, so a descent reaches bisection's node, down to
+    widths 2^-200 and 10^-60, on polynomials of degree up to 8 and
+    brackets over any denominator."""
     new, ref = _bracket(*spec), ReferenceAlgebraic(*spec)
     other_new, other_ref = _bracket(*other_spec), ReferenceAlgebraic(*other_spec)
     for name, c, n, q in ops:
@@ -495,6 +520,70 @@ def test_integer_bracket_matches_the_fraction_bracket(spec, other_spec, ops):
             assert new.to_float(width) == ref.to_float(width)
         assert (new.lo, new.hi) == (ref.lo, ref.hi)
     assert repr(new) == repr(ref)
+
+
+def _evaluations(monkeypatch) -> list:
+    """The points at which the polynomial is evaluated from now on, for
+    its sign (polys.sign_at_ratio) or its value (realroots._scaled_value)."""
+    calls = []
+    for owner, name in ((polys, "sign_at_ratio"), (realroots, "_scaled_value")):
+        def spy(p, a, d, real=getattr(owner, name)):
+            calls.append(Fraction(a, d))
+            return real(p, a, d)
+        monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def _bisected_to(root, width) -> tuple:
+    """The bracket (a, b, d) of `root` refined to `width` by bisection
+    alone, as the reference refines."""
+    p, q = width.numerator, width.denominator
+    while (root._b - root._a) * q > p * root._d:
+        root._bisect()
+    return root._a, root._b, root._d
+
+
+def test_refine_descends_in_a_few_evaluations(monkeypatch):
+    """refine(10^-12) on each algebraic breakpoint of T(3,5), as its
+    signature function builds it, evaluates the polynomial at most 12
+    times, where bisection evaluates it once per halving, over 30 times,
+    and reaches bisection's bracket."""
+    f = signature_function(seifert_matrix_from_braid(torus_braid(3, 5)))
+    algebraic = [bp for bp in f.breakpoints if isinstance(bp, RealAlgebraic)]
+    assert len(algebraic) == 4
+    width = Fraction(1, 10 ** 12)
+    calls = _evaluations(monkeypatch)
+    for bp in algebraic:
+        descended = bp.copy().refine(width)
+        assert len(calls) <= 12
+        calls.clear()
+        assert _bisected_to(bp.copy(), width) == (descended._a, descended._b, descended._d)
+        assert len(calls) > 30
+        calls.clear()
+
+
+def test_descent_falls_back_to_bisection(monkeypatch):
+    """The two ways a descent leaves its grid steps both end on
+    bisection's bracket.  x^8 - 2 on (0, 2): the secant through the ends'
+    values -2 and 254 points at the grid point 1/2 of the quarters, and
+    the root 2^(1/8) ~ 1.09 lies right of 1 too, so the step misses and
+    the next is one halving, at 1.  x - 1 on (1/3, 5/3): the secant lands
+    on the root 1, a grid point, where the polynomial vanishes, and
+    bisection, which steps past it, takes over."""
+    width = Fraction(1, 2 ** 60)
+    calls = _evaluations(monkeypatch)
+    root = RealAlgebraic([-2, 0, 0, 0, 0, 0, 0, 0, 1], 0, 2)
+    expected = _bisected_to(root.copy(), width)
+    calls.clear()
+    root.refine(width)
+    assert calls[:5] == [0, 2, Fraction(1, 2), 1, 1]
+    assert (root._a, root._b, root._d) == expected
+    rational = _bracket([-1, 1], Fraction(1, 3), Fraction(5, 3))
+    expected = _bisected_to(rational.copy(), width)
+    calls.clear()
+    rational.refine(width)
+    assert calls[:3] == [Fraction(1, 3), Fraction(5, 3), 1]
+    assert (rational._a, rational._b, rational._d) == expected
 
 
 @settings(max_examples=200, deadline=None)

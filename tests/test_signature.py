@@ -416,6 +416,49 @@ def test_witt_hyperbolic_is_zero():
                            signature_function(TREFOIL_V))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 3), st.booleans())
+@example(20, 0, True)  # a knot whose leading minor of B_I vanishes at -2
+@example(47, 1, True)  # a link whose leading minor of B_I vanishes at -2
+def test_minus_two_reads_the_inertia_of_v_plus_vt(seed, pad, generic):
+    """At x = -2, pointwise_signature_nullity and the nullity of
+    signature_nullity_at equal the integer inertia of V + V^T, on random
+    braid knots or random Seifert matrices, padded by 0_pad, whichever
+    route reads them: Frobenius's rule on the principal block, or, where
+    one of its minors vanishes at -2 (a few random Seifert matrices in a
+    hundred), the elimination of V + V^T."""
+    rng = random.Random(seed)
+    data = random_seifert_data(rng) if generic else random_knot_data(rng, 4, 12)
+    if pad:
+        data = zero_padded(data, pad)
+    sig, nul = linalg._integer_symmetric_signature(
+        [[p + q for p, q in zip(row, col)] for row, col in zip(data.matrix, data.transposed())])
+    assert pointwise_signature_nullity(cold(data), -2) == (sig, nul)
+    assert signature_nullity_at(cold(data), Fraction(-2))[1] == nul
+
+
+@pytest.mark.parametrize("p, q, vanishes", [(3, 6, True), (3, 7, True), (4, 4, True),
+                                            (2, 3, False), (2, 6, False), (2, 9, False),
+                                            (2, 14, False)])
+def test_minus_two_takes_the_principal_block_where_no_minor_vanishes(monkeypatch, p, q,
+                                                                     vanishes):
+    """T(3,6), T(3,7) and T(4,4) have a leading minor of B_I that vanishes
+    at x = -2, so their value there is the inertia of V + V^T; no minor of
+    T(2,q) does, so Frobenius's rule on the block reads it with no second
+    elimination.  Both routes give the inertia."""
+    data = seifert_matrix_from_braid(torus_braid(p, q))
+    _, minors = signature._principal_block(data)
+    assert any(m and polys.sign_at_ratio(m, -2, 1) == 0 for m in minors) == vanishes
+    expected = linalg._integer_symmetric_signature(
+        [[a + b for a, b in zip(row, col)] for row, col in zip(data.matrix, data.transposed())])
+    calls = []
+    inertia = signature._integer_symmetric_signature
+    monkeypatch.setattr(signature, "_integer_symmetric_signature",
+                        lambda m: calls.append(len(m)) or inertia(m))
+    assert pointwise_signature_nullity(data, -2) == expected
+    assert calls == ([data.size] if vanishes else [])
+
+
 def test_witt_matches_signature_engine():
     """At x = -2 the averaged value, the inertia of V + V^T and the
     float oracle agree for the trefoil."""
