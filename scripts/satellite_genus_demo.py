@@ -22,7 +22,7 @@ from linkbound import (BandCertificate, InfectionDecl, SeifertData,
                        alexander_from_seifert, assemble_report, connected_sum,
                        float_oracle, fox_milnor_test, infection_transfer,
                        lt_lower_bound, seifert_matrix_from_braid,
-                       signature_function, torus_braid, width)
+                       signature_function, torus_braid)
 
 
 def main():
@@ -32,7 +32,7 @@ def main():
 
     delta = alexander_from_seifert(knot)
     print(f"Alexander polynomial of K: {delta}")
-    print(f"  width {width(delta)} -> width upper bound {(width(delta) + 1) // 2}")
+    print(f"  width {delta.width()} -> width upper bound {(delta.width() + 1) // 2}")
 
     fm = fox_milnor_test(delta)
     print(f"Fox-Milnor: {fm.verdict} ({fm.reason or 'norm factorization found'})")

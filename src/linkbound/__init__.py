@@ -14,9 +14,8 @@ from .catalog import CatalogEntry, builtin_catalog, verify_catalog
 from .errors import (DegreeCapError, InconsistentBounds, InvalidSeifertData,
                      LinkboundError, ParseError, ZeroPolynomialError)
 from .factor import FoxMilnorResult, factor_integer_polynomial, fox_milnor_test
-from .laurent import (LaurentPoly, format_laurent, involution,
-                      laurent_from_json, laurent_to_json, normalize,
-                      units_equal, width)
+from .laurent import (LaurentPoly, format_laurent, laurent_from_json,
+                      laurent_to_json, units_equal)
 from .realroots import RealAlgebraic, isolate_real_roots
 from .signature import (CirclePoint, SignatureFunction, alexander_from_seifert,
                         float_oracle, link_nullity,

@@ -1,28 +1,23 @@
-"""Integer/rational Laurent polynomials in one variable t, with the ring
-involution t -> 1/t.
+"""Laurent polynomials with integer coefficients, the ring Z[t, 1/t] in
+which Alexander polynomials live, with the involution t -> 1/t.
 
-Coefficients are stored sparsely as {exponent: coefficient}; exponents are
-arbitrary integers.  The canonical representative modulo the units +-t^k
-(produced by :func:`normalize`) has minimum exponent 0 and positive
+Coefficients are stored sparsely as {exponent: coefficient}.  Exponents
+and coefficients follow the rule of Seifert matrix entries: an int or a
+value with __index__ (a NumPy integer, say) is stored as an int, and a
+float, Fraction, string or bool raises TypeError.  The canonical
+representative modulo the units +-t^k (produced by
+:meth:`LaurentPoly.normalize`) has minimum exponent 0 and positive
 leading coefficient, so Alexander polynomials compare by plain equality.
 """
 
 from __future__ import annotations
 
-import re
-from fractions import Fraction
-
+from .braids import _check_integer
 from .errors import ZeroPolynomialError
 
 
-def _clean(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
 class LaurentPoly:
-    """Immutable sparse Laurent polynomial with int/Fraction coefficients."""
+    """Immutable sparse Laurent polynomial with int coefficients."""
 
     __slots__ = ("_c",)
 
@@ -30,8 +25,8 @@ class LaurentPoly:
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         c = {}
         for e, v in items:
-            e = int(e)
-            v = _clean(v + c.get(e, 0))
+            e = _check_integer(e, "Laurent exponents", TypeError)
+            v = _check_integer(v, "Laurent coefficients", TypeError) + c.get(e, 0)
             if v == 0:
                 c.pop(e, None)
             else:
@@ -49,11 +44,8 @@ class LaurentPoly:
         return cls({0: 1})
 
     @classmethod
-    def t(cls, k: int = 1) -> "LaurentPoly":
-        return cls({k: 1})
-
-    @classmethod
     def from_dense(cls, coeffs, min_exp: int = 0) -> "LaurentPoly":
+        min_exp = _check_integer(min_exp, "Laurent exponents", TypeError)  # True + 0 is 1
         return cls({min_exp + i: c for i, c in enumerate(coeffs)})
 
     # -- basic queries ---------------------------------------------------
@@ -84,9 +76,6 @@ class LaurentPoly:
         lo, hi = self.min_exp, self.max_exp
         return lo, [self._c.get(e, 0) for e in range(lo, hi + 1)]
 
-    def is_integral(self) -> bool:
-        return all(isinstance(v, int) for v in self._c.values())
-
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other):
@@ -100,12 +89,6 @@ class LaurentPoly:
 
     def __neg__(self):
         return LaurentPoly({e: -v for e, v in self._c.items()})
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -134,17 +117,6 @@ class LaurentPoly:
         """Multiply by t^k."""
         return LaurentPoly({e + k: v for e, v in self._c.items()})
 
-    # -- evaluation ---------------------------------------------------------
-
-    def evaluate(self, x):
-        """Exact evaluation at a nonzero rational (or int) point."""
-        if any(e < 0 for e in self._c) and x == 0:
-            raise ZeroDivisionError("evaluation at 0 with negative exponents")
-        acc = Fraction(0)
-        for e, v in self._c.items():
-            acc += v * Fraction(x) ** e
-        return _clean(acc)
-
     # -- the involution and unit normalization -----------------------------
 
     def involution(self) -> "LaurentPoly":
@@ -170,7 +142,7 @@ class LaurentPoly:
     # -- comparisons ---------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int:
             other = LaurentPoly({0: other})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -190,26 +162,8 @@ class LaurentPoly:
 
 
 def _coerce(v) -> LaurentPoly:
-    if isinstance(v, LaurentPoly):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return LaurentPoly({0: v})
-    raise TypeError(f"cannot coerce {type(v).__name__} to LaurentPoly")
-
-
-# -- module-level operation names ---------------------------------------
-
-
-def normalize(p: LaurentPoly) -> LaurentPoly:
-    return p.normalize()
-
-
-def width(p: LaurentPoly) -> int:
-    return p.width()
-
-
-def involution(p: LaurentPoly) -> LaurentPoly:
-    return p.involution()
+    """v, or the constant v; TypeError for a v that is not an integer."""
+    return v if isinstance(v, LaurentPoly) else LaurentPoly({0: v})
 
 
 def units_equal(p: LaurentPoly, q: LaurentPoly) -> bool:
@@ -243,53 +197,41 @@ def format_laurent(p: LaurentPoly) -> str:
     return out
 
 
-# a rational coefficient as a JSON string: "p" or "p/q", q nonzero, in
-# ASCII digits
-_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
-
-
-def _coeff_from_json(v):
-    """A coefficient: an int, an integral float or a "p" or "p/q" string
-    with q nonzero; a bool is refused, not read as 0 or 1, and so is a
-    string that Fraction() would also read, such as "1e3" or "1_000"."""
-    if isinstance(v, str):
-        if not _RATIONAL.fullmatch(v):
-            raise ValueError(f"bad coefficient {v!r}")
-        return Fraction(v)
+def _coeff_from_json(v) -> int:
+    """A coefficient: an int or an integral float; a bool is refused, not
+    read as 0 or 1, and so is a string, such as "1/2" or "3"."""
     if type(v) is int:
         return v
-    if type(v) is float:
-        if not v.is_integer():
-            raise ValueError(f"non-integer float coefficient {v!r}")
+    if type(v) is float and v.is_integer():
         return int(v)
     raise ValueError(f"bad coefficient {v!r}")
 
 
 def laurent_to_json(p: LaurentPoly) -> dict:
-    """{"exponent": coefficient} with string exponent keys, each coefficient
-    an int or a string "p/q"."""
-    return {str(e): v if isinstance(v, int) else f"{v.numerator}/{v.denominator}"
-            for e, v in p.items()}
+    """{"exponent": coefficient} with string exponent keys."""
+    return {str(e): v for e, v in p.items()}
 
 
 def _exponent_from_json(key) -> int:
     """An exponent key: the decimal form of an int, as str() writes it;
     int() would also read "1_0" as 10 and " 2 " as 2."""
-    e = int(key)
-    if str(e) != key:
-        raise ValueError(f"bad exponent key {key!r}")
-    return e
+    if type(key) is str and str(e := int(key)) == key:
+        return e
+    raise ValueError(f"bad exponent key {key!r}")
 
 
 def laurent_from_json(obj) -> LaurentPoly:
     """Accepts the {"exponent": coefficient} form or a coefficient array
-    with a "min_exponent" field, a JSON int (default 0)."""
+    (a JSON array) with a "min_exponent" field, a JSON int (default 0);
+    ValueError for anything else."""
     if isinstance(obj, dict) and "coefficients" in obj:
-        coeffs = [_coeff_from_json(v) for v in obj["coefficients"]]
-        low = obj.get("min_exponent", 0)
+        coeffs, low = obj["coefficients"], obj.get("min_exponent", 0)
+        # a string or an object would iterate, and a number raise TypeError
+        if type(coeffs) is not list:
+            raise ValueError(f"coefficients must be an array, got {type(coeffs).__name__}")
         if type(low) is not int:  # nor a bool, a float or a string
             raise ValueError(f"min_exponent must be an integer, got {low!r}")
-        return LaurentPoly.from_dense(coeffs, low)
+        return LaurentPoly.from_dense([_coeff_from_json(v) for v in coeffs], low)
     if isinstance(obj, dict):
         return LaurentPoly({_exponent_from_json(k): _coeff_from_json(v) for k, v in obj.items()})
     raise ValueError("expected a Laurent polynomial object")

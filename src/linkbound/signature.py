@@ -75,7 +75,7 @@ from . import polys
 from .braids import SeifertData
 from .errors import InvalidSeifertData
 from .factor import _rational_root_split
-from .laurent import LaurentPoly, normalize
+from .laurent import LaurentPoly
 from .linalg import _frobenius, _integer_symmetric_signature, _principal_signs, _ranks_at_points
 from .realroots import RealAlgebraic, _nonzero_at, _yun, isolate_real_roots
 
@@ -626,7 +626,7 @@ def alexander_from_seifert(data: SeifertData) -> LaurentPoly:
     _, pivots, _, _ = data._run
     if len(pivots) < data.size:
         return LaurentPoly.zero()
-    return normalize(LaurentPoly.from_dense(pivots[-1], 0))  # the sign is a unit
+    return LaurentPoly.from_dense(pivots[-1], 0).normalize()  # the sign is a unit
 
 
 def link_nullity(data: SeifertData) -> int:

@@ -4,10 +4,12 @@ factor_integer_polynomial merged the irreducible factors of every Yun
 factor in a dict of counts (Yun's factors are pairwise coprime, so
 nothing ever merged), and fox_milnor_test walked the sorted factors with
 a dict of the multiplicities not yet consumed by a pair.  The code is
-unchanged but for its docstrings; the Kronecker search and the
-rational-root split are the library's.  rational_root_split is the
-split as it stood before a quadratic was read off its discriminant: a
-divisor search at every degree above 1.
+unchanged but for its docstrings, the LaurentPoly methods it calls in
+place of the module functions normalize and involution, and the
+integrality guard, which an integer-only LaurentPoly made dead; the
+Kronecker search and the rational-root split are the library's.
+rational_root_split is the split as it stood before a quadratic was
+read off its discriminant: a divisor search at every degree above 1.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from linkbound import polys
 from linkbound.errors import ZeroPolynomialError
 from linkbound.factor import (FoxMilnorResult, _divisors, _kronecker_factor,
                               _rational_root_split, _reversed_factor, check_degree_cap)
-from linkbound.laurent import LaurentPoly, involution, normalize
+from linkbound.laurent import LaurentPoly
 
 
 def rational_root_split(p) -> tuple[list, list[list]]:
@@ -71,12 +73,10 @@ def fox_milnor_test(p: LaurentPoly, degree_cap: int = 12) -> FoxMilnorResult:
     check_degree_cap(degree_cap)
     if p.is_zero:
         raise ZeroPolynomialError("Fox-Milnor test needs a nonzero polynomial")
-    if not p.is_integral():
-        raise ValueError("Fox-Milnor test expects integer coefficients")
     at_one = abs(sum(v for _, v in p.items()))
     if at_one != 1:
         return FoxMilnorResult("fails", reason=f"|p(1)| = {at_one} != 1")
-    q = normalize(p)
+    q = p.normalize()
     if q.width() % 2 != 0:
         return FoxMilnorResult("fails", reason=f"odd width {q.width()}")
     at_minus_one = abs(sum(-v if e % 2 else v for e, v in q.items()))
@@ -110,7 +110,7 @@ def fox_milnor_test(p: LaurentPoly, degree_cap: int = 12) -> FoxMilnorResult:
             witness = witness * LaurentPoly.from_dense(f) ** mult
             remaining[f] = 0
             remaining[rev] = 0
-    product = witness * involution(witness)
-    if normalize(product) != q:
+    product = witness * witness.involution()
+    if product.normalize() != q:
         raise AssertionError("witness reconstruction failed")
-    return FoxMilnorResult("passes", witness=normalize(witness))
+    return FoxMilnorResult("passes", witness=witness.normalize())

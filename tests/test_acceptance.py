@@ -13,7 +13,7 @@ from linkbound import (BandCertificate, BoundReport, InfectionDecl,
                        infection_transfer, link_nullity,
                        mirror, pointwise_signature_nullity,
                        seifert_matrix_from_braid, signature_function,
-                       stabilize, torus_braid, units_equal, width,
+                       stabilize, torus_braid, units_equal,
                        width_upper_bound)
 
 from helpers import random_knot_data, random_seifert_data
@@ -66,7 +66,7 @@ def test_criterion_3_exact_bound():
 def test_criterion_4_width_bound():
     with _Timer("criterion 4: width 10 product, upper bound 5", 1.0):
         product = T35_DELTA * COMPANION_DELTA
-        assert width(product) == 10
+        assert product.width() == 10
         assert width_upper_bound(product) == 5
 
 

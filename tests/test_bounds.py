@@ -15,7 +15,7 @@ from linkbound import (BandCertificate, BoundReport, BraidWord, DegreeCapError,
                        alexander_from_seifert, assemble_report,
                        band_certificate_genus, connected_sum, float_oracle,
                        infection_transfer, link_nullity, lt_lower_bound, mirror,
-                       normalize, seifert_matrix_from_braid,
+                       seifert_matrix_from_braid,
                        seifert_genus_upper_bound, signature_function,
                        fox_milnor_test, slice_obstruction, torus_braid,
                        width_upper_bound)
@@ -363,7 +363,7 @@ def _torus_knot_alexander(p: int, q: int) -> LaurentPoly:
 
     num = polys.mul(power_minus_one(p * q), power_minus_one(1))
     den = polys.mul(power_minus_one(p), power_minus_one(q))
-    return normalize(LaurentPoly.from_dense(polys.div_exact(num, den)))
+    return LaurentPoly.from_dense(polys.div_exact(num, den)).normalize()
 
 
 def test_report_t3_10():

@@ -553,7 +553,8 @@ TREFOIL_ENTRY = {"name": "trefoil", "input": {"braid": {"strands": 2, "word": [1
     *([dict(TREFOIL_ENTRY, expected=expected)] for expected in (
         {"g4": 5}, {"g4": [1]}, {"g4": [1, 1.5]}, {"g4": [True, 1]}, {"alexander": 3},
         {"alexander": {"0": "1/0"}}, {"alexander": {"x": 1}}, {"alexander": {"1_0": 1}},
-        {"alexander": {"0": "1e3"}},
+        {"alexander": {"0": "1e3"}}, {"alexander": {"0": "1/2"}},
+        {"alexander": {"coefficients": "121"}}, {"alexander": {"coefficients": {"3": 7, "5": 1}}},
         {"alexander": {"coefficients": [1, -1, 1], "min_exponent": 1.5}}, {"max_abs_sigma": 2.0},
         {"max_abs_sigma": "2"}, [1], 1))], ids=repr)
 def test_verify_malformed_catalog_exit_code(capsys, tmp_path, catalog):
@@ -561,7 +562,8 @@ def test_verify_malformed_catalog_exit_code(capsys, tmp_path, catalog):
     objects, a g4 that is not a pair of integers or nulls, a bad
     Alexander polynomial and a non-integer max_abs_sigma are parse errors:
     exit 2 with one message, where they used to raise, or, for expected
-    [1], check nothing and pass."""
+    [1], check nothing and pass.  A "p/q" Alexander coefficient, which used
+    to fail its check (exit 5), is one: Delta has integer coefficients."""
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(catalog))
     code, out, err = run(capsys, "verify", "--catalog", str(path))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from linkbound import (BraidWord, CirclePoint, LaurentPoly, RealAlgebraic, SeifertData,
                        alexander_from_seifert, assemble_report, connected_sum,
-                       float_oracle, involution, link_nullity,
+                       float_oracle, link_nullity,
                        mirror, pointwise_signature_nullity,
                        seifert_matrix_from_braid, signature_function,
                        signature_nullity_at, stabilize, torus_braid,
@@ -75,7 +75,7 @@ def test_quadfield_rejects_boundary():
 
 # -- B(t) and its integer form ---------------------------------------------------
 
-T_LAURENT = LaurentPoly.t()
+ONE_MINUS_T = LaurentPoly({0: 1, 1: -1})
 
 
 def _form(data):
@@ -89,7 +89,7 @@ def test_b_family_trefoil_entries():
     """The form of the trefoil is tV - V^T, and (1 - t)/t times it is B(t)."""
     form = _form(TREFOIL_V)
     assert form == (((1, -1), (0, 1)), ((-1,), (1, -1)))
-    b = [[LaurentPoly.from_dense(p, -1) * (1 - T_LAURENT) for p in row] for row in form]
+    b = [[LaurentPoly.from_dense(p, -1) * ONE_MINUS_T for p in row] for row in form]
     assert b[0][0] == LaurentPoly({1: 1, -1: 1, 0: -2})
     assert b[0][1] == LaurentPoly({0: 1, 1: -1})
     assert b[1][0] == LaurentPoly({0: 1, -1: -1})
@@ -579,7 +579,7 @@ def test_quad_eval_is_multiplicative():
         q = LaurentPoly({rng.randint(-3, 3): rng.randint(-4, 4) for _ in range(3)})
         assert quad_eval(p * q, x) == quad_eval(p, x) * quad_eval(q, x)
         assert quad_eval(p + q, x) == quad_eval(p, x) + quad_eval(q, x)
-        assert quad_eval(involution(p), x) == quad_eval(p, x).conjugate()
+        assert quad_eval(p.involution(), x) == quad_eval(p, x).conjugate()
 
 
 def test_jump_parity_bound():
@@ -1245,7 +1245,7 @@ def test_form_of_seifert_data_is_the_form_of_b():
     for data in _route_inputs():
         b = b_laurent(data)
         for form_row, b_row in zip(_form(data), b):
-            assert [LaurentPoly.from_dense(p, -1) * (1 - T_LAURENT) for p in form_row] == b_row
+            assert [LaurentPoly.from_dense(p, -1) * ONE_MINUS_T for p in form_row] == b_row
 
 
 @pytest.mark.parametrize("p, q", [(2, 5), (3, 7), (4, 5), (3, 10)])
