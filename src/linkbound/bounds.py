@@ -12,6 +12,7 @@ assumptions rather than silently trusting.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 from .braids import SeifertData, _check_integer, _check_integers, _json_int
@@ -46,7 +47,8 @@ class Provenance:
     def __post_init__(self):
         _store_integers(self, ("value",), "provenance values")
         if self.bound not in ("lower", "upper"):
-            raise ParseError(f'provenance bound must be "lower" or "upper", got {self.bound!r}')
+            raise ParseError(
+                f'provenance bound must be "lower" or "upper", got {reprlib.repr(self.bound)}')
 
     def to_json(self) -> dict:
         return {"bound": self.bound, "value": self.value, "source": self.source}
@@ -71,7 +73,7 @@ class BoundReport:
         if self.components < 1:
             raise ParseError(f"components must be >= 1, got {self.components}")
         if self.slice_verdict not in (OBSTRUCTED, CONSISTENT, INCONCLUSIVE):
-            raise ParseError(f"unknown slice_verdict {self.slice_verdict!r}")
+            raise ParseError(f"unknown slice_verdict {reprlib.repr(self.slice_verdict)}")
         if self.lower < 0:
             raise InconsistentBounds("lower bound must be >= 0")
         if self.upper is not None and self.lower > self.upper:
@@ -109,7 +111,7 @@ class BoundReport:
         except ParseError:
             raise  # already says which field is wrong
         except (AttributeError, KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"malformed bound report: {e!r}") from None
+            raise ParseError(f"malformed bound report: {reprlib.repr(e)}") from None
         return cls(**fields)
 
 
@@ -176,7 +178,7 @@ class InfectionDecl:
         except ParseError:
             raise  # already says which field is wrong
         except (AttributeError, KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"malformed infection declaration: {e!r}") from None
+            raise ParseError(f"malformed infection declaration: {reprlib.repr(e)}") from None
         return cls(**fields)
 
 
@@ -298,33 +300,28 @@ def infection_transfer(base: BoundReport, decl: InfectionDecl) -> BoundReport:
             f"infection string link closure has vanishing Milnor invariants "
             f"through length {decl.milnor_vanishing_length} "
             f">= {2 * decl.double_points} (declared, not verified)")
-    provenance = []
-    for p in base.provenance:
-        if p.bound == "upper":
-            provenance.append(Provenance("upper", p.value,
-                                         f"infection transfer of: {p.source}"))
-    if base.upper is not None and not any(p.bound == "upper" for p in provenance):
-        provenance.append(Provenance("upper", base.upper, "infection transfer"))
-
+    provenance = _carried(base, "upper", "infection transfer of: ", base.upper,
+                          "infection transfer")
     if decl.all_linking_zero:
-        lower = base.lower
-        slice_verdict = base.slice_verdict
-        for p in base.provenance:
-            if p.bound == "lower":
-                provenance.append(Provenance(
-                    "lower", p.value,
-                    f"axes null-homologous (all linking numbers zero): {p.source}"))
-        if not any(p.bound == "lower" for p in provenance):
-            provenance.append(Provenance(
-                "lower", lower, "axes null-homologous: invariants unchanged"))
+        lower, slice_verdict = base.lower, base.slice_verdict
+        provenance += _carried(base, "lower", "axes null-homologous (all linking numbers zero): ",
+                               lower, "axes null-homologous: invariants unchanged")
     else:
-        lower = 0
-        slice_verdict = INCONCLUSIVE
+        lower, slice_verdict = 0, INCONCLUSIVE
         assumptions.append(
             "nonzero axis linking number: signature/Alexander invariance "
             "argument inapplicable, lower bound reset to 0")
     return BoundReport(lower, base.upper, slice_verdict,
                        tuple(provenance), tuple(assumptions), base.components)
+
+
+def _carried(base: BoundReport, bound: str, prefix: str, value, source: str) -> list:
+    """The provenance of base's `bound` ("lower" or "upper") carried
+    through an infection: each entry with `prefix` before its source, or,
+    where base has none, one entry (value, source) unless value is None."""
+    carried = [Provenance(bound, p.value, prefix + p.source)
+               for p in base.provenance if p.bound == bound]
+    return carried or ([] if value is None else [Provenance(bound, value, source)])
 
 
 def assemble_report(data: SeifertData, certs=(),

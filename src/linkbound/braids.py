@@ -28,21 +28,10 @@ from . import linalg
 from .errors import InvalidSeifertData, ParseError
 
 
-def _check_integers(values, what: str, error=ParseError) -> tuple[int, ...]:
-    """The values as a tuple of ints, through operator.index.  An int or a
-    value with __index__ (a NumPy integer, say) is accepted; a float,
-    Fraction, string or bool raises `error`, where int() would truncate or
-    parse it."""
-    values = tuple(values)
-    if bad := [k.__name__ for k in set(map(type, values))
-               if k is bool or not hasattr(k, "__index__")]:
-        raise error(f"{what} must be integers, got {min(bad)}")
-    return tuple(map(operator.index, values))
-
-
 def _check_integer(value, what: str, error=ParseError) -> int:
-    """_check_integers((value,), what, error)[0], with the same refusals
-    and message, building no tuple, set or list."""
+    """The value as an int, through operator.index: an int or a value with
+    __index__ (a NumPy integer, say); a float, Fraction, string or bool
+    raises `error`, where int() would truncate or parse it."""
     kind = type(value)
     if kind is int:
         return value
@@ -51,12 +40,17 @@ def _check_integer(value, what: str, error=ParseError) -> int:
     return operator.index(value)
 
 
+def _check_integers(values, what: str, error=ParseError) -> tuple[int, ...]:
+    """_check_integer on each value; the first bad one is named."""
+    return tuple(_check_integer(v, what, error) for v in values)
+
+
 def _decimal(text: str) -> int:
     """int(text) for an optional '-' and ASCII digits only, else ValueError
     (int() also reads '+1', ' 1', '1_0' and other scripts' digits)."""
     digits = text.removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not a decimal integer: {text!r}")
+        raise ValueError(f"not a decimal integer: {reprlib.repr(text)}")
     return int(text)
 
 
@@ -95,7 +89,7 @@ def parse_braid(text: str) -> BraidWord:
             try:
                 strands = _decimal(token[len("strands="):])
             except ValueError:
-                raise ParseError(f"bad strand count in {token!r}") from None
+                raise ParseError(f"bad strand count in {reprlib.repr(token)}") from None
             continue
         m = _TOKEN.fullmatch(token)
         try:
@@ -324,7 +318,7 @@ def _json_int(value, what: str) -> int:
     raises ParseError instead of being truncated or coerced."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise ParseError(f"{what} must be an integer, got {value!r}")
+    raise ParseError(f"{what} must be an integer, got {reprlib.repr(value)}")
 
 
 def braid_from_json(obj) -> BraidWord:

@@ -10,6 +10,7 @@ with T(3,5) it reproduces the width-10 Alexander polynomial and the
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 from .bounds import assemble_report
@@ -48,7 +49,7 @@ class CatalogEntry:
             _json_int(expected["max_abs_sigma"], "max_abs_sigma")
         g4 = expected.get("g4", [None, None])
         if not isinstance(g4, list) or len(g4) != 2:
-            raise ParseError(f"g4 must be a pair of bounds, got {g4!r}")
+            raise ParseError(f"g4 must be a pair of bounds, got {reprlib.repr(g4)}")
         for bound in g4:
             if bound is not None:
                 _json_int(bound, "g4 bound")

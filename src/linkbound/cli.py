@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
 import sys
 from types import SimpleNamespace
 
@@ -77,7 +78,8 @@ def _parse_band_certs(raw) -> list[BandCertificate]:
             cert = BandCertificate(b, u)
             band_certificate_genus(cert)
         except ValueError as e:
-            raise ParseError(f"--band-cert wants a valid 'b,u', got {pair!r}: {e}") from None
+            raise ParseError(
+                f"--band-cert wants a valid 'b,u', got {reprlib.repr(pair)}: {e}") from None
         certs.append(cert)
     return certs
 
@@ -215,7 +217,8 @@ def _parse(argv: list[str]):
         except ParseError:
             raise
         except ValueError:
-            raise ParseError(f"{command}: {flag} wants an integer, got {value!r}") from None
+            raise ParseError(
+                f"{command}: {flag} wants an integer, got {reprlib.repr(value)}") from None
     values = {flag[2:].replace("-", "_"): default for flag, (_, default) in options.items()}
     values.update(zip(positionals, free), **given)
     if len(free) > len(positionals) or not all(values.get(name) for name in positionals):

@@ -12,6 +12,8 @@ leading coefficient, so Alexander polynomials compare by plain equality.
 
 from __future__ import annotations
 
+import reprlib
+
 from .braids import _check_integer
 from .errors import ZeroPolynomialError
 
@@ -204,7 +206,7 @@ def _coeff_from_json(v) -> int:
         return v
     if type(v) is float and v.is_integer():
         return int(v)
-    raise ValueError(f"bad coefficient {v!r}")
+    raise ValueError(f"bad coefficient {reprlib.repr(v)}")
 
 
 def laurent_to_json(p: LaurentPoly) -> dict:
@@ -217,7 +219,7 @@ def _exponent_from_json(key) -> int:
     int() would also read "1_0" as 10 and " 2 " as 2."""
     if type(key) is str and str(e := int(key)) == key:
         return e
-    raise ValueError(f"bad exponent key {key!r}")
+    raise ValueError(f"bad exponent key {reprlib.repr(key)}")
 
 
 def laurent_from_json(obj) -> LaurentPoly:
@@ -230,7 +232,7 @@ def laurent_from_json(obj) -> LaurentPoly:
         if type(coeffs) is not list:
             raise ValueError(f"coefficients must be an array, got {type(coeffs).__name__}")
         if type(low) is not int:  # nor a bool, a float or a string
-            raise ValueError(f"min_exponent must be an integer, got {low!r}")
+            raise ValueError(f"min_exponent must be an integer, got {reprlib.repr(low)}")
         return LaurentPoly.from_dense([_coeff_from_json(v) for v in coeffs], low)
     if isinstance(obj, dict):
         return LaurentPoly({_exponent_from_json(k): _coeff_from_json(v) for k, v in obj.items()})

@@ -1,10 +1,12 @@
 """Exact real-root isolation by Sturm sequences, in integers.
 
 Windows are treated as *open* intervals: a root sitting exactly on a
-window endpoint is not reported.  Multiplicities come from Yun's
-square-free decomposition.  :class:`RealAlgebraic` wraps one isolated
-irrational root and supports exact sign queries of polynomials at that
-root, which is what certifying signature jumps requires.
+window endpoint is not reported.  The roots are isolated once, on the
+square-free part from Yun's decomposition; a bracket's multiplicity is
+the power of the one Yun factor that changes sign across it.
+:class:`RealAlgebraic` wraps one isolated irrational root and supports
+exact sign queries of polynomials at that root, which is what
+certifying signature jumps requires.
 
 Every point is a pair of integers (a, d), d > 0, standing for a/d, and
 every bracket is integers (a, b, d) over one denominator; every sign is
@@ -23,12 +25,12 @@ midpoint alone, since a simple root is a sign change.  Refinement to a
 width reaches the node of the bisection tree that bisection reaches, by
 certified secant steps on 2^k grids with k doubling (_descend), so
 brackets and the floats and JSON read from them do not depend on the
-route.  A breakpoint built
-from a bracket of :func:`isolate_real_roots` is not counted again; the
-public :class:`RealAlgebraic` constructor checks everything, and refuses
-a defining polynomial with a rational root.  A root x0 also stands for
-the circle point z0 with z0 + 1/z0 = x0: _nonzero_at tests q(z0) != 0
-for integer polynomials q in t.
+route, at any depth.  A breakpoint built from a bracket of
+:func:`isolate_real_roots` is not counted again; the public
+:class:`RealAlgebraic` constructor checks everything, and refuses a
+defining polynomial with a rational root.  A root x0 also stands for the
+circle point z0 with z0 + 1/z0 = x0: _nonzero_at tests q(z0) != 0 for
+integer polynomials q in t.
 """
 
 from __future__ import annotations
@@ -154,17 +156,6 @@ def _isolate_squarefree(counts, lo: int, hi: int, d: int) -> list[tuple[int, int
     return out
 
 
-def _bisected(poly, a: int, b: int, d: int, sign_lo: int) -> tuple[int, int, int]:
-    """The half of (a/d, b/d) that holds the one root of `poly` in it, as
-    (a', b', d'), where poly has the sign sign_lo != 0 at a/d and no
-    multiple root in the bracket.  A midpoint that is a root of poly is
-    nudged right by (b - a)/4d, then (b - a)/8d, ... first."""
-    m, w, a, b, d = a + b, b - a, 2 * a, 2 * b, 2 * d
-    while (s := polys.sign_at_ratio(poly, m, d)) == 0:
-        m, a, b, d = 2 * m + w, 2 * a, 2 * b, 2 * d
-    return (a, m, d) if s != sign_lo else (m, b, d)
-
-
 def _scaled_value(p, a: int, d: int) -> int:
     """d^k p(a/d), k = deg p, for integers a and d > 0: one integer Horner
     pass, the value whose sign polys.sign_at_ratio reads."""
@@ -172,11 +163,6 @@ def _scaled_value(p, a: int, d: int) -> int:
     for c in reversed(p):
         acc, dk = acc * a + c * dk, dk * d
     return acc
-
-
-# A refinement of at least this many halvings descends (_descend); near
-# it the two take about the same time (7-10 us on a breakpoint of T(3,5)).
-_DESCENT_DEPTH = 8
 
 
 def _descend(poly, a: int, w: int, d: int, sign_lo: int, depth: int) -> tuple[int, int]:
@@ -252,10 +238,12 @@ def isolate_real_roots(q, lo, hi) -> list[tuple[int, int, int, int]]:
     Returns pairwise-disjoint brackets (a, b, d, multiplicity), in
     increasing order: the open interval (a/d, b/d), with d > 0 and
     gcd(a, b, d) = 1, contains exactly one distinct root of q, and the
-    multiplicity is that root's, from the square-free decomposition.
-    Roots at lo or hi are excluded (open window).  Every bracket isolates
-    its root within the square-free part of q, and its endpoints are not
-    roots of q.  Raises ZeroPolynomialError for q = 0.
+    multiplicity is that root's.  Roots at lo or hi are excluded (open
+    window).  One isolation of the square-free part of q (from _yun)
+    gives every bracket, so each isolates its root within that part and
+    its endpoints are not roots of q; the root is simple in exactly one
+    Yun factor, the one whose sign differs at the two ends, and its
+    power is the multiplicity.  Raises ZeroPolynomialError for q = 0.
     """
     q = polys.trim(q)
     if not q:
@@ -266,47 +254,14 @@ def isolate_real_roots(q, lo, hi) -> list[tuple[int, int, int, int]]:
     if not a < b or polys.degree(q) == 0:
         return []
     factors, sq = _yun(tuple(q))
-    found = []  # mutable records [u, v, e, sign of the factor at u/e, mult, factor]
-    for factor, mult in factors:
-        counts = _SturmCounts(sturm_chain(factor))
-        for u, v, e in _isolate_squarefree(counts, a, b, d):
-            found.append([u, v, e, counts.sign(u, e), mult, factor])
-    if len(factors) > 1 and (polys.sign_at_ratio(q, a, d) == 0
-                             or polys.sign_at_ratio(q, b, d) == 0):
-        # A root of one factor inside another's interval, or on its end,
-        # lies inside its own interval, so the disjointness loop below
-        # separates them.  A root at a window end has no interval: refine
-        # until each interval isolates its root within the full
-        # square-free part and the endpoints avoid all roots of q.
-        counts = _SturmCounts(sturm_chain(sq))
-        for item in found:
-            while not (counts.sign(item[0], item[2]) != 0 and counts.sign(item[1], item[2]) != 0
-                       and counts.roots(*item[:3]) == 1):
-                _halve(item)
-    # Disjointness across factors, compared over the lcm of the denominators.
-    while True:
-        den = lcm(*(item[2] for item in found))
-        found.sort(key=lambda it: (it[0] * (den // it[2]), it[1] * (den // it[2])))
-        overlap = [i for i, (x, y) in enumerate(zip(found, found[1:]))
-                   if x[1] * y[2] > y[0] * x[2]]
-        if not overlap:
-            break
-        for i in overlap:
-            _halve(found[i])
-            _halve(found[i + 1])
     out = []
-    for u, v, e, _, mult, _ in found:
+    for u, v, e in _isolate_squarefree(_SturmCounts(sturm_chain(sq)), a, b, d):
+        mult = factors[0][1] if len(factors) == 1 else next(
+            m for factor, m in factors
+            if polys.sign_at_ratio(factor, u, e) != polys.sign_at_ratio(factor, v, e))
         g = gcd(u, v, e)
         out.append((u // g, v // g, e // g, mult))
     return out
-
-
-def _halve(item):
-    """Shrink an isolation record around its root, keeping the new endpoint
-    off the roots of the record's factor.  The record isolates one simple
-    root of the square-free factor, whose sign at the left end never
-    changes."""
-    item[:3] = _bisected(item[5], *item[:4])
 
 
 def _ratio(c) -> tuple[int, int]:
@@ -367,10 +322,11 @@ class RealAlgebraic:
     @classmethod
     def _certified(cls, poly, a: int, b: int, d: int) -> "RealAlgebraic":
         """The root in a bracket (a, b, d, _) that isolate_real_roots(q, ...)
-        returned, with poly the square-free part of q from _yun.  That
-        isolation certified what the public constructor checks (poly
-        primitive, positive-leading and square-free, the endpoints not
-        roots, one root inside), so nothing is counted again."""
+        returned, with poly the square-free part of q from _yun, the very
+        polynomial that isolation counted on.  It certified what the
+        public constructor checks (poly primitive, positive-leading and
+        square-free, the endpoints not roots, one root inside), so nothing
+        is counted again."""
         root = object.__new__(cls)
         root._set_bracket(poly, a, b, d)
         return root
@@ -388,14 +344,20 @@ class RealAlgebraic:
         return Fraction(self._b, self._d)
 
     def _bisect(self):
-        self._a, self._b, self._d = _bisected(self.poly, self._a, self._b, self._d,
-                                              self._sign_lo)
+        """Keep the half of the bracket that holds the root.  A midpoint
+        that is a root of poly is nudged right by (b - a)/4d, then
+        (b - a)/8d, ... first."""
+        a, b, d = self._a, self._b, self._d
+        m, w, a, b, d = a + b, b - a, 2 * a, 2 * b, 2 * d
+        while (s := polys.sign_at_ratio(self.poly, m, d)) == 0:
+            m, a, b, d = 2 * m + w, 2 * a, 2 * b, 2 * d
+        self._a, self._b, self._d = (a, m, d) if s != self._sign_lo else (m, b, d)
 
     def refine(self, max_width) -> "RealAlgebraic":
         """Shrink the bracket to width at most max_width > 0, to the node
-        of the bisection tree that bisection reaches.  A descent of at
-        least _DESCENT_DEPTH halvings jumps down the tree by certified
-        grid steps (_descend); bisection does the rest."""
+        of the bisection tree that bisection reaches, at any depth: the
+        descent jumps down the tree by certified grid steps (_descend),
+        and bisection finishes where it stops at a rational root."""
         p, q = _ratio(max_width)
         if p <= 0:
             raise ValueError(f"refinement width must be positive, got {max_width}")
@@ -403,9 +365,8 @@ class RealAlgebraic:
         if w * q > p * self._d:
             # the halvings that bisection makes: the least s with w/(2^s d) <= p/q
             s = ((w * q - 1) // (p * self._d)).bit_length()
-            if s >= _DESCENT_DEPTH:
-                self._a, self._d = _descend(self.poly, self._a, w, self._d, self._sign_lo, s)
-                self._b = self._a + w
+            self._a, self._d = _descend(self.poly, self._a, w, self._d, self._sign_lo, s)
+            self._b = self._a + w
         while (self._b - self._a) * q > p * self._d:
             self._bisect()
         return self

@@ -39,8 +39,9 @@ after k steps is p_k times the Schur complement of the k x k block
 the only entries the point test reads; one generic run per build,
 stopped at each such k, serves every root.  Each interval is read at a dyadic
 sample where no leading minor vanishes but those identically 0: the
-sample search walks integer numerators over one denominator and takes
-the minors' signs there, so the interval value needs no second read.
+sample search walks integer numerators over one denominator and asks
+_block_signature at each, the one reader of a certified value at a
+rational point, so the interval value needs no second read.
 The jump locus thus builds a Fraction only for each sample and each
 rational breakpoint.  Values at jumps follow the averaged-limit
 convention: the mean of the two adjacent interval values; the nullity
@@ -205,8 +206,8 @@ def _principal_block(data) -> tuple:
     that of tV - V^T, so both pick the same pivots, and off z = 1 B(z) and
     zV - V^T have equal rank.  Each minor is stored reduced, divided by
     (2 - x)^(k // 2) (see _minor_x), which keeps its sign and its roots on
-    [-2, 2): every reader (Frobenius's rule, _pick_sample, the jump
-    polynomial) looks only there.
+    [-2, 2): every reader (Frobenius's rule in _block_signature, the
+    jump polynomial) looks only there.
     """
     _, pivots, rows, cols = data._run
     minors = [polys.neg(p) if s < 0 else p if s else ()
@@ -394,13 +395,14 @@ def _jump_structure(data):
     return tuple(prim), rank, tuple((b, e) for b, e, _ in found), tuple(nul for *_, nul in found)
 
 
-def _pick_sample(avoid_xpolys, a: int, d: int, b: int, e: int) -> tuple[Fraction, list]:
-    """(x, the signs of the polynomials of `avoid_xpolys` at x) for a
-    dyadic point x of (a/d, b/e) where none of them vanishes: the
-    midpoint, then finer dyadic subdivisions, walked as integer
-    numerators over one denominator; only the chosen x is built as a
-    Fraction.  Terminates because the polynomials have finitely many
-    roots."""
+def _pick_sample(data, a: int, d: int, b: int, e: int) -> tuple[Fraction, tuple[int, int]]:
+    """(x, (signature, nullity) of B(z) at x) for a dyadic point x of
+    (a/d, b/e) where _block_signature reads the value: no leading minor
+    of the principal block that is not identically 0 vanishes there.
+    The candidates are the midpoint, then finer dyadic subdivisions,
+    walked as integer numerators over one denominator; only the chosen x
+    is built as a Fraction.  Terminates because the minors have finitely
+    many roots."""
     den = lcm(d, e)
     lo = a * (den // d)
     span = b * (den // e) - lo
@@ -411,9 +413,8 @@ def _pick_sample(avoid_xpolys, a: int, d: int, b: int, e: int) -> tuple[Fraction
             num = lo + j * span
             g = gcd(num, den)
             num, dg = num // g, den // g
-            signs = [polys.sign_at_ratio(p, num, dg) for p in avoid_xpolys]
-            if all(signs):
-                return Fraction(num, dg), signs
+            if (value := _block_signature(data, num, dg)) is not None:
+                return Fraction(num, dg), value
     raise AssertionError("no minor-free sample point found")
 
 
@@ -601,17 +602,12 @@ def signature_function(data: SeifertData) -> SignatureFunction:
     n = data.size
     _, rank, jumps, nullities = _jump_structure(data)
     bps = tuple(bp for bp, _ in jumps)
-    avoid = [p for p in _principal_block(data)[1] if p]
-    samples = []
-    values = []
     walls = [(-2, -2, 1)] + [_wall(bp) for bp in bps] + [(2, 2, 1)]
-    for (_, a, d), (b, _, e) in zip(walls, walls[1:]):
-        sample, signs = _pick_sample(avoid, a, d, b, e)
-        samples.append(sample)
-        values.append((_frobenius(signs, rank), n - rank))
+    samples, values = zip(*(_pick_sample(data, a, d, b, e)
+                            for (_, a, d), (b, _, e) in zip(walls, walls[1:])))
     averaged = tuple((_mean(left[0], right[0]), nul)
                      for left, right, nul in zip(values, values[1:], nullities))
-    return SignatureFunction(n, n - rank, bps, tuple(values), averaged, tuple(samples))
+    return SignatureFunction(n, n - rank, bps, values, averaged, samples)
 
 
 # -- Alexander polynomial, nullity, float oracle ---------------------------------

@@ -571,6 +571,43 @@ def test_verify_malformed_catalog_exit_code(capsys, tmp_path, catalog):
     assert err.startswith("parse error: ") and err.count("\n") == 1
 
 
+BIG = "x" * 100000
+BIG_REPORT = {"lower": 1, "upper": 1, "slice_verdict": "obstructed"}
+TREFOIL_MATRIX = [[-1, 1], [0, -1]]
+
+
+@pytest.mark.parametrize("args", [
+    ["bound", {"seifert_matrix": TREFOIL_MATRIX, "components": BIG}],
+    ["bound", {"seifert_matrix": [[BIG, 1], [0, -1]]}],
+    ["bound", {"braid": f"strands={BIG}; 1 1 1"}],
+    ["bound", {"seifert_matrix": TREFOIL_MATRIX}, "--json-indent", BIG],
+    ["bound", {"seifert_matrix": TREFOIL_MATRIX}, "--band-cert", BIG + ",1"],
+    ["infect", dict(BIG_REPORT, provenance=[{"bound": BIG, "value": 1, "source": "s"}]),
+     DECLARATION],
+    ["infect", dict(BIG_REPORT, slice_verdict=BIG), DECLARATION],
+    *(["verify", "--catalog", [dict(TREFOIL_ENTRY, expected=expected)]] for expected in (
+        {"g4": [0] * 50000}, {"alexander": {"0": BIG}}, {"alexander": {"0" * 4000 + "1": 1}},
+        {"alexander": {"coefficients": [1], "min_exponent": BIG}}))],
+    ids=["components", "matrix entry", "strands", "json-indent", "band-cert",
+         "provenance bound", "slice_verdict", "g4", "coefficient", "exponent", "min_exponent"])
+def test_oversized_value_gives_a_short_error_line(capsys, tmp_path, args):
+    """A parse error that echoes a 100 000-character value, or a g4 of
+    50 000 entries, shows it shortened by reprlib: exit 2 with one line of
+    under 300 bytes, where the whole value made lines of 100 000 to
+    200 000 bytes.  Each JSON object of `args` is passed as a file."""
+    argv = []
+    for i, arg in enumerate(args):
+        if not isinstance(arg, str):
+            path = tmp_path / f"{i}.json"
+            path.write_text(json.dumps(arg))
+            arg = str(path)
+        argv.append(arg)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 300
+
+
 def test_verify_catalog_with_null_bounds(capsys, tmp_path):
     """A g4 bound may be null, and expected may be absent or null."""
     hopf = {"name": "hopf", "input": {"braid": {"strands": 2, "word": [1, 1]}},

@@ -305,6 +305,45 @@ def test_warm_reads_compare_no_fraction(monkeypatch):
     assert {id(root) for root in bisected} == {id(sqrt3), id(meets[0])}
 
 
+@pytest.mark.parametrize("data", [seifert_matrix_from_braid(torus_braid(3, 5)),
+                                  seifert_matrix_from_braid(torus_braid(3, 6)),
+                                  seifert_matrix_from_braid(torus_braid(4, 4)),
+                                  zero_padded(seifert_matrix_from_braid(torus_braid(3, 5)), 1)])
+def test_samples_are_read_only_through_block_signature(monkeypatch, data):
+    """signature_function takes the signs of the leading minors at its
+    samples only through _block_signature, which alone runs Frobenius's
+    rule, and that read succeeds once per interval: at its sample, with
+    its value."""
+    data = cold(data)
+    minors = signature._principal_block(data)[1]  # kept on the data for the build
+    reads, inside = [], []
+    block_signature, frobenius, sign_at_ratio = (
+        signature._block_signature, signature._frobenius, polys.sign_at_ratio)
+
+    def spy_block(data, p, q):
+        inside.append(True)
+        value = block_signature(data, p, q)
+        inside.pop()
+        if value is not None:
+            reads.append((Fraction(p, q), value))
+        return value
+
+    def spy_frobenius(*args):
+        assert inside
+        return frobenius(*args)
+
+    def spy_sign(poly, a, d):
+        assert inside or not any(poly is m for m in minors)
+        return sign_at_ratio(poly, a, d)
+
+    monkeypatch.setattr(signature, "_block_signature", spy_block)
+    monkeypatch.setattr(signature, "_frobenius", spy_frobenius)
+    monkeypatch.setattr(polys, "sign_at_ratio", spy_sign)
+    f = signature_function(data)
+    assert len(f.samples) >= 2
+    assert reads == list(zip(f.samples, f.interval_values))
+
+
 @pytest.mark.parametrize("p, q", [(2, 19), (2, 8), (3, 6)])
 def test_cold_report_builds_a_fraction_per_sample_and_rational_breakpoint(monkeypatch, p, q):
     """A cold report isolates, bisects and searches for samples in
