@@ -234,10 +234,10 @@ def band_certificate_genus(cert: BandCertificate) -> int:
     chi = cert.resulting_unlink_components - cert.bands
     if chi % 2 == 0:
         raise ValueError(
-            f"invalid certificate: chi = {chi} must be odd for one boundary circle")
+            f"invalid certificate: chi = {reprlib.repr(chi)} must be odd for one boundary circle")
     genus = (1 - chi) // 2
     if genus < 0:
-        raise ValueError(f"invalid certificate: negative genus {genus}")
+        raise ValueError(f"invalid certificate: negative genus {reprlib.repr(genus)}")
     return genus
 
 

@@ -42,7 +42,7 @@ def _check_integer(value, what: str, error=ParseError) -> int:
 
 def _check_integers(values, what: str, error=ParseError) -> tuple[int, ...]:
     """_check_integer on each value; the first bad one is named."""
-    return tuple(_check_integer(v, what, error) for v in values)
+    return tuple(v if type(v) is int else _check_integer(v, what, error) for v in values)
 
 
 def _decimal(text: str) -> int:

@@ -153,9 +153,9 @@ def _within(flag: str, least, most: int):
     def read(text: str) -> int:
         value = _decimal(text)
         if value > most:
-            raise ParseError(f"{flag} {value} exceeds the maximum {most}")
+            raise ParseError(f"{flag} {reprlib.repr(value)} exceeds the maximum {most}")
         if value < least:
-            raise ParseError(f"{flag} {value} is below the minimum {least}")
+            raise ParseError(f"{flag} {reprlib.repr(value)} is below the minimum {least}")
         return value
     return read
 

@@ -138,7 +138,7 @@ def _kronecker_factor(p):
     if n < 2:
         return None
     pool = [(-1) ** (i + 1) * ((i + 1) // 2) for i in range(n // 2 + 4)]  # 0, 1, -1, 2, -2, ...
-    divisors = {x: _divisors(polys.evaluate(p, x)) for x in pool}  # p(x) != 0: no rational roots
+    divisors = {x: _divisors(polys.scaled_value(p, x)) for x in pool}  # p(x) != 0: no rational roots
     ranked = sorted(pool, key=lambda x: len(divisors[x]))  # stable: ties keep pool order
     for d in range(1, n // 2 + 1):
         xs = sorted(ranked[: d + 1], key=pool.index)
@@ -163,14 +163,16 @@ def factor_integer_polynomial(p) -> tuple[int, list[tuple[tuple, int]]]:
 
     Returns (c, [(factor, multiplicity), ...]) with p = c * prod f^m and
     each factor irreducible over Q, primitive, positive-leading, sorted.
+    A coefficient that polys.primitive refuses raises its TypeError.
     Each of Yun's square-free factors loses its rational roots, and then
     Kronecker splits what is left; Yun's factors are pairwise coprime, so
     no irreducible factor is found twice.
     """
-    p = polys.trim(list(p))
-    if not p:
+    prim = polys.primitive(p)
+    if not prim:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
-    c, prim = polys.primitive_positive(p)
+    c, prim = polys.primitive_positive(prim)
+    c *= polys.content(p)
     factors = []
     for sq_factor, mult in polys.squarefree_decomposition(prim):
         rest, found = _rational_root_split(sq_factor)

@@ -216,9 +216,13 @@ def laurent_to_json(p: LaurentPoly) -> dict:
 
 def _exponent_from_json(key) -> int:
     """An exponent key: the decimal form of an int, as str() writes it;
-    int() would also read "1_0" as 10 and " 2 " as 2."""
-    if type(key) is str and str(e := int(key)) == key:
-        return e
+    int() would also read "1_0" as 10 and " 2 " as 2.  Any other key, one
+    that int() cannot read included, is a bad exponent key."""
+    try:
+        if type(key) is str and str(e := int(key)) == key:
+            return e
+    except ValueError:
+        pass
     raise ValueError(f"bad exponent key {reprlib.repr(key)}")
 
 

@@ -2,18 +2,17 @@
 
 A polynomial is a list of coefficients ordered from the constant term
 upwards, with no trailing zeros; ``[]`` is the zero polynomial.
-Coefficients are Python ints; the ring operations, evaluation and signs
-also take :class:`fractions.Fraction` values.  Division is exact division
-in Z[x], and gcds are primitive pseudo-remainder sequences, so no
-Euclidean step ever builds a Fraction: the gcd, square-free entry points
-take rational polynomials and clear their denominators once, on entry.
-Everything here is exact; no floats.
+Coefficients are integers, read by :func:`primitive` as Seifert entries
+are read.  Division is exact division in Z[x], gcds are primitive
+pseudo-remainder sequences, and a value at a/d is d^k p(a/d), one integer
+Horner pass (:func:`scaled_value`).  Everything here is exact.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+
+from .braids import _check_integers
 
 
 def trim(p) -> list:
@@ -56,21 +55,20 @@ def mul(p, q) -> list:
     return trim(out)
 
 
-def evaluate(p, x):
-    """Horner evaluation; exact for int/Fraction arguments."""
-    acc = 0
+def scaled_value(p, a: int, d: int = 1) -> int:
+    """d^k p(a/d), k = deg p, for integers a and d > 0 (p(a) by default):
+    one integer Horner pass."""
+    acc, dk = 0, 1
     for c in reversed(p):
-        acc = acc * x + c
+        acc, dk = acc * a + c * dk, dk * d
     return acc
 
 
 def sign_at_ratio(p, a: int, d: int) -> int:
     """Sign (-1, 0 or 1) of p(a/d) for integers a and d > 0: the sign of
-    d^k p(a/d), k = deg p, by one integer Horner pass."""
-    acc, dk = 0, 1
-    for c in reversed(p):
-        acc, dk = acc * a + c * dk, dk * d
-    return (acc > 0) - (acc < 0)
+    scaled_value(p, a, d)."""
+    v = scaled_value(p, a, d)
+    return (v > 0) - (v < 0)
 
 
 def derivative(p) -> list:
@@ -122,10 +120,11 @@ def primitive_positive(p) -> tuple[int, list]:
 
 
 def primitive(p) -> list:
-    """The primitive integer polynomial c p with c > 0, for an int/rational
-    p: denominators are cleared here, once.  [] for p = 0."""
-    m = lcm(*(c.denominator for c in p if isinstance(c, Fraction)))
-    q = trim([int(c * m) for c in p])
+    """The primitive integer polynomial c p with c > 0 ([] for p = 0).  The
+    coefficients are read by braids._check_integer: ints and __index__
+    values (NumPy integers) as ints; a float, Fraction, str or bool raises
+    TypeError."""
+    q = trim(_check_integers(p, "polynomial coefficients", TypeError))
     g = content(q)
     return [c // g for c in q] if g else []
 
@@ -170,7 +169,7 @@ def pseudo_remainder(a, b) -> list:
 
 
 def gcd_poly(p, q) -> list:
-    """Primitive positive-leading gcd of two int/rational polynomials: the
+    """Primitive positive-leading gcd of two integer polynomials: the
     primitive pseudo-remainder sequence, on integers (Knuth, TAOCP vol. 2,
     4.6.1)."""
     a, b = primitive(p), primitive(q)

@@ -1,12 +1,15 @@
 """Exact real-root isolation by Sturm sequences, in integers.
 
-Windows are treated as *open* intervals: a root sitting exactly on a
-window endpoint is not reported.  The roots are isolated once, on the
-square-free part from Yun's decomposition; a bracket's multiplicity is
-the power of the one Yun factor that changes sign across it.
-:class:`RealAlgebraic` wraps one isolated irrational root and supports
-exact sign queries of polynomials at that root, which is what
-certifying signature jumps requires.
+Every entry point reads its polynomials through
+:func:`linkbound.polys.primitive`, which refuses a coefficient that is
+not an integer with TypeError before any cache is read.  Windows are
+treated as *open* intervals: a root sitting exactly on a window endpoint
+is not reported.  The roots are isolated once, on the square-free part
+from Yun's decomposition; a bracket's multiplicity is the power of the
+one Yun factor that changes sign across it.  :class:`RealAlgebraic`
+wraps one isolated irrational root and supports exact sign queries of
+polynomials at that root, which is what certifying signature jumps
+requires.
 
 Every point is a pair of integers (a, d), d > 0, standing for a/d, and
 every bracket is integers (a, b, d) over one denominator; every sign is
@@ -45,17 +48,19 @@ from .factor import _rational_root_split
 
 
 def sturm_chain(p) -> tuple:
-    """Sturm chain of p: p, p', then negated Euclidean remainders, each
-    scaled by a positive rational to a primitive integer polynomial.
-    Positive scaling changes no sign, so sign variations and root counts
-    are those of the classical chain.  Computed once per polynomial."""
-    return _sturm_chain(tuple(polys.trim(p)))
+    """Sturm chain of the integer polynomial p: p, p', then negated
+    Euclidean remainders, each scaled by a positive rational to a
+    primitive integer polynomial.  Positive scaling changes no sign, so
+    sign variations and root counts are those of the classical chain.
+    Computed once per polynomial."""
+    return _sturm_chain(tuple(polys.primitive(p)))
 
 
 @lru_cache(maxsize=512)
 def _sturm_chain(p: tuple) -> tuple:
-    chain = [tuple(polys.primitive(p))]
-    d = polys.derivative(chain[0])
+    """sturm_chain of a primitive p."""
+    chain = [p]
+    d = polys.derivative(p)
     if d:
         chain.append(tuple(polys.primitive(d)))
         while True:
@@ -126,8 +131,6 @@ def _isolate_squarefree(counts, lo: int, hi: int, d: int) -> list[tuple[int, int
     strictly inside (lo/d, hi/d).  Emitted endpoints are never roots of
     it.  Each point's chain is evaluated once: the two halves of a
     bisection share the midpoint's count."""
-    if len(counts.chain) == 1:
-        return []  # a constant polynomial
     a, e = (lo, d) if counts.sign(lo, d) != 0 else _nonroot_endpoint(counts, lo, hi, d)
     b, f = (hi, d) if counts.sign(hi, d) != 0 else _nonroot_endpoint(counts, hi, lo, d)
     d = lcm(e, f)
@@ -156,15 +159,6 @@ def _isolate_squarefree(counts, lo: int, hi: int, d: int) -> list[tuple[int, int
     return out
 
 
-def _scaled_value(p, a: int, d: int) -> int:
-    """d^k p(a/d), k = deg p, for integers a and d > 0: one integer Horner
-    pass, the value whose sign polys.sign_at_ratio reads."""
-    acc, dk = 0, 1
-    for c in reversed(p):
-        acc, dk = acc * a + c * dk, dk * d
-    return acc
-
-
 def _descend(poly, a: int, w: int, d: int, sign_lo: int, depth: int) -> tuple[int, int]:
     """(a', d') for the node (a', a' + w)/d' that `depth` bisections of the
     bracket (a, a + w)/d reach, or for a node higher on the same path:
@@ -175,15 +169,14 @@ def _descend(poly, a: int, w: int, d: int, sign_lo: int, depth: int) -> tuple[in
     Each step guesses the cell by the secant through the node's ends,
     rounded to the nearest inner grid point j, and certifies the cell on
     the root's side of j by the signs of poly at its two ends (quadratic
-    interval refinement: J. Abbott, ACM CCA 2014).  The node isolates one
-    simple root, so a sign change across the cell puts it strictly
-    inside; then no grid point of this or any coarser level is the root,
-    and bisection takes the same halves.  A certified step doubles k, a
-    missed one halves it, and at k = 1 the step is a bisection.  A grid
-    point where poly vanishes (a rational root) ends the descent, and
-    bisection, which steps past such a point, takes over."""
+    interval refinement: J. Abbott, ACM CCA 2014).  poly has no rational
+    root, so no grid point is the root, and a sign change across the
+    cell puts it strictly inside, in the cell that bisection reaches.  A
+    certified step doubles k, a missed one halves it, and at k = 1 the
+    step is a bisection, which always certifies: the descent always
+    reaches the node `depth` levels down."""
     n = len(poly) - 1
-    fa, fb = _scaled_value(poly, a, d), _scaled_value(poly, a + w, d)
+    fa, fb = polys.scaled_value(poly, a, d), polys.scaled_value(poly, a + w, d)
     k = 2
     while depth:
         k = min(k, depth)
@@ -192,15 +185,13 @@ def _descend(poly, a: int, w: int, d: int, sign_lo: int, depth: int) -> tuple[in
         num, den = abs(fa), abs(fa) + abs(fb)
         j = min(max((2 * num * grid + den) // (2 * den), 1), grid - 1)
         a2, d2 = a << k, d << k
-        fm = _scaled_value(poly, a2 + j * w, d2)  # fm = 0 ends the descent below
+        fm = polys.scaled_value(poly, a2 + j * w, d2)
         if (fm > 0) == (sign_lo > 0):  # the root is right of j
             i, fl = j, fm
-            fr = fb << k * n if j + 1 == grid else _scaled_value(poly, a2 + (j + 1) * w, d2)
+            fr = fb << k * n if j + 1 == grid else polys.scaled_value(poly, a2 + (j + 1) * w, d2)
         else:
             i, fr = j - 1, fm
-            fl = fa << k * n if j == 1 else _scaled_value(poly, a2 + i * w, d2)
-        if fl == 0 or fr == 0:
-            break
+            fl = fa << k * n if j == 1 else polys.scaled_value(poly, a2 + i * w, d2)
         if (fl > 0) == (sign_lo > 0) and (fr > 0) != (sign_lo > 0):
             a, d, fa, fb = a2 + i * w, d2, fl, fr
             depth -= k
@@ -212,18 +203,18 @@ def _descend(poly, a: int, w: int, d: int, sign_lo: int, depth: int) -> tuple[in
 
 @lru_cache(maxsize=512)
 def _yun(q: tuple) -> tuple:
-    """(Yun's square-free decomposition of q, the square-free part), once
-    per polynomial.  The part is the product of the factors (Gauss's
-    lemma).  The one remainder sequence of (q, q') is the Sturm chain of
-    q's primitive positive form p, whose last element is gcd(q, q'): when
-    it is constant, p is square-free and its own decomposition, and
-    otherwise Yun starts from it.  A caller that needs the part, the
-    roots and the chain of the same polynomial thus runs that sequence
-    once."""
-    p = tuple(polys.primitive_positive(polys.primitive(q))[1])
+    """(Yun's square-free decomposition of the integer polynomial q, the
+    square-free part), once per polynomial.  The part is the product of
+    the factors (Gauss's lemma).  The one remainder sequence of (q, q') is
+    the Sturm chain of q's primitive positive form p, whose last element
+    is gcd(q, q'): when it is constant, p is square-free and its own
+    decomposition, and otherwise Yun starts from it.  A caller that needs
+    the part, the roots and the chain of the same polynomial thus runs
+    that sequence once."""
+    p = tuple(polys.primitive_positive(q)[1])
     if polys.degree(p) <= 0:
         return (), (1,)
-    last = sturm_chain(p)[-1]
+    last = _sturm_chain(p)[-1]
     if polys.degree(last) == 0:
         return ((p, 1),), p
     g = polys.primitive_positive(last)[1]
@@ -232,8 +223,8 @@ def _yun(q: tuple) -> tuple:
 
 
 def isolate_real_roots(q, lo, hi) -> list[tuple[int, int, int, int]]:
-    """Isolate all distinct real roots of q strictly inside (lo, hi), for
-    rationals lo and hi.
+    """Isolate all distinct real roots of the integer polynomial q strictly
+    inside (lo, hi), for rationals lo and hi.
 
     Returns pairwise-disjoint brackets (a, b, d, multiplicity), in
     increasing order: the open interval (a/d, b/d), with d > 0 and
@@ -245,7 +236,7 @@ def isolate_real_roots(q, lo, hi) -> list[tuple[int, int, int, int]]:
     Yun factor, the one whose sign differs at the two ends, and its
     power is the multiplicity.  Raises ZeroPolynomialError for q = 0.
     """
-    q = polys.trim(q)
+    q = polys.primitive(q)
     if not q:
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
     (a, e), (b, f) = _ratio(lo), _ratio(hi)
@@ -255,7 +246,7 @@ def isolate_real_roots(q, lo, hi) -> list[tuple[int, int, int, int]]:
         return []
     factors, sq = _yun(tuple(q))
     out = []
-    for u, v, e in _isolate_squarefree(_SturmCounts(sturm_chain(sq)), a, b, d):
+    for u, v, e in _isolate_squarefree(_SturmCounts(_sturm_chain(sq)), a, b, d):
         mult = factors[0][1] if len(factors) == 1 else next(
             m for factor, m in factors
             if polys.sign_at_ratio(factor, u, e) != polys.sign_at_ratio(factor, v, e))
@@ -280,10 +271,10 @@ class RealAlgebraic:
     polynomial and an open isolating interval (a/d, b/d), integers over one
     denominator d > 0 (.lo and .hi build Fractions).
 
-    The defining polynomial must have no rational roots (callers split
-    those off first), so bisection points are never the root itself.
-    Refinement only shrinks the bracket; the represented number never
-    changes, making shared instances safe to reuse.  The bracket's
+    The defining polynomial has no rational root, so no rational point, a
+    bisection point or a grid point of refine's descent, is the root
+    itself.  Refinement only shrinks the bracket; the represented number
+    never changes, making shared instances safe to reuse.  The bracket's
     endpoints are never roots, and the polynomial has one sign on the
     left of the root and the other on its right, so bisection and the
     comparisons below evaluate the polynomial, not its Sturm chain: each
@@ -296,19 +287,14 @@ class RealAlgebraic:
     __slots__ = ("poly", "_a", "_b", "_d", "_sign_lo")
 
     def __init__(self, poly, lo, hi):
-        self._isolate(poly, lo, hi)
-        if _rational_root_split(list(self.poly))[1]:
-            raise ValueError("defining polynomial must have no rational root")
-
-    def _isolate(self, poly, lo, hi):
-        """The checks of the public constructor but the rational-root one:
-        poly square-free and nonconstant, (lo, hi) isolating one of its
-        roots, the ends not roots.  The bracket is kept over the lcm of
-        the ends' denominators."""
+        """Checks poly, an integer polynomial (polys.primitive), nonconstant,
+        square-free and with no rational root, and (lo, hi) isolating one
+        of its roots, the ends not roots.  The bracket is kept over the
+        lcm of the ends' denominators."""
         _, prim = polys.primitive_positive(polys.primitive(poly))
         if polys.degree(prim) < 1:
             raise ValueError("defining polynomial must be nonconstant")
-        chain = sturm_chain(tuple(prim))
+        chain = _sturm_chain(tuple(prim))
         if polys.degree(chain[-1]) > 0:  # the last element is gcd(poly, poly')
             raise ValueError("defining polynomial must be square-free")
         (a, e), (b, f) = _ratio(lo), _ratio(hi)
@@ -318,15 +304,17 @@ class RealAlgebraic:
             raise ValueError("interval endpoints must not be roots")
         if _SturmCounts(chain).roots(self._a, self._b, self._d) != 1:
             raise ValueError("interval does not isolate a single root")
+        if _rational_root_split(prim)[1]:
+            raise ValueError("defining polynomial must have no rational root")
 
     @classmethod
     def _certified(cls, poly, a: int, b: int, d: int) -> "RealAlgebraic":
         """The root in a bracket (a, b, d, _) that isolate_real_roots(q, ...)
-        returned, with poly the square-free part of q from _yun, the very
-        polynomial that isolation counted on.  It certified what the
-        public constructor checks (poly primitive, positive-leading and
-        square-free, the endpoints not roots, one root inside), so nothing
-        is counted again."""
+        returned for a q with no rational root, with poly the square-free
+        part of q from _yun, the very polynomial that isolation counted
+        on.  Isolation certified what the public constructor checks (poly
+        primitive, positive-leading and square-free, the endpoints not
+        roots, one root inside), so nothing is counted again."""
         root = object.__new__(cls)
         root._set_bracket(poly, a, b, d)
         return root
@@ -344,20 +332,16 @@ class RealAlgebraic:
         return Fraction(self._b, self._d)
 
     def _bisect(self):
-        """Keep the half of the bracket that holds the root.  A midpoint
-        that is a root of poly is nudged right by (b - a)/4d, then
-        (b - a)/8d, ... first."""
-        a, b, d = self._a, self._b, self._d
-        m, w, a, b, d = a + b, b - a, 2 * a, 2 * b, 2 * d
-        while (s := polys.sign_at_ratio(self.poly, m, d)) == 0:
-            m, a, b, d = 2 * m + w, 2 * a, 2 * b, 2 * d
-        self._a, self._b, self._d = (a, m, d) if s != self._sign_lo else (m, b, d)
+        """Keep the half of the bracket that holds the root, by the sign of
+        poly at the midpoint, which is never 0: the root is irrational."""
+        m, d = self._a + self._b, 2 * self._d  # the midpoint m/d
+        left = polys.sign_at_ratio(self.poly, m, d) != self._sign_lo  # the root is left of it
+        self._a, self._b, self._d = (2 * self._a, m, d) if left else (m, 2 * self._b, d)
 
     def refine(self, max_width) -> "RealAlgebraic":
         """Shrink the bracket to width at most max_width > 0, to the node
         of the bisection tree that bisection reaches, at any depth: the
-        descent jumps down the tree by certified grid steps (_descend),
-        and bisection finishes where it stops at a rational root."""
+        descent jumps down the tree by certified grid steps (_descend)."""
         p, q = _ratio(max_width)
         if p <= 0:
             raise ValueError(f"refinement width must be positive, got {max_width}")
@@ -367,13 +351,11 @@ class RealAlgebraic:
             s = ((w * q - 1) // (p * self._d)).bit_length()
             self._a, self._d = _descend(self.poly, self._a, w, self._d, self._sign_lo, s)
             self._b = self._a + w
-        while (self._b - self._a) * q > p * self._d:
-            self._bisect()
         return self
 
     def refine_away_from(self, value) -> "RealAlgebraic":
-        """Shrink the bracket until `value` lies strictly outside it (or is
-        found to be the root)."""
+        """Shrink the bracket until the rational `value` lies strictly
+        outside it."""
         self._compare(*_ratio(value))
         return self
 
@@ -386,25 +368,26 @@ class RealAlgebraic:
         return twin
 
     def sign_of(self, q) -> int:
-        """Exact sign of the integer/rational polynomial q at this root."""
-        q = polys.trim(q)
+        """Exact sign of the integer polynomial q at this root."""
+        q = polys.primitive(q)  # a positive multiple: the same sign
         if self.vanishes(q):
             return 0
-        counts = _SturmCounts(sturm_chain(_yun(tuple(q))[1]))  # ((1,),) for a constant q
+        counts = _SturmCounts(_sturm_chain(_yun(tuple(q))[1]))  # ((1,),) for a constant q
         while ((s := polys.sign_at_ratio(q, self._a, self._d)) == 0
                or counts.roots(self._a, self._b, self._d)):
             self._bisect()
         return s
 
     def vanishes(self, q) -> bool:
-        """Whether q is zero at this root.  Never refines the bracket.
+        """Whether the integer polynomial q is zero at this root.  Never
+        refines the bracket.
 
         g = gcd(q, poly) divides the square-free poly, so its roots are
         simple roots of poly and the bracket holds at most one of them: g
         vanishes at this root exactly when it changes sign across the
         bracket.  g does not depend on the bracket, so it is cached per
         (q, poly) pair and the breakpoints of one function share it."""
-        q = polys.trim(q)
+        q = polys.primitive(q)
         if not q:
             return True
         g = _gcd(tuple(q), self.poly)
@@ -412,19 +395,15 @@ class RealAlgebraic:
                 != polys.sign_at_ratio(g, self._b, self._d))
 
     def compare_rational(self, c) -> int:
-        """Sign of (root - c): 0 only when c is the root itself, which the
-        class contract excludes."""
+        """Sign of (root - c) for a rational c: 1 or -1, never 0, since the
+        root is irrational."""
         return self._compare(*_ratio(c))
 
     def _compare(self, p: int, q: int) -> int:
         """compare_rational at c = p/q, q > 0, refining away from c: the
         bracket is bisected only while c lies inside it."""
-        if self._a * q < p * self._d < self._b * q:
-            if polys.sign_at_ratio(self.poly, p, q) == 0:
-                return 0
+        while self._a * q < p * self._d < self._b * q:
             self._bisect()
-            while self._a * q < p * self._d < self._b * q:
-                self._bisect()
         return 1 if p * self._d <= self._a * q else -1
 
     def equals(self, other) -> bool:

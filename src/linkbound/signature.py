@@ -74,7 +74,6 @@ from math import gcd, lcm
 
 from . import polys
 from .braids import SeifertData
-from .errors import InvalidSeifertData
 from .factor import _rational_root_split
 from .laurent import LaurentPoly
 from .linalg import _frobenius, _integer_symmetric_signature, _principal_signs, _ranks_at_points
@@ -626,16 +625,11 @@ def alexander_from_seifert(data: SeifertData) -> LaurentPoly:
 
 
 def link_nullity(data: SeifertData) -> int:
-    """Corank over Q(t) of the presentation matrix tV - V^T; always within
-    [0, components - 1] for valid Seifert data.
-
-    beta is n minus the number of pivots of the stored elimination of
-    tV - V^T, which also gives Delta and the principal block of B(t)."""
-    beta = data.size - len(data._run[1])
-    if not 0 <= beta <= data.components - 1:
-        raise InvalidSeifertData(
-            f"nullity {beta} outside [0, {data.components - 1}]: invalid Seifert data")
-    return beta
+    """Corank over Q(t) of tV - V^T: n minus the pivots of the stored
+    elimination, which also gives Delta and the principal block of B(t).
+    It lies in [0, components - 1]: the rank over Q(t) is at least the
+    rank n - m + 1 at t = 1 that SeifertData requires of m components."""
+    return data.size - len(data._run[1])
 
 
 def float_oracle(data: SeifertData, theta: float) -> tuple[int, int]:

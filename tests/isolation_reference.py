@@ -212,13 +212,9 @@ def refine_isolating_interval(q, interval: IsolatingInterval,
                               max_width) -> IsolatingInterval:
     """Shrink an isolating interval of q below `max_width` > 0 by bisection.
 
-    The root may be rational: a bisection point landing on it is nudged
-    before the containing half is selected, so the root always stays
-    strictly inside the returned interval.  Bisection and checks are
-    RealAlgebraic's, on the square-free part of q, bar the refusal of a
-    rational root.
+    Bisection and checks are RealAlgebraic's, on the square-free part of
+    q, so the root must be irrational.
     """
-    root = object.__new__(RealAlgebraic)
-    root._isolate(squarefree_part(q), interval.lo, interval.hi)
+    root = RealAlgebraic(squarefree_part(q), interval.lo, interval.hi)
     root.refine(max_width)
     return IsolatingInterval(root.lo, root.hi, interval.multiplicity)

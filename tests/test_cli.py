@@ -1,5 +1,6 @@
 import json
 import os
+import reprlib
 import shutil
 import subprocess
 import sys
@@ -572,6 +573,7 @@ def test_verify_malformed_catalog_exit_code(capsys, tmp_path, catalog):
 
 
 BIG = "x" * 100000
+NINES = "9" * 4000  # an integer option of 4000 digits, within int()'s 4300
 BIG_REPORT = {"lower": 1, "upper": 1, "slice_verdict": "obstructed"}
 TREFOIL_MATRIX = [[-1, 1], [0, -1]]
 
@@ -587,14 +589,19 @@ TREFOIL_MATRIX = [[-1, 1], [0, -1]]
     ["infect", dict(BIG_REPORT, slice_verdict=BIG), DECLARATION],
     *(["verify", "--catalog", [dict(TREFOIL_ENTRY, expected=expected)]] for expected in (
         {"g4": [0] * 50000}, {"alexander": {"0": BIG}}, {"alexander": {"0" * 4000 + "1": 1}},
-        {"alexander": {"coefficients": [1], "min_exponent": BIG}}))],
+        {"alexander": {"coefficients": [1], "min_exponent": BIG}})),
+    ["bound", {"seifert_matrix": TREFOIL_MATRIX}, "--json-indent", NINES],
+    ["signature-csv", {"seifert_matrix": TREFOIL_MATRIX}, "--samples", NINES],
+    ["bound", {"seifert_matrix": TREFOIL_MATRIX}, "--band-cert", "1," + NINES]],
     ids=["components", "matrix entry", "strands", "json-indent", "band-cert",
-         "provenance bound", "slice_verdict", "g4", "coefficient", "exponent", "min_exponent"])
+         "provenance bound", "slice_verdict", "g4", "coefficient", "exponent", "min_exponent",
+         "json-indent nines", "samples nines", "band-cert nines"])
 def test_oversized_value_gives_a_short_error_line(capsys, tmp_path, args):
-    """A parse error that echoes a 100 000-character value, or a g4 of
-    50 000 entries, shows it shortened by reprlib: exit 2 with one line of
-    under 300 bytes, where the whole value made lines of 100 000 to
-    200 000 bytes.  Each JSON object of `args` is passed as a file."""
+    """A parse error that echoes a 100 000-character value, a g4 of 50 000
+    entries or a 4000-digit integer option shows it shortened by reprlib:
+    exit 2 with one line of under 300 bytes, where the whole value made
+    lines of 4 000 to 200 000 bytes.  Each JSON object of `args` is passed
+    as a file."""
     argv = []
     for i, arg in enumerate(args):
         if not isinstance(arg, str):
@@ -606,6 +613,17 @@ def test_oversized_value_gives_a_short_error_line(capsys, tmp_path, args):
     assert (code, out) == (2, "")
     assert err.startswith("parse error: ") and err.count("\n") == 1
     assert len(err.encode()) < 300
+
+
+def test_catalog_exponent_key_that_int_cannot_read(capsys, tmp_path):
+    """An expected Alexander key that int() cannot read is a bad exponent
+    key, shortened by reprlib, where int()'s own message came through with
+    200 characters of the key."""
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([dict(TREFOIL_ENTRY, expected={"alexander": {"x" * 100000: 1}})]))
+    code, out, err = run(capsys, "verify", "--catalog", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"parse error: bad expected alexander: bad exponent key {reprlib.repr('x' * 100000)}\n"
 
 
 def test_verify_catalog_with_null_bounds(capsys, tmp_path):

@@ -106,7 +106,7 @@ def test_kronecker_takes_each_points_divisors_once(monkeypatch):
     _, dense = PHI15.normalize().to_dense()  # irreducible: every degree is searched
     assert factor._kronecker_factor(dense) is None
     points = [0, 1, -1, 2, -2, 3, -3, 4]
-    assert calls == [polys.evaluate(dense, x) for x in points]
+    assert calls == [polys.scaled_value(dense, x) for x in points]
     calls.clear()
     # (2x - 1)(3x + 1)(x^2 + 1): each root is found at a denominator > 1
     rest, linear = factor._rational_root_split(polys.mul(polys.mul([-1, 2], [1, 3]), [1, 0, 1]))
@@ -129,7 +129,7 @@ def test_newton_interpolation_matches_sympy(xs, data):
     Half the draws take their values from an integer polynomial."""
     if data.draw(st.booleans()):
         g = data.draw(st.lists(st.integers(-5, 5), min_size=1, max_size=len(xs)))
-        ys = [polys.evaluate(g, x) for x in xs]
+        ys = [polys.scaled_value(g, x) for x in xs]
     else:
         ys = data.draw(st.lists(st.integers(-30, 30), min_size=len(xs), max_size=len(xs)))
     t = sympy.Symbol("t")

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import QQ, ZZ
+from sympy import ZZ
 from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import ring
 
@@ -20,7 +20,6 @@ from linkbound.signature import _jump_structure
 from isolation_reference import sign_at
 
 ZX, _ = ring("x", ZZ)
-QX, _ = ring("x", QQ)
 
 int_polys = st.lists(st.integers(-9, 9), max_size=6).map(polys.trim)
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
@@ -62,12 +61,14 @@ def test_gcd_of_integer_polynomials_matches_sympy(g, a, b):
 
 @settings(max_examples=150, deadline=None)
 @given(rat_polys, rat_polys, rat_polys)
-def test_gcd_of_rational_polynomials_matches_sympy(g, a, b):
-    """Rational inputs are cleared of denominators once: the gcd is sympy's
-    monic gcd over Q, made a primitive integer polynomial."""
+def test_gcd_refuses_rational_polynomials(g, a, b):
+    """The polynomial algebra is integer only: a gcd of polynomials with
+    Fraction coefficients raises TypeError, where it used to clear their
+    denominators."""
     p, q = polys.mul(g, a), polys.mul(g, b)
-    expected = _primitive_positive(_from_ring(_to_ring(p, QX).gcd(_to_ring(q, QX))))
-    assert polys.gcd_poly(p, q) == expected
+    if p or q:
+        with pytest.raises(TypeError, match="polynomial coefficients must be integers"):
+            polys.gcd_poly(p, q)
 
 
 @settings(max_examples=150, deadline=None)

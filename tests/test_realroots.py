@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from linkbound import RealAlgebraic, ZeroPolynomialError, isolate_real_roots, \
     seifert_matrix_from_braid, signature_function, torus_braid
-from linkbound import polys, realroots
+from linkbound import factor_integer_polynomial, polys, realroots
 from linkbound.realroots import sturm_chain
 
 from isolation_reference import (IsolatingInterval, count_roots, refine_isolating_interval, sign_at,
@@ -117,8 +117,8 @@ def test_random_polynomials_match_float_count():
         assert len(out) == _float_root_count(p, float(window[0]), float(window[1]))
         for iv in out:
             if iv.multiplicity % 2 == 1:
-                lo_val = polys.evaluate(p, iv.lo)
-                hi_val = polys.evaluate(p, iv.hi)
+                lo_val = _fraction_horner(p, iv.lo)
+                hi_val = _fraction_horner(p, iv.hi)
                 assert lo_val != 0 and hi_val != 0
                 assert (lo_val > 0) != (hi_val > 0)
 
@@ -173,6 +173,47 @@ def test_real_algebraic_rejects_bad_data():
         RealAlgebraic(polys.mul([-2, 0, 1], [-2, 0, 1]), 1, 2)  # not square-free
 
 
+# coefficients once read silently (0.5 x + 1 as x, x^2 - 2.5 as x^2 - 2), and a NumPy float
+@pytest.mark.parametrize("bad", [[0.5, 1], [Fraction(1, 2), 1], [-2.5, 0, 1],
+                                 [Fraction(-5, 2), 0, 1], [-1.9, 0, 1], [-2.1, 0, 1],
+                                 [np.float64(-2), 0, 1]], ids=repr)
+def test_entry_points_refuse_floats_and_fractions(bad):
+    """isolate_real_roots, sturm_chain, RealAlgebraic, sign_of, vanishes and
+    factor_integer_polynomial read coefficients as Seifert entries are
+    read: a float or a Fraction raises the one TypeError, before any cache
+    stores a result, so no later exact answer depends on the refused call
+    (x + 1/2 read as 0.5 x + 1 once put the root 0 of x into the cache of
+    2x + 1)."""
+    kind = next(type(c).__name__ for c in bad if type(c) is not int)
+    sqrt2 = RealAlgebraic([-2, 0, 1], 1, 2)
+    for call in (lambda p: isolate_real_roots(p, Fraction(-1, 4), 2), sturm_chain,
+                 lambda p: RealAlgebraic(p, 1, 2), sqrt2.sign_of, sqrt2.vanishes,
+                 factor_integer_polynomial):
+        with pytest.raises(TypeError, match=f"^polynomial coefficients must be integers, got {kind}$"):
+            call(bad)
+    assert isolate_real_roots([1, 2], Fraction(-1, 4), 2) == []
+    assert [sqrt2.sign_of(q) for q in ([-1, 0, 1], [-2, 0, 1], [-3, 0, 1])] == [1, 0, -1]
+    assert not sqrt2.vanishes([-5, 0, 2]) and sqrt2.vanishes([2, 0, -1])
+
+
+def test_entry_points_store_numpy_integers_as_ints():
+    """NumPy integer coefficients are read through __index__ and stored as
+    ints, with the answers of the same int polynomial."""
+    p = np.array([-2, 0, 1])
+    sqrt2 = RealAlgebraic(p, 1, 2)
+    assert sqrt2.poly == (-2, 0, 1) and all(type(c) is int for c in sqrt2.poly)
+    window = (Fraction(-1, 4), 2)
+    brackets = isolate_real_roots(p, *window)
+    assert brackets == isolate_real_roots([-2, 0, 1], *window)
+    assert all(type(v) is int for bracket in brackets for v in bracket)
+    chain = sturm_chain(p)
+    assert chain == sturm_chain([-2, 0, 1]) and all(type(c) is int for q in chain for c in q)
+    assert sqrt2.sign_of(np.array([-3, 0, 1])) == -1 and sqrt2.vanishes(np.array([2, 0, -1]))
+    c, factors = factor_integer_polynomial(np.array([-2, 0, 2]))
+    assert (c, factors) == (2, [((-1, 1), 1), ((1, 1), 1)])
+    assert type(c) is int and all(type(v) is int for f, _ in factors for v in f)
+
+
 def test_isolating_interval_validation():
     """The reference's interval record refuses an empty interval and a
     multiplicity below 1."""
@@ -193,15 +234,8 @@ def test_refine_isolating_interval():
     assert tight.lo < Fraction(1414213563, 10 ** 9)
     assert tight.hi > Fraction(1414213562, 10 ** 9)
     assert tight.multiplicity == iv.multiplicity
-    # rational root sitting exactly on bisection points
-    q = polys.mul([-1, 1], [-1, 1])  # (x - 1)^2
-    (iv2,) = reference_isolation(q, Fraction(-2), Fraction(2))
-    tight2 = refine_isolating_interval(q, iv2, Fraction(1, 1000))
-    assert tight2.lo < 1 < tight2.hi
-    assert tight2.width <= Fraction(1, 1000)
-    assert tight2.multiplicity == 2
     with pytest.raises(ValueError):
-        refine_isolating_interval([1, 0, 1], iv2, Fraction(1, 4))  # no real roots
+        refine_isolating_interval([1, 0, 1], iv, Fraction(1, 4))  # no real roots
 
 
 # -- integer arithmetic against the Fraction and sympy references ----------
@@ -220,11 +254,15 @@ def _fraction_horner(p, x):
 @settings(max_examples=300, deadline=None)
 @given(int_polys, rationals)
 def test_integer_horner_matches_fraction_horner(p, x):
+    """polys.scaled_value(p, a, d) is d^k p(a/d), k = deg p, and p(a) with
+    no d; sign_at_ratio reads its sign."""
     value = _fraction_horner(p, x)
-    assert polys.evaluate(p, x) == value
+    a, d, k = x.numerator, x.denominator, max(polys.degree(p), 0)
+    assert polys.scaled_value(p, a, d) == value * d ** k
+    assert polys.scaled_value(p, a) == _fraction_horner(p, a)
     assert sign_at(p, x) == (value > 0) - (value < 0)
     mixed = [Fraction(c, 3) for c in p]
-    assert polys.evaluate(mixed, x) == _fraction_horner(mixed, x)
+    assert Fraction(polys.scaled_value(p, a, d), 3 * d ** k) == _fraction_horner(mixed, x)
 
 
 @st.composite
@@ -243,10 +281,10 @@ def test_count_roots_matches_sympy(p, a, b):
     """The primitive integer Sturm chain counts the distinct roots in
     (a, b], at endpoints that are simple roots too."""
     assume(a < b)
-    assume(not any(polys.evaluate(p, e) == polys.evaluate(polys.derivative(p), e) == 0
+    assume(not any(_fraction_horner(p, e) == _fraction_horner(polys.derivative(p), e) == 0
                    for e in (a, b)))
     expected = sympy.Poly(list(reversed(p)), X).count_roots(a, b)
-    if polys.evaluate(p, a) == 0:
+    if _fraction_horner(p, a) == 0:
         expected -= 1
     chain = sturm_chain(p)
     assert all(all(isinstance(c, int) for c in q) for q in chain)
@@ -339,7 +377,7 @@ def test_brackets_match_the_fraction_isolation(spec):
 def _roots(p):
     sq = squarefree_part(p)
     return [RealAlgebraic(sq, iv.lo, iv.hi) for iv in intervals(p, -20, 20)
-            if not any(polys.evaluate(sq, r) == 0 for r in (iv.lo, iv.hi))]
+            if not any(_fraction_horner(sq, r) == 0 for r in (iv.lo, iv.hi))]
 
 
 def _common_factor(a, b):
@@ -390,7 +428,7 @@ def test_compare_rational_matches_sign_of(poly, which, c, width):
     the sign of x - c at the root decided by sign_of."""
     root = _roots(poly)[which]
     root.refine(Fraction(1, 2 ** width))
-    expected = root.copy().sign_of([-c, 1])
+    expected = root.copy().sign_of([-c.numerator, c.denominator])  # d x - n, d > 0
     assert root.compare_rational(c) == expected != 0
     assert (root.to_float() > c) == (expected > 0)
 
@@ -442,14 +480,19 @@ high_degree_factors = st.sampled_from([(-2, 0, 0, 0, 1), (1, 0, -10, 0, 1), (-1,
                                        (1, -6, 0, 0, 0, 0, 1)])
 
 
+# the square-free factors with no rational root
+irrational_factors = st.sampled_from([(-2, 0, 1), (-3, 0, 1), (-1, -1, 1), (-1, 1, 1), (1, 0, 1),
+                                      (-2, 0, 0, 1), (1, -3, 0, 1)])
+
+
 @st.composite
 def brackets(draw):
-    """(square-free integer polynomial of degree at most 8, lo, hi) with
-    (lo, hi) isolating one of its real roots.  Some roots are rational, so
-    bisection points land on them, and the ends are often not dyadic: a
-    sub-interval (i/k, j/k) of an isolating interval, when it still
-    isolates the root."""
-    factors = draw(st.lists(square_free_factors | high_degree_factors, min_size=1, max_size=3,
+    """(square-free integer polynomial of degree at most 8 with no rational
+    root, lo, hi), the domain of the public RealAlgebraic constructor, with
+    (lo, hi) isolating one of its real roots.  The ends are often not
+    dyadic: a sub-interval (i/k, j/k) of an isolating interval, when it
+    still isolates the root."""
+    factors = draw(st.lists(irrational_factors | high_degree_factors, min_size=1, max_size=3,
                             unique=True))
     p = [1]
     for f in factors:
@@ -467,15 +510,6 @@ def brackets(draw):
     except ValueError:
         lo, hi = iv.lo, iv.hi
     return p, lo, hi
-
-
-def _bracket(poly, lo, hi) -> RealAlgebraic:
-    """RealAlgebraic(poly, lo, hi) with every check of the constructor but
-    the refusal of a rational root, as the reference's
-    refine_isolating_interval builds one: bisection still lands on the rational roots of `brackets`."""
-    root = object.__new__(RealAlgebraic)
-    root._isolate(poly, lo, hi)
-    return root
 
 
 # 1/n for the widths of refine and to_float: shallow ones, which bisect,
@@ -500,8 +534,6 @@ operations = st.lists(st.tuples(
 @example(([-2, 0, 0, 0, 0, 0, 0, 0, 1], Fraction(0), Fraction(2)),
          ([1, -6, 0, 0, 0, 0, 1], Fraction(0), Fraction(1)),
          [("refine", Fraction(0), 10 ** 60, []), ("to_float", Fraction(0), 2 ** 200, [])])
-@example(([-1, 1], Fraction(1, 3), Fraction(5, 3)), ([-2, 0, 1], Fraction(1), Fraction(2)),
-         [("refine", Fraction(0), 2 ** 100, [])])  # the root 1 is the bracket's midpoint
 def test_integer_bracket_matches_the_fraction_bracket(spec, other_spec, ops):
     """One random sequence of operations on the integer bracket and on the
     Fraction bracket it replaced (tests/realalgebraic_reference.py) gives
@@ -509,8 +541,8 @@ def test_integer_bracket_matches_the_fraction_bracket(spec, other_spec, ops):
     refines by bisection, so a descent reaches bisection's node, down to
     widths 2^-200 and 10^-60, on polynomials of degree up to 8 and
     brackets over any denominator."""
-    new, ref = _bracket(*spec), ReferenceAlgebraic(*spec)
-    other_new, other_ref = _bracket(*other_spec), ReferenceAlgebraic(*other_spec)
+    new, ref = RealAlgebraic(*spec), ReferenceAlgebraic(*spec)
+    other_new, other_ref = RealAlgebraic(*other_spec), ReferenceAlgebraic(*other_spec)
     for name, c, n, q in ops:
         width = Fraction(1, n)
         if name == "bisect":
@@ -518,8 +550,7 @@ def test_integer_bracket_matches_the_fraction_bracket(spec, other_spec, ops):
         elif name == "refine":
             new.refine(width), ref.refine(width)
         elif name == "refine_away_from":
-            if sign_at(list(ref.poly), c) != 0:  # the reference never ends at its root
-                new.refine_away_from(c), ref.refine_away_from(c)
+            new.refine_away_from(c), ref.refine_away_from(c)
         elif name == "compare_rational":
             assert new.compare_rational(c) == ref.compare_rational(c)
         elif name == "equals":
@@ -539,13 +570,14 @@ def test_integer_bracket_matches_the_fraction_bracket(spec, other_spec, ops):
 
 def _evaluations(monkeypatch) -> list:
     """The points at which the polynomial is evaluated from now on, for
-    its sign (polys.sign_at_ratio) or its value (realroots._scaled_value)."""
+    its sign (polys.sign_at_ratio) or its value: both are one
+    polys.scaled_value."""
     calls = []
-    for owner, name in ((polys, "sign_at_ratio"), (realroots, "_scaled_value")):
-        def spy(p, a, d, real=getattr(owner, name)):
-            calls.append(Fraction(a, d))
-            return real(p, a, d)
-        monkeypatch.setattr(owner, name, spy)
+
+    def spy(p, a, d=1, real=polys.scaled_value):
+        calls.append(Fraction(a, d))
+        return real(p, a, d)
+    monkeypatch.setattr(polys, "scaled_value", spy)
     return calls
 
 
@@ -577,53 +609,36 @@ def test_refine_descends_in_a_few_evaluations(monkeypatch):
         calls.clear()
 
 
-def test_descent_falls_back_to_bisection(monkeypatch):
-    """The two ways a descent leaves its grid steps both end on
-    bisection's bracket.  x^8 - 2 on (0, 2): the secant through the ends'
-    values -2 and 254 points at the grid point 1/2 of the quarters, and
-    the root 2^(1/8) ~ 1.09 lies right of 1 too, so the step misses and
-    the next is one halving, at 1.  x - 1 on (1/3, 5/3): the secant lands
-    on the root 1, a grid point, where the polynomial vanishes, and
-    bisection, which steps past it, takes over."""
-    width = Fraction(1, 2 ** 60)
-    calls = _evaluations(monkeypatch)
-    root = RealAlgebraic([-2, 0, 0, 0, 0, 0, 0, 0, 1], 0, 2)
-    expected = _bisected_to(root.copy(), width)
-    calls.clear()
-    root.refine(width)
-    assert calls[:5] == [0, 2, Fraction(1, 2), 1, 1]
-    assert (root._a, root._b, root._d) == expected
-    rational = _bracket([-1, 1], Fraction(1, 3), Fraction(5, 3))
-    expected = _bisected_to(rational.copy(), width)
-    calls.clear()
-    rational.refine(width)
-    assert calls[:3] == [Fraction(1, 3), Fraction(5, 3), 1]
-    assert (rational._a, rational._b, rational._d) == expected
+# the torus knots and links T(p, q), p <= q, whose jumps are all rational
+RATIONAL_JUMPS_ONLY = {(2, 2), (2, 3), (2, 4), (2, 6), (3, 3), (3, 6), (4, 4), (6, 6)}
 
 
-@pytest.mark.parametrize("p, q", [(2, 9), (3, 5), (3, 7), (4, 5), (4, 6), (5, 6)])
+@pytest.mark.parametrize("p, q", [(p, q) for p in range(2, 8) for q in range(p, 42)
+                                  if (p - 1) * (q - 1) <= 40])
 def test_refine_reaches_bisection_at_every_depth(p, q):
-    """refine descends at every depth: on each algebraic breakpoint of a
-    torus knot or link, as its signature function builds it, a refinement
-    by 1 to 11 halvings reaches the bracket that as many bisections
-    reach."""
+    """refine descends at every depth, with no bisection to fall back on:
+    on each algebraic breakpoint of a torus knot or link T(p, q), p <= q,
+    with n <= 40, as its signature function builds it, a refinement by 1
+    to 60 halvings reaches the bracket that as many bisections reach."""
     f = signature_function(seifert_matrix_from_braid(torus_braid(p, q)))
     algebraic = [bp for bp in f.breakpoints if isinstance(bp, RealAlgebraic)]
-    assert algebraic
+    assert bool(algebraic) == ((p, q) not in RATIONAL_JUMPS_ONLY)
     for bp in algebraic:
-        for depth in range(1, 12):
-            width = Fraction(bp._b - bp._a, bp._d << depth)
-            descended = bp.copy().refine(width)
-            assert (descended._a, descended._b, descended._d) == _bisected_to(bp.copy(), width)
+        bisected = bp.copy()
+        for depth in range(1, 61):
+            bisected._bisect()
+            descended = bp.copy().refine(Fraction(bp._b - bp._a, bp._d << depth))
+            assert (descended._a, descended._b, descended._d) == \
+                (bisected._a, bisected._b, bisected._d)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(-5, 5), max_size=4), st.integers(1, 3),
-       st.lists(st.integers(-5, 5), max_size=4), st.integers(1, 4))
-def test_yun_part_is_the_squarefree_part(f, m, g, den):
+       st.lists(st.integers(-5, 5), max_size=4))
+def test_yun_part_is_the_squarefree_part(f, m, g):
     """The square-free part that RealAlgebraic.sign_of reads from the
     cached Yun decomposition (realroots._yun) is p / gcd(p, p'), primitive
-    and positive-leading (tests/isolation_reference.py), for f^m g / den."""
-    q = [Fraction(c, den) for c in polys.mul(reduce(polys.mul, [f] * m, [1]), g)]
-    assume(polys.trim(q))
+    and positive-leading (tests/isolation_reference.py), for f^m g."""
+    q = polys.mul(reduce(polys.mul, [f] * m, [1]), g)
+    assume(q)
     assert list(realroots._yun(tuple(polys.trim(q)))[1]) == squarefree_part(q)
