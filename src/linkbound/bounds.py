@@ -13,9 +13,8 @@ assumptions rather than silently trusting.
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass
 
-from .braids import SeifertData, _check_integer, _check_integers, _json_int
+from .braids import SeifertData, _check_integer, _check_integers, _json_int, _Value
 from .errors import InconsistentBounds, InvalidSeifertData, ParseError
 from .factor import DEFAULT_DEGREE_CAP, FoxMilnorResult, check_degree_cap, fox_milnor_test
 from .laurent import LaurentPoly
@@ -27,58 +26,58 @@ CONSISTENT = "consistent-with-slice"
 INCONCLUSIVE = "inconclusive"
 
 
-def _store_integers(obj, names: tuple[str, ...], what: str) -> None:
-    """Check the named fields of a frozen dataclass with _check_integer
-    and store the ints it returns in their place; of several bad fields,
-    the first is named."""
-    for name in names:
-        object.__setattr__(obj, name, _check_integer(getattr(obj, name), what))
-
-
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(_Value):
     """One bound, "lower" or "upper", and where it comes from; `value` is
     stored as an int."""
 
-    bound: str  # "lower" | "upper"
-    value: int
-    source: str
+    _fields = ("bound", "value", "source")
 
-    def __post_init__(self):
-        _store_integers(self, ("value",), "provenance values")
-        if self.bound not in ("lower", "upper"):
+    def __init__(self, bound: str, value: int, source: str):
+        value = _check_integer(value, "provenance values")
+        if bound not in ("lower", "upper"):
             raise ParseError(
-                f'provenance bound must be "lower" or "upper", got {reprlib.repr(self.bound)}')
+                f'provenance bound must be "lower" or "upper", got {reprlib.repr(bound)}')
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "source", source)
 
     def to_json(self) -> dict:
         return {"bound": self.bound, "value": self.value, "source": self.source}
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Value):
     """Assembled 4-genus bounds with provenance and declared assumptions;
     the bounds (`upper` may be None) and `components` (>= 1) are stored
-    as ints, and the verdict is OBSTRUCTED, CONSISTENT or INCONCLUSIVE."""
+    as ints, the provenance entries and assumptions as tuples, and the
+    verdict is OBSTRUCTED, CONSISTENT or INCONCLUSIVE."""
 
-    lower: int
-    upper: int | None
-    slice_verdict: str
-    provenance: tuple[Provenance, ...] = ()
-    assumptions: tuple[str, ...] = ()
-    components: int = 1
+    _fields = ("lower", "upper", "slice_verdict", "provenance", "assumptions", "components")
 
-    def __post_init__(self):
-        fields = ("lower", "components") if self.upper is None else ("lower", "upper", "components")
-        _store_integers(self, fields, "bounds and components")
-        if self.components < 1:
-            raise ParseError(f"components must be >= 1, got {self.components}")
-        if self.slice_verdict not in (OBSTRUCTED, CONSISTENT, INCONCLUSIVE):
-            raise ParseError(f"unknown slice_verdict {reprlib.repr(self.slice_verdict)}")
-        if self.lower < 0:
+    def __init__(self, lower: int, upper: int | None, slice_verdict: str,
+                 provenance: tuple[Provenance, ...] = (), assumptions: tuple[str, ...] = (),
+                 components: int = 1):
+        what = "bounds and components"
+        lower = _check_integer(lower, what)
+        upper = None if upper is None else _check_integer(upper, what)
+        components = _check_integer(components, what)
+        if components < 1:
+            raise ParseError(f"components must be >= 1, got {components}")
+        if slice_verdict not in (OBSTRUCTED, CONSISTENT, INCONCLUSIVE):
+            raise ParseError(f"unknown slice_verdict {reprlib.repr(slice_verdict)}")
+        provenance = tuple(provenance)
+        for p in provenance:
+            if not isinstance(p, Provenance):
+                raise ParseError(f"provenance entries must be Provenance, got {type(p).__name__}")
+        if lower < 0:
             raise InconsistentBounds("lower bound must be >= 0")
-        if self.upper is not None and self.lower > self.upper:
-            raise InconsistentBounds(
-                f"lower bound {self.lower} exceeds upper bound {self.upper}")
+        if upper is not None and lower > upper:
+            raise InconsistentBounds(f"lower bound {lower} exceeds upper bound {upper}")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "slice_verdict", slice_verdict)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "assumptions", tuple(assumptions))
+        object.__setattr__(self, "components", components)
 
     @property
     def exact(self) -> bool:
@@ -115,8 +114,7 @@ class BoundReport:
         return cls(**fields)
 
 
-@dataclass(frozen=True)
-class InfectionDecl:
+class InfectionDecl(_Value):
     """User-declared data for a string-link infection S(L, J).
 
     `linking_numbers[k][i]` is lk(axis_k, L_i).  `double_points` is the
@@ -128,28 +126,30 @@ class InfectionDecl:
     the tool; it is recorded as an assumption.
     """
 
-    axes: int
-    linking_numbers: tuple[tuple[int, ...], ...]
-    double_points: int
-    milnor_vanishing_length: int
-    notes: str = ""
+    _fields = ("axes", "linking_numbers", "double_points", "milnor_vanishing_length", "notes")
 
-    def __post_init__(self):
-        _store_integers(self, ("axes", "double_points", "milnor_vanishing_length"),
-                        "axes, double_points and milnor_vanishing_length")
-        lk = tuple(_check_integers(row, "linking numbers") for row in self.linking_numbers)
-        object.__setattr__(self, "linking_numbers", lk)
-        if self.axes < 1:
+    def __init__(self, axes: int, linking_numbers: tuple[tuple[int, ...], ...],
+                 double_points: int, milnor_vanishing_length: int, notes: str = ""):
+        what = "axes, double_points and milnor_vanishing_length"
+        axes, double_points, milnor_vanishing_length = (
+            _check_integer(x, what) for x in (axes, double_points, milnor_vanishing_length))
+        lk = tuple(_check_integers(row, "linking numbers") for row in linking_numbers)
+        if axes < 1:
             raise InvalidSeifertData("infection needs at least one axis")
-        if len(lk) != self.axes:
+        if len(lk) != axes:
             raise InvalidSeifertData("linking_numbers must have one row per axis")
-        if self.double_points < 0:
+        if double_points < 0:
             raise InvalidSeifertData("double_points must be >= 0")
-        if self.milnor_vanishing_length < 2 * self.double_points:
+        if milnor_vanishing_length < 2 * double_points:
             raise InvalidSeifertData(
                 "hypotheses of the infection-transfer theorem not declared: "
-                f"need Milnor vanishing length >= {2 * self.double_points}, "
-                f"declared {self.milnor_vanishing_length}")
+                f"need Milnor vanishing length >= {2 * double_points}, "
+                f"declared {milnor_vanishing_length}")
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "linking_numbers", lk)
+        object.__setattr__(self, "double_points", double_points)
+        object.__setattr__(self, "milnor_vanishing_length", milnor_vanishing_length)
+        object.__setattr__(self, "notes", notes)
 
     @property
     def all_linking_zero(self) -> bool:
@@ -182,21 +182,23 @@ class InfectionDecl:
         return cls(**fields)
 
 
-@dataclass(frozen=True)
-class BandCertificate:
+class BandCertificate(_Value):
     """b oriented band moves turning a knot into a u-component unlink.
 
     Certifies a smooth surface in the 4-ball with euler characteristic
     u - b, hence genus (1 - u + b) / 2 for one boundary circle.
     """
 
-    bands: int
-    resulting_unlink_components: int
+    _fields = ("bands", "resulting_unlink_components")
 
-    def __post_init__(self):
-        _store_integers(self, ("bands", "resulting_unlink_components"), "band certificate counts")
-        if self.bands < 0 or self.resulting_unlink_components < 1:
+    def __init__(self, bands: int, resulting_unlink_components: int):
+        what = "band certificate counts"
+        bands = _check_integer(bands, what)
+        resulting_unlink_components = _check_integer(resulting_unlink_components, what)
+        if bands < 0 or resulting_unlink_components < 1:
             raise ValueError("need bands >= 0 and at least one unlink component")
+        object.__setattr__(self, "bands", bands)
+        object.__setattr__(self, "resulting_unlink_components", resulting_unlink_components)
 
 
 def lt_lower_bound(data: SeifertData) -> tuple[int, CirclePoint]:
@@ -249,11 +251,13 @@ def seifert_genus_upper_bound(data: SeifertData) -> int:
     return data.genus
 
 
-@dataclass(frozen=True)
-class SliceObstruction:
-    verdict: str
-    fox_milnor: FoxMilnorResult
-    signature_bound: int
+class SliceObstruction(_Value):
+    _fields = ("verdict", "fox_milnor", "signature_bound")
+
+    def __init__(self, verdict: str, fox_milnor: FoxMilnorResult, signature_bound: int):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "fox_milnor", fox_milnor)
+        object.__setattr__(self, "signature_bound", signature_bound)
 
 
 def slice_obstruction(data: SeifertData,

@@ -22,7 +22,6 @@ import itertools
 import operator
 import re
 import reprlib
-from dataclasses import KW_ONLY, dataclass, replace
 
 from . import linalg
 from .errors import InvalidSeifertData, ParseError
@@ -54,17 +53,44 @@ def _decimal(text: str) -> int:
     return int(text)
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class _Value:
+    """An immutable record of the fields named in `_fields`, which its
+    __init__ checks and stores once each through object.__setattr__: equal
+    to a record of the same class with equal fields, hashed as the tuple of
+    its fields, shown by field name, and refusing assignment and deletion."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class BraidWord(_Value):
     """A braid on `strands` strands; letters are nonzero ints with
     1 <= |letter| <= strands - 1, the sign giving the crossing sign."""
 
-    strands: int
-    letters: tuple[int, ...] = ()
+    _fields = ("strands", "letters")
 
-    def __post_init__(self):
-        strands, *letters = _check_integers((self.strands, *self.letters),
-                                            "strands and braid letters")
+    def __init__(self, strands: int, letters: tuple[int, ...] = ()):
+        strands, *letters = _check_integers((strands, *letters), "strands and braid letters")
         if strands < 1:
             raise ParseError(f"strands must be >= 1, got {strands}")
         for x in letters:
@@ -134,8 +160,7 @@ def closure_components(b: BraidWord) -> int:
     return cycles
 
 
-@dataclass(frozen=True)
-class SeifertData:
+class SeifertData(_Value):
     """An integer Seifert matrix with its link bookkeeping.
 
     Invariants checked at construction: int or __index__ entries and
@@ -153,32 +178,31 @@ class SeifertData:
 
     `_run` holds the elimination and `_derived` what the signature layer
     derives from it (principal block, value at z = -1 and signature
-    function).  Neither is a field: equality, replace() and mirror() see
+    function).  Neither is a field: equality, hashing and mirror() see
     only V, m and the label.  A copy or an unpickled SeifertData keeps
     `_run` and starts with an empty `_derived`."""
 
-    matrix: tuple[tuple[int, ...], ...]
-    components: int = 1
-    _: KW_ONLY
-    label: str = ""
+    _fields = ("matrix", "components", "label")
 
-    def __post_init__(self):
-        m, n, rows = self.components, len(self.matrix), self.matrix
+    def __init__(self, matrix: tuple[tuple[int, ...], ...], components: int = 1, *,
+                 label: str = ""):
+        m, n = components, len(matrix)
         ints = None
-        if type(m) is not int or not all(type(x) is int for row in rows for x in row):
-            ints = _check_integers(itertools.chain((m,), *rows),
+        if type(m) is not int or not all(type(x) is int for row in matrix for x in row):
+            ints = _check_integers(itertools.chain((m,), *matrix),
                                    "components and Seifert matrix entries", InvalidSeifertData)
             m = ints[0]
-        if any(len(row) != n for row in rows):
+        if any(len(row) != n for row in matrix):
             raise InvalidSeifertData("Seifert matrix must be square")
         if m < 1:
             raise InvalidSeifertData("components must be >= 1")
         if (n - m + 1) % 2 != 0 or n - m + 1 < 0:
             raise InvalidSeifertData(f"no genus fits size {n} with {m} components")
-        v = (tuple(map(tuple, rows)) if ints is None
+        v = (tuple(map(tuple, matrix)) if ints is None
              else tuple(ints[1 + i * n:1 + (i + 1) * n] for i in range(n)))
         object.__setattr__(self, "matrix", v)
         object.__setattr__(self, "components", m)
+        object.__setattr__(self, "label", label)
         run = linalg._generic_run(*linalg._packed(v))
         pivots, r = run[1], len(run[1])
         # p(1) is the sum of the coefficients of p
@@ -281,7 +305,7 @@ def mirror(a: SeifertData) -> SeifertData:
     """Mirror image: V -> -V^T; components and genus unchanged."""
     n = a.size
     v = tuple(tuple(-a.matrix[j][i] for j in range(n)) for i in range(n))
-    return replace(a, matrix=v, label=f"mirror({a.label})" if a.label else "")
+    return SeifertData(v, a.components, label=f"mirror({a.label})" if a.label else "")
 
 
 def stabilize(a: SeifertData, direction: str, new_column) -> SeifertData:

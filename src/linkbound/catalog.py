@@ -11,10 +11,9 @@ with T(3,5) it reproduces the width-10 Alexander polynomial and the
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass
 
 from .bounds import assemble_report
-from .braids import (BraidWord, SeifertData, _json_int, braid_from_json, connected_sum,
+from .braids import (BraidWord, SeifertData, _json_int, _Value, braid_from_json, connected_sum,
                      seifert_data_from_json, seifert_matrix_from_braid, torus_braid)
 from .errors import ParseError
 from .factor import DEFAULT_DEGREE_CAP
@@ -22,11 +21,13 @@ from .laurent import laurent_from_json, units_equal
 from .signature import alexander_from_seifert, signature_function
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    input: object  # BraidWord | SeifertData
-    expected: dict | None = None
+class CatalogEntry(_Value):
+    _fields = ("name", "input", "expected")
+
+    def __init__(self, name: str, input: BraidWord | SeifertData, expected: dict | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "input", input)
+        object.__setattr__(self, "expected", expected)
 
     def seifert_data(self) -> SeifertData:
         if isinstance(self.input, BraidWord):

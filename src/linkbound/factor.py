@@ -13,9 +13,9 @@ and ranks the points by their number once, for all degrees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import polys
+from .braids import _Value
 from .errors import DegreeCapError, ZeroPolynomialError
 from .laurent import LaurentPoly
 
@@ -196,11 +196,13 @@ def _reversed_factor(f: tuple) -> tuple:
     return tuple(polys.primitive_positive(list(reversed(f)))[1])
 
 
-@dataclass(frozen=True)
-class FoxMilnorResult:
-    verdict: str  # "passes" | "fails" | "inconclusive"
-    witness: LaurentPoly | None = None
-    reason: str = ""
+class FoxMilnorResult(_Value):
+    _fields = ("verdict", "witness", "reason")
+
+    def __init__(self, verdict: str, witness: LaurentPoly | None = None, reason: str = ""):
+        object.__setattr__(self, "verdict", verdict)  # "passes" | "fails" | "inconclusive"
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "reason", reason)
 
     @property
     def passes(self) -> bool:

@@ -67,13 +67,12 @@ from __future__ import annotations
 
 import bisect
 import collections
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from math import gcd, lcm
 
 from . import polys
-from .braids import SeifertData
+from .braids import SeifertData, _Value
 from .factor import _rational_root_split
 from .laurent import LaurentPoly
 from .linalg import _frobenius, _integer_symmetric_signature, _principal_signs, _ranks_at_points
@@ -83,8 +82,7 @@ from .realroots import RealAlgebraic, _nonzero_at, _yun, isolate_real_roots
 # -- circle points ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CirclePoint:
+class CirclePoint(_Value):
     """A point z on the unit circle given through x = z + 1/z.
 
     `x` is a rational or a RealAlgebraic in [-2, 2]; z and its conjugate
@@ -92,10 +90,10 @@ class CirclePoint:
     the two half-circles.
     """
 
-    x: object
+    _fields = ("x",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", _as_x(self.x))
+    def __init__(self, x):
+        object.__setattr__(self, "x", _as_x(x))
 
 
 def _as_x(x):
@@ -458,8 +456,7 @@ def signature_nullity_at(data, point) -> tuple:
 # -- the assembled function -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignatureFunction:
+class SignatureFunction(_Value):
     """Piecewise-constant signature/nullity data over x in (-2, 2).
 
     interval_values[i] holds on the open interval between breakpoints
@@ -468,21 +465,24 @@ class SignatureFunction:
     point that certified interval i.
     """
 
-    size: int
-    generic_nullity: int
-    breakpoints: tuple
-    interval_values: tuple
-    averaged_values: tuple
-    samples: tuple
+    _fields = ("size", "generic_nullity", "breakpoints", "interval_values", "averaged_values",
+               "samples")
 
-    def __post_init__(self):
+    def __init__(self, size: int, generic_nullity: int, breakpoints: tuple,
+                 interval_values: tuple, averaged_values: tuple, samples: tuple):
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "generic_nullity", generic_nullity)
+        object.__setattr__(self, "breakpoints", breakpoints)
+        object.__setattr__(self, "interval_values", interval_values)
+        object.__setattr__(self, "averaged_values", averaged_values)
+        object.__setattr__(self, "samples", samples)
         # to_json reads copies of the brackets as built, which later
         # queries cannot refine
         object.__setattr__(self, "_json_breakpoints", tuple(
-            bp if isinstance(bp, Fraction) else bp.copy() for bp in self.breakpoints))
+            bp if isinstance(bp, Fraction) else bp.copy() for bp in breakpoints))
         # Brackets only shrink, so the walls as built, over one denominator,
         # stay increasing, separated enclosures of the breakpoints.
-        walls = [_wall(bp) for bp in self.breakpoints]
+        walls = [_wall(bp) for bp in breakpoints]
         den = lcm(*(d for _, _, d in walls))
         object.__setattr__(self, "_walls", (tuple(a * (den // d) for a, _, d in walls),
                                             tuple(b * (den // d) for _, b, d in walls), den))

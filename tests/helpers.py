@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import sympy
@@ -180,7 +179,7 @@ def cold(data: SeifertData) -> SeifertData:
     a read or a report on it builds everything from V.  Its construction
     runs the elimination of tV - V^T that every later read uses."""
     cold_caches()
-    return replace(data)
+    return SeifertData(data.matrix, data.components, label=data.label)
 
 
 def count_eliminations(monkeypatch) -> list[int]:

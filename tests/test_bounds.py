@@ -9,9 +9,9 @@ import pytest
 
 import linkbound.bounds
 import linkbound.linalg
-from linkbound import (BandCertificate, BoundReport, BraidWord, DegreeCapError,
-                       InconsistentBounds, InfectionDecl, InvalidSeifertData,
-                       LaurentPoly, ParseError, Provenance, SeifertData, ZeroPolynomialError,
+from linkbound import (BandCertificate, BoundReport, BraidWord, CatalogEntry, CirclePoint,
+                       DegreeCapError, FoxMilnorResult, InconsistentBounds, InfectionDecl,
+                       InvalidSeifertData, LaurentPoly, ParseError, Provenance, SeifertData, ZeroPolynomialError,
                        alexander_from_seifert, assemble_report,
                        band_certificate_genus, connected_sum, float_oracle,
                        infection_transfer, link_nullity, lt_lower_bound, mirror,
@@ -20,7 +20,7 @@ from linkbound import (BandCertificate, BoundReport, BraidWord, DegreeCapError,
                        fox_milnor_test, slice_obstruction, torus_braid,
                        width_upper_bound)
 from linkbound import polys
-from linkbound.bounds import _slice_verdict
+from linkbound.bounds import SliceObstruction, _slice_verdict
 from linkbound.factor import check_degree_cap
 
 from helpers import cold, count_eliminations, random_knot_data, zero_padded
@@ -170,6 +170,76 @@ def test_provenance_value_stored_as_int(bound):
     assert type(p.value) is int
     base = BoundReport(1, 2, "inconclusive", (p,))
     json.dumps(infection_transfer(base, InfectionDecl(1, ((0,),), 0, 0)).to_json())
+
+
+def test_bound_report_stores_tuples_of_provenance():
+    """A BoundReport kept the lists it was given: it was unequal to the same
+    report built from tuples, hash() raised TypeError, appending to the
+    list changed the report, and a provenance entry "x" failed only later,
+    in to_json, with AttributeError."""
+    p = Provenance("lower", 0, "x")
+    provenance, assumptions = [p], ["a"]
+    report = BoundReport(0, None, "inconclusive", provenance, assumptions)
+    same = BoundReport(0, None, "inconclusive", (p,), ("a",))
+    assert report == same and hash(report) == hash(same)
+    provenance.append(p)
+    assumptions.append("b")
+    assert report.provenance == (p,) and report.assumptions == ("a",)
+    with pytest.raises(ParseError, match="provenance entries must be Provenance, got str"):
+        BoundReport(0, None, "inconclusive", ["x"])
+
+
+V_TREFOIL = ((-1, 1), (0, -1))
+
+
+@pytest.mark.parametrize("make, shown", [
+    (lambda: BraidWord(2, (1, 1, 1)), "BraidWord(strands=2, letters=(1, 1, 1))"),
+    (lambda: SeifertData(V_TREFOIL, 1, label="trefoil"),
+     "SeifertData(matrix=((-1, 1), (0, -1)), components=1, label='trefoil')"),
+    (lambda: Provenance("lower", 1, "x"), "Provenance(bound='lower', value=1, source='x')"),
+    (lambda: BoundReport(1, 1, "obstructed", (Provenance("lower", 1, "x"),), ("a",), 1),
+     "BoundReport(lower=1, upper=1, slice_verdict='obstructed', provenance=(Provenance("
+     "bound='lower', value=1, source='x'),), assumptions=('a',), components=1)"),
+    (lambda: InfectionDecl(1, ((0,),), 0, 0, "n"),
+     "InfectionDecl(axes=1, linking_numbers=((0,),), double_points=0, "
+     "milnor_vanishing_length=0, notes='n')"),
+    (lambda: BandCertificate(3, 2), "BandCertificate(bands=3, resulting_unlink_components=2)"),
+    (lambda: SliceObstruction("obstructed", FoxMilnorResult("fails"), 1),
+     "SliceObstruction(verdict='obstructed', fox_milnor=FoxMilnorResult(verdict='fails', "
+     "witness=None, reason=''), signature_bound=1)"),
+    (lambda: CatalogEntry("unknot", BraidWord(1), {"max_abs_sigma": 0}),
+     "CatalogEntry(name='unknot', input=BraidWord(strands=1, letters=()), "
+     "expected={'max_abs_sigma': 0})"),
+    (lambda: FoxMilnorResult("passes", None, "r"),
+     "FoxMilnorResult(verdict='passes', witness=None, reason='r')"),
+    (lambda: CirclePoint(Fraction(1, 2)), "CirclePoint(x=Fraction(1, 2))"),
+    (lambda: signature_function(SeifertData(V_TREFOIL, 1, label="trefoil")),
+     "SignatureFunction(size=2, generic_nullity=0, breakpoints=(Fraction(1, 1),), "
+     "interval_values=((-2, 0), (0, 0)), averaged_values=((-1, 1),), "
+     "samples=(Fraction(-1, 2), Fraction(3, 2)))")],
+    ids=["BraidWord", "SeifertData", "Provenance", "BoundReport", "InfectionDecl",
+         "BandCertificate", "SliceObstruction", "CatalogEntry", "FoxMilnorResult",
+         "CirclePoint", "SignatureFunction"])
+def test_value_classes_compare_hash_show_and_freeze(make, shown):
+    """The value classes were frozen dataclasses; as plain classes they keep
+    ==, hash, the repr text the dataclasses printed, and refuse assignment
+    and deletion.  SeifertData's label stays keyword-only."""
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b and repr(a) == shown
+    assert a != object() and (a == shown) is False
+    try:
+        assert hash(a) == hash(b)
+    except TypeError:  # a catalog entry's expected values are a dict
+        assert isinstance(a, CatalogEntry)
+    field = shown.split("(", 1)[1].split("=", 1)[0]
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert a == b and repr(a) == shown
+    if isinstance(a, SeifertData):
+        with pytest.raises(TypeError):
+            SeifertData(V_TREFOIL, 1, "x")
 
 
 def test_seifert_genus_upper():

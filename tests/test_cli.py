@@ -298,13 +298,20 @@ def test_python_m_linkbound(trefoil_file):
     assert done.returncode == 2 and "degree cap" in done.stderr
 
 
-def test_report_path_imports_no_argparse(trefoil_file):
+@pytest.mark.parametrize("imports, modules", [
+    ("from linkbound.cli import main", ("argparse", "gettext", "locale")),
+    ("import linkbound; from linkbound.cli import main",
+     ("dataclasses", "inspect", "ast", "dis", "tokenize"))], ids=["argparse", "dataclasses"])
+def test_report_path_imports_no_argparse(trefoil_file, imports, modules):
     """A report parses its command line without argparse, so a process
-    never imports argparse, gettext or locale on the way to it."""
+    never imports argparse, gettext or locale on the way to it; and its
+    value classes are plain classes, so neither `import linkbound` nor the
+    report imports dataclasses and the inspect, ast, dis and tokenize
+    modules that it pulls in."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    code = ("import sys; from linkbound.cli import main; rc = main(['bound', sys.argv[1]]); "
-            "print([m for m in ('argparse', 'gettext', 'locale') if m in sys.modules], rc)")
+    code = (f"import sys; {imports}; rc = main(['bound', sys.argv[1]]); "
+            f"print([m for m in {modules!r} if m in sys.modules], rc)")
     done = subprocess.run([sys.executable, "-c", code, trefoil_file],
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
