@@ -37,9 +37,7 @@ class Provenance(_Value):
         if bound not in ("lower", "upper"):
             raise ParseError(
                 f'provenance bound must be "lower" or "upper", got {reprlib.repr(bound)}')
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "source", source)
+        super().__init__(bound, value, source)
 
     def to_json(self) -> dict:
         return {"bound": self.bound, "value": self.value, "source": self.source}
@@ -72,12 +70,7 @@ class BoundReport(_Value):
             raise InconsistentBounds("lower bound must be >= 0")
         if upper is not None and lower > upper:
             raise InconsistentBounds(f"lower bound {lower} exceeds upper bound {upper}")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "slice_verdict", slice_verdict)
-        object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "assumptions", tuple(assumptions))
-        object.__setattr__(self, "components", components)
+        super().__init__(lower, upper, slice_verdict, provenance, tuple(assumptions), components)
 
     @property
     def exact(self) -> bool:
@@ -145,11 +138,7 @@ class InfectionDecl(_Value):
                 "hypotheses of the infection-transfer theorem not declared: "
                 f"need Milnor vanishing length >= {2 * double_points}, "
                 f"declared {milnor_vanishing_length}")
-        object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "linking_numbers", lk)
-        object.__setattr__(self, "double_points", double_points)
-        object.__setattr__(self, "milnor_vanishing_length", milnor_vanishing_length)
-        object.__setattr__(self, "notes", notes)
+        super().__init__(axes, lk, double_points, milnor_vanishing_length, notes)
 
     @property
     def all_linking_zero(self) -> bool:
@@ -197,8 +186,7 @@ class BandCertificate(_Value):
         resulting_unlink_components = _check_integer(resulting_unlink_components, what)
         if bands < 0 or resulting_unlink_components < 1:
             raise ValueError("need bands >= 0 and at least one unlink component")
-        object.__setattr__(self, "bands", bands)
-        object.__setattr__(self, "resulting_unlink_components", resulting_unlink_components)
+        super().__init__(bands, resulting_unlink_components)
 
 
 def lt_lower_bound(data: SeifertData) -> tuple[int, CirclePoint]:
@@ -255,9 +243,7 @@ class SliceObstruction(_Value):
     _fields = ("verdict", "fox_milnor", "signature_bound")
 
     def __init__(self, verdict: str, fox_milnor: FoxMilnorResult, signature_bound: int):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "fox_milnor", fox_milnor)
-        object.__setattr__(self, "signature_bound", signature_bound)
+        super().__init__(verdict, fox_milnor, signature_bound)
 
 
 def slice_obstruction(data: SeifertData,

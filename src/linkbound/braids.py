@@ -54,12 +54,17 @@ def _decimal(text: str) -> int:
 
 
 class _Value:
-    """An immutable record of the fields named in `_fields`, which its
-    __init__ checks and stores once each through object.__setattr__: equal
-    to a record of the same class with equal fields, hashed as the tuple of
-    its fields, shown by field name, and refusing assignment and deletion."""
+    """An immutable record of the fields named in `_fields`.  A subclass's
+    __init__ checks its arguments, then passes one value per field, in
+    `_fields` order, to _Value.__init__, which stores them past __setattr__;
+    a wrong number of values raises ValueError.  Equal to a record of the
+    same class with equal fields, hashed as the tuple of its fields, shown by
+    field name, and refusing assignment and deletion."""
 
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        self.__dict__.update(zip(self._fields, values, strict=True))
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -96,8 +101,7 @@ class BraidWord(_Value):
         for x in letters:
             if x == 0 or abs(x) > strands - 1:
                 raise ParseError(f"letter {x} out of range for {strands} strands")
-        object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "letters", tuple(letters))
+        super().__init__(strands, tuple(letters))
 
 
 _TOKEN = re.compile(r"s([0-9]+)(\^-1)?")
@@ -112,6 +116,8 @@ def parse_braid(text: str) -> BraidWord:
         if not token:
             continue
         if token.startswith("strands="):
+            if strands is not None:
+                raise ParseError("more than one strands=<n> declaration")
             try:
                 strands = _decimal(token[len("strands="):])
             except ValueError:
@@ -200,9 +206,7 @@ class SeifertData(_Value):
             raise InvalidSeifertData(f"no genus fits size {n} with {m} components")
         v = (tuple(map(tuple, matrix)) if ints is None
              else tuple(ints[1 + i * n:1 + (i + 1) * n] for i in range(n)))
-        object.__setattr__(self, "matrix", v)
-        object.__setattr__(self, "components", m)
-        object.__setattr__(self, "label", label)
+        super().__init__(v, m, label)
         run = linalg._generic_run(*linalg._packed(v))
         pivots, r = run[1], len(run[1])
         # p(1) is the sum of the coefficients of p
@@ -357,12 +361,23 @@ def braid_from_json(obj) -> BraidWord:
     raise ParseError("braid must be a string or {strands, word} object")
 
 
+def _braid_field(obj: dict) -> BraidWord | None:
+    """The braid an input object holds, or None; ParseError where it also
+    holds seifert_matrix or components, which the braid would drop."""
+    if "braid" not in obj:
+        return None
+    if "seifert_matrix" in obj or "components" in obj:
+        raise ParseError('an input holds "braid", or "seifert_matrix" with "components", '
+                         'not both')
+    return braid_from_json(obj["braid"])
+
+
 def seifert_data_from_json(obj) -> SeifertData:
     """Accepts {"braid": {...}} or {"seifert_matrix": [[...]], "components": m}."""
     if not isinstance(obj, dict):
         raise ParseError("input must be a JSON object")
-    if "braid" in obj:
-        return seifert_matrix_from_braid(braid_from_json(obj["braid"]))
+    if (braid := _braid_field(obj)) is not None:
+        return seifert_matrix_from_braid(braid)
     if "seifert_matrix" in obj:
         matrix = obj["seifert_matrix"]
         if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import reprlib
 
 from .bounds import assemble_report
-from .braids import (BraidWord, SeifertData, _json_int, _Value, braid_from_json, connected_sum,
+from .braids import (BraidWord, SeifertData, _braid_field, _json_int, _Value, connected_sum,
                      seifert_data_from_json, seifert_matrix_from_braid, torus_braid)
 from .errors import ParseError
 from .factor import DEFAULT_DEGREE_CAP
@@ -25,9 +25,7 @@ class CatalogEntry(_Value):
     _fields = ("name", "input", "expected")
 
     def __init__(self, name: str, input: BraidWord | SeifertData, expected: dict | None = None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "input", input)
-        object.__setattr__(self, "expected", expected)
+        super().__init__(name, input, expected)
 
     def seifert_data(self) -> SeifertData:
         if isinstance(self.input, BraidWord):
@@ -59,11 +57,8 @@ class CatalogEntry(_Value):
                 laurent_from_json(expected["alexander"])
             except ValueError as e:
                 raise ParseError(f"bad expected alexander: {e}") from None
-        if "braid" in inp:
-            parsed: object = braid_from_json(inp["braid"])
-        else:
-            parsed = seifert_data_from_json(inp)
-        return cls(str(obj["name"]), parsed, obj.get("expected"))
+        return cls(str(obj["name"]), _braid_field(inp) or seifert_data_from_json(inp),
+                   obj.get("expected"))
 
 
 def builtin_catalog() -> list[CatalogEntry]:

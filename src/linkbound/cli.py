@@ -161,21 +161,22 @@ def _within(flag: str, least, most: int):
 
 
 # One row per command: (handler, positionals, options, help line).  An option's flag names
-# its attribute; a list option is repeatable; --input is the hidden alias of INPUT.
+# its attribute; a list option is repeatable.  --input is the hidden alias of INPUT: its
+# values join the free words, so INPUT is named once, as a word or through --input.
 INDENT = {"--json-indent": (_within("--json-indent", -math.inf, MAX_JSON_INDENT), 2)}
-INPUT = {"--input": (str, None), **INDENT}
+INPUT = {"--input": (list, None)}
 CAP = {"--degree-cap": (_decimal, DEFAULT_DEGREE_CAP)}
 COMMANDS = {
-    "invariants": (cmd_invariants, ("input",), INPUT,
+    "invariants": (cmd_invariants, ("input",), {**INPUT, **INDENT},
                    "Alexander polynomial, nullity, signature function"),
-    "bound": (cmd_bound, ("input",), {**INPUT, "--band-cert": (list, None), **CAP},
+    "bound": (cmd_bound, ("input",), {**INPUT, **INDENT, "--band-cert": (list, None), **CAP},
               "assemble a 4-genus bound report; b,u: b bands to a u-component unlink"),
     "infect": (cmd_infect, ("base_report", "declaration"), INDENT,
                "transfer bounds through a string-link infection declaration"),
     "signature-csv": (cmd_signature_csv, ("input",),
                       {**INPUT, "--samples": (_within("--samples", 0, MAX_SAMPLES), 0)},
                       "emit the signature function as CSV, plus N float-oracle rows"),
-    "verify": (cmd_verify, (), {"--catalog": (str, None), **CAP, **INDENT},
+    "verify": (cmd_verify, (), {"--catalog": (str, None), **CAP},
                "run the catalog regression checks (default: $LINKBOUND_CATALOG or built-in)"),
 }
 METAVARS = {str: "PATH", list: "b,u"}  # an integer option reads N
@@ -219,6 +220,7 @@ def _parse(argv: list[str]):
         except ValueError:
             raise ParseError(
                 f"{command}: {flag} wants an integer, got {reprlib.repr(value)}") from None
+    free += given.pop("input", [])
     values = {flag[2:].replace("-", "_"): default for flag, (_, default) in options.items()}
     values.update(zip(positionals, free), **given)
     if len(free) > len(positionals) or not all(values.get(name) for name in positionals):

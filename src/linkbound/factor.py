@@ -197,12 +197,10 @@ def _reversed_factor(f: tuple) -> tuple:
 
 
 class FoxMilnorResult(_Value):
-    _fields = ("verdict", "witness", "reason")
+    _fields = ("verdict", "witness", "reason")  # verdict: "passes" | "fails" | "inconclusive"
 
     def __init__(self, verdict: str, witness: LaurentPoly | None = None, reason: str = ""):
-        object.__setattr__(self, "verdict", verdict)  # "passes" | "fails" | "inconclusive"
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "reason", reason)
+        super().__init__(verdict, witness, reason)
 
     @property
     def passes(self) -> bool:

@@ -93,7 +93,7 @@ class CirclePoint(_Value):
     _fields = ("x",)
 
     def __init__(self, x):
-        object.__setattr__(self, "x", _as_x(x))
+        super().__init__(_as_x(x))
 
 
 def _as_x(x):
@@ -470,12 +470,8 @@ class SignatureFunction(_Value):
 
     def __init__(self, size: int, generic_nullity: int, breakpoints: tuple,
                  interval_values: tuple, averaged_values: tuple, samples: tuple):
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "generic_nullity", generic_nullity)
-        object.__setattr__(self, "breakpoints", breakpoints)
-        object.__setattr__(self, "interval_values", interval_values)
-        object.__setattr__(self, "averaged_values", averaged_values)
-        object.__setattr__(self, "samples", samples)
+        super().__init__(size, generic_nullity, breakpoints, interval_values, averaged_values,
+                         samples)
         # to_json reads copies of the brackets as built, which later
         # queries cannot refine
         object.__setattr__(self, "_json_breakpoints", tuple(

@@ -21,6 +21,7 @@ from linkbound import (BandCertificate, BoundReport, BraidWord, CatalogEntry, Ci
                        width_upper_bound)
 from linkbound import polys
 from linkbound.bounds import SliceObstruction, _slice_verdict
+from linkbound.braids import _Value
 from linkbound.factor import check_degree_cap
 
 from helpers import cold, count_eliminations, random_knot_data, zero_padded
@@ -223,7 +224,10 @@ V_TREFOIL = ((-1, 1), (0, -1))
 def test_value_classes_compare_hash_show_and_freeze(make, shown):
     """The value classes were frozen dataclasses; as plain classes they keep
     ==, hash, the repr text the dataclasses printed, and refuse assignment
-    and deletion.  SeifertData's label stays keyword-only."""
+    and deletion.  SeifertData's label stays keyword-only.  _Value.__init__
+    stores each field, in `_fields` order, and nothing else: only
+    SeifertData and SignatureFunction add private attributes after it.
+    Given one value too many or too few, it raises."""
     a, b = make(), make()
     assert a is not b and a == b and not a != b and repr(a) == shown
     assert a != object() and (a == shown) is False
@@ -240,6 +244,13 @@ def test_value_classes_compare_hash_show_and_freeze(make, shown):
     if isinstance(a, SeifertData):
         with pytest.raises(TypeError):
             SeifertData(V_TREFOIL, 1, "x")
+    private = {"SeifertData": ["_run", "_derived"],
+               "SignatureFunction": ["_json_breakpoints", "_walls"]}
+    assert list(vars(a)) == [*a._fields, *private.get(type(a).__name__, [])]
+    bare = object.__new__(type(a))
+    for values in (a._values()[:-1], (*a._values(), None)):
+        with pytest.raises(ValueError):
+            _Value.__init__(bare, *values)
 
 
 def test_seifert_genus_upper():

@@ -53,10 +53,12 @@ def test_parse_malformed_token():
 @pytest.mark.parametrize("text", [
     "strands=1_0; 1 2", "strands=３; 1 2", "strands=+3; 1 2", "strands=3; １ 2",
     "strands=3; +1 2", "strands=12; 1_1", "strands=3; s１ s2", "strands=3; s1 s٢^-1",
+    "strands=2; 1 strands=3 2 1",
 ])
 def test_parse_reads_only_ascii_decimals(text):
     """Strand counts, letters and sN tokens are an optional '-' and ASCII
-    digits: int() would read each of these as another braid."""
+    digits: int() would read each of these as another braid.  A second
+    strand count is refused too, where the last one used to win."""
     with pytest.raises(ParseError):
         parse_braid(text)
 
@@ -499,6 +501,10 @@ def test_seifert_data_from_json_errors():
         seifert_data_from_json({"braid": {}})
     with pytest.raises(ParseError):
         seifert_data_from_json({"seifert_matrix": "nope"})
+    for obj in ({"braid": "strands=2; 1 1 1", "seifert_matrix": [[-1, 1], [0, -1]]},
+                {"braid": "strands=2; 1 1", "components": 5}):  # read as the braid alone
+        with pytest.raises(ParseError, match="not both"):
+            seifert_data_from_json(obj)
 
 
 def test_random_knot_data_is_knotlike():

@@ -167,16 +167,20 @@ def test_hostile_json_exit_code(capsys, tmp_path, content):
     {"braid": "strands=２; 1 1 1"}, {"braid": "strands=1_0; 1 1 1"},
     {"braid": "strands=+2; 1 1 1"}, {"braid": "strands=2; 1 1 １"},
     {"braid": "strands=2; s1 s1 s١"},
+    {"braid": "strands=2; 1 1 1", "seifert_matrix": [[0]], "components": 2},
+    {"braid": "strands=2; 1 1", "components": 5}, {"braid": "strands=2; 1 strands=3 2 1"},
 ])
 def test_non_integer_json_exit_code(capsys, tmp_path, obj):
     """A number that is not a JSON integer, or not an ASCII decimal in a
     braid text, is a parse error: nothing is truncated or read into a
-    report on another matrix or braid."""
+    report on another matrix or braid.  So is a braid beside a
+    seifert_matrix or components, or a braid text with two strand counts,
+    where the report used to be on one of the two."""
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
     code, out, err = run(capsys, "bound", str(path))
     assert code == 2 and not out
-    assert err.startswith("parse error:") and "Traceback" not in err
+    assert err.startswith("parse error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_invalid_matrix_exit_code(capsys, tmp_path):
@@ -348,8 +352,8 @@ def cli_files(tmp_path, trefoil_file, monkeypatch):
     ("signature-csv K", 0), ("signature-csv K --samples 3", 0),
     ("signature-csv K --samples 10000", 0), ("signature-csv K --samples 0", 0),
     ("invariants K --json-indent -1", 0),
-    ("signature-csv --samples=2 --input K --json-indent 0", 0),
-    ("verify --catalog C", 0), ("verify --catalog=C --degree-cap 12 --json-indent 0", 0),
+    ("signature-csv --samples=2 --input K", 0),
+    ("verify --catalog C", 0), ("verify --catalog=C --degree-cap 12", 0),
     ("infect R D", 0), ("infect R D --json-indent 0", 0),
     ("-h", 0), ("--help", 0), ("bound -h", 0), ("verify --catalog C --help", 0),
     ("infect ./-R.json D", 0), ("bound ./-K.json", 0), ("bound --input=-K.json", 0),
@@ -370,13 +374,20 @@ def cli_files(tmp_path, trefoil_file, monkeypatch):
     ("bound K --json-indent ２", 2), ("signature-csv K --samples 1_0", 2),
     ("bound K --band-cert 1_0,1", 2), ("bound K --band-cert 3,+2", 2),
     ("bound K --band-cert=3,２", 2),
+    ("signature-csv --samples=2 --input K --json-indent 0", 2),
+    ("verify --catalog=C --degree-cap 12 --json-indent 0", 2), ("verify --json-indent 0", 2),
+    ("bound K --input K", 2), ("bound --input K --input=K", 2), ("invariants --input K K", 2),
+    ("signature-csv K --input=-K.json", 2),
 ])
 def test_command_line_forms(capsys, cli_files, argv, expected):
     """Every documented form of the command line runs, and a wrong one
     exits 2 with a parse error and no output.  -h/--help where an option
     may stand prints the command list and exits 0; as an option's value
     it is that value.  A path that starts with '-' is given as ./PATH or
-    --input=PATH: there is no '--' end-of-options marker.  An integer
+    --input=PATH: there is no '--' end-of-options marker.  INPUT is named
+    once, as a word or through --input: a second one used to replace the
+    first.  signature-csv and verify print no JSON and take no
+    --json-indent, which they used to accept and ignore.  An integer
     option and each number of --band-cert are an optional '-' and ASCII
     digits, where int() would also read '1_2', '+12' and other scripts'
     digits."""
@@ -564,11 +575,13 @@ TREFOIL_ENTRY = {"name": "trefoil", "input": {"braid": {"strands": 2, "word": [1
         {"alexander": {"0": "1e3"}}, {"alexander": {"0": "1/2"}},
         {"alexander": {"coefficients": "121"}}, {"alexander": {"coefficients": {"3": 7, "5": 1}}},
         {"alexander": {"coefficients": [1, -1, 1], "min_exponent": 1.5}}, {"max_abs_sigma": 2.0},
-        {"max_abs_sigma": "2"}, [1], 1))], ids=repr)
+        {"max_abs_sigma": "2"}, [1], 1)),
+    [dict(TREFOIL_ENTRY, input={"braid": "strands=2; 1 1", "components": 2})]], ids=repr)
 def test_verify_malformed_catalog_exit_code(capsys, tmp_path, catalog):
     """A catalog entry, its input or its expected values that are not
-    objects, a g4 that is not a pair of integers or nulls, a bad
-    Alexander polynomial and a non-integer max_abs_sigma are parse errors:
+    objects, an input with a braid beside components, a g4 that is not a
+    pair of integers or nulls, a bad Alexander polynomial and a
+    non-integer max_abs_sigma are parse errors:
     exit 2 with one message, where they used to raise, or, for expected
     [1], check nothing and pass.  A "p/q" Alexander coefficient, which used
     to fail its check (exit 5), is one: Delta has integer coefficients."""
