@@ -174,17 +174,17 @@ class SeifertData(_Value):
     size n = 2g + m - 1 for the derived genus g; V - V^T of rank 2g over
     Q, and unimodular for knots (m = 1).  Both are read at t = 1, where
     evaluation commutes with every minor, off the elimination of tV - V^T
-    over Q(t) that the construction runs (linalg._generic_run) and keeps
-    for every invariant read later.  For a knot of rank n det(V - V^T) =
-    +-p_n(1).  The skew V - V^T has even rank, in [k, r] for the last k
-    with p_k(1) != 0, below n if p_n(1) = 0: where one even number fits,
-    it is the rank, else the resume rule of linalg._ranks_at_points reads
-    it.  So building one costs that elimination, also for the
-    intermediates of mirror() and connected_sum().
+    over Q(t) that the construction runs (linalg._Run) and keeps for every
+    invariant read later.  For a knot of rank n det(V - V^T) = +-p_n(1).
+    The skew V - V^T has even rank, in [k, r] for the last k with
+    p_k(1) != 0, below n if p_n(1) = 0: where one even number fits, it is
+    the rank, else the run's ranks_at reads it.  So building one costs
+    that elimination, also for the intermediates of mirror() and
+    connected_sum().
 
-    `_run` holds the elimination and `_derived` what the signature layer
-    derives from it (principal block, value at z = -1 and signature
-    function).  Neither is a field: equality, hashing and mirror() see
+    `_run` holds the elimination, a linalg._Run, and `_derived` what the
+    signature layer derives from it (principal block, value at z = -1 and
+    signature function).  Neither is a field: equality, hashing and mirror() see
     only V, m and the label.  A copy or an unpickled SeifertData keeps
     `_run` and starts with an empty `_derived`."""
 
@@ -207,19 +207,18 @@ class SeifertData(_Value):
         v = (tuple(map(tuple, matrix)) if ints is None
              else tuple(ints[1 + i * n:1 + (i + 1) * n] for i in range(n)))
         super().__init__(v, m, label)
-        run = linalg._generic_run(*linalg._packed(v))
-        pivots, r = run[1], len(run[1])
+        run = linalg._Run(v)
+        pivots, r = run.pivots, len(run.pivots)
         # p(1) is the sum of the coefficients of p
         k = next((k for k in range(r, 0, -1) if sum(pivots[k - 1])), 0)
         top = r if k == r or r < n else n - 1
         even = k + k % 2
-        rank = even if top < even + 2 else linalg._ranks_at_points(v, pivots, [sum])[0]
+        rank = even if top < even + 2 else run.ranks_at([sum])[0]
         if rank != n - m + 1:
             raise InvalidSeifertData("rank of V - V^T does not equal twice the genus")
         if m == 1 and n and abs(sum(pivots[-1])) != 1:
             raise InvalidSeifertData("V - V^T must be unimodular for a knot")
-        object.__setattr__(self, "_run", run)
-        object.__setattr__(self, "_derived", {})
+        self.__dict__.update(_run=run, _derived={})
 
     def __getstate__(self):
         return {**self.__dict__, "_derived": {}}
@@ -363,12 +362,13 @@ def braid_from_json(obj) -> BraidWord:
 
 def _braid_field(obj: dict) -> BraidWord | None:
     """The braid an input object holds, or None; ParseError where it also
-    holds seifert_matrix or components, which the braid would drop."""
+    holds seifert_matrix, components or label, which the braid would drop:
+    a braid input is labelled by its braid text."""
     if "braid" not in obj:
         return None
-    if "seifert_matrix" in obj or "components" in obj:
-        raise ParseError('an input holds "braid", or "seifert_matrix" with "components", '
-                         'not both')
+    if "seifert_matrix" in obj or "components" in obj or "label" in obj:
+        raise ParseError('an input holds "braid", or "seifert_matrix" with "components" and '
+                         '"label", not both')
     return braid_from_json(obj["braid"])
 
 

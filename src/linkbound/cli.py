@@ -103,15 +103,14 @@ def cmd_infect(args) -> int:
 def cmd_signature_csv(args) -> int:
     data = _load_seifert(args.input)
     f = signature_function(data)
-    writer = sys.stdout
-    writer.write("x_lo,x_hi,sigma,nullity,source\n")
+    sys.stdout.write("x_lo,x_hi,sigma,nullity,source\n")
     for x_lo, x_hi, sigma, nullity, source in f.csv_rows():
-        writer.write(f"{x_lo!r},{x_hi!r},{sigma!r},{nullity},{source}\n")
+        sys.stdout.write(f"{x_lo!r},{x_hi!r},{sigma!r},{nullity},{source}\n")
     for i in range(args.samples):
         theta = math.pi * (i + 1) / (args.samples + 1)
         sigma, nullity = float_oracle(data, theta)
         x = 2 * math.cos(theta)
-        writer.write(f"{x!r},{x!r},{float(sigma)!r},{nullity},oracle\n")
+        sys.stdout.write(f"{x!r},{x!r},{float(sigma)!r},{nullity},oracle\n")
     return EXIT_OK
 
 
@@ -161,8 +160,9 @@ def _within(flag: str, least, most: int):
 
 
 # One row per command: (handler, positionals, options, help line).  An option's flag names
-# its attribute; a list option is repeatable.  --input is the hidden alias of INPUT: its
-# values join the free words, so INPUT is named once, as a word or through --input.
+# its attribute; a list option is repeatable, and any other option given twice is a parse
+# error.  --input is the hidden alias of INPUT: its values join the free words, so INPUT is
+# named once, as a word or through --input.
 INDENT = {"--json-indent": (_within("--json-indent", -math.inf, MAX_JSON_INDENT), 2)}
 INPUT = {"--input": (list, None)}
 CAP = {"--degree-cap": (_decimal, DEFAULT_DEGREE_CAP)}
@@ -211,6 +211,8 @@ def _parse(argv: list[str]):
         if flag not in options:
             raise ParseError(f"{command}: unknown option {flag}")
         kind, dest = options[flag][0], flag[2:].replace("-", "_")
+        if dest in given and kind is not list:
+            raise ParseError(f"{command}: {flag} given twice")
         if (value := value if eq else next(tokens, None)) is None:
             raise ParseError(f"{command}: {flag} needs a value")
         try:

@@ -13,16 +13,16 @@ computed in integers.  A minor is then its value at t = 2^K read in
 balanced base-2^K digits, and is nonzero exactly when that value is
 (Kronecker substitution).  So the kernel packs each entry as that
 integer and eliminates with integer products and exact integer division
-(_eliminate).  Two packers feed one tail: _pack takes any matrix of
-integer polynomials and raises ``ValueError`` on a non-integer
-coefficient, and _packed builds tV - V^T straight from V, the hot path;
-_generic_run eliminates what either returns and unpacks its pivots.
-poly_det and poly_rank read that tail, and a SeifertData runs it on
-tV - V^T once, when it is built; the ranks of tV - V^T at points are
-read off that run by the resume rule below (_ranks_at_points): at t = 1,
-the rank of V - V^T where parity leaves it open to the construction, and
-at the circle points of the signature layer.  An integer matrix is eliminated as it
-stands, with no packing.
+(_eliminate).  Two packers feed it: _pack takes any matrix of integer
+polynomials and raises ``ValueError`` on a non-integer coefficient; poly_det
+and poly_rank eliminate what it returns.  _packed builds tV - V^T straight
+from V, the hot path, and _Run holds the one elimination of it that a
+SeifertData runs when it is built: the sign, the unpacked pivots, the
+pivot rows and columns, and V.  Every invariant over Q(t) reads that run,
+and its method ranks_at reads the ranks of tV - V^T at points off it by
+the resume rule: at t = 1, the rank of V - V^T where parity leaves it
+open to the construction, and at the circle points of the signature
+layer.  An integer matrix is eliminated as it stands, with no packing.
 
 Pivoting is complete over a caller-supplied "entry is nonzero" test of
 the stored integer; a test on the polynomial unpacks the entry itself:
@@ -173,9 +173,8 @@ def _eliminate(m, nonzero=bool, stop=None, start=None) -> tuple:
                                for v, w in zip(islice(row, k + 1, None), tail)]
                 written[i] = k
     pivots = done[1:]
-    k = len(pivots)
     if stop is None:
-        return sign, pivots, rows[:k], cols[:k]
+        return sign, pivots, rows[:len(pivots)], cols[:len(pivots)]
     return sign, pivots, rows, cols, written
 
 
@@ -202,63 +201,66 @@ def _packed(v) -> tuple[int, list]:
     return k_bits, [[(a << k_bits) - b for a, b in zip(row, col)] for row, col in pairs]
 
 
-def _generic_run(k_bits: int, m) -> tuple:
-    """(sign, pivots, rows, cols) of the elimination over Q(t) of a matrix
-    packed at t = 2^K (by _pack or _packed), the pivots unpacked to
-    tuples: there are r of them for the rank r, and for a square matrix of
-    rank r = n sign times the last is its determinant."""
-    sign, pivots, rows, cols = _eliminate(m)
-    return sign, tuple(tuple(_unpack(p, k_bits)) for p in pivots), tuple(rows), tuple(cols)
-
-
 def poly_det(matrix) -> list:
     """Determinant of a square matrix of integer polynomials (dense lists);
     a non-integer coefficient raises ValueError."""
-    if not matrix:
-        return [1]
-    sign, pivots, _, _ = _generic_run(*_pack(matrix))
-    return [sign * c for c in pivots[-1]] if len(pivots) == len(matrix) else []
+    k_bits, m = _pack(matrix)
+    sign, pivots, _, _ = _eliminate(m)  # no pivot for the empty matrix, whose det is 1
+    return _unpack(sign * (pivots[-1] if pivots else 1), k_bits) if len(pivots) == len(m) else []
 
 
 def poly_rank(matrix) -> int:
     """Rank over Q(t) of a matrix of integer polynomials (dense lists)."""
-    return len(_generic_run(*_pack(matrix))[1])
+    return len(_eliminate(_pack(matrix)[1])[1])
 
 
-def _ranks_at_points(v, pivots, tests) -> list:
-    """The rank of tV - V^T at each point z0 that a test picks out, test(q)
-    being q(z0) != 0 for an integer polynomial q in t, read off the pivots
-    p_1..p_r of its generic run (_generic_run).
+class _Run:
+    """The elimination over Q(t) of tV - V^T for a square integer matrix V,
+    packed by _packed: `sign`, the `pivots` p_1..p_r unpacked to tuples (r
+    is the rank over Q(t), and for r = n sign * p_n = det(tV - V^T)), the
+    pivot `rows` and `cols` as tuples (p_k is the minor on rows[:k] and
+    cols[:k]), and `v`, V itself.  It keeps no packed row: ranks_at packs
+    tV - V^T again from V when a rank needs the trailing block."""
 
-    Resume rule.  For each test take the largest k <= r with p_k(z0) != 0
-    (p_0 = 1), tested from the top.  After k generic steps the trailing
-    block holds the (k+1)-minors that border the k x k minor p_k, that is
-    p_k times its Schur complement (Sylvester's identity), and evaluation
-    at z0 commutes with every minor.  The k x k block is invertible at z0,
-    so the rank at z0 is k + the rank of the trailing block at z0, whether
-    or not earlier pivots vanish there.  The block is 0 for k = r, and for
-    k = n - 1 < r it is +-p_n, which vanishes at z0: the rank is k.
-    Otherwise one generic run stops at each such k in increasing order, so
-    its steps add up to at most one elimination, and at each stop the
-    kernel resumes its lazy state for the tests of that k under the test
-    q(z0) != 0, on a copy of the rows from k on (it reads and writes no
-    other), so it tests the trailing block alone, each entry unpacked,
-    exact as it is a current minor; pivots are counted."""
-    r, n = len(pivots), len(v)
-    ks = [next((k for k in range(r, 0, -1) if test(pivots[k - 1])), 0) for test in tests]
-    ranks, stops = list(ks), sorted({k for k in ks if k < min(r, n - 1)})
-    if not stops:
+    def __init__(self, v):
+        k_bits, m = _packed(v)
+        sign, pivots, rows, cols = _eliminate(m)
+        self.sign, self.rows, self.cols, self.v = sign, tuple(rows), tuple(cols), v
+        self.pivots = tuple(tuple(_unpack(p, k_bits)) for p in pivots)
+
+    def ranks_at(self, tests) -> list:
+        """The rank of tV - V^T at each point z0 that a test picks out,
+        test(q) being q(z0) != 0 for an integer polynomial q in t.
+
+        Resume rule.  For each test take the largest k <= r with p_k(z0) != 0
+        (p_0 = 1), tested from the top.  After k generic steps the trailing
+        block holds the (k+1)-minors that border the k x k minor p_k, that is
+        p_k times its Schur complement (Sylvester's identity), and evaluation
+        at z0 commutes with every minor.  The k x k block is invertible at z0,
+        so the rank at z0 is k + the rank of the trailing block at z0, whether
+        or not earlier pivots vanish there.  The block is 0 for k = r, and for
+        k = n - 1 < r it is +-p_n, which vanishes at z0: the rank is k.
+        Otherwise one generic run stops at each such k in increasing order, so
+        its steps add up to at most one elimination, and at each stop the
+        kernel resumes its lazy state for the tests of that k under the test
+        q(z0) != 0, on a copy of the rows from k on (it reads and writes no
+        other), so it tests the trailing block alone, each entry unpacked,
+        exact as it is a current minor; pivots are counted."""
+        pivots, r, n = self.pivots, len(self.pivots), len(self.v)
+        ks = [next((k for k in range(r, 0, -1) if test(pivots[k - 1])), 0) for test in tests]
+        ranks, stops = list(ks), sorted({k for k in ks if k < min(r, n - 1)})
+        if not stops:
+            return ranks
+        k_bits, m = _packed(self.v)
+        state = None
+        for k in stops:
+            state = _eliminate(m, stop=k, start=state)
+            for i, test in enumerate(tests):
+                if ks[i] == k:
+                    rows = m[:k] + [list(row) for row in m[k:]]
+                    ranks[i] = len(_eliminate(rows, lambda q: q != 0 and test(_unpack(q, k_bits)),
+                                              start=state)[1])
         return ranks
-    k_bits, m = _packed(v)
-    state = None
-    for k in stops:
-        state = _eliminate(m, stop=k, start=state)
-        for i, test in enumerate(tests):
-            if ks[i] == k:
-                rows = m[:k] + [list(row) for row in m[k:]]
-                ranks[i] = len(_eliminate(rows, lambda q: q != 0 and test(_unpack(q, k_bits)),
-                                          start=state)[1])
-    return ranks
 
 
 def _principal_signs(rows, cols) -> list:

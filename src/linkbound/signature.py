@@ -31,17 +31,14 @@ from the certified brackets without a second count.  When det B is
 identically zero the multiplicity e of a root of det B_I decides it (see
 _jump_structure): odd e is a jump, and at e = 1 the rank of B(z) is
 r - 1; a root of even e counts only where the rank of B(z) is below r.
-That rank, and the nullity at a multiple root, resume the elimination
-(see _ranks_at), by the resume rule of the construction at t = 1: if p_k is
-the last generic pivot that does not vanish at z0, the trailing block
-after k steps is p_k times the Schur complement of the k x k block
-(Sylvester's identity), so the rank is k plus that block's rank at z0,
-the only entries the point test reads; one generic run per build,
-stopped at each such k, serves every root.  Each interval is read at a dyadic
-sample where no leading minor vanishes but those identically 0: the
-sample search walks integer numerators over one denominator and asks
-_block_signature at each, the one reader of a certified value at a
-rational point, so the interval value needs no second read.
+That rank, and the nullity at a multiple root, are read off the kept run
+(see _ranks_at) by linalg._Run.ranks_at, the resume rule of the
+construction at t = 1: one generic run per build serves every root.
+Each interval is read at a dyadic sample where no leading minor vanishes
+but those identically 0: the sample search walks integer numerators over
+one denominator and asks _block_signature at each, the one reader of a
+certified value at a rational point, so the interval value needs no
+second read.
 The jump locus thus builds a Fraction only for each sample and each
 rational breakpoint.  Values at jumps follow the averaged-limit
 convention: the mean of the two adjacent interval values; the nullity
@@ -75,7 +72,7 @@ from . import polys
 from .braids import SeifertData, _Value
 from .factor import _rational_root_split
 from .laurent import LaurentPoly
-from .linalg import _frobenius, _integer_symmetric_signature, _principal_signs, _ranks_at_points
+from .linalg import _frobenius, _integer_symmetric_signature, _principal_signs
 from .realroots import RealAlgebraic, _nonzero_at, _yun, isolate_real_roots
 
 
@@ -197,7 +194,7 @@ def _principal_block(data) -> tuple:
     roots of det B_I the rank of B(z) is therefore r, the Schur complement
     of B_I vanishes, and B(z) has the signature of B_I(z) and nullity
     n - r.  When det B is not identically zero, I holds every index.  The
-    k-th pivot of the elimination of tV - V^T kept on the data (_run) is
+    k-th pivot of the run of tV - V^T kept on the data (linalg._Run) is
     the k-th leading minor of (tV - V^T)_I times the sign, or the 0, of
     linalg._principal_signs: a k x k minor of B is ((1 - t)/t)^k times
     that of tV - V^T, so both pick the same pivots, and off z = 1 B(z) and
@@ -206,18 +203,17 @@ def _principal_block(data) -> tuple:
     [-2, 2): every reader (Frobenius's rule in _block_signature, the
     jump polynomial) looks only there.
     """
-    _, pivots, rows, cols = data._run
+    run = data._run
     minors = [polys.neg(p) if s < 0 else p if s else ()
-              for s, p in zip(_principal_signs(rows, cols), pivots)]
-    return rows, tuple(_minor_x(p, k) for k, p in enumerate(minors, 1))
+              for s, p in zip(_principal_signs(run.rows, run.cols), run.pivots)]
+    return run.rows, tuple(_minor_x(p, k) for k, p in enumerate(minors, 1))
 
 
 def _ranks_at(data, roots) -> list:
     """The rank of B(z0) at each circle point with z0 + 1/z0 = root in
     (-2, 2): that of tV - V^T at z0 (see _principal_block), since z0 != 1,
-    read off the stored run by linalg._ranks_at_points under q(z0) != 0."""
-    return _ranks_at_points(data.matrix, data._run[1],
-                            [_nonzero_at(root) for root in roots])
+    read off the stored run (linalg._Run.ranks_at) under q(z0) != 0."""
+    return data._run.ranks_at([_nonzero_at(root) for root in roots])
 
 
 # -- exact signatures at a single point ----------------------------------------
@@ -614,7 +610,7 @@ def alexander_from_seifert(data: SeifertData) -> LaurentPoly:
     unnormalized, since normalization is undefined there."""
     if data.size == 0:
         return LaurentPoly.one()
-    _, pivots, _, _ = data._run
+    pivots = data._run.pivots
     if len(pivots) < data.size:
         return LaurentPoly.zero()
     return LaurentPoly.from_dense(pivots[-1], 0).normalize()  # the sign is a unit
@@ -625,7 +621,7 @@ def link_nullity(data: SeifertData) -> int:
     elimination, which also gives Delta and the principal block of B(t).
     It lies in [0, components - 1]: the rank over Q(t) is at least the
     rank n - m + 1 at t = 1 that SeifertData requires of m components."""
-    return data.size - len(data._run[1])
+    return data.size - len(data._run.pivots)
 
 
 def float_oracle(data: SeifertData, theta: float) -> tuple[int, int]:

@@ -17,6 +17,7 @@ from linkbound import (BraidWord, InvalidSeifertData, LaurentPoly, ParseError,
                        units_equal)
 from linkbound.braids import _check_integer, _check_integers
 
+import burau_reference
 from bareiss_reference import int_rank_det
 from braid_reference import reference_seifert_matrix
 from helpers import random_braid, random_knot_data, random_seifert_data
@@ -163,10 +164,10 @@ def test_construction_invariants_on_random_braids():
 
 
 @st.composite
-def braids_using_every_generator(draw):
-    strands = draw(st.integers(2, 7))
+def braids_using_every_generator(draw, max_strands=7, max_size=60):
+    strands = draw(st.integers(2, max_strands))
     generator = st.integers(1, strands - 1).flatmap(lambda k: st.sampled_from([k, -k]))
-    letters = draw(st.lists(generator, min_size=strands - 1, max_size=60))
+    letters = draw(st.lists(generator, min_size=strands - 1, max_size=max_size))
     # Put every generator in, at drawn places, so that none is unused.
     for k in range(1, strands):
         letters.insert(draw(st.integers(0, len(letters))), draw(st.sampled_from([k, -k])))
@@ -180,6 +181,24 @@ def test_walk_matches_the_all_pairs_reference(b):
     label of the all-pairs construction, entry for entry."""
     data = seifert_matrix_from_braid(b)
     assert (data.matrix, data.components, data.label) == reference_seifert_matrix(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(braids_using_every_generator(max_strands=6, max_size=16))
+@example(BraidWord(2, (1, 1)))  # the Hopf link, Delta = 1 - t
+@example(BraidWord(3, (1, -1, 2, -2)))  # a link with Delta = 0
+def test_alexander_matches_the_burau_oracle(b):
+    """Delta read off the elimination of tV - V^T equals, up to units, the
+    Burau Delta of the braid, which builds no Seifert matrix: on random
+    braids of 2-6 strands, links and Delta = 0 included."""
+    burau_reference.assert_matches(b, alexander_from_seifert(seifert_matrix_from_braid(b)))
+
+
+@pytest.mark.parametrize("p, q", [(4, 40), (3, 61)])
+def test_alexander_matches_the_burau_oracle_at_the_frontier(p, q):
+    """T(4,40), a link of n = 117, and the knot T(3,61), n = 120."""
+    b = torus_braid(p, q)
+    burau_reference.assert_matches(b, alexander_from_seifert(seifert_matrix_from_braid(b)))
 
 
 @pytest.mark.parametrize("p, max_q", [(2, 121), (3, 61), (4, 41)])
@@ -501,8 +520,11 @@ def test_seifert_data_from_json_errors():
         seifert_data_from_json({"braid": {}})
     with pytest.raises(ParseError):
         seifert_data_from_json({"seifert_matrix": "nope"})
+    # each read as the braid alone; a braid input is labelled by its braid text
     for obj in ({"braid": "strands=2; 1 1 1", "seifert_matrix": [[-1, 1], [0, -1]]},
-                {"braid": "strands=2; 1 1", "components": 5}):  # read as the braid alone
+                {"braid": "strands=2; 1 1", "components": 5},
+                {"braid": "strands=2; 1 1 1", "label": "T"},
+                {"braid": {"strands": 2, "word": [1, 1, 1]}, "label": ""}):
         with pytest.raises(ParseError, match="not both"):
             seifert_data_from_json(obj)
 

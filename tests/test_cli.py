@@ -9,6 +9,7 @@ import time
 import pytest
 
 import linkbound.linalg
+from linkbound import cli
 from linkbound.cli import MAX_JSON_INDENT, main
 from linkbound.laurent import laurent_from_json
 
@@ -401,6 +402,29 @@ def test_command_line_forms(capsys, cli_files, argv, expected):
         assert all(f"  {command} " in out for command in COMMANDS) and not err
     elif expected == 2:
         assert err.startswith("parse error:") and err.count("\n") == 1 and not out
+
+
+# a valid value of every option that is not a list option
+ONCE = {"--json-indent": "2", "--degree-cap": "12", "--samples": "1", "--catalog": "C"}
+POSITIONALS = {"input": "K", "base_report": "R", "declaration": "D"}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, (_, _, options, _) in cli.COMMANDS.items()
+    for flag, (kind, _) in options.items() if kind is not list])
+def test_an_option_given_twice_exits_2(capsys, cli_files, command, flag):
+    """Every option but the list options --band-cert and --input, given
+    twice, exits 2 with one 'given twice' line and no output, as a space or
+    '=' form and whether the values agree or not: it used to keep the last
+    value, so --degree-cap 99 --degree-cap 12 ran with the cap 12, where
+    --degree-cap 99 alone exits 2.  Given once, each value runs."""
+    positionals = [cli_files[POSITIONALS[name]] for name in cli.COMMANDS[command][1]]
+    value = cli_files.get(ONCE[flag], ONCE[flag])
+    assert run(capsys, command, *positionals, flag, value)[0] == 0
+    for twice in ([flag, value, flag, value], [f"{flag}={value}", flag, "99"]):
+        code, out, err = run(capsys, command, *positionals, *twice)
+        assert code == 2 and not out
+        assert err == f"parse error: {command}: {flag} given twice\n"
 
 
 def test_band_cert_forms_agree(capsys, trefoil_file):

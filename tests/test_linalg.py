@@ -20,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkbound import RealAlgebraic, seifert_matrix_from_braid, signature_function, torus_braid
-from linkbound.linalg import (_eliminate, _generic_run, _integer_symmetric_signature, _pack,
-                              _packed, _unpack, poly_det, poly_rank)
+from linkbound.linalg import (_eliminate, _integer_symmetric_signature, _pack, _packed, _unpack,
+                              poly_det, poly_rank)
 from linkbound.realroots import _nonzero_at
 from linkbound.signature import (_principal_block, _trace_signature_nullity,
                                  pointwise_signature_nullity)
@@ -70,14 +70,13 @@ def _trim(p):
 
 def _run(m, nonzero=bool) -> tuple:
     """(sign, pivots, rows, cols) of the packed kernel on a matrix of
-    integer polynomials, the pivots unpacked to lists: the shared tail
-    _generic_run under the test q != 0, and otherwise _eliminate with a
-    test that reads each nonzero entry unpacked, exact as it is a minor."""
+    integer polynomials, the pivots unpacked to lists: _eliminate under
+    the test q != 0 of the stored integer, as poly_det and poly_rank run
+    it, or else with a test that reads each nonzero entry unpacked, exact
+    as it is a minor."""
     k_bits, packed = _pack(m)
-    if nonzero is bool:
-        sign, pivots, rows, cols = _generic_run(k_bits, packed)
-        return sign, list(map(list, pivots)), list(rows), list(cols)
-    sign, pivots, rows, cols = _eliminate(packed, lambda v: v != 0 and nonzero(_unpack(v, k_bits)))
+    test = bool if nonzero is bool else lambda v: v != 0 and nonzero(_unpack(v, k_bits))
+    sign, pivots, rows, cols = _eliminate(packed, test)
     return sign, [_unpack(p, k_bits) for p in pivots], rows, cols
 
 
@@ -500,7 +499,10 @@ def test_packing_from_v_matches_the_eager_kernel(data):
     assert (k_bits, rows) == _pack(form)
     assert [[_unpack(e, k_bits) for e in row] for row in rows] == form
     sign, pivots, rows, cols = bareiss_reference._bareiss(form)
-    assert data._run == (sign, tuple(map(tuple, pivots)), tuple(rows), tuple(cols))
+    run = data._run
+    assert (run.sign, run.pivots, run.rows, run.cols) == (
+        sign, tuple(map(tuple, pivots)), tuple(rows), tuple(cols))
+    assert run.v is data.matrix
 
 
 def test_banded_elimination_rewrites_only_the_band():

@@ -22,7 +22,7 @@ from linkbound import (BraidWord, CirclePoint, LaurentPoly, RealAlgebraic, Seife
                        units_equal)
 from linkbound import linalg, polys, realroots, signature
 from linkbound.factor import _rational_root_split
-from linkbound.linalg import _generic_run, _pack, _unpack, poly_det
+from linkbound.linalg import _eliminate, _pack, _unpack, poly_det
 from linkbound.signature import _minor_x
 
 import bareiss_reference
@@ -1230,7 +1230,7 @@ def _family_route(data):
     v, n = data.matrix, data.size
     dense = [[polys.trim([-v[j][i], v[i][j] + v[j][i], -v[i][j]]) for j in range(n)]
              for i in range(n)]
-    block = _generic_run(*_pack(dense))[2]
+    block = tuple(_eliminate(_pack(dense)[1])[2])
     minors = [sympy_det([[dense[i][j] for j in block[:k]] for i in block[:k]])
               for k in range(1, len(block) + 1)]
     return block, [LaurentPoly.from_dense(p, -k) for k, p in enumerate(minors, 1)]
@@ -1445,15 +1445,24 @@ def test_torus_link_construction_resumes_one_run_at_one(monkeypatch, p, q, stop)
 def test_copies_and_pickles_keep_the_run(monkeypatch, data):
     """copy, deepcopy and pickle keep the elimination that the constructor
     ran, so a clone runs the kernel only as the report on a fresh equal
-    SeifertData does after its construction, and reports the same."""
+    SeifertData does after its construction, and reports the same.  The
+    clone's run has the fields of the original's, and its ranks at t = 1
+    and at the roots of det B_I, asked twice, equal the original's."""
     calls = count_eliminations(monkeypatch)
     fresh = cold(data)
     built = len(calls)
     report = assemble_report(fresh).to_json()
     after = calls[built:]
+    tests = [sum] + [signature._nonzero_at(root)
+                     for root, _ in signature._jump_structure(fresh)[2]]
+    ranks = data._run.ranks_at(tests)
+    assert data._run.ranks_at(tests) == ranks
+    fields = ("sign", "pivots", "rows", "cols", "v")
     for clone in (copy.copy(data), copy.deepcopy(data), pickle.loads(pickle.dumps(data))):
-        assert clone == data and clone._run == data._run and not clone._derived
+        assert clone == data and not clone._derived
+        assert [getattr(clone._run, f) for f in fields] == [getattr(data._run, f) for f in fields]
         calls.clear()
         assert assemble_report(clone).to_json() == report
         assert calls == after
+        assert clone._run.ranks_at(tests) == clone._run.ranks_at(tests) == ranks
 
