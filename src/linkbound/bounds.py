@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import reprlib
 
-from .braids import SeifertData, _check_integer, _check_integers, _json_int, _Value
+from .braids import SeifertData, _check_integer, _check_integers, _json_int, _json_keys, _Value
 from .errors import InconsistentBounds, InvalidSeifertData, ParseError
-from .factor import DEFAULT_DEGREE_CAP, FoxMilnorResult, check_degree_cap, fox_milnor_test
+from .factor import FoxMilnorResult, fox_milnor_test
 from .laurent import LaurentPoly
 from .signature import (CirclePoint, SignatureFunction, alexander_from_seifert,
                         link_nullity, signature_function)
@@ -89,7 +89,10 @@ class BoundReport(_Value):
 
     @classmethod
     def from_json(cls, obj: dict) -> "BoundReport":
+        """The report that to_json wrote; ParseError on a malformed one,
+        or on a key that to_json does not write."""
         try:
+            _json_keys(obj, (*cls._fields, "exact"), "bound report")
             upper = obj.get("upper")
             fields = dict(
                 lower=_json_int(obj["lower"], "lower"),
@@ -97,7 +100,8 @@ class BoundReport(_Value):
                 slice_verdict=str(obj.get("slice_verdict", INCONCLUSIVE)),
                 provenance=tuple(Provenance(p["bound"], _json_int(p["value"], "provenance value"),
                                             str(p["source"]))
-                                 for p in obj.get("provenance", ())),
+                                 for p in (_json_keys(e, Provenance._fields, "provenance entry")
+                                           for e in obj.get("provenance", ()))),
                 assumptions=tuple(str(a) for a in obj.get("assumptions", ())),
                 components=_json_int(obj.get("components", 1), "components"))
         except ParseError:
@@ -155,7 +159,10 @@ class InfectionDecl(_Value):
 
     @classmethod
     def from_json(cls, obj: dict) -> "InfectionDecl":
+        """The declaration that to_json wrote; ParseError on a malformed
+        one, or on a key that to_json does not write."""
         try:
+            _json_keys(obj, cls._fields, "infection declaration")
             fields = dict(
                 axes=_json_int(obj["axes"], "axes"),
                 linking_numbers=tuple(tuple(_json_int(v, "linking number") for v in row)
@@ -246,14 +253,13 @@ class SliceObstruction(_Value):
         super().__init__(verdict, fox_milnor, signature_bound)
 
 
-def slice_obstruction(data: SeifertData,
-                      degree_cap: int = DEFAULT_DEGREE_CAP) -> SliceObstruction:
+def slice_obstruction(data: SeifertData) -> SliceObstruction:
     """Slice obstruction for a knot: Fox-Milnor on the Alexander
     polynomial, with a positive signature lower bound reported as an
     independent obstruction when it fires."""
     if data.components != 1:
         raise InvalidSeifertData("slice obstruction implemented for knots only")
-    fm = fox_milnor_test(alexander_from_seifert(data), degree_cap)
+    fm = fox_milnor_test(alexander_from_seifert(data))
     bound, _ = lt_lower_bound(data)
     return SliceObstruction(_slice_verdict(fm, bound), fm, bound)
 
@@ -314,8 +320,7 @@ def _carried(base: BoundReport, bound: str, prefix: str, value, source: str) -> 
     return carried or ([] if value is None else [Provenance(bound, value, source)])
 
 
-def assemble_report(data: SeifertData, certs=(),
-                    degree_cap: int = DEFAULT_DEGREE_CAP) -> BoundReport:
+def assemble_report(data: SeifertData, certs=()) -> BoundReport:
     """One certified report: the signature lower bound against the minimum
     of the available upper bounds, plus the slice verdict.
 
@@ -325,10 +330,8 @@ def assemble_report(data: SeifertData, certs=(),
     circle) and the slice verdict is only the signature obstruction.
     The signature function, beta and Delta are each computed once; a
     knot's Fox-Milnor test runs only when the signature bound is 0, since
-    a positive bound already obstructs sliceness.  A degree cap above
-    MAX_DEGREE_CAP raises DegreeCapError, for links too.
+    a positive bound already obstructs sliceness.
     """
-    check_degree_cap(degree_cap)
     m = data.components
     f = signature_function(data)
     beta = link_nullity(data)
@@ -355,7 +358,7 @@ def assemble_report(data: SeifertData, certs=(),
                 f"{cert.resulting_unlink_components}-component unlink "
                 f"(user-supplied, not verified)")
         verdict = OBSTRUCTED if lower > 0 else \
-            _slice_verdict(fox_milnor_test(delta, degree_cap), lower)
+            _slice_verdict(fox_milnor_test(delta), lower)
     else:
         if certs:
             raise InvalidSeifertData(

@@ -348,11 +348,22 @@ def _json_int(value, what: str) -> int:
     raise ParseError(f"{what} must be an integer, got {reprlib.repr(value)}")
 
 
+def _json_keys(obj, keys: tuple[str, ...], what: str) -> dict:
+    """obj when it is a JSON object whose keys are all among `keys`; else
+    ParseError, naming the first other key, which would be ignored unread."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{what} must be a JSON object")
+    for key in obj:
+        if key not in keys:
+            raise ParseError(f"{what}: unknown key {reprlib.repr(key)}")
+    return obj
+
+
 def braid_from_json(obj) -> BraidWord:
     if isinstance(obj, str):
         return parse_braid(obj)
     if isinstance(obj, dict):
-        word = obj.get("word", [])
+        word = _json_keys(obj, ("strands", "word"), "braid").get("word", [])
         if "strands" not in obj or not isinstance(word, list):
             raise ParseError("bad braid object: it needs 'strands' and a 'word' list")
         return BraidWord(_json_int(obj["strands"], "strands"),
@@ -361,10 +372,11 @@ def braid_from_json(obj) -> BraidWord:
 
 
 def _braid_field(obj: dict) -> BraidWord | None:
-    """The braid an input object holds, or None; ParseError where it also
-    holds seifert_matrix, components or label, which the braid would drop:
-    a braid input is labelled by its braid text."""
-    if "braid" not in obj:
+    """The braid an input object holds, or None; ParseError on a key that
+    is not one of an input's, or where it holds a braid and also
+    seifert_matrix, components or label, which the braid would drop: a
+    braid input is labelled by its braid text."""
+    if "braid" not in _json_keys(obj, ("braid", "seifert_matrix", "components", "label"), "input"):
         return None
     if "seifert_matrix" in obj or "components" in obj or "label" in obj:
         raise ParseError('an input holds "braid", or "seifert_matrix" with "components" and '

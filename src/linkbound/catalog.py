@@ -13,10 +13,10 @@ from __future__ import annotations
 import reprlib
 
 from .bounds import assemble_report
-from .braids import (BraidWord, SeifertData, _braid_field, _json_int, _Value, connected_sum,
-                     seifert_data_from_json, seifert_matrix_from_braid, torus_braid)
+from .braids import (BraidWord, SeifertData, _braid_field, _json_int, _json_keys, _Value,
+                     connected_sum, seifert_data_from_json, seifert_matrix_from_braid,
+                     torus_braid)
 from .errors import ParseError
-from .factor import DEFAULT_DEGREE_CAP
 from .laurent import laurent_from_json, units_equal
 from .signature import alexander_from_seifert, signature_function
 
@@ -35,15 +35,14 @@ class CatalogEntry(_Value):
     @classmethod
     def from_json(cls, obj: dict) -> "CatalogEntry":
         """An entry {name, input, expected}; ParseError unless the entry, its
-        input and its expected values are objects, max_abs_sigma is an
-        integer, g4 a pair of integers or nulls and alexander a Laurent
-        polynomial."""
-        if not isinstance(obj, dict) or "name" not in obj or "input" not in obj:
-            raise ParseError("catalog entry must be an object with name and input")
+        input and its expected values are objects with no other keys,
+        max_abs_sigma is an integer, g4 a pair of integers or nulls and
+        alexander a Laurent polynomial."""
+        if "name" not in _json_keys(obj, cls._fields, "catalog entry") or "input" not in obj:
+            raise ParseError("catalog entry needs name and input")
         inp, expected = obj["input"], obj.get("expected")
-        if not isinstance(inp, dict) or not isinstance(expected, (dict, type(None))):
-            raise ParseError("catalog entry input and expected must be objects")
-        expected = expected or {}
+        expected = _json_keys({} if expected is None else expected,
+                              ("alexander", "max_abs_sigma", "g4"), "expected")
         if "max_abs_sigma" in expected:
             _json_int(expected["max_abs_sigma"], "max_abs_sigma")
         g4 = expected.get("g4", [None, None])
@@ -97,7 +96,7 @@ def load_catalog(obj) -> list[CatalogEntry]:
     return [CatalogEntry.from_json(e) for e in obj]
 
 
-def verify_entry(entry: CatalogEntry, degree_cap: int = DEFAULT_DEGREE_CAP) -> tuple[bool, str]:
+def verify_entry(entry: CatalogEntry) -> tuple[bool, str]:
     """Regression-check one entry's expected values; returns (ok, message)."""
     data = entry.seifert_data()
     expected = entry.expected or {}
@@ -114,7 +113,7 @@ def verify_entry(entry: CatalogEntry, degree_cap: int = DEFAULT_DEGREE_CAP) -> t
                 f"max|sigma|: expected {expected['max_abs_sigma']} got {got_sigma}")
     if "g4" in expected:
         lo, hi = expected["g4"]
-        report = assemble_report(data, degree_cap=degree_cap)
+        report = assemble_report(data)
         if report.lower != lo:
             problems.append(f"g4 lower: expected {lo} got {report.lower}")
         if report.upper != hi:
@@ -124,5 +123,5 @@ def verify_entry(entry: CatalogEntry, degree_cap: int = DEFAULT_DEGREE_CAP) -> t
     return True, "ok"
 
 
-def verify_catalog(entries, degree_cap: int = DEFAULT_DEGREE_CAP) -> list[tuple[str, bool, str]]:
-    return [(e.name, *verify_entry(e, degree_cap)) for e in entries]
+def verify_catalog(entries) -> list[tuple[str, bool, str]]:
+    return [(e.name, *verify_entry(e)) for e in entries]

@@ -19,8 +19,7 @@ from types import SimpleNamespace
 from .bounds import BandCertificate, BoundReport, InfectionDecl, assemble_report, \
     band_certificate_genus, infection_transfer
 from .catalog import builtin_catalog, load_catalog, verify_catalog
-from .errors import DegreeCapError, InconsistentBounds, InvalidSeifertData, ParseError
-from .factor import DEFAULT_DEGREE_CAP, check_degree_cap
+from .errors import InconsistentBounds, InvalidSeifertData, ParseError
 from .laurent import format_laurent, laurent_to_json
 from .signature import (alexander_from_seifert, float_oracle, link_nullity,
                         signature_function)
@@ -86,8 +85,7 @@ def _parse_band_certs(raw) -> list[BandCertificate]:
 
 def cmd_bound(args) -> int:
     data = _load_seifert(args.input)
-    report = assemble_report(data, _parse_band_certs(args.band_cert),
-                             degree_cap=args.degree_cap)
+    report = assemble_report(data, _parse_band_certs(args.band_cert))
     _emit(report.to_json(), args.json_indent)
     return EXIT_OK
 
@@ -115,7 +113,6 @@ def cmd_signature_csv(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    check_degree_cap(args.degree_cap)
     path = args.catalog or os.environ.get("LINKBOUND_CATALOG")
     if path:
         entries = load_catalog(_load_json(path))
@@ -125,7 +122,7 @@ def cmd_verify(args) -> int:
         print("warning: empty catalog, nothing to verify", file=sys.stderr)
         print("verified 0 catalog entries")
         return EXIT_OK
-    results = verify_catalog(entries, degree_cap=args.degree_cap)
+    results = verify_catalog(entries)
     failures = 0
     for name, ok, message in results:
         if ok:
@@ -165,18 +162,17 @@ def _within(flag: str, least, most: int):
 # named once, as a word or through --input.
 INDENT = {"--json-indent": (_within("--json-indent", -math.inf, MAX_JSON_INDENT), 2)}
 INPUT = {"--input": (list, None)}
-CAP = {"--degree-cap": (_decimal, DEFAULT_DEGREE_CAP)}
 COMMANDS = {
     "invariants": (cmd_invariants, ("input",), {**INPUT, **INDENT},
                    "Alexander polynomial, nullity, signature function"),
-    "bound": (cmd_bound, ("input",), {**INPUT, **INDENT, "--band-cert": (list, None), **CAP},
+    "bound": (cmd_bound, ("input",), {**INPUT, **INDENT, "--band-cert": (list, None)},
               "assemble a 4-genus bound report; b,u: b bands to a u-component unlink"),
     "infect": (cmd_infect, ("base_report", "declaration"), INDENT,
                "transfer bounds through a string-link infection declaration"),
     "signature-csv": (cmd_signature_csv, ("input",),
                       {**INPUT, "--samples": (_within("--samples", 0, MAX_SAMPLES), 0)},
                       "emit the signature function as CSV, plus N float-oracle rows"),
-    "verify": (cmd_verify, (), {"--catalog": (str, None), **CAP},
+    "verify": (cmd_verify, (), {"--catalog": (str, None)},
                "run the catalog regression checks (default: $LINKBOUND_CATALOG or built-in)"),
 }
 METAVARS = {str: "PATH", list: "b,u"}  # an integer option reads N
@@ -237,9 +233,6 @@ def main(argv=None) -> int:
         return handler(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except DegreeCapError as e:
-        print(f"invalid --degree-cap: {e}", file=sys.stderr)
         return EXIT_PARSE
     except InconsistentBounds as e:
         print(f"inconsistent bounds: {e}", file=sys.stderr)

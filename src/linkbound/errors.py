@@ -19,7 +19,3 @@ class InvalidSeifertData(LinkboundError, ValueError):
 
 class InconsistentBounds(LinkboundError, ValueError):
     """A certified lower bound exceeds a certified upper bound."""
-
-
-class DegreeCapError(LinkboundError, ValueError):
-    """A Fox-Milnor degree cap above the largest supported one."""

@@ -8,6 +8,11 @@ exponential) search.  Divisor tuples are pruned by the congruence
 g(a) = g(b) mod (a-b), which holds for every integer polynomial and cuts
 the search down to desk scale.  A search takes each point's divisors
 and ranks the points by their number once, for all degrees.
+
+The Fox-Milnor test factors only the odd part of Yun's decomposition
+p = prod s_i^i: a symmetric p has self-reciprocal s_i, so p is
++-t^k f(t) f(1/t) exactly when no irreducible factor of the product P of
+the s_i of odd i is self-reciprocal.  Only deg P is capped.
 """
 
 from __future__ import annotations
@@ -16,14 +21,13 @@ import math
 
 from . import polys
 from .braids import _Value
-from .errors import DegreeCapError, ZeroPolynomialError
+from .errors import ZeroPolynomialError
 from .laurent import LaurentPoly
 
-# The largest Fox-Milnor degree cap.  Kronecker's search is exponential in
-# the degree: factoring Phi_19 (degree 18) takes seconds, and with a cap
-# of 100 the report on T(2,25) does not finish in a minute.
-MAX_DEGREE_CAP = 18
-DEFAULT_DEGREE_CAP = 12
+# The largest degree of the odd part that Fox-Milnor factors.  Kronecker's
+# search is exponential in the degree: factoring Phi_19 (degree 18) takes
+# seconds, and Phi_23 does not finish in a minute.
+_ODD_PART_CAP = 12
 
 
 def _divisors(n: int) -> tuple[int, ...]:
@@ -158,34 +162,37 @@ def _kronecker_factor(p):
     return None
 
 
+def _factor_squarefree(s) -> list[tuple]:
+    """The irreducible factors of one of Yun's square-free factors s: its
+    rational-root linear factors, then Kronecker's splitting of the rest."""
+    rest, found = _rational_root_split(s)
+    stack = [rest] if polys.degree(rest) >= 1 else []
+    while stack:
+        q = stack.pop()
+        g = _kronecker_factor(q)
+        if g is None:
+            found.append(q)
+        else:
+            stack += [g, polys.div_exact(q, g)]
+    return [tuple(f) for f in found]
+
+
 def factor_integer_polynomial(p) -> tuple[int, list[tuple[tuple, int]]]:
     """Complete factorization of a nonzero integer polynomial.
 
     Returns (c, [(factor, multiplicity), ...]) with p = c * prod f^m and
     each factor irreducible over Q, primitive, positive-leading, sorted.
     A coefficient that polys.primitive refuses raises its TypeError.
-    Each of Yun's square-free factors loses its rational roots, and then
-    Kronecker splits what is left; Yun's factors are pairwise coprime, so
-    no irreducible factor is found twice.
+    Each of Yun's square-free factors is factored on its own; Yun's
+    factors are pairwise coprime, so no irreducible factor is found twice.
     """
     prim = polys.primitive(p)
     if not prim:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
     c, prim = polys.primitive_positive(prim)
     c *= polys.content(p)
-    factors = []
-    for sq_factor, mult in polys.squarefree_decomposition(prim):
-        rest, found = _rational_root_split(sq_factor)
-        stack = [rest] if polys.degree(rest) >= 1 else []
-        while stack:
-            q = stack.pop()
-            g = _kronecker_factor(q)
-            if g is None:
-                found.append(q)
-            else:
-                stack += [g, polys.div_exact(q, g)]
-        factors += [(tuple(f), mult) for f in found]
-    return c, sorted(factors)
+    return c, sorted((f, mult) for s, mult in polys.squarefree_decomposition(prim)
+                     for f in _factor_squarefree(s))
 
 
 # -- Fox-Milnor ------------------------------------------------------------
@@ -207,28 +214,20 @@ class FoxMilnorResult(_Value):
         return self.verdict == "passes"
 
 
-def check_degree_cap(degree_cap: int) -> None:
-    """Raise DegreeCapError for a cap below 0 or above MAX_DEGREE_CAP."""
-    if degree_cap < 0:
-        raise DegreeCapError(f"degree cap {degree_cap} is negative")
-    if degree_cap > MAX_DEGREE_CAP:
-        raise DegreeCapError(
-            f"degree cap {degree_cap} exceeds the maximum {MAX_DEGREE_CAP}")
-
-
-def fox_milnor_test(p: LaurentPoly, degree_cap: int = DEFAULT_DEGREE_CAP) -> FoxMilnorResult:
+def fox_milnor_test(p: LaurentPoly) -> FoxMilnorResult:
     """Decide whether p factors as +-t^k f(t) f(1/t) over Z[t, 1/t].
 
     This is the classical necessary condition on the Alexander polynomial
     of a slice knot.  Fast necessary checks (|p(1)| = 1, even width,
-    |p(-1)| a perfect square) run first; the complete decision then
-    factors normalize(p) via Kronecker.  Degrees above `degree_cap` come
-    back "inconclusive"; a cap below 0 or above MAX_DEGREE_CAP raises
-    DegreeCapError.
+    |p(-1)| a perfect square, p symmetric) run first.  Then Yun's
+    decomposition p = prod s_i^i runs once: p passes exactly when no
+    irreducible factor of the odd part P = prod of the s_i of odd i is
+    self-reciprocal, and the witness is prod s_i^(i // 2) times the
+    smaller of each pair f, f* of factors of P.  An odd part of degree
+    above 12 comes back "inconclusive", naming deg P.
     A passing verdict carries a witness f with normalize(f(t) f(1/t)) =
     normalize(p).
     """
-    check_degree_cap(degree_cap)
     if p.is_zero:
         raise ZeroPolynomialError("Fox-Milnor test needs a nonzero polynomial")
     at_one = abs(sum(v for _, v in p.items()))  # |p(1)|, in integers
@@ -241,30 +240,28 @@ def fox_milnor_test(p: LaurentPoly, degree_cap: int = DEFAULT_DEGREE_CAP) -> Fox
     if math.isqrt(at_minus_one) ** 2 != at_minus_one:
         return FoxMilnorResult(
             "fails", reason=f"|p(-1)| = {at_minus_one} is not a perfect square")
-    if q.width() > degree_cap:
-        return FoxMilnorResult(
-            "inconclusive", reason=f"degree {q.width()} exceeds cap {degree_cap}")
+    if q.involution().normalize() != q:
+        return FoxMilnorResult("fails", reason="not symmetric: p(1/t) is not p(t) up to units")
 
-    _, dense = q.to_dense()
-    _, factors = factor_integer_polynomial(dense)
-    mults = dict(factors)
-    witness = LaurentPoly.one()
-    # One rule in sorted order: a self-reciprocal factor needs an even
-    # power, and half of it enters the witness; any other factor needs its
-    # reciprocal to the same power, and the smaller of the two enters.
-    for f, mult in factors:
+    # Yun's decomposition is unique, so each s_i of a symmetric p is
+    # self-reciprocal: s_i^(i // 2) enters the witness whole, and a factor
+    # f of an odd s_i pairs with its reciprocal f*, a factor of that s_i.
+    witness, odd = LaurentPoly.one(), []
+    for s, i in polys.squarefree_decomposition(q.to_dense()[1]):
+        witness = witness * LaurentPoly.from_dense(s) ** (i // 2)
+        if i % 2:
+            odd.append((s, i))
+    odd_degree = sum(polys.degree(s) for s, _ in odd)
+    if odd_degree > _ODD_PART_CAP:
+        return FoxMilnorResult(
+            "inconclusive", reason=f"degree {odd_degree} exceeds cap {_ODD_PART_CAP}")
+    for f, i in sorted((f, i) for s, i in odd for f in _factor_squarefree(s)):
         rev = _reversed_factor(f)
         if rev == f:
-            if mult % 2 != 0:
-                return FoxMilnorResult(
-                    "fails",
-                    reason=f"self-reciprocal factor {list(f)} has odd multiplicity {mult}")
-            witness = witness * LaurentPoly.from_dense(f) ** (mult // 2)
-        elif mults.get(rev) != mult:
             return FoxMilnorResult(
-                "fails", reason=f"factor {list(f)} does not pair with its reciprocal")
-        elif f < rev:
-            witness = witness * LaurentPoly.from_dense(f) ** mult
+                "fails", reason=f"self-reciprocal factor {list(f)} has odd multiplicity {i}")
+        if f < rev:
+            witness = witness * LaurentPoly.from_dense(f)
     product = witness * witness.involution()
     if product.normalize() != q:
         # The +-t^k unit absorbs signs, so this should never trigger.

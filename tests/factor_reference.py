@@ -10,6 +10,9 @@ integrality guard, which an integer-only LaurentPoly made dead; the
 Kronecker search and the rational-root split are the library's.
 rational_root_split is the split as it stood before a quadratic was
 read off its discriminant: a divisor search at every degree above 1.
+fox_milnor_test factors the whole polynomial behind a cap on its width,
+checked by check_degree_cap, a copy of the library's check as it stood
+before the cap became one constant on the degree of the odd part.
 """
 
 from __future__ import annotations
@@ -19,8 +22,17 @@ import math
 from linkbound import polys
 from linkbound.errors import ZeroPolynomialError
 from linkbound.factor import (FoxMilnorResult, _divisors, _kronecker_factor,
-                              _rational_root_split, _reversed_factor, check_degree_cap)
+                              _rational_root_split, _reversed_factor)
 from linkbound.laurent import LaurentPoly
+
+MAX_DEGREE_CAP = 18
+
+
+def check_degree_cap(degree_cap: int) -> None:
+    if degree_cap < 0:
+        raise ValueError(f"degree cap {degree_cap} is negative")
+    if degree_cap > MAX_DEGREE_CAP:
+        raise ValueError(f"degree cap {degree_cap} exceeds the maximum {MAX_DEGREE_CAP}")
 
 
 def rational_root_split(p) -> tuple[list, list[list]]:

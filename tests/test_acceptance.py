@@ -77,9 +77,9 @@ def test_criterion_5_band_certificate():
 
 def test_criterion_6_fox_milnor():
     with _Timer("criterion 6: Fox-Milnor at degree cap 12", 10.0):
-        res = fox_milnor_test(T35_DELTA * COMPANION_DELTA, degree_cap=12)
+        res = fox_milnor_test(T35_DELTA * COMPANION_DELTA)
         assert res.verdict == "fails"
-        res2 = fox_milnor_test(COMPANION_DELTA, degree_cap=12)
+        res2 = fox_milnor_test(COMPANION_DELTA)
         assert res2.verdict == "passes"
         assert res2.witness == LaurentPoly({1: 1, 0: -2})  # t - 2
 

@@ -529,6 +529,23 @@ def test_seifert_data_from_json_errors():
             seifert_data_from_json(obj)
 
 
+@pytest.mark.parametrize("obj, message", [
+    ({"seifert_matrix": [[-1, 1], [0, -1]], "componets": 3}, "input: unknown key 'componets'"),
+    ({"seifert_matrix": [[-1, 1], [0, -1]], "lable": "T"}, "input: unknown key 'lable'"),
+    ({"braid": "strands=2; 1 1 1", "Braid": "strands=2; 1"}, "input: unknown key 'Braid'"),
+    ({"braid": {"strands": 2, "word": [1, 1, 1], "words": [1]}}, "braid: unknown key 'words'"),
+    ({"braid": {"strands": 2, "wrod": [1, 1, 1]}}, "braid: unknown key 'wrod'"),
+    ({"seifert_matrix": [[-1, 1], [0, -1]], "x" * 100000: 1}, "input: unknown key 'xxxxx"),
+], ids=["components", "label", "case", "words", "word", "long"])
+def test_seifert_data_from_json_refuses_unknown_keys(obj, message):
+    """A key an input or a braid object does not know is a parse error
+    naming it, shortened by reprlib: {"componets": 3} used to read as a
+    knot, and {"wrod": [...]} as the braid on two strands with no letters."""
+    with pytest.raises(ParseError) as info:
+        seifert_data_from_json(obj)
+    assert str(info.value).startswith(message) and len(str(info.value)) < 100
+
+
 def test_random_knot_data_is_knotlike():
     rng = random.Random(8)
     for _ in range(10):

@@ -109,7 +109,7 @@ def test_cached_parser_keeps_no_state(capsys, trefoil_file):
     obj = json.loads(out)
     assert code == 0 and obj["assumptions"] == []
     assert not any("band" in p["source"] for p in obj["provenance"])
-    code, out, _ = run(capsys, "bound", trefoil_file, "--degree-cap", "19")
+    code, out, _ = run(capsys, "bound", trefoil_file, "--json-indent", "65")
     assert code == 2 and not out
     code, out, _ = run(capsys, "bound", trefoil_file)
     assert code == 0 and json.loads(out) == obj
@@ -270,26 +270,6 @@ def test_huge_split_braid_exit_code(capsys, tmp_path):
     assert len(err) < 300
 
 
-@pytest.mark.parametrize("command", ["bound", "verify"])
-def test_degree_cap_above_18_exit_code(capsys, trefoil_file, command):
-    args = [command, trefoil_file] if command == "bound" else [command]
-    code, out, err = run(capsys, *args, "--degree-cap", "19")
-    assert code == 2 and not out
-    assert err.count("\n") == 1 and "exceeds the maximum 18" in err
-
-
-@pytest.mark.parametrize("command", ["bound", "verify"])
-def test_negative_degree_cap_exit_code(capsys, tmp_path, command):
-    """A negative cap is refused like one above 18: on the square knot it
-    used to give "inconclusive" with exit 0."""
-    path = tmp_path / "square.json"
-    path.write_text(json.dumps({"braid": {"strands": 3, "word": [1, 1, 1, -2, -2, -2]}}))
-    args = [command, str(path)] if command == "bound" else [command]
-    code, out, err = run(capsys, *args, "--degree-cap=-1")
-    assert code == 2 and not out
-    assert err.count("\n") == 1 and "negative" in err
-
-
 def test_python_m_linkbound(trefoil_file):
     """python -m linkbound runs the CLI, exit codes included."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -298,9 +278,10 @@ def test_python_m_linkbound(trefoil_file):
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["lower"] == 1
-    done = subprocess.run([sys.executable, "-m", "linkbound", "verify", "--degree-cap", "99"],
+    done = subprocess.run([sys.executable, "-m", "linkbound", "signature-csv", trefoil_file,
+                           "--samples", "10001"],
                           capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 2 and "degree cap" in done.stderr
+    assert done.returncode == 2 and "exceeds the maximum 10000" in done.stderr
 
 
 @pytest.mark.parametrize("imports, modules", [
@@ -349,12 +330,12 @@ def cli_files(tmp_path, trefoil_file, monkeypatch):
     ("invariants K --json-indent 0", 0),
     ("bound K", 0), ("bound --input K", 0), ("bound K --json-indent=4", 0),
     ("bound K --band-cert 3,2", 0), ("bound K --band-cert=3,2 --band-cert 5,2", 0),
-    ("bound --degree-cap 10 K", 0), ("bound K --degree-cap=10 --json-indent -1", 0),
+    ("bound --json-indent 10 K", 0), ("bound K --json-indent=10 --band-cert 3,2", 0),
     ("signature-csv K", 0), ("signature-csv K --samples 3", 0),
     ("signature-csv K --samples 10000", 0), ("signature-csv K --samples 0", 0),
     ("invariants K --json-indent -1", 0),
     ("signature-csv --samples=2 --input K", 0),
-    ("verify --catalog C", 0), ("verify --catalog=C --degree-cap 12", 0),
+    ("verify --catalog C", 0), ("verify --catalog=C", 0),
     ("infect R D", 0), ("infect R D --json-indent 0", 0),
     ("-h", 0), ("--help", 0), ("bound -h", 0), ("verify --catalog C --help", 0),
     ("infect ./-R.json D", 0), ("bound ./-K.json", 0), ("bound --input=-K.json", 0),
@@ -362,21 +343,22 @@ def cli_files(tmp_path, trefoil_file, monkeypatch):
     ("", 2), ("nosuch K", 2), ("--json-indent 2 bound K", 2), ("-x", 2),
     ("bound", 2), ("invariants --json-indent 0", 2), ("infect R", 2), ("infect", 2),
     ("bound K K", 2), ("infect R D D", 2), ("verify K", 2),
-    ("bound K --no-such-flag", 2), ("bound K -x", 2), ("bound K --degree 5", 2),
+    ("bound K --no-such-flag", 2), ("bound K -x", 2), ("bound K --json 5", 2),
     ("invariants K --band-cert 3,2", 2), ("infect R D --input K", 2),
-    ("bound K --degree-cap", 2), ("verify --catalog", 2), ("bound K --json-indent", 2),
-    ("bound K --degree-cap x", 2), ("bound K --json-indent=1.5", 2),
-    ("signature-csv K --samples many", 2), ("bound K --degree-cap=", 2),
+    ("signature-csv K --samples", 2), ("verify --catalog", 2), ("bound K --json-indent", 2),
+    ("bound K --json-indent x", 2), ("bound K --json-indent=1.5", 2),
+    ("signature-csv K --samples many", 2), ("bound K --json-indent=", 2),
     ("signature-csv K --samples 10001", 2), ("signature-csv K --samples=1000000000", 2),
     ("signature-csv K --samples -5", 2), ("signature-csv K --samples=-1", 2),
     ("verify --catalog -h", 2), ("bound K --band-cert --help", 2), ("bound -- K", 2),
     ("infect -R.json D", 2), ("bound -K.json", 2),
-    ("bound K --degree-cap 1_2", 2), ("bound K --degree-cap=+12", 2),
+    ("bound K --json-indent 1_2", 2), ("signature-csv K --samples=+12", 2),
     ("bound K --json-indent ２", 2), ("signature-csv K --samples 1_0", 2),
     ("bound K --band-cert 1_0,1", 2), ("bound K --band-cert 3,+2", 2),
     ("bound K --band-cert=3,２", 2),
     ("signature-csv --samples=2 --input K --json-indent 0", 2),
-    ("verify --catalog=C --degree-cap 12 --json-indent 0", 2), ("verify --json-indent 0", 2),
+    ("verify --catalog=C --json-indent 0", 2), ("verify --json-indent 0", 2),
+    ("bound K --degree-cap 12", 2), ("verify --degree-cap=12", 2),
     ("bound K --input K", 2), ("bound --input K --input=K", 2), ("invariants --input K K", 2),
     ("signature-csv K --input=-K.json", 2),
 ])
@@ -391,7 +373,8 @@ def test_command_line_forms(capsys, cli_files, argv, expected):
     --json-indent, which they used to accept and ignore.  An integer
     option and each number of --band-cert are an optional '-' and ASCII
     digits, where int() would also read '1_2', '+12' and other scripts'
-    digits."""
+    digits.  The Fox-Milnor cap is a constant: --degree-cap is an unknown
+    option."""
     def fill(token):
         head, eq, tail = token.rpartition("=")
         return head + eq + cli_files.get(tail, tail)
@@ -405,7 +388,7 @@ def test_command_line_forms(capsys, cli_files, argv, expected):
 
 
 # a valid value of every option that is not a list option
-ONCE = {"--json-indent": "2", "--degree-cap": "12", "--samples": "1", "--catalog": "C"}
+ONCE = {"--json-indent": "2", "--samples": "1", "--catalog": "C"}
 POSITIONALS = {"input": "K", "base_report": "R", "declaration": "D"}
 
 
@@ -416,8 +399,9 @@ def test_an_option_given_twice_exits_2(capsys, cli_files, command, flag):
     """Every option but the list options --band-cert and --input, given
     twice, exits 2 with one 'given twice' line and no output, as a space or
     '=' form and whether the values agree or not: it used to keep the last
-    value, so --degree-cap 99 --degree-cap 12 ran with the cap 12, where
-    --degree-cap 99 alone exits 2.  Given once, each value runs."""
+    value, so a refused value followed by a valid one ran with the valid
+    one, where the refused value alone exits 2.  Given once, each value
+    runs."""
     positionals = [cli_files[POSITIONALS[name]] for name in cli.COMMANDS[command][1]]
     value = cli_files.get(ONCE[flag], ONCE[flag])
     assert run(capsys, command, *positionals, flag, value)[0] == 0
@@ -614,6 +598,45 @@ def test_verify_malformed_catalog_exit_code(capsys, tmp_path, catalog):
     code, out, err = run(capsys, "verify", "--catalog", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
+FULL_REPORT = {"lower": 1, "upper": 1, "exact": True, "slice_verdict": "obstructed",
+               "provenance": [{"bound": "lower", "value": 1, "source": "s"}],
+               "assumptions": [], "components": 1}
+
+
+@pytest.mark.parametrize("command, obj, key", [
+    ("verify", [dict(TREFOIL_ENTRY, expected={"max_abs_sigmaa": 7, "alexandre": {"0": 5}})],
+     "max_abs_sigmaa"),
+    ("verify", [dict(TREFOIL_ENTRY, expect={"max_abs_sigma": 7})], "expect"),
+    ("verify", [dict(TREFOIL_ENTRY, input={"braid": "strands=2; 1 1 1", "lable": "T"})], "lable"),
+    ("infect", dict(REPORT, uper=1), "uper"),
+    ("infect", dict(FULL_REPORT, provenance=[{"bound": "lower", "value": 1, "source": "s",
+                                              "sorce": "t"}]), "sorce"),
+    ("infect-declaration", dict(DECLARATION, double_point=3), "double_point"),
+    ("bound", {"seifert_matrix": [[-1, 1], [0, -1]], "componets": 3}, "componets"),
+    ("bound", {"braid": {"strands": 2, "word": [1, 1, 1], "wrod": [1]}}, "wrod"),
+], ids=["expected", "entry", "entry input", "report", "provenance", "declaration", "input",
+        "braid"])
+def test_unknown_json_keys_exit_2(capsys, tmp_path, command, obj, key):
+    """Each JSON object the CLI reads refuses a key it does not know with
+    one parse error naming the key, exit 2: a misspelt key was ignored, so
+    a catalog entry checked nothing and passed, a report lost its upper
+    bound and a misspelt "components" read as a knot.  A report with
+    every key that to_json writes transfers."""
+    path = tmp_path / "obj.json"
+    path.write_text(json.dumps(obj))
+    good = {"report": tmp_path / "report.json", "declaration": tmp_path / "declaration.json"}
+    good["report"].write_text(json.dumps(FULL_REPORT))
+    good["declaration"].write_text(json.dumps(DECLARATION))
+    assert run(capsys, "infect", str(good["report"]), str(good["declaration"]))[0] == 0
+    argv = {"verify": ["verify", "--catalog", str(path)],
+            "infect": ["infect", str(path), str(good["declaration"])],
+            "infect-declaration": ["infect", str(good["report"]), str(path)],
+            "bound": ["bound", str(path)]}[command]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"unknown key {key!r}\n") and err.count("\n") == 1
 
 
 BIG = "x" * 100000

@@ -9,11 +9,13 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from linkbound import LaurentPoly, SeifertData, ZeroPolynomialError, assemble_report, \
-    connected_sum, factor_integer_polynomial, fox_milnor_test, signature_function
+from linkbound import BraidWord, LaurentPoly, SeifertData, ZeroPolynomialError, \
+    alexander_from_seifert, assemble_report, connected_sum, factor_integer_polynomial, \
+    fox_milnor_test, seifert_matrix_from_braid, signature_function, torus_braid
 from linkbound import factor, polys
 from linkbound.factor import _interpolate_integer
 
+import burau_reference
 import factor_reference
 from laurent_reference import laurent_value
 
@@ -189,9 +191,58 @@ def test_fox_milnor_odd_width_fails_fast():
     assert fox_milnor_test(p).verdict == "fails"
 
 
+def _assert_witness(res, p):
+    """res passes p with a witness w: normalize(w(t) w(1/t)) = normalize(p)."""
+    assert res.verdict == "passes", res.reason
+    w = res.witness
+    assert (w * w.involution()).normalize() == p.normalize()
+
+
 def test_fox_milnor_degree_cap():
-    res = fox_milnor_test(PHI15 * COMPANION, degree_cap=6)
-    assert res.verdict == "inconclusive"
+    """The cap of 12 bounds the degree of the odd part of Yun's
+    decomposition, not the width: f f* for an irreducible f of degree 7
+    with f(1) = -1 is square-free, so its odd part has degree 14 and the
+    verdict is inconclusive, naming 14; Phi_15^2 has width 16 and an odd
+    part of degree 0, and passes with witness Phi_15, where a cap on the
+    width left it inconclusive."""
+    f = LaurentPoly({7: 1, 1: -1, 0: -1})  # t^7 - t - 1
+    res = fox_milnor_test(f * f.involution())
+    assert (res.verdict, res.reason) == ("inconclusive", "degree 14 exceeds cap 12")
+    square = PHI15 * PHI15
+    res = fox_milnor_test(square)
+    assert square.width() == 16
+    _assert_witness(res, square)
+    assert res.witness == PHI15
+
+
+def test_fox_milnor_refuses_a_polynomial_that_is_not_symmetric():
+    """+-t^k f(t) f(1/t) is symmetric, so a p that passes the three
+    checks on its values but is not symmetric fails with its own reason,
+    before any factoring, whatever its width."""
+    for p in (LaurentPoly({0: 2, 1: -4, 2: 3}),  # 2 - 4t + 3t^2: |p(1)| = 1, |p(-1)| = 9
+              LaurentPoly({0: 2, 1: -4, 2: 3}) ** 9):
+        res = fox_milnor_test(p)
+        assert (res.verdict, res.reason) == (
+            "fails", "not symmetric: p(1/t) is not p(t) up to units")
+
+
+def test_fox_milnor_passes_t361_sum_mirror():
+    """T(3,61) # -T(3,61), the closure of (s1 s2)^61 (s3^-1 s4^-1)^61 on
+    five strands: its Burau Delta is Delta_{T(3,61)}^2 up to units, of
+    width 240, and Fox-Milnor passes it with a valid witness within 10 ms
+    (least of three calls), where a cap on the width of 12 to 18 left it
+    inconclusive."""
+    dense = burau_reference.burau_alexander(BraidWord(5, (1, 2) * 61 + (-3, -4) * 61))
+    delta = LaurentPoly.from_dense(list(dense))
+    knot = alexander_from_seifert(seifert_matrix_from_braid(torus_braid(3, 61)))
+    assert delta.normalize() == (knot * knot).normalize() and delta.width() == 240
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        res = fox_milnor_test(delta)
+        times.append(time.perf_counter() - start)
+        _assert_witness(res, delta)
+    assert min(times) < 0.01, times
 
 
 def test_fox_milnor_zero_rejected():
@@ -249,15 +300,70 @@ def factored_products(draw):
 @example((polys.mul(polys.mul([1, -1, -1], [-1, -1, 1]), [1, 0, -1, 0, 1]), 2))
 def test_one_factorization_pass_matches_the_merge(case):
     """factor_integer_polynomial, which factors each Yun factor in one
-    loop, and fox_milnor_test, which pairs factors by one rule over the
-    sorted list, give the factor list, verdict, reason and witness of
-    the merge and the consumed-factor walk they replaced
-    (tests/factor_reference.py)."""
+    loop, gives the factor list of the merge it replaced, and
+    fox_milnor_test, which factors only the odd part of Yun's
+    decomposition, gives the verdict of the consumed-factor walk
+    (tests/factor_reference.py) wherever that decides, and its reason
+    too where p is symmetric; a passing witness w has
+    normalize(w(t) w(1/t)) = normalize(p)."""
     p, shift = case
     assert factor_integer_polynomial(p) == factor_reference.factor_integer_polynomial(p)
     delta = LaurentPoly.from_dense(p, shift)
     got, want = fox_milnor_test(delta), factor_reference.fox_milnor_test(delta)
-    assert (got.verdict, got.reason, got.witness) == (want.verdict, want.reason, want.witness)
+    if want.verdict != "inconclusive":
+        assert got.verdict == want.verdict
+        if delta.involution().normalize() == delta.normalize():
+            assert got.reason == want.reason
+    if got.passes:
+        _assert_witness(got, delta)
+
+
+def _unit_at_one(coeffs) -> LaurentPoly:
+    """The polynomial with coefficients coeffs of t, t^2, ..., and the
+    constant term that makes its value at 1 equal 1."""
+    return LaurentPoly(dict(enumerate([1 - sum(coeffs)] + coeffs)))
+
+
+def _palindrome(a: int, b: int) -> LaurentPoly:
+    """a t^4 + b t^3 + c t^2 + b t + a with c = 1 - 2a - 2b: self-reciprocal,
+    1 at t = 1 and 1 - 4b at t = -1, a square for b = 0 and b = -2."""
+    return LaurentPoly({0: a, 1: b, 2: 1 - 2 * a - 2 * b, 3: b, 4: a})
+
+
+@st.composite
+def norm_products(draw):
+    """f f* g^2 h with f(1) = g(1) = h(1) = 1: f of degree 1-3 and not
+    self-reciprocal, g random of degree 0-2 or self-reciprocal of degree
+    at most 4, and h 1 or self-reciprocal of degree at most 4 (Phi_12,
+    t^4 - t^2 + 1, among them); the width is at most 18."""
+    small = st.integers(-3, 3)
+    f = _unit_at_one(draw(st.lists(small, min_size=1, max_size=3)))
+    assume(f.involution().normalize() != f.normalize())
+    if draw(st.booleans()):
+        g = _unit_at_one(draw(st.lists(small, max_size=2)))
+    else:
+        g = _palindrome(draw(small), draw(small))
+    h = LaurentPoly.one()
+    if draw(st.booleans()):
+        h = _palindrome(draw(small), draw(st.sampled_from([0, -2])))
+    return f * f.involution() * g * g * h
+
+
+@settings(max_examples=150, deadline=None)
+@given(norm_products())
+@example(LaurentPoly({0: 1, 1: -1, 2: 1}) ** 3)  # Phi_6^3: |p(-1)| = 27
+@example(LaurentPoly({0: 2, 1: -5, 2: 2}) ** 2 * LaurentPoly({0: 1, 2: -1, 4: 1}))  # Phi_12
+@example(LaurentPoly({0: 2, 1: -5, 2: 2}) * LaurentPoly({0: -1, 2: 3, 4: -1}))  # passes
+def test_fox_milnor_matches_the_uncapped_reference_on_norm_products(p):
+    """The verdict on f f* g^2 h equals the verdict of
+    tests/factor_reference.py, which factors p whole, at its largest cap,
+    18, where it always decides; every passing witness is valid."""
+    got = fox_milnor_test(p)
+    want = factor_reference.fox_milnor_test(p, factor_reference.MAX_DEGREE_CAP)
+    assert want.verdict != "inconclusive"
+    assert got.verdict == want.verdict, (p, got, want)
+    if got.passes:
+        _assert_witness(got, p)
 
 
 @settings(max_examples=300, deadline=None)
