@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import reprlib
 
-from .braids import SeifertData, _check_integer, _check_integers, _json_int, _json_keys, _Value
+from .braids import (SeifertData, _check_integer, _check_integers, _check_list, _check_str,
+                     _json_keys, _Value)
 from .errors import InconsistentBounds, InvalidSeifertData, ParseError
 from .factor import FoxMilnorResult, fox_milnor_test
 from .laurent import LaurentPoly
@@ -33,36 +34,42 @@ class Provenance(_Value):
     _fields = ("bound", "value", "source")
 
     def __init__(self, bound: str, value: int, source: str):
-        value = _check_integer(value, "provenance values")
+        value = _check_integer(value, "provenance value")
         if bound not in ("lower", "upper"):
             raise ParseError(
                 f'provenance bound must be "lower" or "upper", got {reprlib.repr(bound)}')
-        super().__init__(bound, value, source)
+        super().__init__(bound, value, _check_str(source, "provenance source"))
 
     def to_json(self) -> dict:
         return {"bound": self.bound, "value": self.value, "source": self.source}
+
+    @classmethod
+    def from_json(cls, obj) -> "Provenance":
+        """The entry that to_json wrote; a missing field raises TypeError."""
+        return cls(**_json_keys(obj, cls._fields, "provenance entry"))
 
 
 class BoundReport(_Value):
     """Assembled 4-genus bounds with provenance and declared assumptions;
     the bounds (`upper` may be None) and `components` (>= 1) are stored
-    as ints, the provenance entries and assumptions as tuples, and the
-    verdict is OBSTRUCTED, CONSISTENT or INCONCLUSIVE."""
+    as ints, the provenance entries and the assumptions (strings), each
+    given as a list or a tuple, as tuples, and the verdict is OBSTRUCTED,
+    CONSISTENT or INCONCLUSIVE."""
 
     _fields = ("lower", "upper", "slice_verdict", "provenance", "assumptions", "components")
 
     def __init__(self, lower: int, upper: int | None, slice_verdict: str,
                  provenance: tuple[Provenance, ...] = (), assumptions: tuple[str, ...] = (),
                  components: int = 1):
-        what = "bounds and components"
-        lower = _check_integer(lower, what)
-        upper = None if upper is None else _check_integer(upper, what)
-        components = _check_integer(components, what)
+        lower = _check_integer(lower, "lower")
+        upper = None if upper is None else _check_integer(upper, "upper")
+        components = _check_integer(components, "components")
         if components < 1:
             raise ParseError(f"components must be >= 1, got {components}")
         if slice_verdict not in (OBSTRUCTED, CONSISTENT, INCONCLUSIVE):
             raise ParseError(f"unknown slice_verdict {reprlib.repr(slice_verdict)}")
-        provenance = tuple(provenance)
+        provenance = _check_list(provenance, "provenance")
+        assumptions = _check_list(assumptions, "assumptions")
         for p in provenance:
             if not isinstance(p, Provenance):
                 raise ParseError(f"provenance entries must be Provenance, got {type(p).__name__}")
@@ -70,7 +77,8 @@ class BoundReport(_Value):
             raise InconsistentBounds("lower bound must be >= 0")
         if upper is not None and lower > upper:
             raise InconsistentBounds(f"lower bound {lower} exceeds upper bound {upper}")
-        super().__init__(lower, upper, slice_verdict, provenance, tuple(assumptions), components)
+        super().__init__(lower, upper, slice_verdict, provenance,
+                         tuple(_check_str(a, "assumption") for a in assumptions), components)
 
     @property
     def exact(self) -> bool:
@@ -91,24 +99,15 @@ class BoundReport(_Value):
     def from_json(cls, obj: dict) -> "BoundReport":
         """The report that to_json wrote; ParseError on a malformed one,
         or on a key that to_json does not write."""
+        fields = {"upper": None, "slice_verdict": INCONCLUSIVE,
+                  **_json_keys(obj, (*cls._fields, "exact"), "bound report")}
+        fields.pop("exact", None)
         try:
-            _json_keys(obj, (*cls._fields, "exact"), "bound report")
-            upper = obj.get("upper")
-            fields = dict(
-                lower=_json_int(obj["lower"], "lower"),
-                upper=None if upper is None else _json_int(upper, "upper"),
-                slice_verdict=str(obj.get("slice_verdict", INCONCLUSIVE)),
-                provenance=tuple(Provenance(p["bound"], _json_int(p["value"], "provenance value"),
-                                            str(p["source"]))
-                                 for p in (_json_keys(e, Provenance._fields, "provenance entry")
-                                           for e in obj.get("provenance", ()))),
-                assumptions=tuple(str(a) for a in obj.get("assumptions", ())),
-                components=_json_int(obj.get("components", 1), "components"))
-        except ParseError:
-            raise  # already says which field is wrong
-        except (AttributeError, KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"malformed bound report: {reprlib.repr(e)}") from None
-        return cls(**fields)
+            if isinstance(provenance := fields.get("provenance"), list):
+                fields["provenance"] = [Provenance.from_json(p) for p in provenance]
+            return cls(**fields)
+        except TypeError as e:  # a missing field
+            raise ParseError(f"malformed bound report: {e}") from None
 
 
 class InfectionDecl(_Value):
@@ -127,10 +126,12 @@ class InfectionDecl(_Value):
 
     def __init__(self, axes: int, linking_numbers: tuple[tuple[int, ...], ...],
                  double_points: int, milnor_vanishing_length: int, notes: str = ""):
-        what = "axes, double_points and milnor_vanishing_length"
-        axes, double_points, milnor_vanishing_length = (
-            _check_integer(x, what) for x in (axes, double_points, milnor_vanishing_length))
-        lk = tuple(_check_integers(row, "linking numbers") for row in linking_numbers)
+        axes = _check_integer(axes, "axes")
+        double_points = _check_integer(double_points, "double_points")
+        milnor_vanishing_length = _check_integer(milnor_vanishing_length,
+                                                 "milnor_vanishing_length")
+        lk = tuple(_check_integers(_check_list(row, "linking_numbers row"), "linking numbers")
+                   for row in _check_list(linking_numbers, "linking_numbers"))
         if axes < 1:
             raise InvalidSeifertData("infection needs at least one axis")
         if len(lk) != axes:
@@ -142,7 +143,8 @@ class InfectionDecl(_Value):
                 "hypotheses of the infection-transfer theorem not declared: "
                 f"need Milnor vanishing length >= {2 * double_points}, "
                 f"declared {milnor_vanishing_length}")
-        super().__init__(axes, lk, double_points, milnor_vanishing_length, notes)
+        super().__init__(axes, lk, double_points, milnor_vanishing_length,
+                         _check_str(notes, "notes"))
 
     @property
     def all_linking_zero(self) -> bool:
@@ -162,20 +164,9 @@ class InfectionDecl(_Value):
         """The declaration that to_json wrote; ParseError on a malformed
         one, or on a key that to_json does not write."""
         try:
-            _json_keys(obj, cls._fields, "infection declaration")
-            fields = dict(
-                axes=_json_int(obj["axes"], "axes"),
-                linking_numbers=tuple(tuple(_json_int(v, "linking number") for v in row)
-                                      for row in obj["linking_numbers"]),
-                double_points=_json_int(obj["double_points"], "double_points"),
-                milnor_vanishing_length=_json_int(obj["milnor_vanishing_length"],
-                                                  "milnor_vanishing_length"),
-                notes=str(obj.get("notes", "")))
-        except ParseError:
-            raise  # already says which field is wrong
-        except (AttributeError, KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"malformed infection declaration: {reprlib.repr(e)}") from None
-        return cls(**fields)
+            return cls(**_json_keys(obj, cls._fields, "infection declaration"))
+        except TypeError as e:  # a missing field
+            raise ParseError(f"malformed infection declaration: {e}") from None
 
 
 class BandCertificate(_Value):

@@ -39,6 +39,23 @@ def _check_integer(value, what: str, error=ParseError) -> int:
     return operator.index(value)
 
 
+def _check_str(value, what: str, error=ParseError) -> str:
+    """The value when it is a str; anything else raises `error`, where str()
+    would turn a list or a number into text."""
+    if isinstance(value, str):
+        return value
+    raise error(f"{what} must be a string, got {reprlib.repr(value)}")
+
+
+def _check_list(value, what: str) -> tuple:
+    """The value as a tuple when it is a list or a tuple; anything else
+    raises ParseError, where tuple() would read a string by its letters and
+    an object by its keys."""
+    if isinstance(value, (list, tuple)):
+        return tuple(value)
+    raise ParseError(f"{what} must be a list, got {reprlib.repr(value)}")
+
+
 def _check_integers(values, what: str, error=ParseError) -> tuple[int, ...]:
     """_check_integer on each value; the first bad one is named."""
     return tuple(v if type(v) is int else _check_integer(v, what, error) for v in values)
@@ -170,7 +187,8 @@ class SeifertData(_Value):
     """An integer Seifert matrix with its link bookkeeping.
 
     Invariants checked at construction: int or __index__ entries and
-    component count (no float, Fraction, str or bool), stored as ints;
+    component count (no float, Fraction, str or bool), stored as ints; a
+    str label;
     size n = 2g + m - 1 for the derived genus g; V - V^T of rank 2g over
     Q, and unimodular for knots (m = 1).  Both are read at t = 1, where
     evaluation commutes with every minor, off the elimination of tV - V^T
@@ -206,7 +224,7 @@ class SeifertData(_Value):
             raise InvalidSeifertData(f"no genus fits size {n} with {m} components")
         v = (tuple(map(tuple, matrix)) if ints is None
              else tuple(ints[1 + i * n:1 + (i + 1) * n] for i in range(n)))
-        super().__init__(v, m, label)
+        super().__init__(v, m, _check_str(label, "label", InvalidSeifertData))
         run = linalg._Run(v)
         pivots, r = run.pivots, len(run.pivots)
         # p(1) is the sum of the coefficients of p
@@ -340,14 +358,6 @@ def stabilize(a: SeifertData, direction: str, new_column) -> SeifertData:
 # -- JSON input ------------------------------------------------------------
 
 
-def _json_int(value, what: str) -> int:
-    """value when it is a JSON integer; a float, bool, string or null
-    raises ParseError instead of being truncated or coerced."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ParseError(f"{what} must be an integer, got {reprlib.repr(value)}")
-
-
 def _json_keys(obj, keys: tuple[str, ...], what: str) -> dict:
     """obj when it is a JSON object whose keys are all among `keys`; else
     ParseError, naming the first other key, which would be ignored unread."""
@@ -363,11 +373,8 @@ def braid_from_json(obj) -> BraidWord:
     if isinstance(obj, str):
         return parse_braid(obj)
     if isinstance(obj, dict):
-        word = _json_keys(obj, ("strands", "word"), "braid").get("word", [])
-        if "strands" not in obj or not isinstance(word, list):
-            raise ParseError("bad braid object: it needs 'strands' and a 'word' list")
-        return BraidWord(_json_int(obj["strands"], "strands"),
-                         tuple(_json_int(x, "braid letter") for x in word))
+        obj = _json_keys(obj, ("strands", "word"), "braid")
+        return BraidWord(obj.get("strands"), _check_list(obj.get("word", []), "braid word"))
     raise ParseError("braid must be a string or {strands, word} object")
 
 
@@ -394,9 +401,10 @@ def seifert_data_from_json(obj) -> SeifertData:
         matrix = obj["seifert_matrix"]
         if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
             raise ParseError("seifert_matrix must be a list of rows")
-        if not all(type(x) is int for row in matrix for x in row):
-            matrix = [[_json_int(x, "seifert_matrix entry") for x in row] for row in matrix]
+        # Checked here as well as in SeifertData: a wrong JSON type exits 2,
+        # where SeifertData's InvalidSeifertData exits 3.
+        _check_integers(itertools.chain(*matrix), "seifert_matrix entries")
         return SeifertData.from_matrix(
-            matrix, _json_int(obj.get("components", 1), "components"),
-            str(obj.get("label", "")))
+            matrix, _check_integer(obj.get("components", 1), "components"),
+            _check_str(obj.get("label", ""), "label"))
     raise ParseError('input needs a "braid" or a "seifert_matrix" field')

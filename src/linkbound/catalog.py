@@ -13,8 +13,8 @@ from __future__ import annotations
 import reprlib
 
 from .bounds import assemble_report
-from .braids import (BraidWord, SeifertData, _braid_field, _json_int, _json_keys, _Value,
-                     connected_sum, seifert_data_from_json, seifert_matrix_from_braid,
+from .braids import (BraidWord, SeifertData, _braid_field, _check_integer, _check_str, _json_keys,
+                     _Value, connected_sum, seifert_data_from_json, seifert_matrix_from_braid,
                      torus_braid)
 from .errors import ParseError
 from .laurent import laurent_from_json, units_equal
@@ -25,7 +25,7 @@ class CatalogEntry(_Value):
     _fields = ("name", "input", "expected")
 
     def __init__(self, name: str, input: BraidWord | SeifertData, expected: dict | None = None):
-        super().__init__(name, input, expected)
+        super().__init__(_check_str(name, "catalog entry name"), input, expected)
 
     def seifert_data(self) -> SeifertData:
         if isinstance(self.input, BraidWord):
@@ -35,28 +35,27 @@ class CatalogEntry(_Value):
     @classmethod
     def from_json(cls, obj: dict) -> "CatalogEntry":
         """An entry {name, input, expected}; ParseError unless the entry, its
-        input and its expected values are objects with no other keys,
-        max_abs_sigma is an integer, g4 a pair of integers or nulls and
-        alexander a Laurent polynomial."""
-        if "name" not in _json_keys(obj, cls._fields, "catalog entry") or "input" not in obj:
-            raise ParseError("catalog entry needs name and input")
-        inp, expected = obj["input"], obj.get("expected")
+        input and its expected values are objects with no other keys, the
+        name is a string, max_abs_sigma an integer, g4 a pair of integers
+        or nulls and alexander a Laurent polynomial."""
+        _json_keys(obj, cls._fields, "catalog entry")
+        inp, expected = obj.get("input"), obj.get("expected")
         expected = _json_keys({} if expected is None else expected,
                               ("alexander", "max_abs_sigma", "g4"), "expected")
         if "max_abs_sigma" in expected:
-            _json_int(expected["max_abs_sigma"], "max_abs_sigma")
+            _check_integer(expected["max_abs_sigma"], "max_abs_sigma")
         g4 = expected.get("g4", [None, None])
         if not isinstance(g4, list) or len(g4) != 2:
             raise ParseError(f"g4 must be a pair of bounds, got {reprlib.repr(g4)}")
         for bound in g4:
             if bound is not None:
-                _json_int(bound, "g4 bound")
+                _check_integer(bound, "g4 bound")
         if "alexander" in expected:
             try:
                 laurent_from_json(expected["alexander"])
             except ValueError as e:
                 raise ParseError(f"bad expected alexander: {e}") from None
-        return cls(str(obj["name"]), _braid_field(inp) or seifert_data_from_json(inp),
+        return cls(obj.get("name"), _braid_field(inp) or seifert_data_from_json(inp),
                    obj.get("expected"))
 
 

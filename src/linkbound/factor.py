@@ -240,15 +240,20 @@ def fox_milnor_test(p: LaurentPoly) -> FoxMilnorResult:
     if math.isqrt(at_minus_one) ** 2 != at_minus_one:
         return FoxMilnorResult(
             "fails", reason=f"|p(-1)| = {at_minus_one} is not a perfect square")
-    if q.involution().normalize() != q:
+    # q has a nonzero constant term and content 1 (|q(1)| = 1), and so do
+    # its factors and the witness: on their dense lists t -> 1/t followed
+    # by normalize() is reversal followed by primitive_positive.
+    dense = q.to_dense()[1]
+    if _reversed_factor(dense) != tuple(dense):
         return FoxMilnorResult("fails", reason="not symmetric: p(1/t) is not p(t) up to units")
 
     # Yun's decomposition is unique, so each s_i of a symmetric p is
     # self-reciprocal: s_i^(i // 2) enters the witness whole, and a factor
     # f of an odd s_i pairs with its reciprocal f*, a factor of that s_i.
-    witness, odd = LaurentPoly.one(), []
-    for s, i in polys.squarefree_decomposition(q.to_dense()[1]):
-        witness = witness * LaurentPoly.from_dense(s) ** (i // 2)
+    witness, odd = [1], []
+    for s, i in polys.squarefree_decomposition(dense):
+        for _ in range(i // 2):
+            witness = polys.mul(witness, s)
         if i % 2:
             odd.append((s, i))
     odd_degree = sum(polys.degree(s) for s, _ in odd)
@@ -261,9 +266,9 @@ def fox_milnor_test(p: LaurentPoly) -> FoxMilnorResult:
             return FoxMilnorResult(
                 "fails", reason=f"self-reciprocal factor {list(f)} has odd multiplicity {i}")
         if f < rev:
-            witness = witness * LaurentPoly.from_dense(f)
-    product = witness * witness.involution()
-    if product.normalize() != q:
+            witness = polys.mul(witness, f)
+    if polys.primitive_positive(polys.mul(witness, witness[::-1]))[1] != dense:
         # The +-t^k unit absorbs signs, so this should never trigger.
         raise AssertionError("witness reconstruction failed")
-    return FoxMilnorResult("passes", witness=witness.normalize())
+    return FoxMilnorResult("passes",
+                           witness=LaurentPoly.from_dense(polys.primitive_positive(witness)[1]))

@@ -44,7 +44,6 @@ from math import gcd, lcm
 
 from . import polys
 from .errors import ZeroPolynomialError
-from .factor import _rational_root_split
 
 
 def sturm_chain(p) -> tuple:
@@ -256,9 +255,35 @@ def isolate_real_roots(q, lo, hi) -> list[tuple[int, int, int, int]]:
 
 
 def _ratio(c) -> tuple[int, int]:
-    """(numerator, denominator > 0) of a rational c."""
-    c = c if isinstance(c, (int, Fraction)) else Fraction(c)
+    """(numerator, denominator > 0) of a rational c, an int or a Fraction; a
+    float, a string or a bool raises TypeError, where Fraction() would read
+    it."""
+    if type(c) is bool or not isinstance(c, (int, Fraction)):
+        raise TypeError(f"rational arguments must be int or Fraction, got {type(c).__name__}")
     return c.numerator, c.denominator
+
+
+def _has_rational_root(poly, chain) -> bool:
+    """Whether the square-free integer polynomial poly, positive-leading,
+    with the Sturm chain `chain`, has a rational root.
+
+    A rational root s/t has t | L, the leading coefficient, and two
+    fractions with denominators <= L differ by at least 1/(t L) >= 1/L^2
+    (Hardy and Wright, ch. X).  So each real root, isolated within the
+    Cauchy bound, is bisected to a closed bracket narrower than 1/L^2; a
+    rational root is then nearer its midpoint than any other fraction
+    with denominator <= L, and is the one that limit_denominator(L)
+    returns, by continued fractions.  A midpoint that is the root leaves
+    it on the closed bracket's right end."""
+    lead, bound = poly[-1], 1 + max(map(abs, poly))
+    for a, b, d in _isolate_squarefree(_SturmCounts(chain), -bound, bound, 1):
+        root = RealAlgebraic._certified(poly, a, b, d)
+        while (root._b - root._a) * lead * lead >= root._d:
+            root._bisect()
+        x = Fraction(root._a + root._b, 2 * root._d).limit_denominator(lead)
+        if polys.sign_at_ratio(poly, x.numerator, x.denominator) == 0:
+            return True
+    return False
 
 
 @lru_cache(maxsize=1024)
@@ -304,7 +329,7 @@ class RealAlgebraic:
             raise ValueError("interval endpoints must not be roots")
         if _SturmCounts(chain).roots(self._a, self._b, self._d) != 1:
             raise ValueError("interval does not isolate a single root")
-        if _rational_root_split(prim)[1]:
+        if _has_rational_root(prim, chain):
             raise ValueError("defining polynomial must have no rational root")
 
     @classmethod

@@ -163,6 +163,37 @@ def test_bound_report_stores_tuples_of_provenance():
         BoundReport(0, None, "inconclusive", ["x"])
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: BoundReport(1, 2, "obstructed", assumptions="declared"), ParseError,
+     "assumptions must be a list, got 'declared'"),
+    (lambda: BoundReport(1, 2, "obstructed", assumptions=("a", b"b")), ParseError,
+     "assumption must be a string, got b'b'"),
+    (lambda: BoundReport(1, 2, "obstructed", provenance=iter(())), ParseError,
+     "provenance must be a list, got <tuple_iterat"),
+    (lambda: BoundReport(1, 2.0, "obstructed"), ParseError, "upper must be integers, got float"),
+    (lambda: Provenance("lower", 1, ["x"]), ParseError,
+     "provenance source must be a string, got ['x']"),
+    (lambda: InfectionDecl(1, [[0]], 0, 0, notes=5), ParseError, "notes must be a string, got 5"),
+    (lambda: InfectionDecl(1, [[0]], 0, None), ParseError,
+     "milnor_vanishing_length must be integers, got NoneType"),
+    (lambda: InfectionDecl(1, [{}], 0, 0), ParseError,
+     "linking_numbers row must be a list, got {}"),
+    (lambda: CatalogEntry(7, BraidWord(1)), ParseError,
+     "catalog entry name must be a string, got 7"),
+    (lambda: SeifertData([[1, 1], [0, 1]], label=[1, 2]), InvalidSeifertData,
+     "label must be a string, got [1, 2]")],
+    ids=["bare assumptions", "assumption", "provenance iterator", "upper", "source", "notes",
+         "milnor_vanishing_length", "linking_numbers row", "catalog name", "label"])
+def test_records_refuse_wrong_types_by_field(make, error, message):
+    """Each record checks its own fields and names the one it refuses: a
+    bare string of assumptions used to become one assumption per letter,
+    and hash() of a Provenance with a list source or of a SeifertData
+    with a list label raised TypeError."""
+    with pytest.raises(error) as refused:
+        make()
+    assert str(refused.value).startswith(message)
+
+
 V_TREFOIL = ((-1, 1), (0, -1))
 
 

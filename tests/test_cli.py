@@ -512,8 +512,8 @@ def test_infect_non_integer_exit_code(capsys, tmp_path, report, declaration):
 
 
 @pytest.mark.parametrize("report, declaration, message", [
-    (NON_INTEGER_REPORT, DECLARATION, "lower must be an integer, got 1.9"),
-    (REPORT, dict(DECLARATION, axes=1.5), "axes must be an integer, got 1.5")],
+    (NON_INTEGER_REPORT, DECLARATION, "lower must be integers, got float"),
+    (REPORT, dict(DECLARATION, axes=1.5), "axes must be integers, got float")],
     ids=["report", "declaration"])
 def test_infect_parse_error_keeps_its_message(capsys, tmp_path, report, declaration, message):
     """The parse error of a non-integer field reaches stderr with its own
@@ -605,6 +605,22 @@ FULL_REPORT = {"lower": 1, "upper": 1, "exact": True, "slice_verdict": "obstruct
                "assumptions": [], "components": 1}
 
 
+def json_argv(tmp_path, command, obj):
+    """The command line that reads obj as a JSON file: "verify" as its
+    catalog, "infect" as its report and "infect-declaration" as its
+    declaration, beside FULL_REPORT or DECLARATION, and "bound" as its
+    input; with the paths of those two good files."""
+    path = tmp_path / "obj.json"
+    path.write_text(json.dumps(obj))
+    good = {"report": tmp_path / "report.json", "declaration": tmp_path / "declaration.json"}
+    good["report"].write_text(json.dumps(FULL_REPORT))
+    good["declaration"].write_text(json.dumps(DECLARATION))
+    return {"verify": ["verify", "--catalog", str(path)],
+            "infect": ["infect", str(path), str(good["declaration"])],
+            "infect-declaration": ["infect", str(good["report"]), str(path)],
+            "bound": ["bound", str(path)]}[command], good
+
+
 @pytest.mark.parametrize("command, obj, key", [
     ("verify", [dict(TREFOIL_ENTRY, expected={"max_abs_sigmaa": 7, "alexandre": {"0": 5}})],
      "max_abs_sigmaa"),
@@ -624,19 +640,48 @@ def test_unknown_json_keys_exit_2(capsys, tmp_path, command, obj, key):
     a catalog entry checked nothing and passed, a report lost its upper
     bound and a misspelt "components" read as a knot.  A report with
     every key that to_json writes transfers."""
-    path = tmp_path / "obj.json"
-    path.write_text(json.dumps(obj))
-    good = {"report": tmp_path / "report.json", "declaration": tmp_path / "declaration.json"}
-    good["report"].write_text(json.dumps(FULL_REPORT))
-    good["declaration"].write_text(json.dumps(DECLARATION))
+    argv, good = json_argv(tmp_path, command, obj)
     assert run(capsys, "infect", str(good["report"]), str(good["declaration"]))[0] == 0
-    argv = {"verify": ["verify", "--catalog", str(path)],
-            "infect": ["infect", str(path), str(good["declaration"])],
-            "infect-declaration": ["infect", str(good["report"]), str(path)],
-            "bound": ["bound", str(path)]}[command]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.endswith(f"unknown key {key!r}\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, obj, message", [
+    ("infect", dict(REPORT, assumptions="declared"), "assumptions must be a list, got 'declared'"),
+    ("infect", dict(REPORT, assumptions=["a", 1]), "assumption must be a string, got 1"),
+    ("infect", dict(REPORT, assumptions={"a": 1}), "assumptions must be a list, got {'a': 1}"),
+    ("infect", dict(REPORT, provenance=[{"bound": "lower", "value": 1, "source": ["x"]}]),
+     "provenance source must be a string, got ['x']"),
+    ("infect", dict(REPORT, provenance=5), "provenance must be a list, got 5"),
+    ("infect", dict(REPORT, provenance=[{"bound": "lower", "value": 1}]),
+     "malformed bound report: Provenance.__init__() missing 1 required positional argument: "
+     "'source'"),
+    ("infect", {"upper": 1}, "malformed bound report: BoundReport.__init__() missing 1 "
+     "required positional argument: 'lower'"),
+    ("infect", dict(REPORT, components=True), "components must be integers, got bool"),
+    ("infect-declaration", dict(DECLARATION, notes=5), "notes must be a string, got 5"),
+    ("infect-declaration", dict(DECLARATION, double_points="0"),
+     "double_points must be integers, got str"),
+    ("infect-declaration", dict(DECLARATION, linking_numbers=[{}]),
+     "linking_numbers row must be a list, got {}"),
+    ("infect-declaration", dict(DECLARATION, linking_numbers=3),
+     "linking_numbers must be a list, got 3"),
+    ("verify", [dict(TREFOIL_ENTRY, name=7)], "catalog entry name must be a string, got 7"),
+    ("bound", {"seifert_matrix": [[-1, 1], [0, -1]], "label": [1, 2]},
+     "label must be a string, got [1, 2]"),
+    ("bound", {"braid": {"strands": 2, "word": [1, 1.0, 1]}},
+     "strands and braid letters must be integers, got float"),
+], ids=["bare assumptions", "assumption", "assumptions object", "source", "provenance number",
+        "provenance field", "report field", "components", "notes", "double_points",
+        "object row", "number rows", "name", "label", "braid letter"])
+def test_wrong_json_types_exit_2(capsys, tmp_path, command, obj, message):
+    """A JSON value of the wrong type is one parse error naming its field,
+    exit 2: the readers used to call str() and tuple() on what they read,
+    so "assumptions": "declared" became eight one-letter assumptions, a
+    source ["x"] the text "['x']", and a catalog name 7 printed PASS 7."""
+    argv, _ = json_argv(tmp_path, command, obj)
+    assert run(capsys, *argv) == (2, "", f"parse error: {message}\n")
 
 
 BIG = "x" * 100000

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 from functools import reduce
 
@@ -171,6 +172,68 @@ def test_real_algebraic_rejects_bad_data():
         RealAlgebraic([-2, 0, 1], -2, 2)      # two roots inside
     with pytest.raises(ValueError):
         RealAlgebraic(polys.mul([-2, 0, 1], [-2, 0, 1]), 1, 2)  # not square-free
+
+
+def test_rational_root_check_does_not_trial_divide():
+    """The rational-root check of the constructor took 1.5 s on x^3 - c,
+    c = 10^14 + 1, trial-dividing c; it now bisects each real root's
+    bracket below 1/L^2 and tests one fraction, L the leading coefficient."""
+    for poly, lo, hi, rational in (([-(10 ** 14) - 1, 0, 0, 1], 0, 10 ** 5, False),
+                                   ([-(10 ** 15), 0, 0, 1], 0, 10 ** 6, True),
+                                   ([-(10 ** 14) - 1, 0, 0, 7 ** 20], 0, 10, False)):
+        realroots._sturm_chain.cache_clear()
+        start = time.perf_counter()
+        if rational:
+            with pytest.raises(ValueError, match="rational root"):
+                RealAlgebraic(poly, lo, hi)
+        else:
+            RealAlgebraic(poly, lo, hi)
+        assert time.perf_counter() - start < 0.05
+
+
+irrational_factors = st.sampled_from([(-2, 0, 1), (-3, 0, 1), (-1, -1, 1), (-7, 2, 1),
+                                      (-5, 0, 3), (-2, 0, 0, 1), (1, -3, 0, 1), (-41, 0, 0, 9)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 40)),
+                max_size=3, unique=True),
+       st.lists(irrational_factors, max_size=3, unique=True))
+def test_constructor_refuses_exactly_a_polynomial_with_a_rational_root(rationals, irrational):
+    """With rational roots s/t and irreducible factors of degree 2 and 3
+    planted, RealAlgebraic on the bracket of any real root is refused
+    exactly when a rational root was planted, wherever that root lies."""
+    poly = reduce(polys.mul, [[-r.numerator, r.denominator] for r in rationals] +
+                  [list(f) for f in irrational], [1])
+    assume(polys.degree(poly) >= 1)
+    bound = 1 + max(map(abs, poly))
+    brackets = isolate_real_roots(poly, -bound, bound)
+    assert len(brackets) >= len(rationals)
+    for a, b, d, _ in brackets:
+        if rationals:
+            with pytest.raises(ValueError, match="rational root"):
+                RealAlgebraic(poly, Fraction(a, d), Fraction(b, d))
+        else:
+            RealAlgebraic(poly, Fraction(a, d), Fraction(b, d))
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, "1/2", "2", True, False, None, np.float64(1)],
+                         ids=repr)
+def test_rational_arguments_refuse_floats_strings_and_bools(bad):
+    """Window ends, refinement widths and compared values are int or
+    Fraction: Fraction() used to read 0.5, "1/2" and True for them."""
+    sqrt2 = RealAlgebraic([-2, 0, 1], 1, 2)
+    for call in (lambda: isolate_real_roots([-2, 0, 1], bad, 2),
+                 lambda: isolate_real_roots([-2, 0, 1], 0, bad),
+                 lambda: RealAlgebraic([-2, 0, 1], bad, 2),
+                 lambda: RealAlgebraic([-2, 0, 1], 1, bad),
+                 lambda: sqrt2.refine(bad),
+                 lambda: sqrt2.compare_rational(bad),
+                 lambda: sqrt2.refine_away_from(bad)):
+        with pytest.raises(TypeError, match="must be int or Fraction"):
+            call()
+    assert (sqrt2.lo, sqrt2.hi) == (1, 2)
+    assert len(isolate_real_roots([-2, 0, 1], Fraction(1, 2), 2)) == 1
 
 
 # coefficients once read silently (0.5 x + 1 as x, x^2 - 2.5 as x^2 - 2), and a NumPy float
