@@ -27,6 +27,16 @@ CONSISTENT = "consistent-with-slice"
 INCONCLUSIVE = "inconclusive"
 
 
+def _json(value):
+    """The JSON form of a record's value: a record becomes the object of its
+    `_fields` by name, a tuple an array, and anything else stays as it is."""
+    if isinstance(value, _Value):
+        return {name: _json(getattr(value, name)) for name in value._fields}
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    return value
+
+
 class Provenance(_Value):
     """One bound, "lower" or "upper", and where it comes from; `value` is
     stored as an int."""
@@ -41,7 +51,7 @@ class Provenance(_Value):
         super().__init__(bound, value, _check_str(source, "provenance source"))
 
     def to_json(self) -> dict:
-        return {"bound": self.bound, "value": self.value, "source": self.source}
+        return _json(self)
 
     @classmethod
     def from_json(cls, obj) -> "Provenance":
@@ -65,7 +75,7 @@ class BoundReport(_Value):
         upper = None if upper is None else _check_integer(upper, "upper")
         components = _check_integer(components, "components")
         if components < 1:
-            raise ParseError(f"components must be >= 1, got {components}")
+            raise ParseError(f"components must be >= 1, got {reprlib.repr(components)}")
         if slice_verdict not in (OBSTRUCTED, CONSISTENT, INCONCLUSIVE):
             raise ParseError(f"unknown slice_verdict {reprlib.repr(slice_verdict)}")
         provenance = _check_list(provenance, "provenance")
@@ -76,7 +86,8 @@ class BoundReport(_Value):
         if lower < 0:
             raise InconsistentBounds("lower bound must be >= 0")
         if upper is not None and lower > upper:
-            raise InconsistentBounds(f"lower bound {lower} exceeds upper bound {upper}")
+            raise InconsistentBounds(f"lower bound {reprlib.repr(lower)} exceeds upper bound "
+                                     f"{reprlib.repr(upper)}")
         super().__init__(lower, upper, slice_verdict, provenance,
                          tuple(_check_str(a, "assumption") for a in assumptions), components)
 
@@ -85,15 +96,7 @@ class BoundReport(_Value):
         return self.upper is not None and self.lower == self.upper
 
     def to_json(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "exact": self.exact,
-            "slice_verdict": self.slice_verdict,
-            "provenance": [p.to_json() for p in self.provenance],
-            "assumptions": list(self.assumptions),
-            "components": self.components,
-        }
+        return {**_json(self), "exact": self.exact}
 
     @classmethod
     def from_json(cls, obj: dict) -> "BoundReport":
@@ -141,8 +144,8 @@ class InfectionDecl(_Value):
         if milnor_vanishing_length < 2 * double_points:
             raise InvalidSeifertData(
                 "hypotheses of the infection-transfer theorem not declared: "
-                f"need Milnor vanishing length >= {2 * double_points}, "
-                f"declared {milnor_vanishing_length}")
+                f"need Milnor vanishing length >= {reprlib.repr(2 * double_points)}, "
+                f"declared {reprlib.repr(milnor_vanishing_length)}")
         super().__init__(axes, lk, double_points, milnor_vanishing_length,
                          _check_str(notes, "notes"))
 
@@ -151,13 +154,7 @@ class InfectionDecl(_Value):
         return all(v == 0 for row in self.linking_numbers for v in row)
 
     def to_json(self) -> dict:
-        return {
-            "axes": self.axes,
-            "linking_numbers": [list(r) for r in self.linking_numbers],
-            "double_points": self.double_points,
-            "milnor_vanishing_length": self.milnor_vanishing_length,
-            "notes": self.notes,
-        }
+        return _json(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "InfectionDecl":
@@ -173,7 +170,9 @@ class BandCertificate(_Value):
     """b oriented band moves turning a knot into a u-component unlink.
 
     Certifies a smooth surface in the 4-ball with euler characteristic
-    u - b, hence genus (1 - u + b) / 2 for one boundary circle.
+    chi = u - b, hence genus (1 - chi) / 2 for one boundary circle: chi
+    must be odd and the genus nonnegative, or the certificate is invalid
+    (ParseError).
     """
 
     _fields = ("bands", "resulting_unlink_components")
@@ -183,7 +182,13 @@ class BandCertificate(_Value):
         bands = _check_integer(bands, what)
         resulting_unlink_components = _check_integer(resulting_unlink_components, what)
         if bands < 0 or resulting_unlink_components < 1:
-            raise ValueError("need bands >= 0 and at least one unlink component")
+            raise ParseError("need bands >= 0 and at least one unlink component")
+        chi = resulting_unlink_components - bands
+        if chi % 2 == 0:
+            raise ParseError(f"invalid certificate: chi = {reprlib.repr(chi)} must be odd for "
+                             "one boundary circle")
+        if (genus := (1 - chi) // 2) < 0:
+            raise ParseError(f"invalid certificate: negative genus {reprlib.repr(genus)}")
         super().__init__(bands, resulting_unlink_components)
 
 
@@ -214,19 +219,9 @@ def width_upper_bound(delta: LaurentPoly) -> int:
 
 
 def band_certificate_genus(cert: BandCertificate) -> int:
-    """Genus of the smooth surface a band certificate describes.
-
-    chi = u - b must be odd (one boundary circle) and the genus
-    (1 - chi)/2 nonnegative; anything else is an invalid certificate.
-    """
-    chi = cert.resulting_unlink_components - cert.bands
-    if chi % 2 == 0:
-        raise ValueError(
-            f"invalid certificate: chi = {reprlib.repr(chi)} must be odd for one boundary circle")
-    genus = (1 - chi) // 2
-    if genus < 0:
-        raise ValueError(f"invalid certificate: negative genus {reprlib.repr(genus)}")
-    return genus
+    """Genus (1 - u + b) / 2 of the smooth surface a band certificate
+    describes; BandCertificate has checked that it is a whole number >= 0."""
+    return (1 - cert.resulting_unlink_components + cert.bands) // 2
 
 
 def seifert_genus_upper_bound(data: SeifertData) -> int:

@@ -114,10 +114,11 @@ class BraidWord(_Value):
     def __init__(self, strands: int, letters: tuple[int, ...] = ()):
         strands, *letters = _check_integers((strands, *letters), "strands and braid letters")
         if strands < 1:
-            raise ParseError(f"strands must be >= 1, got {strands}")
+            raise ParseError(f"strands must be >= 1, got {reprlib.repr(strands)}")
         for x in letters:
             if x == 0 or abs(x) > strands - 1:
-                raise ParseError(f"letter {x} out of range for {strands} strands")
+                raise ParseError(
+                    f"letter {reprlib.repr(x)} out of range for {reprlib.repr(strands)} strands")
         super().__init__(strands, tuple(letters))
 
 
@@ -221,7 +222,7 @@ class SeifertData(_Value):
         if m < 1:
             raise InvalidSeifertData("components must be >= 1")
         if (n - m + 1) % 2 != 0 or n - m + 1 < 0:
-            raise InvalidSeifertData(f"no genus fits size {n} with {m} components")
+            raise InvalidSeifertData(f"no genus fits size {n} with {reprlib.repr(m)} components")
         v = (tuple(map(tuple, matrix)) if ints is None
              else tuple(ints[1 + i * n:1 + (i + 1) * n] for i in range(n)))
         super().__init__(v, m, _check_str(label, "label", InvalidSeifertData))
@@ -284,8 +285,8 @@ def seifert_matrix_from_braid(b: BraidWord) -> SeifertData:
         missing = (k for k in range(1, b.strands) if k not in used)
         first = ", ".join(map(str, itertools.islice(missing, 5)))
         raise InvalidSeifertData(
-            f"disconnected surface: {b.strands - 1 - len(used)} generator(s) unused, "
-            f"first {first}")
+            f"disconnected surface: {reprlib.repr(b.strands - 1 - len(used))} generator(s) "
+            f"unused, first {first}")
 
     n = len(b.letters) - len(used)
     v = [[0] * n for _ in range(n)]

@@ -17,7 +17,7 @@ import sys
 from types import SimpleNamespace
 
 from .bounds import BandCertificate, BoundReport, InfectionDecl, assemble_report, \
-    band_certificate_genus, infection_transfer
+    infection_transfer
 from .catalog import builtin_catalog, load_catalog, verify_catalog
 from .errors import InconsistentBounds, InvalidSeifertData, ParseError
 from .laurent import format_laurent, laurent_to_json
@@ -36,8 +36,8 @@ def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as e:
-        raise ParseError(f"{path}: {e}") from None
+    except OSError as e:  # its text repeats the path
+        raise ParseError(f"{reprlib.repr(path)}: {e.strerror}") from None
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
     except (ValueError, RecursionError) as e:  # not UTF-8, an integer too long, deep nesting
@@ -74,12 +74,10 @@ def _parse_band_certs(raw) -> list[BandCertificate]:
     for pair in raw or ():
         try:
             b, u = (_decimal(v) for v in pair.split(","))
-            cert = BandCertificate(b, u)
-            band_certificate_genus(cert)
+            certs.append(BandCertificate(b, u))
         except ValueError as e:
             raise ParseError(
                 f"--band-cert wants a valid 'b,u', got {reprlib.repr(pair)}: {e}") from None
-        certs.append(cert)
     return certs
 
 
@@ -205,7 +203,7 @@ def _parse(argv: list[str]):
             return cmd_help, None
         flag, eq, value = token.partition("=")
         if flag not in options:
-            raise ParseError(f"{command}: unknown option {flag}")
+            raise ParseError(f"{command}: unknown option {reprlib.repr(flag)}")
         kind, dest = options[flag][0], flag[2:].replace("-", "_")
         if dest in given and kind is not list:
             raise ParseError(f"{command}: {flag} given twice")
@@ -223,7 +221,7 @@ def _parse(argv: list[str]):
     values.update(zip(positionals, free), **given)
     if len(free) > len(positionals) or not all(values.get(name) for name in positionals):
         raise ParseError(f"{command} takes {' '.join(map(str.upper, positionals)) or 'no file'}"
-                         f", got {' '.join(free) or 'none'}")
+                         f", got {reprlib.repr(' '.join(free)) if free else 'none'}")
     return handler, SimpleNamespace(**values)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import reprlib
 
-from .braids import _check_integer
+from .braids import _check_integer, _json_keys
 from .errors import ZeroPolynomialError
 
 
@@ -228,9 +228,10 @@ def _exponent_from_json(key) -> int:
 
 def laurent_from_json(obj) -> LaurentPoly:
     """Accepts the {"exponent": coefficient} form or a coefficient array
-    (a JSON array) with a "min_exponent" field, a JSON int (default 0);
-    ValueError for anything else."""
+    (a JSON array) with a "min_exponent" field, a JSON int (default 0), and
+    no other key; ValueError for anything else."""
     if isinstance(obj, dict) and "coefficients" in obj:
+        _json_keys(obj, ("coefficients", "min_exponent"), "Laurent polynomial")
         coeffs, low = obj["coefficients"], obj.get("min_exponent", 0)
         # a string or an object would iterate, and a number raise TypeError
         if type(coeffs) is not list:

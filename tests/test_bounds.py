@@ -61,13 +61,23 @@ def test_band_certificate_parity_guard():
     for b in range(0, 7):
         for u in range(1, 7):
             if (u - b) % 2 == 0:
-                with pytest.raises(ValueError):
-                    band_certificate_genus(BandCertificate(b, u))
+                with pytest.raises(ParseError, match="must be odd for one boundary circle"):
+                    BandCertificate(b, u)
 
 
 def test_band_certificate_negative_genus_rejected():
-    with pytest.raises(ValueError):
-        band_certificate_genus(BandCertificate(0, 3))
+    """Refused where the certificate is built, so that
+    assemble_report(data, [BandCertificate(0, 3)]) cannot be called: the
+    parity and the genus were checked by band_certificate_genus inside the
+    report, which raised a bare ValueError."""
+    with pytest.raises(ParseError, match="^invalid certificate: negative genus -1$"):
+        BandCertificate(0, 3)
+
+
+@pytest.mark.parametrize("bands, components", [(-1, 2), (1, 0)])
+def test_band_certificate_refuses_counts_out_of_range(bands, components):
+    with pytest.raises(ParseError, match="^need bands >= 0 and at least one unlink component$"):
+        BandCertificate(bands, components)
 
 
 @pytest.mark.parametrize("bands, components", [
@@ -595,3 +605,16 @@ def test_report_json_round_trip():
     report = _base_report()
     again = BoundReport.from_json(report.to_json())
     assert again == report
+
+
+def test_records_write_their_fields_by_name():
+    """to_json writes each field by name, a record inside as its object
+    and a tuple as an array; a report adds its derived `exact`."""
+    decl = InfectionDecl(2, ((0, 1), (0, 0)), 1, 2, "n")
+    assert decl.to_json() == {"axes": 2, "linking_numbers": [[0, 1], [0, 0]],
+                              "double_points": 1, "milnor_vanishing_length": 2, "notes": "n"}
+    report = BoundReport(1, 2, "obstructed", (Provenance("lower", 1, "s"),), ("a",), 3)
+    assert report.to_json() == {"lower": 1, "upper": 2, "exact": False,
+                                "slice_verdict": "obstructed",
+                                "provenance": [{"bound": "lower", "value": 1, "source": "s"}],
+                                "assumptions": ["a"], "components": 3}

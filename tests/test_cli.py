@@ -582,8 +582,9 @@ TREFOIL_ENTRY = {"name": "trefoil", "input": {"braid": {"strands": 2, "word": [1
         {"alexander": {"0": "1/0"}}, {"alexander": {"x": 1}}, {"alexander": {"1_0": 1}},
         {"alexander": {"0": "1e3"}}, {"alexander": {"0": "1/2"}},
         {"alexander": {"coefficients": "121"}}, {"alexander": {"coefficients": {"3": 7, "5": 1}}},
-        {"alexander": {"coefficients": [1, -1, 1], "min_exponent": 1.5}}, {"max_abs_sigma": 2.0},
-        {"max_abs_sigma": "2"}, [1], 1)),
+        {"alexander": {"coefficients": [1, -1, 1], "min_exponent": 1.5}},
+        {"alexander": {"coefficients": [1, -1, 1], "min_exponent": 0, "0": 5}},
+        {"max_abs_sigma": 2.0}, {"max_abs_sigma": "2"}, [1], 1)),
     [dict(TREFOIL_ENTRY, input={"braid": "strands=2; 1 1", "components": 2})]], ids=repr)
 def test_verify_malformed_catalog_exit_code(capsys, tmp_path, catalog):
     """A catalog entry, its input or its expected values that are not
@@ -592,7 +593,8 @@ def test_verify_malformed_catalog_exit_code(capsys, tmp_path, catalog):
     non-integer max_abs_sigma are parse errors:
     exit 2 with one message, where they used to raise, or, for expected
     [1], check nothing and pass.  A "p/q" Alexander coefficient, which used
-    to fail its check (exit 5), is one: Delta has integer coefficients."""
+    to fail its check (exit 5), is one: Delta has integer coefficients.  So
+    is a key beside "coefficients" and "min_exponent", which was dropped."""
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(catalog))
     code, out, err = run(capsys, "verify", "--catalog", str(path))
@@ -688,32 +690,46 @@ BIG = "x" * 100000
 NINES = "9" * 4000  # an integer option of 4000 digits, within int()'s 4300
 BIG_REPORT = {"lower": 1, "upper": 1, "slice_verdict": "obstructed"}
 TREFOIL_MATRIX = [[-1, 1], [0, -1]]
+HUGE = int(NINES)
+PREFIXES = {2: "parse error: ", 3: "invalid input data: ", 4: "inconsistent bounds: "}
 
 
-@pytest.mark.parametrize("args", [
-    ["bound", {"seifert_matrix": TREFOIL_MATRIX, "components": BIG}],
-    ["bound", {"seifert_matrix": [[BIG, 1], [0, -1]]}],
-    ["bound", {"braid": f"strands={BIG}; 1 1 1"}],
-    ["bound", {"seifert_matrix": TREFOIL_MATRIX}, "--json-indent", BIG],
-    ["bound", {"seifert_matrix": TREFOIL_MATRIX}, "--band-cert", BIG + ",1"],
-    ["infect", dict(BIG_REPORT, provenance=[{"bound": BIG, "value": 1, "source": "s"}]),
-     DECLARATION],
-    ["infect", dict(BIG_REPORT, slice_verdict=BIG), DECLARATION],
-    *(["verify", "--catalog", [dict(TREFOIL_ENTRY, expected=expected)]] for expected in (
+@pytest.mark.parametrize("args, code", [
+    (["bound", {"seifert_matrix": TREFOIL_MATRIX, "components": BIG}], 2),
+    (["bound", {"seifert_matrix": [[BIG, 1], [0, -1]]}], 2),
+    (["bound", {"braid": f"strands={BIG}; 1 1 1"}], 2),
+    (["bound", {"seifert_matrix": TREFOIL_MATRIX}, "--json-indent", BIG], 2),
+    (["bound", {"seifert_matrix": TREFOIL_MATRIX}, "--band-cert", BIG + ",1"], 2),
+    (["infect", dict(BIG_REPORT, provenance=[{"bound": BIG, "value": 1, "source": "s"}]),
+      DECLARATION], 2),
+    (["infect", dict(BIG_REPORT, slice_verdict=BIG), DECLARATION], 2),
+    *((["verify", "--catalog", [dict(TREFOIL_ENTRY, expected=expected)]], 2) for expected in (
         {"g4": [0] * 50000}, {"alexander": {"0": BIG}}, {"alexander": {"0" * 4000 + "1": 1}},
         {"alexander": {"coefficients": [1], "min_exponent": BIG}})),
-    ["bound", {"seifert_matrix": TREFOIL_MATRIX}, "--json-indent", NINES],
-    ["signature-csv", {"seifert_matrix": TREFOIL_MATRIX}, "--samples", NINES],
-    ["bound", {"seifert_matrix": TREFOIL_MATRIX}, "--band-cert", "1," + NINES]],
+    (["bound", {"seifert_matrix": TREFOIL_MATRIX}, "--json-indent", NINES], 2),
+    (["signature-csv", {"seifert_matrix": TREFOIL_MATRIX}, "--samples", NINES], 2),
+    (["bound", {"seifert_matrix": TREFOIL_MATRIX}, "--band-cert", "1," + NINES], 2),
+    (["bound", {"braid": {"strands": HUGE, "word": []}}], 3),
+    (["bound", {"braid": {"strands": -HUGE, "word": []}}], 2),
+    (["bound", {"braid": {"strands": 2, "word": [HUGE]}}], 2),
+    (["bound", {"seifert_matrix": TREFOIL_MATRIX, "components": HUGE}], 3),
+    (["infect", dict(BIG_REPORT, components=-HUGE), DECLARATION], 2),
+    (["infect", dict(BIG_REPORT, lower=HUGE), DECLARATION], 4),
+    (["infect", BIG_REPORT, dict(DECLARATION, double_points=HUGE)], 3),
+    (["bound", {"seifert_matrix": TREFOIL_MATRIX}, "--" + BIG], 2),
+    (["bound", {"seifert_matrix": TREFOIL_MATRIX}, BIG], 2),
+    (["bound", "missing/" * 500], 2)],
     ids=["components", "matrix entry", "strands", "json-indent", "band-cert",
          "provenance bound", "slice_verdict", "g4", "coefficient", "exponent", "min_exponent",
-         "json-indent nines", "samples nines", "band-cert nines"])
-def test_oversized_value_gives_a_short_error_line(capsys, tmp_path, args):
-    """A parse error that echoes a 100 000-character value, a g4 of 50 000
-    entries or a 4000-digit integer option shows it shortened by reprlib:
-    exit 2 with one line of under 300 bytes, where the whole value made
-    lines of 4 000 to 200 000 bytes.  Each JSON object of `args` is passed
-    as a file."""
+         "json-indent nines", "samples nines", "band-cert nines", "unused generators nines",
+         "strands nines", "letter nines", "seifert components nines", "report components nines",
+         "lower nines", "double_points nines", "unknown option", "extra word", "missing path"])
+def test_oversized_value_gives_a_short_error_line(capsys, tmp_path, args, code):
+    """A refusal that echoes a 100 000-character value, a g4 of 50 000
+    entries, a 4000-digit integer or a 4000-character path shows it
+    shortened by reprlib: one line of under 300 bytes with the prefix of
+    its exit code, where the whole value made lines of 4 000 to 200 000
+    bytes.  Each JSON object of `args` is passed as a file."""
     argv = []
     for i, arg in enumerate(args):
         if not isinstance(arg, str):
@@ -721,9 +737,9 @@ def test_oversized_value_gives_a_short_error_line(capsys, tmp_path, args):
             path.write_text(json.dumps(arg))
             arg = str(path)
         argv.append(arg)
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("parse error: ") and err.count("\n") == 1
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith(PREFIXES[code]) and err.count("\n") == 1
     assert len(err.encode()) < 300
 
 

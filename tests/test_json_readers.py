@@ -1,6 +1,7 @@
 """Fuzz of the JSON readers: a bound report, an infection declaration, a
-catalog and an input each read to a record or raise a LinkboundError, and
-a record stores only the strings that the JSON held as strings."""
+catalog and an input each read to a record or raise a LinkboundError whose
+message is one line under 300 bytes, and a record stores only the strings
+that the JSON held as strings."""
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -10,8 +11,9 @@ from linkbound.braids import seifert_data_from_json
 from linkbound.catalog import load_catalog
 
 STRANGER = "stranger"
+HUGE = 10 ** 3999  # 4000 digits, within what json and str() read and write
 scalars = (st.none() | st.booleans() | st.integers() | st.integers(-2 ** 200, 2 ** 200)
-           | st.floats() | st.text(max_size=4))
+           | st.integers(-HUGE, HUGE) | st.floats() | st.text(max_size=4))
 json_values = st.recursive(
     scalars, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
         st.text(max_size=3), inner, max_size=3), max_leaves=6)
@@ -66,11 +68,13 @@ TREFOIL = {"braid": "strands=2; 1 1 1"}
 
 
 def _read(reader, obj):
-    """reader(obj), or None when it raises a LinkboundError; any other
-    exception fails the test."""
+    """reader(obj), or None when it raises a LinkboundError, whose message
+    must be one line under 300 bytes; any other exception fails the test."""
     try:
         return reader(obj)
-    except LinkboundError:
+    except LinkboundError as e:
+        message = str(e).encode()
+        assert b"\n" not in message and len(message) < 300, message[:300]
         return None
 
 
@@ -85,6 +89,8 @@ def _text(value) -> str:
 @example(dict(REPORT, assumptions="declared"))
 @example(dict(REPORT, provenance=[{"bound": "lower", "value": 1, "source": ["x"]}]))
 @example(dict(REPORT, provenance=7))
+@example(dict(REPORT, lower=HUGE))
+@example(dict(REPORT, components=-HUGE))
 def test_bound_report_reader(obj):
     report = _read(BoundReport.from_json, obj)
     if report is not None:
@@ -99,6 +105,7 @@ def test_bound_report_reader(obj):
 @given(declarations)
 @example(dict(DECLARATION, notes=5))
 @example(dict(DECLARATION, linking_numbers=[{}]))
+@example(dict(DECLARATION, double_points=HUGE))
 def test_infection_declaration_reader(obj):
     decl = _read(InfectionDecl.from_json, obj)
     if decl is not None:
@@ -120,6 +127,8 @@ def test_catalog_reader(obj):
 @settings(max_examples=75, deadline=None)
 @given(inputs)
 @example({"seifert_matrix": [[-1, 1], [0, -1]], "label": [1, 2]})
+@example({"seifert_matrix": [[-1, 1], [0, -1]], "components": HUGE})
+@example({"braid": {"strands": HUGE, "word": []}})
 def test_input_reader(obj):
     data = _read(seifert_data_from_json, obj)
     if data is not None and "braid" not in obj:

@@ -162,14 +162,16 @@ def test_numpy_integers_are_stored_as_int(kind, coeffs):
     {"0": "1e3"}, {"0": "1_000"}, {"0": " 1"}, {"0": "1.5"}, {"0": "+1"}, {"0": "1/-2"},
     {"0": "1/0"}, {"0": "-3/00"}, {"0": "\u0663"}, {"0": "1/2"}, {"0": "7"},
     {"coefficients": "121"}, {"coefficients": {"3": 7, "5": 1}}, {"coefficients": 7},
-    {"coefficients": [1, "1/2"]}, {1: 1}, {None: 1}], ids=repr)
+    {"coefficients": [1, "1/2"]}, {1: 1}, {None: 1},
+    {"coefficients": [1, -1, 1], "min_exponent": 0, "0": 5}], ids=repr)
 def test_json_refuses_what_it_would_coerce(obj):
     """A min_exponent that is not a JSON int and a bool coefficient are
     refused, where they used to read as t^3 - t^2 + t or t.  So are an
     exponent key that is not an int as str() writes it ("1_0" read as
     t^10, " 2 " as t^2), any string coefficient ("1e3" and "1_000" read as
     1000, "1/2" as a Fraction) and coefficients that are not an array
-    ("121" read as t^2 + 2t + 1, {"3": 7, "5": 1} as 5t + 3)."""
+    ("121" read as t^2 + 2t + 1, {"3": 7, "5": 1} as 5t + 3), and a key
+    beside "coefficients" and "min_exponent" (a "0": 5 was dropped)."""
     with pytest.raises(ValueError):
         laurent_from_json(obj)
 
