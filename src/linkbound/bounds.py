@@ -12,10 +12,8 @@ assumptions rather than silently trusting.
 
 from __future__ import annotations
 
-import reprlib
-
 from .braids import (SeifertData, _check_integer, _check_integers, _check_list, _check_str,
-                     _json_keys, _Value)
+                     _json_keys, _shown, _Value)
 from .errors import InconsistentBounds, InvalidSeifertData, ParseError
 from .factor import FoxMilnorResult, fox_milnor_test
 from .laurent import LaurentPoly
@@ -47,7 +45,7 @@ class Provenance(_Value):
         value = _check_integer(value, "provenance value")
         if bound not in ("lower", "upper"):
             raise ParseError(
-                f'provenance bound must be "lower" or "upper", got {reprlib.repr(bound)}')
+                f'provenance bound must be "lower" or "upper", got {_shown(bound)}')
         super().__init__(bound, value, _check_str(source, "provenance source"))
 
     def to_json(self) -> dict:
@@ -75,9 +73,9 @@ class BoundReport(_Value):
         upper = None if upper is None else _check_integer(upper, "upper")
         components = _check_integer(components, "components")
         if components < 1:
-            raise ParseError(f"components must be >= 1, got {reprlib.repr(components)}")
+            raise ParseError(f"components must be >= 1, got {_shown(components)}")
         if slice_verdict not in (OBSTRUCTED, CONSISTENT, INCONCLUSIVE):
-            raise ParseError(f"unknown slice_verdict {reprlib.repr(slice_verdict)}")
+            raise ParseError(f"unknown slice_verdict {_shown(slice_verdict)}")
         provenance = _check_list(provenance, "provenance")
         assumptions = _check_list(assumptions, "assumptions")
         for p in provenance:
@@ -86,8 +84,8 @@ class BoundReport(_Value):
         if lower < 0:
             raise InconsistentBounds("lower bound must be >= 0")
         if upper is not None and lower > upper:
-            raise InconsistentBounds(f"lower bound {reprlib.repr(lower)} exceeds upper bound "
-                                     f"{reprlib.repr(upper)}")
+            raise InconsistentBounds(f"lower bound {_shown(lower)} exceeds upper bound "
+                                     f"{_shown(upper)}")
         super().__init__(lower, upper, slice_verdict, provenance,
                          tuple(_check_str(a, "assumption") for a in assumptions), components)
 
@@ -144,8 +142,8 @@ class InfectionDecl(_Value):
         if milnor_vanishing_length < 2 * double_points:
             raise InvalidSeifertData(
                 "hypotheses of the infection-transfer theorem not declared: "
-                f"need Milnor vanishing length >= {reprlib.repr(2 * double_points)}, "
-                f"declared {reprlib.repr(milnor_vanishing_length)}")
+                f"need Milnor vanishing length >= {_shown(2 * double_points)}, "
+                f"declared {_shown(milnor_vanishing_length)}")
         super().__init__(axes, lk, double_points, milnor_vanishing_length,
                          _check_str(notes, "notes"))
 
@@ -185,10 +183,10 @@ class BandCertificate(_Value):
             raise ParseError("need bands >= 0 and at least one unlink component")
         chi = resulting_unlink_components - bands
         if chi % 2 == 0:
-            raise ParseError(f"invalid certificate: chi = {reprlib.repr(chi)} must be odd for "
+            raise ParseError(f"invalid certificate: chi = {_shown(chi)} must be odd for "
                              "one boundary circle")
         if (genus := (1 - chi) // 2) < 0:
-            raise ParseError(f"invalid certificate: negative genus {reprlib.repr(genus)}")
+            raise ParseError(f"invalid certificate: negative genus {_shown(genus)}")
         super().__init__(bands, resulting_unlink_components)
 
 

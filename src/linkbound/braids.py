@@ -22,9 +22,26 @@ import itertools
 import operator
 import re
 import reprlib
+import sys
 
 from . import linalg
 from .errors import InvalidSeifertData, ParseError
+
+
+class _Shown(reprlib.Repr):
+    """reprlib's short form of an outside value, which every refusal shows:
+    an int with more digits than str() writes (sys.get_int_max_str_digits,
+    4300 by default; no limit before it existed) is shown by its size,
+    where repr() would raise ValueError inside the refusal."""
+
+    def repr_int(self, x, level):
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if limit and abs(x) >= 10 ** limit:
+            return f"<integer of {x.bit_length()} bits>"
+        return super().repr_int(x, level)
+
+
+_shown = _Shown().repr
 
 
 def _check_integer(value, what: str, error=ParseError) -> int:
@@ -44,7 +61,7 @@ def _check_str(value, what: str, error=ParseError) -> str:
     would turn a list or a number into text."""
     if isinstance(value, str):
         return value
-    raise error(f"{what} must be a string, got {reprlib.repr(value)}")
+    raise error(f"{what} must be a string, got {_shown(value)}")
 
 
 def _check_list(value, what: str) -> tuple:
@@ -53,7 +70,7 @@ def _check_list(value, what: str) -> tuple:
     an object by its keys."""
     if isinstance(value, (list, tuple)):
         return tuple(value)
-    raise ParseError(f"{what} must be a list, got {reprlib.repr(value)}")
+    raise ParseError(f"{what} must be a list, got {_shown(value)}")
 
 
 def _check_integers(values, what: str, error=ParseError) -> tuple[int, ...]:
@@ -66,7 +83,7 @@ def _decimal(text: str) -> int:
     (int() also reads '+1', ' 1', '1_0' and other scripts' digits)."""
     digits = text.removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not a decimal integer: {reprlib.repr(text)}")
+        raise ValueError(f"not a decimal integer: {_shown(text)}")
     return int(text)
 
 
@@ -114,11 +131,11 @@ class BraidWord(_Value):
     def __init__(self, strands: int, letters: tuple[int, ...] = ()):
         strands, *letters = _check_integers((strands, *letters), "strands and braid letters")
         if strands < 1:
-            raise ParseError(f"strands must be >= 1, got {reprlib.repr(strands)}")
+            raise ParseError(f"strands must be >= 1, got {_shown(strands)}")
         for x in letters:
             if x == 0 or abs(x) > strands - 1:
                 raise ParseError(
-                    f"letter {reprlib.repr(x)} out of range for {reprlib.repr(strands)} strands")
+                    f"letter {_shown(x)} out of range for {_shown(strands)} strands")
         super().__init__(strands, tuple(letters))
 
 
@@ -139,13 +156,13 @@ def parse_braid(text: str) -> BraidWord:
             try:
                 strands = _decimal(token[len("strands="):])
             except ValueError:
-                raise ParseError(f"bad strand count in {reprlib.repr(token)}") from None
+                raise ParseError(f"bad strand count in {_shown(token)}") from None
             continue
         m = _TOKEN.fullmatch(token)
         try:
             idx = _decimal(m.group(1) if m else token)
         except ValueError:  # also an index past Python's limit on digits
-            raise ParseError(f"malformed braid token {reprlib.repr(token)}") from None
+            raise ParseError(f"malformed braid token {_shown(token)}") from None
         letters.append(-idx if m and m.group(2) else idx)
     if strands is None:
         raise ParseError("missing strands=<n> declaration")
@@ -222,7 +239,7 @@ class SeifertData(_Value):
         if m < 1:
             raise InvalidSeifertData("components must be >= 1")
         if (n - m + 1) % 2 != 0 or n - m + 1 < 0:
-            raise InvalidSeifertData(f"no genus fits size {n} with {reprlib.repr(m)} components")
+            raise InvalidSeifertData(f"no genus fits size {n} with {_shown(m)} components")
         v = (tuple(map(tuple, matrix)) if ints is None
              else tuple(ints[1 + i * n:1 + (i + 1) * n] for i in range(n)))
         super().__init__(v, m, _check_str(label, "label", InvalidSeifertData))
@@ -285,7 +302,7 @@ def seifert_matrix_from_braid(b: BraidWord) -> SeifertData:
         missing = (k for k in range(1, b.strands) if k not in used)
         first = ", ".join(map(str, itertools.islice(missing, 5)))
         raise InvalidSeifertData(
-            f"disconnected surface: {reprlib.repr(b.strands - 1 - len(used))} generator(s) "
+            f"disconnected surface: {_shown(b.strands - 1 - len(used))} generator(s) "
             f"unused, first {first}")
 
     n = len(b.letters) - len(used)
@@ -366,7 +383,7 @@ def _json_keys(obj, keys: tuple[str, ...], what: str) -> dict:
         raise ParseError(f"{what} must be a JSON object")
     for key in obj:
         if key not in keys:
-            raise ParseError(f"{what}: unknown key {reprlib.repr(key)}")
+            raise ParseError(f"{what}: unknown key {_shown(key)}")
     return obj
 
 

@@ -10,21 +10,39 @@ with T(3,5) it reproduces the width-10 Alexander polynomial and the
 
 from __future__ import annotations
 
-import reprlib
-
 from .bounds import assemble_report
 from .braids import (BraidWord, SeifertData, _braid_field, _check_integer, _check_str, _json_keys,
-                     _Value, connected_sum, seifert_data_from_json, seifert_matrix_from_braid,
-                     torus_braid)
+                     _shown, _Value, connected_sum, seifert_data_from_json,
+                     seifert_matrix_from_braid, torus_braid)
 from .errors import ParseError
 from .laurent import laurent_from_json, units_equal
 from .signature import alexander_from_seifert, signature_function
 
 
 class CatalogEntry(_Value):
+    """A named input and the values `verify` expects of it.  ParseError
+    unless the name is a string and `expected` is None or an object with
+    no keys but alexander (a Laurent polynomial in JSON form),
+    max_abs_sigma (an integer) and g4 (a pair of integers or nulls)."""
+
     _fields = ("name", "input", "expected")
 
     def __init__(self, name: str, input: BraidWord | SeifertData, expected: dict | None = None):
+        if expected is not None:
+            _json_keys(expected, ("alexander", "max_abs_sigma", "g4"), "expected")
+            if "max_abs_sigma" in expected:
+                _check_integer(expected["max_abs_sigma"], "max_abs_sigma")
+            g4 = expected.get("g4", [None, None])
+            if not isinstance(g4, (list, tuple)) or len(g4) != 2:
+                raise ParseError(f"g4 must be a pair of bounds, got {_shown(g4)}")
+            for bound in g4:
+                if bound is not None:
+                    _check_integer(bound, "g4 bound")
+            if "alexander" in expected:
+                try:
+                    laurent_from_json(expected["alexander"])
+                except ValueError as e:
+                    raise ParseError(f"bad expected alexander: {e}") from None
         super().__init__(_check_str(name, "catalog entry name"), input, expected)
 
     def seifert_data(self) -> SeifertData:
@@ -34,27 +52,10 @@ class CatalogEntry(_Value):
 
     @classmethod
     def from_json(cls, obj: dict) -> "CatalogEntry":
-        """An entry {name, input, expected}; ParseError unless the entry, its
-        input and its expected values are objects with no other keys, the
-        name is a string, max_abs_sigma an integer, g4 a pair of integers
-        or nulls and alexander a Laurent polynomial."""
-        _json_keys(obj, cls._fields, "catalog entry")
-        inp, expected = obj.get("input"), obj.get("expected")
-        expected = _json_keys({} if expected is None else expected,
-                              ("alexander", "max_abs_sigma", "g4"), "expected")
-        if "max_abs_sigma" in expected:
-            _check_integer(expected["max_abs_sigma"], "max_abs_sigma")
-        g4 = expected.get("g4", [None, None])
-        if not isinstance(g4, list) or len(g4) != 2:
-            raise ParseError(f"g4 must be a pair of bounds, got {reprlib.repr(g4)}")
-        for bound in g4:
-            if bound is not None:
-                _check_integer(bound, "g4 bound")
-        if "alexander" in expected:
-            try:
-                laurent_from_json(expected["alexander"])
-            except ValueError as e:
-                raise ParseError(f"bad expected alexander: {e}") from None
+        """An entry {name, input, expected}; ParseError unless the entry is
+        an object with no other keys, its input one that the input readers
+        take, and its name and expected values ones the constructor takes."""
+        inp = _json_keys(obj, cls._fields, "catalog entry").get("input")
         return cls(obj.get("name"), _braid_field(inp) or seifert_data_from_json(inp),
                    obj.get("expected"))
 

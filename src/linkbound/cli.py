@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import reprlib
 import sys
 from types import SimpleNamespace
 
@@ -23,7 +22,7 @@ from .errors import InconsistentBounds, InvalidSeifertData, ParseError
 from .laurent import format_laurent, laurent_to_json
 from .signature import (alexander_from_seifert, float_oracle, link_nullity,
                         signature_function)
-from .braids import _decimal, seifert_data_from_json
+from .braids import _decimal, _shown, seifert_data_from_json
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -37,11 +36,11 @@ def _load_json(path: str):
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as e:  # its text repeats the path
-        raise ParseError(f"{reprlib.repr(path)}: {e.strerror}") from None
+        raise ParseError(f"{_shown(path)}: {e.strerror}") from None
     except json.JSONDecodeError as e:
-        raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+        raise ParseError(f"{_shown(path)}:{e.lineno}:{e.colno}: {e.msg}") from None
     except (ValueError, RecursionError) as e:  # not UTF-8, an integer too long, deep nesting
-        raise ParseError(f"{path}: {e}") from None
+        raise ParseError(f"{_shown(path)}: {e}") from None
 
 
 def _load_seifert(path: str):
@@ -77,7 +76,7 @@ def _parse_band_certs(raw) -> list[BandCertificate]:
             certs.append(BandCertificate(b, u))
         except ValueError as e:
             raise ParseError(
-                f"--band-cert wants a valid 'b,u', got {reprlib.repr(pair)}: {e}") from None
+                f"--band-cert wants a valid 'b,u', got {_shown(pair)}: {e}") from None
     return certs
 
 
@@ -147,9 +146,9 @@ def _within(flag: str, least, most: int):
     def read(text: str) -> int:
         value = _decimal(text)
         if value > most:
-            raise ParseError(f"{flag} {reprlib.repr(value)} exceeds the maximum {most}")
+            raise ParseError(f"{flag} {_shown(value)} exceeds the maximum {most}")
         if value < least:
-            raise ParseError(f"{flag} {reprlib.repr(value)} is below the minimum {least}")
+            raise ParseError(f"{flag} {_shown(value)} is below the minimum {least}")
         return value
     return read
 
@@ -203,7 +202,7 @@ def _parse(argv: list[str]):
             return cmd_help, None
         flag, eq, value = token.partition("=")
         if flag not in options:
-            raise ParseError(f"{command}: unknown option {reprlib.repr(flag)}")
+            raise ParseError(f"{command}: unknown option {_shown(flag)}")
         kind, dest = options[flag][0], flag[2:].replace("-", "_")
         if dest in given and kind is not list:
             raise ParseError(f"{command}: {flag} given twice")
@@ -215,13 +214,13 @@ def _parse(argv: list[str]):
             raise
         except ValueError:
             raise ParseError(
-                f"{command}: {flag} wants an integer, got {reprlib.repr(value)}") from None
+                f"{command}: {flag} wants an integer, got {_shown(value)}") from None
     free += given.pop("input", [])
     values = {flag[2:].replace("-", "_"): default for flag, (_, default) in options.items()}
     values.update(zip(positionals, free), **given)
     if len(free) > len(positionals) or not all(values.get(name) for name in positionals):
         raise ParseError(f"{command} takes {' '.join(map(str.upper, positionals)) or 'no file'}"
-                         f", got {reprlib.repr(' '.join(free)) if free else 'none'}")
+                         f", got {_shown(' '.join(free)) if free else 'none'}")
     return handler, SimpleNamespace(**values)
 
 

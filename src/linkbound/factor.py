@@ -23,6 +23,7 @@ from . import polys
 from .braids import _Value
 from .errors import ZeroPolynomialError
 from .laurent import LaurentPoly
+from .realroots import _yun
 
 # The largest degree of the odd part that Fox-Milnor factors.  Kronecker's
 # search is exponential in the degree: factoring Phi_19 (degree 18) takes
@@ -191,7 +192,7 @@ def factor_integer_polynomial(p) -> tuple[int, list[tuple[tuple, int]]]:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
     c, prim = polys.primitive_positive(prim)
     c *= polys.content(p)
-    return c, sorted((f, mult) for s, mult in polys.squarefree_decomposition(prim)
+    return c, sorted((f, mult) for s, mult in _yun(prim)[0]
                      for f in _factor_squarefree(s))
 
 
@@ -251,7 +252,7 @@ def fox_milnor_test(p: LaurentPoly) -> FoxMilnorResult:
     # self-reciprocal: s_i^(i // 2) enters the witness whole, and a factor
     # f of an odd s_i pairs with its reciprocal f*, a factor of that s_i.
     witness, odd = [1], []
-    for s, i in polys.squarefree_decomposition(dense):
+    for s, i in _yun(dense)[0]:
         for _ in range(i // 2):
             witness = polys.mul(witness, s)
         if i % 2:

@@ -12,9 +12,7 @@ leading coefficient, so Alexander polynomials compare by plain equality.
 
 from __future__ import annotations
 
-import reprlib
-
-from .braids import _check_integer, _json_keys
+from .braids import _check_integer, _json_keys, _shown
 from .errors import ZeroPolynomialError
 
 
@@ -206,7 +204,7 @@ def _coeff_from_json(v) -> int:
         return v
     if type(v) is float and v.is_integer():
         return int(v)
-    raise ValueError(f"bad coefficient {reprlib.repr(v)}")
+    raise ValueError(f"bad coefficient {_shown(v)}")
 
 
 def laurent_to_json(p: LaurentPoly) -> dict:
@@ -223,7 +221,7 @@ def _exponent_from_json(key) -> int:
             return e
     except ValueError:
         pass
-    raise ValueError(f"bad exponent key {reprlib.repr(key)}")
+    raise ValueError(f"bad exponent key {_shown(key)}")
 
 
 def laurent_from_json(obj) -> LaurentPoly:
@@ -237,7 +235,7 @@ def laurent_from_json(obj) -> LaurentPoly:
         if type(coeffs) is not list:
             raise ValueError(f"coefficients must be an array, got {type(coeffs).__name__}")
         if type(low) is not int:  # nor a bool, a float or a string
-            raise ValueError(f"min_exponent must be an integer, got {reprlib.repr(low)}")
+            raise ValueError(f"min_exponent must be an integer, got {_shown(low)}")
         return LaurentPoly.from_dense([_coeff_from_json(v) for v in coeffs], low)
     if isinstance(obj, dict):
         return LaurentPoly({_exponent_from_json(k): _coeff_from_json(v) for k, v in obj.items()})

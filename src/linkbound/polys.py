@@ -178,18 +178,17 @@ def gcd_poly(p, q) -> list:
     return primitive_positive(a)[1]
 
 
-def squarefree_decomposition(p, g=None) -> list[tuple[list, int]]:
+def squarefree_decomposition(p, g) -> list[tuple[list, int]]:
     """Yun's algorithm: p ~ prod f_i^i with the f_i squarefree, pairwise
-    coprime, primitive and positive-leading.  Equality holds up to a
-    rational unit; constant factors are dropped.  Every gcd is primitive
-    and divides a primitive polynomial, so each quotient is integral.
-    A caller that has gcd(p, p') already, primitive, passes it as g."""
+    coprime, primitive and positive-leading, given g = gcd(p, p'),
+    primitive (realroots._yun reads it off p's Sturm chain).  Equality
+    holds up to a rational unit; constant factors are dropped.  Every gcd
+    is primitive and divides a primitive polynomial, so each quotient is
+    integral."""
     p = primitive(p)
     if degree(p) <= 0:
         return []
     out = []
-    if g is None:
-        g = gcd_poly(p, derivative(p))
     b = div_exact(p, g)
     c = div_exact(derivative(p), g)
     d = sub(c, derivative(b))

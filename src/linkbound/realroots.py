@@ -17,8 +17,8 @@ the sign of d^k p(a/d) by one integer Horner pass
 (:func:`linkbound.polys.sign_at_ratio`).  Bisection of (a/d, b/d) gives
 (2a, a + b)/2d or (a + b, 2b)/2d, the rationals that Fraction bisection
 gives, so isolation, refinement and comparison build no Fraction.  Sturm
-chains hold primitive integer polynomials and are computed once per
-polynomial.  Within one isolation each point's Sturm count is taken
+chains hold primitive integer polynomials and are computed once and
+handed on.  Within one isolation each point's Sturm count is taken
 once, kept under the point in lowest terms.  The chain is the one
 remainder sequence of (p, p'), and its last element is gcd(p, p'): a
 constant one means p is square-free, and otherwise Yun's decomposition
@@ -51,15 +51,9 @@ def sturm_chain(p) -> tuple:
     Euclidean remainders, each scaled by a positive rational to a
     primitive integer polynomial.  Positive scaling changes no sign, so
     sign variations and root counts are those of the classical chain.
-    Computed once per polynomial."""
-    return _sturm_chain(tuple(polys.primitive(p)))
-
-
-@lru_cache(maxsize=512)
-def _sturm_chain(p: tuple) -> tuple:
-    """sturm_chain of a primitive p."""
-    chain = [p]
-    d = polys.derivative(p)
+    Computed on each call: a caller that reads the chain again keeps it."""
+    chain = [tuple(polys.primitive(p))]
+    d = polys.derivative(chain[0])
     if d:
         chain.append(tuple(polys.primitive(d)))
         while True:
@@ -200,25 +194,23 @@ def _descend(poly, a: int, w: int, d: int, sign_lo: int, depth: int) -> tuple[in
     return a, d
 
 
-@lru_cache(maxsize=512)
-def _yun(q: tuple) -> tuple:
+def _yun(q) -> tuple:
     """(Yun's square-free decomposition of the integer polynomial q, the
-    square-free part), once per polynomial.  The part is the product of
-    the factors (Gauss's lemma).  The one remainder sequence of (q, q') is
-    the Sturm chain of q's primitive positive form p, whose last element
-    is gcd(q, q'): when it is constant, p is square-free and its own
-    decomposition, and otherwise Yun starts from it.  A caller that needs
-    the part, the roots and the chain of the same polynomial thus runs
-    that sequence once."""
+    square-free part, the Sturm chain of q's primitive positive form p),
+    from the one remainder sequence of (q, q').  The part is the product
+    of the factors (Gauss's lemma).  The chain's last element is
+    gcd(q, q'): when it is constant, p is square-free, its own
+    decomposition and part, and the chain is the part's; otherwise Yun
+    starts from it.  A caller that needs the part, the roots and the
+    chain of one polynomial thus runs that sequence once, and hands on
+    what it needs again."""
     p = tuple(polys.primitive_positive(q)[1])
-    if polys.degree(p) <= 0:
-        return (), (1,)
-    last = _sturm_chain(p)[-1]
-    if polys.degree(last) == 0:
-        return ((p, 1),), p
-    g = polys.primitive_positive(last)[1]
+    chain = sturm_chain(p)
+    if polys.degree(chain[-1]) <= 0:
+        return ((p, 1),) if polys.degree(p) > 0 else (), p, chain
+    g = polys.primitive_positive(chain[-1])[1]
     factors = tuple((tuple(f), m) for f, m in polys.squarefree_decomposition(p, g))
-    return factors, tuple(reduce(polys.mul, (f for f, _ in factors), [1]))
+    return factors, tuple(reduce(polys.mul, (f for f, _ in factors), [1])), chain
 
 
 def isolate_real_roots(q, lo, hi) -> list[tuple[int, int, int, int]]:
@@ -235,23 +227,31 @@ def isolate_real_roots(q, lo, hi) -> list[tuple[int, int, int, int]]:
     Yun factor, the one whose sign differs at the two ends, and its
     power is the multiplicity.  Raises ZeroPolynomialError for q = 0.
     """
+    return _isolate(q, lo, hi)[0]
+
+
+def _isolate(q, lo, hi) -> tuple[list, tuple]:
+    """(isolate_real_roots(q, lo, hi), the square-free part of q that the
+    isolation counted on).  The part's chain is q's own when q is
+    square-free and is built only otherwise, so the brackets and the
+    RealAlgebraic._certified roots built on them read one decomposition."""
     q = polys.primitive(q)
     if not q:
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
     (a, e), (b, f) = _ratio(lo), _ratio(hi)
     d = lcm(e, f)
     a, b = a * (d // e), b * (d // f)
-    if not a < b or polys.degree(q) == 0:
-        return []
-    factors, sq = _yun(tuple(q))
+    factors, part, chain = _yun(q)
+    if polys.degree(chain[-1]) > 0:  # q is not square-free
+        chain = sturm_chain(part)
     out = []
-    for u, v, e in _isolate_squarefree(_SturmCounts(_sturm_chain(sq)), a, b, d):
+    for u, v, e in _isolate_squarefree(_SturmCounts(chain), a, b, d) if a < b else ():
         mult = factors[0][1] if len(factors) == 1 else next(
             m for factor, m in factors
             if polys.sign_at_ratio(factor, u, e) != polys.sign_at_ratio(factor, v, e))
         g = gcd(u, v, e)
         out.append((u // g, v // g, e // g, mult))
-    return out
+    return out, part
 
 
 def _ratio(c) -> tuple[int, int]:
@@ -286,6 +286,9 @@ def _has_rational_root(poly, chain) -> bool:
     return False
 
 
+# The one polynomial cache, kept for the frontier: no benchmark workload
+# calls it, but one report each of T(4,28), T(4,40) and T(3,26)#-T(3,26)
+# hits it 11, 18 and 1203 times, and took 10-23% longer without it.
 @lru_cache(maxsize=1024)
 def _gcd(q: tuple, poly: tuple) -> tuple:
     return tuple(polys.gcd_poly(q, poly))
@@ -319,7 +322,7 @@ class RealAlgebraic:
         _, prim = polys.primitive_positive(polys.primitive(poly))
         if polys.degree(prim) < 1:
             raise ValueError("defining polynomial must be nonconstant")
-        chain = _sturm_chain(tuple(prim))
+        chain = sturm_chain(prim)
         if polys.degree(chain[-1]) > 0:  # the last element is gcd(poly, poly')
             raise ValueError("defining polynomial must be square-free")
         (a, e), (b, f) = _ratio(lo), _ratio(hi)
@@ -334,12 +337,13 @@ class RealAlgebraic:
 
     @classmethod
     def _certified(cls, poly, a: int, b: int, d: int) -> "RealAlgebraic":
-        """The root in a bracket (a, b, d, _) that isolate_real_roots(q, ...)
-        returned for a q with no rational root, with poly the square-free
-        part of q from _yun, the very polynomial that isolation counted
-        on.  Isolation certified what the public constructor checks (poly
-        primitive, positive-leading and square-free, the endpoints not
-        roots, one root inside), so nothing is counted again."""
+        """The root in a bracket (a, b, d, _) that _isolate(q, ...) returned
+        for a q with no rational root, with poly the square-free part that
+        it returned with the bracket, the very polynomial that isolation
+        counted on.  Isolation certified what the public constructor
+        checks (poly primitive, positive-leading and square-free, the
+        endpoints not roots, one root inside), so nothing is counted
+        again."""
         root = object.__new__(cls)
         root._set_bracket(poly, a, b, d)
         return root
@@ -397,7 +401,8 @@ class RealAlgebraic:
         q = polys.primitive(q)  # a positive multiple: the same sign
         if self.vanishes(q):
             return 0
-        counts = _SturmCounts(_sturm_chain(_yun(tuple(q))[1]))  # ((1,),) for a constant q
+        _, part, chain = _yun(q)  # ((1,),) for a constant q
+        counts = _SturmCounts(chain if polys.degree(chain[-1]) <= 0 else sturm_chain(part))
         while ((s := polys.sign_at_ratio(q, self._a, self._d)) == 0
                or counts.roots(self._a, self._b, self._d)):
             self._bisect()

@@ -73,7 +73,7 @@ from .braids import SeifertData, _Value
 from .factor import _rational_root_split
 from .laurent import LaurentPoly
 from .linalg import _frobenius, _integer_symmetric_signature, _principal_signs
-from .realroots import RealAlgebraic, _nonzero_at, _yun, isolate_real_roots
+from .realroots import RealAlgebraic, _isolate, _nonzero_at
 
 
 # -- circle points ----------------------------------------------------------
@@ -343,8 +343,8 @@ def _jump_structure(data):
     the order e of det B_I there, so rank B(z0) >= r - e: for e = 1 the
     rank is r - 1.
 
-    The square-free part that defines the algebraic breakpoints comes
-    from the one decomposition that the isolation reads.
+    The square-free part that defines the algebraic breakpoints is the
+    one that the isolation counted on and returns with its brackets.
     """
     n = data.size
     _, minors = _principal_block(data)
@@ -359,9 +359,9 @@ def _jump_structure(data):
     candidates = sorted((Fraction(-c, den), e) for (c, den), e in
                         collections.Counter(map(tuple, linear)).items() if abs(c) < 2 * den)
     if polys.degree(rest) >= 1:
-        sqfree = _yun(tuple(rest))[1]
+        brackets, sqfree = _isolate(rest, -2, 2)
         candidates += [(RealAlgebraic._certified(sqfree, a, b, d), e)  # in increasing order
-                       for a, b, d, e in isolate_real_roots(rest, -2, 2)]
+                       for a, b, d, e in brackets]
     ranks = iter(_ranks_at(data, [root for root, e in candidates if e > 1]))
     rationals, algebraic = [], []
     for root, e in candidates:

@@ -74,7 +74,8 @@ def factor_integer_polynomial(p) -> tuple[int, list[tuple[tuple, int]]]:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
     c, prim = polys.primitive_positive(p)
     counts: dict[tuple, int] = {}
-    for sq_factor, mult in polys.squarefree_decomposition(prim):
+    g = polys.gcd_poly(prim, polys.derivative(prim))
+    for sq_factor, mult in polys.squarefree_decomposition(prim, g):
         for f in _factor_squarefree(sq_factor):
             key = tuple(f)
             counts[key] = counts.get(key, 0) + mult

@@ -162,7 +162,7 @@ def isolate_real_roots(q, lo, hi) -> list[IsolatingInterval]:
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi or polys.degree(q) == 0:
         return []
-    factors, sq = _yun(tuple(q))
+    factors, sq, _ = _yun(tuple(q))
     found = []  # mutable records [lo, hi, mult, factor]
     for factor, mult in factors:
         for u, v in _isolate_squarefree(_SturmCounts(sturm_chain(factor)), lo, hi):

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -190,18 +191,49 @@ def test_bound_report_stores_tuples_of_provenance():
      "linking_numbers row must be a list, got {}"),
     (lambda: CatalogEntry(7, BraidWord(1)), ParseError,
      "catalog entry name must be a string, got 7"),
+    (lambda: CatalogEntry("e", BraidWord(1), {"g4": 5}), ParseError,
+     "g4 must be a pair of bounds, got 5"),
+    (lambda: CatalogEntry("e", BraidWord(1), {"max_abs_sigma": "2"}), ParseError,
+     "max_abs_sigma must be integers, got str"),
+    (lambda: CatalogEntry("e", BraidWord(1), {"gee4": [0, 0]}), ParseError,
+     "expected: unknown key 'gee4'"),
     (lambda: SeifertData([[1, 1], [0, 1]], label=[1, 2]), InvalidSeifertData,
-     "label must be a string, got [1, 2]")],
+     "label must be a string, got [1, 2]"),
+    (lambda: SeifertData([[0]], 0), InvalidSeifertData, "components must be >= 1"),
+    (lambda: BoundReport(-1, None, "inconclusive"), InconsistentBounds,
+     "lower bound must be >= 0"),
+    (lambda: InfectionDecl(0, [], 0, 0), InvalidSeifertData, "infection needs at least one axis"),
+    (lambda: InfectionDecl(1, [[0]], -1, 0), InvalidSeifertData, "double_points must be >= 0"),
+    (lambda: slice_obstruction(SeifertData([[0]], 2)), InvalidSeifertData,
+     "slice obstruction implemented for knots only"),
+    (lambda: BoundReport(10 ** 5000, 0, "inconclusive"), InconsistentBounds,
+     "lower bound <integer of 16610 bits> exceeds upper bound 0"),
+    (lambda: BraidWord(-10 ** 5000), ParseError,
+     "strands must be >= 1, got <integer of 16610 bits>"),
+    (lambda: SeifertData([[0]], 10 ** 5000), InvalidSeifertData,
+     "no genus fits size 1 with <integer of 16610 bits> components"),
+    (lambda: InfectionDecl(1, [[0]], 10 ** 5000, 0), InvalidSeifertData,
+     "hypotheses of the infection-transfer theorem not declared: need Milnor vanishing "
+     "length >= <integer of 16611 bits>, declared 0")],
     ids=["bare assumptions", "assumption", "provenance iterator", "upper", "source", "notes",
-         "milnor_vanishing_length", "linking_numbers row", "catalog name", "label"])
+         "milnor_vanishing_length", "linking_numbers row", "catalog name", "catalog g4",
+         "catalog max_abs_sigma", "catalog misspelt key", "label", "components", "lower",
+         "axes", "double_points", "slice of a link", "huge lower", "huge strands",
+         "huge components", "huge double_points"])
 def test_records_refuse_wrong_types_by_field(make, error, message):
-    """Each record checks its own fields and names the one it refuses: a
-    bare string of assumptions used to become one assumption per letter,
-    and hash() of a Provenance with a list source or of a SeifertData
-    with a list label raised TypeError."""
+    """Each record checks its own fields and names the one it refuses, in
+    one line under 300 bytes: a bare string of assumptions used to become
+    one assumption per letter, and hash() of a Provenance with a list
+    source or of a SeifertData with a list label raised TypeError.  A
+    catalog entry checks its expected values where it is built, where only
+    its JSON reader did: {"g4": 5} raised a bare TypeError in `verify`,
+    {"max_abs_sigma": "2"} failed as "expected 2 got 2", and a misspelt key
+    checked nothing.  An integer too long for str() is shown by its size;
+    it raised Python's own ValueError from inside the refusal."""
     with pytest.raises(error) as refused:
         make()
     assert str(refused.value).startswith(message)
+    assert "\n" not in str(refused.value) and len(str(refused.value).encode()) < 300
 
 
 V_TREFOIL = ((-1, 1), (0, -1))
@@ -599,6 +631,19 @@ def test_bound_report_refuses_what_no_report_holds(change, message):
     with pytest.raises(ParseError, match=message):
         BoundReport.from_json(dict({"lower": 1, "upper": 2, "slice_verdict": "obstructed"},
                                    **change))
+
+
+def test_a_report_that_nothing_decides_is_inconclusive():
+    """The connected sum of the twist knots with Seifert matrices
+    [[-1, 1], [0, m]], m = k(k + 1) for k = 1, ..., 7: each 4m + 1 is a
+    square, so |Delta(-1)| is one and Fox-Milnor's quick checks pass, and
+    max |sigma| = 0.  Its odd part has degree 14, above the cap of 12, so
+    neither an obstruction nor a slice-consistent verdict is certified."""
+    data = functools.reduce(connected_sum, (
+        SeifertData.from_matrix([[-1, 1], [0, k * (k + 1)]], 1, "twist") for k in range(1, 8)))
+    report = assemble_report(data)
+    assert (report.lower, report.upper, report.slice_verdict) == (0, 7, "inconclusive")
+    assert slice_obstruction(data).fox_milnor.reason == "degree 14 exceeds cap 12"
 
 
 def test_report_json_round_trip():

@@ -552,16 +552,25 @@ def test_verify_builtin(capsys):
 
 
 def test_verify_corrupted_catalog(capsys, tmp_path):
+    """Each entry whose expected values differ from the computed ones
+    fails with one line naming every difference, and verify exits 5."""
     catalog = [{
         "name": "bad_trefoil",
         "input": {"braid": {"strands": 2, "word": [1, 1, 1]}},
         "expected": {"alexander": {"0": 7}},
+    }, {
+        "name": "wrong_trefoil",
+        "input": {"braid": {"strands": 2, "word": [1, 1, 1]}},
+        "expected": {"max_abs_sigma": 3, "g4": [0, 2]},
     }]
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(catalog))
     code, out, _ = run(capsys, "verify", "--catalog", str(path))
     assert code == 5
     assert "FAIL bad_trefoil" in out
+    assert ("FAIL wrong_trefoil: max|sigma|: expected 3 got 2; g4 lower: expected 0 got 1; "
+            "g4 upper: expected 2 got 1\n") in out
+    assert out.endswith("0/2 catalog entries passed\n")
 
 
 def test_verify_empty_catalog(capsys, tmp_path):
@@ -691,6 +700,7 @@ NINES = "9" * 4000  # an integer option of 4000 digits, within int()'s 4300
 BIG_REPORT = {"lower": 1, "upper": 1, "slice_verdict": "obstructed"}
 TREFOIL_MATRIX = [[-1, 1], [0, -1]]
 HUGE = int(NINES)
+DEEP = ("d" * 240,) * 12  # the directories of a 2900-character path
 PREFIXES = {2: "parse error: ", 3: "invalid input data: ", 4: "inconsistent bounds: "}
 
 
@@ -718,21 +728,30 @@ PREFIXES = {2: "parse error: ", 3: "invalid input data: ", 4: "inconsistent boun
     (["infect", BIG_REPORT, dict(DECLARATION, double_points=HUGE)], 3),
     (["bound", {"seifert_matrix": TREFOIL_MATRIX}, "--" + BIG], 2),
     (["bound", {"seifert_matrix": TREFOIL_MATRIX}, BIG], 2),
-    (["bound", "missing/" * 500], 2)],
+    (["bound", "missing/" * 500], 2),
+    (["bound", b'{"seifert_matrix": [['], 2),
+    (["bound", b"\xff\xfe"], 2)],
     ids=["components", "matrix entry", "strands", "json-indent", "band-cert",
          "provenance bound", "slice_verdict", "g4", "coefficient", "exponent", "min_exponent",
          "json-indent nines", "samples nines", "band-cert nines", "unused generators nines",
          "strands nines", "letter nines", "seifert components nines", "report components nines",
-         "lower nines", "double_points nines", "unknown option", "extra word", "missing path"])
+         "lower nines", "double_points nines", "unknown option", "extra word", "missing path",
+         "truncated file, long path", "non-UTF-8 file, long path"])
 def test_oversized_value_gives_a_short_error_line(capsys, tmp_path, args, code):
     """A refusal that echoes a 100 000-character value, a g4 of 50 000
-    entries, a 4000-digit integer or a 4000-character path shows it
-    shortened by reprlib: one line of under 300 bytes with the prefix of
-    its exit code, where the whole value made lines of 4 000 to 200 000
-    bytes.  Each JSON object of `args` is passed as a file."""
+    entries, a 4000-digit integer or a path of 2900 to 4000 characters
+    shows it shortened: one line of under 300 bytes with the prefix of its
+    exit code, where the whole value made lines of 2 900 to 200 000 bytes.
+    Each JSON object of `args` is passed as a file, and each bytes value
+    as the content of a file under the directories DEEP."""
     argv = []
     for i, arg in enumerate(args):
-        if not isinstance(arg, str):
+        if isinstance(arg, bytes):
+            path = tmp_path.joinpath(*DEEP, f"{i}.json")
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(arg)
+            arg = str(path)
+        elif not isinstance(arg, str):
             path = tmp_path / f"{i}.json"
             path.write_text(json.dumps(arg))
             arg = str(path)

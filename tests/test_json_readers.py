@@ -118,6 +118,7 @@ def test_infection_declaration_reader(obj):
 @settings(max_examples=75, deadline=None)
 @given(st.lists(entries, max_size=2))
 @example([{"name": 7, "input": TREFOIL}])
+@example({"name": "trefoil", "input": TREFOIL})
 def test_catalog_reader(obj):
     catalog = _read(load_catalog, obj)
     if catalog is not None:
@@ -129,6 +130,7 @@ def test_catalog_reader(obj):
 @example({"seifert_matrix": [[-1, 1], [0, -1]], "label": [1, 2]})
 @example({"seifert_matrix": [[-1, 1], [0, -1]], "components": HUGE})
 @example({"braid": {"strands": HUGE, "word": []}})
+@example([TREFOIL])
 def test_input_reader(obj):
     data = _read(seifert_data_from_json, obj)
     if data is not None and "braid" not in obj:

@@ -188,3 +188,25 @@ def test_a_warm_read_takes_p_and_q_once_and_builds_no_fraction(monkeypatch, p, q
     f.to_json()
     assert calls["__new__"] == calls["__eq__"] == calls["__hash__"] == 0
     assert bool(inside) == (p == 3)
+
+
+@pytest.mark.parametrize("p, q", [(2, 8), (2, 12), (3, 6), (4, 4), (2, 9), (2, 15)])
+def test_an_algebraic_read_beside_a_rational_breakpoint(p, q):
+    """value_at x = r +- sqrt(2)/10^k, k = 3, 5, 8, for each rational
+    breakpoint r, given by a bracket that holds r, is the value of the
+    interval beside r on x's side: the read compares x with r itself
+    (SignatureFunction._locate), which no other read of these tests does."""
+    f = signature_function(_torus(p, q))
+    rational = [i for i, bp in enumerate(f.breakpoints) if type(bp) is Fraction]
+    assert rational
+    for i in rational:
+        a, b = f.breakpoints[i].numerator, f.breakpoints[i].denominator
+        for k in (3, 5, 8):
+            # r +- sqrt(2)/10^k are the roots of (b 10^k x - a 10^k)^2 - 2 b^2
+            big_a, big_b, eps = b * 10 ** k, a * 10 ** k, Fraction(1, 10 ** k)
+            poly = [big_b * big_b - 2 * b * b, -2 * big_a * big_b, big_a * big_a]
+            r = Fraction(a, b)
+            above = RealAlgebraic(poly, r - eps, r + 2 * eps)
+            below = RealAlgebraic(poly, r - 2 * eps, r + eps)
+            assert f.value_at(above) == f.interval_values[i + 1]
+            assert f.value_at(below) == f.interval_values[i]

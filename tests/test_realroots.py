@@ -172,6 +172,8 @@ def test_real_algebraic_rejects_bad_data():
         RealAlgebraic([-2, 0, 1], -2, 2)      # two roots inside
     with pytest.raises(ValueError):
         RealAlgebraic(polys.mul([-2, 0, 1], [-2, 0, 1]), 1, 2)  # not square-free
+    with pytest.raises(ValueError, match="endpoints must not be roots"):
+        RealAlgebraic([-1, 0, 1], 1, 2)       # x^2 - 1 at 1
 
 
 def test_rational_root_check_does_not_trial_divide():
@@ -181,7 +183,6 @@ def test_rational_root_check_does_not_trial_divide():
     for poly, lo, hi, rational in (([-(10 ** 14) - 1, 0, 0, 1], 0, 10 ** 5, False),
                                    ([-(10 ** 15), 0, 0, 1], 0, 10 ** 6, True),
                                    ([-(10 ** 14) - 1, 0, 0, 7 ** 20], 0, 10, False)):
-        realroots._sturm_chain.cache_clear()
         start = time.perf_counter()
         if rational:
             with pytest.raises(ValueError, match="rational root"):

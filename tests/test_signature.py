@@ -868,7 +868,9 @@ def test_one_squarefree_pass_per_jump_polynomial(monkeypatch):
     jump polynomial p once: the Sturm chain of the isolation, the
     square-free decomposition and the square-free part of the breakpoints
     all read it.  A sequence of (p, p') starts with the pseudo-remainder
-    of p by p', up to signs, whether a gcd or a Sturm chain runs it."""
+    of p by p', up to signs, whether a gcd or a Sturm chain runs it.  A
+    second report, on a fresh SeifertData equal to the first, runs it
+    once more: no cache keeps a chain or a decomposition across reports."""
     jump = signature._jump_structure(seifert_matrix_from_braid(torus_braid(2, 19)))[0]
     derivative = polys.primitive_positive(polys.derivative(jump))[1]
     data = cold(seifert_matrix_from_braid(torus_braid(2, 19)))
@@ -884,6 +886,8 @@ def test_one_squarefree_pass_per_jump_polynomial(monkeypatch):
     monkeypatch.setattr(polys, "pseudo_remainder", counted)
     assemble_report(data)
     assert len(starts) == 1
+    assemble_report(SeifertData(data.matrix, data.components, label=data.label))
+    assert len(starts) == 2
 
 
 def _lowest_terms(a: int, d: int) -> tuple[int, int]:
@@ -905,7 +909,7 @@ def test_each_certificate_once_per_report(monkeypatch):
     data = cold(data)
     isolation = [None]
     chain_points, signs = collections.Counter(), collections.Counter()
-    isolate, chain_signs, sign_at_ratio = signature.isolate_real_roots, \
+    isolate, chain_signs, sign_at_ratio = signature._isolate, \
         realroots._chain_signs, polys.sign_at_ratio
 
     def isolating(*args):
@@ -924,7 +928,7 @@ def test_each_certificate_once_per_report(monkeypatch):
         signs[tuple(p), _lowest_terms(a, d)] += 1
         return sign_at_ratio(p, a, d)
 
-    monkeypatch.setattr(signature, "isolate_real_roots", isolating)
+    monkeypatch.setattr(signature, "_isolate", isolating)
     monkeypatch.setattr(realroots, "_chain_signs", counted_chain)
     monkeypatch.setattr(polys, "sign_at_ratio", counted_sign)
     assemble_report(data)
