@@ -176,9 +176,11 @@ def braid_text(b: BraidWord) -> str:
 
 def torus_braid(p: int, q: int) -> BraidWord:
     """The braid (s1 s2 ... s_{p-1})^q on p strands, closing to the
-    (p, q) torus link."""
+    (p, q) torus link.  p and q are read as braid counts are, and each
+    must be at least 2 (ParseError)."""
+    p, q = _check_integers((p, q), "torus braid p and q")
     if p < 2 or q < 2:
-        raise ValueError("torus braid requires p, q >= 2")
+        raise ParseError(f"torus braid requires p, q >= 2, got {_shown(p)}, {_shown(q)}")
     return BraidWord(p, tuple(list(range(1, p)) * q))
 
 

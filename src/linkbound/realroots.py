@@ -454,6 +454,24 @@ class RealAlgebraic:
             return False
         return self._compare(other._a, e) > 0 and self._compare(other._b, e) < 0
 
+    def __eq__(self, other):
+        """equals, for a real algebraic number or a rational; any other
+        operand is left to its own type."""
+        if isinstance(other, (RealAlgebraic, int, Fraction)):
+            return self.equals(other)
+        return NotImplemented
+
+    def __hash__(self):
+        """The hash of the root's floor, which equal numbers share whatever
+        their polynomials (x^2 - 2 and (x^2 - 2)(x^2 - 3) both define
+        sqrt(2)).  A copy is bisected until its bracket holds no integer,
+        which ends since the root is irrational; this bracket is left
+        alone."""
+        root = self.copy()
+        while (k := root._a // root._d) < (root._b - 1) // root._d:
+            root._bisect()
+        return hash(k)
+
     def to_float(self, width=Fraction(1, 10**12)) -> float:
         self.refine(width)
         return (self._a + self._b) / (2 * self._d)  # int / int rounds correctly

@@ -1,9 +1,14 @@
-"""Shared random-instance generators for the test suite."""
+"""Shared random-instance generators, spies and a fresh-interpreter runner
+for the test suite."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import sympy
 from hypothesis import assume
@@ -17,6 +22,9 @@ from linkbound import BraidWord, LaurentPoly, RealAlgebraic, SeifertData, closur
 from linkbound import polys
 
 from bareiss_reference import int_rank_det
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 T = sympy.Symbol("t")
 ZZ_T = sympy.ZZ[T]
@@ -200,11 +208,11 @@ def count_eliminations(monkeypatch) -> list[int]:
     return calls
 
 
-def record_stops(patch=setattr) -> list[tuple[int, int]]:
+def record_stops(patch) -> list[tuple[int, int]]:
     """Record (the steps it resumed from, stop) for every run of the
     Bareiss kernel that stops after `stop` steps from now on, in the list
-    returned.  A test passes monkeypatch.setattr; a script passes nothing
-    and the spy stays for the rest of the process."""
+    returned.  A test passes monkeypatch.setattr; a script run in a process
+    of its own passes setattr, and the spy stays for the rest of it."""
     runs = []
     eliminate = linkbound.linalg._eliminate
 
@@ -215,6 +223,17 @@ def record_stops(patch=setattr) -> list[tuple[int, int]]:
 
     patch(linkbound.linalg, "_eliminate", stopped)
     return runs
+
+
+def run_python(args, timeout: float) -> tuple[str, str, int]:
+    """(stdout, stderr, exit code) of `python ARGS` in a fresh interpreter,
+    sys.executable, with src and tests first on PYTHONPATH.  Past
+    `timeout` seconds, which count the interpreter's start and imports,
+    the process is killed and subprocess.TimeoutExpired raised."""
+    path = os.pathsep.join(filter(None, (str(SRC), str(TESTS), os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=timeout)
+    return done.stdout, done.stderr, done.returncode
 
 
 @st.composite

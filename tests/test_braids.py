@@ -93,10 +93,26 @@ def test_parse_round_trip(strands, data):
 def test_torus_braid_examples():
     assert torus_braid(2, 3) == BraidWord(2, (1, 1, 1))
     assert torus_braid(3, 5) == BraidWord(3, (1, 2) * 5)
-    with pytest.raises(ValueError):
-        torus_braid(1, 5)
-    with pytest.raises(ValueError):
-        torus_braid(3, 1)
+    assert torus_braid(np.int64(3), np.int16(5)) == torus_braid(3, 5)
+
+
+@pytest.mark.parametrize("p, q, message", [
+    (1, 5, "torus braid requires p, q >= 2, got 1, 5"),
+    (3, 1, "torus braid requires p, q >= 2, got 3, 1"),
+    (-2, 3, "torus braid requires p, q >= 2, got -2, 3"),
+    (2.5, 3, "torus braid p and q must be integers, got float"),
+    (3, Fraction(5), "torus braid p and q must be integers, got Fraction"),
+    (True, 3, "torus braid p and q must be integers, got bool"),
+    (3, "5", "torus braid p and q must be integers, got str")], ids=repr)
+def test_torus_braid_refuses_with_parse_error(p, q, message):
+    """p and q are read as a braid's strand count is, and each must be at
+    least 2: a float, a Fraction or a string raised TypeError from range(),
+    a list product or a comparison, and p or q below 2 a bare ValueError.
+    ParseError is a ValueError, so a caller that catches ValueError still
+    catches each."""
+    with pytest.raises(ParseError) as caught:
+        torus_braid(p, q)
+    assert str(caught.value) == message and isinstance(caught.value, ValueError)
 
 
 def test_closure_components():

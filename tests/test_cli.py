@@ -1,9 +1,6 @@
 import json
-import os
 import reprlib
 import shutil
-import subprocess
-import sys
 import time
 
 import pytest
@@ -12,6 +9,8 @@ import linkbound.linalg
 from linkbound import cli
 from linkbound.cli import MAX_JSON_INDENT, main
 from linkbound.laurent import laurent_from_json
+
+from helpers import run_python
 
 
 @pytest.fixture
@@ -145,10 +144,13 @@ def test_parse_error_exit_code(capsys, tmp_path):
 ], ids=["5000-digit integer", "not UTF-8", "100000 nested ["])
 def test_hostile_json_exit_code(capsys, tmp_path, content):
     """An integer too long for int(), a file that is not UTF-8 and nesting
-    too deep for the decoder are parse errors, not tracebacks."""
+    too deep for the decoder are parse errors within 5 s, not
+    tracebacks."""
     path = tmp_path / "hostile.json"
     path.write_bytes(content)
+    start = time.perf_counter()
     code, out, err = run(capsys, "bound", str(path))
+    assert time.perf_counter() - start < 5
     assert code == 2 and not out
     assert err.startswith("parse error:") and "Traceback" not in err
 
@@ -170,13 +172,14 @@ def test_hostile_json_exit_code(capsys, tmp_path, content):
     {"braid": "strands=2; s1 s1 s١"},
     {"braid": "strands=2; 1 1 1", "seifert_matrix": [[0]], "components": 2},
     {"braid": "strands=2; 1 1", "components": 5}, {"braid": "strands=2; 1 strands=3 2 1"},
+    {"braid": "strands=2; 1 1 1", "label": "T"},
 ])
 def test_non_integer_json_exit_code(capsys, tmp_path, obj):
     """A number that is not a JSON integer, or not an ASCII decimal in a
     braid text, is a parse error: nothing is truncated or read into a
     report on another matrix or braid.  So is a braid beside a
-    seifert_matrix or components, or a braid text with two strand counts,
-    where the report used to be on one of the two."""
+    seifert_matrix, components or label, or a braid text with two strand
+    counts, where the report used to be on one of the two."""
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
     code, out, err = run(capsys, "bound", str(path))
@@ -271,17 +274,17 @@ def test_huge_split_braid_exit_code(capsys, tmp_path):
 
 
 def test_python_m_linkbound(trefoil_file):
-    """python -m linkbound runs the CLI, exit codes included."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    done = subprocess.run([sys.executable, "-m", "linkbound", "bound", trefoil_file],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout)["lower"] == 1
-    done = subprocess.run([sys.executable, "-m", "linkbound", "signature-csv", trefoil_file,
-                           "--samples", "10001"],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 2 and "exceeds the maximum 10000" in done.stderr
+    """python -m linkbound runs the CLI, exit codes included, and verifies
+    the built-in catalog."""
+    out, err, code = run_python(["-m", "linkbound", "bound", trefoil_file], 60)
+    assert code == 0, err
+    assert json.loads(out)["lower"] == 1
+    _, err, code = run_python(["-m", "linkbound", "signature-csv", trefoil_file,
+                               "--samples", "10001"], 60)
+    assert code == 2 and "exceeds the maximum 10000" in err
+    out, err, code = run_python(["-m", "linkbound", "verify"], 60)
+    assert code == 0, err
+    assert out.endswith(" catalog entries passed\n") and "FAIL" not in out
 
 
 @pytest.mark.parametrize("imports, modules", [
@@ -294,14 +297,11 @@ def test_report_path_imports_no_argparse(trefoil_file, imports, modules):
     value classes are plain classes, so neither `import linkbound` nor the
     report imports dataclasses and the inspect, ast, dis and tokenize
     modules that it pulls in."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     code = (f"import sys; {imports}; rc = main(['bound', sys.argv[1]]); "
             f"print([m for m in {modules!r} if m in sys.modules], rc)")
-    done = subprocess.run([sys.executable, "-c", code, trefoil_file],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[] 0"
+    out, err, rc = run_python(["-c", code, trefoil_file], 60)
+    assert rc == 0, err
+    assert out.splitlines()[-1] == "[] 0"
 
 
 COMMANDS = ("invariants", "bound", "infect", "signature-csv", "verify")
@@ -350,6 +350,8 @@ def cli_files(tmp_path, trefoil_file, monkeypatch):
     ("signature-csv K --samples many", 2), ("bound K --json-indent=", 2),
     ("signature-csv K --samples 10001", 2), ("signature-csv K --samples=1000000000", 2),
     ("signature-csv K --samples -5", 2), ("signature-csv K --samples=-1", 2),
+    ("signature-csv K --samples 1000000000", 2), ("signature-csv K --samples -1", 2),
+    ("signature-csv K --samples 5 --samples 1", 2),
     ("verify --catalog -h", 2), ("bound K --band-cert --help", 2), ("bound -- K", 2),
     ("infect -R.json D", 2), ("bound -K.json", 2),
     ("bound K --json-indent 1_2", 2), ("signature-csv K --samples=+12", 2),
@@ -374,15 +376,20 @@ def test_command_line_forms(capsys, cli_files, argv, expected):
     option and each number of --band-cert are an optional '-' and ASCII
     digits, where int() would also read '1_2', '+12' and other scripts'
     digits.  The Fox-Milnor cap is a constant: --degree-cap is an unknown
-    option."""
+    option.  Each form answers within 5 s: --samples 1000000000 is refused
+    before any sample is taken."""
     def fill(token):
         head, eq, tail = token.rpartition("=")
         return head + eq + cli_files.get(tail, tail)
+    start = time.perf_counter()
     code, out, err = run(capsys, *map(fill, argv.split()))
+    assert time.perf_counter() - start < 5
     assert code == expected, err
     assert "Traceback" not in err
     if expected == 0 and {"-h", "--help"} & set(argv.split()):
-        assert all(f"  {command} " in out for command in COMMANDS) and not err
+        lines = out.splitlines()
+        assert all(any(line.startswith(f"  {command} ") for line in lines)
+                   for command in COMMANDS) and not err
     elif expected == 2:
         assert err.startswith("parse error:") and err.count("\n") == 1 and not out
 
@@ -455,11 +462,12 @@ DECLARATION = {"axes": 1, "linking_numbers": [[0]], "double_points": 0,
 
 @pytest.mark.parametrize("report, declaration", [
     ({}, DECLARATION), (REPORT, {}), (REPORT, {"axes": "x"}), ([], DECLARATION),
-    (REPORT, [])])
+    (REPORT, []), (dict(REPORT, uper=1), dict(DECLARATION, linking_numbers=[[0.7]]))])
 def test_infect_malformed_input_exit_code(capsys, tmp_path, report, declaration):
-    """A base report or a declaration with a missing or mistyped field, or
-    that is not a JSON object, is a parse error (exit 2), not a traceback;
-    the well-formed pair transfers."""
+    """A base report or a declaration with a missing, mistyped or misspelt
+    field, or that is not a JSON object, is one parse error line (exit 2),
+    not a traceback or a ParseError repr; the well-formed pair
+    transfers."""
     paths = {}
     for name, obj in (("report", report), ("declaration", declaration),
                       ("good_report", REPORT), ("good_declaration", DECLARATION)):
@@ -470,16 +478,21 @@ def test_infect_malformed_input_exit_code(capsys, tmp_path, report, declaration)
     assert code == 0 and json.loads(out)["lower"] == 1
     code, out, err = run(capsys, "infect", str(paths["report"]), str(paths["declaration"]))
     assert code == 2 and not out
-    assert err.startswith("parse error:") and "Traceback" not in err
+    assert err.startswith("parse error:") and err.count("\n") == 1
+    assert "Traceback" not in err and "ParseError(" not in err
 
 
 @pytest.mark.parametrize("report, declaration, code", [
     (dict(REPORT, components=2), DECLARATION, 3),
     (dict(REPORT, components=2), dict(DECLARATION, axes=2, linking_numbers=[[0, 0], [0]]), 3),
+    (dict(REPORT, upper=None, components=2), DECLARATION, 3),
+    (dict(REPORT, upper=None, components=2),
+     dict(DECLARATION, axes=2, linking_numbers=[[0, 0], [0]]), 3),
     (dict(REPORT, components=0), DECLARATION, 2),
     (dict(REPORT, slice_verdict="whatever"), DECLARATION, 2),
     (dict(REPORT, provenance=[{"bound": "sideways", "value": 1, "source": "x"}]), DECLARATION, 2)],
-    ids=["short row", "ragged rows", "no component", "verdict", "provenance bound"])
+    ids=["short row", "ragged rows", "short row, no upper", "ragged rows, no upper",
+         "no component", "verdict", "provenance bound"])
 def test_infect_refuses_what_the_report_cannot_hold(capsys, tmp_path, report, declaration, code):
     """Linking-number rows that do not match the base report's components
     are invalid data (exit 3), and a report with no component, an unknown
@@ -508,7 +521,8 @@ def test_infect_non_integer_exit_code(capsys, tmp_path, report, declaration):
     decl_path.write_text(json.dumps(declaration))
     code, out, err = run(capsys, "infect", str(report_path), str(decl_path))
     assert code == 2 and not out
-    assert err.startswith("parse error:") and "Traceback" not in err
+    assert err.startswith("parse error:") and err.count("\n") == 1
+    assert "Traceback" not in err and "ParseError(" not in err
 
 
 @pytest.mark.parametrize("report, declaration, message", [
@@ -593,13 +607,13 @@ TREFOIL_ENTRY = {"name": "trefoil", "input": {"braid": {"strands": 2, "word": [1
         {"alexander": {"coefficients": "121"}}, {"alexander": {"coefficients": {"3": 7, "5": 1}}},
         {"alexander": {"coefficients": [1, -1, 1], "min_exponent": 1.5}},
         {"alexander": {"coefficients": [1, -1, 1], "min_exponent": 0, "0": 5}},
-        {"max_abs_sigma": 2.0}, {"max_abs_sigma": "2"}, [1], 1)),
+        {"max_abs_sigma": 2.0}, {"max_abs_sigma": "2"}, {"max_abs_sigmaa": 7}, [1], 1)),
     [dict(TREFOIL_ENTRY, input={"braid": "strands=2; 1 1", "components": 2})]], ids=repr)
 def test_verify_malformed_catalog_exit_code(capsys, tmp_path, catalog):
     """A catalog entry, its input or its expected values that are not
     objects, an input with a braid beside components, a g4 that is not a
     pair of integers or nulls, a bad Alexander polynomial and a
-    non-integer max_abs_sigma are parse errors:
+    non-integer max_abs_sigma and a misspelt key are parse errors:
     exit 2 with one message, where they used to raise, or, for expected
     [1], check nothing and pass.  A "p/q" Alexander coefficient, which used
     to fail its check (exit 5), is one: Delta has integer coefficients.  So
@@ -679,13 +693,15 @@ def test_unknown_json_keys_exit_2(capsys, tmp_path, command, obj, key):
     ("infect-declaration", dict(DECLARATION, linking_numbers=3),
      "linking_numbers must be a list, got 3"),
     ("verify", [dict(TREFOIL_ENTRY, name=7)], "catalog entry name must be a string, got 7"),
+    ("verify", [{"name": 7, "input": {"braid": "strands=2; 1 1 1"}}],
+     "catalog entry name must be a string, got 7"),
     ("bound", {"seifert_matrix": [[-1, 1], [0, -1]], "label": [1, 2]},
      "label must be a string, got [1, 2]"),
     ("bound", {"braid": {"strands": 2, "word": [1, 1.0, 1]}},
      "strands and braid letters must be integers, got float"),
 ], ids=["bare assumptions", "assumption", "assumptions object", "source", "provenance number",
         "provenance field", "report field", "components", "notes", "double_points",
-        "object row", "number rows", "name", "label", "braid letter"])
+        "object row", "number rows", "name", "name, braid text", "label", "braid letter"])
 def test_wrong_json_types_exit_2(capsys, tmp_path, command, obj, message):
     """A JSON value of the wrong type is one parse error naming its field,
     exit 2: the readers used to call str() and tuple() on what they read,
@@ -741,7 +757,8 @@ def test_oversized_value_gives_a_short_error_line(capsys, tmp_path, args, code):
     """A refusal that echoes a 100 000-character value, a g4 of 50 000
     entries, a 4000-digit integer or a path of 2900 to 4000 characters
     shows it shortened: one line of under 300 bytes with the prefix of its
-    exit code, where the whole value made lines of 2 900 to 200 000 bytes.
+    exit code, within 10 s, where the whole value made lines of 2 900 to
+    200 000 bytes.
     Each JSON object of `args` is passed as a file, and each bytes value
     as the content of a file under the directories DEEP."""
     argv = []
@@ -756,7 +773,9 @@ def test_oversized_value_gives_a_short_error_line(capsys, tmp_path, args, code):
             path.write_text(json.dumps(arg))
             arg = str(path)
         argv.append(arg)
+    start = time.perf_counter()
     got, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 10
     assert (got, out) == (code, "")
     assert err.startswith(PREFIXES[code]) and err.count("\n") == 1
     assert len(err.encode()) < 300

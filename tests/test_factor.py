@@ -383,7 +383,7 @@ def test_the_quadratic_rule_splits_as_the_divisor_search(roots, cofactor):
     assert factor._rational_root_split(p) == factor_reference.rational_root_split(p)
 
 
-@pytest.mark.parametrize("a", [10 ** 4, 10 ** 9, 10 ** 40])
+@pytest.mark.parametrize("a", [10 ** 4, 10 ** 6, 10 ** 9, 10 ** 40])
 def test_a_quadratic_jump_polynomial_takes_no_divisors(monkeypatch, a):
     """The jump polynomial of the block sum of [[a, 1], [0, a]] with itself
     is the square of the linear one below, with constant term about 4a^4:

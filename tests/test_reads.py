@@ -5,6 +5,8 @@ denominator of a Fraction x once each, without building or comparing a
 Fraction or hashing the Seifert data."""
 
 import collections
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -210,3 +212,82 @@ def test_an_algebraic_read_beside_a_rational_breakpoint(p, q):
             below = RealAlgebraic(poly, r - 2 * eps, r + eps)
             assert f.value_at(above) == f.interval_values[i + 1]
             assert f.value_at(below) == f.interval_values[i]
+
+
+def _warm_inputs():
+    """T(3,7) and T(3,5) + 0_1: each has only algebraic breakpoints."""
+    return (_torus(3, 7), _torus(3, 5, 1))
+
+
+def test_twenty_thousand_warm_reads_within_5_s():
+    """20 000 warm reads, alternating between the two inputs and, in
+    pairs, between signature_nullity_at and value_at, at random rationals
+    of (-2, 2) with denominators up to 1000, take under 5 s with the
+    functions' construction; every
+    hundredth that is no breakpoint equals pointwise_signature_nullity."""
+    inputs = _warm_inputs()
+    rng = random.Random(14)
+    checked = 0
+    start = time.perf_counter()
+    for i in range(20000):
+        data = inputs[i % 2]
+        f = signature_function(data)
+        den = rng.randint(1, 1000)
+        x = Fraction(rng.randint(-2 * den + 1, 2 * den - 1), den)
+        value = signature_nullity_at(data, x) if i % 4 < 2 else f.value_at(x)
+        if i % 100 == 0 and x not in f.breakpoints:
+            assert value == pointwise_signature_nullity(data, x), (i, x, value)
+            checked += 1
+    assert time.perf_counter() - start < 5
+    assert checked == 200
+
+
+def test_warm_reads_at_rebuilt_breakpoints_build_no_fraction(monkeypatch):
+    """10 000 warm reads on each input, at a breakpoint rebuilt from
+    to_json, at +-2 and at random rationals of [-2, 2], take under 5 s with
+    the functions' construction, build and compare no Fraction and hash no
+    SeifertData; every hundredth read at a random rational equals
+    pointwise_signature_nullity, which builds, compares and hashes none
+    either."""
+    start = time.perf_counter()
+    rng = random.Random(24)
+    streams = []
+    for data in _warm_inputs():
+        f = signature_function(data)
+        rebuilt = rebuilt_breakpoints(f)
+        points = []
+        for i in range(10000):
+            if i % 10 == 0:
+                points.append(rng.choice(rebuilt))
+            elif i % 10 == 1:
+                points.append(rng.choice([Fraction(2), Fraction(-2)]))
+            else:
+                den = rng.randint(1, 1000)
+                points.append(Fraction(rng.randint(-2 * den, 2 * den), den))
+        signature_nullity_at(data, points[-1])
+        streams.append((data, f, points))
+    calls = _counting(monkeypatch)
+    checked = 0
+    for data, f, points in streams:
+        for i, x in enumerate(points):
+            value = signature_nullity_at(data, x) if i % 2 else f.value_at(x)
+            if i % 100 == 2:  # a random rational
+                assert value == pointwise_signature_nullity(data, x), (i, x, value)
+                checked += 1
+    assert time.perf_counter() - start < 5
+    assert calls["__new__"] == calls["__eq__"] == calls["__hash__"] == 0, calls
+    assert checked == 200
+
+
+def test_breakpoints_read_back_from_to_json():
+    """At each breakpoint of T(3,20) rebuilt from to_json,
+    signature_nullity_at reads the averaged value, within 5 s; csv_rows
+    has a row per interval and per breakpoint."""
+    start = time.perf_counter()
+    data = _torus(3, 20)
+    f = signature_function(data)
+    points = rebuilt_breakpoints(f)
+    for x, value in zip(points, f.averaged_values):
+        assert signature_nullity_at(data, x) == value, (x, value)
+    assert len(f.csv_rows()) == 2 * len(points) + 1
+    assert time.perf_counter() - start < 5

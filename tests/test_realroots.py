@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -192,6 +194,29 @@ def test_rational_root_check_does_not_trial_divide():
         assert time.perf_counter() - start < 0.05
 
 
+def test_equal_numbers_compare_and_hash_equal():
+    """== is value equality, through equals: a copy, a deepcopy, a pickle
+    round trip, a wider bracket and another defining polynomial of sqrt(2)
+    equal it and hash alike, where == was identity.  A rational is never
+    equal, and any other operand is left to its own type.  Hashing leaves
+    the bracket alone."""
+    sqrt2 = RealAlgebraic([-2, 0, 1], 1, 2)
+    twins = [sqrt2.copy(), copy.deepcopy(sqrt2), pickle.loads(pickle.dumps(sqrt2)),
+             RealAlgebraic([-2, 0, 1], 0, 3),
+             RealAlgebraic(polys.mul([-2, 0, 1], [-3, 0, 1]), Fraction(13, 10), Fraction(3, 2))]
+    for twin in twins:
+        assert twin == sqrt2 and sqrt2 == twin and not sqrt2 != twin
+        assert hash(twin) == hash(sqrt2)
+    assert len({sqrt2, *twins}) == 1
+    for other in (RealAlgebraic([-2, 0, 1], -2, -1), RealAlgebraic([-3, 0, 1], 1, 2), 1,
+                  Fraction(7, 5), 1.5, "sqrt(2)", None):
+        assert sqrt2 != other and other != sqrt2 and not sqrt2 == other
+    assert sqrt2.__eq__(1.5) is NotImplemented
+    wide = RealAlgebraic([-2, 0, 1], -1, 10 ** 6)
+    assert hash(wide) == hash(1) and (wide.lo, wide.hi) == (-1, 10 ** 6)
+    assert hash(RealAlgebraic([-2, 0, 1], -2, -1)) == hash(-2)
+
+
 irrational_factors = st.sampled_from([(-2, 0, 1), (-3, 0, 1), (-1, -1, 1), (-7, 2, 1),
                                       (-5, 0, 3), (-2, 0, 0, 1), (1, -3, 0, 1), (-41, 0, 0, 9)])
 
@@ -247,8 +272,9 @@ def test_entry_points_refuse_floats_and_fractions(bad):
     read: a float or a Fraction raises the one TypeError, before any cache
     stores a result, so no later exact answer depends on the refused call
     (x + 1/2 read as 0.5 x + 1 once put the root 0 of x into the cache of
-    2x + 1)."""
+    2x + 1).  Refusals and answers take under 10 s."""
     kind = next(type(c).__name__ for c in bad if type(c) is not int)
+    start = time.perf_counter()
     sqrt2 = RealAlgebraic([-2, 0, 1], 1, 2)
     for call in (lambda p: isolate_real_roots(p, Fraction(-1, 4), 2), sturm_chain,
                  lambda p: RealAlgebraic(p, 1, 2), sqrt2.sign_of, sqrt2.vanishes,
@@ -258,6 +284,7 @@ def test_entry_points_refuse_floats_and_fractions(bad):
     assert isolate_real_roots([1, 2], Fraction(-1, 4), 2) == []
     assert [sqrt2.sign_of(q) for q in ([-1, 0, 1], [-2, 0, 1], [-3, 0, 1])] == [1, 0, -1]
     assert not sqrt2.vanishes([-5, 0, 2]) and sqrt2.vanishes([2, 0, -1])
+    assert time.perf_counter() - start < 10
 
 
 def test_entry_points_store_numpy_integers_as_ints():

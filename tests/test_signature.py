@@ -818,6 +818,19 @@ def test_copies_and_pickles_start_from_v():
         assert signature_function(clone) is not signature_function(data)
 
 
+def test_equal_seifert_data_give_equal_functions():
+    """The functions of two equal SeifertData of T(3,5), whose breakpoints
+    are algebraic, are equal and hash alike, as are a deepcopy and a pickle
+    round trip: they were unequal while RealAlgebraic compared by identity,
+    which the trefoil's rational breakpoints hid."""
+    v = seifert_matrix_from_braid(torus_braid(3, 5)).matrix
+    f = signature_function(SeifertData(v))
+    for g in (signature_function(SeifertData(v)), copy.deepcopy(f),
+              pickle.loads(pickle.dumps(f))):
+        assert g is not f and g == f and hash(g) == hash(f)
+    assert f != signature_function(seifert_matrix_from_braid(torus_braid(3, 7)))
+
+
 def _brackets(points) -> list:
     return [(x._a, x._b, x._d) if isinstance(x, RealAlgebraic) else x for x in points]
 
