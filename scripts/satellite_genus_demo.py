@@ -12,7 +12,8 @@ polynomial 2t^2 - 5t + 2, then:
   * transfers the resulting exact bound through a string-link infection
     with null-homologous axes and declared Milnor-invariant vanishing.
 
-Everything exact except the float-oracle cross-check at the end.
+Everything exact except the float-oracle cross-check at the end, which
+needs numpy: install the package's `test` extra (pip install -e .[test]).
 """
 
 import json

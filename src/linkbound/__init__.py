@@ -4,8 +4,7 @@ knots and links given by Seifert matrices or braid words."""
 
 from .braids import (BraidWord, SeifertData, braid_text, closure_components,
                      connected_sum, mirror, parse_braid,
-                     seifert_data_from_json, seifert_matrix_from_braid,
-                     stabilize, torus_braid)
+                     seifert_data_from_json, seifert_matrix_from_braid, torus_braid)
 from .bounds import (BandCertificate, BoundReport, InfectionDecl, Provenance,
                      assemble_report, band_certificate_genus,
                      infection_transfer, lt_lower_bound, seifert_genus_upper_bound,

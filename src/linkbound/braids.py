@@ -349,32 +349,6 @@ def mirror(a: SeifertData) -> SeifertData:
     return SeifertData(v, a.components, label=f"mirror({a.label})" if a.label else "")
 
 
-def stabilize(a: SeifertData, direction: str, new_column) -> SeifertData:
-    """Surface stabilization (an S-equivalence enlargement).
-
-    Appends one row/column pair in the standard pattern: a single
-    off-diagonal 1, a zero diagonal corner, and the supplied integer
-    vector in the free slots.  Genus grows by one; the Alexander class
-    and the whole signature function are unchanged.  The entries of
-    new_column are checked as those of a Seifert matrix.
-    """
-    xi = list(new_column)
-    n = a.size
-    if len(xi) != n:
-        raise InvalidSeifertData(f"new_column must have length {n}")
-    if direction not in ("row-first", "column-first"):
-        raise ValueError("direction must be 'row-first' or 'column-first'")
-    v = [list(row) + [0, 0] for row in a.matrix] + [[0] * (n + 2), [0] * (n + 2)]
-    if direction == "row-first":
-        for i in range(n):
-            v[i][n] = xi[i]
-        v[n][n + 1] = 1
-    else:
-        v[n][:n] = xi
-        v[n + 1][n] = 1
-    return SeifertData(v, a.components, label=a.label)
-
-
 # -- JSON input ------------------------------------------------------------
 
 

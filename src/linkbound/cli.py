@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 from .bounds import BandCertificate, BoundReport, InfectionDecl, assemble_report, \
@@ -20,8 +21,7 @@ from .bounds import BandCertificate, BoundReport, InfectionDecl, assemble_report
 from .catalog import builtin_catalog, load_catalog, verify_catalog
 from .errors import InconsistentBounds, InvalidSeifertData, ParseError
 from .laurent import format_laurent, laurent_to_json
-from .signature import (alexander_from_seifert, float_oracle, link_nullity,
-                        signature_function)
+from .signature import alexander_from_seifert, link_nullity, signature_function
 from .braids import _decimal, _shown, seifert_data_from_json
 
 EXIT_OK = 0
@@ -96,16 +96,14 @@ def cmd_infect(args) -> int:
 
 
 def cmd_signature_csv(args) -> int:
-    data = _load_seifert(args.input)
-    f = signature_function(data)
+    f = signature_function(_load_seifert(args.input))
     sys.stdout.write("x_lo,x_hi,sigma,nullity,source\n")
     for x_lo, x_hi, sigma, nullity, source in f.csv_rows():
         sys.stdout.write(f"{x_lo!r},{x_hi!r},{sigma!r},{nullity},{source}\n")
-    for i in range(args.samples):
-        theta = math.pi * (i + 1) / (args.samples + 1)
-        sigma, nullity = float_oracle(data, theta)
-        x = 2 * math.cos(theta)
-        sys.stdout.write(f"{x!r},{x!r},{float(sigma)!r},{nullity},oracle\n")
+    for i in range(1, args.samples + 1):  # the certified value at x = -2 + 4i/(N + 1)
+        x = Fraction(4 * i, args.samples + 1) - 2
+        sigma, nullity = f.value_at(x)
+        sys.stdout.write(f"{float(x)!r},{float(x)!r},{float(sigma)!r},{nullity},sample\n")
     return EXIT_OK
 
 
@@ -135,8 +133,8 @@ def cmd_verify(args) -> int:
 # to every line below it, so 10^9 would ask for gigabytes.  0 or a
 # negative indent puts each value on its own line, unindented.
 MAX_JSON_INDENT = 64
-# The largest --samples: each oracle row is one numpy eigen-solve, about
-# 17 us on the trefoil, so 10^9 would run for hours.
+# The largest --samples: it bounds the output, one CSV row per sample,
+# which 10^9 would make tens of gigabytes.
 MAX_SAMPLES = 10000
 
 
@@ -168,7 +166,7 @@ COMMANDS = {
                "transfer bounds through a string-link infection declaration"),
     "signature-csv": (cmd_signature_csv, ("input",),
                       {**INPUT, "--samples": (_within("--samples", 0, MAX_SAMPLES), 0)},
-                      "emit the signature function as CSV, plus N float-oracle rows"),
+                      "emit the signature function as CSV, plus N certified sample rows"),
     "verify": (cmd_verify, (), {"--catalog": (str, None)},
                "run the catalog regression checks (default: $LINKBOUND_CATALOG or built-in)"),
 }

@@ -227,21 +227,23 @@ def isolate_real_roots(q, lo, hi) -> list[tuple[int, int, int, int]]:
     Yun factor, the one whose sign differs at the two ends, and its
     power is the multiplicity.  Raises ZeroPolynomialError for q = 0.
     """
-    return _isolate(q, lo, hi)[0]
-
-
-def _isolate(q, lo, hi) -> tuple[list, tuple]:
-    """(isolate_real_roots(q, lo, hi), the square-free part of q that the
-    isolation counted on).  The part's chain is q's own when q is
-    square-free and is built only otherwise, so the brackets and the
-    RealAlgebraic._certified roots built on them read one decomposition."""
     q = polys.primitive(q)
     if not q:
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
+    return _isolate(_yun(q), lo, hi)
+
+
+def _isolate(decomposition, lo, hi) -> list:
+    """isolate_real_roots(q, lo, hi) for the nonzero q of which
+    decomposition = (Yun's factors, square-free part, Sturm chain) is
+    _yun's, or (factors, part, the part's own chain) built by a caller.
+    The chain is used when the part is square-free and the part's chain
+    is built only otherwise, so the caller that hands on its
+    decomposition runs no second remainder sequence of q."""
+    factors, part, chain = decomposition
     (a, e), (b, f) = _ratio(lo), _ratio(hi)
     d = lcm(e, f)
     a, b = a * (d // e), b * (d // f)
-    factors, part, chain = _yun(q)
     if polys.degree(chain[-1]) > 0:  # q is not square-free
         chain = sturm_chain(part)
     out = []
@@ -251,7 +253,7 @@ def _isolate(q, lo, hi) -> tuple[list, tuple]:
             if polys.sign_at_ratio(factor, u, e) != polys.sign_at_ratio(factor, v, e))
         g = gcd(u, v, e)
         out.append((u // g, v // g, e // g, mult))
-    return out, part
+    return out
 
 
 def _ratio(c) -> tuple[int, int]:

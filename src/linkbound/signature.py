@@ -63,9 +63,8 @@ Laurent polynomials appear only in the answer: the Alexander polynomial.
 from __future__ import annotations
 
 import bisect
-import collections
 from fractions import Fraction
-from functools import wraps
+from functools import reduce, wraps
 from math import gcd, lcm
 
 from . import polys
@@ -73,7 +72,7 @@ from .braids import SeifertData, _Value
 from .factor import _rational_root_split
 from .laurent import LaurentPoly
 from .linalg import _frobenius, _integer_symmetric_signature, _principal_signs
-from .realroots import RealAlgebraic, _isolate, _nonzero_at
+from .realroots import RealAlgebraic, _isolate, _nonzero_at, _yun, sturm_chain
 
 
 # -- circle points ----------------------------------------------------------
@@ -309,6 +308,37 @@ def _separated(left, right) -> bool:
     return b * e < a * d
 
 
+def _jump_roots(prim) -> list:
+    """(root, multiplicity) for each root in (-2, 2) of the primitive
+    positive-leading integer polynomial prim: the rational roots as
+    Fractions, in increasing order, then the others as RealAlgebraic
+    numbers, in increasing order.
+
+    One remainder sequence of (prim, prim') gives Yun's decomposition
+    prim = prod s_e^e (_yun).  The rational roots are split off each
+    square-free s_e, whose constant term divides prim's, so a cube of a
+    linear factor with a large constant term takes no divisor search of
+    that cube.  The square-free part that defines the algebraic roots is
+    the one that the isolation counts on: with no rational root it is
+    prim's, and the isolation reads the decomposition's chain, one
+    remainder sequence in all; otherwise it is the product of the
+    factors that the split leaves, with a chain of its own.
+    """
+    factors, part, chain = _yun(prim)
+    split = [(_rational_root_split(list(s)), e) for s, e in factors]
+    # each linear factor is (-s, den), den > 0, with root s/den, in one Yun factor
+    roots = sorted((Fraction(-c, den), e) for (_, linear), e in split
+                   for c, den in linear if abs(c) < 2 * den)
+    if any(linear for (_, linear), _ in split):
+        factors = tuple((tuple(rest), e) for (rest, _), e in split if polys.degree(rest) >= 1)
+        part = tuple(reduce(polys.mul, (f for f, _ in factors), [1]))
+        chain = sturm_chain(part)
+    if polys.degree(part) >= 1:
+        roots += [(RealAlgebraic._certified(part, a, b, d), e)
+                  for a, b, d, e in _isolate((factors, part, chain), -2, 2)]
+    return roots
+
+
 def _jump_structure(data):
     """(jump polynomial in x, generic rank r, the breakpoints in open
     (-2, 2), each paired with its multiplicity as a root of the jump
@@ -319,8 +349,8 @@ def _jump_structure(data):
     For a knot it is the x-form of t^(-g) Delta(t), of degree g, so the
     rational-root split and the Sturm isolation below run on integer
     polynomials of half the degree of det B.  Its roots inside (-2, 2) are
-    the candidate jumps, each with the multiplicity e that the split or
-    the isolation certifies; x - x0 = (t - z0)(t - 1/z0)/t, so e is also
+    the candidate jumps (_jump_roots), each with its multiplicity e;
+    x - x0 = (t - z0)(t - 1/z0)/t, so e is also
     the order of det B_I at z0 != +-1.  When det B is not identically zero
     every candidate is a root of det B, where the rank drops.  Otherwise:
 
@@ -342,9 +372,6 @@ def _jump_structure(data):
     r x r minor of B vanishes at z0.  The corank of B_I(z0) is at most
     the order e of det B_I there, so rank B(z0) >= r - e: for e = 1 the
     rank is r - 1.
-
-    The square-free part that defines the algebraic breakpoints is the
-    one that the isolation counted on and returns with its brackets.
     """
     n = data.size
     _, minors = _principal_block(data)
@@ -354,14 +381,7 @@ def _jump_structure(data):
     _, prim = polys.primitive_positive(list(minors[-1]))
     if polys.degree(prim) == 0:
         return tuple(prim), rank, (), ()
-    rest, linear = _rational_root_split(list(prim))
-    # each linear factor is (-s, den), den > 0, with root s/den
-    candidates = sorted((Fraction(-c, den), e) for (c, den), e in
-                        collections.Counter(map(tuple, linear)).items() if abs(c) < 2 * den)
-    if polys.degree(rest) >= 1:
-        brackets, sqfree = _isolate(rest, -2, 2)
-        candidates += [(RealAlgebraic._certified(sqfree, a, b, d), e)  # in increasing order
-                       for a, b, d, e in brackets]
+    candidates = _jump_roots(prim)
     ranks = iter(_ranks_at(data, [root for root, e in candidates if e > 1]))
     rationals, algebraic = [], []
     for root, e in candidates:
@@ -628,7 +648,11 @@ def float_oracle(data: SeifertData, theta: float) -> tuple[int, int]:
     """Floating-point (sigma, nullity) of B(z) = (1 - z)V + (1 - 1/z)V^T at
     z = e^{i theta}, built from V in numpy and read by its eigenvalues.
     Verification oracle only: eigenvalues within 1e-9 of zero count as
-    null, so values near jumps are not certified."""
+    null, so values near jumps are not certified.  No command calls it; it
+    stays in the library only because the benchmark's oracle
+    (perfbench/oracle.py) calls linkbound.float_oracle.  numpy is not a
+    dependency of the package: install the `test` extra
+    (pip install -e .[test]) to call it."""
     import numpy as np
 
     if not 0 < theta <= 3.14159265358979324:

@@ -1,5 +1,7 @@
 """The all-pairs construction of a braid closure's Seifert matrix, kept as
-the reference that `seifert_matrix_from_braid` is compared against.
+the reference that `seifert_matrix_from_braid` is compared against, and
+the surface stabilization of a Seifert matrix, which the tests use to
+build S-equivalent matrices.
 
 It lists the basis loops (one per consecutive pair of bands on the same
 generator), sorts them by the position of their first band, and scans all
@@ -11,7 +13,8 @@ in one walk of the word.
 
 from __future__ import annotations
 
-from linkbound import BraidWord, braid_text, closure_components
+from linkbound import BraidWord, InvalidSeifertData, SeifertData, braid_text, \
+    closure_components
 
 
 def reference_seifert_matrix(b: BraidWord) -> tuple[tuple[tuple[int, ...], ...], int, str]:
@@ -54,3 +57,29 @@ def reference_seifert_matrix(b: BraidWord) -> tuple[tuple[tuple[int, ...], ...],
     m = closure_components(b)
     assert (n - m + 1) % 2 == 0
     return tuple(tuple(row) for row in v), m, braid_text(b)
+
+
+def stabilize(a: SeifertData, direction: str, new_column) -> SeifertData:
+    """Surface stabilization (an S-equivalence enlargement).
+
+    Appends one row/column pair in the standard pattern: a single
+    off-diagonal 1, a zero diagonal corner, and the supplied integer
+    vector in the free slots.  Genus grows by one; the Alexander class
+    and the whole signature function are unchanged.  The entries of
+    new_column are checked as those of a Seifert matrix.
+    """
+    xi = list(new_column)
+    n = a.size
+    if len(xi) != n:
+        raise InvalidSeifertData(f"new_column must have length {n}")
+    if direction not in ("row-first", "column-first"):
+        raise ValueError("direction must be 'row-first' or 'column-first'")
+    v = [list(row) + [0, 0] for row in a.matrix] + [[0] * (n + 2), [0] * (n + 2)]
+    if direction == "row-first":
+        for i in range(n):
+            v[i][n] = xi[i]
+        v[n][n + 1] = 1
+    else:
+        v[n][:n] = xi
+        v[n + 1][n] = 1
+    return SeifertData(v, a.components, label=a.label)

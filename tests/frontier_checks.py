@@ -10,6 +10,8 @@ and hypothesis (helpers, burau_reference) are imported only by the checks
 that use them."""
 
 import sys
+import time
+from fractions import Fraction
 
 from linkbound import SeifertData, alexander_from_seifert, assemble_report, connected_sum, \
     seifert_matrix_from_braid, signature_function, torus_braid
@@ -79,6 +81,26 @@ def mixed_double_stops():
     assemble_report(data)
     assert runs == [(0, 1), (1, 53)], runs
     assert_matches(signature_function(data), [(2, 3, 1), (2, 3, 1), (3, 26, 1), (3, 26, 1)])
+
+
+def triple_block_sum_within_a_tenth(*exponents):
+    """The block sum of three [[a, 1], [0, a]] (n = 6) at a = 10^e for each
+    e: a cold report, construction included, takes under 0.1 s.  Its jump
+    polynomial is the cube of a linear one whose constant term grows as
+    a^2, so the cube's grows as a^6; its one jump, at 2 - 1/a^2, has
+    nullity 3 and the averaged value 3."""
+    for e in exponents:
+        a = 10 ** e
+        v = [[a if i == j else int(j == i + 1 and i % 2 == 0) for j in range(6)]
+             for i in range(6)]
+        start = time.perf_counter()
+        data = SeifertData.from_matrix(v, 1)
+        report = assemble_report(data)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.1, (a, elapsed)
+        f = signature_function(data)
+        assert f.breakpoints == (Fraction(2 * a * a - 1, a * a),), (a, f.breakpoints)
+        assert f.averaged_values == ((3, 3),) and report.lower == 3, (a, f, report)
 
 
 if __name__ == "__main__":

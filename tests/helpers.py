@@ -18,10 +18,11 @@ from sympy.polys.matrices import DomainMatrix
 import linkbound.linalg
 import linkbound.realroots
 from linkbound import BraidWord, LaurentPoly, RealAlgebraic, SeifertData, closure_components, \
-    connected_sum, seifert_matrix_from_braid, stabilize, torus_braid
+    connected_sum, seifert_matrix_from_braid, torus_braid
 from linkbound import polys
 
 from bareiss_reference import int_rank_det
+from braid_reference import stabilize
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"

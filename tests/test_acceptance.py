@@ -13,9 +13,9 @@ from linkbound import (BandCertificate, BoundReport, InfectionDecl,
                        infection_transfer, link_nullity,
                        mirror, pointwise_signature_nullity,
                        seifert_matrix_from_braid, signature_function,
-                       stabilize, torus_braid, units_equal,
-                       width_upper_bound)
+                       torus_braid, units_equal, width_upper_bound)
 
+from braid_reference import stabilize
 from helpers import random_knot_data, random_seifert_data
 from read_reference import functions_equal
 

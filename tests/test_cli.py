@@ -2,6 +2,7 @@ import json
 import reprlib
 import shutil
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -541,21 +542,31 @@ def test_infect_parse_error_keeps_its_message(capsys, tmp_path, report, declarat
 
 
 def test_signature_csv(capsys, trefoil_file):
-    code, out, _ = run(capsys, "signature-csv", trefoil_file, "--samples", "100")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "x_lo,x_hi,sigma,nullity,source"
-    exact = [l for l in lines[1:] if l.endswith("exact")]
-    oracle = [l for l in lines[1:] if l.endswith("oracle")]
-    assert len(exact) == 3  # two intervals + one breakpoint row
-    assert len(oracle) == 100
-    # oracle rows agree with the exact piecewise values away from the jump
-    for line in oracle:
-        x, _, sigma, nullity, _ = line.split(",")
-        x, sigma = float(x), float(sigma)
-        if abs(x - 1.0) > 1e-3:
-            assert sigma == (-2.0 if x < 1 else 0.0)
-            assert int(nullity) == 0
+    """The exact rows of the trefoil, then one certified `sample` row at
+    each x = -2 + 4i/(N + 1), i = 1..N, whose value is the exact
+    piecewise one: the interval value off the breakpoint x = 1, and the
+    averaged value at it (N = 3 puts a sample there)."""
+    for samples in (3, 100):
+        code, out, _ = run(capsys, "signature-csv", trefoil_file, "--samples", str(samples))
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "x_lo,x_hi,sigma,nullity,source"
+        exact = [l.split(",") for l in lines[1:] if l.endswith(",exact")]
+        sample = [l.split(",") for l in lines[1:] if l.endswith(",sample")]
+        assert [r[:4] for r in exact] == [  # two intervals + one breakpoint row
+            ["-2.0", "1.0", "-2.0", "0"], ["1.0", "1.0", "-1.0", "1"], ["1.0", "2.0", "0.0", "0"]]
+        assert len(lines) == 1 + len(exact) + samples
+        assert [float(x) for x, *_ in sample] == [
+            float(Fraction(4 * i, samples + 1) - 2) for i in range(1, samples + 1)]
+        at_jump = 0
+        for x, x_hi, sigma, nullity, _ in sample:
+            assert x == x_hi
+            x = float(x)
+            walls = [r for r in exact if float(r[0]) == float(r[1]) == x]
+            row = walls[0] if walls else next(r for r in exact if float(r[0]) < x < float(r[1]))
+            assert (sigma, nullity) == (row[2], row[3])
+            at_jump += bool(walls)
+        assert at_jump == (samples == 3)
 
 
 def test_verify_builtin(capsys):

@@ -61,7 +61,9 @@ def test_cold_report_within_its_limit(tmp_path, obj, limit):
                  id="T(3,45) and T(4,28) nullities"),
     *(pytest.param("one_generic_run", (p, q), 30, id=f"T({p},{q}) one generic run")
       for p, q in ((4, 40), (6, 18), (7, 14), (6, 30))),
-    pytest.param("mixed_double_stops", (), 30, id="T(2,3)#T(2,3)#T(3,26)#T(3,26) stops")])
+    pytest.param("mixed_double_stops", (), 30, id="T(2,3)#T(2,3)#T(3,26)#T(3,26) stops"),
+    pytest.param("triple_block_sum_within_a_tenth", (3, 6), 10,
+                 id="[[a, 1], [0, a]] three times, a = 10^3 and 10^6, 0.1 s each")])
 def test_cold_check_within_its_limit(check, args, limit):
     _, err, code = run_python([str(TESTS / "frontier_checks.py"), check, *map(str, args)], limit)
     assert code == 0, err

@@ -486,7 +486,9 @@ irreducible_quadratics = st.sampled_from([(-2, 0, 1), (-3, 0, 1), (-1, -1, 1), (
                                           (-1, 1, 1), (-7, 2, 1)])
 
 
-@settings(max_examples=60, deadline=None)
+# derandomized: the same 60 examples on every run, so that the suite's
+# wall time, which each example's sympy gcds weigh on, is comparable
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.lists(irreducible_quadratics, min_size=1, max_size=3, unique=True),
        st.lists(irreducible_quadratics, min_size=1, max_size=3, unique=True),
        st.lists(st.integers(0, 40), min_size=8, max_size=8))

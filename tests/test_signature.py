@@ -10,6 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -18,14 +19,14 @@ from linkbound import (BraidWord, CirclePoint, LaurentPoly, RealAlgebraic, Seife
                        float_oracle, link_nullity,
                        mirror, pointwise_signature_nullity,
                        seifert_matrix_from_braid, signature_function,
-                       signature_nullity_at, stabilize, torus_braid,
-                       units_equal)
+                       signature_nullity_at, torus_braid, units_equal)
 from linkbound import linalg, polys, realroots, signature
 from linkbound.factor import _rational_root_split
 from linkbound.linalg import _eliminate, _pack, _unpack, poly_det
 from linkbound.signature import _minor_x
 
 import bareiss_reference
+from braid_reference import stabilize
 from helpers import (b_laurent, cold, count_eliminations,
                      degenerate_family, degenerate_seifert, mixed_double, random_knot_data,
                      random_seifert_data, random_unimodular, record_stops, sympy_det, zero_padded)
@@ -348,7 +349,7 @@ def test_samples_are_read_only_through_block_signature(monkeypatch, data):
 def test_cold_report_builds_a_fraction_per_sample_and_rational_breakpoint(monkeypatch, p, q):
     """A cold report isolates, bisects and searches for samples in
     integers: of the Fractions it builds, _pick_sample builds one per
-    interval sample and _jump_structure one per rational breakpoint, and
+    interval sample and _jump_roots one per rational breakpoint, and
     nothing else builds one.  T(2,19) has nine algebraic breakpoints and
     ten samples (the parent built 111 Fractions there); T(2,8) and the
     link T(3,6) have rational breakpoints.  No averaged value is a
@@ -358,7 +359,7 @@ def test_cold_report_builds_a_fraction_per_sample_and_rational_breakpoint(monkey
     f = signature_function(data)
     expected = collections.Counter(
         _pick_sample=len(f.samples),
-        _jump_structure=sum(isinstance(bp, Fraction) for bp in f.breakpoints))
+        _jump_roots=sum(isinstance(bp, Fraction) for bp in f.breakpoints))
     assert expected["_pick_sample"] >= 3
     data = cold(data)
     built = collections.Counter()
@@ -1107,6 +1108,57 @@ def test_jump_candidates_need_a_rank_drop():
     f = signature_function(SeifertData.from_matrix(trefoil, 2))
     assert f.breakpoints == (Fraction(1),)
     assert f.interval_values == ((-2, 1), (0, 1)) and f.averaged_values == ((-1, 2),)
+
+
+X = sympy.Symbol("x")
+# irreducible over Q: quadratics with a non-square discriminant, cubics
+# with no rational root; some have roots in (-2, 2), some not
+IRRATIONAL_FACTORS = [(-2, 0, 1), (-3, 0, 1), (-1, -1, 1), (-1, 1, 1), (-5, 0, 1), (1, 2, -7, 3),
+                      (-2, 0, 0, 1), (1, -3, 0, 1), (-7, 2, 1), (1, 1, -9, 5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 40), st.integers(-120, 120), st.integers(1, 3)),
+                max_size=4, unique_by=lambda f: Fraction(f[1], f[0])),
+       st.lists(st.tuples(st.sampled_from(IRRATIONAL_FACTORS), st.integers(1, 3)),
+                max_size=3, unique_by=lambda f: f[0]),
+       st.integers(0, 1))
+# the cube of a linear factor with a large constant term; x^2 - 2 squared
+@example([(10 ** 6, 2 * 10 ** 6 - 1, 3)], [], 0)
+@example([(1, 1, 2), (2, -3, 1)], [((-2, 0, 1), 2)], 1)
+def test_jump_roots_match_sympy(rational, irrational, sign):
+    """_jump_roots of a product of rational linear factors (den x - s)^e
+    and irreducible factors f^e matches sympy's real roots in (-2, 2):
+    the rational roots exactly, with their multiplicities, in increasing
+    order, then one RealAlgebraic per irrational root, in increasing order,
+    whose bracket holds it, with its multiplicity, and whose defining
+    polynomial is the product of the distinct irreducible factors."""
+    factors = [((-s, den), e) for den, s, e in rational] + list(irrational)
+    p = [(-1) ** sign]
+    for f, e in factors:
+        for _ in range(e):
+            p = polys.mul(p, list(f))
+    if polys.degree(p) < 1:
+        return
+    prim = polys.primitive_positive(p)[1]
+    roots = signature._jump_roots(prim)
+    want = collections.Counter(r for r in sympy.Poly(list(reversed(p)), X).real_roots()
+                               if -2 < r < 2)
+    want_rational = sorted((Fraction(int(r.p), int(r.q)), e) for r, e in want.items()
+                           if r.is_Rational)
+    want_irrational = sorted(((r, e) for r, e in want.items() if not r.is_Rational),
+                             key=lambda re: re[0].evalf(60))
+    got_rational = [(r, e) for r, e in roots if isinstance(r, Fraction)]
+    got_irrational = [(r, e) for r, e in roots if isinstance(r, RealAlgebraic)]
+    assert roots == got_rational + got_irrational
+    assert got_rational == want_rational
+    assert [e for _, e in got_irrational] == [e for _, e in want_irrational]
+    part = [1]
+    for f, _ in irrational:
+        part = polys.mul(part, list(f))
+    for (root, _), (r, _) in zip(got_irrational, want_irrational):
+        assert sympy.Rational(root.lo) < r.evalf(60) < sympy.Rational(root.hi)
+        assert list(root.poly) == polys.primitive_positive(part)[1]
 
 
 def _candidates(jump) -> list:
